@@ -1,15 +1,25 @@
-"""First-order backward pass at O(1) memory.
+"""Backward sweeps at O(1) memory.
 
-One backward solve carries the state replay, the adjoint vector, and the
-flat gradient accumulator.  The augmented vector has length
-``2 * batch * m + n`` regardless of how many steps the solver takes, and
-each solver stage costs exactly one field evaluation plus one reverse
-traversal (which yields both the state and parameter VJPs).
+Every backward pass in the package integrates one augmented ODE from t1
+down to t0, packed into one flat vector
+
+    [x | a, q_1..q_R | g | p_1..p_R]
+
+``x`` is the state replay, ``a`` the adjoint, ``q_i`` the rank vectors of
+the second-order rule (each obeys the adjoint's ODE), ``g`` the gradient
+integral and ``p_i`` the parameter coupling of ``q_i``.  The ``1 + R``
+cotangent groups share one reverse traversal per field evaluation, so a
+stage costs one forward and one reverse pass whatever R is.  The plain
+adjoint is R = 0; the Kronecker-factor sweep carries the ``q_i`` without
+the ``p_i``; the low-rank sweep carries both.  The vector has
+``batch*m*(2+R) + n*(1+R)`` entries with the couplings and
+``batch*m*(2+R) + n`` without, regardless of how many steps the solver
+takes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -17,50 +27,60 @@ from . import vector_field as vf
 from .odesolve import SolveReport, SolverConfig, odesolve
 
 
-@dataclass
-class AdjointState:
-    """Unpacked view of the augmented backward vector."""
+class BackwardSweep:
+    """Layout of the packed backward state and its forward-time derivative."""
 
-    x: np.ndarray      # (batch, m) state replay
-    a: np.ndarray      # (batch, m) adjoint
-    g: np.ndarray      # (n,) gradient accumulator
-
-    def flatten(self) -> np.ndarray:
-        return np.concatenate([self.x.ravel(), self.a.ravel(), self.g])
+    def __init__(self, spec: vf.MlpSpec, theta: np.ndarray, batch: int, rank: int = 0,
+                 couplings: bool = False):
+        self.spec = spec
+        self.weights = vf.unpack_params(spec, theta)
+        self.batch, self.m = batch, spec.state_dim
+        self.x_len = batch * self.m
+        self.groups = 1 + rank
+        self.param_rows = self.groups if couplings else 1
+        # a lone adjoint stays 2-D: a stacked traversal costs a few µs more per evaluation
+        self.cot_shape = (self.groups, batch, self.m) if rank else (batch, self.m)
 
     @classmethod
-    def unflatten(cls, y: np.ndarray, batch: int, m: int, n: int) -> "AdjointState":
-        bm = batch * m
-        return cls(x=y[:bm].reshape(batch, m),
-                   a=y[bm:2 * bm].reshape(batch, m),
-                   g=y[2 * bm:2 * bm + n])
+    def seeded(cls, spec: vf.MlpSpec, theta: np.ndarray, x1: np.ndarray, a1: np.ndarray,
+               qs=(), couplings: bool = False) -> tuple["BackwardSweep", np.ndarray]:
+        """The sweep plus its terminal state at ``x1``.
 
+        The adjoint ``a1`` and each rank vector in ``qs`` broadcast against
+        the (batch, m) terminal states; ``g`` and the ``p_i`` start at zero.
+        """
+        x1 = np.atleast_2d(np.asarray(x1, dtype=float))
+        if x1.ndim != 2 or x1.shape[1] != spec.state_dim:
+            raise ValueError(f"terminal states {x1.shape} do not match width {spec.state_dim}")
+        sweep = cls(spec, theta, x1.shape[0], len(qs), couplings)
+        cot = np.stack([np.broadcast_to(np.atleast_2d(v), x1.shape) for v in (a1, *qs)])
+        return sweep, sweep.pack(x1, cot, np.zeros((sweep.param_rows, vf.num_params(spec))))
 
-def _normalize(x1, a1, m):
-    x1 = np.asarray(x1, dtype=float)
-    a1 = np.asarray(a1, dtype=float)
-    single = x1.ndim == 1
-    if single:
-        x1, a1 = x1[None, :], a1[None, :]
-    if x1.shape != a1.shape or x1.shape[1] != m:
-        raise ValueError(f"state/adjoint shapes {x1.shape}/{a1.shape} do not match width {m}")
-    return x1, a1, single
+    def pack(self, x: np.ndarray, cot: np.ndarray, params: np.ndarray) -> np.ndarray:
+        return np.concatenate([x.ravel(), cot.ravel(), params.ravel()])
 
+    def unpack(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Views of ``x`` (batch, m), ``[a, q_i]`` and ``[g, p_i]`` (rows, n).
 
-def make_adjoint_field(spec: vf.MlpSpec, theta: np.ndarray, batch: int):
-    """Forward-time derivative of [x, a, g] for the backward solve."""
-    m, n = spec.state_dim, vf.num_params(spec)
-    weights = vf.unpack_params(spec, theta)
+        The cotangents are (1+R, batch, m), or the adjoint alone as
+        (batch, m) when R = 0.
+        """
+        bm = self.x_len
+        cut = bm * (1 + self.groups)
+        return (y[:bm].reshape(self.batch, self.m),
+                y[bm:cut].reshape(self.cot_shape),
+                y[cut:].reshape(self.param_rows, -1))
 
-    def field(t, y):
-        s = AdjointState.unflatten(y, batch, m, n)
-        trace = vf._forward(spec, weights, t, s.x)
-        gs, r = vf._cotangents(spec, weights, trace, s.a)
-        da = -(r[:, :m] if spec.time_input == "concat" else r)
-        dg = -vf._param_grad_from_cotangents(spec, trace, gs)
-        return np.concatenate([trace.zs[-1].ravel(), da.ravel(), dg])
-
-    return field
+    def field(self, t: float, y: np.ndarray) -> np.ndarray:
+        x, cot, _ = self.unpack(y)
+        trace = vf._forward(self.spec, self.weights, t, x)
+        gs, r = vf._cotangents(self.spec, self.weights, trace, cot)
+        if self.param_rows == 1 and self.groups > 1:
+            # without couplings only the adjoint group feeds the gradient
+            gs = [g[0] for g in gs]
+        dparams = vf._param_grad_from_cotangents(self.spec, trace, gs)
+        # a time input column is not part of the state: drop its cotangent
+        return self.pack(trace.zs[-1], -r[..., :self.m], -dparams)
 
 
 def backward_config(cfg: SolverConfig, x_len: int, use_semi: bool = True) -> SolverConfig:
@@ -80,15 +100,14 @@ def adjoint_gradient(spec: vf.MlpSpec, theta: np.ndarray, x1: np.ndarray, a1: np
     the flat parameter gradient, the reconstructed initial state, the
     adjoint at t0, and the solve report.
     """
-    m, n = spec.state_dim, vf.num_params(spec)
-    x1b, a1b, single = _normalize(x1, a1, m)
-    batch = x1b.shape[0]
-
-    y1 = AdjointState(x=x1b, a=a1b, g=np.zeros(n)).flatten()
+    if np.shape(a1) != np.shape(x1):
+        raise ValueError(f"state/adjoint shapes {np.shape(x1)}/{np.shape(a1)} differ")
+    sweep, y1 = BackwardSweep.seeded(spec, theta, x1, a1)
     if probe is not None:
         probe["state_elements"] = int(y1.size)
-    bcfg = backward_config(cfg, batch * m, use_semi)
-    report = odesolve(y1, t1, t0, make_adjoint_field(spec, theta, batch), bcfg)
-    s0 = AdjointState.unflatten(report.terminal_state, batch, m, n)
-    x0, a0 = (s0.x[0], s0.a[0]) if single else (s0.x, s0.a)
-    return s0.g.copy(), x0, a0, report
+    bcfg = backward_config(cfg, sweep.x_len, use_semi)
+    report = odesolve(y1, t1, t0, sweep.field, bcfg)
+    x0, a0, params = sweep.unpack(report.terminal_state)
+    if np.ndim(x1) == 1:
+        x0, a0 = x0[0], a0[0]
+    return params[0].copy(), x0, a0, report

@@ -13,6 +13,8 @@ Two routes to the same curvature:
   Hessian.  Each ``q_i`` obeys the same backward ODE as the adjoint and
   each ``p_i`` accumulates the parameter coupling, so the reconstructions
   ``sum q q^T``, ``sum q p^T``, ``sum p p^T`` reproduce the dense blocks.
+  It runs the shared :class:`adjoint.BackwardSweep` with couplings on and
+  is checked against :func:`dense_sweep`.
 
 Running costs (the intermediate penalty) are restricted to weight decay,
 which is applied after the sweep as two additive corrections rather than
@@ -29,7 +31,7 @@ from . import vector_field as vf
 from .kfac import KroneckerFactors
 from .loss import TerminalCurvature
 from .odesolve import SolveReport, SolverConfig, odesolve
-from .adjoint import backward_config
+from .adjoint import BackwardSweep, backward_config
 
 
 def _triu_pack(mat: np.ndarray) -> np.ndarray:
@@ -156,50 +158,14 @@ def lowrank_sweep(spec: vf.MlpSpec, theta: np.ndarray, x1: np.ndarray,
     """Backward sweep of R independent vector pairs plus the gradient path."""
     if len(curv.factors) < 1:
         raise ValueError("need at least one terminal factor")
-    m, n = spec.state_dim, vf.num_params(spec)
-    x1b = np.atleast_2d(np.asarray(x1, dtype=float))
-    a1 = np.broadcast_to(np.atleast_2d(curv.grad), x1b.shape)
-    ys = [np.broadcast_to(np.atleast_2d(y), x1b.shape) for y in curv.factors]
-    batch, rank = x1b.shape[0], len(ys)
-    bm = batch * m
-
-    def pack(x, a, g, qs, ps):
-        return np.concatenate([x.ravel(), a.ravel(), g]
-                              + [q.ravel() for q in qs] + list(ps))
-
-    def unpack(y):
-        x = y[:bm].reshape(batch, m)
-        a = y[bm:2 * bm].reshape(batch, m)
-        g = y[2 * bm:2 * bm + n]
-        off = 2 * bm + n
-        qs = [y[off + i * bm:off + (i + 1) * bm].reshape(batch, m) for i in range(rank)]
-        off += rank * bm
-        ps = [y[off + i * n:off + (i + 1) * n] for i in range(rank)]
-        return x, a, g, qs, ps
-
-    weights = vf.unpack_params(spec, theta)
-
-    def field(t, y):
-        x, a, g, qs, ps = unpack(y)
-        trace = vf._forward(spec, weights, t, x)
-        # one traversal serves the adjoint and every rank vector
-        stacked = np.stack([a] + qs, axis=0)  # (1+R, batch, m)
-        gs, r = vf._cotangents(spec, weights, trace, stacked)
-        r = r[..., :m] if spec.time_input == "concat" else r
-        flats = vf.grouped_param_grads(spec, trace, gs)
-        da = -r[0]
-        dqs = [-r[i + 1] for i in range(rank)]
-        dg = -flats[0]
-        dps = [-flats[i + 1] for i in range(rank)]
-        return pack(trace.zs[-1], da, dg, dqs, dps)
-
-    y1 = pack(x1b, a1, np.zeros(n), ys, [np.zeros(n)] * rank)
-    bcfg = backward_config(cfg, bm, use_semi)
-    report = odesolve(y1, t1, t0, field, bcfg)
-    x0, a0, g, qs, ps = unpack(report.terminal_state)
-    return LowRankCurvatureState(x0=x0.copy(), qx=a0.copy(), qu=g.copy(),
-                                 qs=[q.copy() for q in qs], ps=[p.copy() for p in ps],
-                                 report=report)
+    sweep, y1 = BackwardSweep.seeded(spec, theta, x1, curv.grad, curv.factors,
+                                     couplings=True)
+    bcfg = backward_config(cfg, sweep.x_len, use_semi)
+    report = odesolve(y1, t1, t0, sweep.field, bcfg)
+    x0, cot, params = sweep.unpack(report.terminal_state)
+    return LowRankCurvatureState(x0=x0.copy(), qx=cot[0].copy(), qu=params[0].copy(),
+                                 qs=[q.copy() for q in cot[1:]],
+                                 ps=[p.copy() for p in params[1:]], report=report)
 
 
 def assemble_quu(state: LowRankCurvatureState) -> np.ndarray:

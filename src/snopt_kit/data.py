@@ -102,21 +102,3 @@ def make_regression(n: int, seed: int, test_fraction: float = 0.2) -> Dataset:
     return Dataset(inputs=inputs, labels=targets, train_idx=train_idx,
                    test_idx=test_idx, seed=seed, task="regression")
 
-
-def export_csv(ds: Dataset, path) -> None:
-    """Write inputs, labels, and the split flag as plain CSV."""
-    n, m = ds.inputs.shape
-    is_test = np.zeros(n, dtype=int)
-    is_test[ds.test_idx] = 1
-    with open(path, "w") as fh:
-        label_cols = ("label" if ds.task == "classification"
-                      else ",".join(f"target_{j}" for j in range(ds.labels.shape[1])))
-        fh.write(",".join(f"x_{j}" for j in range(m)) + f",{label_cols},is_test\n")
-        for i in range(n):
-            row = [f"{v:.17g}" for v in ds.inputs[i]]
-            if ds.task == "classification":
-                row.append(str(int(ds.labels[i])))
-            else:
-                row.extend(f"{v:.17g}" for v in ds.labels[i])
-            row.append(str(is_test[i]))
-            fh.write(",".join(row) + "\n")

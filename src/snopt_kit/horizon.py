@@ -9,7 +9,7 @@ evaluation at the terminal point:
     s      = mean_b <phi_grad_b, F(T, x1_b)>      (loss sensitivity to T)
     Q_T    = c T + s
     Q_TT   = c + s^2
-    Q_Tu   = s * grad
+    Q_Tu   = s * grad      (kept as s and grad, never formed)
 
 Both scalar terms are constant along the backward pass, so nothing is
 added to the backward solve.  The update is a damped Newton step with a
@@ -41,7 +41,6 @@ class NonFiniteUpdate(RuntimeError):
 class HorizonTerms:
     qt: float
     qtt: float
-    qtu: np.ndarray
     s: float
     grad: np.ndarray
 
@@ -79,8 +78,8 @@ def horizon_terms(spec: vf.MlpSpec, theta: np.ndarray, x1: np.ndarray,
     pg = np.broadcast_to(np.atleast_2d(phi_grad), x1b.shape)
     f_bar, _ = vf.eval(spec, theta, t_bar, x1b)
     s = float(np.mean(np.sum(pg * f_bar, axis=1)))
-    return HorizonTerms(qt=penalty * t_bar + s, qtt=penalty + s * s,
-                        qtu=s * np.asarray(grad), s=s, grad=np.asarray(grad))
+    return HorizonTerms(qt=penalty * t_bar + s, qtt=penalty + s * s, s=s,
+                        grad=np.asarray(grad))
 
 
 def horizon_step(state: HorizonState, terms: HorizonTerms,

@@ -1,9 +1,11 @@
 """Kronecker-factor accumulation along the backward time grid.
 
-The production backward pass carries ``[x, adjoint, gradient, q_1..q_R]``
-between the points of a uniform grid running from t1 down to t0.  At each
-grid point the layer activations and backpropagated signals are read off a
-fresh field evaluation and folded into per-layer second-moment matrices:
+This is the production second-order sweep.  It carries the backward
+state ``[x | a, q_1..q_R | g]`` of :class:`adjoint.BackwardSweep` (no
+parameter couplings) between the points of a uniform grid running from
+t1 down to t0.  At each grid point the layer activations and
+backpropagated signals are read off a fresh field evaluation and folded
+into per-layer second-moment matrices:
 
     A_n(t) = mean_b zbar^n zbar^nT          (activation side)
     B_n(t) = mean_b sum_i g^n_i g^n_iT      (signal side)
@@ -27,7 +29,7 @@ import numpy as np
 from . import vector_field as vf
 from .loss import TerminalCurvature
 from .odesolve import SolveReport, SolverConfig, odesolve
-from .adjoint import backward_config
+from .adjoint import BackwardSweep, backward_config
 
 
 class BadInterval(ValueError):
@@ -57,22 +59,15 @@ def make_grid(t0: float, t1: float, samples: int) -> np.ndarray:
     return np.linspace(t1, t0, samples)
 
 
-def factor_terms(spec: vf.MlpSpec, theta: np.ndarray, t: float, x: np.ndarray,
-                 qs: list[np.ndarray]) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Instantaneous factor matrices A_n(t), B_n(t) at one grid point."""
-    return _factor_terms(spec, vf.unpack_params(spec, theta), t, x, qs)
-
-
 def _factor_terms(spec: vf.MlpSpec, weights: vf.Weights, t: float, x: np.ndarray,
-                  qs) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+                  qs: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Instantaneous factor matrices A_n(t), B_n(t) at one grid point.
+
+    ``x`` is (batch, m) and ``qs`` stacks the rank vectors as (R, batch, m).
+    """
     batch = x.shape[0]
     trace = vf._forward(spec, weights, t, x)
-    if isinstance(qs, np.ndarray) and qs.ndim == 3:
-        stacked = qs
-    else:
-        stacked = np.stack([np.broadcast_to(np.atleast_2d(q), x.shape) for q in qs], axis=0)
-    gs, _ = vf._cotangents(spec, weights, trace, stacked)
+    gs, _ = vf._cotangents(spec, weights, trace, qs)
 
     a_terms, b_terms = [], []
     zbars = vf.trace_zbars(spec, trace)
@@ -91,10 +86,10 @@ def accumulate_factors(spec: vf.MlpSpec, theta: np.ndarray, x1: np.ndarray,
                        ) -> tuple[KroneckerFactors, np.ndarray, SolveReport]:
     """Backward sweep over the grid, returning factors and the gradient.
 
-    Between consecutive grid points the augmented state ``[x, adjoint,
-    gradient, q_i]`` is advanced by the configured solver (the adaptive
-    step is warm-started across segments); at every grid point a fresh
-    field evaluation feeds the factor matrices.  NFE in the returned
+    Between consecutive grid points the backward state ``[x | a, q_i | g]``
+    is advanced by the configured solver (the adaptive step is
+    warm-started across segments); at every grid point a fresh field
+    evaluation feeds the factor matrices.  NFE in the returned
     report counts both the segment solves and the grid evaluations.
     """
     grid = np.asarray(grid, dtype=float)
@@ -105,55 +100,26 @@ def accumulate_factors(spec: vf.MlpSpec, theta: np.ndarray, x1: np.ndarray,
             raise BadInterval("single-point grids need an explicit dt")
         dt = float(abs(grid[0] - grid[-1]) / (grid.size - 1))
 
-    m, n = spec.state_dim, vf.num_params(spec)
-    x1b = np.atleast_2d(np.asarray(x1, dtype=float))
-    a1 = np.broadcast_to(np.atleast_2d(curv.grad), x1b.shape)
-    ys = [np.broadcast_to(np.atleast_2d(y), x1b.shape) for y in curv.factors]
-    batch, rank = x1b.shape[0], len(ys)
-    bm = batch * m
-
-    # layout: [x | a,q_1..q_R (one contiguous cotangent block) | g]
-    def pack(x, cot, g):
-        return np.concatenate([x.ravel(), cot.ravel(), g])
-
-    def unpack(y):
-        x = y[:bm].reshape(batch, m)
-        cot = y[bm:bm + (1 + rank) * bm].reshape(1 + rank, batch, m)
-        g = y[bm + (1 + rank) * bm:]
-        return x, cot, g
-
-    weights = vf.unpack_params(spec, theta)
-
-    def field(t, y):
-        x, cot, g = unpack(y)
-        trace = vf._forward(spec, weights, t, x)
-        gs, r = vf._cotangents(spec, weights, trace, cot)
-        r = r[..., :m] if spec.time_input == "concat" else r
-        # only the adjoint group feeds the gradient accumulator
-        dg = vf._param_grad_from_cotangents(spec, trace, [g_k[0] for g_k in gs])
-        return pack(trace.zs[-1], -r, -dg)
-
+    sweep, state = BackwardSweep.seeded(spec, theta, x1, curv.grad, curv.factors)
     a_bar = [np.zeros((spec.dims[k] + (1 if spec.bias else 0),) * 2)
              for k in range(spec.n_layers)]
     b_bar = [np.zeros((spec.dims[k + 1],) * 2) for k in range(spec.n_layers)]
-
-    state = pack(x1b, np.concatenate([a1[None], np.stack(ys)], axis=0), np.zeros(n))
     if probe is not None:
         probe["state_elements"] = int(state.size)
         probe["factor_elements"] = int(sum(a.size for a in a_bar) + sum(b.size for b in b_bar))
-    bcfg = backward_config(cfg, bm, use_semi)
+    bcfg = backward_config(cfg, sweep.x_len, use_semi)
     nfe = accepted = rejected = 0
     h_carry = None
     f_carry = None
     for j, t_j in enumerate(grid):
-        x, cot, _ = unpack(state)
-        a_terms, b_terms = _factor_terms(spec, weights, t_j, x, cot[1:])
+        x, cot, _ = sweep.unpack(state)
+        a_terms, b_terms = _factor_terms(spec, sweep.weights, t_j, x, cot[1:])
         nfe += 1
         for k in range(spec.n_layers):
             a_bar[k] += a_terms[k] * dt
             b_bar[k] += b_terms[k] * dt
         if j + 1 < grid.size:
-            seg = odesolve(state, t_j, grid[j + 1], field, bcfg,
+            seg = odesolve(state, t_j, grid[j + 1], sweep.field, bcfg,
                            first_step=h_carry, f_start=f_carry)
             state = seg.terminal_state
             nfe += seg.nfe
@@ -161,8 +127,8 @@ def accumulate_factors(spec: vf.MlpSpec, theta: np.ndarray, x1: np.ndarray,
             rejected += seg.rejected_steps
             h_carry, f_carry = seg.next_step, seg.terminal_field
 
-    _, _, g = unpack(state)
+    _, _, params = sweep.unpack(state)
     report = SolveReport(terminal_state=state, nfe=nfe,
                          accepted_steps=accepted, rejected_steps=rejected)
     factors = KroneckerFactors(a_factors=a_bar, b_factors=b_bar, dt=dt, grid=grid)
-    return factors, g.copy(), report
+    return factors, params[0].copy(), report

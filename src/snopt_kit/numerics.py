@@ -2,14 +2,16 @@
 
 Matrices are plain ``numpy.ndarray`` objects.  Vectorisation is
 column-major (Fortran order) everywhere: ``vec`` stacks columns, so the
-two identities the preconditioner relies on,
+identities the preconditioner relies on,
 
     (A ⊗ B) (C ⊗ D)^T = (A C^T) ⊗ (B D^T)
-    (A ⊗ B)^{-1} vec(W) = vec(B^{-1} W A^{-T}),
+    (U_A ⊗ U_B)^T vec(G) = vec(U_B^T G U_A),
 
-hold literally.  Mixing in a row-major ``reshape`` anywhere silently
-breaks both, which is why :func:`vec` / :func:`unvec` are the only
-sanctioned conversions.
+hold literally.  The second is the eigenbasis projection of
+``optimizer.snopt_step``; ``snopt-kit verify`` checks that update against
+the dense Kronecker assembly.  Mixing in a row-major ``reshape`` anywhere
+silently breaks both, which is why :func:`vec` / :func:`unvec` are the
+only sanctioned conversions.
 """
 
 from __future__ import annotations
@@ -18,12 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-COND_LIMIT = 1e12
 SYM_TOL = 1e-10
-
-
-class SingularMatrix(ValueError):
-    """A factor is numerically singular (condition estimate above 1e12)."""
 
 
 class NotSymmetric(ValueError):
@@ -46,45 +43,6 @@ def unvec(w: np.ndarray, rows: int, cols: int) -> np.ndarray:
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product (package-wide spelling of ``numpy.kron``)."""
     return np.kron(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-
-
-def _condition(mat: np.ndarray) -> float:
-    """Condition estimate: eigenvalue ratio when symmetric, SVD otherwise.
-
-    Only symmetric factors are ever inverted in this package, so the
-    eigenvalue ratio is the cheap common case.
-    """
-    mat = np.asarray(mat, dtype=float)
-    if mat.shape[0] != mat.shape[1]:
-        raise ValueError("condition estimate needs a square matrix")
-    if np.max(np.abs(mat - mat.T)) <= SYM_TOL * max(1.0, np.max(np.abs(mat))):
-        lam = np.abs(np.linalg.eigvalsh(mat))
-    else:
-        lam = np.linalg.svd(mat, compute_uv=False)
-    lo = lam.min()
-    if lo == 0.0 or not np.isfinite(lam).all():
-        return np.inf
-    return float(lam.max() / lo)
-
-
-def kron_solve_vec(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Solve ``(A ⊗ B) y = w`` without assembling the Kronecker product.
-
-    Returns ``vec(B^{-1} unvec(w) A^{-T})``, which equals the dense solve
-    under the column-major convention.  ``w`` must have length
-    ``cols(A) * rows(B)``.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape[0] != a.shape[1] or b.shape[0] != b.shape[1]:
-        raise ValueError("kron_solve_vec needs square factors")
-    for name, mat in (("A", a), ("B", b)):
-        if _condition(mat) > COND_LIMIT:
-            raise SingularMatrix(f"factor {name} is numerically singular")
-    mat_w = unvec(w, b.shape[0], a.shape[1])
-    x = np.linalg.solve(b, mat_w)
-    # X A^{-T} computed as solve(A, X^T)^T
-    return vec(np.linalg.solve(a, x.T).T)
 
 
 @dataclass

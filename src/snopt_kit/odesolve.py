@@ -242,7 +242,3 @@ def odesolve(y0: np.ndarray, t_start: float, t_end: float, fn: Field,
         return _solve_fixed(y0, t_start, t_end, fn, cfg)
     return _solve_dopri5(y0, t_start, t_end, fn, cfg, first_step, f_start)
 
-
-def nfe_of(report: SolveReport) -> int:
-    """Number of vector-field evaluations consumed by a solve."""
-    return report.nfe

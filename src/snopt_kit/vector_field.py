@@ -117,18 +117,6 @@ def unpack_params(spec: MlpSpec, theta: np.ndarray) -> Weights:
     return tuple(out)
 
 
-def unpack_layer(spec: MlpSpec, theta: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray | None]:
-    return unpack_params(spec, theta)[k]
-
-
-def pack_layer_grads(spec: MlpSpec, mats: list[np.ndarray]) -> np.ndarray:
-    """Flatten per-layer ``[dW, db]`` matrices back into one vector."""
-    flat = np.empty(num_params(spec))
-    for (sl, _, _), mat in zip(layer_slices(spec), mats):
-        flat[sl] = mat.reshape(-1, order="F")
-    return flat
-
-
 def _act(name: str, h: np.ndarray) -> np.ndarray:
     if name == "tanh":
         return np.tanh(h)
@@ -223,11 +211,6 @@ def _cotangents(spec: MlpSpec, weights: Weights, trace: LayerTrace,
     return gs, r
 
 
-def layer_cotangents(spec: MlpSpec, theta: np.ndarray, trace: LayerTrace,
-                     q: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    return _cotangents(spec, unpack_params(spec, theta), trace, q)
-
-
 def _zbar(spec: MlpSpec, z: np.ndarray) -> np.ndarray:
     if not spec.bias:
         return z
@@ -243,54 +226,34 @@ def trace_zbars(spec: MlpSpec, trace: LayerTrace) -> list[np.ndarray]:
 
 def _param_grad_from_cotangents(spec: MlpSpec, trace: LayerTrace,
                                 gs: list[np.ndarray]) -> np.ndarray:
-    """Batch-mean flat parameter gradient from 2-D per-layer cotangents."""
+    """Batch-mean flat parameter gradient from per-layer cotangents.
+
+    ``gs[k]`` is (batch, l), or (groups, batch, l) from a traversal seeded
+    with a stack of cotangent groups; the result then holds one flat
+    gradient row per group.
+    """
     zbars = trace_zbars(spec, trace)
-    batch = max(zbars[0].shape[0], gs[0].shape[0])
-    flat = np.empty(num_params(spec))
-    for k, g in enumerate(gs):
-        zb = zbars[k]
+    lead = gs[0].shape[:-2]
+    batch = max(zbars[0].shape[0], gs[0].shape[-2])
+    flat = np.empty(lead + (num_params(spec),))
+    for (sl, _, _), zb, g in zip(layer_slices(spec), zbars, gs):
         if zb.shape[0] != batch:
             zb = np.broadcast_to(zb, (batch, zb.shape[-1]))
-        if g.shape[0] != batch:
-            g = np.broadcast_to(g, (batch, g.shape[-1]))
-        sl, _, _ = layer_slices(spec)[k]
-        # (zb^T g).ravel() is the column-major vec of the (l, pbar) gradient
-        flat[sl] = (zb.T @ g).ravel()
+        if g.shape[-2] != batch:
+            g = np.broadcast_to(g, lead + (batch, g.shape[-1]))
+        # (zb^T g).ravel() per group is the column-major vec of the (l, pbar) gradient
+        flat[..., sl] = (zb.T @ g).reshape(lead + (-1,))
     flat /= batch
     return flat
-
-
-def grouped_param_grads(spec: MlpSpec, trace: LayerTrace,
-                        gs: list[np.ndarray]) -> np.ndarray:
-    """Batch-mean flat gradients for cotangents with a leading group axis.
-
-    ``gs`` comes from the reverse traversal seeded with a (groups, batch,
-    m) stack; returns one flat gradient row per group.
-    """
-    groups = gs[0].shape[0]
-    zbars = trace_zbars(spec, trace)
-    out = np.empty((groups, num_params(spec)))
-    for k, g in enumerate(gs):
-        zb = zbars[k]  # (batch, pbar)
-        sl, _, _ = layer_slices(spec)[k]
-        # (zb^T g).ravel() per group is the column-major vec of the gradient
-        out[:, sl] = np.matmul(zb.T, g).reshape(groups, -1)
-    out /= zbars[0].shape[0]
-    return out
 
 
 def vjp_state(spec: MlpSpec, theta: np.ndarray, t: float, x: np.ndarray,
               q: np.ndarray) -> np.ndarray:
     """``(dF/dx)^T q`` by reverse traversal of a fresh forward trace."""
     _, trace = eval(spec, theta, t, x)
-    return vjp_state_from_trace(spec, theta, trace, q)
-
-
-def vjp_state_from_trace(spec: MlpSpec, theta: np.ndarray, trace: LayerTrace,
-                         q: np.ndarray) -> np.ndarray:
     qb, single = _as_batch(q, spec.state_dim, "cotangent")
-    _, r = layer_cotangents(spec, theta, trace, qb)
-    out = r[..., :spec.state_dim] if spec.time_input == "concat" else r
+    _, r = _cotangents(spec, unpack_params(spec, theta), trace, qb)
+    out = r[..., :spec.state_dim]
     return out[0] if single else out
 
 
@@ -298,13 +261,8 @@ def vjp_param(spec: MlpSpec, theta: np.ndarray, t: float, x: np.ndarray,
               q: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """``(dF/dtheta)^T q`` (batch-mean) plus per-layer cotangents ``g^k``."""
     _, trace = eval(spec, theta, t, x)
-    return vjp_param_from_trace(spec, theta, trace, q)
-
-
-def vjp_param_from_trace(spec: MlpSpec, theta: np.ndarray, trace: LayerTrace,
-                         q: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     qb, single = _as_batch(q, spec.state_dim, "cotangent")
-    gs, _ = layer_cotangents(spec, theta, trace, qb)
+    gs, _ = _cotangents(spec, unpack_params(spec, theta), trace, qb)
     flat = _param_grad_from_cotangents(spec, trace, gs)
     if single:
         gs = [g[0] for g in gs]

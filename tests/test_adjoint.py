@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from snopt_kit import vector_field as vf
-from snopt_kit.adjoint import AdjointState, adjoint_gradient
+from snopt_kit.adjoint import BackwardSweep, adjoint_gradient
 from snopt_kit.loss import TerminalLoss, grad_x1, loss_value
 from snopt_kit.odesolve import SolverConfig, odesolve
 from snopt_kit.oracle import fd_gradient
@@ -17,19 +17,42 @@ def forward(spec, theta, x0, cfg=RK4, t0=0.0, t1=1.0):
     return odesolve(x0.ravel(), t0, t1, fld, cfg).terminal_state.reshape(batch, m)
 
 
+# (rank R, couplings p on/off) of the packed layout [x | a, q_1..q_R | g | p_1..p_R]
+LAYOUTS = [(rank, couplings) for rank in (0, 1, 2) for couplings in (False, True)]
+
+
 class TestAugmentedState:
     def test_flatten_round_trip(self):
+        spec = vf.MlpSpec(dims=(3, 4, 3), activations=("tanh", "identity"))
+        n = vf.num_params(spec)
         rng = np.random.default_rng(0)
-        s = AdjointState(x=rng.normal(size=(3, 2)), a=rng.normal(size=(3, 2)),
-                         g=rng.normal(size=7))
-        back = AdjointState.unflatten(s.flatten(), 3, 2, 7)
-        assert np.array_equal(back.x, s.x)
-        assert np.array_equal(back.a, s.a)
-        assert np.array_equal(back.g, s.g)
+        for rank, couplings in LAYOUTS:
+            sweep = BackwardSweep(spec, vf.init_params(spec, 0), 4, rank, couplings)
+            # a lone adjoint is unpacked 2-D, rank vectors stack on a group axis
+            cot_shape = (1 + rank, 4, 3) if rank else (4, 3)
+            parts = (rng.normal(size=(4, 3)), rng.normal(size=cot_shape),
+                     rng.normal(size=(1 + rank if couplings else 1, n)))
+            back = sweep.unpack(sweep.pack(*parts))
+            for got, want in zip(back, parts):
+                assert np.array_equal(got, want)
 
     def test_flat_length_is_2bm_plus_n(self):
-        s = AdjointState(x=np.zeros((4, 3)), a=np.zeros((4, 3)), g=np.zeros(11))
-        assert s.flatten().size == 2 * 4 * 3 + 11
+        # 2bm + n for the plain adjoint, plus bm per rank vector and n per coupling
+        spec = vf.MlpSpec(dims=(3, 4, 3), activations=("tanh", "identity"))
+        n = vf.num_params(spec)
+        rng = np.random.default_rng(1)
+        x1, a1 = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
+        for rank, couplings in LAYOUTS:
+            qs = [rng.normal(size=3) for _ in range(rank)]
+            sweep, y1 = BackwardSweep.seeded(spec, vf.init_params(spec, 0), x1, a1, qs,
+                                             couplings)
+            assert y1.size == 4 * 3 * (2 + rank) + n * (1 + rank * couplings)
+            x, cot, params = sweep.unpack(y1)
+            cot = cot.reshape(1 + rank, *x1.shape)
+            assert np.array_equal(x, x1) and np.array_equal(cot[0], a1)
+            for q, seeded in zip(qs, cot[1:]):
+                assert np.array_equal(seeded, np.broadcast_to(q, x1.shape))
+            assert not params.any()
 
 
 class TestAdjointGradient:
@@ -50,16 +73,19 @@ class TestAdjointGradient:
         assert grad[0] == pytest.approx(2.0, abs=1e-8)
 
     def test_matches_fd_on_batch(self):
-        spec = vf.MlpSpec(dims=(2, 4, 2), activations=("tanh", "identity"))
-        theta = vf.init_params(spec, 2)
-        rng = np.random.default_rng(3)
-        x0 = rng.uniform(-1, 1, size=(4, 2))
-        lossfn = TerminalLoss(kind="mse", target=rng.uniform(-1, 1, size=(4, 2)))
+        for time_input, width in (("none", 2), ("concat", 3)):
+            spec = vf.MlpSpec(dims=(width, 4, 2), activations=("tanh", "identity"),
+                              time_input=time_input)
+            theta = vf.init_params(spec, 2)
+            rng = np.random.default_rng(3)
+            x0 = rng.uniform(-1, 1, size=(4, 2))
+            lossfn = TerminalLoss(kind="mse", target=rng.uniform(-1, 1, size=(4, 2)))
 
-        x1 = forward(spec, theta, x0)
-        grad, _, _, _ = adjoint_gradient(spec, theta, x1, grad_x1(lossfn, x1), 0.0, 1.0, RK4)
-        fd = fd_gradient(lambda th: loss_value(lossfn, forward(spec, th, x0)), theta)
-        assert np.linalg.norm(grad - fd) / np.linalg.norm(fd) < 1e-4
+            x1 = forward(spec, theta, x0)
+            grad, _, _, _ = adjoint_gradient(spec, theta, x1, grad_x1(lossfn, x1), 0.0, 1.0,
+                                             RK4)
+            fd = fd_gradient(lambda th: loss_value(lossfn, forward(spec, th, x0)), theta)
+            assert np.linalg.norm(grad - fd) / np.linalg.norm(fd) < 1e-4
 
     def test_linear_in_terminal_adjoint(self):
         spec = vf.MlpSpec(dims=(2, 3, 2), activations=("tanh", "identity"))

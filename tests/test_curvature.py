@@ -13,9 +13,9 @@ from snopt_kit.oracle import fd_flow_jacobian
 TIGHT = SolverConfig(method="dopri5", rtol=1e-10, atol=1e-10)
 
 
-def tiny_net(seed, dims=(2, 3, 2)):
+def tiny_net(seed, dims=(2, 3, 2), time_input="none"):
     acts = ("tanh",) * (len(dims) - 2) + ("identity",)
-    spec = vf.MlpSpec(dims=dims, activations=acts)
+    spec = vf.MlpSpec(dims=dims, activations=acts, time_input=time_input)
     return spec, vf.init_params(spec, seed)
 
 
@@ -103,19 +103,20 @@ class TestLowRankSweep:
         assert np.max(np.abs(out.ps[0] - out.qu)) < 1e-10
 
     def test_reconstructions_match_dense(self):
-        for seed in range(5):
-            spec, theta = tiny_net(seed + 20, dims=(3, 4, 3))
-            rng = np.random.default_rng(seed)
-            x1 = rng.uniform(-1, 1, size=3)
-            for rank in (1, 2, 3):
-                ys = [rng.normal(size=3) for _ in range(rank)]
-                curv = TerminalCurvature(grad=rng.normal(size=3), factors=ys,
-                                         mode="exact_rank")
-                dense = dense_sweep(spec, theta, x1, curv, 0.0, 1.0, TIGHT)
-                low = lowrank_sweep(spec, theta, x1, curv, 0.0, 1.0, TIGHT)
-                assert rel_fro(low.recon_qxx(), dense.qxx) < 1e-6
-                assert rel_fro(low.recon_qxu(), dense.qxu) < 1e-6
-                assert rel_fro(low.recon_quu(), dense.quu) < 1e-6
+        for time_input, dims in (("none", (3, 4, 3)), ("concat", (4, 4, 3))):
+            for seed in range(5):
+                spec, theta = tiny_net(seed + 20, dims, time_input)
+                rng = np.random.default_rng(seed)
+                x1 = rng.uniform(-1, 1, size=3)
+                for rank in (1, 2, 3):
+                    ys = [rng.normal(size=3) for _ in range(rank)]
+                    curv = TerminalCurvature(grad=rng.normal(size=3), factors=ys,
+                                             mode="exact_rank")
+                    dense = dense_sweep(spec, theta, x1, curv, 0.0, 1.0, TIGHT)
+                    low = lowrank_sweep(spec, theta, x1, curv, 0.0, 1.0, TIGHT)
+                    assert rel_fro(low.recon_qxx(), dense.qxx) < 1e-6
+                    assert rel_fro(low.recon_qxu(), dense.qxu) < 1e-6
+                    assert rel_fro(low.recon_quu(), dense.quu) < 1e-6
 
     def test_state_length(self):
         spec, theta = tiny_net(11)

@@ -79,13 +79,3 @@ class TestRegression:
         assert dm.make_regression(10, 0).task == "regression"
         assert dm.make_spirals(10, 0.0, 0).task == "classification"
 
-
-def test_export_csv_round_trips(tmp_path):
-    ds = dm.make_spirals(20, 0.05, 3)
-    path = tmp_path / "spirals.csv"
-    dm.export_csv(ds, path)
-    rows = path.read_text().strip().split("\n")
-    assert rows[0] == "x_0,x_1,label,is_test"
-    assert len(rows) == 1 + 40
-    got = np.array([[float(v) for v in r.split(",")[:2]] for r in rows[1:]])
-    assert np.allclose(got, ds.inputs, rtol=0, atol=0)  # 17 significant digits

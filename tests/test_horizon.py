@@ -28,14 +28,13 @@ class TestHorizonTerms:
         assert terms.s == pytest.approx(0.0)
         assert terms.qt == pytest.approx(0.7 * 1.5)
         assert terms.qtt == pytest.approx(0.7)
-        assert np.allclose(terms.qtu, 0.0)
 
     def test_degenerate_all_zero(self):
         spec = vf.MlpSpec(dims=(2, 2), activations=("identity",), bias=False)
         theta = np.array([0.0, 1.0, -1.0, 0.0])
         terms = horizon_terms(spec, theta, np.array([1.0, 0.0]), np.array([1.0, 0.0]),
                               np.zeros(4), t_bar=1.0, penalty=0.0)
-        assert terms.qt == 0.0 and terms.qtt == 0.0 and np.allclose(terms.qtu, 0.0)
+        assert terms.qt == 0.0 and terms.qtt == 0.0
 
     def test_scalar_exponential_fd(self):
         # L(T) = 0.5 x(T)^2 + (c/2) T^2 for dx/dt = x: dL/dT = x(T)^2 + cT
@@ -74,7 +73,7 @@ def seeded_state(**kw):
 class TestHorizonStep:
     def test_pure_newton_when_no_feedback(self):
         state = seeded_state()
-        terms = HorizonTerms(qt=0.4, qtt=0.8, qtu=np.zeros(3), s=0.1, grad=np.zeros(3))
+        terms = HorizonTerms(qt=0.4, qtt=0.8, s=0.1, grad=np.zeros(3))
         state.observe(terms)
         out = horizon_step(state, terms, np.zeros(3))
         assert out == pytest.approx(1.0 - 0.2 * 0.4 / 0.8)
@@ -84,7 +83,7 @@ class TestHorizonStep:
         state = seeded_state(t_bar=1.5, penalty=0.5, lr=0.25, t_min=0.0)
         for _ in range(6):
             terms = HorizonTerms(qt=state.penalty * state.t_bar, qtt=state.penalty,
-                                 qtu=np.zeros(2), s=0.0, grad=np.zeros(2))
+                                 s=0.0, grad=np.zeros(2))
             state.avg_qt = terms.qt
             state.avg_qtt = terms.qtt
             state.avg_s = 0.0
@@ -94,7 +93,7 @@ class TestHorizonStep:
     def test_feedback_term_enters(self):
         state = seeded_state()
         grad = np.array([1.0, 2.0])
-        terms = HorizonTerms(qt=0.0, qtt=1.0, qtu=0.5 * grad, s=0.5, grad=grad)
+        terms = HorizonTerms(qt=0.0, qtt=1.0, s=0.5, grad=grad)
         state.observe(terms)
         dtheta = np.array([0.1, 0.1])
         out = horizon_step(state, terms, dtheta)
@@ -103,19 +102,19 @@ class TestHorizonStep:
 
     def test_clamped_to_bounds(self):
         state = seeded_state(t_bar=0.1, lr=5.0, t_min=0.05, t_max=2.0)
-        terms = HorizonTerms(qt=10.0, qtt=1.0, qtu=np.zeros(1), s=0.0, grad=np.zeros(1))
+        terms = HorizonTerms(qt=10.0, qtt=1.0, s=0.0, grad=np.zeros(1))
         state.observe(terms)
         assert horizon_step(state, terms, np.zeros(1)) == 0.05
 
     def test_requires_populated_averages(self):
         state = seeded_state()
-        terms = HorizonTerms(qt=0.0, qtt=1.0, qtu=np.zeros(1), s=0.0, grad=np.zeros(1))
+        terms = HorizonTerms(qt=0.0, qtt=1.0, s=0.0, grad=np.zeros(1))
         with pytest.raises(NonFiniteUpdate):
             horizon_step(state, terms, np.zeros(1))
 
     def test_non_finite_rejected(self):
         state = seeded_state()
-        terms = HorizonTerms(qt=np.inf, qtt=1.0, qtu=np.zeros(1), s=0.0, grad=np.zeros(1))
+        terms = HorizonTerms(qt=np.inf, qtt=1.0, s=0.0, grad=np.zeros(1))
         state.observe(terms)
         with pytest.raises(NonFiniteUpdate):
             horizon_step(state, terms, np.zeros(1))
@@ -140,14 +139,14 @@ class TestFirstOrderStep:
 class TestMovingAverages:
     def test_first_observation_initializes(self):
         state = seeded_state()
-        terms = HorizonTerms(qt=2.0, qtt=3.0, qtu=np.zeros(1), s=0.5, grad=np.zeros(1))
+        terms = HorizonTerms(qt=2.0, qtt=3.0, s=0.5, grad=np.zeros(1))
         state.observe(terms)
         assert state.avg_qt == 2.0 and state.avg_qtt == 3.0 and state.avg_s == 0.5
 
     def test_exponential_update(self):
         state = seeded_state(ema=0.9)
-        a = HorizonTerms(qt=1.0, qtt=1.0, qtu=np.zeros(1), s=0.0, grad=np.zeros(1))
-        b = HorizonTerms(qt=2.0, qtt=3.0, qtu=np.zeros(1), s=1.0, grad=np.zeros(1))
+        a = HorizonTerms(qt=1.0, qtt=1.0, s=0.0, grad=np.zeros(1))
+        b = HorizonTerms(qt=2.0, qtt=3.0, s=1.0, grad=np.zeros(1))
         state.observe(a)
         state.observe(b)
         assert state.avg_qt == pytest.approx(0.9 * 1.0 + 0.1 * 2.0)

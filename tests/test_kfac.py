@@ -3,8 +3,7 @@ import pytest
 
 from snopt_kit import vector_field as vf
 from snopt_kit.adjoint import adjoint_gradient
-from snopt_kit.kfac import (BadInterval, accumulate_factors, factor_terms,
-                            make_grid)
+from snopt_kit.kfac import BadInterval, _factor_terms, accumulate_factors, make_grid
 from snopt_kit.loss import TerminalCurvature
 from snopt_kit.numerics import kron
 from snopt_kit.odesolve import SolverConfig
@@ -12,9 +11,9 @@ from snopt_kit.odesolve import SolverConfig
 RK4 = SolverConfig(method="rk4", fixed_step=1e-2)
 
 
-def tanh_net(seed, dims=(2, 3, 2)):
+def tanh_net(seed, dims=(2, 3, 2), time_input="none"):
     acts = ("tanh",) * (len(dims) - 2) + ("identity",)
-    spec = vf.MlpSpec(dims=dims, activations=acts)
+    spec = vf.MlpSpec(dims=dims, activations=acts, time_input=time_input)
     return spec, vf.init_params(spec, seed)
 
 
@@ -44,11 +43,12 @@ class TestFactorTerms:
         # one sample, one rank vector: kron(A_n, B_n) equals the exact outer
         # product of the layer gradient, with zero factorization error
         spec, theta = tanh_net(1)
-        x = np.array([0.4, -0.7])
-        q = np.array([0.9, -0.3])
-        a_terms, b_terms = factor_terms(spec, theta, 0.7, x, [q])
+        weights = vf.unpack_params(spec, theta)
+        x = np.array([[0.4, -0.7]])
+        q = np.array([[[0.9, -0.3]]])
+        a_terms, b_terms = _factor_terms(spec, weights, 0.7, x, q)
         _, trace = vf.eval(spec, theta, 0.7, x)
-        gs, _ = vf.layer_cotangents(spec, theta, trace, q[None, :][None, :])
+        gs, _ = vf._cotangents(spec, weights, trace, q)
         for k in range(spec.n_layers):
             zbar = np.concatenate([trace.zs[k][0], [1.0]])
             g = gs[k][0, 0]
@@ -59,8 +59,8 @@ class TestFactorTerms:
         spec, theta = tanh_net(2)
         rng = np.random.default_rng(0)
         x = rng.normal(size=(8, 2))
-        qs = [rng.normal(size=(8, 2)) for _ in range(2)]
-        a_terms, b_terms = factor_terms(spec, theta, 0.3, x, qs)
+        qs = rng.normal(size=(2, 8, 2))
+        a_terms, b_terms = _factor_terms(spec, vf.unpack_params(spec, theta), 0.3, x, qs)
         for mat in a_terms + b_terms:
             assert np.linalg.eigvalsh(mat).min() >= -1e-12
 
@@ -101,8 +101,9 @@ class TestAccumulateFactors:
                 x_j, qs_j = x1, [np.broadcast_to(curv.factors[0], x1.shape)]
             else:
                 seg = lowrank_sweep(spec, theta, x1, curv, t_j, 1.0, RK4)
-                x_j, qs_j = seg.x0, [q for q in seg.qs]
-            a_t, b_t = factor_terms(spec, theta, t_j, x_j, qs_j)
+                x_j, qs_j = seg.x0, seg.qs
+            a_t, b_t = _factor_terms(spec, vf.unpack_params(spec, theta), t_j, x_j,
+                                     np.stack(qs_j))
             for k in range(spec.n_layers):
                 a_sum[k] += a_t[k] * dt
                 b_sum[k] += b_t[k] * dt
@@ -111,15 +112,16 @@ class TestAccumulateFactors:
             assert np.max(np.abs(b_sum[k] - factors.b_factors[k])) < 1e-8
 
     def test_gradient_matches_adjoint(self):
-        spec, theta = tanh_net(5)
-        rng = np.random.default_rng(2)
-        x1 = rng.uniform(-1, 1, size=(4, 2))
-        a1 = rng.normal(size=(4, 2))
-        curv = TerminalCurvature(grad=a1, factors=[a1], mode="gauss_newton_scaled")
-        factors, grad, _ = accumulate_factors(spec, theta, x1, curv,
-                                              make_grid(0.0, 1.0, 101), RK4)
-        g_adj, _, _, _ = adjoint_gradient(spec, theta, x1, a1, 0.0, 1.0, RK4)
-        assert np.max(np.abs(grad - g_adj)) < 1e-8
+        for time_input, dims in (("none", (2, 3, 2)), ("concat", (3, 3, 2))):
+            spec, theta = tanh_net(5, dims, time_input)
+            rng = np.random.default_rng(2)
+            x1 = rng.uniform(-1, 1, size=(4, 2))
+            a1 = rng.normal(size=(4, 2))
+            curv = TerminalCurvature(grad=a1, factors=[a1], mode="gauss_newton_scaled")
+            factors, grad, _ = accumulate_factors(spec, theta, x1, curv,
+                                                  make_grid(0.0, 1.0, 101), RK4)
+            g_adj, _, _, _ = adjoint_gradient(spec, theta, x1, a1, 0.0, 1.0, RK4)
+            assert np.max(np.abs(grad - g_adj)) < 1e-8
 
     def test_single_point_grid_needs_dt(self):
         spec, theta = tanh_net(6)
@@ -142,7 +144,7 @@ class TestAccumulateFactors:
         factors, _, _ = accumulate_factors(spec, theta, x1, curv, np.array([1.0]),
                                            RK4, dt=dt)
         _, trace = vf.eval(spec, theta, 1.0, x1)
-        gs, _ = vf.layer_cotangents(spec, theta, trace, q[None, :])
+        gs, _ = vf._cotangents(spec, vf.unpack_params(spec, theta), trace, q[None, :])
         for k in range(spec.n_layers):
             zbar = np.concatenate([trace.zs[k][0], [1.0]])
             seg = np.kron(zbar, gs[k][0, 0])

@@ -51,43 +51,6 @@ class TestKron:
             assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
-class TestKronSolveVec:
-    def test_identity_factors(self):
-        w = np.arange(6.0)
-        assert np.allclose(nm.kron_solve_vec(np.eye(3), np.eye(2), w), w)
-
-    def test_diagonal_scalars(self):
-        out = nm.kron_solve_vec(np.array([[2.0]]), np.array([[4.0]]), np.array([8.0]))
-        assert np.allclose(out, [1.0])
-
-    def test_matches_dense_solve(self):
-        rng = np.random.default_rng(2)
-        a = random_spd(rng, 3)
-        b = random_spd(rng, 2)
-        w = rng.normal(size=6)
-        dense = np.linalg.solve(nm.kron(a, b), w)
-        assert np.linalg.norm(nm.kron_solve_vec(a, b, w) - dense) < 1e-9
-
-    def test_random_spd_trials(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            p, l = rng.integers(1, 7, size=2)
-            a, b = random_spd(rng, p), random_spd(rng, l)
-            w = rng.normal(size=p * l)
-            dense = np.linalg.solve(nm.kron(a, b), w)
-            err = np.linalg.norm(nm.kron_solve_vec(a, b, w) - dense)
-            assert err < 1e-9 * max(1.0, np.linalg.norm(dense))
-
-    def test_singular_factor_rejected(self):
-        a = np.diag([1.0, 1e-14])
-        with pytest.raises(nm.SingularMatrix):
-            nm.kron_solve_vec(a, np.eye(2), np.zeros(4))
-
-    def test_non_square_rejected(self):
-        with pytest.raises(ValueError):
-            nm.kron_solve_vec(np.zeros((2, 3)), np.eye(2), np.zeros(6))
-
-
 class TestSymEigen:
     def test_diagonal(self):
         eig = nm.sym_eigen(np.diag([5.0, 1.0]))

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from snopt_kit.odesolve import (MaxStepsExceeded, NonFiniteState, SolverConfig,
-                                nfe_of, odesolve)
+from snopt_kit.odesolve import MaxStepsExceeded, NonFiniteState, SolverConfig, odesolve
 
 
 def dopri(rtol=1e-8, atol=1e-8, **kw):
@@ -63,22 +62,22 @@ class TestStepAccounting:
         cfg = SolverConfig(method="rk4", fixed_step=0.1)
         rep = odesolve(np.array([1.0]), 0.0, 1.0, lambda t, y: y, cfg)
         assert rep.accepted_steps == 10
-        assert nfe_of(rep) == 40
+        assert rep.nfe == 40
         assert rep.rejected_steps == 0
 
     def test_euler_stage_count(self):
         cfg = SolverConfig(method="euler", fixed_step=0.1)
         rep = odesolve(np.array([1.0]), 0.0, 1.0, lambda t, y: y, cfg)
-        assert nfe_of(rep) == 10
+        assert rep.nfe == 10
 
     def test_dopri5_fsal_accounting(self):
         rep = odesolve(np.array([1.0]), 0.0, 1.0, lambda t, y: y, dopri())
-        assert nfe_of(rep) == 1 + 6 * (rep.accepted_steps + rep.rejected_steps)
+        assert rep.nfe == 1 + 6 * (rep.accepted_steps + rep.rejected_steps)
 
     def test_dopri5_handoff_skips_initial_eval(self):
         y0 = np.array([1.0])
         rep = odesolve(y0, 0.0, 1.0, lambda t, y: y, dopri(), f_start=y0.copy())
-        assert nfe_of(rep) == 6 * (rep.accepted_steps + rep.rejected_steps)
+        assert rep.nfe == 6 * (rep.accepted_steps + rep.rejected_steps)
 
     def test_nfe_counts_actual_calls(self):
         calls = [0]

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from snopt_kit import vector_field as vf
+from snopt_kit.numerics import vec
 
 
 def tanh_spec():
@@ -67,7 +68,7 @@ class TestLayout:
     def test_init_bound(self):
         spec = tanh_spec()
         theta = vf.init_params(spec, 0)
-        w0, b0 = vf.unpack_layer(spec, theta, 0)
+        w0, b0 = vf.unpack_params(spec, theta)[0]
         assert np.max(np.abs(w0)) <= np.sqrt(6.0 / (2 + 4))
         assert np.all(b0 == 0.0)
 
@@ -81,7 +82,7 @@ class TestEval:
 
     def test_identity_single_layer(self):
         spec = vf.MlpSpec(dims=(2, 2), activations=("identity",))
-        theta = vf.pack_layer_grads(spec, [np.hstack([np.eye(2), np.zeros((2, 1))])])
+        theta = vec(np.hstack([np.eye(2), np.zeros((2, 1))]))
         x = np.array([0.7, -1.1])
         out, _ = vf.eval(spec, theta, 0.0, x)
         assert np.allclose(out, x)
@@ -91,8 +92,7 @@ class TestEval:
         spec = tanh_spec()
         theta = vf.init_params(spec, 7)
         x = np.array([0.4, -0.9])
-        w0, b0 = vf.unpack_layer(spec, theta, 0)
-        w1, b1 = vf.unpack_layer(spec, theta, 1)
+        (w0, b0), (w1, b1) = vf.unpack_params(spec, theta)
         expected = w1 @ np.tanh(w0 @ x + b0) + b1
         out, _ = vf.eval(spec, theta, 0.0, x)
         assert np.allclose(out, expected, atol=1e-14)
@@ -123,7 +123,7 @@ class TestEval:
         spec = tanh_spec()
         theta = vf.init_params(spec, 7)
         _, trace = vf.eval(spec, theta, 0.0, np.array([0.4, -0.9]))
-        w0, b0 = vf.unpack_layer(spec, theta, 0)
+        w0, b0 = vf.unpack_params(spec, theta)[0]
         assert np.array_equal(trace.hs[0], trace.zs[0] @ w0.T + b0)
         assert np.array_equal(trace.zs[1], np.tanh(trace.hs[0]))
 
