@@ -5,6 +5,12 @@ defaults overridable); metrics land in a fixed-schema CSV whose floats are
 written with 17 significant digits so parsing the file back reproduces the
 records exactly.  The ``SNOPT_SEED`` environment variable overrides the
 config seed.
+
+Exit codes: 0 success, 1 config error (``ConfigError``, including a
+non-integer ``SNOPT_SEED``), 2 numeric abort (``TrainAbort``: a non-finite
+state, a solve over ``max_steps``, a factor eigendecomposition that fails,
+or a non-finite horizon update).  ``grid`` records an aborted cell in its
+summary and carries on.
 """
 
 from __future__ import annotations
@@ -122,7 +128,11 @@ def load_config(path: str, overrides: list[str] | None = None) -> ExperimentConf
         raise ConfigError(str(exc)) from exc
 
     if "SNOPT_SEED" in os.environ:
-        cfg = replace(cfg, seed=int(os.environ["SNOPT_SEED"]))
+        try:
+            seed = int(os.environ["SNOPT_SEED"])
+        except ValueError as exc:
+            raise ConfigError(f"SNOPT_SEED must be an integer: {exc}") from exc
+        cfg = replace(cfg, seed=seed)
     return cfg
 
 

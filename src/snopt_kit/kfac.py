@@ -1,9 +1,10 @@
 """Kronecker-factor accumulation along the backward time grid.
 
-This is the production second-order sweep.  It carries the backward
+This is the production second-order sweep.  It integrates the backward
 state ``[x | a, q_1..q_R | g]`` of :class:`adjoint.BackwardSweep` (no
-parameter couplings) between the points of a uniform grid running from
-t1 down to t0.  At each grid point the layer activations and
+parameter couplings) from t1 down to t0 in one solve and reads it at the
+points of a uniform grid from the solver's dense output, so the grid
+costs no solver steps.  At each grid point the layer activations and
 backpropagated signals are read off a fresh field evaluation and folded
 into per-layer second-moment matrices:
 
@@ -86,11 +87,12 @@ def accumulate_factors(spec: vf.MlpSpec, theta: np.ndarray, x1: np.ndarray,
                        ) -> tuple[KroneckerFactors, np.ndarray, SolveReport]:
     """Backward sweep over the grid, returning factors and the gradient.
 
-    Between consecutive grid points the backward state ``[x | a, q_i | g]``
-    is advanced by the configured solver (the adaptive step is
-    warm-started across segments); at every grid point a fresh field
-    evaluation feeds the factor matrices.  NFE in the returned
-    report counts both the segment solves and the grid evaluations.
+    One solve carries the backward state ``[x | a, q_i | g]`` from
+    ``grid[0]`` to ``grid[-1]``; the state at every grid point comes from
+    the solver's observations (dopri5's continuous extension, or a step
+    ending there for the fixed-step methods) and feeds one fresh field
+    evaluation for the factor matrices.  NFE in the returned report is
+    the solve's NFE plus one per grid point.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1:
@@ -107,28 +109,17 @@ def accumulate_factors(spec: vf.MlpSpec, theta: np.ndarray, x1: np.ndarray,
     if probe is not None:
         probe["state_elements"] = int(state.size)
         probe["factor_elements"] = int(sum(a.size for a in a_bar) + sum(b.size for b in b_bar))
-    bcfg = backward_config(cfg, sweep.x_len, use_semi)
-    nfe = accepted = rejected = 0
-    h_carry = None
-    f_carry = None
-    for j, t_j in enumerate(grid):
-        x, cot, _ = sweep.unpack(state)
-        a_terms, b_terms = _factor_terms(spec, sweep.weights, t_j, x, cot[1:])
-        nfe += 1
+
+    def accumulate(t: float, y: np.ndarray):
+        x, cot, _ = sweep.unpack(y)
+        a_terms, b_terms = _factor_terms(spec, sweep.weights, t, x, cot[1:])
         for k in range(spec.n_layers):
             a_bar[k] += a_terms[k] * dt
             b_bar[k] += b_terms[k] * dt
-        if j + 1 < grid.size:
-            seg = odesolve(state, t_j, grid[j + 1], sweep.field, bcfg,
-                           first_step=h_carry, f_start=f_carry)
-            state = seg.terminal_state
-            nfe += seg.nfe
-            accepted += seg.accepted_steps
-            rejected += seg.rejected_steps
-            h_carry, f_carry = seg.next_step, seg.terminal_field
 
-    _, _, params = sweep.unpack(state)
-    report = SolveReport(terminal_state=state, nfe=nfe,
-                         accepted_steps=accepted, rejected_steps=rejected)
+    bcfg = backward_config(cfg, sweep.x_len, use_semi)
+    report = odesolve(state, grid[0], grid[-1], sweep.field, bcfg, observe=(grid, accumulate))
+    report.nfe += grid.size
+    _, _, params = sweep.unpack(report.terminal_state)
     factors = KroneckerFactors(a_factors=a_bar, b_factors=b_bar, dt=dt, grid=grid)
     return factors, params[0].copy(), report

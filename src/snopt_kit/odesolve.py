@@ -7,7 +7,11 @@ backward solves negate the internal step rather than rewriting the field.
 
 The solvers retain no per-step history: the only output is the terminal
 state plus step counters, so memory is independent of the number of
-accepted or rejected steps.
+accepted or rejected steps.  A caller that needs the state at intermediate
+times passes them as ``observe``; dopri5 keeps stepping freely and reads
+each time off its 4th-order continuous extension within the accepted step
+that covers it (built from that step's stages, so it costs no evaluation),
+while the fixed-step methods end a step on each observation time.
 """
 
 from __future__ import annotations
@@ -30,6 +34,14 @@ class NonFiniteState(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Solver settings.
+
+    ``max_steps`` bounds the step attempts (accepted plus rejected) of one
+    ``odesolve`` call.  Observing intermediate times does not split the
+    call, so for the Kronecker-factor sweep it bounds the whole sweep over
+    the grid.
+    """
+
     method: str = "dopri5"
     rtol: float = 1e-6
     atol: float = 1e-6
@@ -63,12 +75,11 @@ class SolveReport:
     nfe: int = 0
     accepted_steps: int = 0
     rejected_steps: int = 0
-    # adaptive-solve handoff for chained segment solves
-    terminal_field: np.ndarray | None = None
-    next_step: float | None = None
 
 
 Field = Callable[[float, np.ndarray], np.ndarray]
+# (times, callback): callback(t, y) runs once per time, in order of integration
+Observe = tuple[np.ndarray, Callable[[float, np.ndarray], None]]
 
 # Dormand-Prince 5(4) tableau.  Row 7 equals the 5th-order weights (FSAL).
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
@@ -84,6 +95,10 @@ _DP_A = [
 _DP_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 # 5th-order minus embedded 4th-order weights: local error coefficients.
 _DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
+# Quartic term of the continuous extension (Hairer, Norsett & Wanner I, II.6).
+_DP_D = np.array([-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
+                  -10690763975 / 1880347072, 701980252875 / 199316789632,
+                  -1453857185 / 822651844, 69997945 / 29380423])
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -106,35 +121,75 @@ def _error_ratio(err: np.ndarray, y0: np.ndarray, y1: np.ndarray, cfg: SolverCon
     return float(np.sqrt(np.mean((err / scale) ** 2)))
 
 
-def _solve_fixed(y0, t_start, t_end, fn: Field, cfg: SolverConfig) -> SolveReport:
-    span = t_end - t_start
-    direction = 1.0 if span >= 0 else -1.0
-    total = abs(span)
-    h = cfg.fixed_step
-    n_steps = max(1, int(np.ceil(total / h - 1e-12))) if total > 0 else 0
-    if n_steps > cfg.max_steps:
-        raise MaxStepsExceeded(f"{n_steps} fixed steps exceed max_steps={cfg.max_steps}")
+def _fixed_steps(span: float, h: float) -> int:
+    return max(1, int(np.ceil(abs(span) / h - 1e-12))) if span != 0 else 0
 
-    y = np.array(y0, dtype=float)
+
+def _fixed_segment(y, t_start, t_end, fn: Field, cfg: SolverConfig) -> tuple[np.ndarray, int]:
+    """Fixed steps from ``t_start`` to ``t_end``, the last one clipped to land on it."""
+    direction = 1.0 if t_end >= t_start else -1.0
+    h = cfg.fixed_step
+    n_steps = _fixed_steps(t_end - t_start, h)
     t = t_start
-    nfe = 0
     for i in range(n_steps):
         hs = direction * min(h, abs(t_end - t))
         if i == n_steps - 1:
             hs = t_end - t  # land on the boundary exactly
         if cfg.method == "euler":
             y = y + hs * fn(t, y)
-            nfe += 1
         else:  # rk4
             k1 = fn(t, y)
             k2 = fn(t + hs / 2, y + hs / 2 * k1)
             k3 = fn(t + hs / 2, y + hs / 2 * k2)
             k4 = fn(t + hs, y + hs * k3)
             y = y + hs / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            nfe += 4
         t = t + hs
         _check_finite(y, t)
+    return y, n_steps * (1 if cfg.method == "euler" else 4)
+
+
+def _solve_fixed(y0, t_start, t_end, fn: Field, cfg: SolverConfig,
+                 times, callback) -> SolveReport:
+    """Fixed steps; every observation time ends a step, as a restart there would."""
+    bounds = [t_start, *times, t_end]
+    n_steps = sum(_fixed_steps(b - a, cfg.fixed_step) for a, b in zip(bounds, bounds[1:]))
+    if n_steps > cfg.max_steps:
+        raise MaxStepsExceeded(f"{n_steps} fixed steps exceed max_steps={cfg.max_steps}")
+
+    y = np.array(y0, dtype=float)
+    nfe = 0
+    for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        y, seg_nfe = _fixed_segment(y, a, b, fn, cfg)
+        nfe += seg_nfe
+        if i < len(times):
+            callback(b, y)
     return SolveReport(terminal_state=y, nfe=nfe, accepted_steps=n_steps, rejected_steps=0)
+
+
+def _observe_step(times, i: int, callback, t: float, hs: float, t_new: float,
+                  y: np.ndarray, y_new: np.ndarray, k: np.ndarray) -> int:
+    """Report every pending time the accepted step ``t -> t_new`` covers.
+
+    Between the ends the state comes from Dormand-Prince's 4th-order
+    continuous extension, whose coefficients are the step's own stages.
+    Returns the index of the first time still pending.
+    """
+    direction = 1.0 if hs > 0 else -1.0
+    if i == len(times) or direction * (times[i] - t_new) > 0:
+        return i
+    dy = y_new - y
+    bspl = hs * k[0] - dy
+    cubic = dy - hs * k[6] - bspl
+    quartic = hs * (_DP_D @ k)
+    while i < len(times) and direction * (times[i] - t_new) <= 0:
+        tau = times[i]
+        if tau == t_new:
+            callback(tau, y_new)
+        else:
+            th = (tau - t) / hs
+            callback(tau, y + th * (dy + (1 - th) * (bspl + th * (cubic + (1 - th) * quartic))))
+        i += 1
+    return i
 
 
 def _initial_step(f0, y0, total, cfg: SolverConfig) -> float:
@@ -158,24 +213,21 @@ def _initial_step(f0, y0, total, cfg: SolverConfig) -> float:
 
 
 def _solve_dopri5(y0, t_start, t_end, fn: Field, cfg: SolverConfig,
-                  first_step: float | None, f_start) -> SolveReport:
+                  times, callback) -> SolveReport:
     span = t_end - t_start
     direction = 1.0 if span >= 0 else -1.0
     total = abs(span)
 
     y = np.array(y0, dtype=float)
     t = t_start
+    pending = 0
+    while pending < len(times) and times[pending] == t_start:
+        callback(t_start, y)
+        pending += 1
     k = np.empty((7, y.size))
-    nfe = 0
-    if f_start is not None:
-        k[0] = np.asarray(f_start, dtype=float)
-    else:
-        k[0] = fn(t, y)
-        nfe = 1
-    if first_step is not None:
-        h = abs(first_step)
-    else:
-        h = _initial_step(k[0], y, total, cfg)
+    k[0] = fn(t, y)
+    nfe = 1
+    h = _initial_step(k[0], y, total, cfg)
 
     accepted = rejected = 0
     err_old = 1e-4
@@ -204,7 +256,10 @@ def _solve_dopri5(y0, t_start, t_end, fn: Field, cfg: SolverConfig,
 
         if err <= 1.0:
             accepted += 1
-            t = t_end if last else t + hs
+            t_new = t_end if last else t + hs
+            if pending < len(times):
+                pending = _observe_step(times, pending, callback, t, hs, t_new, y, y_new, k)
+            t = t_new
             y = y_new
             k[0] = k[6]
             if err == 0.0:
@@ -219,26 +274,39 @@ def _solve_dopri5(y0, t_start, t_end, fn: Field, cfg: SolverConfig,
             rejected += 1
             # stage 1 is still f(t, y): no new evaluation needed on retry
             h = h_eff * min(1.0, max(_MIN_FACTOR, _SAFETY * err ** (-0.2)))
+    # times within rounding of t_end that no step covered
+    for tau in times[pending:]:
+        callback(tau, y)
     return SolveReport(terminal_state=y, nfe=nfe, accepted_steps=accepted,
-                       rejected_steps=rejected, terminal_field=k[0].copy(), next_step=h)
+                       rejected_steps=rejected)
 
 
 def odesolve(y0: np.ndarray, t_start: float, t_end: float, fn: Field,
-             cfg: SolverConfig, first_step: float | None = None,
-             f_start: np.ndarray | None = None) -> SolveReport:
+             cfg: SolverConfig, observe: Observe | None = None) -> SolveReport:
     """Integrate ``dy/dt = fn(t, y)`` from ``t_start`` to ``t_end``.
 
-    ``t_end < t_start`` integrates backward.  ``first_step`` seeds the
-    adaptive controller and ``f_start`` supplies an already-computed
-    ``fn(t_start, y0)`` — both let chained segment solves hand the FSAL
-    stage and step size across the boundary.  Fixed-step methods ignore
-    them.
+    ``t_end < t_start`` integrates backward.  ``observe = (times,
+    callback)`` calls ``callback(t, y)`` once for every entry of ``times``,
+    in order, with the state at that time; the times must run from
+    ``t_start`` towards ``t_end`` (both ends allowed, repeats allowed) and
+    the callback must not modify ``y``.  Observing adds no field
+    evaluation, and an observation at either end receives the initial or
+    terminal state exactly.  Under dopri5 the steps taken do not depend
+    on the times observed.
     """
     y0 = np.asarray(y0, dtype=float)
     _check_finite(y0, t_start)
+    if observe is None:
+        times, callback = (), None
+    else:
+        times, callback = np.asarray(observe[0], dtype=float), observe[1]
+        sign = 1.0 if t_end >= t_start else -1.0
+        if times.ndim != 1 or np.any(sign * np.diff([t_start, *times, t_end]) < 0):
+            raise ValueError(f"observation times must run from {t_start} to {t_end}")
     if t_start == t_end:
+        for tau in times:
+            callback(tau, y0)
         return SolveReport(terminal_state=y0.copy(), nfe=0, accepted_steps=0, rejected_steps=0)
     if cfg.method in ("euler", "rk4"):
-        return _solve_fixed(y0, t_start, t_end, fn, cfg)
-    return _solve_dopri5(y0, t_start, t_end, fn, cfg, first_step, f_start)
-
+        return _solve_fixed(y0, t_start, t_end, fn, cfg, times, callback)
+    return _solve_dopri5(y0, t_start, t_end, fn, cfg, times, callback)

@@ -26,16 +26,21 @@ from . import data as data_mod
 from . import vector_field as vf
 from .adjoint import adjoint_gradient
 from .curvature import apply_weight_decay
-from .horizon import HorizonState, first_order_horizon_step, horizon_step, horizon_terms
+from .horizon import (HorizonState, NonFiniteUpdate, first_order_horizon_step, horizon_step,
+                      horizon_terms)
 from .kfac import accumulate_factors, make_grid
 from .loss import (Readout, TerminalLoss, accuracy, grad_x1, init_readout,
                    loss_value, readout_grads, terminal_curvature)
-from .odesolve import NonFiniteState, SolveReport, SolverConfig, odesolve
-from .optimizer import AdamState, SgdState, SnoptState, adam_step, sgd_step, snopt_step
+from .odesolve import MaxStepsExceeded, NonFiniteState, SolveReport, SolverConfig, odesolve
+from .optimizer import (AdamState, SgdState, SingularFactor, SnoptState, adam_step, sgd_step,
+                        snopt_step)
+
+# Numeric failures of one iteration; ``train`` re-raises each as ``TrainAbort``.
+NUMERIC_FAILURES = (NonFiniteState, MaxStepsExceeded, SingularFactor, NonFiniteUpdate)
 
 
 class TrainAbort(RuntimeError):
-    """Training hit a non-finite state; carries the failing iteration."""
+    """Training hit a numeric failure (see ``NUMERIC_FAILURES``); carries the failing iteration."""
 
     def __init__(self, iteration: int, cause: str):
         super().__init__(f"training aborted at iteration {iteration}: {cause}")
@@ -275,8 +280,8 @@ def train(config: ExperimentConfig, on_iteration=None) -> list[TrainRecord]:
             test_loss = test_acc = float("nan")
             if (it % cfg.eval_every == 0 or it == cfg.iterations) and run.ds.test_idx.size:
                 test_loss, test_acc = run.evaluate(run.ds.test_idx)
-        except NonFiniteState as exc:
-            raise TrainAbort(it, str(exc)) from exc
+        except NUMERIC_FAILURES as exc:
+            raise TrainAbort(it, f"{type(exc).__name__}: {exc}") from exc
 
         records.append(TrainRecord(
             iteration=it, wall_clock_s=time.perf_counter() - started,

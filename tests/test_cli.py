@@ -152,6 +152,60 @@ class TestCmdGrid:
                             str(tmp_path / "o")) == 1
 
 
+    def test_aborted_cell_recorded(self, config_path, tmp_path, capsys):
+        grid = tmp_path / "grid.ini"
+        grid.write_text("[grid]\nsolver.max_steps = 3, 100000\n")
+        out_dir = tmp_path / "cells"
+        assert cli.cmd_grid(config_path, str(grid), str(out_dir)) == 0
+        rows = (out_dir / "summary.csv").read_text().strip().split("\n")[1:]
+        assert [row.split(",")[-1] for row in rows] == ["1", "0"]
+        assert "cell 0 aborted" in capsys.readouterr().err
+        assert cli.read_records_csv(str(out_dir / "cell_000.csv")) == []
+
+
+class TestFailureExitCodes:
+    """Each failure mode ends the CLI with its documented exit code, not a traceback."""
+
+    def snopt_config(self, tmp_path, extra=""):
+        path = tmp_path / "snopt.ini"
+        path.write_text(BASE_CONFIG.replace("kind = adam", "kind = snopt") + extra)
+        return str(path)
+
+    def test_max_steps_exit_2(self, config_path, tmp_path, capsys):
+        rc = cli.cmd_train(config_path, str(tmp_path / "o.csv"), ["solver.max_steps=3"])
+        assert rc == 2
+        assert "MaxStepsExceeded" in capsys.readouterr().err
+
+    def test_non_integer_seed_exit_1(self, config_path, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SNOPT_SEED", "abc")
+        assert cli.cmd_train(config_path, str(tmp_path / "o.csv")) == 1
+        assert "SNOPT_SEED" in capsys.readouterr().err
+        assert cli.cmd_grid(config_path, str(tmp_path / "g.ini"), str(tmp_path / "g")) == 1
+
+    def test_singular_factor_exit_2(self, tmp_path, monkeypatch, capsys):
+        # an eigendecomposition that fails to converge inside the update
+        def no_convergence(mat):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(cli.optimizer, "sym_eigen", no_convergence)
+        assert cli.cmd_train(self.snopt_config(tmp_path), str(tmp_path / "o.csv")) == 2
+        assert "SingularFactor" in capsys.readouterr().err
+
+    def test_non_finite_horizon_update_exit_2(self, tmp_path, monkeypatch, capsys):
+        # a non-finite bound derivative reaches the feedback horizon step
+        orig = cli.trainer.horizon_terms
+
+        def nan_qt(*args, **kwargs):
+            terms = orig(*args, **kwargs)
+            terms.qt = float("nan")
+            return terms
+
+        monkeypatch.setattr(cli.trainer, "horizon_terms", nan_qt)
+        path = self.snopt_config(tmp_path, "\n[horizon]\nenabled = true\nperiod = 2\n")
+        assert cli.cmd_train(path, str(tmp_path / "o.csv")) == 2
+        assert "NonFiniteUpdate" in capsys.readouterr().err
+
+
 class TestCmdVerify:
     def test_all_checks_pass(self, capsys):
         assert cli.cmd_verify() == 0

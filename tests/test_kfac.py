@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from snopt_kit import trainer as tr
 from snopt_kit import vector_field as vf
-from snopt_kit.adjoint import adjoint_gradient
+from snopt_kit.adjoint import BackwardSweep, adjoint_gradient
 from snopt_kit.kfac import BadInterval, _factor_terms, accumulate_factors, make_grid
-from snopt_kit.loss import TerminalCurvature
+from snopt_kit.loss import TerminalCurvature, terminal_curvature
 from snopt_kit.numerics import kron
-from snopt_kit.odesolve import SolverConfig
+from snopt_kit.odesolve import SolverConfig, odesolve
 
 RK4 = SolverConfig(method="rk4", fixed_step=1e-2)
 
@@ -15,6 +16,34 @@ def tanh_net(seed, dims=(2, 3, 2), time_input="none"):
     acts = ("tanh",) * (len(dims) - 2) + ("identity",)
     spec = vf.MlpSpec(dims=dims, activations=acts, time_input=time_input)
     return spec, vf.init_params(spec, seed)
+
+
+def default_batch():
+    """Network, terminal states and curvature of the default snopt config's first batch."""
+    cfg = tr.ExperimentConfig(optimizer=tr.OptimizerConfig(kind="snopt"))
+    run = tr._Run(cfg)
+    idx = run.batch_rng.choice(run.ds.train_idx, size=cfg.batch_size, replace=False)
+    x1, _ = run.forward(run.ds.inputs[idx])
+    lossfn = tr._loss_for(cfg.loss, run.ds.labels[idx], run.readout)
+    curv = terminal_curvature(lossfn, x1, cfg.t0, cfg.t1, mode=cfg.loss.curvature)
+    return run.spec, run.theta, x1, curv, cfg
+
+
+def segmented_factors(spec, theta, x1, curv, grid, cfg):
+    """Reference sweep: one solve per grid interval, factor terms at every grid point."""
+    sweep, state = BackwardSweep.seeded(spec, theta, x1, curv.grad, curv.factors)
+    dt = abs(grid[0] - grid[-1]) / (grid.size - 1)
+    a_bar = b_bar = [0.0] * spec.n_layers
+    nfe = grid.size
+    for j, t_j in enumerate(grid):
+        x, cot, _ = sweep.unpack(state)
+        a_t, b_t = _factor_terms(spec, sweep.weights, t_j, x, cot[1:])
+        a_bar = [s + a * dt for s, a in zip(a_bar, a_t)]
+        b_bar = [s + b * dt for s, b in zip(b_bar, b_t)]
+        if j + 1 < grid.size:
+            seg = odesolve(state, t_j, grid[j + 1], sweep.field, cfg)
+            state, nfe = seg.terminal_state, nfe + seg.nfe
+    return a_bar, b_bar, sweep.unpack(state)[2][0], nfe
 
 
 class TestMakeGrid:
@@ -173,3 +202,42 @@ class TestAccumulateFactors:
         # 11 grid evaluations plus 10 segments of one rk4 step each
         assert report.accepted_steps == 10
         assert report.nfe == 11 + 10 * 4
+
+    def test_rk4_bit_identical_to_segmented_sweep(self):
+        spec, theta = tanh_net(10, (2, 4, 3, 2))
+        rng = np.random.default_rng(4)
+        x1 = rng.uniform(-1, 1, size=(5, 2))
+        a1 = rng.normal(size=(5, 2))
+        for factors in ([a1], [a1, rng.normal(size=(5, 2))]):
+            curv = TerminalCurvature(grad=a1, factors=factors, mode="exact_rank")
+            grid = make_grid(0.0, 0.9, 7)
+            got, grad, report = accumulate_factors(spec, theta, x1, curv, grid, RK4)
+            a_ref, b_ref, g_ref, nfe_ref = segmented_factors(spec, theta, x1, curv, grid, RK4)
+            for mine, ref in zip(got.a_factors + got.b_factors, a_ref + b_ref):
+                assert np.array_equal(mine, ref)
+            assert np.array_equal(grad, g_ref)
+            assert report.nfe == nfe_ref
+
+
+class TestDefaultConfigSweep:
+    """The default snopt config's first batch under its own dopri5 settings."""
+
+    def test_nfe_is_solver_nfe_plus_grid(self):
+        # the solver's steps do not depend on the grid it is read on
+        spec, theta, x1, curv, cfg = default_batch()
+        solver_nfe = set()
+        for samples in (13, 33, 101):
+            grid = make_grid(cfg.t0, cfg.t1, samples)
+            _, _, report = accumulate_factors(spec, theta, x1, curv, grid, cfg.solver)
+            solver_nfe.add(report.nfe - grid.size)
+        assert solver_nfe == {25}
+
+    def test_factors_match_tight_reference(self):
+        spec, theta, x1, curv, cfg = default_batch()
+        grid = make_grid(cfg.t0, cfg.t1, cfg.grid_samples)
+        got, grad, _ = accumulate_factors(spec, theta, x1, curv, grid, cfg.solver)
+        tight = SolverConfig(method="dopri5", rtol=1e-10, atol=1e-10)
+        ref, g_ref, _ = accumulate_factors(spec, theta, x1, curv, grid, tight)
+        for mine, want in zip(got.a_factors + got.b_factors, ref.a_factors + ref.b_factors):
+            assert np.linalg.norm(mine - want) <= 1e-3 * np.linalg.norm(want)
+        assert np.linalg.norm(grad - g_ref) <= 1e-3 * np.linalg.norm(g_ref)

@@ -74,11 +74,6 @@ class TestStepAccounting:
         rep = odesolve(np.array([1.0]), 0.0, 1.0, lambda t, y: y, dopri())
         assert rep.nfe == 1 + 6 * (rep.accepted_steps + rep.rejected_steps)
 
-    def test_dopri5_handoff_skips_initial_eval(self):
-        y0 = np.array([1.0])
-        rep = odesolve(y0, 0.0, 1.0, lambda t, y: y, dopri(), f_start=y0.copy())
-        assert rep.nfe == 6 * (rep.accepted_steps + rep.rejected_steps)
-
     def test_nfe_counts_actual_calls(self):
         calls = [0]
 
@@ -118,6 +113,85 @@ class TestAccuracyProperties:
                         dopri(rtol=1e-6, atol=1e-6, error_norm="semi", semi_prefix=1))
         assert semi.accepted_steps + semi.rejected_steps < full.accepted_steps + full.rejected_steps
         assert abs(semi.terminal_state[0] - np.e) < 1e-4
+
+
+def observed(y0, t_start, t_end, fn, cfg, times):
+    """Solve with observations; returns the report and the (t, y copy) pairs seen."""
+    seen = []
+    rep = odesolve(y0, t_start, t_end, fn, cfg,
+                   observe=(times, lambda t, y: seen.append((t, y.copy()))))
+    return rep, seen
+
+
+ALL_METHODS = (dopri(rtol=1e-6, atol=1e-6), SolverConfig(method="rk4", fixed_step=0.07),
+               SolverConfig(method="euler", fixed_step=0.07))
+
+
+class TestObserve:
+    def test_each_time_once_in_order(self):
+        fn = lambda t, y: np.cos(t) * y
+        for cfg in ALL_METHODS:
+            for t_start, t_end in ((0.0, 1.3), (1.3, 0.0)):
+                times = np.linspace(t_start, t_end, 17)
+                times = np.insert(times, 5, times[5])  # a repeated time is seen twice
+                _, seen = observed(np.array([1.0, -2.0]), t_start, t_end, fn, cfg, times)
+                assert [t for t, _ in seen] == list(times)
+
+    def test_endpoints_bit_exact(self):
+        y0 = np.array([0.3, -1.7])
+        fn = lambda t, y: np.sin(y) + t
+        for cfg in ALL_METHODS:
+            rep, seen = observed(y0, 1.0, 0.0, fn, cfg, np.linspace(1.0, 0.0, 9))
+            assert np.array_equal(seen[0][1], y0)
+            assert np.array_equal(seen[-1][1], rep.terminal_state)
+
+    def test_dopri5_matches_exponential(self):
+        # dense output stays within the tolerance scale of exp(t) between steps
+        for tol in (1e-3, 1e-6, 1e-9):
+            times = np.linspace(0.0, 1.0, 101)
+            rep, seen = observed(np.array([1.0]), 0.0, 1.0, lambda t, y: y, dopri(tol, tol), times)
+            assert rep.accepted_steps < times.size  # most times fall between steps
+            err = max(abs(y[0] - np.exp(t)) for t, y in seen)
+            assert err < tol * np.e
+
+    def test_dopri5_steps_do_not_depend_on_times(self):
+        fn = lambda t, y: np.array([y[1], -np.sin(y[0])])
+        y0 = np.array([1.0, 0.0])
+        plain = odesolve(y0, 2.0, 0.0, fn, dopri(1e-5, 1e-5))
+        for n in (2, 13, 101):
+            rep, _ = observed(y0, 2.0, 0.0, fn, dopri(1e-5, 1e-5), np.linspace(2.0, 0.0, n))
+            assert np.array_equal(rep.terminal_state, plain.terminal_state)
+            assert (rep.nfe, rep.accepted_steps, rep.rejected_steps) == (
+                plain.nfe, plain.accepted_steps, plain.rejected_steps)
+
+    def test_fixed_step_ends_a_step_at_each_time(self):
+        # rk4 with observations equals one restarted solve per interval
+        fn = lambda t, y: np.sin(y) + t
+        cfg = SolverConfig(method="rk4", fixed_step=0.07)
+        times = np.linspace(1.0, 0.0, 6)
+        rep, seen = observed(np.array([0.4]), 1.0, 0.0, fn, cfg, times)
+        y, nfe = np.array([0.4]), 0
+        for (a, b), (_, y_seen) in zip(zip(times, times[1:]), seen[1:]):
+            seg = odesolve(y, a, b, fn, cfg)
+            y, nfe = seg.terminal_state, nfe + seg.nfe
+            assert np.array_equal(y_seen, y)
+        assert np.array_equal(rep.terminal_state, y) and rep.nfe == nfe
+
+    def test_zero_length_interval(self):
+        rep, seen = observed(np.array([5.0]), 1.0, 1.0, lambda t, y: y, dopri(), [1.0, 1.0])
+        assert rep.nfe == 0 and [t for t, _ in seen] == [1.0, 1.0]
+        assert all(y[0] == 5.0 for _, y in seen)
+
+    def test_times_out_of_order_rejected(self):
+        for times in ([0.5, 0.2], [-0.1, 0.5], [0.5, 1.1]):
+            with pytest.raises(ValueError):
+                observed(np.array([1.0]), 0.0, 1.0, lambda t, y: y, dopri(), times)
+
+    def test_max_steps_bounds_the_whole_observed_solve(self):
+        # five intervals of two rk4 steps each: ten steps in one call
+        cfg = SolverConfig(method="rk4", fixed_step=0.1, max_steps=9)
+        with pytest.raises(MaxStepsExceeded):
+            observed(np.array([1.0]), 0.0, 1.0, lambda t, y: y, cfg, np.linspace(0.0, 1.0, 6))
 
 
 class TestErrors:

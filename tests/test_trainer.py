@@ -84,7 +84,7 @@ class TestTrainBasics:
 
     def test_one_forward_one_backward_per_iteration(self, monkeypatch):
         # with evaluation disabled, the only solves are the per-iteration
-        # forward pass plus the backward sweep's internal segments
+        # forward pass plus one backward sweep
         import snopt_kit.trainer as trainer_mod
         calls = {"fwd": 0, "adj": 0, "acc": 0}
         orig_adj = trainer_mod.adjoint_gradient
@@ -148,6 +148,20 @@ class TestMemoryProbe:
         p4 = tr.memory_probe(cfg, rank_override=4)
         assert p2 - p1 == 16 * 2            # one extra batch-by-state vector
         assert p4 - p2 == 2 * (p2 - p1)     # exactly affine in the rank
+
+    def test_default_scale_state_sizes(self):
+        # batch 128 through 2-16-16-2 (n = 354 parameters, 3^2 + 2*17^2 +
+        # 2*16^2 + 2^2 = 1103 factor entries): adjoint 2*256 + n, rank-1
+        # factor sweep 3*256 + n + 1103, rank 2 one more 128-by-2 block
+        base = dict(batch_size=128, model=tr.ModelConfig(dims=(2, 16, 16, 2)))
+        adam = tr.ExperimentConfig(optimizer=tr.OptimizerConfig(kind="adam"), **base)
+        grid33 = tr.ExperimentConfig(optimizer=tr.OptimizerConfig(kind="snopt"),
+                                     grid_samples=33, **base)
+        rank2 = tr.ExperimentConfig(dataset=tr.DatasetConfig(kind="circles"),
+                                    loss=tr.LossConfig(curvature="exact_rank"),
+                                    optimizer=tr.OptimizerConfig(kind="snopt"),
+                                    grid_samples=13, **base)
+        assert [tr.memory_probe(c) for c in (adam, grid33, rank2)] == [866, 2225, 2481]
 
     def test_baseline_below_snopt(self):
         adj = tr.memory_probe(small_config(optimizer=tr.OptimizerConfig(kind="adam", lr=1e-3)))
