@@ -230,7 +230,7 @@ class TestDefaultConfigSweep:
             grid = make_grid(cfg.t0, cfg.t1, samples)
             _, _, report = accumulate_factors(spec, theta, x1, curv, grid, cfg.solver)
             solver_nfe.add(report.nfe - grid.size)
-        assert solver_nfe == {25}
+        assert solver_nfe == {14}
 
     def test_factors_match_tight_reference(self):
         spec, theta, x1, curv, cfg = default_batch()

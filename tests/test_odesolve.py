@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from snopt_kit.odesolve import MaxStepsExceeded, NonFiniteState, SolverConfig, odesolve
+from snopt_kit.odesolve import (MaxStepsExceeded, NonFiniteState, SolverConfig, _initial_step,
+                               odesolve)
 
 
 def dopri(rtol=1e-8, atol=1e-8, **kw):
@@ -72,7 +73,8 @@ class TestStepAccounting:
 
     def test_dopri5_fsal_accounting(self):
         rep = odesolve(np.array([1.0]), 0.0, 1.0, lambda t, y: y, dopri())
-        assert rep.nfe == 1 + 6 * (rep.accepted_steps + rep.rejected_steps)
+        # one evaluation at the start, one first-step probe, six per attempt
+        assert rep.nfe == 2 + 6 * (rep.accepted_steps + rep.rejected_steps)
 
     def test_nfe_counts_actual_calls(self):
         calls = [0]
@@ -113,6 +115,89 @@ class TestAccuracyProperties:
                         dopri(rtol=1e-6, atol=1e-6, error_norm="semi", semi_prefix=1))
         assert semi.accepted_steps + semi.rejected_steps < full.accepted_steps + full.rejected_steps
         assert abs(semi.terminal_state[0] - np.e) < 1e-4
+
+
+def call_log(fn):
+    """Wrap ``fn`` to record the time of every call."""
+    times = []
+
+    def logged(t, y):
+        times.append(t)
+        return fn(t, y)
+
+    return logged, times
+
+
+def first_step(fn, t_start, t_end, y0, cfg):
+    y0 = np.asarray(y0, dtype=float)
+    direction = 1.0 if t_end >= t_start else -1.0
+    return _initial_step(fn, t_start, y0, fn(t_start, y0), direction, abs(t_end - t_start), cfg)
+
+
+class TestInitialStep:
+    def test_probe_is_one_counted_call(self):
+        # one call at the start, one probe inside the interval, six per attempt
+        for t_start, t_end, cfg in ((0.0, 1.0, dopri()), (1.0, 0.0, dopri(1e-3, 1e-3)),
+                                    (0.0, 2.0, dopri(error_norm="semi", semi_prefix=1))):
+            fn, times = call_log(lambda t, y: np.array([y[1], -y[0]]))
+            rep = odesolve(np.array([1.0, 0.0]), t_start, t_end, fn, cfg)
+            assert len(times) == rep.nfe == 2 + 6 * (rep.accepted_steps + rep.rejected_steps)
+            assert times[0] == t_start
+            assert 0 < (times[1] - t_start) / (t_end - t_start) < 1
+
+    def test_bounded_by_interval_and_max_step(self):
+        # a slow field on loose tolerances wants a step far longer than the interval
+        slow = lambda t, y: 1e-6 * y
+        for t_end in (0.05, 1.0, 1e-9):
+            for t_start, t_stop in ((0.0, t_end), (t_end, 0.0)):
+                h = first_step(slow, t_start, t_stop, [1.0], dopri(1e-2, 1e-2))
+                assert h == t_end
+        for max_step in (1e-3, 0.04):
+            h = first_step(slow, 0.0, 0.05, [1.0], dopri(1e-2, 1e-2, max_step=max_step))
+            assert h == max_step
+        # and the solve lands on the end of a 0.05 interval
+        rep = odesolve(np.array([1.0]), 0.0, 0.05, lambda t, y: y, dopri(1e-3, 1e-3))
+        assert abs(rep.terminal_state[0] - np.exp(0.05)) < 1e-3
+
+    def test_zero_field_and_zero_state(self):
+        zero = lambda t, y: np.zeros_like(y)
+        for fn, y0 in ((zero, [1.0, 2.0]), (lambda t, y: y + 1.0, [0.0, 0.0]), (zero, [0.0])):
+            h = first_step(fn, 0.0, 1.0, y0, dopri())
+            assert np.isfinite(h) and 0 < h <= 1.0
+        rep = odesolve(np.zeros(2), 0.0, 1.0, lambda t, y: y + 1.0, dopri())
+        assert np.allclose(rep.terminal_state, np.e - 1.0, atol=1e-6)
+
+    def test_semi_norm_ignores_unscored_tail(self):
+        # the tail is decoupled and unscored: its scale must not move any step
+        def fn(t, y):
+            return np.concatenate([[np.cos(t) * y[0]], -3.0 * y[1:]])
+
+        cfg = dopri(1e-5, 1e-5, error_norm="semi", semi_prefix=1)
+        seqs = []
+        for tail in (1.0, 1e6):
+            logged, times = call_log(fn)
+            rep = odesolve(np.array([1.0, tail, -tail]), 0.0, 1.5, logged, cfg)
+            seqs.append((times, rep.terminal_state[0]))
+        assert seqs[0] == seqs[1]
+
+    def test_backward_mirrors_forward(self):
+        # y' = lam*y from 0 back to -T is y' = -lam*y from 0 to T, step for step
+        for lam in (0.5, -2.0):
+            fwd_fn, fwd_times = call_log(lambda t, y: -lam * y)
+            bwd_fn, bwd_times = call_log(lambda t, y: lam * y)
+            fwd = odesolve(np.array([1.0, -0.5]), 0.0, 1.3, fwd_fn, dopri(1e-6, 1e-6))
+            bwd = odesolve(np.array([1.0, -0.5]), 0.0, -1.3, bwd_fn, dopri(1e-6, 1e-6))
+            assert bwd_times == [-t for t in fwd_times]
+            assert np.array_equal(bwd.terminal_state, fwd.terminal_state)
+            assert (bwd.nfe, bwd.accepted_steps) == (fwd.nfe, fwd.accepted_steps)
+
+    def test_non_finite_probe(self):
+        # finite at y0, NaN one Euler step away: the probe raises before any step
+        y0 = np.array([1.0, 0.5])
+        fn, times = call_log(lambda t, y: np.where(y > y0, np.nan, 1.0))
+        with pytest.raises(NonFiniteState, match="probe"):
+            odesolve(y0, 0.0, 1.0, fn, dopri())
+        assert len(times) == 2
 
 
 def observed(y0, t_start, t_end, fn, cfg, times):

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from snopt_kit import trainer as tr
+from snopt_kit import vector_field as vf
+from snopt_kit.adjoint import adjoint_gradient
+from snopt_kit.loss import grad_x1
 from snopt_kit.odesolve import SolverConfig
 
 
@@ -82,6 +85,23 @@ class TestTrainBasics:
             tr.train(cfg)
         assert 1 <= err.value.iteration <= 3
 
+    def test_non_finite_probe_aborts(self, monkeypatch):
+        # the field is finite on the batch and NaN at the first-step probe
+        calls = [0]
+        orig = vf._forward
+
+        def nan_at_probe(*a, **k):
+            trace = orig(*a, **k)
+            calls[0] += 1
+            if calls[0] == 2:
+                trace.zs[-1] = np.full_like(trace.zs[-1], np.nan)
+            return trace
+
+        monkeypatch.setattr(vf, "_forward", nan_at_probe)
+        with pytest.raises(tr.TrainAbort, match="NonFiniteState.*probe") as err:
+            tr.train(small_config(optimizer=tr.OptimizerConfig(kind="adam", lr=1e-3)))
+        assert err.value.iteration == 1
+
     def test_one_forward_one_backward_per_iteration(self, monkeypatch):
         # with evaluation disabled, the only solves are the per-iteration
         # forward pass plus one backward sweep
@@ -121,6 +141,34 @@ class TestTrainBasics:
                                                      penalty=0.5, lr=0.3, period=4))
         records2 = tr.train(cfg2)
         assert len({r.t1 for r in records2}) > 1
+
+
+class TestDefaultConfigSolves:
+    """The default config's seed-0 batch under its own dopri5 settings."""
+
+    def test_first_iteration_nfe(self):
+        # forward: start, probe, two steps; adam's adjoint the same; snopt's
+        # factor sweep the same plus one field evaluation per grid point
+        for kind, nfe in (("adam", (14, 14)), ("snopt", (14, 14 + 33))):
+            cfg = tr.ExperimentConfig(optimizer=tr.OptimizerConfig(kind=kind), iterations=1)
+            rec = tr.train(cfg)[0]
+            assert (rec.nfe_fwd, rec.nfe_bwd) == nfe
+
+    def test_forward_and_gradient_match_tight_reference(self):
+        # rtol = atol = 1e-3 gives about 4e-7 (x1) and 2e-6 (gradient) relative
+        tight = SolverConfig(method="dopri5", rtol=1e-10, atol=1e-10)
+        x1s, grads = [], []
+        for cfg in (tr.ExperimentConfig(), tr.ExperimentConfig(solver=tight)):
+            run = tr._Run(cfg)
+            idx = run.batch_rng.choice(run.ds.train_idx, size=cfg.batch_size, replace=False)
+            lossfn = tr._loss_for(cfg.loss, run.ds.labels[idx], run.readout)
+            x1, _ = run.forward(run.ds.inputs[idx])
+            grad, _, _, _ = adjoint_gradient(run.spec, run.theta, x1, grad_x1(lossfn, x1),
+                                             cfg.t0, cfg.t1, cfg.solver)
+            x1s.append(x1)
+            grads.append(grad)
+        assert np.linalg.norm(x1s[0] - x1s[1]) <= 1e-5 * np.linalg.norm(x1s[1])
+        assert np.linalg.norm(grads[0] - grads[1]) <= 1e-5 * np.linalg.norm(grads[1])
 
 
 class TestMemoryProbe:
