@@ -1,13 +1,14 @@
 """Training loop: forward solve, backward sweep, update, metrics.
 
-One iteration is one forward solve on a minibatch plus one backward
-sweep: the factor-accumulating sweep for the second-order rule, the plain
-adjoint for the first-order baselines.  The readout (when present) is
-updated in the same iteration by a first-order rule; its curvature is
-never tracked.  Train metrics are evaluated on the full training split at
-the pre-update parameters, so a zero learning rate yields a constant loss
-sequence; test metrics run on the evaluation cadence and on the final
-iteration.
+One iteration is one forward solve over the full training split plus one
+backward sweep on a minibatch: the factor-accumulating sweep for the
+second-order rule, the plain adjoint for the first-order baselines.  The
+minibatch is a subset of the training split, so its terminal states are
+rows of that one solve, which also gives the train metrics at the
+pre-update parameters; a zero learning rate therefore yields a constant
+loss sequence.  The readout (when present) is updated in the same
+iteration by a first-order rule; its curvature is never tracked.  Test
+metrics run on the evaluation cadence and on the final iteration.
 
 Randomness is split into three Philox streams derived from the run seed:
 the dataset, parameter/readout initialization (seed+1), and batch
@@ -132,7 +133,7 @@ class TrainRecord:
     train_acc: float
     test_loss: float
     test_acc: float
-    nfe_fwd: int
+    nfe_fwd: int                     # the one forward solve, over the training split
     nfe_bwd: int
     t1: float
 
@@ -208,8 +209,17 @@ class _Run:
         rep = odesolve(x0.ravel(), self.cfg.t0, t1, fld, self.cfg.solver)
         return rep.terminal_state.reshape(batch, m), rep
 
-    def evaluate(self, idx: np.ndarray) -> tuple[float, float]:
-        x1, _ = self.forward(self.ds.inputs[idx])
+    def draw_batch(self) -> tuple[np.ndarray, TerminalLoss]:
+        """Next minibatch: its positions in the training split and its loss."""
+        size = min(self.cfg.batch_size, self.ds.n_train)
+        pos = self.batch_rng.choice(self.ds.n_train, size=size, replace=False)
+        labels = self.ds.labels[self.ds.train_idx[pos]]
+        return pos, _loss_for(self.cfg.loss, labels, self.readout)
+
+    def evaluate(self, idx: np.ndarray, x1: np.ndarray | None = None) -> tuple[float, float]:
+        """Loss and accuracy on ``idx``; solves forward unless given its terminal states."""
+        if x1 is None:
+            x1, _ = self.forward(self.ds.inputs[idx])
         lf = _loss_for(self.cfg.loss, self.ds.labels[idx], self.readout)
         return loss_value(lf, x1), accuracy(lf, x1)
 
@@ -229,13 +239,12 @@ def train(config: ExperimentConfig, on_iteration=None) -> list[TrainRecord]:
 
     for it in range(1, cfg.iterations + 1):
         try:
-            batch_idx = run.batch_rng.choice(
-                run.ds.train_idx, size=min(cfg.batch_size, run.ds.n_train), replace=False)
-            x0 = run.ds.inputs[batch_idx]
-            lossfn = _loss_for(cfg.loss, run.ds.labels[batch_idx], run.readout)
-
-            x1, rep_fwd = run.forward(x0)
-            train_loss, train_acc = run.evaluate(run.ds.train_idx)
+            pos, lossfn = run.draw_batch()
+            x_train, rep_fwd = run.forward(run.ds.inputs[run.ds.train_idx])
+            nfe_fwd, x1 = rep_fwd.nfe, x_train[pos]
+            train_loss, train_acc = run.evaluate(run.ds.train_idx, x_train)
+            # the backward sweep needs only the minibatch rows
+            del x_train, rep_fwd
             if not np.isfinite(train_loss):
                 raise NonFiniteState(f"train loss {train_loss}")
 
@@ -287,7 +296,7 @@ def train(config: ExperimentConfig, on_iteration=None) -> list[TrainRecord]:
             iteration=it, wall_clock_s=time.perf_counter() - started,
             train_loss=train_loss, train_acc=train_acc,
             test_loss=test_loss, test_acc=test_acc,
-            nfe_fwd=rep_fwd.nfe, nfe_bwd=rep_bwd.nfe, t1=run.t1))
+            nfe_fwd=nfe_fwd, nfe_bwd=rep_bwd.nfe, t1=run.t1))
         if on_iteration is not None:
             on_iteration(it, run)
     return records
@@ -303,11 +312,8 @@ def memory_probe(config: ExperimentConfig, rank_override: int | None = None) -> 
     """
     run = _Run(config)
     cfg = config
-    batch_idx = run.batch_rng.choice(run.ds.train_idx,
-                                     size=min(cfg.batch_size, run.ds.n_train), replace=False)
-    x0 = run.ds.inputs[batch_idx]
-    lossfn = _loss_for(cfg.loss, run.ds.labels[batch_idx], run.readout)
-    x1, _ = run.forward(x0)
+    pos, lossfn = run.draw_batch()
+    x1 = run.forward(run.ds.inputs[run.ds.train_idx])[0][pos]
 
     probe: dict = {}
     if cfg.optimizer.kind == "snopt":

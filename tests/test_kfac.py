@@ -22,9 +22,8 @@ def default_batch():
     """Network, terminal states and curvature of the default snopt config's first batch."""
     cfg = tr.ExperimentConfig(optimizer=tr.OptimizerConfig(kind="snopt"))
     run = tr._Run(cfg)
-    idx = run.batch_rng.choice(run.ds.train_idx, size=cfg.batch_size, replace=False)
-    x1, _ = run.forward(run.ds.inputs[idx])
-    lossfn = tr._loss_for(cfg.loss, run.ds.labels[idx], run.readout)
+    pos, lossfn = run.draw_batch()
+    x1 = run.forward(run.ds.inputs[run.ds.train_idx])[0][pos]
     curv = terminal_curvature(lossfn, x1, cfg.t0, cfg.t1, mode=cfg.loss.curvature)
     return run.spec, run.theta, x1, curv, cfg
 

@@ -103,28 +103,29 @@ class TestTrainBasics:
         assert err.value.iteration == 1
 
     def test_one_forward_one_backward_per_iteration(self, monkeypatch):
-        # with evaluation disabled, the only solves are the per-iteration
-        # forward pass plus one backward sweep
+        # one forward solve per iteration serves the minibatch and the train
+        # metrics; test evaluation (iterations 2 and 4) adds one solve each
         import snopt_kit.trainer as trainer_mod
         calls = {"fwd": 0, "adj": 0, "acc": 0}
-        orig_adj = trainer_mod.adjoint_gradient
-        orig_acc = trainer_mod.accumulate_factors
+        originals = {name: getattr(trainer_mod, name)
+                     for name in ("odesolve", "adjoint_gradient", "accumulate_factors")}
 
-        def count_adj(*a, **k):
-            calls["adj"] += 1
-            return orig_adj(*a, **k)
+        def counting(key, name):
+            def counted(*a, **k):
+                calls[key] += 1
+                return originals[name](*a, **k)
+            return counted
 
-        def count_acc(*a, **k):
-            calls["acc"] += 1
-            return orig_acc(*a, **k)
-
-        monkeypatch.setattr(trainer_mod, "adjoint_gradient", count_adj)
-        monkeypatch.setattr(trainer_mod, "accumulate_factors", count_acc)
-        tr.train(small_config(iterations=4, optimizer=tr.OptimizerConfig(kind="adam", lr=1e-3)))
-        assert calls["adj"] == 4 and calls["acc"] == 0
-        calls["adj"] = 0
-        tr.train(small_config(iterations=4, optimizer=tr.OptimizerConfig(kind="snopt", lr=0.05)))
-        assert calls["acc"] == 4 and calls["adj"] == 0
+        monkeypatch.setattr(trainer_mod, "odesolve", counting("fwd", "odesolve"))
+        monkeypatch.setattr(trainer_mod, "adjoint_gradient", counting("adj", "adjoint_gradient"))
+        monkeypatch.setattr(trainer_mod, "accumulate_factors",
+                            counting("acc", "accumulate_factors"))
+        for kind, lr, backward in (("adam", 1e-3, "adj"), ("snopt", 0.05, "acc")):
+            calls.update(fwd=0, adj=0, acc=0)
+            tr.train(small_config(iterations=4, eval_every=2,
+                                  optimizer=tr.OptimizerConfig(kind=kind, lr=lr)))
+            assert calls["fwd"] == 4 + 2
+            assert calls[backward] == 4 and calls["adj"] + calls["acc"] == 4
 
     def test_horizon_updates_t1(self):
         cfg = small_config(
@@ -169,6 +170,55 @@ class TestDefaultConfigSolves:
             grads.append(grad)
         assert np.linalg.norm(x1s[0] - x1s[1]) <= 1e-5 * np.linalg.norm(x1s[1])
         assert np.linalg.norm(grads[0] - grads[1]) <= 1e-5 * np.linalg.norm(grads[1])
+
+
+class TestSharedForward:
+    """The minibatch's terminal states are rows of the full-train solve."""
+
+    def test_batch_positions_follow_the_batch_stream(self, monkeypatch):
+        drawn = []
+        draw = tr._Run.draw_batch
+
+        def recording(run):
+            pos, lossfn = draw(run)
+            drawn.append((run.ds.train_idx, pos))
+            return pos, lossfn
+
+        monkeypatch.setattr(tr._Run, "draw_batch", recording)
+        for seed in (0, 1, 2):
+            drawn.clear()
+            cfg = small_config(seed=seed, iterations=4)
+            tr.train(cfg)
+            rng = np.random.Generator(np.random.Philox(seed + 2))
+            assert len(drawn) == 4
+            for train_idx, pos in drawn:
+                expected = rng.choice(train_idx, size=cfg.batch_size, replace=False)
+                np.testing.assert_array_equal(train_idx[pos], expected)
+
+    def test_trainer_x1_is_full_train_rows_near_reference(self, monkeypatch):
+        # default config, seed 0, first iteration: the x1 handed to the
+        # adjoint is bit-equal to the full-train solve's rows and within the
+        # TestDefaultConfigSolves bound of an rtol = atol = 1e-10 reference
+        seen = []
+        orig = tr.adjoint_gradient
+
+        def capture(spec, theta, x1, *a, **k):
+            seen.append(x1.copy())
+            return orig(spec, theta, x1, *a, **k)
+
+        monkeypatch.setattr(tr, "adjoint_gradient", capture)
+        cfg = tr.ExperimentConfig(iterations=1)
+        tr.train(cfg)
+        (x1,) = seen
+
+        tight = tr.ExperimentConfig(solver=SolverConfig(method="dopri5", rtol=1e-10, atol=1e-10))
+        rows = []
+        for c in (cfg, tight):
+            run = tr._Run(c)
+            pos, _ = run.draw_batch()
+            rows.append(run.forward(run.ds.inputs[run.ds.train_idx])[0][pos])
+        np.testing.assert_array_equal(x1, rows[0])
+        assert np.linalg.norm(x1 - rows[1]) <= 1e-5 * np.linalg.norm(rows[1])
 
 
 class TestMemoryProbe:
