@@ -6,11 +6,12 @@ written with 17 significant digits so parsing the file back reproduces the
 records exactly.  The ``SNOPT_SEED`` environment variable overrides the
 config seed.
 
-Exit codes: 0 success, 1 config error (``ConfigError``, including a
-non-integer ``SNOPT_SEED``), 2 numeric abort (``TrainAbort``: a non-finite
-state, a solve over ``max_steps``, a factor eigendecomposition that fails,
-or a non-finite horizon update).  ``grid`` records an aborted cell in its
-summary and carries on.
+Exit codes: 0 success, 1 config error (``ConfigError``: an unknown key, a
+value the config dataclasses reject, an unparsable config or grid file, a
+missing output directory, a bad ``SNOPT_SEED``), 2 numeric abort
+(``TrainAbort``: a non-finite state, a solve over ``max_steps``, a factor
+eigendecomposition that fails, or a non-finite horizon update).  ``grid``
+records an aborted cell in its summary and carries on.
 """
 
 from __future__ import annotations
@@ -28,8 +29,7 @@ import numpy as np
 from . import adjoint, curvature, kfac, loss, numerics, oracle, optimizer, trainer
 from . import vector_field as vf
 from .odesolve import SolverConfig
-from .trainer import (DatasetConfig, ExperimentConfig, HorizonConfig, LossConfig,
-                      ModelConfig, OptimizerConfig, TrainAbort, TrainRecord)
+from .trainer import ExperimentConfig, TrainAbort, TrainRecord
 
 CSV_HEADER = "iteration,wall_clock_s,train_loss,train_acc,test_loss,test_acc,nfe_fwd,nfe_bwd,t1"
 
@@ -64,15 +64,9 @@ def _coerce(current, text: str):
     return text.strip()
 
 
-_SECTIONS = {
-    "dataset": ("dataset", DatasetConfig),
-    "model": ("model", ModelConfig),
-    "loss": ("loss", LossConfig),
-    "optimizer": ("optimizer", OptimizerConfig),
-    "solver": ("solver", SolverConfig),
-    "train": (None, None),  # top-level scalars
-    "horizon": ("horizon", HorizonConfig),
-}
+# Each section's keys live on the ExperimentConfig attribute of the same
+# name, except [train], whose keys are its top-level scalars.
+_SECTIONS = ("dataset", "model", "loss", "optimizer", "solver", "train", "horizon")
 
 _TRAIN_KEYS = ("t0", "t1", "iterations", "batch_size", "grid_samples",
                "eval_every", "seed")
@@ -82,9 +76,8 @@ def _coerced_updates(cfg: ExperimentConfig, section: str,
                      items: list[tuple[str, str]]) -> dict:
     if section not in _SECTIONS:
         raise ConfigError(f"unknown config section [{section}]")
-    attr, _ = _SECTIONS[section]
-    holder = cfg if attr is None else getattr(cfg, attr)
-    valid = set(_TRAIN_KEYS) if attr is None else {f.name for f in fields(holder)}
+    holder = cfg if section == "train" else getattr(cfg, section)
+    valid = set(_TRAIN_KEYS) if section == "train" else {f.name for f in fields(holder)}
     updates = {}
     for key, value in items:
         if key not in valid:
@@ -97,10 +90,9 @@ def _apply_section(cfg: ExperimentConfig, section: str,
                    items: list[tuple[str, str]]) -> ExperimentConfig:
     """Apply a whole section at once so partial states never get validated."""
     updates = _coerced_updates(cfg, section, items)
-    attr, _ = _SECTIONS[section]
-    if attr is None:
+    if section == "train":
         return replace(cfg, **updates)
-    return replace(cfg, **{attr: replace(getattr(cfg, attr), **updates)})
+    return replace(cfg, **{section: replace(getattr(cfg, section), **updates)})
 
 
 def load_config(path: str, overrides: list[str] | None = None) -> ExperimentConfig:
@@ -110,14 +102,14 @@ def load_config(path: str, overrides: list[str] | None = None) -> ExperimentConf
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         parser.read(path)
-    except configparser.Error as exc:
-        raise ConfigError(f"cannot parse {path}: {exc}") from exc
-
-    try:
         # coerce everything against the defaults, then construct each group once
         staged: dict[str, list[tuple[str, str]]] = {}
         for section in parser.sections():
             staged.setdefault(section, []).extend(parser.items(section))
+    except configparser.Error as exc:
+        raise ConfigError(f"cannot parse {path}: {exc}") from exc
+
+    try:
         for ov in overrides or []:
             section, key, value = _split_override(ov)
             staged.setdefault(section, []).append((key, value))
@@ -129,10 +121,9 @@ def load_config(path: str, overrides: list[str] | None = None) -> ExperimentConf
 
     if "SNOPT_SEED" in os.environ:
         try:
-            seed = int(os.environ["SNOPT_SEED"])
+            cfg = replace(cfg, seed=int(os.environ["SNOPT_SEED"]))
         except ValueError as exc:
-            raise ConfigError(f"SNOPT_SEED must be an integer: {exc}") from exc
-        cfg = replace(cfg, seed=seed)
+            raise ConfigError(f"SNOPT_SEED must be a nonnegative integer: {exc}") from exc
     return cfg
 
 
@@ -171,25 +162,12 @@ def write_records_csv(path: str, records: list[TrainRecord],
                 r.test_loss, r.test_acc, r.nfe_fwd, r.nfe_bwd, r.t1)) + "\n")
 
 
-def read_records_csv(path: str) -> list[TrainRecord]:
-    records = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith("iteration,"):
-                continue
-            parts = line.split(",")
-            records.append(TrainRecord(
-                iteration=int(parts[0]), wall_clock_s=float(parts[1]),
-                train_loss=float(parts[2]), train_acc=float(parts[3]),
-                test_loss=float(parts[4]), test_acc=float(parts[5]),
-                nfe_fwd=int(parts[6]), nfe_bwd=int(parts[7]), t1=float(parts[8])))
-    return records
-
-
 def cmd_train(config_path: str, out_path: str, overrides: list[str] | None = None) -> int:
     try:
         cfg = load_config(config_path, overrides)
+        out_dir = os.path.dirname(out_path) or "."
+        if not os.path.isdir(out_dir):
+            raise ConfigError(f"output directory not found: {out_dir}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -204,14 +182,24 @@ def cmd_train(config_path: str, out_path: str, overrides: list[str] | None = Non
     return 0
 
 
-def _grid_cells(grid_path: str) -> list[list[tuple[str, str]]]:
-    """Cartesian product of the comma-separated values in [grid]."""
+def _grid_cells(grid_path: str, base: ExperimentConfig) -> list[list[tuple[str, str]]]:
+    """Cartesian product of the comma-separated values in [grid].
+
+    The commas split values, so a tuple-valued key of ``base`` cannot be
+    swept and is rejected.
+    """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    parser.read(grid_path)
-    if not parser.has_section("grid"):
-        return []
+    try:
+        parser.read(grid_path)
+        items = parser.items("grid") if parser.has_section("grid") else []
+    except configparser.Error as exc:
+        raise ConfigError(f"cannot parse {grid_path}: {exc}") from exc
     axes = []
-    for key, values in parser.items("grid"):
+    for key, values in items:
+        section, _, name = key.partition(".")
+        holder = base if section == "train" else getattr(base, section, None)
+        if isinstance(getattr(holder, name, None), tuple):
+            raise ConfigError(f"cannot sweep tuple-valued key {key} in {grid_path}")
         choices = [v.strip() for v in values.split(",") if v.strip()]
         axes.append([(key, v) for v in choices])
     if not axes:
@@ -232,7 +220,7 @@ def cmd_grid(config_path: str, grid_path: str, out_dir: str,
         base = load_config(config_path, overrides)
         if not os.path.exists(grid_path):
             raise ConfigError(f"grid file not found: {grid_path}")
-        cells = _grid_cells(grid_path)
+        cells = _grid_cells(grid_path, base)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -347,8 +335,7 @@ def _check_kron_update(tol_scale: float):
     grad = rng.normal(size=p * l)
     theta = rng.normal(size=p * l)
     eps = 0.05
-    factors = kfac.KroneckerFactors(a_factors=[a], b_factors=[b], dt=0.1,
-                                    grid=np.array([1.0, 0.0]))
+    factors = kfac.KroneckerFactors(a_factors=[a], b_factors=[b])
     state = optimizer.SnoptState(lr=1.0, epsilon=eps, amortization=0.0)
     delta = theta - optimizer.snopt_step(state, factors, grad, theta)
     ea, eb = numerics.sym_eigen(a), numerics.sym_eigen(b)

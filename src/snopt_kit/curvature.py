@@ -31,7 +31,7 @@ from . import vector_field as vf
 from .kfac import KroneckerFactors
 from .loss import TerminalCurvature
 from .odesolve import SolveReport, SolverConfig, odesolve
-from .adjoint import BackwardSweep, backward_config
+from .adjoint import BackwardSweep
 
 
 def _triu_pack(mat: np.ndarray) -> np.ndarray:
@@ -58,10 +58,6 @@ class DenseCurvatureState:
     qxu: np.ndarray     # (m, n)
     quu: np.ndarray     # (n, n) symmetric
     report: SolveReport
-
-    @property
-    def qux(self) -> np.ndarray:
-        return self.qxu.T
 
 
 def _single_sample(x1, grad):
@@ -154,14 +150,17 @@ class LowRankCurvatureState:
 
 def lowrank_sweep(spec: vf.MlpSpec, theta: np.ndarray, x1: np.ndarray,
                   curv: TerminalCurvature, t0: float, t1: float,
-                  cfg: SolverConfig, use_semi: bool = False) -> LowRankCurvatureState:
-    """Backward sweep of R independent vector pairs plus the gradient path."""
+                  cfg: SolverConfig) -> LowRankCurvatureState:
+    """Backward sweep of R independent vector pairs plus the gradient path.
+
+    The solve runs under ``cfg`` as given, with no semi norm, so every
+    channel of the packed state is error-controlled.
+    """
     if len(curv.factors) < 1:
         raise ValueError("need at least one terminal factor")
     sweep, y1 = BackwardSweep.seeded(spec, theta, x1, curv.grad, curv.factors,
                                      couplings=True)
-    bcfg = backward_config(cfg, sweep.x_len, use_semi)
-    report = odesolve(y1, t1, t0, sweep.field, bcfg)
+    report = odesolve(y1, t1, t0, sweep.field, cfg)
     x0, cot, params = sweep.unpack(report.terminal_state)
     return LowRankCurvatureState(x0=x0.copy(), qx=cot[0].copy(), qu=params[0].copy(),
                                  qs=[q.copy() for q in cot[1:]],

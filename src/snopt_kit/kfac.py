@@ -39,12 +39,10 @@ class BadInterval(ValueError):
 
 @dataclass
 class KroneckerFactors:
-    """Time-integrated per-layer factors plus the grid that produced them."""
+    """Time-integrated per-layer factors."""
 
     a_factors: list[np.ndarray]   # per layer: (pbar, pbar)
     b_factors: list[np.ndarray]   # per layer: (l, l)
-    dt: float
-    grid: np.ndarray
     extra_damping: float = 0.0    # weight decay folded into the update's eigenbasis
 
     def with_damping(self, gamma: float) -> "KroneckerFactors":
@@ -82,7 +80,6 @@ def _factor_terms(spec: vf.MlpSpec, weights: vf.Weights, t: float, x: np.ndarray
 
 def accumulate_factors(spec: vf.MlpSpec, theta: np.ndarray, x1: np.ndarray,
                        curv: TerminalCurvature, grid: np.ndarray, cfg: SolverConfig,
-                       use_semi: bool = True, dt: float | None = None,
                        probe: dict | None = None,
                        ) -> tuple[KroneckerFactors, np.ndarray, SolveReport]:
     """Backward sweep over the grid, returning factors and the gradient.
@@ -95,12 +92,9 @@ def accumulate_factors(spec: vf.MlpSpec, theta: np.ndarray, x1: np.ndarray,
     the solve's NFE plus one per grid point.
     """
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 1:
-        raise BadInterval("grid must hold at least one time point")
-    if dt is None:
-        if grid.size < 2:
-            raise BadInterval("single-point grids need an explicit dt")
-        dt = float(abs(grid[0] - grid[-1]) / (grid.size - 1))
+    if grid.ndim != 1 or grid.size < 2:
+        raise BadInterval("grid must hold at least two time points")
+    dt = float(abs(grid[0] - grid[-1]) / (grid.size - 1))
 
     sweep, state = BackwardSweep.seeded(spec, theta, x1, curv.grad, curv.factors)
     a_bar = [np.zeros((spec.dims[k] + (1 if spec.bias else 0),) * 2)
@@ -117,9 +111,9 @@ def accumulate_factors(spec: vf.MlpSpec, theta: np.ndarray, x1: np.ndarray,
             a_bar[k] += a_terms[k] * dt
             b_bar[k] += b_terms[k] * dt
 
-    bcfg = backward_config(cfg, sweep.x_len, use_semi)
+    bcfg = backward_config(cfg, sweep.x_len)
     report = odesolve(state, grid[0], grid[-1], sweep.field, bcfg, observe=(grid, accumulate))
     report.nfe += grid.size
     _, _, params = sweep.unpack(report.terminal_state)
-    factors = KroneckerFactors(a_factors=a_bar, b_factors=b_bar, dt=dt, grid=grid)
+    factors = KroneckerFactors(a_factors=a_bar, b_factors=b_bar)
     return factors, params[0].copy(), report

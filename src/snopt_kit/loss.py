@@ -22,6 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 
+LOSS_KINDS = ("mse", "softmax_ce")
+CURVATURE_MODES = ("exact_rank", "gauss_newton_scaled")
+
+
 class BadLabel(ValueError):
     pass
 
@@ -55,7 +59,7 @@ class TerminalLoss:
     readout: Readout | None = None
 
     def __post_init__(self):
-        if self.kind not in ("mse", "softmax_ce"):
+        if self.kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind {self.kind!r}")
         self.target = np.asarray(self.target)
         if self.kind == "softmax_ce" and not np.issubdtype(self.target.dtype, np.integer):
@@ -122,17 +126,22 @@ def loss_value(lossfn: TerminalLoss, x1: np.ndarray) -> float:
     return float(-np.mean(log_probs[np.arange(pred.shape[0]), labels]))
 
 
-def grad_x1(lossfn: TerminalLoss, x1: np.ndarray) -> np.ndarray:
-    """Per-sample gradient of the per-sample objective w.r.t. the state."""
-    x1b, single = _as_batch(x1)
+def _residual(lossfn: TerminalLoss, x1b: np.ndarray) -> np.ndarray:
+    """Per-sample gradient of the objective w.r.t. the predictions."""
     pred = _predictions(lossfn, x1b)
     if lossfn.kind == "mse":
         target = np.broadcast_to(np.atleast_2d(lossfn.target), pred.shape)
-        resid = pred - target
-    else:
-        labels = _check_labels(lossfn.target, pred.shape[1], pred.shape[0])
-        resid = _softmax(pred)
-        resid[np.arange(pred.shape[0]), labels] -= 1.0
+        return pred - target
+    labels = _check_labels(lossfn.target, pred.shape[1], pred.shape[0])
+    resid = _softmax(pred)
+    resid[np.arange(pred.shape[0]), labels] -= 1.0
+    return resid
+
+
+def grad_x1(lossfn: TerminalLoss, x1: np.ndarray) -> np.ndarray:
+    """Per-sample gradient of the per-sample objective w.r.t. the state."""
+    x1b, single = _as_batch(x1)
+    resid = _residual(lossfn, x1b)
     g = resid @ lossfn.readout.weight if lossfn.readout is not None else resid
     return g[0] if single else g
 
@@ -142,14 +151,7 @@ def readout_grads(lossfn: TerminalLoss, x1: np.ndarray) -> tuple[np.ndarray, np.
     if lossfn.readout is None:
         raise ValueError("loss has no readout")
     x1b, _ = _as_batch(x1)
-    pred = _predictions(lossfn, x1b)
-    if lossfn.kind == "mse":
-        target = np.broadcast_to(np.atleast_2d(lossfn.target), pred.shape)
-        resid = pred - target
-    else:
-        labels = _check_labels(lossfn.target, pred.shape[1], pred.shape[0])
-        resid = _softmax(pred)
-        resid[np.arange(pred.shape[0]), labels] -= 1.0
+    resid = _residual(lossfn, x1b)
     batch = x1b.shape[0]
     return resid.T @ x1b / batch, resid.mean(axis=0)
 
@@ -159,7 +161,7 @@ def terminal_curvature(lossfn: TerminalLoss, x1: np.ndarray, t0: float, t1: floa
     """Terminal gradient plus factor vectors of the terminal Hessian."""
     if not t1 > t0:
         raise ValueError("terminal_curvature requires t1 > t0")
-    if mode not in ("exact_rank", "gauss_newton_scaled"):
+    if mode not in CURVATURE_MODES:
         raise ValueError(f"unknown curvature mode {mode!r}")
     x1b, single = _as_batch(x1)
     grad = grad_x1(lossfn, x1b)

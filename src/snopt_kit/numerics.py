@@ -7,11 +7,13 @@ identities the preconditioner relies on,
     (A ⊗ B) (C ⊗ D)^T = (A C^T) ⊗ (B D^T)
     (U_A ⊗ U_B)^T vec(G) = vec(U_B^T G U_A),
 
-hold literally.  The second is the eigenbasis projection of
-``optimizer.snopt_step``; ``snopt-kit verify`` checks that update against
-the dense Kronecker assembly.  Mixing in a row-major ``reshape`` anywhere
-silently breaks both, which is why :func:`vec` / :func:`unvec` are the
-only sanctioned conversions.
+hold literally.  The layout is defined by ``vector_field``, whose
+``init_params`` and ``unpack_params`` store each layer's ``[W, b]`` as its
+``order="F"`` flattening, and ``optimizer.snopt_step`` reshapes gradient
+segments with the same order for the eigenbasis projection (the second
+identity); ``snopt-kit verify`` checks that update against the dense
+Kronecker assembly.  A row-major ``reshape`` in either place silently
+breaks both identities.
 """
 
 from __future__ import annotations
@@ -27,19 +29,6 @@ class NotSymmetric(ValueError):
     """Input violates the symmetry tolerance of the eigensolver."""
 
 
-def vec(mat: np.ndarray) -> np.ndarray:
-    """Column-major vectorisation of a matrix."""
-    return np.asarray(mat).reshape(-1, order="F")
-
-
-def unvec(w: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Inverse of :func:`vec`; fails loudly on a size mismatch."""
-    w = np.asarray(w)
-    if w.size != rows * cols:
-        raise ValueError(f"cannot unvec length {w.size} into {rows}x{cols}")
-    return w.reshape(rows, cols, order="F")
-
-
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product (package-wide spelling of ``numpy.kron``)."""
     return np.kron(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
@@ -51,9 +40,6 @@ class SymEigen:
 
     values: np.ndarray
     vectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return self.vectors @ np.diag(self.values) @ self.vectors.T
 
 
 def sym_eigen(mat: np.ndarray) -> SymEigen:

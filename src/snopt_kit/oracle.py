@@ -9,7 +9,7 @@ field, so these references are only valid for tanh/softplus networks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -19,7 +19,7 @@ records up to wall-clock fields.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,8 +30,8 @@ from .curvature import apply_weight_decay
 from .horizon import (HorizonState, NonFiniteUpdate, first_order_horizon_step, horizon_step,
                       horizon_terms)
 from .kfac import accumulate_factors, make_grid
-from .loss import (Readout, TerminalLoss, accuracy, grad_x1, init_readout,
-                   loss_value, readout_grads, terminal_curvature)
+from .loss import (CURVATURE_MODES, LOSS_KINDS, Readout, TerminalLoss, accuracy, grad_x1,
+                   init_readout, loss_value, readout_grads, terminal_curvature)
 from .odesolve import MaxStepsExceeded, NonFiniteState, SolveReport, SolverConfig, odesolve
 from .optimizer import (AdamState, SgdState, SingularFactor, SnoptState, adam_step, sgd_step,
                         snopt_step)
@@ -48,6 +48,11 @@ class TrainAbort(RuntimeError):
         self.iteration = iteration
 
 
+def _check_choice(what: str, value: str, choices: tuple[str, ...]):
+    if value not in choices:
+        raise ValueError(f"unknown {what} {value!r}; expected one of {', '.join(choices)}")
+
+
 @dataclass
 class DatasetConfig:
     kind: str = "spirals"            # spirals | circles | regression
@@ -57,6 +62,9 @@ class DatasetConfig:
     n: int = 400                     # regression sample count
     test_fraction: float = 0.2
 
+    def __post_init__(self):
+        _check_choice("dataset kind", self.kind, ("spirals", "circles", "regression"))
+
 
 @dataclass
 class ModelConfig:
@@ -64,6 +72,9 @@ class ModelConfig:
     activations: tuple[str, ...] = ("tanh", "tanh", "identity")
     time_input: str = "none"
     bias: bool = True
+
+    def __post_init__(self):
+        self.spec()  # MlpSpec rejects inconsistent widths and activations
 
     def spec(self) -> vf.MlpSpec:
         return vf.MlpSpec(dims=tuple(self.dims), activations=tuple(self.activations),
@@ -75,6 +86,10 @@ class LossConfig:
     kind: str = "softmax_ce"
     readout_classes: int = 2         # 0 disables the readout
     curvature: str = "gauss_newton_scaled"
+
+    def __post_init__(self):
+        _check_choice("loss kind", self.kind, LOSS_KINDS)
+        _check_choice("curvature mode", self.curvature, CURVATURE_MODES)
 
 
 @dataclass
@@ -88,6 +103,12 @@ class OptimizerConfig:
     readout_rule: str = "adam"       # first-order rule for the readout
     readout_lr: float = 0.01         # readout scale differs from the ODE parameters
 
+    def __post_init__(self):
+        _check_choice("optimizer", self.kind, ("adam", "sgd", "snopt"))
+        _check_choice("readout rule", self.readout_rule, ("adam", "sgd"))
+        # checked whatever the kind, so a grid may switch kinds in any order
+        SnoptState(lr=self.lr, epsilon=self.epsilon, amortization=self.amortization)
+
 
 @dataclass
 class HorizonConfig:
@@ -99,6 +120,11 @@ class HorizonConfig:
     t_min: float = 0.05
     t_max: float = 2.0
     ema: float = 0.9
+
+    def __post_init__(self):
+        _check_choice("horizon policy", self.policy, ("feedback", "first_order"))
+        if self.period < 1:
+            raise ValueError("need horizon period >= 1")
 
 
 @dataclass
@@ -119,10 +145,13 @@ class ExperimentConfig:
     horizon: HorizonConfig = field(default_factory=HorizonConfig)
 
     def __post_init__(self):
-        if not self.t1 > self.t0:
-            raise ValueError("need t1 > t0")
+        make_grid(self.t0, self.t1, self.grid_samples)  # needs t1 > t0 and 2+ samples
         if self.batch_size < 1:
             raise ValueError("need batch_size >= 1")
+        if self.eval_every < 1:
+            raise ValueError("need eval_every >= 1")
+        if self.seed < 0:
+            raise ValueError("need seed >= 0")
 
 
 @dataclass
@@ -145,9 +174,7 @@ def build_dataset(cfg: DatasetConfig, seed: int) -> data_mod.Dataset:
     if cfg.kind == "circles":
         return data_mod.make_circles(cfg.n_per_class, tuple(cfg.radii), cfg.noise_sd,
                                      seed, test_fraction=cfg.test_fraction)
-    if cfg.kind == "regression":
-        return data_mod.make_regression(cfg.n, seed, test_fraction=cfg.test_fraction)
-    raise ValueError(f"unknown dataset kind {cfg.kind!r}")
+    return data_mod.make_regression(cfg.n, seed, test_fraction=cfg.test_fraction)
 
 
 def _loss_for(cfg: LossConfig, labels, readout: Readout | None) -> TerminalLoss:
@@ -176,20 +203,16 @@ class _Run:
                                         amortization=cfg.optimizer.amortization)
         elif kind == "adam":
             self.opt_state = AdamState(lr=cfg.optimizer.lr)
-        elif kind == "sgd":
-            self.opt_state = SgdState(lr=cfg.optimizer.lr, momentum=cfg.optimizer.momentum)
         else:
-            raise ValueError(f"unknown optimizer {kind!r}")
+            self.opt_state = SgdState(lr=cfg.optimizer.lr, momentum=cfg.optimizer.momentum)
 
         ro_lr = cfg.optimizer.readout_lr
         if cfg.optimizer.readout_rule == "adam":
             self.ro_w_state, self.ro_b_state = AdamState(lr=ro_lr), AdamState(lr=ro_lr)
             self.ro_step = adam_step
-        elif cfg.optimizer.readout_rule == "sgd":
+        else:
             self.ro_w_state, self.ro_b_state = SgdState(lr=ro_lr), SgdState(lr=ro_lr)
             self.ro_step = sgd_step
-        else:
-            raise ValueError(f"unknown readout rule {cfg.optimizer.readout_rule!r}")
 
         self.horizon = None
         if cfg.horizon.enabled:
@@ -228,8 +251,8 @@ def train(config: ExperimentConfig, on_iteration=None) -> list[TrainRecord]:
     """Run the configured experiment and return one record per iteration.
 
     ``on_iteration(iteration, run)`` is called after each update with the
-    live run state; experiment scripts use it to sample internals (for
-    example the moving averages of the horizon policy).
+    live run state, for sampling internals (for example the moving
+    averages of the horizon policy) or timing iterations.
     """
     run = _Run(config)
     cfg = config
@@ -302,7 +325,7 @@ def train(config: ExperimentConfig, on_iteration=None) -> list[TrainRecord]:
     return records
 
 
-def memory_probe(config: ExperimentConfig, rank_override: int | None = None) -> int:
+def memory_probe(config: ExperimentConfig) -> int:
     """Peak live state of one backward pass, in array elements.
 
     Measured off the actual packed vectors (plus retained factor storage
@@ -318,16 +341,9 @@ def memory_probe(config: ExperimentConfig, rank_override: int | None = None) -> 
     probe: dict = {}
     if cfg.optimizer.kind == "snopt":
         curv = terminal_curvature(lossfn, x1, cfg.t0, run.t1, mode=cfg.loss.curvature)
-        if rank_override is not None:
-            curv = replace(curv, factors=_synthetic_factors(curv, rank_override))
         grid = make_grid(cfg.t0, run.t1, cfg.grid_samples)
         accumulate_factors(run.spec, run.theta, x1, curv, grid, cfg.solver, probe=probe)
         return probe["state_elements"] + probe["factor_elements"]
     a1 = grad_x1(lossfn, x1)
     adjoint_gradient(run.spec, run.theta, x1, a1, cfg.t0, run.t1, cfg.solver, probe=probe)
     return probe["state_elements"]
-
-
-def _synthetic_factors(curv, rank: int) -> list[np.ndarray]:
-    base = np.atleast_2d(curv.factors[0])
-    return [base * (i + 1.0) for i in range(rank)]

@@ -247,28 +247,6 @@ def _param_grad_from_cotangents(spec: MlpSpec, trace: LayerTrace,
     return flat
 
 
-def vjp_state(spec: MlpSpec, theta: np.ndarray, t: float, x: np.ndarray,
-              q: np.ndarray) -> np.ndarray:
-    """``(dF/dx)^T q`` by reverse traversal of a fresh forward trace."""
-    _, trace = eval(spec, theta, t, x)
-    qb, single = _as_batch(q, spec.state_dim, "cotangent")
-    _, r = _cotangents(spec, unpack_params(spec, theta), trace, qb)
-    out = r[..., :spec.state_dim]
-    return out[0] if single else out
-
-
-def vjp_param(spec: MlpSpec, theta: np.ndarray, t: float, x: np.ndarray,
-              q: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """``(dF/dtheta)^T q`` (batch-mean) plus per-layer cotangents ``g^k``."""
-    _, trace = eval(spec, theta, t, x)
-    qb, single = _as_batch(q, spec.state_dim, "cotangent")
-    gs, _ = _cotangents(spec, unpack_params(spec, theta), trace, qb)
-    flat = _param_grad_from_cotangents(spec, trace, gs)
-    if single:
-        gs = [g[0] for g in gs]
-    return flat, gs
-
-
 def jacobians(spec: MlpSpec, theta: np.ndarray, t: float,
               x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Field value plus dense Jacobians ``dF/dx`` and ``dF/dtheta``.

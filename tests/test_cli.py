@@ -1,11 +1,16 @@
+import configparser
+import csv
 import math
 import os
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from snopt_kit import cli
-from snopt_kit.trainer import TrainRecord
+from snopt_kit import cli, trainer
+from snopt_kit.trainer import ExperimentConfig
 
 BASE_CONFIG = """
 [dataset]
@@ -74,6 +79,32 @@ class TestConfigLoading:
         assert cli.load_config(config_path).seed == 99
 
 
+class TestReadmeConfigBlock:
+    """The README's config block shows every accepted key at its default."""
+
+    @pytest.fixture
+    def block(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("SNOPT_SEED", raising=False)
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        (text,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+        path = tmp_path / "readme.ini"
+        path.write_text(text)
+        return path
+
+    def test_block_is_the_default_config(self, block):
+        assert cli.load_config(str(block)) == ExperimentConfig()
+
+    def test_block_names_every_accepted_key(self, block):
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+        parser.read(block)
+        shown = {f"{sec}.{key}" for sec in parser.sections() for key in parser[sec]}
+        cfg = ExperimentConfig()
+        accepted = {f"train.{key}" for key in cli._TRAIN_KEYS}
+        accepted |= {f"{sec}.{f.name}" for sec in cli._SECTIONS if sec != "train"
+                     for f in fields(getattr(cfg, sec))}
+        assert shown == accepted
+
+
 class TestCmdTrain:
     def test_missing_config_exit_1(self, tmp_path, capsys):
         rc = cli.cmd_train(str(tmp_path / "nope.ini"), str(tmp_path / "out.csv"))
@@ -104,18 +135,21 @@ class TestCmdTrain:
         assert rc == 2
 
     def test_csv_round_trip_lossless(self, config_path, tmp_path):
+        # the stdlib's parse of the written file equals the records in memory
+        records = trainer.train(cli.load_config(config_path))
         out = tmp_path / "metrics.csv"
-        cli.cmd_train(config_path, str(out))
-        records = cli.read_records_csv(str(out))
-        rewritten = tmp_path / "again.csv"
-        cli.write_records_csv(str(rewritten), records)
-        again = cli.read_records_csv(str(rewritten))
-        for a, b in zip(records, again):
-            for field in ("iteration", "wall_clock_s", "train_loss", "train_acc",
-                          "nfe_fwd", "nfe_bwd", "t1"):
-                assert getattr(a, field) == getattr(b, field)
-            assert (a.test_loss == b.test_loss) or (
-                math.isnan(a.test_loss) and math.isnan(b.test_loss))
+        cli.write_records_csv(str(out), records, ["a comment"])
+        reader = csv.DictReader(line for line in out.read_text().splitlines()
+                                if not line.startswith("#"))
+        rows = list(reader)
+        assert reader.fieldnames == cli.CSV_HEADER.split(",")
+        assert len(rows) == len(records) == 4
+        assert any(math.isnan(r.test_loss) for r in records)
+        for row, rec in zip(rows, records):
+            for name, text in row.items():
+                want = getattr(rec, name)
+                got = type(want)(text)
+                assert got == want or (math.isnan(got) and math.isnan(want)), name
 
 
 class TestCmdGrid:
@@ -160,7 +194,7 @@ class TestCmdGrid:
         rows = (out_dir / "summary.csv").read_text().strip().split("\n")[1:]
         assert [row.split(",")[-1] for row in rows] == ["1", "0"]
         assert "cell 0 aborted" in capsys.readouterr().err
-        assert cli.read_records_csv(str(out_dir / "cell_000.csv")) == []
+        assert (out_dir / "cell_000.csv").read_text().splitlines()[-1] == cli.CSV_HEADER
 
 
 class TestFailureExitCodes:
@@ -204,6 +238,40 @@ class TestFailureExitCodes:
         path = self.snopt_config(tmp_path, "\n[horizon]\nenabled = true\nperiod = 2\n")
         assert cli.cmd_train(path, str(tmp_path / "o.csv")) == 2
         assert "NonFiniteUpdate" in capsys.readouterr().err
+
+
+# (command, overrides for train or the text of the grid file)
+CONFIG_ERRORS = {
+    "eval_every_0": ("train", ["train.eval_every=0"]),
+    "negative_seed": ("train", ["train.seed=-1"]),
+    "unknown_optimizer": ("train", ["optimizer.kind=lbfgs"]),
+    "unknown_dataset": ("train", ["dataset.kind=moons"]),
+    "unknown_curvature": ("train", ["optimizer.kind=snopt", "loss.curvature=full"]),
+    "zero_epsilon": ("train", ["optimizer.kind=snopt", "optimizer.epsilon=0"]),
+    "one_grid_sample": ("train", ["optimizer.kind=snopt", "train.grid_samples=1"]),
+    "unknown_policy": ("train", ["horizon.enabled=true", "horizon.policy=feedbak"]),
+    "missing_out_dir": ("train", []),
+    "grid_no_header": ("grid", "optimizer.lr = 0.01, 0.02\n"),
+    "grid_repeated_key": ("grid", "[grid]\noptimizer.lr = 0.01\noptimizer.lr = 0.02\n"),
+    "grid_bad_interpolation": ("grid", "[grid]\noptimizer.lr = 5%\n"),
+    "grid_tuple_key": ("grid", "[grid]\nmodel.dims = 2,4,2\n"),
+}
+
+
+@pytest.mark.parametrize("case", CONFIG_ERRORS)
+def test_config_error_exit_1(case, config_path, tmp_path, capsys):
+    command, payload = CONFIG_ERRORS[case]
+    if command == "grid":
+        grid = tmp_path / "grid.ini"
+        grid.write_text(payload)
+        argv = ["grid", config_path, str(grid), "--out-dir", str(tmp_path / "cells")]
+    else:
+        out = tmp_path / "missing" / "o.csv" if case == "missing_out_dir" else tmp_path / "o.csv"
+        argv = ["train", config_path, "--out", str(out)]
+        for override in payload:
+            argv += ["--override", override]
+    assert cli.main(argv) == 1
+    assert "config error" in capsys.readouterr().err
 
 
 class TestCmdVerify:

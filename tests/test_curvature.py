@@ -64,7 +64,6 @@ class TestDenseSweep:
         out = dense_sweep(spec, theta, np.array([0.2, 0.6]), curv, 0.0, 1.0, TIGHT)
         assert np.allclose(out.qxx, out.qxx.T)
         assert np.allclose(out.quu, out.quu.T)
-        assert np.array_equal(out.qux, out.qxu.T)
 
     def test_agrees_with_adjoint_gradient(self):
         spec, theta = tiny_net(7)
@@ -187,8 +186,7 @@ class TestApplyWeightDecay:
         assert np.allclose(after - before, 1e-3, atol=1e-12)
 
     def test_kronecker_factor_damping(self):
-        factors = KroneckerFactors(a_factors=[np.eye(2)], b_factors=[np.eye(2)],
-                                   dt=0.1, grid=np.array([1.0, 0.0]))
+        factors = KroneckerFactors(a_factors=[np.eye(2)], b_factors=[np.eye(2)])
         g2, f2 = apply_weight_decay(np.ones(4), factors, 1e-3, np.full(4, 2.0))
         assert np.allclose(g2, 1.0 + 2e-3)
         assert f2.extra_damping == pytest.approx(1e-3)

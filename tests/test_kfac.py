@@ -151,33 +151,13 @@ class TestAccumulateFactors:
             g_adj, _, _, _ = adjoint_gradient(spec, theta, x1, a1, 0.0, 1.0, RK4)
             assert np.max(np.abs(grad - g_adj)) < 1e-8
 
-    def test_single_point_grid_needs_dt(self):
+    def test_single_point_grid_rejected(self):
         spec, theta = tanh_net(6)
         curv = TerminalCurvature(grad=np.zeros((1, 2)), factors=[np.zeros((1, 2))],
                                  mode="exact_rank")
         with pytest.raises(BadInterval):
             accumulate_factors(spec, theta, np.zeros((1, 2)), curv,
                                np.array([1.0]), RK4)
-        factors, _, _ = accumulate_factors(spec, theta, np.zeros((1, 2)), curv,
-                                           np.array([1.0]), RK4, dt=0.25)
-        assert factors.dt == 0.25
-
-    def test_single_point_dt_squared_scaling(self):
-        # one grid point, batch 1, rank 1: kron(Abar, Bbar) = dt^2 * exact outer
-        spec, theta = tanh_net(7)
-        x1 = np.array([[0.4, -0.7]])
-        q = np.array([[0.9, -0.3]])
-        curv = TerminalCurvature(grad=q, factors=[q], mode="gauss_newton_scaled")
-        dt = 0.3
-        factors, _, _ = accumulate_factors(spec, theta, x1, curv, np.array([1.0]),
-                                           RK4, dt=dt)
-        _, trace = vf.eval(spec, theta, 1.0, x1)
-        gs, _ = vf._cotangents(spec, vf.unpack_params(spec, theta), trace, q[None, :])
-        for k in range(spec.n_layers):
-            zbar = np.concatenate([trace.zs[k][0], [1.0]])
-            seg = np.kron(zbar, gs[k][0, 0])
-            got = kron(factors.a_factors[k], factors.b_factors[k])
-            assert np.max(np.abs(got - dt ** 2 * np.outer(seg, seg))) < 1e-10
 
     def test_psd_preserved_under_accumulation(self):
         spec, theta = tanh_net(8)

@@ -15,8 +15,7 @@ def spd(rng, d):
 
 
 def one_layer_factors(a, b):
-    return KroneckerFactors(a_factors=[a], b_factors=[b], dt=0.1,
-                            grid=np.array([1.0, 0.0]))
+    return KroneckerFactors(a_factors=[a], b_factors=[b])
 
 
 class TestSnoptStep:
@@ -87,8 +86,7 @@ class TestSnoptStep:
         rng = np.random.default_rng(6)
         a1, b1 = spd(rng, 3), spd(rng, 2)
         a2, b2 = spd(rng, 2), spd(rng, 4)
-        factors = KroneckerFactors(a_factors=[a1, a2], b_factors=[b1, b2],
-                                   dt=0.1, grid=np.array([1.0, 0.0]))
+        factors = KroneckerFactors(a_factors=[a1, a2], b_factors=[b1, b2])
         n = 3 * 2 + 2 * 4
         g = rng.normal(size=n)
         theta = rng.normal(size=n)

@@ -4,7 +4,8 @@ import pytest
 from snopt_kit import trainer as tr
 from snopt_kit import vector_field as vf
 from snopt_kit.adjoint import adjoint_gradient
-from snopt_kit.loss import grad_x1
+from snopt_kit.kfac import accumulate_factors, make_grid
+from snopt_kit.loss import TerminalCurvature, grad_x1
 from snopt_kit.odesolve import SolverConfig
 
 
@@ -240,10 +241,19 @@ class TestMemoryProbe:
         assert tr.memory_probe(cfg) == 2 * 16 * m + n_params
 
     def test_snopt_probe_linear_in_rank(self):
-        cfg = small_config(optimizer=tr.OptimizerConfig(kind="snopt", lr=0.05))
-        p1 = tr.memory_probe(cfg, rank_override=1)
-        p2 = tr.memory_probe(cfg, rank_override=2)
-        p4 = tr.memory_probe(cfg, rank_override=4)
+        # the factor sweep's probe, batch 16 through 2-4-2, synthetic rank-R factors
+        spec = small_config().model.spec()
+        theta = vf.init_params(spec, 1)
+        x1 = np.random.default_rng(0).uniform(-1, 1, size=(16, 2))
+        probes = {}
+        for rank in (1, 2, 4):
+            curv = TerminalCurvature(grad=x1, factors=[x1 * (i + 1.0) for i in range(rank)],
+                                     mode="exact_rank")
+            probe = {}
+            accumulate_factors(spec, theta, x1, curv, make_grid(0.0, 1.0, 5),
+                               SolverConfig(method="rk4", fixed_step=0.25), probe=probe)
+            probes[rank] = probe["state_elements"] + probe["factor_elements"]
+        p1, p2, p4 = probes[1], probes[2], probes[4]
         assert p2 - p1 == 16 * 2            # one extra batch-by-state vector
         assert p4 - p2 == 2 * (p2 - p1)     # exactly affine in the rank
 

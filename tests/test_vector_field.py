@@ -4,11 +4,19 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from snopt_kit import vector_field as vf
-from snopt_kit.numerics import vec
 
 
 def tanh_spec():
     return vf.MlpSpec(dims=(2, 4, 2), activations=("tanh", "identity"))
+
+
+def vjps(spec, theta, x, q):
+    """``(dF/dx)^T q``, ``(dF/dtheta)^T q`` and the per-layer cotangents of one sample."""
+    weights = vf.unpack_params(spec, theta)
+    trace = vf._forward(spec, weights, 0.0, x[None, :])
+    gs, r = vf._cotangents(spec, weights, trace, q[None, :])
+    flat = vf._param_grad_from_cotangents(spec, trace, gs)
+    return r[0, :spec.state_dim], flat, [g[0] for g in gs]
 
 
 def fd_state(spec, theta, t, x, q, h=1e-5):
@@ -65,6 +73,23 @@ class TestLayout:
         assert np.array_equal(vf.init_params(spec, 11), vf.init_params(spec, 11))
         assert not np.array_equal(vf.init_params(spec, 11), vf.init_params(spec, 12))
 
+    def test_weights_read_column_major(self):
+        spec = vf.MlpSpec(dims=(2, 2), activations=("identity",), bias=False)
+        (w, _), = vf.unpack_params(spec, np.array([1.0, 3.0, 2.0, 4.0]))
+        assert np.array_equal(w, [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_layer_segments_round_trip(self):
+        # each segment is the column-major flattening of [W, b]
+        spec = vf.MlpSpec(dims=(2, 5, 3, 2), activations=("tanh", "tanh", "identity"))
+        theta = np.random.default_rng(0).normal(size=vf.num_params(spec))
+        flat = [np.column_stack([w, b]).reshape(-1, order="F")
+                for w, b in vf.unpack_params(spec, theta)]
+        assert np.array_equal(np.concatenate(flat), theta)
+
+    def test_unpack_size_mismatch(self):
+        with pytest.raises(vf.DimensionMismatch):
+            vf.unpack_params(tanh_spec(), np.zeros(vf.num_params(tanh_spec()) + 1))
+
     def test_init_bound(self):
         spec = tanh_spec()
         theta = vf.init_params(spec, 0)
@@ -82,7 +107,7 @@ class TestEval:
 
     def test_identity_single_layer(self):
         spec = vf.MlpSpec(dims=(2, 2), activations=("identity",))
-        theta = vec(np.hstack([np.eye(2), np.zeros((2, 1))]))
+        theta = np.hstack([np.eye(2), np.zeros((2, 1))]).reshape(-1, order="F")
         x = np.array([0.7, -1.1])
         out, _ = vf.eval(spec, theta, 0.0, x)
         assert np.allclose(out, x)
@@ -133,8 +158,8 @@ class TestVjps:
         spec = tanh_spec()
         theta = vf.init_params(spec, 7)
         x = np.array([0.3, 0.8])
-        assert np.allclose(vf.vjp_state(spec, theta, 0.0, x, np.zeros(2)), 0.0)
-        flat, _ = vf.vjp_param(spec, theta, 0.0, x, np.zeros(2))
+        state, flat, _ = vjps(spec, theta, x, np.zeros(2))
+        assert np.allclose(state, 0.0)
         assert np.allclose(flat, 0.0)
 
     def test_linear_field_exact(self):
@@ -142,14 +167,14 @@ class TestVjps:
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
         theta = a.reshape(-1, order="F")
         q = np.array([0.5, -1.0])
-        assert np.allclose(vf.vjp_state(spec, theta, 0.0, np.ones(2), q), a.T @ q)
+        assert np.allclose(vjps(spec, theta, np.ones(2), q)[0], a.T @ q)
 
     def test_linear_weight_gradient_is_kron(self):
         spec = vf.MlpSpec(dims=(2, 2), activations=("identity",), bias=False)
         theta = np.zeros(4)
         x = np.array([0.3, -0.7])
         q = np.array([1.5, 0.25])
-        flat, _ = vf.vjp_param(spec, theta, 0.0, x, q)
+        _, flat, _ = vjps(spec, theta, x, q)
         assert np.allclose(flat, np.kron(x, q))
 
     def test_vjp_state_matches_fd(self):
@@ -157,7 +182,7 @@ class TestVjps:
         theta = vf.init_params(spec, 5)
         x = np.array([0.3, -0.2])
         q = np.array([0.5, -1.2])
-        got = vf.vjp_state(spec, theta, 0.0, x, q)
+        got = vjps(spec, theta, x, q)[0]
         want = fd_state(spec, theta, 0.0, x, q)
         assert np.linalg.norm(got - want) < 1e-6 * max(1.0, np.linalg.norm(want))
 
@@ -166,7 +191,7 @@ class TestVjps:
         theta = vf.init_params(spec, 5)
         x = np.array([0.3, -0.2])
         q = np.array([0.5, -1.2])
-        got, _ = vf.vjp_param(spec, theta, 0.0, x, q)
+        _, got, _ = vjps(spec, theta, x, q)
         want = fd_param(spec, theta, 0.0, x, q)
         assert np.linalg.norm(got - want) < 1e-6 * max(1.0, np.linalg.norm(want))
 
@@ -176,7 +201,7 @@ class TestVjps:
         theta = vf.init_params(spec, 9)
         x = np.array([0.6, -0.1])
         q = np.array([-0.4, 1.1])
-        flat, gs = vf.vjp_param(spec, theta, 0.0, x, q)
+        _, flat, gs = vjps(spec, theta, x, q)
         _, trace = vf.eval(spec, theta, 0.0, x)
         for k, (sl, _, _) in enumerate(vf.layer_slices(spec)):
             zbar = np.concatenate([trace.zs[k][0], [1.0]])
@@ -185,15 +210,15 @@ class TestVjps:
     def test_relu_subgradient_zero_at_kink(self):
         spec = vf.MlpSpec(dims=(1, 1, 1), activations=("relu", "identity"), bias=False)
         theta = np.array([1.0, 1.0])  # h = x, out = relu(x)
-        assert np.allclose(vf.vjp_state(spec, theta, 0.0, np.array([0.0]), np.ones(1)), 0.0)
-        assert np.allclose(vf.vjp_state(spec, theta, 0.0, np.array([2.0]), np.ones(1)), 1.0)
+        assert np.allclose(vjps(spec, theta, np.array([0.0]), np.ones(1))[0], 0.0)
+        assert np.allclose(vjps(spec, theta, np.array([2.0]), np.ones(1))[0], 1.0)
 
     def test_softplus_stable_at_large_inputs(self):
         spec = vf.MlpSpec(dims=(1, 1), activations=("softplus",), bias=False)
         theta = np.array([1.0])
         out, _ = vf.eval(spec, theta, 0.0, np.array([500.0]))
         assert np.isfinite(out).all() and abs(out[0] - 500.0) < 1e-9
-        g = vf.vjp_state(spec, theta, 0.0, np.array([500.0]), np.ones(1))
+        g = vjps(spec, theta, np.array([500.0]), np.ones(1))[0]
         assert np.allclose(g, 1.0)
 
 
@@ -205,12 +230,10 @@ def test_vjp_linearity_in_cotangent(alpha, beta, seed):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=2)
     q1, q2 = rng.normal(size=2), rng.normal(size=2)
-    mix = vf.vjp_state(spec, theta, 0.0, x, alpha * q1 + beta * q2)
-    parts = alpha * vf.vjp_state(spec, theta, 0.0, x, q1) + beta * vf.vjp_state(spec, theta, 0.0, x, q2)
-    assert np.allclose(mix, parts, atol=1e-12)
-    pm, _ = vf.vjp_param(spec, theta, 0.0, x, alpha * q1 + beta * q2)
-    p1, _ = vf.vjp_param(spec, theta, 0.0, x, q1)
-    p2, _ = vf.vjp_param(spec, theta, 0.0, x, q2)
+    sm, pm, _ = vjps(spec, theta, x, alpha * q1 + beta * q2)
+    s1, p1, _ = vjps(spec, theta, x, q1)
+    s2, p2, _ = vjps(spec, theta, x, q2)
+    assert np.allclose(sm, alpha * s1 + beta * s2, atol=1e-12)
     assert np.allclose(pm, alpha * p1 + beta * p2, atol=1e-12)
 
 
@@ -223,6 +246,6 @@ def test_jacobians_match_vjps():
     assert np.allclose(f, out)
     for j in range(2):
         e = np.eye(2)[j]
-        assert np.allclose(fx[j], vf.vjp_state(spec, theta, 0.0, x, e), atol=1e-13)
-        flat, _ = vf.vjp_param(spec, theta, 0.0, x, e)
+        state, flat, _ = vjps(spec, theta, x, e)
+        assert np.allclose(fx[j], state, atol=1e-13)
         assert np.allclose(fu[j], flat, atol=1e-13)
