@@ -19,8 +19,6 @@ takes.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from . import vector_field as vf
@@ -83,13 +81,6 @@ class BackwardSweep:
         return self.pack(trace.zs[-1], -r[..., :self.m], -dparams)
 
 
-def backward_config(cfg: SolverConfig, x_len: int, use_semi: bool = True) -> SolverConfig:
-    """Adaptive backward solves score the error norm on the state prefix only."""
-    if use_semi and cfg.method == "dopri5":
-        return replace(cfg, error_norm="semi", semi_prefix=x_len)
-    return cfg
-
-
 def adjoint_gradient(spec: vf.MlpSpec, theta: np.ndarray, x1: np.ndarray, a1: np.ndarray,
                      t0: float, t1: float, cfg: SolverConfig, use_semi: bool = True,
                      probe: dict | None = None,
@@ -98,15 +89,16 @@ def adjoint_gradient(spec: vf.MlpSpec, theta: np.ndarray, x1: np.ndarray, a1: np
 
     ``a1`` is the terminal-loss gradient at ``x1`` (per sample).  Returns
     the flat parameter gradient, the reconstructed initial state, the
-    adjoint at t0, and the solve report.
+    adjoint at t0, and the solve report.  The error norm scores the state
+    replay, or with ``use_semi=False`` the whole packed state.
     """
     if np.shape(a1) != np.shape(x1):
         raise ValueError(f"state/adjoint shapes {np.shape(x1)}/{np.shape(a1)} differ")
     sweep, y1 = BackwardSweep.seeded(spec, theta, x1, a1)
     if probe is not None:
         probe["state_elements"] = int(y1.size)
-    bcfg = backward_config(cfg, sweep.x_len, use_semi)
-    report = odesolve(y1, t1, t0, sweep.field, bcfg)
+    report = odesolve(y1, t1, t0, sweep.field, cfg,
+                      scored=sweep.x_len if use_semi else None)
     x0, a0, params = sweep.unpack(report.terminal_state)
     if np.ndim(x1) == 1:
         x0, a0 = x0[0], a0[0]

@@ -7,8 +7,9 @@ records exactly.  The ``SNOPT_SEED`` environment variable overrides the
 config seed.
 
 Exit codes: 0 success, 1 config error (``ConfigError``: an unknown key, a
-value the config dataclasses reject, an unparsable config or grid file, a
-missing output directory, a bad ``SNOPT_SEED``), 2 numeric abort
+value the config dataclasses reject, sections that do not fit together
+(``trainer.check_config``), an unparsable config or grid file, a missing
+output directory, a bad ``SNOPT_SEED``), 2 numeric abort
 (``TrainAbort``: a non-finite state, a solve over ``max_steps``, a factor
 eigendecomposition that fails, or a non-finite horizon update).  ``grid``
 records an aborted cell in its summary and carries on.
@@ -162,9 +163,18 @@ def write_records_csv(path: str, records: list[TrainRecord],
                 r.test_loss, r.test_acc, r.nfe_fwd, r.nfe_bwd, r.t1)) + "\n")
 
 
+def _check_finished(cfg: ExperimentConfig) -> ExperimentConfig:
+    """Apply the cross-section rules (``trainer.check_config``) to a finished config."""
+    try:
+        trainer.check_config(cfg)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return cfg
+
+
 def cmd_train(config_path: str, out_path: str, overrides: list[str] | None = None) -> int:
     try:
-        cfg = load_config(config_path, overrides)
+        cfg = _check_finished(load_config(config_path, overrides))
         out_dir = os.path.dirname(out_path) or "."
         if not os.path.isdir(out_dir):
             raise ConfigError(f"output directory not found: {out_dir}")
@@ -224,18 +234,22 @@ def cmd_grid(config_path: str, grid_path: str, out_dir: str,
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    os.makedirs(out_dir, exist_ok=True)
-
-    summary_path = os.path.join(out_dir, "summary.csv")
-    rows = []
+    # every cell is checked before any trains
+    configs = []
     for idx, cell in enumerate(cells):
         cfg = base
         try:
             for key, value in cell:
                 cfg = apply_override(cfg, f"{key}={value}")
+            configs.append(_check_finished(cfg))
         except ConfigError as exc:
             print(f"config error in cell {idx}: {exc}", file=sys.stderr)
             return 1
+    os.makedirs(out_dir, exist_ok=True)
+
+    summary_path = os.path.join(out_dir, "summary.csv")
+    rows = []
+    for idx, (cell, cfg) in enumerate(zip(cells, configs)):
         label = ";".join(f"{k}={v}" for k, v in cell)
         try:
             records = trainer.train(cfg)

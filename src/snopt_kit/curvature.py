@@ -82,7 +82,7 @@ def dense_sweep(spec: vf.MlpSpec, theta: np.ndarray, x1: np.ndarray,
     """
     m, n = spec.state_dim, vf.num_params(spec)
     x1v, gradv = _single_sample(x1, curv.grad)
-    phi_xx = sum(np.outer(np.atleast_2d(y)[0], np.atleast_2d(y)[0]) for y in curv.factors)
+    phi_xx = curv.hessian()
 
     txx = m * (m + 1) // 2
     tuu = n * (n + 1) // 2
@@ -153,8 +153,8 @@ def lowrank_sweep(spec: vf.MlpSpec, theta: np.ndarray, x1: np.ndarray,
                   cfg: SolverConfig) -> LowRankCurvatureState:
     """Backward sweep of R independent vector pairs plus the gradient path.
 
-    The solve runs under ``cfg`` as given, with no semi norm, so every
-    channel of the packed state is error-controlled.
+    The solve's error norm scores the whole packed state, so every
+    channel is error-controlled.
     """
     if len(curv.factors) < 1:
         raise ValueError("need at least one terminal factor")

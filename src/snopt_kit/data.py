@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+INPUT_DIM = 2                     # every dataset here is planar
+
 
 @dataclass
 class Dataset:

@@ -4,9 +4,12 @@ This is the production second-order sweep.  It integrates the backward
 state ``[x | a, q_1..q_R | g]`` of :class:`adjoint.BackwardSweep` (no
 parameter couplings) from t1 down to t0 in one solve and reads it at the
 points of a uniform grid from the solver's dense output, so the grid
-costs no solver steps.  At each grid point the layer activations and
-backpropagated signals are read off a fresh field evaluation and folded
-into per-layer second-moment matrices:
+costs no solver steps.  The ``gauss_newton_scaled`` surrogate carries
+no rank vector: its ``q_1`` is the adjoint times the curvature's
+``adjoint_scale`` at every t, so the sweep runs ``[x | a | g]`` and
+rescales ``a`` at the grid points.  At each grid point the layer
+activations and backpropagated signals are read off a fresh field
+evaluation and folded into per-layer second-moment matrices:
 
     A_n(t) = mean_b zbar^n zbar^nT          (activation side)
     B_n(t) = mean_b sum_i g^n_i g^n_iT      (signal side)
@@ -30,7 +33,7 @@ import numpy as np
 from . import vector_field as vf
 from .loss import TerminalCurvature
 from .odesolve import SolveReport, SolverConfig, odesolve
-from .adjoint import BackwardSweep, backward_config
+from .adjoint import BackwardSweep
 
 
 class BadInterval(ValueError):
@@ -96,7 +99,9 @@ def accumulate_factors(spec: vf.MlpSpec, theta: np.ndarray, x1: np.ndarray,
         raise BadInterval("grid must hold at least two time points")
     dt = float(abs(grid[0] - grid[-1]) / (grid.size - 1))
 
-    sweep, state = BackwardSweep.seeded(spec, theta, x1, curv.grad, curv.factors)
+    scale = curv.adjoint_scale
+    sweep, state = BackwardSweep.seeded(spec, theta, x1, curv.grad,
+                                        curv.factors if scale is None else ())
     a_bar = [np.zeros((spec.dims[k] + (1 if spec.bias else 0),) * 2)
              for k in range(spec.n_layers)]
     b_bar = [np.zeros((spec.dims[k + 1],) * 2) for k in range(spec.n_layers)]
@@ -106,13 +111,14 @@ def accumulate_factors(spec: vf.MlpSpec, theta: np.ndarray, x1: np.ndarray,
 
     def accumulate(t: float, y: np.ndarray):
         x, cot, _ = sweep.unpack(y)
-        a_terms, b_terms = _factor_terms(spec, sweep.weights, t, x, cot[1:])
+        qs = cot[1:] if scale is None else scale * cot[None]
+        a_terms, b_terms = _factor_terms(spec, sweep.weights, t, x, qs)
         for k in range(spec.n_layers):
             a_bar[k] += a_terms[k] * dt
             b_bar[k] += b_terms[k] * dt
 
-    bcfg = backward_config(cfg, sweep.x_len)
-    report = odesolve(state, grid[0], grid[-1], sweep.field, bcfg, observe=(grid, accumulate))
+    report = odesolve(state, grid[0], grid[-1], sweep.field, cfg, observe=(grid, accumulate),
+                      scored=sweep.x_len)
     report.nfe += grid.size
     _, _, params = sweep.unpack(report.terminal_state)
     factors = KroneckerFactors(a_factors=a_bar, b_factors=b_bar)

@@ -12,7 +12,8 @@ vectors ``y_i`` with ``Hessian = sum_i y_i y_i^T``:
   for mse; the Gauss-Newton factorization of ``diag(p) - p p^T`` pushed
   through the readout for cross entropy).
 * ``gauss_newton_scaled`` gives the single factor ``grad / sqrt(t1 - t0)``,
-  the cheap rank-1 surrogate used in production training.
+  the cheap rank-1 surrogate used in production training, and records the
+  scale so a sweep can read the factor off the adjoint.
 """
 
 from __future__ import annotations
@@ -39,10 +40,6 @@ class Readout:
 
     def logits(self, x1: np.ndarray) -> np.ndarray:
         return x1 @ self.weight.T + self.bias
-
-    @property
-    def n_classes(self) -> int:
-        return self.weight.shape[0]
 
 
 def init_readout(state_dim: int, n_classes: int, seed: int) -> Readout:
@@ -72,11 +69,14 @@ class TerminalCurvature:
 
     ``factors`` is a list of arrays shaped like the per-sample gradient;
     the reconstruction ``sum_i y_i y_i^T`` is symmetric PSD by build.
+    ``adjoint_scale`` is set when the one factor is ``adjoint_scale *
+    grad`` (the ``gauss_newton_scaled`` surrogate) and None otherwise.
     """
 
     grad: np.ndarray
     factors: list[np.ndarray]
     mode: str
+    adjoint_scale: float | None = None
 
     def hessian(self) -> np.ndarray:
         """Dense reconstruction for a single sample."""
@@ -166,8 +166,10 @@ def terminal_curvature(lossfn: TerminalLoss, x1: np.ndarray, t0: float, t1: floa
     x1b, single = _as_batch(x1)
     grad = grad_x1(lossfn, x1b)
 
+    adjoint_scale = None
     if mode == "gauss_newton_scaled":
-        factors = [grad / np.sqrt(t1 - t0)]
+        adjoint_scale = float(1.0 / np.sqrt(t1 - t0))
+        factors = [adjoint_scale * grad]
     elif lossfn.kind == "mse":
         m = x1b.shape[1]
         if lossfn.readout is None:
@@ -190,7 +192,8 @@ def terminal_curvature(lossfn: TerminalLoss, x1: np.ndarray, t0: float, t1: floa
     if single:
         grad = grad[0]
         factors = [y[0] if y.ndim == 2 else y for y in factors]
-    return TerminalCurvature(grad=grad, factors=factors, mode=mode)
+    return TerminalCurvature(grad=grad, factors=factors, mode=mode,
+                             adjoint_scale=adjoint_scale)
 
 
 def accuracy(lossfn: TerminalLoss, x1: np.ndarray) -> float:

@@ -54,8 +54,6 @@ class SolverConfig:
     atol: float = 1e-6
     fixed_step: float | None = None
     max_steps: int = 100_000
-    error_norm: str = "full"          # "full" | "semi"
-    semi_prefix: int | None = None    # state prefix scored by the semi norm
     max_step: float | None = None     # optional cap on the adaptive step
 
     def __post_init__(self):
@@ -68,10 +66,6 @@ class SolverConfig:
                 raise ValueError(f"{self.method} requires fixed_step > 0")
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
-        if self.error_norm not in ("full", "semi"):
-            raise ValueError(f"unknown error_norm {self.error_norm!r}")
-        if self.error_norm == "semi" and (self.semi_prefix is None or self.semi_prefix < 1):
-            raise ValueError("semi error norm needs a positive semi_prefix")
         if self.max_step is not None and self.max_step <= 0:
             raise ValueError("max_step must be positive")
 
@@ -120,16 +114,9 @@ def _check_finite(y: np.ndarray, t: float):
         raise NonFiniteState(f"non-finite state encountered at t={t:.6g}")
 
 
-def _scaled_rms(v: np.ndarray, scale: np.ndarray, cfg: SolverConfig) -> float:
-    """RMS of ``v / scale`` over the components the error norm scores."""
-    if cfg.error_norm == "semi":
-        k = min(cfg.semi_prefix, v.size)
-        v, scale = v[:k], scale[:k]
-    return float(np.sqrt(np.mean((v / scale) ** 2)))
-
-
-def _error_ratio(err: np.ndarray, y0: np.ndarray, y1: np.ndarray, cfg: SolverConfig) -> float:
-    return _scaled_rms(err, cfg.atol + cfg.rtol * np.maximum(np.abs(y0), np.abs(y1)), cfg)
+def _scaled_rms(v: np.ndarray, scale: np.ndarray, scored: int | None) -> float:
+    """RMS of ``v / scale`` over the first ``scored`` components (all when None)."""
+    return float(np.sqrt(np.mean((v[:scored] / scale[:scored]) ** 2)))
 
 
 def _fixed_steps(span: float, h: float) -> int:
@@ -204,12 +191,12 @@ def _observe_step(times, i: int, callback, t: float, hs: float, t_new: float,
 
 
 def _initial_step(fn: Field, t: float, y0: np.ndarray, f0: np.ndarray, direction: float,
-                  total: float, cfg: SolverConfig) -> float:
+                  total: float, cfg: SolverConfig, scored: int | None) -> float:
     """First dopri5 step size, by the starting-step rule of Hairer, Norsett &
     Wanner I, II.4 (the rule of scipy's ``solve_ivp`` and torchdiffeq).
 
     Norms are the controller's: RMS scaled by ``atol + rtol * |y0|``, over
-    the semi norm's prefix when that norm is on.  ``h0 = 0.01 * |y0| /
+    the first ``scored`` components.  ``h0 = 0.01 * |y0| /
     |f0|`` (1e-6 when either is below 1e-5) moves the state by about 1%.
     One explicit Euler probe ``f1 = fn(t + h0, y0 + h0 * f0)``, taken in
     the direction of integration, estimates the second derivative ``d2 =
@@ -220,12 +207,12 @@ def _initial_step(fn: Field, t: float, y0: np.ndarray, f0: np.ndarray, direction
     the caller counts; a non-finite probe raises ``NonFiniteState``.
     """
     scale = cfg.atol + cfg.rtol * np.abs(y0)
-    d0 = _scaled_rms(y0, scale, cfg)
-    d1 = _scaled_rms(f0, scale, cfg)
+    d0 = _scaled_rms(y0, scale, scored)
+    d1 = _scaled_rms(f0, scale, scored)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, total)  # the probe stays inside the interval
     f1 = fn(t + direction * h0, y0 + direction * h0 * f0)
-    d2 = _scaled_rms(f1 - f0, scale, cfg) / h0
+    d2 = _scaled_rms(f1 - f0, scale, scored) / h0
     if not (np.all(np.isfinite(f1)) and np.isfinite(d2)):
         raise NonFiniteState(
             f"non-finite field at the first-step probe t={t + direction * h0:.6g}")
@@ -238,7 +225,7 @@ def _initial_step(fn: Field, t: float, y0: np.ndarray, f0: np.ndarray, direction
 
 
 def _solve_dopri5(y0, t_start, t_end, fn: Field, cfg: SolverConfig,
-                  times, callback) -> SolveReport:
+                  times, callback, scored: int | None) -> SolveReport:
     span = t_end - t_start
     direction = 1.0 if span >= 0 else -1.0
     total = abs(span)
@@ -251,7 +238,7 @@ def _solve_dopri5(y0, t_start, t_end, fn: Field, cfg: SolverConfig,
         pending += 1
     k = np.empty((7, y.size))
     k[0] = fn(t, y)
-    h = _initial_step(fn, t, y, k[0], direction, total, cfg)
+    h = _initial_step(fn, t, y, k[0], direction, total, cfg, scored)
     nfe = 2  # the start point and the first-step probe
 
     accepted = rejected = 0
@@ -275,7 +262,8 @@ def _solve_dopri5(y0, t_start, t_end, fn: Field, cfg: SolverConfig,
         err_vec = hs * (_DP_E @ k)
 
         _check_finite(y_new, t + hs)
-        err = _error_ratio(err_vec, y, y_new, cfg)
+        err = _scaled_rms(err_vec, cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(y_new)),
+                          scored)
         if not np.isfinite(err):
             raise NonFiniteState(f"non-finite error estimate at t={t:.6g}")
 
@@ -307,7 +295,8 @@ def _solve_dopri5(y0, t_start, t_end, fn: Field, cfg: SolverConfig,
 
 
 def odesolve(y0: np.ndarray, t_start: float, t_end: float, fn: Field,
-             cfg: SolverConfig, observe: Observe | None = None) -> SolveReport:
+             cfg: SolverConfig, observe: Observe | None = None,
+             scored: int | None = None) -> SolveReport:
     """Integrate ``dy/dt = fn(t, y)`` from ``t_start`` to ``t_end``.
 
     ``t_end < t_start`` integrates backward.  ``observe = (times,
@@ -317,8 +306,11 @@ def odesolve(y0: np.ndarray, t_start: float, t_end: float, fn: Field,
     the callback must not modify ``y``.  Observing adds no field
     evaluation, and an observation at either end receives the initial or
     terminal state exactly.  Under dopri5 the steps taken do not depend
-    on the times observed.
+    on the times observed.  dopri5's error norm scores the first
+    ``scored`` components of the state (all of them when None).
     """
+    if scored is not None and scored < 1:
+        raise ValueError(f"scored prefix must be positive, got {scored}")
     y0 = np.asarray(y0, dtype=float)
     _check_finite(y0, t_start)
     if observe is None:
@@ -334,4 +326,4 @@ def odesolve(y0: np.ndarray, t_start: float, t_end: float, fn: Field,
         return SolveReport(terminal_state=y0.copy(), nfe=0, accepted_steps=0, rejected_steps=0)
     if cfg.method in ("euler", "rk4"):
         return _solve_fixed(y0, t_start, t_end, fn, cfg, times, callback)
-    return _solve_dopri5(y0, t_start, t_end, fn, cfg, times, callback)
+    return _solve_dopri5(y0, t_start, t_end, fn, cfg, times, callback, scored)

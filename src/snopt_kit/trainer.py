@@ -29,7 +29,7 @@ from .adjoint import adjoint_gradient
 from .curvature import apply_weight_decay
 from .horizon import (HorizonState, NonFiniteUpdate, first_order_horizon_step, horizon_step,
                       horizon_terms)
-from .kfac import accumulate_factors, make_grid
+from .kfac import KroneckerFactors, accumulate_factors, make_grid
 from .loss import (CURVATURE_MODES, LOSS_KINDS, Readout, TerminalLoss, accuracy, grad_x1,
                    init_readout, loss_value, readout_grads, terminal_curvature)
 from .odesolve import MaxStepsExceeded, NonFiniteState, SolveReport, SolverConfig, odesolve
@@ -64,6 +64,27 @@ class DatasetConfig:
 
     def __post_init__(self):
         _check_choice("dataset kind", self.kind, ("spirals", "circles", "regression"))
+        # checked whatever the kind, so a grid may switch kinds in any order
+        if self.n_per_class < 1 or self.n < 1:
+            raise ValueError("need dataset n_per_class >= 1 and n >= 1")
+        if not self.noise_sd >= 0:
+            raise ValueError("need dataset noise_sd >= 0")
+        if not self.radii:
+            raise ValueError("need at least one dataset radius")
+        if not 0 <= self.test_fraction < 1:
+            raise ValueError("need 0 <= dataset test_fraction < 1")
+        if round(self.n_samples * self.test_fraction) >= self.n_samples:
+            raise ValueError(f"test_fraction {self.test_fraction} leaves no training "
+                             f"sample of {self.n_samples}")
+
+    @property
+    def n_classes(self) -> int:
+        """Number of label classes; 0 for regression targets."""
+        return {"spirals": 2, "circles": len(self.radii)}.get(self.kind, 0)
+
+    @property
+    def n_samples(self) -> int:
+        return self.n if self.kind == "regression" else self.n_per_class * self.n_classes
 
 
 @dataclass
@@ -152,6 +173,27 @@ class ExperimentConfig:
             raise ValueError("need eval_every >= 1")
         if self.seed < 0:
             raise ValueError("need seed >= 0")
+
+
+def check_config(cfg: ExperimentConfig):
+    """Rules that join config sections, for a finished config.
+
+    The sections validate themselves as they are built, one at a time, so
+    a rule across sections can only hold once all of them are in place.
+    """
+    data, lossc = cfg.dataset, cfg.loss
+    width = cfg.model.spec().state_dim
+    if width != data_mod.INPUT_DIM:
+        raise ValueError(f"model state width {width} differs from the dataset's "
+                         f"{data_mod.INPUT_DIM} input features")
+    if (lossc.kind == "mse") != (data.kind == "regression"):
+        raise ValueError(f"loss {lossc.kind} does not fit dataset {data.kind}: mse needs "
+                         "regression targets, softmax_ce needs class labels")
+    outputs = lossc.readout_classes or width
+    if data.n_classes > outputs:
+        what = "readout" if lossc.readout_classes else "state (no readout)"
+        raise ValueError(f"dataset {data.kind} has {data.n_classes} classes but the "
+                         f"{what} has {outputs} outputs")
 
 
 @dataclass
@@ -246,6 +288,26 @@ class _Run:
         lf = _loss_for(self.cfg.loss, self.ds.labels[idx], self.readout)
         return loss_value(lf, x1), accuracy(lf, x1)
 
+    def backward(self, x1: np.ndarray, lossfn: TerminalLoss, probe: dict | None = None,
+                 ) -> tuple[np.ndarray, KroneckerFactors | None, np.ndarray, SolveReport]:
+        """The factor sweep (snopt) or the adjoint from the minibatch's ``x1``.
+
+        Returns the parameter gradient, the Kronecker factors (None for
+        first order), the terminal-loss gradient and the solve report;
+        ``probe`` receives the sweep's state sizes.
+        """
+        cfg = self.cfg
+        if cfg.optimizer.kind == "snopt":
+            curv = terminal_curvature(lossfn, x1, cfg.t0, self.t1, mode=cfg.loss.curvature)
+            grid = make_grid(cfg.t0, self.t1, cfg.grid_samples)
+            factors, grad, rep = accumulate_factors(self.spec, self.theta, x1, curv, grid,
+                                                    cfg.solver, probe=probe)
+            return grad, factors, curv.grad, rep
+        phi_grad = grad_x1(lossfn, x1)
+        grad, _, _, rep = adjoint_gradient(self.spec, self.theta, x1, phi_grad, cfg.t0,
+                                           self.t1, cfg.solver, probe=probe)
+        return grad, None, phi_grad, rep
+
 
 def train(config: ExperimentConfig, on_iteration=None) -> list[TrainRecord]:
     """Run the configured experiment and return one record per iteration.
@@ -272,24 +334,14 @@ def train(config: ExperimentConfig, on_iteration=None) -> list[TrainRecord]:
                 raise NonFiniteState(f"train loss {train_loss}")
 
             theta_before = run.theta
+            grad, factors, phi_grad, rep_bwd = run.backward(x1, lossfn)
+            grad, factors = apply_weight_decay(grad, factors, gamma, run.theta)
             if cfg.optimizer.kind == "snopt":
-                curv = terminal_curvature(lossfn, x1, cfg.t0, run.t1,
-                                          mode=cfg.loss.curvature)
-                grid = make_grid(cfg.t0, run.t1, cfg.grid_samples)
-                factors, grad, rep_bwd = accumulate_factors(
-                    run.spec, run.theta, x1, curv, grid, cfg.solver)
-                grad, factors = apply_weight_decay(grad, factors, gamma, run.theta)
                 run.theta = snopt_step(run.opt_state, factors, grad, run.theta)
-                phi_grad = curv.grad
+            elif cfg.optimizer.kind == "adam":
+                run.theta = adam_step(run.opt_state, grad, run.theta)
             else:
-                phi_grad = grad_x1(lossfn, x1)
-                grad, _, _, rep_bwd = adjoint_gradient(
-                    run.spec, run.theta, x1, phi_grad, cfg.t0, run.t1, cfg.solver)
-                grad, _ = apply_weight_decay(grad, None, gamma, run.theta)
-                if cfg.optimizer.kind == "adam":
-                    run.theta = adam_step(run.opt_state, grad, run.theta)
-                else:
-                    run.theta = sgd_step(run.opt_state, grad, run.theta)
+                run.theta = sgd_step(run.opt_state, grad, run.theta)
 
             if run.readout is not None:
                 d_w, d_b = readout_grads(lossfn, x1)
@@ -326,24 +378,16 @@ def train(config: ExperimentConfig, on_iteration=None) -> list[TrainRecord]:
 
 
 def memory_probe(config: ExperimentConfig) -> int:
-    """Peak live state of one backward pass, in array elements.
+    """Peak live state of the first iteration's backward pass, in array elements.
 
-    Measured off the actual packed vectors (plus retained factor storage
-    for the second-order rule), so the number is independent of solver
-    tolerance and step counts by construction — the test suite checks
-    that, not this docstring.
+    Measured off the packed vector ``train`` carries (plus retained factor
+    storage for the second-order rule), so the number is independent of
+    solver tolerance and step counts by construction — the test suite
+    checks that, not this docstring.
     """
     run = _Run(config)
-    cfg = config
     pos, lossfn = run.draw_batch()
     x1 = run.forward(run.ds.inputs[run.ds.train_idx])[0][pos]
-
     probe: dict = {}
-    if cfg.optimizer.kind == "snopt":
-        curv = terminal_curvature(lossfn, x1, cfg.t0, run.t1, mode=cfg.loss.curvature)
-        grid = make_grid(cfg.t0, run.t1, cfg.grid_samples)
-        accumulate_factors(run.spec, run.theta, x1, curv, grid, cfg.solver, probe=probe)
-        return probe["state_elements"] + probe["factor_elements"]
-    a1 = grad_x1(lossfn, x1)
-    adjoint_gradient(run.spec, run.theta, x1, a1, cfg.t0, run.t1, cfg.solver, probe=probe)
-    return probe["state_elements"]
+    run.backward(x1, lossfn, probe)
+    return probe["state_elements"] + probe.get("factor_elements", 0)

@@ -255,6 +255,22 @@ CONFIG_ERRORS = {
     "grid_repeated_key": ("grid", "[grid]\noptimizer.lr = 0.01\noptimizer.lr = 0.02\n"),
     "grid_bad_interpolation": ("grid", "[grid]\noptimizer.lr = 5%\n"),
     "grid_tuple_key": ("grid", "[grid]\nmodel.dims = 2,4,2\n"),
+    "error_norm_key": ("train", ["solver.error_norm=semi"]),
+    "semi_prefix_key": ("train", ["solver.semi_prefix=5"]),
+    "softmax_ce_on_regression": ("train", ["dataset.kind=regression"]),
+    "mse_on_labels": ("train", ["loss.kind=mse"]),
+    "classes_over_readout": ("train", ["dataset.kind=circles", "dataset.radii=0.5,1.0,1.5"]),
+    "classes_over_state": ("train", ["loss.readout_classes=0", "dataset.kind=circles",
+                                     "dataset.radii=0.5,1.0,1.5"]),
+    "state_width_over_inputs": ("train", ["model.dims=3,4,3"]),
+    "grid_cell_mismatch": ("grid", "[grid]\ndataset.kind = spirals, regression\n"),
+    "n_per_class_0": ("train", ["dataset.n_per_class=0"]),
+    "regression_n_0": ("train", ["dataset.kind=regression", "loss.kind=mse", "dataset.n=0"]),
+    "negative_noise_sd": ("train", ["dataset.noise_sd=-1"]),
+    "no_radii": ("train", ["dataset.kind=circles", "dataset.radii="]),
+    "test_fraction_1_5": ("train", ["dataset.test_fraction=1.5"]),
+    "negative_test_fraction": ("train", ["dataset.test_fraction=-0.1"]),
+    "empty_train_split": ("train", ["dataset.n_per_class=1", "dataset.test_fraction=0.75"]),
 }
 
 
@@ -272,6 +288,8 @@ def test_config_error_exit_1(case, config_path, tmp_path, capsys):
             argv += ["--override", override]
     assert cli.main(argv) == 1
     assert "config error" in capsys.readouterr().err
+    # a grid checks every cell before it trains or writes any
+    assert not (tmp_path / "cells").exists()
 
 
 class TestCmdVerify:

@@ -18,13 +18,16 @@ def tanh_net(seed, dims=(2, 3, 2), time_input="none"):
     return spec, vf.init_params(spec, seed)
 
 
-def default_batch():
-    """Network, terminal states and curvature of the default snopt config's first batch."""
+def default_batch(t1=1.0):
+    """Network, terminal states and curvature of the default snopt config's first batch.
+
+    The curvature is taken for a horizon ``[0, t1]``.
+    """
     cfg = tr.ExperimentConfig(optimizer=tr.OptimizerConfig(kind="snopt"))
     run = tr._Run(cfg)
     pos, lossfn = run.draw_batch()
     x1 = run.forward(run.ds.inputs[run.ds.train_idx])[0][pos]
-    curv = terminal_curvature(lossfn, x1, cfg.t0, cfg.t1, mode=cfg.loss.curvature)
+    curv = terminal_curvature(lossfn, x1, cfg.t0, t1, mode=cfg.loss.curvature)
     return run.spec, run.theta, x1, curv, cfg
 
 
@@ -210,6 +213,29 @@ class TestDefaultConfigSweep:
             _, _, report = accumulate_factors(spec, theta, x1, curv, grid, cfg.solver)
             solver_nfe.add(report.nfe - grid.size)
         assert solver_nfe == {14}
+
+    def test_scaled_adjoint_matches_carried_rank_vector(self):
+        # gauss_newton_scaled reads q_1 = a/sqrt(T) off the adjoint; an exact_rank
+        # sweep that carries q_1 as a rank vector must agree: bit for bit at T = 1,
+        # where the scale is 1, and to rounding at T = 0.7
+        for t1, rel_tol in ((1.0, 0.0), (0.7, 1e-12)):
+            spec, theta, x1, curv, cfg = default_batch(t1)
+            assert curv.adjoint_scale == 1.0 / np.sqrt(t1)
+            carried = TerminalCurvature(grad=curv.grad, factors=[curv.grad / np.sqrt(t1)],
+                                        mode="exact_rank")
+            grid = make_grid(0.0, t1, cfg.grid_samples)
+            runs = []
+            for c in (curv, carried):
+                probe = {}
+                runs.append((*accumulate_factors(spec, theta, x1, c, grid, cfg.solver, probe),
+                             probe["state_elements"]))
+            (got, grad, rep, size), (ref, g_ref, rep_ref, size_ref) = runs
+            assert size_ref - size == x1.size
+            assert rep.nfe == rep_ref.nfe and rep.accepted_steps == rep_ref.accepted_steps
+            for mine, want in zip(got.a_factors + got.b_factors,
+                                  ref.a_factors + ref.b_factors):
+                assert np.max(np.abs(mine - want)) <= rel_tol * np.max(np.abs(want))
+            assert np.max(np.abs(grad - g_ref)) <= rel_tol * np.max(np.abs(g_ref))
 
     def test_factors_match_tight_reference(self):
         spec, theta, x1, curv, cfg = default_batch()

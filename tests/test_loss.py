@@ -104,6 +104,8 @@ class TestTerminalCurvature:
         x = np.array([0.5, -0.5])
         curv = ls.terminal_curvature(lf, x, 0.0, 4.0, "gauss_newton_scaled")
         assert np.allclose(curv.factors[0], curv.grad / 2.0)
+        assert curv.adjoint_scale == 0.5
+        assert ls.terminal_curvature(lf, x, 0.0, 4.0, "exact_rank").adjoint_scale is None
 
     def test_softmax_exact_rank_matches_fd_hessian(self):
         rng = np.random.default_rng(2)

@@ -20,7 +20,7 @@ class TestConfigValidation:
 
     def test_semi_needs_prefix(self):
         with pytest.raises(ValueError):
-            SolverConfig(error_norm="semi")
+            odesolve(np.array([1.0]), 0.0, 1.0, lambda t, y: y, dopri(), scored=0)
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
@@ -111,8 +111,8 @@ class TestAccuracyProperties:
             return np.array([y[0], -80.0 * y[1]])
 
         full = odesolve(np.array([1.0, 1.0]), 0.0, 1.0, fn, dopri(rtol=1e-6, atol=1e-6))
-        semi = odesolve(np.array([1.0, 1.0]), 0.0, 1.0, fn,
-                        dopri(rtol=1e-6, atol=1e-6, error_norm="semi", semi_prefix=1))
+        semi = odesolve(np.array([1.0, 1.0]), 0.0, 1.0, fn, dopri(rtol=1e-6, atol=1e-6),
+                        scored=1)
         assert semi.accepted_steps + semi.rejected_steps < full.accepted_steps + full.rejected_steps
         assert abs(semi.terminal_state[0] - np.e) < 1e-4
 
@@ -131,16 +131,18 @@ def call_log(fn):
 def first_step(fn, t_start, t_end, y0, cfg):
     y0 = np.asarray(y0, dtype=float)
     direction = 1.0 if t_end >= t_start else -1.0
-    return _initial_step(fn, t_start, y0, fn(t_start, y0), direction, abs(t_end - t_start), cfg)
+    return _initial_step(fn, t_start, y0, fn(t_start, y0), direction, abs(t_end - t_start), cfg,
+                         None)
 
 
 class TestInitialStep:
     def test_probe_is_one_counted_call(self):
         # one call at the start, one probe inside the interval, six per attempt
-        for t_start, t_end, cfg in ((0.0, 1.0, dopri()), (1.0, 0.0, dopri(1e-3, 1e-3)),
-                                    (0.0, 2.0, dopri(error_norm="semi", semi_prefix=1))):
+        for t_start, t_end, cfg, scored in ((0.0, 1.0, dopri(), None),
+                                            (1.0, 0.0, dopri(1e-3, 1e-3), None),
+                                            (0.0, 2.0, dopri(), 1)):
             fn, times = call_log(lambda t, y: np.array([y[1], -y[0]]))
-            rep = odesolve(np.array([1.0, 0.0]), t_start, t_end, fn, cfg)
+            rep = odesolve(np.array([1.0, 0.0]), t_start, t_end, fn, cfg, scored=scored)
             assert len(times) == rep.nfe == 2 + 6 * (rep.accepted_steps + rep.rejected_steps)
             assert times[0] == t_start
             assert 0 < (times[1] - t_start) / (t_end - t_start) < 1
@@ -172,11 +174,11 @@ class TestInitialStep:
         def fn(t, y):
             return np.concatenate([[np.cos(t) * y[0]], -3.0 * y[1:]])
 
-        cfg = dopri(1e-5, 1e-5, error_norm="semi", semi_prefix=1)
+        cfg = dopri(1e-5, 1e-5)
         seqs = []
         for tail in (1.0, 1e6):
             logged, times = call_log(fn)
-            rep = odesolve(np.array([1.0, tail, -tail]), 0.0, 1.5, logged, cfg)
+            rep = odesolve(np.array([1.0, tail, -tail]), 0.0, 1.5, logged, cfg, scored=1)
             seqs.append((times, rep.terminal_state[0]))
         assert seqs[0] == seqs[1]
 

@@ -259,8 +259,9 @@ class TestMemoryProbe:
 
     def test_default_scale_state_sizes(self):
         # batch 128 through 2-16-16-2 (n = 354 parameters, 3^2 + 2*17^2 +
-        # 2*16^2 + 2^2 = 1103 factor entries): adjoint 2*256 + n, rank-1
-        # factor sweep 3*256 + n + 1103, rank 2 one more 128-by-2 block
+        # 2*16^2 + 2^2 = 1103 factor entries): adjoint 2*256 + n; the rank-1
+        # gauss_newton_scaled sweep carries the adjoint's own state, 2*256 + n
+        # + 1103; exact_rank at rank 2 carries two more 128-by-2 blocks
         base = dict(batch_size=128, model=tr.ModelConfig(dims=(2, 16, 16, 2)))
         adam = tr.ExperimentConfig(optimizer=tr.OptimizerConfig(kind="adam"), **base)
         grid33 = tr.ExperimentConfig(optimizer=tr.OptimizerConfig(kind="snopt"),
@@ -269,7 +270,7 @@ class TestMemoryProbe:
                                     loss=tr.LossConfig(curvature="exact_rank"),
                                     optimizer=tr.OptimizerConfig(kind="snopt"),
                                     grid_samples=13, **base)
-        assert [tr.memory_probe(c) for c in (adam, grid33, rank2)] == [866, 2225, 2481]
+        assert [tr.memory_probe(c) for c in (adam, grid33, rank2)] == [866, 1969, 2481]
 
     def test_baseline_below_snopt(self):
         adj = tr.memory_probe(small_config(optimizer=tr.OptimizerConfig(kind="adam", lr=1e-3)))
