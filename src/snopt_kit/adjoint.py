@@ -69,16 +69,22 @@ class BackwardSweep:
                 y[bm:cut].reshape(self.cot_shape),
                 y[cut:].reshape(self.param_rows, -1))
 
-    def field(self, t: float, y: np.ndarray) -> np.ndarray:
+    def stage(self, t: float, y: np.ndarray,
+              ) -> tuple[np.ndarray, vf.LayerTrace, list[np.ndarray]]:
+        """The derivative at ``(t, y)``, plus the forward trace and the
+        per-layer cotangents of every group that it was computed from, so
+        an integrand can be read off the same two passes."""
         x, cot, _ = self.unpack(y)
         trace = vf._forward(self.spec, self.weights, t, x)
         gs, r = vf._cotangents(self.spec, self.weights, trace, cot)
-        if self.param_rows == 1 and self.groups > 1:
-            # without couplings only the adjoint group feeds the gradient
-            gs = [g[0] for g in gs]
-        dparams = vf._param_grad_from_cotangents(self.spec, trace, gs)
+        # without couplings only the adjoint group feeds the gradient
+        param_gs = [g[0] for g in gs] if self.param_rows == 1 and self.groups > 1 else gs
+        dparams = vf._param_grad_from_cotangents(self.spec, trace, param_gs)
         # a time input column is not part of the state: drop its cotangent
-        return self.pack(trace.zs[-1], -r[..., :self.m], -dparams)
+        return self.pack(trace.zs[-1], -r[..., :self.m], -dparams), trace, gs
+
+    def field(self, t: float, y: np.ndarray) -> np.ndarray:
+        return self.stage(t, y)[0]
 
 
 def adjoint_gradient(spec: vf.MlpSpec, theta: np.ndarray, x1: np.ndarray, a1: np.ndarray,

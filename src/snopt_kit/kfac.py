@@ -1,23 +1,28 @@
-"""Kronecker-factor accumulation along the backward time grid.
+"""Kronecker factors integrated along the backward sweep.
 
 This is the production second-order sweep.  It integrates the backward
 state ``[x | a, q_1..q_R | g]`` of :class:`adjoint.BackwardSweep` (no
-parameter couplings) from t1 down to t0 in one solve and reads it at the
-points of a uniform grid from the solver's dense output, so the grid
-costs no solver steps.  The ``gauss_newton_scaled`` surrogate carries
-no rank vector: its ``q_1`` is the adjoint times the curvature's
-``adjoint_scale`` at every t, so the sweep runs ``[x | a | g]`` and
-rescales ``a`` at the grid points.  At each grid point the layer
-activations and backpropagated signals are read off a fresh field
-evaluation and folded into per-layer second-moment matrices:
+parameter couplings) from t1 down to t0 in one solve.  Each solver stage
+runs the sweep's forward and reverse pass once, and the same trace and
+cotangents give the per-layer second moments
 
     A_n(t) = mean_b zbar^n zbar^nT          (activation side)
     B_n(t) = mean_b sum_i g^n_i g^n_iT      (signal side)
 
-accumulated as ``Abar_n += A_n(t) dt`` (left-Riemann weights at every grid
-point, endpoints included).  ``kron(Abar_n, Bbar_n)`` then approximates the
-layer's parameter-space curvature block, and the same sweep also delivers
-the exact first-order gradient.
+which ride along as the solve's quadrature (``odesolve(..., quadrature=)``):
+the solver's own stage weights give ``Abar_n = ∫ A_n dt`` and ``Bbar_n =
+∫ B_n dt`` over the steps it accepts, at no extra field evaluation.  The
+integrand holds the upper triangles of the symmetric matrices and stays
+out of the state and the error norm, like the gradient integral ``g``
+(which stays in the state, so the sweep's gradient and steps are the
+adjoint's, bit for bit).  ``kron(Abar_n, Bbar_n)`` then approximates the
+layer's parameter-space curvature block.
+
+The ``gauss_newton_scaled`` surrogate carries no rank vector: its ``q_1``
+is the adjoint times the curvature's ``adjoint_scale`` at every t, so the
+sweep runs ``[x | a | g]`` and the B side is the adjoint group's second
+moment times ``adjoint_scale**2``.  ``exact_rank`` carries its rank vectors
+and the B side sums groups 1..R.
 
 Biases share their layer's block through the homogeneous coordinate: the
 activation vector gets a constant 1 appended, matching the flat parameter
@@ -27,6 +32,7 @@ layout ``vec([W, b])``.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,10 +40,6 @@ from . import vector_field as vf
 from .loss import TerminalCurvature
 from .odesolve import SolveReport, SolverConfig, odesolve
 from .adjoint import BackwardSweep
-
-
-class BadInterval(ValueError):
-    pass
 
 
 @dataclass
@@ -52,74 +54,79 @@ class KroneckerFactors:
         return replace(self, extra_damping=self.extra_damping + gamma)
 
 
-def make_grid(t0: float, t1: float, samples: int) -> np.ndarray:
-    """Uniform grid from t1 down to t0 inclusive."""
-    if not t1 > t0:
-        raise BadInterval(f"need t1 > t0, got [{t0}, {t1}]")
-    if samples < 2:
-        raise BadInterval("need at least 2 grid samples")
-    return np.linspace(t1, t0, samples)
+@lru_cache(maxsize=None)
+def _triangles(spec: vf.MlpSpec) -> tuple[tuple[int, np.ndarray], ...]:
+    """The packed integrand's layout: per factor, in the order ``A_1..A_L,
+    B_1..B_L``, its side and the row-major flat indices of its upper triangle."""
+    pbar = [p + (1 if spec.bias else 0) for p in spec.dims[:-1]]
+    out = []
+    for side in pbar + list(spec.dims[1:]):
+        rows, cols = np.triu_indices(side)
+        out.append((side, rows * side + cols))
+    return tuple(out)
 
 
-def _factor_terms(spec: vf.MlpSpec, weights: vf.Weights, t: float, x: np.ndarray,
-                  qs: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Instantaneous factor matrices A_n(t), B_n(t) at one grid point.
+def _factor_terms(spec: vf.MlpSpec, trace: vf.LayerTrace,
+                  gs: list[np.ndarray]) -> np.ndarray:
+    """Upper triangles of ``A_n(t)`` and ``B_n(t)`` at one stage, packed
+    ``[A_1..A_L | B_1..B_L]``.
 
-    ``x`` is (batch, m) and ``qs`` stacks the rank vectors as (R, batch, m).
+    ``trace`` is the stage's forward pass and ``gs[k]`` its layer-``k``
+    cotangents, (batch, l) or (R, batch, l); every row is a B-side sample.
     """
-    batch = x.shape[0]
-    trace = vf._forward(spec, weights, t, x)
-    gs, _ = vf._cotangents(spec, weights, trace, qs)
-
-    a_terms, b_terms = [], []
     zbars = vf.trace_zbars(spec, trace)
-    for k in range(spec.n_layers):
-        zb = zbars[k]
-        a_terms.append(zb.T @ zb / batch)
-        g = gs[k].reshape(-1, gs[k].shape[-1])  # (R*batch, l)
-        b_terms.append(g.T @ g / batch)
-    return a_terms, b_terms
+    mats = [zb.T @ zb for zb in zbars]
+    mats += [g.T @ g for g in (g.reshape(-1, g.shape[-1]) for g in gs)]
+    out = np.concatenate([mat.ravel()[flat] for mat, (_, flat) in zip(mats, _triangles(spec))])
+    out /= zbars[0].shape[0]
+    return out
+
+
+def _unpack_factors(spec: vf.MlpSpec, packed: np.ndarray) -> KroneckerFactors:
+    """Full symmetric factors from their packed upper triangles."""
+    mats, offset = [], 0
+    for side, flat in _triangles(spec):
+        rows, cols = np.divmod(flat, side)
+        values = packed[offset:offset + flat.size]
+        mat = np.empty((side, side))
+        mat[rows, cols] = values
+        mat[cols, rows] = values
+        mats.append(mat)
+        offset += flat.size
+    return KroneckerFactors(a_factors=mats[:spec.n_layers], b_factors=mats[spec.n_layers:])
 
 
 def accumulate_factors(spec: vf.MlpSpec, theta: np.ndarray, x1: np.ndarray,
-                       curv: TerminalCurvature, grid: np.ndarray, cfg: SolverConfig,
+                       curv: TerminalCurvature, t0: float, t1: float, cfg: SolverConfig,
                        probe: dict | None = None,
                        ) -> tuple[KroneckerFactors, np.ndarray, SolveReport]:
-    """Backward sweep over the grid, returning factors and the gradient.
+    """Backward sweep from ``t1`` to ``t0``: the factors, the gradient and the report.
 
-    One solve carries the backward state ``[x | a, q_i | g]`` from
-    ``grid[0]`` to ``grid[-1]``; the state at every grid point comes from
-    the solver's observations (dopri5's continuous extension, or a step
-    ending there for the fixed-step methods) and feeds one fresh field
-    evaluation for the factor matrices.  NFE in the returned report is
-    the solve's NFE plus one per grid point.
+    One solve carries the backward state ``[x | a, q_i | g]`` with the
+    factor integrand as its quadrature.  The error norm scores the state
+    replay ``x``.  ``probe`` receives the sizes of the state and of the
+    integrand.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2:
-        raise BadInterval("grid must hold at least two time points")
-    dt = float(abs(grid[0] - grid[-1]) / (grid.size - 1))
-
     scale = curv.adjoint_scale
     sweep, state = BackwardSweep.seeded(spec, theta, x1, curv.grad,
                                         curv.factors if scale is None else ())
-    a_bar = [np.zeros((spec.dims[k] + (1 if spec.bias else 0),) * 2)
-             for k in range(spec.n_layers)]
-    b_bar = [np.zeros((spec.dims[k + 1],) * 2) for k in range(spec.n_layers)]
+    sizes = [flat.size for _, flat in _triangles(spec)]
+    b_side = slice(sum(sizes[:spec.n_layers]), None)
+    integral = np.zeros(sum(sizes))
     if probe is not None:
         probe["state_elements"] = int(state.size)
-        probe["factor_elements"] = int(sum(a.size for a in a_bar) + sum(b.size for b in b_bar))
+        probe["factor_elements"] = int(integral.size)
 
-    def accumulate(t: float, y: np.ndarray):
-        x, cot, _ = sweep.unpack(y)
-        qs = cot[1:] if scale is None else scale * cot[None]
-        a_terms, b_terms = _factor_terms(spec, sweep.weights, t, x, qs)
-        for k in range(spec.n_layers):
-            a_bar[k] += a_terms[k] * dt
-            b_bar[k] += b_terms[k] * dt
+    def field(t: float, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        dy, trace, gs = sweep.stage(t, y)
+        if scale is None:
+            return dy, _factor_terms(spec, trace, [g[1:] for g in gs])
+        terms = _factor_terms(spec, trace, gs)
+        terms[b_side] *= scale * scale
+        return dy, terms
 
-    report = odesolve(state, grid[0], grid[-1], sweep.field, cfg, observe=(grid, accumulate),
-                      scored=sweep.x_len)
-    report.nfe += grid.size
+    report = odesolve(state, t1, t0, field, cfg, scored=sweep.x_len, quadrature=integral)
     _, _, params = sweep.unpack(report.terminal_state)
-    factors = KroneckerFactors(a_factors=a_bar, b_factors=b_bar)
+    # the solve runs from t1 down to t0, so it subtracts the integral
+    factors = _unpack_factors(spec, -report.quadrature)
     return factors, params[0].copy(), report

@@ -14,11 +14,13 @@ instead of growing into it.
 
 The solvers retain no per-step history: the only output is the terminal
 state plus step counters, so memory is independent of the number of
-accepted or rejected steps.  A caller that needs the state at intermediate
-times passes them as ``observe``; dopri5 keeps stepping freely and reads
-each time off its 4th-order continuous extension within the accepted step
-that covers it (built from that step's stages, so it costs no evaluation),
-while the fixed-step methods end a step on each observation time.
+accepted or rejected steps.  A caller that needs an integral along the
+trajectory passes ``quadrature``: the field then returns an integrand
+beside the derivative, and every accepted step adds the method's own
+weighted sum of its stages' integrands.  The integrand never enters the
+state, the stage storage or the error norm, the way Kidger, Chen & Lyons
+(arXiv:2009.09457) treat parameter-integral channels, so it costs no
+evaluation and no step.
 """
 
 from __future__ import annotations
@@ -44,9 +46,7 @@ class SolverConfig:
     """Solver settings.
 
     ``max_steps`` bounds the step attempts (accepted plus rejected) of one
-    ``odesolve`` call.  Observing intermediate times does not split the
-    call, so for the Kronecker-factor sweep it bounds the whole sweep over
-    the grid.
+    ``odesolve`` call.
     """
 
     method: str = "dopri5"
@@ -76,11 +76,10 @@ class SolveReport:
     nfe: int = 0
     accepted_steps: int = 0
     rejected_steps: int = 0
+    quadrature: np.ndarray | None = None   # q0 + the integral, when one was asked for
 
 
 Field = Callable[[float, np.ndarray], np.ndarray]
-# (times, callback): callback(t, y) runs once per time, in order of integration
-Observe = tuple[np.ndarray, Callable[[float, np.ndarray], None]]
 
 # Dormand-Prince 5(4) tableau.  Row 7 equals the 5th-order weights (FSAL).
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
@@ -96,10 +95,6 @@ _DP_A = [
 _DP_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 # 5th-order minus embedded 4th-order weights: local error coefficients.
 _DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
-# Quartic term of the continuous extension (Hairer, Norsett & Wanner I, II.6).
-_DP_D = np.array([-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
-                  -10690763975 / 1880347072, 701980252875 / 199316789632,
-                  -1453857185 / 822651844, 69997945 / 29380423])
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -119,75 +114,43 @@ def _scaled_rms(v: np.ndarray, scale: np.ndarray, scored: int | None) -> float:
     return float(np.sqrt(np.mean((v[:scored] / scale[:scored]) ** 2)))
 
 
-def _fixed_steps(span: float, h: float) -> int:
-    return max(1, int(np.ceil(abs(span) / h - 1e-12))) if span != 0 else 0
+def _with_integrand(fn, q0):
+    """``fn`` as a field of ``(dy, dq)`` pairs; a plain field's integrand is 0."""
+    return fn if q0 is not None else (lambda t, y: (fn(t, y), 0.0))
 
 
-def _fixed_segment(y, t_start, t_end, fn: Field, cfg: SolverConfig) -> tuple[np.ndarray, int]:
-    """Fixed steps from ``t_start`` to ``t_end``, the last one clipped to land on it."""
+def _solve_fixed(y0, t_start, t_end, fn, cfg: SolverConfig, q0) -> SolveReport:
+    """Fixed steps, the last one clipped to land on ``t_end``."""
     direction = 1.0 if t_end >= t_start else -1.0
     h = cfg.fixed_step
-    n_steps = _fixed_steps(t_end - t_start, h)
+    n_steps = max(1, int(np.ceil(abs(t_end - t_start) / h - 1e-12)))
+    if n_steps > cfg.max_steps:
+        raise MaxStepsExceeded(f"{n_steps} fixed steps exceed max_steps={cfg.max_steps}")
+
+    pair = _with_integrand(fn, q0)
+    y = np.array(y0, dtype=float)
+    q = None if q0 is None else np.array(q0, dtype=float)
     t = t_start
     for i in range(n_steps):
         hs = direction * min(h, abs(t_end - t))
         if i == n_steps - 1:
             hs = t_end - t  # land on the boundary exactly
         if cfg.method == "euler":
-            y = y + hs * fn(t, y)
+            k1, dq = pair(t, y)
+            y = y + hs * k1
         else:  # rk4
-            k1 = fn(t, y)
-            k2 = fn(t + hs / 2, y + hs / 2 * k1)
-            k3 = fn(t + hs / 2, y + hs / 2 * k2)
-            k4 = fn(t + hs, y + hs * k3)
+            k1, d1 = pair(t, y)
+            k2, d2 = pair(t + hs / 2, y + hs / 2 * k1)
+            k3, d3 = pair(t + hs / 2, y + hs / 2 * k2)
+            k4, d4 = pair(t + hs, y + hs * k3)
             y = y + hs / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            dq = (d1 + 2 * d2 + 2 * d3 + d4) / 6
+        if q is not None:
+            q += hs * dq
         t = t + hs
         _check_finite(y, t)
-    return y, n_steps * (1 if cfg.method == "euler" else 4)
-
-
-def _solve_fixed(y0, t_start, t_end, fn: Field, cfg: SolverConfig,
-                 times, callback) -> SolveReport:
-    """Fixed steps; every observation time ends a step, as a restart there would."""
-    bounds = [t_start, *times, t_end]
-    n_steps = sum(_fixed_steps(b - a, cfg.fixed_step) for a, b in zip(bounds, bounds[1:]))
-    if n_steps > cfg.max_steps:
-        raise MaxStepsExceeded(f"{n_steps} fixed steps exceed max_steps={cfg.max_steps}")
-
-    y = np.array(y0, dtype=float)
-    nfe = 0
-    for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
-        y, seg_nfe = _fixed_segment(y, a, b, fn, cfg)
-        nfe += seg_nfe
-        if i < len(times):
-            callback(b, y)
-    return SolveReport(terminal_state=y, nfe=nfe, accepted_steps=n_steps, rejected_steps=0)
-
-
-def _observe_step(times, i: int, callback, t: float, hs: float, t_new: float,
-                  y: np.ndarray, y_new: np.ndarray, k: np.ndarray) -> int:
-    """Report every pending time the accepted step ``t -> t_new`` covers.
-
-    Between the ends the state comes from Dormand-Prince's 4th-order
-    continuous extension, whose coefficients are the step's own stages.
-    Returns the index of the first time still pending.
-    """
-    direction = 1.0 if hs > 0 else -1.0
-    if i == len(times) or direction * (times[i] - t_new) > 0:
-        return i
-    dy = y_new - y
-    bspl = hs * k[0] - dy
-    cubic = dy - hs * k[6] - bspl
-    quartic = hs * (_DP_D @ k)
-    while i < len(times) and direction * (times[i] - t_new) <= 0:
-        tau = times[i]
-        if tau == t_new:
-            callback(tau, y_new)
-        else:
-            th = (tau - t) / hs
-            callback(tau, y + th * (dy + (1 - th) * (bspl + th * (cubic + (1 - th) * quartic))))
-        i += 1
-    return i
+    return SolveReport(terminal_state=y, nfe=n_steps * (1 if cfg.method == "euler" else 4),
+                       accepted_steps=n_steps, rejected_steps=0, quadrature=q)
 
 
 def _initial_step(fn: Field, t: float, y0: np.ndarray, f0: np.ndarray, direction: float,
@@ -197,48 +160,50 @@ def _initial_step(fn: Field, t: float, y0: np.ndarray, f0: np.ndarray, direction
 
     Norms are the controller's: RMS scaled by ``atol + rtol * |y0|``, over
     the first ``scored`` components.  ``h0 = 0.01 * |y0| /
-    |f0|`` (1e-6 when either is below 1e-5) moves the state by about 1%.
-    One explicit Euler probe ``f1 = fn(t + h0, y0 + h0 * f0)``, taken in
-    the direction of integration, estimates the second derivative ``d2 =
-    |f1 - f0| / h0``, and ``h1 = (0.01 / max(|f0|, d2)) ** (1/5)`` puts
-    the step's local error, of order ``h^5`` times those derivatives, near
-    1% of the tolerance.  The step is ``min(100 * h0, h1)``, capped by the
-    interval and ``max_step``.  The probe is one field evaluation, which
-    the caller counts; a non-finite probe raises ``NonFiniteState``.
+    |f0|`` moves the state by about 1%.  One explicit Euler probe ``f1 =
+    fn(t + h0, y0 + h0 * f0)``, taken in the direction of integration,
+    estimates the second derivative ``d2 = |f1 - f0| / h0``, and ``h1 =
+    (0.01 / max(|f0|, d2)) ** (1/5)`` puts the step's local error, of order
+    ``h^5`` times those derivatives, near 1% of the tolerance.  The step is
+    ``min(100 * h0, h1)``, capped by the interval and ``max_step``.
+
+    When ``|y0|`` or ``|f0|`` is below 1e-5, ``h0`` says nothing about the
+    scale: the probe then moves by 1e-6 and the ``100 * h0`` cap is
+    dropped.  When both derivative estimates vanish, ``h1`` is the whole
+    interval.  The controller still judges that step, so a constant state
+    costs one step instead of a 10x-per-step ramp up from 1e-6.  The probe
+    is one field evaluation, which the caller counts; a non-finite probe
+    raises ``NonFiniteState``.
     """
     scale = cfg.atol + cfg.rtol * np.abs(y0)
     d0 = _scaled_rms(y0, scale, scored)
     d1 = _scaled_rms(f0, scale, scored)
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, total)  # the probe stays inside the interval
+    unscaled = d0 < 1e-5 or d1 < 1e-5
+    h0 = min(1e-6 if unscaled else 0.01 * d0 / d1, total)  # the probe stays inside the interval
     f1 = fn(t + direction * h0, y0 + direction * h0 * f0)
     d2 = _scaled_rms(f1 - f0, scale, scored) / h0
     if not (np.all(np.isfinite(f1)) and np.isfinite(d2)):
         raise NonFiniteState(
             f"non-finite field at the first-step probe t={t + direction * h0:.6g}")
-    if max(d1, d2) <= 1e-15:
-        h1 = max(1e-6, 1e-3 * h0)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
-    h = min(100.0 * h0, h1, total)
+    h1 = total if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2
+    h = min(h1, total) if unscaled else min(100.0 * h0, h1, total)
     return h if cfg.max_step is None else min(h, cfg.max_step)
 
 
-def _solve_dopri5(y0, t_start, t_end, fn: Field, cfg: SolverConfig,
-                  times, callback, scored: int | None) -> SolveReport:
+def _solve_dopri5(y0, t_start, t_end, fn, cfg: SolverConfig, scored: int | None,
+                  q0) -> SolveReport:
     span = t_end - t_start
     direction = 1.0 if span >= 0 else -1.0
     total = abs(span)
 
+    pair = _with_integrand(fn, q0)
     y = np.array(y0, dtype=float)
+    q = None if q0 is None else np.array(q0, dtype=float)
     t = t_start
-    pending = 0
-    while pending < len(times) and times[pending] == t_start:
-        callback(t_start, y)
-        pending += 1
     k = np.empty((7, y.size))
-    k[0] = fn(t, y)
-    h = _initial_step(fn, t, y, k[0], direction, total, cfg, scored)
+    k[0], dq_first = pair(t, y)
+    # the probe's integrand is discarded
+    h = _initial_step(lambda t, y: pair(t, y)[0], t, y, k[0], direction, total, cfg, scored)
     nfe = 2  # the start point and the first-step probe
 
     accepted = rejected = 0
@@ -252,29 +217,34 @@ def _solve_dopri5(y0, t_start, t_end, fn: Field, cfg: SolverConfig,
         hs = direction * h_eff
         last = h_eff >= remaining - 1e-14 * max(1.0, total)
 
+        # this attempt's sum of b_i * dq_i, kept only if the step is accepted
+        dq_sum = None if q is None else _DP_B[0] * dq_first
         for i in range(1, 6):
-            k[i] = fn(t + _DP_C[i] * hs, y + hs * (_DP_A[i] @ k[:i]))
+            k[i], dq = pair(t + _DP_C[i] * hs, y + hs * (_DP_A[i] @ k[:i]))
+            if dq_sum is not None and _DP_B[i]:
+                dq_sum += _DP_B[i] * dq
         # stage 7's combination row equals the 5th-order weights, so its
-        # evaluation point is the candidate state itself (FSAL)
+        # evaluation point is the candidate state itself (FSAL); b_7 = 0
         y_new = y + hs * (_DP_A[6] @ k[:6])
-        k[6] = fn(t + hs, y_new)
+        k[6], dq_last = pair(t + hs, y_new)
         nfe += 6
-        err_vec = hs * (_DP_E @ k)
 
         _check_finite(y_new, t + hs)
-        err = _scaled_rms(err_vec, cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(y_new)),
-                          scored)
+        # the norm reads the scored prefix: slice before building any temporary
+        y_s, y_new_s = y[:scored], y_new[:scored]
+        err = _scaled_rms(hs * (_DP_E @ k[:, :scored]),
+                          cfg.atol + cfg.rtol * np.maximum(np.abs(y_s), np.abs(y_new_s)), None)
         if not np.isfinite(err):
             raise NonFiniteState(f"non-finite error estimate at t={t:.6g}")
 
         if err <= 1.0:
             accepted += 1
-            t_new = t_end if last else t + hs
-            if pending < len(times):
-                pending = _observe_step(times, pending, callback, t, hs, t_new, y, y_new, k)
-            t = t_new
+            t = t_end if last else t + hs
             y = y_new
             k[0] = k[6]
+            if q is not None:
+                q += hs * dq_sum
+            dq_first = dq_last
             if err == 0.0:
                 factor = _MAX_FACTOR
             else:
@@ -287,43 +257,34 @@ def _solve_dopri5(y0, t_start, t_end, fn: Field, cfg: SolverConfig,
             rejected += 1
             # stage 1 is still f(t, y): no new evaluation needed on retry
             h = h_eff * min(1.0, max(_MIN_FACTOR, _SAFETY * err ** (-0.2)))
-    # times within rounding of t_end that no step covered
-    for tau in times[pending:]:
-        callback(tau, y)
     return SolveReport(terminal_state=y, nfe=nfe, accepted_steps=accepted,
-                       rejected_steps=rejected)
+                       rejected_steps=rejected, quadrature=q)
 
 
-def odesolve(y0: np.ndarray, t_start: float, t_end: float, fn: Field,
-             cfg: SolverConfig, observe: Observe | None = None,
-             scored: int | None = None) -> SolveReport:
+def odesolve(y0: np.ndarray, t_start: float, t_end: float, fn: Field, cfg: SolverConfig, *,
+             scored: int | None = None, quadrature: np.ndarray | None = None) -> SolveReport:
     """Integrate ``dy/dt = fn(t, y)`` from ``t_start`` to ``t_end``.
 
-    ``t_end < t_start`` integrates backward.  ``observe = (times,
-    callback)`` calls ``callback(t, y)`` once for every entry of ``times``,
-    in order, with the state at that time; the times must run from
-    ``t_start`` towards ``t_end`` (both ends allowed, repeats allowed) and
-    the callback must not modify ``y``.  Observing adds no field
-    evaluation, and an observation at either end receives the initial or
-    terminal state exactly.  Under dopri5 the steps taken do not depend
-    on the times observed.  dopri5's error norm scores the first
-    ``scored`` components of the state (all of them when None).
+    ``t_end < t_start`` integrates backward.  dopri5's error norm scores
+    the first ``scored`` components of the state (all of them when None).
+
+    With ``quadrature = q0``, ``fn`` returns a pair ``(dy, dq)`` and the
+    report's ``quadrature`` is ``q0`` plus the integral of ``dq`` from
+    ``t_start`` to ``t_end`` (a backward solve subtracts), taken with the
+    method's own weights over each accepted step: dopri5's 5th-order
+    weights, RK4's ``(1, 2, 2, 1)/6``, Euler's one stage.  ``dq`` never
+    enters the state or the error norm; a rejected attempt and the
+    first-step probe contribute nothing.  ``fn`` must return a new ``dq``
+    array per call, since dopri5 keeps the last stage's for the next step.
     """
     if scored is not None and scored < 1:
         raise ValueError(f"scored prefix must be positive, got {scored}")
     y0 = np.asarray(y0, dtype=float)
     _check_finite(y0, t_start)
-    if observe is None:
-        times, callback = (), None
-    else:
-        times, callback = np.asarray(observe[0], dtype=float), observe[1]
-        sign = 1.0 if t_end >= t_start else -1.0
-        if times.ndim != 1 or np.any(sign * np.diff([t_start, *times, t_end]) < 0):
-            raise ValueError(f"observation times must run from {t_start} to {t_end}")
     if t_start == t_end:
-        for tau in times:
-            callback(tau, y0)
-        return SolveReport(terminal_state=y0.copy(), nfe=0, accepted_steps=0, rejected_steps=0)
+        return SolveReport(terminal_state=y0.copy(), nfe=0, accepted_steps=0, rejected_steps=0,
+                           quadrature=None if quadrature is None
+                           else np.array(quadrature, dtype=float))
     if cfg.method in ("euler", "rk4"):
-        return _solve_fixed(y0, t_start, t_end, fn, cfg, times, callback)
-    return _solve_dopri5(y0, t_start, t_end, fn, cfg, times, callback, scored)
+        return _solve_fixed(y0, t_start, t_end, fn, cfg, quadrature)
+    return _solve_dopri5(y0, t_start, t_end, fn, cfg, scored, quadrature)

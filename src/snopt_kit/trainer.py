@@ -29,7 +29,7 @@ from .adjoint import adjoint_gradient
 from .curvature import apply_weight_decay
 from .horizon import (HorizonState, NonFiniteUpdate, first_order_horizon_step, horizon_step,
                       horizon_terms)
-from .kfac import KroneckerFactors, accumulate_factors, make_grid
+from .kfac import KroneckerFactors, accumulate_factors
 from .loss import (CURVATURE_MODES, LOSS_KINDS, Readout, TerminalLoss, accuracy, grad_x1,
                    init_readout, loss_value, readout_grads, terminal_curvature)
 from .odesolve import MaxStepsExceeded, NonFiniteState, SolveReport, SolverConfig, odesolve
@@ -160,13 +160,18 @@ class ExperimentConfig:
     t1: float = 1.0
     iterations: int = 500
     batch_size: int = 128
+    # No effect: the solver integrates the factors.  Kept, with its >= 2
+    # check, so configs and callers that still set it load unchanged.
     grid_samples: int = 33
     eval_every: int = 25
     seed: int = 0
     horizon: HorizonConfig = field(default_factory=HorizonConfig)
 
     def __post_init__(self):
-        make_grid(self.t0, self.t1, self.grid_samples)  # needs t1 > t0 and 2+ samples
+        if not self.t1 > self.t0:
+            raise ValueError(f"need t1 > t0, got [{self.t0}, {self.t1}]")
+        if self.grid_samples < 2:
+            raise ValueError("need grid_samples >= 2")
         if self.batch_size < 1:
             raise ValueError("need batch_size >= 1")
         if self.eval_every < 1:
@@ -227,6 +232,7 @@ class _Run:
     """Mutable pieces of one training run."""
 
     def __init__(self, cfg: ExperimentConfig):
+        check_config(cfg)
         self.cfg = cfg
         self.spec = cfg.model.spec()
         self.ds = build_dataset(cfg.dataset, cfg.seed)
@@ -299,14 +305,68 @@ class _Run:
         cfg = self.cfg
         if cfg.optimizer.kind == "snopt":
             curv = terminal_curvature(lossfn, x1, cfg.t0, self.t1, mode=cfg.loss.curvature)
-            grid = make_grid(cfg.t0, self.t1, cfg.grid_samples)
-            factors, grad, rep = accumulate_factors(self.spec, self.theta, x1, curv, grid,
-                                                    cfg.solver, probe=probe)
+            factors, grad, rep = accumulate_factors(self.spec, self.theta, x1, curv, cfg.t0,
+                                                    self.t1, cfg.solver, probe=probe)
             return grad, factors, curv.grad, rep
         phi_grad = grad_x1(lossfn, x1)
         grad, _, _, rep = adjoint_gradient(self.spec, self.theta, x1, phi_grad, cfg.t0,
                                            self.t1, cfg.solver, probe=probe)
         return grad, None, phi_grad, rep
+
+    def iterate(self, it: int, started: float) -> TrainRecord:
+        """Training iteration ``it``; ``started`` is the run's start on the perf clock.
+
+        Its arrays (the gradient, the factors, the backward report) die
+        with the call, so none of them stays alive through the next
+        iteration's forward solve.
+        """
+        cfg = self.cfg
+        gamma = cfg.optimizer.weight_decay
+        pos, lossfn = self.draw_batch()
+        x_train, rep_fwd = self.forward(self.ds.inputs[self.ds.train_idx])
+        nfe_fwd, x1 = rep_fwd.nfe, x_train[pos]
+        train_loss, train_acc = self.evaluate(self.ds.train_idx, x_train)
+        # the backward sweep needs only the minibatch rows
+        del x_train, rep_fwd
+        if not np.isfinite(train_loss):
+            raise NonFiniteState(f"train loss {train_loss}")
+
+        theta_before = self.theta
+        grad, factors, phi_grad, rep_bwd = self.backward(x1, lossfn)
+        grad, factors = apply_weight_decay(grad, factors, gamma, self.theta)
+        if cfg.optimizer.kind == "snopt":
+            self.theta = snopt_step(self.opt_state, factors, grad, self.theta)
+        elif cfg.optimizer.kind == "adam":
+            self.theta = adam_step(self.opt_state, grad, self.theta)
+        else:
+            self.theta = sgd_step(self.opt_state, grad, self.theta)
+
+        if self.readout is not None:
+            d_w, d_b = readout_grads(lossfn, x1)
+            w_flat = self.ro_step(self.ro_w_state,
+                                  d_w.ravel() + gamma * self.readout.weight.ravel(),
+                                  self.readout.weight.ravel())
+            self.readout.weight = w_flat.reshape(self.readout.weight.shape)
+            self.readout.bias = self.ro_step(self.ro_b_state, d_b, self.readout.bias)
+
+        if self.horizon is not None:
+            terms = horizon_terms(self.spec, self.theta, x1, phi_grad, grad,
+                                  self.horizon.t_bar, self.horizon.penalty)
+            self.horizon.observe(terms)
+            if it % self.horizon.period == 0:
+                if cfg.horizon.policy == "feedback":
+                    self.t1 = horizon_step(self.horizon, terms, self.theta - theta_before)
+                else:
+                    self.t1 = first_order_horizon_step(self.horizon, self.horizon.avg_qt)
+
+        test_loss = test_acc = float("nan")
+        if (it % cfg.eval_every == 0 or it == cfg.iterations) and self.ds.test_idx.size:
+            test_loss, test_acc = self.evaluate(self.ds.test_idx)
+        return TrainRecord(
+            iteration=it, wall_clock_s=time.perf_counter() - started,
+            train_loss=train_loss, train_acc=train_acc,
+            test_loss=test_loss, test_acc=test_acc,
+            nfe_fwd=nfe_fwd, nfe_bwd=rep_bwd.nfe, t1=self.t1)
 
 
 def train(config: ExperimentConfig, on_iteration=None) -> list[TrainRecord]:
@@ -317,61 +377,13 @@ def train(config: ExperimentConfig, on_iteration=None) -> list[TrainRecord]:
     averages of the horizon policy) or timing iterations.
     """
     run = _Run(config)
-    cfg = config
     records: list[TrainRecord] = []
     started = time.perf_counter()
-    gamma = cfg.optimizer.weight_decay
-
-    for it in range(1, cfg.iterations + 1):
+    for it in range(1, config.iterations + 1):
         try:
-            pos, lossfn = run.draw_batch()
-            x_train, rep_fwd = run.forward(run.ds.inputs[run.ds.train_idx])
-            nfe_fwd, x1 = rep_fwd.nfe, x_train[pos]
-            train_loss, train_acc = run.evaluate(run.ds.train_idx, x_train)
-            # the backward sweep needs only the minibatch rows
-            del x_train, rep_fwd
-            if not np.isfinite(train_loss):
-                raise NonFiniteState(f"train loss {train_loss}")
-
-            theta_before = run.theta
-            grad, factors, phi_grad, rep_bwd = run.backward(x1, lossfn)
-            grad, factors = apply_weight_decay(grad, factors, gamma, run.theta)
-            if cfg.optimizer.kind == "snopt":
-                run.theta = snopt_step(run.opt_state, factors, grad, run.theta)
-            elif cfg.optimizer.kind == "adam":
-                run.theta = adam_step(run.opt_state, grad, run.theta)
-            else:
-                run.theta = sgd_step(run.opt_state, grad, run.theta)
-
-            if run.readout is not None:
-                d_w, d_b = readout_grads(lossfn, x1)
-                w_flat = run.ro_step(run.ro_w_state,
-                                     d_w.ravel() + gamma * run.readout.weight.ravel(),
-                                     run.readout.weight.ravel())
-                run.readout.weight = w_flat.reshape(run.readout.weight.shape)
-                run.readout.bias = run.ro_step(run.ro_b_state, d_b, run.readout.bias)
-
-            if run.horizon is not None:
-                terms = horizon_terms(run.spec, run.theta, x1, phi_grad, grad,
-                                      run.horizon.t_bar, run.horizon.penalty)
-                run.horizon.observe(terms)
-                if it % run.horizon.period == 0:
-                    if cfg.horizon.policy == "feedback":
-                        run.t1 = horizon_step(run.horizon, terms, run.theta - theta_before)
-                    else:
-                        run.t1 = first_order_horizon_step(run.horizon, run.horizon.avg_qt)
-
-            test_loss = test_acc = float("nan")
-            if (it % cfg.eval_every == 0 or it == cfg.iterations) and run.ds.test_idx.size:
-                test_loss, test_acc = run.evaluate(run.ds.test_idx)
+            records.append(run.iterate(it, started))
         except NUMERIC_FAILURES as exc:
             raise TrainAbort(it, f"{type(exc).__name__}: {exc}") from exc
-
-        records.append(TrainRecord(
-            iteration=it, wall_clock_s=time.perf_counter() - started,
-            train_loss=train_loss, train_acc=train_acc,
-            test_loss=test_loss, test_acc=test_acc,
-            nfe_fwd=nfe_fwd, nfe_bwd=rep_bwd.nfe, t1=run.t1))
         if on_iteration is not None:
             on_iteration(it, run)
     return records
@@ -380,8 +392,9 @@ def train(config: ExperimentConfig, on_iteration=None) -> list[TrainRecord]:
 def memory_probe(config: ExperimentConfig) -> int:
     """Peak live state of the first iteration's backward pass, in array elements.
 
-    Measured off the packed vector ``train`` carries (plus retained factor
-    storage for the second-order rule), so the number is independent of
+    Measured off the packed vector ``train`` carries (plus, for the
+    second-order rule, the packed factor integrand the solve carries beside
+    it), so the number is independent of
     solver tolerance and step counts by construction — the test suite
     checks that, not this docstring.
     """

@@ -1,13 +1,12 @@
 import numpy as np
-import pytest
 
 from snopt_kit import trainer as tr
 from snopt_kit import vector_field as vf
 from snopt_kit.adjoint import BackwardSweep, adjoint_gradient
-from snopt_kit.kfac import BadInterval, _factor_terms, accumulate_factors, make_grid
+from snopt_kit.kfac import _factor_terms, _unpack_factors, accumulate_factors
 from snopt_kit.loss import TerminalCurvature, terminal_curvature
 from snopt_kit.numerics import kron
-from snopt_kit.odesolve import SolverConfig, odesolve
+from snopt_kit.odesolve import SolverConfig
 
 RK4 = SolverConfig(method="rk4", fixed_step=1e-2)
 
@@ -31,42 +30,12 @@ def default_batch(t1=1.0):
     return run.spec, run.theta, x1, curv, cfg
 
 
-def segmented_factors(spec, theta, x1, curv, grid, cfg):
-    """Reference sweep: one solve per grid interval, factor terms at every grid point."""
-    sweep, state = BackwardSweep.seeded(spec, theta, x1, curv.grad, curv.factors)
-    dt = abs(grid[0] - grid[-1]) / (grid.size - 1)
-    a_bar = b_bar = [0.0] * spec.n_layers
-    nfe = grid.size
-    for j, t_j in enumerate(grid):
-        x, cot, _ = sweep.unpack(state)
-        a_t, b_t = _factor_terms(spec, sweep.weights, t_j, x, cot[1:])
-        a_bar = [s + a * dt for s, a in zip(a_bar, a_t)]
-        b_bar = [s + b * dt for s, b in zip(b_bar, b_t)]
-        if j + 1 < grid.size:
-            seg = odesolve(state, t_j, grid[j + 1], sweep.field, cfg)
-            state, nfe = seg.terminal_state, nfe + seg.nfe
-    return a_bar, b_bar, sweep.unpack(state)[2][0], nfe
-
-
-class TestMakeGrid:
-    def test_two_points(self):
-        grid = make_grid(0.0, 1.0, 2)
-        assert np.array_equal(grid, [1.0, 0.0])
-
-    def test_paper_scale_spacing(self):
-        grid = make_grid(0.0, 1.0, 101)
-        assert grid[0] == 1.0 and grid[-1] == 0.0
-        assert np.allclose(np.diff(grid), -0.01)
-
-    def test_scaled_interval(self):
-        grid = make_grid(0.0, 0.5, 51)
-        assert np.allclose(np.diff(grid), -0.01)
-
-    def test_bad_interval(self):
-        with pytest.raises(BadInterval):
-            make_grid(1.0, 0.0, 10)
-        with pytest.raises(BadInterval):
-            make_grid(0.0, 1.0, 1)
+def terms_at(spec, theta, t, x, qs):
+    """Full factor matrices A_n(t), B_n(t) at states ``x`` for the rank vectors ``qs``."""
+    weights = vf.unpack_params(spec, theta)
+    trace = vf._forward(spec, weights, t, x)
+    gs, _ = vf._cotangents(spec, weights, trace, qs)
+    return _unpack_factors(spec, _factor_terms(spec, trace, gs))
 
 
 class TestFactorTerms:
@@ -77,23 +46,39 @@ class TestFactorTerms:
         weights = vf.unpack_params(spec, theta)
         x = np.array([[0.4, -0.7]])
         q = np.array([[[0.9, -0.3]]])
-        a_terms, b_terms = _factor_terms(spec, weights, 0.7, x, q)
+        terms = terms_at(spec, theta, 0.7, x, q)
         _, trace = vf.eval(spec, theta, 0.7, x)
         gs, _ = vf._cotangents(spec, weights, trace, q)
         for k in range(spec.n_layers):
             zbar = np.concatenate([trace.zs[k][0], [1.0]])
             g = gs[k][0, 0]
             seg = np.kron(zbar, g)
-            assert np.max(np.abs(kron(a_terms[k], b_terms[k]) - np.outer(seg, seg))) < 1e-10
+            product = kron(terms.a_factors[k], terms.b_factors[k])
+            assert np.max(np.abs(product - np.outer(seg, seg))) < 1e-10
 
     def test_psd(self):
         spec, theta = tanh_net(2)
         rng = np.random.default_rng(0)
-        x = rng.normal(size=(8, 2))
-        qs = rng.normal(size=(2, 8, 2))
-        a_terms, b_terms = _factor_terms(spec, vf.unpack_params(spec, theta), 0.3, x, qs)
-        for mat in a_terms + b_terms:
+        terms = terms_at(spec, theta, 0.3, rng.normal(size=(8, 2)), rng.normal(size=(2, 8, 2)))
+        for mat in terms.a_factors + terms.b_factors:
             assert np.linalg.eigvalsh(mat).min() >= -1e-12
+
+    def test_packed_triangles_round_trip(self):
+        # the packed integrand holds each upper triangle once; unpacking gives
+        # the symmetric second moments bit for bit
+        spec, theta = tanh_net(3, (3, 5, 4, 2), "concat")
+        weights = vf.unpack_params(spec, theta)
+        rng = np.random.default_rng(5)
+        x, qs = rng.normal(size=(6, 2)), rng.normal(size=(2, 6, 2))
+        trace = vf._forward(spec, weights, 0.4, x)
+        gs, _ = vf._cotangents(spec, weights, trace, qs)
+        packed = _factor_terms(spec, trace, gs)
+        assert packed.size == sum(n * (n + 1) // 2 for n in (4, 6, 5, 5, 4, 2))
+        terms = _unpack_factors(spec, packed)
+        for k, zb in enumerate(vf.trace_zbars(spec, trace)):
+            g = gs[k].reshape(-1, gs[k].shape[-1])
+            assert np.array_equal(terms.a_factors[k], zb.T @ zb / 6)
+            assert np.array_equal(terms.b_factors[k], g.T @ g / 6)
 
 
 class TestAccumulateFactors:
@@ -102,8 +87,7 @@ class TestAccumulateFactors:
         x1 = np.array([[0.5, -0.5]])
         curv = TerminalCurvature(grad=np.zeros((1, 2)), factors=[np.zeros((1, 2))],
                                  mode="exact_rank")
-        factors, grad, _ = accumulate_factors(spec, theta, x1, curv,
-                                              make_grid(0.0, 1.0, 5), RK4)
+        factors, grad, _ = accumulate_factors(spec, theta, x1, curv, 0.0, 1.0, RK4)
         for b in factors.b_factors:
             assert np.allclose(b, 0.0)
         # activation factors remain nonzero PSD
@@ -112,35 +96,30 @@ class TestAccumulateFactors:
             assert np.linalg.norm(a) > 0
         assert np.allclose(grad, 0.0)
 
-    def test_riemann_sum_replay(self):
-        # scripted replay: integrate the same grid by hand and compare
-        spec, theta = tanh_net(4)
-        rng = np.random.default_rng(1)
-        x1 = rng.uniform(-1, 1, size=(2, 2))
-        a1 = rng.normal(size=(2, 2))
-        curv = TerminalCurvature(grad=a1, factors=[a1], mode="gauss_newton_scaled")
-        grid = make_grid(0.0, 1.0, 3)
-        factors, _, _ = accumulate_factors(spec, theta, x1, curv, grid, RK4)
-
-        # replay: separately solve to each grid point, evaluate terms, sum
-        from snopt_kit.curvature import lowrank_sweep
-        dt = 0.5
-        a_sum = [np.zeros_like(a) for a in factors.a_factors]
-        b_sum = [np.zeros_like(b) for b in factors.b_factors]
-        for t_j in grid:
-            if t_j == 1.0:
-                x_j, qs_j = x1, [np.broadcast_to(curv.factors[0], x1.shape)]
-            else:
-                seg = lowrank_sweep(spec, theta, x1, curv, t_j, 1.0, RK4)
-                x_j, qs_j = seg.x0, seg.qs
-            a_t, b_t = _factor_terms(spec, vf.unpack_params(spec, theta), t_j, x_j,
-                                     np.stack(qs_j))
-            for k in range(spec.n_layers):
-                a_sum[k] += a_t[k] * dt
-                b_sum[k] += b_t[k] * dt
-        for k in range(spec.n_layers):
-            assert np.max(np.abs(a_sum[k] - factors.a_factors[k])) < 1e-8
-            assert np.max(np.abs(b_sum[k] - factors.b_factors[k])) < 1e-8
+    def test_rk4_step_weights_its_stages(self):
+        # one RK4 step over [0, T]: the factors are T/6 * (F1 + 2 F2 + 2 F3 + F4)
+        # at the step's four stages, with the B side over the rank vectors only
+        spec, theta = tanh_net(10, (2, 4, 3, 2))
+        rng = np.random.default_rng(4)
+        x1, a1 = rng.uniform(-1, 1, size=(5, 2)), rng.normal(size=(5, 2))
+        span = 0.9
+        for qs in ([a1], [a1, rng.normal(size=(5, 2))]):
+            curv = TerminalCurvature(grad=a1, factors=qs, mode="exact_rank")
+            got, _, rep = accumulate_factors(spec, theta, x1, curv, 0.0, span,
+                                             SolverConfig(method="rk4", fixed_step=span))
+            assert rep.nfe == 4
+            sweep, y = BackwardSweep.seeded(spec, theta, x1, a1, qs)
+            hs, stages, k = -span, [], None
+            for dt, shift in ((0.0, 0.0), (0.5, 0.5), (0.5, 0.5), (1.0, 1.0)):
+                y_stage = y if k is None else y + shift * hs * k
+                k = sweep.field(span + dt * hs, y_stage)
+                x, cot, _ = sweep.unpack(y_stage)
+                stages.append(terms_at(spec, theta, span + dt * hs, x, cot[1:]))
+            for side in ("a_factors", "b_factors"):
+                for n in range(spec.n_layers):
+                    f = [getattr(s, side)[n] for s in stages]
+                    want = span / 6 * (f[0] + 2 * f[1] + 2 * f[2] + f[3])
+                    np.testing.assert_allclose(getattr(got, side)[n], want, rtol=1e-12)
 
     def test_gradient_matches_adjoint(self):
         for time_input, dims in (("none", (2, 3, 2)), ("concat", (3, 3, 2))):
@@ -149,18 +128,9 @@ class TestAccumulateFactors:
             x1 = rng.uniform(-1, 1, size=(4, 2))
             a1 = rng.normal(size=(4, 2))
             curv = TerminalCurvature(grad=a1, factors=[a1], mode="gauss_newton_scaled")
-            factors, grad, _ = accumulate_factors(spec, theta, x1, curv,
-                                                  make_grid(0.0, 1.0, 101), RK4)
+            factors, grad, _ = accumulate_factors(spec, theta, x1, curv, 0.0, 1.0, RK4)
             g_adj, _, _, _ = adjoint_gradient(spec, theta, x1, a1, 0.0, 1.0, RK4)
             assert np.max(np.abs(grad - g_adj)) < 1e-8
-
-    def test_single_point_grid_rejected(self):
-        spec, theta = tanh_net(6)
-        curv = TerminalCurvature(grad=np.zeros((1, 2)), factors=[np.zeros((1, 2))],
-                                 mode="exact_rank")
-        with pytest.raises(BadInterval):
-            accumulate_factors(spec, theta, np.zeros((1, 2)), curv,
-                               np.array([1.0]), RK4)
 
     def test_psd_preserved_under_accumulation(self):
         spec, theta = tanh_net(8)
@@ -168,51 +138,26 @@ class TestAccumulateFactors:
         x1 = rng.uniform(-1, 1, size=(4, 2))
         a1 = rng.normal(size=(4, 2))
         curv = TerminalCurvature(grad=a1, factors=[a1], mode="gauss_newton_scaled")
-        factors, _, _ = accumulate_factors(spec, theta, x1, curv,
-                                           make_grid(0.0, 1.0, 9), RK4)
+        factors, _, _ = accumulate_factors(spec, theta, x1, curv, 0.0, 1.0,
+                                           SolverConfig(method="rk4", fixed_step=0.125))
         for mat in factors.a_factors + factors.b_factors:
             assert np.linalg.eigvalsh(mat).min() >= -1e-12
-
-    def test_nfe_counts_grid_and_segments(self):
-        spec, theta = tanh_net(9)
-        x1 = np.array([[0.1, 0.1]])
-        curv = TerminalCurvature(grad=np.ones((1, 2)), factors=[np.ones((1, 2))],
-                                 mode="gauss_newton_scaled")
-        grid = make_grid(0.0, 1.0, 11)
-        cfg = SolverConfig(method="rk4", fixed_step=0.1)
-        _, _, report = accumulate_factors(spec, theta, x1, curv, grid, cfg)
-        # 11 grid evaluations plus 10 segments of one rk4 step each
-        assert report.accepted_steps == 10
-        assert report.nfe == 11 + 10 * 4
-
-    def test_rk4_bit_identical_to_segmented_sweep(self):
-        spec, theta = tanh_net(10, (2, 4, 3, 2))
-        rng = np.random.default_rng(4)
-        x1 = rng.uniform(-1, 1, size=(5, 2))
-        a1 = rng.normal(size=(5, 2))
-        for factors in ([a1], [a1, rng.normal(size=(5, 2))]):
-            curv = TerminalCurvature(grad=a1, factors=factors, mode="exact_rank")
-            grid = make_grid(0.0, 0.9, 7)
-            got, grad, report = accumulate_factors(spec, theta, x1, curv, grid, RK4)
-            a_ref, b_ref, g_ref, nfe_ref = segmented_factors(spec, theta, x1, curv, grid, RK4)
-            for mine, ref in zip(got.a_factors + got.b_factors, a_ref + b_ref):
-                assert np.array_equal(mine, ref)
-            assert np.array_equal(grad, g_ref)
-            assert report.nfe == nfe_ref
 
 
 class TestDefaultConfigSweep:
     """The default snopt config's first batch under its own dopri5 settings."""
 
-    def test_nfe_is_solver_nfe_plus_grid(self):
-        # the solver's steps do not depend on the grid it is read on
+    def test_sweep_is_the_adjoint_solve(self):
+        # the factors ride on the adjoint's own stages: the same steps, NFE,
+        # gradient and reconstructed x0, bit for bit
         spec, theta, x1, curv, cfg = default_batch()
-        solver_nfe = set()
-        for samples in (13, 33, 101):
-            grid = make_grid(cfg.t0, cfg.t1, samples)
-            _, _, report = accumulate_factors(spec, theta, x1, curv, grid, cfg.solver)
-            solver_nfe.add(report.nfe - grid.size)
-        assert solver_nfe == {14}
+        _, grad, rep = accumulate_factors(spec, theta, x1, curv, cfg.t0, cfg.t1, cfg.solver)
+        g_adj, x0, _, rep_adj = adjoint_gradient(spec, theta, x1, curv.grad, cfg.t0, cfg.t1,
+                                                 cfg.solver)
+        assert (rep.nfe, rep.accepted_steps, rep.rejected_steps) == (
+            rep_adj.nfe, rep_adj.accepted_steps, rep_adj.rejected_steps) == (14, 2, 0)
+        assert np.array_equal(grad, g_adj)
+        assert np.array_equal(rep.terminal_state[:x1.size], x0.ravel())
 
     def test_scaled_adjoint_matches_carried_rank_vector(self):
         # gauss_newton_scaled reads q_1 = a/sqrt(T) off the adjoint; an exact_rank
@@ -223,11 +168,10 @@ class TestDefaultConfigSweep:
             assert curv.adjoint_scale == 1.0 / np.sqrt(t1)
             carried = TerminalCurvature(grad=curv.grad, factors=[curv.grad / np.sqrt(t1)],
                                         mode="exact_rank")
-            grid = make_grid(0.0, t1, cfg.grid_samples)
             runs = []
             for c in (curv, carried):
                 probe = {}
-                runs.append((*accumulate_factors(spec, theta, x1, c, grid, cfg.solver, probe),
+                runs.append((*accumulate_factors(spec, theta, x1, c, 0.0, t1, cfg.solver, probe),
                              probe["state_elements"]))
             (got, grad, rep, size), (ref, g_ref, rep_ref, size_ref) = runs
             assert size_ref - size == x1.size
@@ -239,10 +183,9 @@ class TestDefaultConfigSweep:
 
     def test_factors_match_tight_reference(self):
         spec, theta, x1, curv, cfg = default_batch()
-        grid = make_grid(cfg.t0, cfg.t1, cfg.grid_samples)
-        got, grad, _ = accumulate_factors(spec, theta, x1, curv, grid, cfg.solver)
+        got, grad, _ = accumulate_factors(spec, theta, x1, curv, cfg.t0, cfg.t1, cfg.solver)
         tight = SolverConfig(method="dopri5", rtol=1e-10, atol=1e-10)
-        ref, g_ref, _ = accumulate_factors(spec, theta, x1, curv, grid, tight)
+        ref, g_ref, _ = accumulate_factors(spec, theta, x1, curv, cfg.t0, cfg.t1, tight)
         for mine, want in zip(got.a_factors + got.b_factors, ref.a_factors + ref.b_factors):
             assert np.linalg.norm(mine - want) <= 1e-3 * np.linalg.norm(want)
         assert np.linalg.norm(grad - g_ref) <= 1e-3 * np.linalg.norm(g_ref)

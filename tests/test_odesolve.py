@@ -169,6 +169,14 @@ class TestInitialStep:
         rep = odesolve(np.zeros(2), 0.0, 1.0, lambda t, y: y + 1.0, dopri())
         assert np.allclose(rep.terminal_state, np.e - 1.0, atol=1e-6)
 
+    def test_zero_field_takes_one_step(self):
+        # no measurable change: the whole interval is tried, and accepted
+        for tol in (1e-3, 1e-8):
+            rep = odesolve(np.array([1.0, 1.0]), 0.0, 1.0, lambda t, y: np.zeros_like(y),
+                           dopri(tol, tol))
+            assert (rep.nfe, rep.accepted_steps, rep.rejected_steps) == (8, 1, 0)
+            assert np.array_equal(rep.terminal_state, [1.0, 1.0])
+
     def test_semi_norm_ignores_unscored_tail(self):
         # the tail is decoupled and unscored: its scale must not move any step
         def fn(t, y):
@@ -202,83 +210,97 @@ class TestInitialStep:
         assert len(times) == 2
 
 
-def observed(y0, t_start, t_end, fn, cfg, times):
-    """Solve with observations; returns the report and the (t, y copy) pairs seen."""
-    seen = []
-    rep = odesolve(y0, t_start, t_end, fn, cfg,
-                   observe=(times, lambda t, y: seen.append((t, y.copy()))))
-    return rep, seen
+def quad_solve(y0, t_start, t_end, fn, cfg, integrand, q0=(0.0,)):
+    """Solve ``y' = fn`` with ``integrand(t, y)`` as the quadrature."""
+    return odesolve(np.asarray(y0, dtype=float), t_start, t_end,
+                    lambda t, y: (fn(t, y), integrand(t, y)), cfg,
+                    quadrature=np.asarray(q0, dtype=float))
 
 
-ALL_METHODS = (dopri(rtol=1e-6, atol=1e-6), SolverConfig(method="rk4", fixed_step=0.07),
-               SolverConfig(method="euler", fixed_step=0.07))
+def powers(degrees):
+    """Integrand ``[t^d for d in degrees]`` and its exact integral over [a, b]."""
+    degrees = np.asarray(degrees, dtype=float)
+    return (lambda t, y: t ** degrees,
+            lambda a, b: (b ** (degrees + 1) - a ** (degrees + 1)) / (degrees + 1))
 
 
-class TestObserve:
-    def test_each_time_once_in_order(self):
-        fn = lambda t, y: np.cos(t) * y
-        for cfg in ALL_METHODS:
-            for t_start, t_end in ((0.0, 1.3), (1.3, 0.0)):
-                times = np.linspace(t_start, t_end, 17)
-                times = np.insert(times, 5, times[5])  # a repeated time is seen twice
-                _, seen = observed(np.array([1.0, -2.0]), t_start, t_end, fn, cfg, times)
-                assert [t for t, _ in seen] == list(times)
+DECAY = lambda t, y: -3.0 * y   # a state that makes dopri5 take several steps
 
-    def test_endpoints_bit_exact(self):
-        y0 = np.array([0.3, -1.7])
-        fn = lambda t, y: np.sin(y) + t
-        for cfg in ALL_METHODS:
-            rep, seen = observed(y0, 1.0, 0.0, fn, cfg, np.linspace(1.0, 0.0, 9))
-            assert np.array_equal(seen[0][1], y0)
-            assert np.array_equal(seen[-1][1], rep.terminal_state)
 
-    def test_dopri5_matches_exponential(self):
-        # dense output stays within the tolerance scale of exp(t) between steps
+class TestQuadrature:
+    def test_dopri5_exact_through_degree_four(self):
+        integrand, exact = powers([0, 1, 2, 3, 4])
+        for t_start, t_end in ((0.0, 1.7), (0.3, 2.0), (1.5, -0.5)):
+            rep = quad_solve([1.0], t_start, t_end, DECAY, dopri(1e-6, 1e-6), integrand,
+                             q0=np.zeros(5))
+            assert rep.accepted_steps > 2
+            np.testing.assert_allclose(rep.quadrature, exact(t_start, t_end),
+                                       rtol=1e-13, atol=1e-14)
+
+    def test_rk4_exact_through_degree_three_not_four(self):
+        integrand, exact = powers([0, 1, 2, 3, 4])
+        cfg = SolverConfig(method="rk4", fixed_step=0.3)
+        rep = quad_solve([1.0], 0.2, 1.9, DECAY, cfg, integrand, q0=np.zeros(5))
+        want = exact(0.2, 1.9)
+        np.testing.assert_allclose(rep.quadrature[:4], want[:4], rtol=1e-13)
+        assert abs(rep.quadrature[4] - want[4]) > 1e-6   # Simpson's rule misses t^4
+
+    def test_euler_takes_its_one_stage(self):
+        # left-point rule: exact for constants, sum of h * t_i for t
+        cfg = SolverConfig(method="euler", fixed_step=0.25)
+        rep = quad_solve([1.0], 0.0, 1.0, DECAY, cfg, lambda t, y: np.array([1.0, t]),
+                         q0=np.zeros(2))
+        np.testing.assert_allclose(rep.quadrature, [1.0, 0.25 * (0 + 0.25 + 0.5 + 0.75)],
+                                   rtol=1e-15)
+
+    def test_integral_of_the_state(self):
+        # along y' = y from 1, the integral of y over [0, 1] is e - 1
         for tol in (1e-3, 1e-6, 1e-9):
-            times = np.linspace(0.0, 1.0, 101)
-            rep, seen = observed(np.array([1.0]), 0.0, 1.0, lambda t, y: y, dopri(tol, tol), times)
-            assert rep.accepted_steps < times.size  # most times fall between steps
-            err = max(abs(y[0] - np.exp(t)) for t, y in seen)
-            assert err < tol * np.e
+            rep = quad_solve([1.0], 0.0, 1.0, lambda t, y: y, dopri(tol, tol),
+                             lambda t, y: y.copy())
+            assert abs(rep.quadrature[0] - (np.e - 1.0)) < 10 * tol
 
-    def test_dopri5_steps_do_not_depend_on_times(self):
+    def test_backward_solve_subtracts(self):
+        for cfg in (dopri(), SolverConfig(method="rk4", fixed_step=0.1)):
+            rep = quad_solve([1.0], 1.0, 0.0, DECAY, cfg, lambda t, y: np.array([1.0, t]),
+                             q0=[5.0, 0.0])
+            np.testing.assert_allclose(rep.quadrature, [4.0, -0.5], rtol=1e-13)
+
+    def test_rejected_attempts_contribute_nothing(self):
+        # a constant integrand sums to the span only if rejected attempts drop out
+        stiff = lambda t, y: np.array([y[0], -80.0 * y[1]])
+        rep = quad_solve([1.0, 1.0], 0.0, 1.0, stiff, dopri(1e-6, 1e-6),
+                         lambda t, y: np.ones(1))
+        assert rep.rejected_steps > 0
+        assert abs(rep.quadrature[0] - 1.0) < 1e-13
+
+    def test_probe_integrand_is_ignored(self):
+        # the second call is the first-step probe; its integrand is huge
+        calls = [0]
+
+        def integrand(t, y):
+            calls[0] += 1
+            return np.array([1e9 if calls[0] == 2 else 1.0])
+
+        rep = quad_solve([1.0], 0.0, 1.0, DECAY, dopri(), integrand)
+        assert calls[0] == rep.nfe
+        assert abs(rep.quadrature[0] - 1.0) < 1e-13
+
+    def test_state_and_steps_unchanged(self):
         fn = lambda t, y: np.array([y[1], -np.sin(y[0])])
-        y0 = np.array([1.0, 0.0])
-        plain = odesolve(y0, 2.0, 0.0, fn, dopri(1e-5, 1e-5))
-        for n in (2, 13, 101):
-            rep, _ = observed(y0, 2.0, 0.0, fn, dopri(1e-5, 1e-5), np.linspace(2.0, 0.0, n))
+        for cfg in (dopri(1e-5, 1e-5), SolverConfig(method="rk4", fixed_step=0.07)):
+            plain = odesolve(np.array([1.0, 0.0]), 2.0, 0.0, fn, cfg)
+            rep = quad_solve([1.0, 0.0], 2.0, 0.0, fn, cfg, lambda t, y: y ** 2, q0=np.zeros(2))
             assert np.array_equal(rep.terminal_state, plain.terminal_state)
             assert (rep.nfe, rep.accepted_steps, rep.rejected_steps) == (
                 plain.nfe, plain.accepted_steps, plain.rejected_steps)
-
-    def test_fixed_step_ends_a_step_at_each_time(self):
-        # rk4 with observations equals one restarted solve per interval
-        fn = lambda t, y: np.sin(y) + t
-        cfg = SolverConfig(method="rk4", fixed_step=0.07)
-        times = np.linspace(1.0, 0.0, 6)
-        rep, seen = observed(np.array([0.4]), 1.0, 0.0, fn, cfg, times)
-        y, nfe = np.array([0.4]), 0
-        for (a, b), (_, y_seen) in zip(zip(times, times[1:]), seen[1:]):
-            seg = odesolve(y, a, b, fn, cfg)
-            y, nfe = seg.terminal_state, nfe + seg.nfe
-            assert np.array_equal(y_seen, y)
-        assert np.array_equal(rep.terminal_state, y) and rep.nfe == nfe
+            assert plain.quadrature is None
 
     def test_zero_length_interval(self):
-        rep, seen = observed(np.array([5.0]), 1.0, 1.0, lambda t, y: y, dopri(), [1.0, 1.0])
-        assert rep.nfe == 0 and [t for t, _ in seen] == [1.0, 1.0]
-        assert all(y[0] == 5.0 for _, y in seen)
-
-    def test_times_out_of_order_rejected(self):
-        for times in ([0.5, 0.2], [-0.1, 0.5], [0.5, 1.1]):
-            with pytest.raises(ValueError):
-                observed(np.array([1.0]), 0.0, 1.0, lambda t, y: y, dopri(), times)
-
-    def test_max_steps_bounds_the_whole_observed_solve(self):
-        # five intervals of two rk4 steps each: ten steps in one call
-        cfg = SolverConfig(method="rk4", fixed_step=0.1, max_steps=9)
-        with pytest.raises(MaxStepsExceeded):
-            observed(np.array([1.0]), 0.0, 1.0, lambda t, y: y, cfg, np.linspace(0.0, 1.0, 6))
+        q0 = np.array([2.0, 3.0])
+        rep = quad_solve([5.0], 1.0, 1.0, DECAY, dopri(), lambda t, y: np.ones(2), q0=q0)
+        assert rep.nfe == 0 and np.array_equal(rep.quadrature, q0)
+        assert rep.quadrature is not q0
 
 
 class TestErrors:
