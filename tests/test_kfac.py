@@ -121,6 +121,45 @@ class TestAccumulateFactors:
                     want = span / 6 * (f[0] + 2 * f[1] + 2 * f[2] + f[3])
                     np.testing.assert_allclose(getattr(got, side)[n], want, rtol=1e-12)
 
+    def test_riemann_sum_replay(self):
+        # Euler's quadrature is the left Riemann sum over its own steps:
+        # replay the steps by hand, summing h * F(t_j) at each step's start
+        spec, theta = tanh_net(4)
+        rng = np.random.default_rng(1)
+        x1, a1 = rng.uniform(-1, 1, size=(2, 2)), rng.normal(size=(2, 2))
+        curv = TerminalCurvature(grad=a1, factors=[a1], mode="exact_rank")
+        h = 0.25
+        got, grad, rep = accumulate_factors(spec, theta, x1, curv, 0.0, 1.0,
+                                            SolverConfig(method="euler", fixed_step=h))
+        assert rep.nfe == rep.accepted_steps == 4
+        sweep, y = BackwardSweep.seeded(spec, theta, x1, a1, [a1])
+        a_sum = [np.zeros_like(a) for a in got.a_factors]
+        b_sum = [np.zeros_like(b) for b in got.b_factors]
+        t = 1.0
+        for _ in range(4):
+            x, cot, _ = sweep.unpack(y)
+            terms = terms_at(spec, theta, t, x, cot[1:])
+            for n in range(spec.n_layers):
+                a_sum[n] += h * terms.a_factors[n]
+                b_sum[n] += h * terms.b_factors[n]
+            y = y - h * sweep.field(t, y)
+            t -= h
+        for mine, want in zip(got.a_factors + got.b_factors, a_sum + b_sum):
+            np.testing.assert_allclose(mine, want, rtol=1e-12)
+        assert np.array_equal(grad, sweep.unpack(y)[2][0])
+
+    def test_nfe_counts_grid_and_segments(self):
+        # the step grid 0, 0.1, ..., 1 has 10 segments of one rk4 step each;
+        # the factors add no evaluation of their own at any grid point
+        spec, theta = tanh_net(9)
+        x1 = np.array([[0.1, 0.1]])
+        curv = TerminalCurvature(grad=np.ones((1, 2)), factors=[np.ones((1, 2))],
+                                 mode="gauss_newton_scaled")
+        cfg = SolverConfig(method="rk4", fixed_step=0.1)
+        _, _, report = accumulate_factors(spec, theta, x1, curv, 0.0, 1.0, cfg)
+        assert report.accepted_steps == 10
+        assert report.nfe == 10 * 4
+
     def test_gradient_matches_adjoint(self):
         for time_input, dims in (("none", (2, 3, 2)), ("concat", (3, 3, 2))):
             spec, theta = tanh_net(5, dims, time_input)

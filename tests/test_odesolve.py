@@ -253,13 +253,6 @@ class TestQuadrature:
         np.testing.assert_allclose(rep.quadrature, [1.0, 0.25 * (0 + 0.25 + 0.5 + 0.75)],
                                    rtol=1e-15)
 
-    def test_integral_of_the_state(self):
-        # along y' = y from 1, the integral of y over [0, 1] is e - 1
-        for tol in (1e-3, 1e-6, 1e-9):
-            rep = quad_solve([1.0], 0.0, 1.0, lambda t, y: y, dopri(tol, tol),
-                             lambda t, y: y.copy())
-            assert abs(rep.quadrature[0] - (np.e - 1.0)) < 10 * tol
-
     def test_backward_solve_subtracts(self):
         for cfg in (dopri(), SolverConfig(method="rk4", fixed_step=0.1)):
             rep = quad_solve([1.0], 1.0, 0.0, DECAY, cfg, lambda t, y: np.array([1.0, t]),
@@ -296,11 +289,92 @@ class TestQuadrature:
                 plain.nfe, plain.accepted_steps, plain.rejected_steps)
             assert plain.quadrature is None
 
+
+def observed(y0, t_start, t_end, fn, cfg, integrand=lambda t, y: np.ones(1), q0=(0.0,)):
+    """Quadrature solve; returns the report and the (t, y copy) pairs its integrand saw."""
+    seen = []
+
+    def watch(t, y):
+        seen.append((t, y.copy()))
+        return integrand(t, y)
+
+    return quad_solve(y0, t_start, t_end, fn, cfg, watch, q0), seen
+
+
+ALL_METHODS = (dopri(rtol=1e-6, atol=1e-6), SolverConfig(method="rk4", fixed_step=0.07),
+               SolverConfig(method="euler", fixed_step=0.07))
+
+
+class TestObserve:
+    """The integrand observes the solve: it sees each stage's ``(t, y)``, and
+    what it returns never reaches the state or the steps."""
+
+    def test_each_time_once_in_order(self):
+        # fixed steps: each stage time once, step after step, in both directions
+        fn = lambda t, y: np.cos(t) * y
+        for method, offsets in (("euler", [0.0]), ("rk4", [0.0, 0.5, 0.5, 1.0])):
+            cfg = SolverConfig(method=method, fixed_step=0.07)
+            for t_start, t_end in ((0.0, 1.3), (1.3, 0.0)):
+                rep, seen = observed(np.array([1.0, -2.0]), t_start, t_end, fn, cfg)
+                ends = np.append(t_start + np.sign(t_end - t_start) * 0.07 * np.arange(19), t_end)
+                want = [a + c * (b - a) for a, b in zip(ends, ends[1:]) for c in offsets]
+                assert len(seen) == rep.nfe == len(want)
+                np.testing.assert_allclose([t for t, _ in seen], want, rtol=0, atol=1e-12)
+
+    def test_endpoints_bit_exact(self):
+        # every method starts at (t_start, y0); dopri5's last stage is the
+        # terminal state itself (FSAL)
+        y0 = np.array([0.3, -1.7])
+        fn = lambda t, y: np.sin(y) + t
+        for cfg in ALL_METHODS:
+            for t_start, t_end in ((1.0, 0.0), (0.0, 1.3)):
+                rep, seen = observed(y0, t_start, t_end, fn, cfg)
+                assert seen[0][0] == t_start and np.array_equal(seen[0][1], y0)
+                if cfg.method == "dopri5":
+                    assert seen[-1][0] == t_end
+                    assert np.array_equal(seen[-1][1], rep.terminal_state)
+
+    def test_dopri5_matches_exponential(self):
+        # along y' = y from 1, the integral of y over [0, 1] is e - 1
+        for tol in (1e-3, 1e-6, 1e-9):
+            rep, _ = observed(np.array([1.0]), 0.0, 1.0, lambda t, y: y, dopri(tol, tol),
+                              lambda t, y: y.copy())
+            assert abs(rep.quadrature[0] - (np.e - 1.0)) < 10 * tol
+
+    def test_dopri5_steps_do_not_depend_on_times(self):
+        # integrands of any width in t leave the state and the steps alone
+        fn = lambda t, y: np.array([y[1], -np.sin(y[0])])
+        y0 = np.array([1.0, 0.0])
+        plain = odesolve(y0, 2.0, 0.0, fn, dopri(1e-5, 1e-5))
+        for n in (2, 13, 101):
+            rep, _ = observed(y0, 2.0, 0.0, fn, dopri(1e-5, 1e-5),
+                              lambda t, y: t ** np.arange(n), q0=np.zeros(n))
+            assert rep.quadrature.size == n
+            assert np.array_equal(rep.terminal_state, plain.terminal_state)
+            assert (rep.nfe, rep.accepted_steps, rep.rejected_steps) == (
+                plain.nfe, plain.accepted_steps, plain.rejected_steps)
+
     def test_zero_length_interval(self):
         q0 = np.array([2.0, 3.0])
-        rep = quad_solve([5.0], 1.0, 1.0, DECAY, dopri(), lambda t, y: np.ones(2), q0=q0)
-        assert rep.nfe == 0 and np.array_equal(rep.quadrature, q0)
-        assert rep.quadrature is not q0
+        seen = []
+        rep = quad_solve([5.0], 1.0, 1.0, DECAY, dopri(),
+                         lambda t, y: seen.append(t) or np.ones(2), q0=q0)
+        assert rep.nfe == 0 and seen == []
+        assert np.array_equal(rep.quadrature, q0) and rep.quadrature is not q0
+        assert rep.terminal_state[0] == 5.0
+
+    def test_max_steps_bounds_the_whole_observed_solve(self):
+        # ten rk4 steps in one call: nine attempts are too few, ten suffice
+        fn = lambda t, y: y
+        with pytest.raises(MaxStepsExceeded):
+            observed(np.array([1.0]), 0.0, 1.0, fn,
+                     SolverConfig(method="rk4", fixed_step=0.1, max_steps=9))
+        rep, _ = observed(np.array([1.0]), 0.0, 1.0, fn,
+                          SolverConfig(method="rk4", fixed_step=0.1, max_steps=10))
+        assert rep.accepted_steps == 10
+        steps = odesolve(np.array([1.0]), 0.0, 1.0, fn, dopri()).accepted_steps
+        with pytest.raises(MaxStepsExceeded):
+            observed(np.array([1.0]), 0.0, 1.0, fn, dopri(max_steps=steps - 1))
 
 
 class TestErrors:
