@@ -13,7 +13,8 @@ Two routes to the same curvature:
   Hessian.  Each ``q_i`` obeys the same backward ODE as the adjoint and
   each ``p_i`` accumulates the parameter coupling, so the reconstructions
   ``sum q q^T``, ``sum q p^T``, ``sum p p^T`` reproduce the dense blocks.
-  It runs the shared :class:`adjoint.BackwardSweep` with couplings on and
+  It runs the shared :class:`adjoint.BackwardSweep` with couplings on: the
+  ``q_i`` are ODE state, the gradient and the ``p_i`` its quadrature.  It
   is checked against :func:`dense_sweep`.
 
 Running costs (the intermediate penalty) are restricted to weight decay,
@@ -121,8 +122,8 @@ class LowRankCurvatureState:
 
     ``qs[i]`` keeps the batch axis; ``ps[i]`` and the gradient are
     batch-mean reduced, mirroring the expectation in the gradient
-    integral.  Flattened, the carried state has ``batch*m*(2+R) +
-    n*(1+R)`` entries — no matrix ever rides along.
+    integral.  The solve carries ``batch*m*(2+R)`` state entries and a
+    quadrature of ``n*(1+R)`` — no matrix ever rides along.
     """
 
     x0: np.ndarray
@@ -153,18 +154,21 @@ def lowrank_sweep(spec: vf.MlpSpec, theta: np.ndarray, x1: np.ndarray,
                   cfg: SolverConfig) -> LowRankCurvatureState:
     """Backward sweep of R independent vector pairs plus the gradient path.
 
-    The solve's error norm scores the whole packed state, so every
-    channel is error-controlled.
+    The solve's error norm scores the whole ODE state ``[x | a | q_i]``,
+    the channels that feed back (Kidger's seminorm); the gradient and the
+    couplings are its quadrature, which no norm scores.
     """
     if len(curv.factors) < 1:
         raise ValueError("need at least one terminal factor")
     sweep, y1 = BackwardSweep.seeded(spec, theta, x1, curv.grad, curv.factors,
                                      couplings=True)
-    report = odesolve(y1, t1, t0, sweep.field, cfg)
-    x0, cot, params = sweep.unpack(report.terminal_state)
-    return LowRankCurvatureState(x0=x0.copy(), qx=cot[0].copy(), qu=params[0].copy(),
+    report = odesolve(y1, t1, t0, sweep.field, cfg, quadrature=np.zeros(sweep.quad_len))
+    x0, cot = sweep.unpack(report.terminal_state)
+    # the solve runs from t1 down to t0, so it subtracts the integral
+    params = -report.quadrature.reshape(sweep.param_rows, -1)
+    return LowRankCurvatureState(x0=x0.copy(), qx=cot[0].copy(), qu=params[0],
                                  qs=[q.copy() for q in cot[1:]],
-                                 ps=[p.copy() for p in params[1:]], report=report)
+                                 ps=list(params[1:]), report=report)
 
 
 def assemble_quu(state: LowRankCurvatureState) -> np.ndarray:

@@ -1,28 +1,31 @@
 """Kronecker factors integrated along the backward sweep.
 
 This is the production second-order sweep.  It integrates the backward
-state ``[x | a, q_1..q_R | g]`` of :class:`adjoint.BackwardSweep` (no
+state ``[x | a, q_1..q_R]`` of :class:`adjoint.BackwardSweep` (no
 parameter couplings) from t1 down to t0 in one solve.  Each solver stage
 runs the sweep's forward and reverse pass once, and the same trace and
-cotangents give the per-layer second moments
+cotangents give the gradient integrand and the per-layer second moments
 
     A_n(t) = mean_b zbar^n zbar^nT          (activation side)
     B_n(t) = mean_b sum_i g^n_i g^n_iT      (signal side)
 
-which ride along as the solve's quadrature (``odesolve(..., quadrature=)``):
+which ride along with the gradient ``g`` as the solve's one quadrature
+(``odesolve(..., quadrature=)``), packed ``[g | A_1..A_L | B_1..B_L]``:
 the solver's own stage weights give ``Abar_n = ∫ A_n dt`` and ``Bbar_n =
-∫ B_n dt`` over the steps it accepts, at no extra field evaluation.  The
-integrand holds the upper triangles of the symmetric matrices and stays
-out of the state and the error norm, like the gradient integral ``g``
-(which stays in the state, so the sweep's gradient and steps are the
-adjoint's, bit for bit).  ``kron(Abar_n, Bbar_n)`` then approximates the
-layer's parameter-space curvature block.
+∫ B_n dt`` over the steps it accepts, at no extra field evaluation, and
+it runs the integrand only at the stages whose weight it uses.  The
+factors are held as the upper triangles of the symmetric matrices.  The
+quadrature stays out of the state and the error norm, so the sweep's
+steps, ``x0`` and ``a0`` are the adjoint's, bit for bit, and its gradient
+is the adjoint's to rounding.  ``kron(Abar_n, Bbar_n)`` then approximates
+the layer's parameter-space curvature block.
 
 The ``gauss_newton_scaled`` surrogate carries no rank vector: its ``q_1``
-is the adjoint times the curvature's ``adjoint_scale`` at every t, so the
-sweep runs ``[x | a | g]`` and the B side is the adjoint group's second
-moment times ``adjoint_scale**2``.  ``exact_rank`` carries its rank vectors
-and the B side sums groups 1..R.
+is the adjoint times the curvature's constant ``adjoint_scale`` at every
+t, so the sweep runs ``[x | a]``, the B side integrates the adjoint
+group's second moment and is scaled by ``adjoint_scale**2`` once after
+the solve.  ``exact_rank`` carries its rank vectors and the B side sums
+groups 1..R.
 
 Biases share their layer's block through the homogeneous coordinate: the
 activation vector gets a constant 1 appended, matching the flat parameter
@@ -102,31 +105,36 @@ def accumulate_factors(spec: vf.MlpSpec, theta: np.ndarray, x1: np.ndarray,
                        ) -> tuple[KroneckerFactors, np.ndarray, SolveReport]:
     """Backward sweep from ``t1`` to ``t0``: the factors, the gradient and the report.
 
-    One solve carries the backward state ``[x | a, q_i | g]`` with the
-    factor integrand as its quadrature.  The error norm scores the state
-    replay ``x``.  ``probe`` receives the sizes of the state and of the
-    integrand.
+    One solve carries the backward state ``[x | a, q_i]`` with the gradient
+    and the factor integrand as its quadrature.  The error norm scores the
+    state replay ``x``.  ``probe`` receives the sizes of the state and of
+    the quadrature.
     """
     scale = curv.adjoint_scale
     sweep, state = BackwardSweep.seeded(spec, theta, x1, curv.grad,
                                         curv.factors if scale is None else ())
+    n = sweep.quad_len
     sizes = [flat.size for _, flat in _triangles(spec)]
-    b_side = slice(sum(sizes[:spec.n_layers]), None)
-    integral = np.zeros(sum(sizes))
+    b_side = slice(n + sum(sizes[:spec.n_layers]), None)
+    integral = np.zeros(n + sum(sizes))
     if probe is not None:
         probe["state_elements"] = int(state.size)
-        probe["factor_elements"] = int(integral.size)
+        probe["quadrature_elements"] = int(integral.size)
 
-    def field(t: float, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def field(t: float, y: np.ndarray):
         dy, trace, gs = sweep.stage(t, y)
-        if scale is None:
-            return dy, _factor_terms(spec, trace, [g[1:] for g in gs])
-        terms = _factor_terms(spec, trace, gs)
-        terms[b_side] *= scale * scale
-        return dy, terms
+
+        def integrand() -> np.ndarray:
+            grad = sweep.param_grad(trace, gs)
+            # scaled: the adjoint group is the B-side sample; exact: groups 1..R
+            terms = _factor_terms(spec, trace, gs if scale is not None else [g[1:] for g in gs])
+            return np.concatenate([grad, terms])
+
+        return dy, integrand
 
     report = odesolve(state, t1, t0, field, cfg, scored=sweep.x_len, quadrature=integral)
-    _, _, params = sweep.unpack(report.terminal_state)
     # the solve runs from t1 down to t0, so it subtracts the integral
-    factors = _unpack_factors(spec, -report.quadrature)
-    return factors, params[0].copy(), report
+    total = -report.quadrature
+    if scale is not None:
+        total[b_side] *= scale * scale
+    return _unpack_factors(spec, total[n:]), total[:n], report

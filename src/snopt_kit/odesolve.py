@@ -15,12 +15,15 @@ instead of growing into it.
 The solvers retain no per-step history: the only output is the terminal
 state plus step counters, so memory is independent of the number of
 accepted or rejected steps.  A caller that needs an integral along the
-trajectory passes ``quadrature``: the field then returns an integrand
-beside the derivative, and every accepted step adds the method's own
-weighted sum of its stages' integrands.  The integrand never enters the
-state, the stage storage or the error norm, the way Kidger, Chen & Lyons
-(arXiv:2009.09457) treat parameter-integral channels, so it costs no
-evaluation and no step.
+trajectory passes ``quadrature``: the field then returns, beside the
+derivative, a zero-argument callable that computes the integrand, and
+every accepted step adds the method's own weighted sum of its stages'
+integrands.  The solver calls an integrand only where its weight reaches
+an accepted step, so dopri5 skips the first-step probe, the zero-weight
+second stage and the FSAL stage of a rejected or final step.  The
+integrand never enters the state, the stage storage or the error norm,
+the way Kidger, Chen & Lyons (arXiv:2009.09457) treat parameter-integral
+channels, so it costs no evaluation and no step.
 """
 
 from __future__ import annotations
@@ -114,9 +117,17 @@ def _scaled_rms(v: np.ndarray, scale: np.ndarray, scored: int | None) -> float:
     return float(np.sqrt(np.mean((v[:scored] / scale[:scored]) ** 2)))
 
 
-def _with_integrand(fn, q0):
-    """``fn`` as a field of ``(dy, dq)`` pairs; a plain field's integrand is 0."""
-    return fn if q0 is not None else (lambda t, y: (fn(t, y), 0.0))
+def _weighted(fn, t: float, y: np.ndarray, weight: float, acc: np.ndarray) -> np.ndarray:
+    """The derivative of the quadrature field ``fn`` at ``(t, y)``.
+
+    Adds ``weight`` times the stage's integrand to ``acc``, and calls the
+    integrand only when the weight is nonzero.  The stage's closure dies on
+    return, before the solver's next evaluation.
+    """
+    dy, integrand = fn(t, y)
+    if weight:
+        acc += weight * integrand()
+    return dy
 
 
 def _solve_fixed(y0, t_start, t_end, fn, cfg: SolverConfig, q0) -> SolveReport:
@@ -127,26 +138,37 @@ def _solve_fixed(y0, t_start, t_end, fn, cfg: SolverConfig, q0) -> SolveReport:
     if n_steps > cfg.max_steps:
         raise MaxStepsExceeded(f"{n_steps} fixed steps exceed max_steps={cfg.max_steps}")
 
-    pair = _with_integrand(fn, q0)
     y = np.array(y0, dtype=float)
     q = None if q0 is None else np.array(q0, dtype=float)
+    if q is None:
+        field = fn
+    else:
+        # every fixed-step stage carries weight, so each integrand runs at once
+        terms = []
+
+        def field(t, y):
+            dy, integrand = fn(t, y)
+            terms.append(integrand())
+            return dy
+
     t = t_start
     for i in range(n_steps):
         hs = direction * min(h, abs(t_end - t))
         if i == n_steps - 1:
             hs = t_end - t  # land on the boundary exactly
         if cfg.method == "euler":
-            k1, dq = pair(t, y)
-            y = y + hs * k1
+            y = y + hs * field(t, y)
         else:  # rk4
-            k1, d1 = pair(t, y)
-            k2, d2 = pair(t + hs / 2, y + hs / 2 * k1)
-            k3, d3 = pair(t + hs / 2, y + hs / 2 * k2)
-            k4, d4 = pair(t + hs, y + hs * k3)
+            k1 = field(t, y)
+            k2 = field(t + hs / 2, y + hs / 2 * k1)
+            k3 = field(t + hs / 2, y + hs / 2 * k2)
+            k4 = field(t + hs, y + hs * k3)
             y = y + hs / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            dq = (d1 + 2 * d2 + 2 * d3 + d4) / 6
         if q is not None:
+            dq = terms[0] if cfg.method == "euler" else (
+                terms[0] + 2 * terms[1] + 2 * terms[2] + terms[3]) / 6
             q += hs * dq
+            terms.clear()
         t = t + hs
         _check_finite(y, t)
     return SolveReport(terminal_state=y, nfe=n_steps * (1 if cfg.method == "euler" else 4),
@@ -196,14 +218,18 @@ def _solve_dopri5(y0, t_start, t_end, fn, cfg: SolverConfig, scored: int | None,
     direction = 1.0 if span >= 0 else -1.0
     total = abs(span)
 
-    pair = _with_integrand(fn, q0)
     y = np.array(y0, dtype=float)
     q = None if q0 is None else np.array(q0, dtype=float)
     t = t_start
     k = np.empty((7, y.size))
-    k[0], dq_first = pair(t, y)
-    # the probe's integrand is discarded
-    h = _initial_step(lambda t, y: pair(t, y)[0], t, y, k[0], direction, total, cfg, scored)
+    if q is None:
+        k[0] = fn(t, y)
+    else:
+        first = np.zeros_like(q)   # b_1 times the integrand at the attempt's start point
+        k[0] = _weighted(fn, t, y, _DP_B[0], first)
+    # the probe's integrand is never called
+    h = _initial_step(fn if q is None else (lambda t, y: fn(t, y)[0]),
+                      t, y, k[0], direction, total, cfg, scored)
     nfe = 2  # the start point and the first-step probe
 
     accepted = rejected = 0
@@ -217,16 +243,24 @@ def _solve_dopri5(y0, t_start, t_end, fn, cfg: SolverConfig, scored: int | None,
         hs = direction * h_eff
         last = h_eff >= remaining - 1e-14 * max(1.0, total)
 
-        # this attempt's sum of b_i * dq_i, kept only if the step is accepted
-        dq_sum = None if q is None else _DP_B[0] * dq_first
-        for i in range(1, 6):
-            k[i], dq = pair(t + _DP_C[i] * hs, y + hs * (_DP_A[i] @ k[:i]))
-            if dq_sum is not None and _DP_B[i]:
-                dq_sum += _DP_B[i] * dq
+        # each stage's input stays a temporary, freed once its evaluation returns
+        if q is None:
+            for i in range(1, 6):
+                k[i] = fn(t + _DP_C[i] * hs, y + hs * (_DP_A[i] @ k[:i]))
+        else:
+            # this attempt's sum of b_i * dq_i, kept only if the step is accepted
+            dq_sum = first.copy()
+            for i in range(1, 6):
+                k[i] = _weighted(fn, t + _DP_C[i] * hs, y + hs * (_DP_A[i] @ k[:i]),
+                                 _DP_B[i], dq_sum)
         # stage 7's combination row equals the 5th-order weights, so its
-        # evaluation point is the candidate state itself (FSAL); b_7 = 0
+        # evaluation point is the candidate state itself (FSAL); b_7 = 0, and
+        # its integrand is the next step's first, run once this step is accepted
         y_new = y + hs * (_DP_A[6] @ k[:6])
-        k[6], dq_last = pair(t + hs, y_new)
+        if q is None:
+            k[6] = fn(t + hs, y_new)
+        else:
+            k[6], fsal = fn(t + hs, y_new)
         nfe += 6
 
         _check_finite(y_new, t + hs)
@@ -244,7 +278,8 @@ def _solve_dopri5(y0, t_start, t_end, fn, cfg: SolverConfig, scored: int | None,
             k[0] = k[6]
             if q is not None:
                 q += hs * dq_sum
-            dq_first = dq_last
+                if not last:
+                    first = _DP_B[0] * fsal()
             if err == 0.0:
                 factor = _MAX_FACTOR
             else:
@@ -257,6 +292,7 @@ def _solve_dopri5(y0, t_start, t_end, fn, cfg: SolverConfig, scored: int | None,
             rejected += 1
             # stage 1 is still f(t, y): no new evaluation needed on retry
             h = h_eff * min(1.0, max(_MIN_FACTOR, _SAFETY * err ** (-0.2)))
+        fsal = None   # drop the stage's trace before the next evaluation
     return SolveReport(terminal_state=y, nfe=nfe, accepted_steps=accepted,
                        rejected_steps=rejected, quadrature=q)
 
@@ -268,14 +304,19 @@ def odesolve(y0: np.ndarray, t_start: float, t_end: float, fn: Field, cfg: Solve
     ``t_end < t_start`` integrates backward.  dopri5's error norm scores
     the first ``scored`` components of the state (all of them when None).
 
-    With ``quadrature = q0``, ``fn`` returns a pair ``(dy, dq)`` and the
-    report's ``quadrature`` is ``q0`` plus the integral of ``dq`` from
+    With ``quadrature = q0``, ``fn`` returns a pair ``(dy, integrand)``,
+    where ``integrand()`` takes no argument and returns the stage's ``dq``.
+    The report's ``quadrature`` is ``q0`` plus the integral of ``dq`` from
     ``t_start`` to ``t_end`` (a backward solve subtracts), taken with the
     method's own weights over each accepted step: dopri5's 5th-order
     weights, RK4's ``(1, 2, 2, 1)/6``, Euler's one stage.  ``dq`` never
-    enters the state or the error norm; a rejected attempt and the
-    first-step probe contribute nothing.  ``fn`` must return a new ``dq``
-    array per call, since dopri5 keeps the last stage's for the next step.
+    enters the state or the error norm.  The solver calls ``integrand``
+    only where its weight reaches an accepted step: every fixed-step
+    stage, and for dopri5 the start point, stages 3 to 6 of every attempt
+    and the FSAL stage of every accepted step but the last, so
+    ``5 * accepted + 4 * rejected`` calls.  The first-step probe, stage 2
+    (``b_2 = 0``) and the FSAL stage of a rejected or final step never run
+    theirs.
     """
     if scored is not None and scored < 1:
         raise ValueError(f"scored prefix must be positive, got {scored}")

@@ -101,8 +101,8 @@ def error_study(spec: vf.MlpSpec, theta: np.ndarray, x0: np.ndarray,
     for label, cfg in solver_cfgs:
         x1 = odesolve(x0, t0, t1, field, cfg).terminal_state
         a1 = grad_x1(lossfn, x1)
-        # both sweeps run under the full error norm so the first- and
-        # second-order errors are measured under one control policy
+        # both sweeps score their whole ODE state ([x | a], [x | a | q_i]) so
+        # the first- and second-order errors are measured under one policy
         grad, _, _, _ = adjoint_gradient(spec, theta, x1, a1, t0, t1, cfg,
                                          use_semi=False)
         curv = terminal_curvature(lossfn, x1, t0, t1, mode="exact_rank")

@@ -300,7 +300,7 @@ class _Run:
 
         Returns the parameter gradient, the Kronecker factors (None for
         first order), the terminal-loss gradient and the solve report;
-        ``probe`` receives the sweep's state sizes.
+        ``probe`` receives the sizes of the sweep's state and quadrature.
         """
         cfg = self.cfg
         if cfg.optimizer.kind == "snopt":
@@ -392,9 +392,9 @@ def train(config: ExperimentConfig, on_iteration=None) -> list[TrainRecord]:
 def memory_probe(config: ExperimentConfig) -> int:
     """Peak live state of the first iteration's backward pass, in array elements.
 
-    Measured off the packed vector ``train`` carries (plus, for the
-    second-order rule, the packed factor integrand the solve carries beside
-    it), so the number is independent of
+    Measured off the packed ODE state ``train`` carries plus the quadrature
+    the solve carries beside it (the gradient, and for the second-order
+    rule the packed factor integrand), so the number is independent of
     solver tolerance and step counts by construction — the test suite
     checks that, not this docstring.
     """
@@ -403,4 +403,4 @@ def memory_probe(config: ExperimentConfig) -> int:
     x1 = run.forward(run.ds.inputs[run.ds.train_idx])[0][pos]
     probe: dict = {}
     run.backward(x1, lossfn, probe)
-    return probe["state_elements"] + probe.get("factor_elements", 0)
+    return probe["state_elements"] + probe["quadrature_elements"]

@@ -17,7 +17,8 @@ def forward(spec, theta, x0, cfg=RK4, t0=0.0, t1=1.0):
     return odesolve(x0.ravel(), t0, t1, fld, cfg).terminal_state.reshape(batch, m)
 
 
-# (rank R, couplings p on/off) of the packed layout [x | a, q_1..q_R | g | p_1..p_R]
+# (rank R, couplings p on/off) of the state [x | a, q_1..q_R] and the quadrature
+# [g | p_1..p_R]
 LAYOUTS = [(rank, couplings) for rank in (0, 1, 2) for couplings in (False, True)]
 
 
@@ -30,14 +31,17 @@ class TestAugmentedState:
             sweep = BackwardSweep(spec, vf.init_params(spec, 0), 4, rank, couplings)
             # a lone adjoint is unpacked 2-D, rank vectors stack on a group axis
             cot_shape = (1 + rank, 4, 3) if rank else (4, 3)
-            parts = (rng.normal(size=(4, 3)), rng.normal(size=cot_shape),
-                     rng.normal(size=(1 + rank if couplings else 1, n)))
+            parts = (rng.normal(size=(4, 3)), rng.normal(size=cot_shape))
             back = sweep.unpack(sweep.pack(*parts))
+            assert len(back) == 2
             for got, want in zip(back, parts):
                 assert np.array_equal(got, want)
+            # the gradient and the couplings are the quadrature, not the state
+            assert sweep.quad_len == (1 + rank if couplings else 1) * n
 
     def test_flat_length_is_2bm_plus_n(self):
-        # 2bm + n for the plain adjoint, plus bm per rank vector and n per coupling
+        # the plain adjoint: a state of 2bm and a quadrature of n; each rank
+        # vector adds bm to the state, each coupling n to the quadrature
         spec = vf.MlpSpec(dims=(3, 4, 3), activations=("tanh", "identity"))
         n = vf.num_params(spec)
         rng = np.random.default_rng(1)
@@ -46,13 +50,13 @@ class TestAugmentedState:
             qs = [rng.normal(size=3) for _ in range(rank)]
             sweep, y1 = BackwardSweep.seeded(spec, vf.init_params(spec, 0), x1, a1, qs,
                                              couplings)
-            assert y1.size == 4 * 3 * (2 + rank) + n * (1 + rank * couplings)
-            x, cot, params = sweep.unpack(y1)
+            assert y1.size == 4 * 3 * (2 + rank)
+            assert sweep.quad_len == n * (1 + rank * couplings)
+            x, cot = sweep.unpack(y1)
             cot = cot.reshape(1 + rank, *x1.shape)
             assert np.array_equal(x, x1) and np.array_equal(cot[0], a1)
             for q, seeded in zip(qs, cot[1:]):
                 assert np.array_equal(seeded, np.broadcast_to(q, x1.shape))
-            assert not params.any()
 
 
 class TestAdjointGradient:
@@ -114,8 +118,8 @@ class TestAdjointGradient:
             probe = {}
             adjoint_gradient(spec, theta, x1, a1, 0.0, 1.0,
                              SolverConfig(method="rk4", fixed_step=h), probe=probe)
-            sizes.append(probe["state_elements"])
-        assert sizes[0] == sizes[1] == sizes[2] == 2 * 2 * 2 + vf.num_params(spec)
+            sizes.append((probe["state_elements"], probe["quadrature_elements"]))
+        assert sizes[0] == sizes[1] == sizes[2] == (2 * 2 * 2, vf.num_params(spec))
 
     def test_single_sample_shapes(self):
         spec = vf.MlpSpec(dims=(2, 3, 2), activations=("tanh", "identity"))

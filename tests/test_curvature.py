@@ -125,8 +125,9 @@ class TestLowRankSweep:
                                  factors=[rng.normal(size=2) for _ in range(2)],
                                  mode="exact_rank")
         out = lowrank_sweep(spec, theta, rng.normal(size=2), curv, 0.0, 1.0, TIGHT)
-        flat = out.report.terminal_state
-        assert flat.size == 2 * (2 + 2) + n * (1 + 2)
+        # [x | a | q_1, q_2] is the state; [g | p_1, p_2] the quadrature
+        assert out.report.terminal_state.size == 2 * (2 + 2)
+        assert out.report.quadrature.size == n * (1 + 2)
 
     def test_requires_a_factor(self):
         spec, theta = tiny_net(12)

@@ -112,8 +112,8 @@ class TestAccumulateFactors:
             hs, stages, k = -span, [], None
             for dt, shift in ((0.0, 0.0), (0.5, 0.5), (0.5, 0.5), (1.0, 1.0)):
                 y_stage = y if k is None else y + shift * hs * k
-                k = sweep.field(span + dt * hs, y_stage)
-                x, cot, _ = sweep.unpack(y_stage)
+                k = sweep.field(span + dt * hs, y_stage)[0]
+                x, cot = sweep.unpack(y_stage)
                 stages.append(terms_at(spec, theta, span + dt * hs, x, cot[1:]))
             for side in ("a_factors", "b_factors"):
                 for n in range(spec.n_layers):
@@ -123,7 +123,8 @@ class TestAccumulateFactors:
 
     def test_riemann_sum_replay(self):
         # Euler's quadrature is the left Riemann sum over its own steps:
-        # replay the steps by hand, summing h * F(t_j) at each step's start
+        # replay the steps by hand, summing h * F(t_j) and h * g(t_j) at each
+        # step's start
         spec, theta = tanh_net(4)
         rng = np.random.default_rng(1)
         x1, a1 = rng.uniform(-1, 1, size=(2, 2)), rng.normal(size=(2, 2))
@@ -135,18 +136,22 @@ class TestAccumulateFactors:
         sweep, y = BackwardSweep.seeded(spec, theta, x1, a1, [a1])
         a_sum = [np.zeros_like(a) for a in got.a_factors]
         b_sum = [np.zeros_like(b) for b in got.b_factors]
+        g_sum = np.zeros_like(grad)
         t = 1.0
         for _ in range(4):
-            x, cot, _ = sweep.unpack(y)
+            x, cot = sweep.unpack(y)
             terms = terms_at(spec, theta, t, x, cot[1:])
             for n in range(spec.n_layers):
                 a_sum[n] += h * terms.a_factors[n]
                 b_sum[n] += h * terms.b_factors[n]
-            y = y - h * sweep.field(t, y)
+            dy, integrand = sweep.field(t, y)
+            g_sum += h * integrand()
+            y = y - h * dy
             t -= h
         for mine, want in zip(got.a_factors + got.b_factors, a_sum + b_sum):
             np.testing.assert_allclose(mine, want, rtol=1e-12)
-        assert np.array_equal(grad, sweep.unpack(y)[2][0])
+        assert np.array_equal(grad, g_sum)
+        assert np.array_equal(rep.terminal_state, y)
 
     def test_nfe_counts_grid_and_segments(self):
         # the step grid 0, 0.1, ..., 1 has 10 segments of one rk4 step each;
@@ -199,10 +204,11 @@ class TestDefaultConfigSweep:
         assert np.array_equal(rep.terminal_state[:x1.size], x0.ravel())
 
     def test_scaled_adjoint_matches_carried_rank_vector(self):
-        # gauss_newton_scaled reads q_1 = a/sqrt(T) off the adjoint; an exact_rank
-        # sweep that carries q_1 as a rank vector must agree: bit for bit at T = 1,
-        # where the scale is 1, and to rounding at T = 0.7
-        for t1, rel_tol in ((1.0, 0.0), (0.7, 1e-12)):
+        # gauss_newton_scaled reads q_1 = a/sqrt(T) off the adjoint and scales
+        # its integrated B side by 1/T once; an exact_rank sweep that carries q_1
+        # as a rank vector must agree: bit for bit at T = 1, where the scale is
+        # exactly 1, and to rounding (measured 1.3e-15) at T = 0.7
+        for t1, rel_tol in ((1.0, 0.0), (0.7, 1e-14)):
             spec, theta, x1, curv, cfg = default_batch(t1)
             assert curv.adjoint_scale == 1.0 / np.sqrt(t1)
             carried = TerminalCurvature(grad=curv.grad, factors=[curv.grad / np.sqrt(t1)],

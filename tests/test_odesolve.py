@@ -211,9 +211,9 @@ class TestInitialStep:
 
 
 def quad_solve(y0, t_start, t_end, fn, cfg, integrand, q0=(0.0,)):
-    """Solve ``y' = fn`` with ``integrand(t, y)`` as the quadrature."""
+    """Solve ``y' = fn`` with ``integrand(t, y)`` as the quadrature, run when the solver asks."""
     return odesolve(np.asarray(y0, dtype=float), t_start, t_end,
-                    lambda t, y: (fn(t, y), integrand(t, y)), cfg,
+                    lambda t, y: (fn(t, y), lambda: integrand(t, y)), cfg,
                     quadrature=np.asarray(q0, dtype=float))
 
 
@@ -271,11 +271,12 @@ class TestQuadrature:
         # the second call is the first-step probe; its integrand is huge
         calls = [0]
 
-        def integrand(t, y):
+        def field(t, y):
             calls[0] += 1
-            return np.array([1e9 if calls[0] == 2 else 1.0])
+            value = np.array([1e9 if calls[0] == 2 else 1.0])
+            return DECAY(t, y), lambda: value
 
-        rep = quad_solve([1.0], 0.0, 1.0, DECAY, dopri(), integrand)
+        rep = odesolve(np.array([1.0]), 0.0, 1.0, field, dopri(), quadrature=np.zeros(1))
         assert calls[0] == rep.nfe
         assert abs(rep.quadrature[0] - 1.0) < 1e-13
 
@@ -291,14 +292,14 @@ class TestQuadrature:
 
 
 def observed(y0, t_start, t_end, fn, cfg, integrand=lambda t, y: np.ones(1), q0=(0.0,)):
-    """Quadrature solve; returns the report and the (t, y copy) pairs its integrand saw."""
+    """Quadrature solve; returns the report and the (t, y copy) pairs its field saw."""
     seen = []
 
     def watch(t, y):
         seen.append((t, y.copy()))
-        return integrand(t, y)
+        return fn(t, y)
 
-    return quad_solve(y0, t_start, t_end, fn, cfg, watch, q0), seen
+    return quad_solve(y0, t_start, t_end, watch, cfg, integrand, q0), seen
 
 
 ALL_METHODS = (dopri(rtol=1e-6, atol=1e-6), SolverConfig(method="rk4", fixed_step=0.07),
@@ -306,8 +307,8 @@ ALL_METHODS = (dopri(rtol=1e-6, atol=1e-6), SolverConfig(method="rk4", fixed_ste
 
 
 class TestObserve:
-    """The integrand observes the solve: it sees each stage's ``(t, y)``, and
-    what it returns never reaches the state or the steps."""
+    """A quadrature field observes the solve: it sees each stage's ``(t, y)``,
+    and what its integrand returns never reaches the state or the steps."""
 
     def test_each_time_once_in_order(self):
         # fixed steps: each stage time once, step after step, in both directions
@@ -375,6 +376,59 @@ class TestObserve:
         steps = odesolve(np.array([1.0]), 0.0, 1.0, fn, dopri()).accepted_steps
         with pytest.raises(MaxStepsExceeded):
             observed(np.array([1.0]), 0.0, 1.0, fn, dopri(max_steps=steps - 1))
+
+
+def integrand_log(fn, cfg, y0, t_start, t_end):
+    """Quadrature solve of ``y' = fn``; returns the report, the number of
+    field calls and the indices of the calls whose integrand the solver ran."""
+    calls, ran = [0], []
+
+    def field(t, y):
+        index = calls[0]
+        calls[0] += 1
+
+        def integrand():
+            ran.append(index)
+            return np.ones(1)
+
+        return fn(t, y), integrand
+
+    rep = odesolve(np.asarray(y0, dtype=float), t_start, t_end, field, cfg,
+                   quadrature=np.zeros(1))
+    return rep, calls[0], ran
+
+
+class TestIntegrandContract:
+    """The solver runs an integrand only where its weight reaches an accepted step."""
+
+    def test_dopri5_skips_probe_zero_weight_and_unused_fsal(self):
+        stiff = lambda t, y: np.array([y[0], -80.0 * y[1]])
+        rejected = []
+        for fn, y0, t_start, t_end in ((stiff, [1.0, 1.0], 0.0, 1.0),
+                                       (DECAY, [1.0], 2.0, 0.0)):
+            rep, calls, ran = integrand_log(fn, dopri(1e-6, 1e-6), y0, t_start, t_end)
+            attempts = rep.accepted_steps + rep.rejected_steps
+            assert calls == rep.nfe
+            assert len(ran) == 5 * rep.accepted_steps + 4 * rep.rejected_steps
+            assert len(set(ran)) == len(ran)      # each integrand at most once
+            assert ran[0] == 0 and 1 not in ran   # the start point, never the probe
+            # per attempt (field calls 2 + 6j .. 7 + 6j): stage 2 never, stages
+            # 3 to 6 always, the FSAL stage only after an accepted, non-final step
+            stage = [(i - 2) % 6 for i in ran[1:]]
+            assert 0 not in stage
+            assert [stage.count(s) for s in (1, 2, 3, 4)] == [attempts] * 4
+            assert stage.count(5) == rep.accepted_steps - 1
+            assert calls - 1 not in ran
+            assert abs(rep.quadrature[0] - (t_end - t_start)) < 1e-13
+            rejected.append(rep.rejected_steps)
+        assert rejected[0] > 0   # the stiff solve exercises rejected attempts
+
+    def test_fixed_steps_run_every_stage(self):
+        for method, stages in (("rk4", 4), ("euler", 1)):
+            cfg = SolverConfig(method=method, fixed_step=0.1)
+            rep, calls, ran = integrand_log(DECAY, cfg, [1.0], 0.0, 1.0)
+            assert rep.accepted_steps == 10
+            assert ran == list(range(calls)) and calls == rep.nfe == stages * 10
 
 
 class TestErrors:

@@ -243,6 +243,12 @@ class TestMemoryProbe:
         m = 2
         n_params = 4 * 2 + 4 + 2 * 4 + 2  # 2-4-2 with biases
         assert tr.memory_probe(cfg) == 2 * 16 * m + n_params
+        # the state [x | a] and the gradient quadrature
+        run = tr._Run(cfg)
+        pos, lossfn = run.draw_batch()
+        probe = {}
+        run.backward(run.forward(run.ds.inputs[run.ds.train_idx])[0][pos], lossfn, probe)
+        assert probe == {"state_elements": 2 * 16 * m, "quadrature_elements": n_params}
 
     def test_snopt_probe_linear_in_rank(self):
         # the factor sweep's probe, batch 16 through 2-4-2, synthetic rank-R factors
@@ -256,7 +262,7 @@ class TestMemoryProbe:
             probe = {}
             accumulate_factors(spec, theta, x1, curv, 0.0, 1.0,
                                SolverConfig(method="rk4", fixed_step=0.25), probe=probe)
-            probes[rank] = probe["state_elements"] + probe["factor_elements"]
+            probes[rank] = probe["state_elements"] + probe["quadrature_elements"]
         p1, p2, p4 = probes[1], probes[2], probes[4]
         assert p2 - p1 == 16 * 2            # one extra batch-by-state vector
         assert p4 - p2 == 2 * (p2 - p1)     # exactly affine in the rank
