@@ -100,27 +100,20 @@ class BackwardSweep:
 
 
 def adjoint_gradient(spec: vf.MlpSpec, theta: np.ndarray, x1: np.ndarray, a1: np.ndarray,
-                     t0: float, t1: float, cfg: SolverConfig, use_semi: bool = True,
-                     probe: dict | None = None,
+                     t0: float, t1: float, cfg: SolverConfig,
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, SolveReport]:
     """Loss gradient by integrating the adjoint system from t1 back to t0.
 
     ``a1`` is the terminal-loss gradient at ``x1`` (per sample).  Returns
     the flat parameter gradient, the reconstructed initial state, the
     adjoint at t0, and the solve report.  The error norm scores the state
-    replay, or with ``use_semi=False`` the whole state ``[x | a]``; the
-    gradient is the quadrature, which no norm scores.  ``probe`` receives
-    the sizes of the state and of the quadrature.
+    replay; the gradient is the quadrature, which no norm scores.
     """
     if np.shape(a1) != np.shape(x1):
         raise ValueError(f"state/adjoint shapes {np.shape(x1)}/{np.shape(a1)} differ")
     sweep, y1 = BackwardSweep.seeded(spec, theta, x1, a1)
-    integral = np.zeros(sweep.quad_len)
-    if probe is not None:
-        probe["state_elements"] = int(y1.size)
-        probe["quadrature_elements"] = int(integral.size)
-    report = odesolve(y1, t1, t0, sweep.field, cfg,
-                      scored=sweep.x_len if use_semi else None, quadrature=integral)
+    report = odesolve(y1, t1, t0, sweep.field, cfg, scored=sweep.x_len,
+                      quadrature=np.zeros(sweep.quad_len))
     x0, a0 = sweep.unpack(report.terminal_state)
     if np.ndim(x1) == 1:
         x0, a0 = x0[0], a0[0]

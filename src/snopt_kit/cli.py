@@ -136,15 +136,6 @@ def _split_override(spec: str) -> tuple[str, str, str]:
     return section.strip(), key.strip(), value
 
 
-def apply_override(cfg: ExperimentConfig, spec: str) -> ExperimentConfig:
-    """Apply one ``section.key=value`` override to an existing config."""
-    section, key, value = _split_override(spec)
-    try:
-        return _apply_section(cfg, section, [(key, value)])
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _fmt(x) -> str:
     if isinstance(x, float):
         return format(x, ".17g")
@@ -234,14 +225,13 @@ def cmd_grid(config_path: str, grid_path: str, out_dir: str,
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    # every cell is checked before any trains
+    # every cell is checked before any trains; a cell's values join the
+    # overrides, so each section is built once, whatever the key order
     configs = []
     for idx, cell in enumerate(cells):
-        cfg = base
         try:
-            for key, value in cell:
-                cfg = apply_override(cfg, f"{key}={value}")
-            configs.append(_check_finished(cfg))
+            cell_overrides = [*(overrides or []), *(f"{k}={v}" for k, v in cell)]
+            configs.append(_check_finished(load_config(config_path, cell_overrides)))
         except ConfigError as exc:
             print(f"config error in cell {idx}: {exc}", file=sys.stderr)
             return 1

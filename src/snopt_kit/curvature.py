@@ -154,15 +154,16 @@ def lowrank_sweep(spec: vf.MlpSpec, theta: np.ndarray, x1: np.ndarray,
                   cfg: SolverConfig) -> LowRankCurvatureState:
     """Backward sweep of R independent vector pairs plus the gradient path.
 
-    The solve's error norm scores the whole ODE state ``[x | a | q_i]``,
-    the channels that feed back (Kidger's seminorm); the gradient and the
-    couplings are its quadrature, which no norm scores.
+    The solve's error norm scores the state replay ``x``, as every
+    backward sweep does; the gradient and the couplings are its
+    quadrature, which no norm scores.
     """
     if len(curv.factors) < 1:
         raise ValueError("need at least one terminal factor")
     sweep, y1 = BackwardSweep.seeded(spec, theta, x1, curv.grad, curv.factors,
                                      couplings=True)
-    report = odesolve(y1, t1, t0, sweep.field, cfg, quadrature=np.zeros(sweep.quad_len))
+    report = odesolve(y1, t1, t0, sweep.field, cfg, scored=sweep.x_len,
+                      quadrature=np.zeros(sweep.quad_len))
     x0, cot = sweep.unpack(report.terminal_state)
     # the solve runs from t1 down to t0, so it subtracts the integral
     params = -report.quadrature.reshape(sweep.param_rows, -1)
@@ -180,19 +181,14 @@ def assemble_quu(state: LowRankCurvatureState) -> np.ndarray:
     return out
 
 
-def apply_weight_decay(grad: np.ndarray, quu, gamma: float, theta: np.ndarray):
+def apply_weight_decay(grad: np.ndarray, factors: KroneckerFactors | None, gamma: float,
+                       theta: np.ndarray):
     """Fold the decay penalty in after the sweep: grad += γθ, curvature += γI.
 
-    ``quu`` may be a dense matrix, Kronecker factors (where the identity
-    shift lands as extra diagonal damping in the update's eigenbasis), or
-    ``None`` for first-order paths.
+    On Kronecker factors the identity shift lands as extra diagonal damping
+    in the update's eigenbasis; first-order paths pass ``None``.
     """
     if gamma < 0:
         raise ValueError("weight decay must be nonnegative")
     new_grad = grad + gamma * theta
-    if quu is None:
-        return new_grad, None
-    if isinstance(quu, KroneckerFactors):
-        return new_grad, quu.with_damping(gamma)
-    quu = np.asarray(quu, dtype=float)
-    return new_grad, quu + gamma * np.eye(quu.shape[0])
+    return new_grad, None if factors is None else factors.with_damping(gamma)

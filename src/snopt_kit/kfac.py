@@ -101,14 +101,12 @@ def _unpack_factors(spec: vf.MlpSpec, packed: np.ndarray) -> KroneckerFactors:
 
 def accumulate_factors(spec: vf.MlpSpec, theta: np.ndarray, x1: np.ndarray,
                        curv: TerminalCurvature, t0: float, t1: float, cfg: SolverConfig,
-                       probe: dict | None = None,
                        ) -> tuple[KroneckerFactors, np.ndarray, SolveReport]:
     """Backward sweep from ``t1`` to ``t0``: the factors, the gradient and the report.
 
     One solve carries the backward state ``[x | a, q_i]`` with the gradient
     and the factor integrand as its quadrature.  The error norm scores the
-    state replay ``x``.  ``probe`` receives the sizes of the state and of
-    the quadrature.
+    state replay ``x``.
     """
     scale = curv.adjoint_scale
     sweep, state = BackwardSweep.seeded(spec, theta, x1, curv.grad,
@@ -116,10 +114,6 @@ def accumulate_factors(spec: vf.MlpSpec, theta: np.ndarray, x1: np.ndarray,
     n = sweep.quad_len
     sizes = [flat.size for _, flat in _triangles(spec)]
     b_side = slice(n + sum(sizes[:spec.n_layers]), None)
-    integral = np.zeros(n + sum(sizes))
-    if probe is not None:
-        probe["state_elements"] = int(state.size)
-        probe["quadrature_elements"] = int(integral.size)
 
     def field(t: float, y: np.ndarray):
         dy, trace, gs = sweep.stage(t, y)
@@ -132,7 +126,8 @@ def accumulate_factors(spec: vf.MlpSpec, theta: np.ndarray, x1: np.ndarray,
 
         return dy, integrand
 
-    report = odesolve(state, t1, t0, field, cfg, scored=sweep.x_len, quadrature=integral)
+    report = odesolve(state, t1, t0, field, cfg, scored=sweep.x_len,
+                      quadrature=np.zeros(n + sum(sizes)))
     # the solve runs from t1 down to t0, so it subtracts the integral
     total = -report.quadrature
     if scale is not None:

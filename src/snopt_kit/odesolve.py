@@ -2,8 +2,11 @@
 
 Fixed-step Euler and RK4, plus the adaptive Dormand-Prince 5(4) pair with
 FSAL and a PI step-size controller (safety 0.9, growth clamped to
-[0.2, 10]).  Integration direction follows the sign of ``t_end - t_start``;
-backward solves negate the internal step rather than rewriting the field.
+[0.2, 10]).  Each method is a Butcher tableau ``(c, A, b)``, and every
+stage of every method is evaluated by one helper, for plain and quadrature
+fields alike.  Integration direction follows the sign of ``t_end -
+t_start``; backward solves negate the internal step rather than rewriting
+the field.
 
 dopri5 sizes its first step by the starting-step algorithm of Hairer,
 Norsett & Wanner (Solving ODEs I, II.4): one explicit Euler probe of the
@@ -64,7 +67,7 @@ class SolverConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if self.rtol <= 0 or self.atol <= 0:
             raise ValueError("rtol and atol must be positive")
-        if self.method in ("euler", "rk4"):
+        if self.method in _FIXED:
             if self.fixed_step is None or self.fixed_step <= 0:
                 raise ValueError(f"{self.method} requires fixed_step > 0")
         if self.max_steps < 1:
@@ -83,6 +86,13 @@ class SolveReport:
 
 
 Field = Callable[[float, np.ndarray], np.ndarray]
+
+# Butcher tableaux (c, A, b): row i of A combines stages 0..i-1 into stage i's input.
+_EULER = (np.array([0.0]), [np.array([])], np.array([1.0]))
+_RK4 = (np.array([0.0, 1 / 2, 1 / 2, 1.0]),
+        [np.array([]), np.array([1 / 2]), np.array([0.0, 1 / 2]), np.array([0.0, 0.0, 1.0])],
+        np.array([1 / 6, 1 / 3, 1 / 3, 1 / 6]))
+_FIXED = {"euler": _EULER, "rk4": _RK4}
 
 # Dormand-Prince 5(4) tableau.  Row 7 equals the 5th-order weights (FSAL).
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
@@ -117,21 +127,26 @@ def _scaled_rms(v: np.ndarray, scale: np.ndarray, scored: int | None) -> float:
     return float(np.sqrt(np.mean((v[:scored] / scale[:scored]) ** 2)))
 
 
-def _weighted(fn, t: float, y: np.ndarray, weight: float, acc: np.ndarray) -> np.ndarray:
-    """The derivative of the quadrature field ``fn`` at ``(t, y)``.
+def _stage(fn, t: float, y: np.ndarray, weight: float, acc: np.ndarray | None):
+    """One stage: the derivative of ``fn`` at ``(t, y)`` and its integrand, uncalled.
 
-    Adds ``weight`` times the stage's integrand to ``acc``, and calls the
-    integrand only when the weight is nonzero.  The stage's closure dies on
-    return, before the solver's next evaluation.
+    With an accumulator ``acc`` the solve has a quadrature: ``fn`` returns
+    ``(dy, integrand)``, and a nonzero ``weight`` adds ``weight *
+    integrand()`` to ``acc``.  A plain field (``acc`` None) has no
+    integrand.  Callers that do not keep the integrand drop it at once, so
+    its closure dies before the solver's next evaluation.
     """
+    if acc is None:
+        return fn(t, y), None
     dy, integrand = fn(t, y)
     if weight:
         acc += weight * integrand()
-    return dy
+    return dy, integrand
 
 
 def _solve_fixed(y0, t_start, t_end, fn, cfg: SolverConfig, q0) -> SolveReport:
-    """Fixed steps, the last one clipped to land on ``t_end``."""
+    """Fixed steps of the method's tableau, the last one clipped to land on ``t_end``."""
+    c, a, b = _FIXED[cfg.method]
     direction = 1.0 if t_end >= t_start else -1.0
     h = cfg.fixed_step
     n_steps = max(1, int(np.ceil(abs(t_end - t_start) / h - 1e-12)))
@@ -140,39 +155,23 @@ def _solve_fixed(y0, t_start, t_end, fn, cfg: SolverConfig, q0) -> SolveReport:
 
     y = np.array(y0, dtype=float)
     q = None if q0 is None else np.array(q0, dtype=float)
-    if q is None:
-        field = fn
-    else:
-        # every fixed-step stage carries weight, so each integrand runs at once
-        terms = []
-
-        def field(t, y):
-            dy, integrand = fn(t, y)
-            terms.append(integrand())
-            return dy
-
+    k = np.empty((b.size, y.size))
     t = t_start
     for i in range(n_steps):
         hs = direction * min(h, abs(t_end - t))
         if i == n_steps - 1:
             hs = t_end - t  # land on the boundary exactly
-        if cfg.method == "euler":
-            y = y + hs * field(t, y)
-        else:  # rk4
-            k1 = field(t, y)
-            k2 = field(t + hs / 2, y + hs / 2 * k1)
-            k3 = field(t + hs / 2, y + hs / 2 * k2)
-            k4 = field(t + hs, y + hs * k3)
-            y = y + hs / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        # every stage carries weight, so each integrand runs at once
+        dq = None if q is None else np.zeros_like(q)
+        for j in range(b.size):
+            k[j] = _stage(fn, t + c[j] * hs, y + hs * (a[j] @ k[:j]), b[j], dq)[0]
+        y = y + hs * (b @ k)
         if q is not None:
-            dq = terms[0] if cfg.method == "euler" else (
-                terms[0] + 2 * terms[1] + 2 * terms[2] + terms[3]) / 6
             q += hs * dq
-            terms.clear()
         t = t + hs
         _check_finite(y, t)
-    return SolveReport(terminal_state=y, nfe=n_steps * (1 if cfg.method == "euler" else 4),
-                       accepted_steps=n_steps, rejected_steps=0, quadrature=q)
+    return SolveReport(terminal_state=y, nfe=n_steps * b.size, accepted_steps=n_steps,
+                       rejected_steps=0, quadrature=q)
 
 
 def _initial_step(fn: Field, t: float, y0: np.ndarray, f0: np.ndarray, direction: float,
@@ -220,15 +219,13 @@ def _solve_dopri5(y0, t_start, t_end, fn, cfg: SolverConfig, scored: int | None,
 
     y = np.array(y0, dtype=float)
     q = None if q0 is None else np.array(q0, dtype=float)
+    # b_1 times the integrand at the attempt's start point
+    first = None if q is None else np.zeros_like(q)
     t = t_start
     k = np.empty((7, y.size))
-    if q is None:
-        k[0] = fn(t, y)
-    else:
-        first = np.zeros_like(q)   # b_1 times the integrand at the attempt's start point
-        k[0] = _weighted(fn, t, y, _DP_B[0], first)
-    # the probe's integrand is never called
-    h = _initial_step(fn if q is None else (lambda t, y: fn(t, y)[0]),
+    k[0] = _stage(fn, t, y, _DP_B[0], first)[0]
+    # weight 0: the probe's integrand is never called
+    h = _initial_step(lambda t, y: _stage(fn, t, y, 0.0, first)[0],
                       t, y, k[0], direction, total, cfg, scored)
     nfe = 2  # the start point and the first-step probe
 
@@ -243,24 +240,16 @@ def _solve_dopri5(y0, t_start, t_end, fn, cfg: SolverConfig, scored: int | None,
         hs = direction * h_eff
         last = h_eff >= remaining - 1e-14 * max(1.0, total)
 
+        # this attempt's sum of b_i * dq_i, kept only if the step is accepted;
         # each stage's input stays a temporary, freed once its evaluation returns
-        if q is None:
-            for i in range(1, 6):
-                k[i] = fn(t + _DP_C[i] * hs, y + hs * (_DP_A[i] @ k[:i]))
-        else:
-            # this attempt's sum of b_i * dq_i, kept only if the step is accepted
-            dq_sum = first.copy()
-            for i in range(1, 6):
-                k[i] = _weighted(fn, t + _DP_C[i] * hs, y + hs * (_DP_A[i] @ k[:i]),
-                                 _DP_B[i], dq_sum)
+        dq = None if q is None else first.copy()
+        for i in range(1, 6):
+            k[i] = _stage(fn, t + _DP_C[i] * hs, y + hs * (_DP_A[i] @ k[:i]), _DP_B[i], dq)[0]
         # stage 7's combination row equals the 5th-order weights, so its
         # evaluation point is the candidate state itself (FSAL); b_7 = 0, and
         # its integrand is the next step's first, run once this step is accepted
         y_new = y + hs * (_DP_A[6] @ k[:6])
-        if q is None:
-            k[6] = fn(t + hs, y_new)
-        else:
-            k[6], fsal = fn(t + hs, y_new)
+        k[6], fsal = _stage(fn, t + hs, y_new, _DP_B[6], dq)
         nfe += 6
 
         _check_finite(y_new, t + hs)
@@ -277,7 +266,7 @@ def _solve_dopri5(y0, t_start, t_end, fn, cfg: SolverConfig, scored: int | None,
             y = y_new
             k[0] = k[6]
             if q is not None:
-                q += hs * dq_sum
+                q += hs * dq
                 if not last:
                     first = _DP_B[0] * fsal()
             if err == 0.0:
@@ -326,6 +315,6 @@ def odesolve(y0: np.ndarray, t_start: float, t_end: float, fn: Field, cfg: Solve
         return SolveReport(terminal_state=y0.copy(), nfe=0, accepted_steps=0, rejected_steps=0,
                            quadrature=None if quadrature is None
                            else np.array(quadrature, dtype=float))
-    if cfg.method in ("euler", "rk4"):
+    if cfg.method in _FIXED:
         return _solve_fixed(y0, t_start, t_end, fn, cfg, quadrature)
     return _solve_dopri5(y0, t_start, t_end, fn, cfg, scored, quadrature)

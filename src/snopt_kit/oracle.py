@@ -21,12 +21,13 @@ from .odesolve import SolverConfig, odesolve
 
 # ground-truth surrogate solver for the error study
 REFERENCE_CFG = SolverConfig(method="dopri5", rtol=1e-12, atol=1e-12, max_steps=10_000_000)
+# central-difference step of both finite-difference references
+FD_STEP = 1e-5
 
 
-def fd_gradient(lossfn, theta: np.ndarray, h: float = 1e-5) -> np.ndarray:
+def fd_gradient(lossfn, theta: np.ndarray) -> np.ndarray:
     """Central-difference gradient of a scalar function of the parameters."""
-    if h <= 0:
-        raise ValueError("h must be positive")
+    h = FD_STEP
     theta = np.asarray(theta, dtype=float)
     grad = np.empty_like(theta)
     for i in range(theta.size):
@@ -37,9 +38,9 @@ def fd_gradient(lossfn, theta: np.ndarray, h: float = 1e-5) -> np.ndarray:
 
 
 def fd_flow_jacobian(spec: vf.MlpSpec, theta: np.ndarray, x0: np.ndarray,
-                     t0: float, t1: float, cfg: SolverConfig,
-                     h: float = 1e-5) -> np.ndarray:
+                     t0: float, t1: float, cfg: SolverConfig) -> np.ndarray:
     """Central differences of the terminal state w.r.t. each parameter."""
+    h = FD_STEP
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim != 1:
         raise ValueError("fd_flow_jacobian expects a single state vector")
@@ -73,14 +74,16 @@ def _rel(err_vec: np.ndarray, ref: np.ndarray) -> float:
 
 def error_study(spec: vf.MlpSpec, theta: np.ndarray, x0: np.ndarray,
                 lossfn: TerminalLoss, solver_cfgs: list[tuple[str, SolverConfig]],
-                t0: float = 0.0, t1: float = 1.0) -> list[ErrorRow]:
-    """Relative errors of both derivative orders per solver setting.
+                ) -> list[ErrorRow]:
+    """Relative errors of both derivative orders per solver setting, over [0, 1].
 
-    For each entry, the forward and backward passes run at that setting;
-    the references are a finite-difference gradient (over tightly solved
-    forward passes) and the Gauss-Newton curvature built from a
-    finite-difference flow Jacobian.
+    For each entry, the forward and backward passes run at that setting,
+    the backward sweeps under the error norm training uses (the state
+    replay); the references are a finite-difference gradient (over
+    tightly solved forward passes) and the Gauss-Newton curvature built
+    from a finite-difference flow Jacobian.
     """
+    t0, t1 = 0.0, 1.0
     x0 = np.asarray(x0, dtype=float)
     field = lambda t, y: vf.eval(spec, theta, t, y)[0]
 
@@ -101,10 +104,7 @@ def error_study(spec: vf.MlpSpec, theta: np.ndarray, x0: np.ndarray,
     for label, cfg in solver_cfgs:
         x1 = odesolve(x0, t0, t1, field, cfg).terminal_state
         a1 = grad_x1(lossfn, x1)
-        # both sweeps score their whole ODE state ([x | a], [x | a | q_i]) so
-        # the first- and second-order errors are measured under one policy
-        grad, _, _, _ = adjoint_gradient(spec, theta, x1, a1, t0, t1, cfg,
-                                         use_semi=False)
+        grad, _, _, _ = adjoint_gradient(spec, theta, x1, a1, t0, t1, cfg)
         curv = terminal_curvature(lossfn, x1, t0, t1, mode="exact_rank")
         state = lowrank_sweep(spec, theta, x1, curv, t0, t1, cfg)
         quu = assemble_quu(state)

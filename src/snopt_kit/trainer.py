@@ -7,7 +7,7 @@ minibatch is a subset of the training split, so its terminal states are
 rows of that one solve, which also gives the train metrics at the
 pre-update parameters; a zero learning rate therefore yields a constant
 loss sequence.  The readout (when present) is updated in the same
-iteration by a first-order rule; its curvature is never tracked.  Test
+iteration by Adam; its curvature is never tracked.  Test
 metrics run on the evaluation cadence and on the final iteration.
 
 Randomness is split into three Philox streams derived from the run seed:
@@ -121,12 +121,10 @@ class OptimizerConfig:
     epsilon: float = 0.05            # snopt Tikhonov damping
     amortization: float = 0.75       # snopt eigenbasis EMA
     momentum: float = 0.9            # sgd
-    readout_rule: str = "adam"       # first-order rule for the readout
-    readout_lr: float = 0.01         # readout scale differs from the ODE parameters
+    readout_lr: float = 0.01         # Adam on the readout, whose scale differs from the ODE's
 
     def __post_init__(self):
         _check_choice("optimizer", self.kind, ("adam", "sgd", "snopt"))
-        _check_choice("readout rule", self.readout_rule, ("adam", "sgd"))
         # checked whatever the kind, so a grid may switch kinds in any order
         SnoptState(lr=self.lr, epsilon=self.epsilon, amortization=self.amortization)
 
@@ -255,12 +253,7 @@ class _Run:
             self.opt_state = SgdState(lr=cfg.optimizer.lr, momentum=cfg.optimizer.momentum)
 
         ro_lr = cfg.optimizer.readout_lr
-        if cfg.optimizer.readout_rule == "adam":
-            self.ro_w_state, self.ro_b_state = AdamState(lr=ro_lr), AdamState(lr=ro_lr)
-            self.ro_step = adam_step
-        else:
-            self.ro_w_state, self.ro_b_state = SgdState(lr=ro_lr), SgdState(lr=ro_lr)
-            self.ro_step = sgd_step
+        self.ro_w_state, self.ro_b_state = AdamState(lr=ro_lr), AdamState(lr=ro_lr)
 
         self.horizon = None
         if cfg.horizon.enabled:
@@ -269,15 +262,14 @@ class _Run:
                                         t_min=cfg.horizon.t_min, t_max=cfg.horizon.t_max,
                                         ema=cfg.horizon.ema)
 
-    def forward(self, x0: np.ndarray, t1: float | None = None) -> tuple[np.ndarray, SolveReport]:
-        t1 = self.t1 if t1 is None else t1
+    def forward(self, x0: np.ndarray) -> tuple[np.ndarray, SolveReport]:
         batch, m = x0.shape
         weights = vf.unpack_params(self.spec, self.theta)
 
         def fld(t, y):
             return vf._forward(self.spec, weights, t, y.reshape(batch, m)).zs[-1].ravel()
 
-        rep = odesolve(x0.ravel(), self.cfg.t0, t1, fld, self.cfg.solver)
+        rep = odesolve(x0.ravel(), self.cfg.t0, self.t1, fld, self.cfg.solver)
         return rep.terminal_state.reshape(batch, m), rep
 
     def draw_batch(self) -> tuple[np.ndarray, TerminalLoss]:
@@ -294,23 +286,22 @@ class _Run:
         lf = _loss_for(self.cfg.loss, self.ds.labels[idx], self.readout)
         return loss_value(lf, x1), accuracy(lf, x1)
 
-    def backward(self, x1: np.ndarray, lossfn: TerminalLoss, probe: dict | None = None,
+    def backward(self, x1: np.ndarray, lossfn: TerminalLoss,
                  ) -> tuple[np.ndarray, KroneckerFactors | None, np.ndarray, SolveReport]:
         """The factor sweep (snopt) or the adjoint from the minibatch's ``x1``.
 
         Returns the parameter gradient, the Kronecker factors (None for
-        first order), the terminal-loss gradient and the solve report;
-        ``probe`` receives the sizes of the sweep's state and quadrature.
+        first order), the terminal-loss gradient and the solve report.
         """
         cfg = self.cfg
         if cfg.optimizer.kind == "snopt":
             curv = terminal_curvature(lossfn, x1, cfg.t0, self.t1, mode=cfg.loss.curvature)
             factors, grad, rep = accumulate_factors(self.spec, self.theta, x1, curv, cfg.t0,
-                                                    self.t1, cfg.solver, probe=probe)
+                                                    self.t1, cfg.solver)
             return grad, factors, curv.grad, rep
         phi_grad = grad_x1(lossfn, x1)
         grad, _, _, rep = adjoint_gradient(self.spec, self.theta, x1, phi_grad, cfg.t0,
-                                           self.t1, cfg.solver, probe=probe)
+                                           self.t1, cfg.solver)
         return grad, None, phi_grad, rep
 
     def iterate(self, it: int, started: float) -> TrainRecord:
@@ -343,11 +334,11 @@ class _Run:
 
         if self.readout is not None:
             d_w, d_b = readout_grads(lossfn, x1)
-            w_flat = self.ro_step(self.ro_w_state,
-                                  d_w.ravel() + gamma * self.readout.weight.ravel(),
-                                  self.readout.weight.ravel())
+            w_flat = adam_step(self.ro_w_state,
+                               d_w.ravel() + gamma * self.readout.weight.ravel(),
+                               self.readout.weight.ravel())
             self.readout.weight = w_flat.reshape(self.readout.weight.shape)
-            self.readout.bias = self.ro_step(self.ro_b_state, d_b, self.readout.bias)
+            self.readout.bias = adam_step(self.ro_b_state, d_b, self.readout.bias)
 
         if self.horizon is not None:
             terms = horizon_terms(self.spec, self.theta, x1, phi_grad, grad,
@@ -392,15 +383,14 @@ def train(config: ExperimentConfig, on_iteration=None) -> list[TrainRecord]:
 def memory_probe(config: ExperimentConfig) -> int:
     """Peak live state of the first iteration's backward pass, in array elements.
 
-    Measured off the packed ODE state ``train`` carries plus the quadrature
-    the solve carries beside it (the gradient, and for the second-order
-    rule the packed factor integrand), so the number is independent of
-    solver tolerance and step counts by construction — the test suite
-    checks that, not this docstring.
+    Read off the backward report: the packed ODE state ``train`` carries
+    plus the quadrature the solve carries beside it (the gradient, and for
+    the second-order rule the packed factor integrand), so the number is
+    independent of solver tolerance and step counts by construction — the
+    test suite checks that, not this docstring.
     """
     run = _Run(config)
     pos, lossfn = run.draw_batch()
     x1 = run.forward(run.ds.inputs[run.ds.train_idx])[0][pos]
-    probe: dict = {}
-    run.backward(x1, lossfn, probe)
-    return probe["state_elements"] + probe["quadrature_elements"]
+    rep = run.backward(x1, lossfn)[3]
+    return rep.terminal_state.size + rep.quadrature.size

@@ -115,10 +115,9 @@ class TestAdjointGradient:
         a1 = np.ones_like(x1)
         sizes = []
         for h in (1e-1, 1e-2, 1e-3):
-            probe = {}
-            adjoint_gradient(spec, theta, x1, a1, 0.0, 1.0,
-                             SolverConfig(method="rk4", fixed_step=h), probe=probe)
-            sizes.append((probe["state_elements"], probe["quadrature_elements"]))
+            rep = adjoint_gradient(spec, theta, x1, a1, 0.0, 1.0,
+                                   SolverConfig(method="rk4", fixed_step=h))[3]
+            sizes.append((rep.terminal_state.size, rep.quadrature.size))
         assert sizes[0] == sizes[1] == sizes[2] == (2 * 2 * 2, vf.num_params(spec))
 
     def test_single_sample_shapes(self):
@@ -128,16 +127,3 @@ class TestAdjointGradient:
                                            np.array([1.0, 0.0]), 0.0, 1.0, RK4)
         assert x0.shape == (2,) and a0.shape == (2,)
         assert grad.shape == (vf.num_params(spec),)
-
-    def test_semi_norm_backward_default(self):
-        # adaptive backward defaults to the state-prefix error norm: it should
-        # take no more steps than the full-norm variant
-        spec = vf.MlpSpec(dims=(2, 4, 2), activations=("tanh", "identity"))
-        theta = vf.init_params(spec, 8)
-        x1 = np.array([[0.5, -0.5]])
-        a1 = np.array([[1.0, 1.0]])
-        cfg = SolverConfig(method="dopri5", rtol=1e-6, atol=1e-6)
-        _, _, _, rep_semi = adjoint_gradient(spec, theta, x1, a1, 0.0, 1.0, cfg)
-        _, _, _, rep_full = adjoint_gradient(spec, theta, x1, a1, 0.0, 1.0, cfg,
-                                             use_semi=False)
-        assert rep_semi.nfe <= rep_full.nfe

@@ -185,6 +185,21 @@ class TestCmdGrid:
         assert cli.cmd_grid(config_path, str(tmp_path / "none.ini"),
                             str(tmp_path / "o")) == 1
 
+    def test_cell_keys_apply_in_any_order(self, tmp_path):
+        # an adaptive base: rk4 is valid only once its fixed_step is set too
+        config = tmp_path / "adaptive.ini"
+        config.write_text(BASE_CONFIG.replace("method = rk4\nfixed_step = 0.1",
+                                              "method = dopri5\nrtol = 1e-3\natol = 1e-3"))
+        losses = []
+        for order in ("solver.method = rk4\nsolver.fixed_step = 0.1\n",
+                      "solver.fixed_step = 0.1\nsolver.method = rk4\n"):
+            grid = tmp_path / "grid.ini"
+            grid.write_text("[grid]\n" + order)
+            out_dir = tmp_path / f"cells{len(losses)}"
+            assert cli.cmd_grid(str(config), str(grid), str(out_dir)) == 0
+            losses.append((out_dir / "summary.csv").read_text().splitlines()[1].split(",")[2])
+        assert losses[0] == losses[1]
+
 
     def test_aborted_cell_recorded(self, config_path, tmp_path, capsys):
         grid = tmp_path / "grid.ini"

@@ -21,12 +21,8 @@ def test_config_and_grid_cells_train(path):
     base = cli.load_config(str(path))
     grid = path.with_name(path.stem + ".grid.ini")
     cells = cli._grid_cells(str(grid), base) if grid.exists() else []
-    configs = [base]
-    for cell in cells:
-        cfg = base
-        for key, value in cell:
-            cfg = cli.apply_override(cfg, f"{key}={value}")
-        configs.append(cfg)
+    configs = [base] + [cli.load_config(str(path), [f"{k}={v}" for k, v in cell])
+                        for cell in cells]
     for cfg in configs:
         records = trainer.train(replace(cfg, iterations=2))
         assert [r.iteration for r in records] == [1, 2]

@@ -215,9 +215,8 @@ class TestDefaultConfigSweep:
                                         mode="exact_rank")
             runs = []
             for c in (curv, carried):
-                probe = {}
-                runs.append((*accumulate_factors(spec, theta, x1, c, 0.0, t1, cfg.solver, probe),
-                             probe["state_elements"]))
+                out = accumulate_factors(spec, theta, x1, c, 0.0, t1, cfg.solver)
+                runs.append((*out, out[2].terminal_state.size))
             (got, grad, rep, size), (ref, g_ref, rep_ref, size_ref) = runs
             assert size_ref - size == x1.size
             assert rep.nfe == rep_ref.nfe and rep.accepted_steps == rep_ref.accepted_steps

@@ -1,4 +1,5 @@
-"""Every function, class and method in the package is reached from outside the tests.
+"""Every function, class, method and defaulted parameter in the package is
+reached from outside the tests.
 
 A name counts as used when ``src/``, ``scripts/`` or ``bench/`` refer to it
 as a name, an attribute, an imported name, a keyword argument, or a
@@ -7,6 +8,12 @@ body counts as used only when they refer to it as an attribute, so a local
 variable or parameter of the same name does not keep it alive.  Dunder
 methods are called by Python itself and are exempt.  The check is by name,
 so it misses a dead definition that shares its name with a live one.
+
+A parameter with a default counts as set only when some call in those
+directories passes it, by keyword or by position, to a callee of the
+function's name (a class's name, or ``cls``, for its ``__init__``); a call
+that unpacks ``*args`` or ``**kwargs`` may pass any parameter of its kind.
+The parameters of entry points, which a shell fills, are exempt.
 """
 
 import ast
@@ -36,6 +43,10 @@ def _definitions():
                            id(node) in methods)
 
 
+def _entry_points():
+    return set(re.findall(r'=\s*"[\w.]+:(\w+)"', (ROOT / "pyproject.toml").read_text()))
+
+
 def _references():
     """Names referred to in any way, and names referred to as attributes."""
     names, attributes = set(), set()
@@ -49,8 +60,7 @@ def _references():
                 names.add(node.name.rsplit(".", 1)[-1])
             elif isinstance(node, ast.keyword) and node.arg:
                 names.add(node.arg)
-    pyproject = (ROOT / "pyproject.toml").read_text()
-    names.update(re.findall(r'=\s*"[\w.]+:(\w+)"', pyproject))
+    names.update(_entry_points())
     return names | attributes, attributes
 
 
@@ -59,3 +69,63 @@ def test_no_unreferenced_definitions():
     dead = [where for where, name, is_method in _definitions()
             if name not in (attributes if is_method else used)]
     assert dead == [], "defined in src/ but referenced only by tests (or nowhere): " + ", ".join(dead)
+
+
+def _defaulted_parameters():
+    """(where, callee names, parameter, its position or None) for every
+    parameter with a default; the position counts call arguments, so it
+    skips a method's ``self`` or ``cls``."""
+    exempt = _entry_points()
+    for path, tree in _trees("src/snopt_kit"):
+        owner = {id(node): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                 for node in cls.body if isinstance(node, _DEFS)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or node.name in exempt:
+                continue
+            args = node.args
+            callees = {node.name}
+            positional = args.posonlyargs + args.args
+            if id(node) in owner and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                             for d in node.decorator_list):
+                positional = positional[1:]
+                if node.name == "__init__":
+                    callees = {owner[id(node)], "cls"}
+            where = f"{path.relative_to(ROOT)}:{node.lineno} {node.name}"
+            for i in range(len(positional) - len(args.defaults), len(positional)):
+                yield where, callees, positional[i].arg, i
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield where, callees, arg.arg, None
+
+
+def _passed():
+    """Per callee name, the keywords and the most positional arguments
+    calls pass; and the callee names some call passes ``*args`` or
+    ``**kwargs``."""
+    keywords, most, star, double = {}, {}, set(), set()
+    for _, tree in _trees("src", "scripts", "bench"):
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name is None:
+                continue
+            if any(isinstance(a, ast.Starred) for a in node.args):
+                star.add(name)
+            most[name] = max(most.get(name, 0), len(node.args))
+            for kw in node.keywords:
+                if kw.arg is None:
+                    double.add(name)
+                else:
+                    keywords.setdefault(name, set()).add(kw.arg)
+    return keywords, most, star, double
+
+
+def test_every_defaulted_parameter_is_set():
+    keywords, most, star, double = _passed()
+    never = [f"{where}({param}=)" for where, callees, param, pos in _defaulted_parameters()
+             if not any(param in keywords.get(c, ()) or c in double
+                        or (pos is not None and (most.get(c, 0) > pos or c in star))
+                        for c in callees)]
+    assert never == [], "parameters no call outside the tests sets: " + ", ".join(never)

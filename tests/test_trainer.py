@@ -246,9 +246,8 @@ class TestMemoryProbe:
         # the state [x | a] and the gradient quadrature
         run = tr._Run(cfg)
         pos, lossfn = run.draw_batch()
-        probe = {}
-        run.backward(run.forward(run.ds.inputs[run.ds.train_idx])[0][pos], lossfn, probe)
-        assert probe == {"state_elements": 2 * 16 * m, "quadrature_elements": n_params}
+        rep = run.backward(run.forward(run.ds.inputs[run.ds.train_idx])[0][pos], lossfn)[3]
+        assert (rep.terminal_state.size, rep.quadrature.size) == (2 * 16 * m, n_params)
 
     def test_snopt_probe_linear_in_rank(self):
         # the factor sweep's probe, batch 16 through 2-4-2, synthetic rank-R factors
@@ -259,10 +258,9 @@ class TestMemoryProbe:
         for rank in (1, 2, 4):
             curv = TerminalCurvature(grad=x1, factors=[x1 * (i + 1.0) for i in range(rank)],
                                      mode="exact_rank")
-            probe = {}
-            accumulate_factors(spec, theta, x1, curv, 0.0, 1.0,
-                               SolverConfig(method="rk4", fixed_step=0.25), probe=probe)
-            probes[rank] = probe["state_elements"] + probe["quadrature_elements"]
+            rep = accumulate_factors(spec, theta, x1, curv, 0.0, 1.0,
+                                     SolverConfig(method="rk4", fixed_step=0.25))[2]
+            probes[rank] = rep.terminal_state.size + rep.quadrature.size
         p1, p2, p4 = probes[1], probes[2], probes[4]
         assert p2 - p1 == 16 * 2            # one extra batch-by-state vector
         assert p4 - p2 == 2 * (p2 - p1)     # exactly affine in the rank
