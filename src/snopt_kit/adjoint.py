@@ -55,11 +55,9 @@ class BackwardSweep:
         The adjoint ``a1`` and each rank vector in ``qs`` broadcast against
         the (batch, m) terminal states.  The quadrature starts at zero.
         """
-        x1 = np.atleast_2d(np.asarray(x1, dtype=float))
-        if x1.ndim != 2 or x1.shape[1] != spec.state_dim:
-            raise ValueError(f"terminal states {x1.shape} do not match width {spec.state_dim}")
+        x1 = vf.check_states(spec, x1)
         sweep = cls(spec, theta, x1.shape[0], len(qs), couplings)
-        cot = np.stack([np.broadcast_to(np.atleast_2d(v), x1.shape) for v in (a1, *qs)])
+        cot = np.stack([np.broadcast_to(v, x1.shape) for v in (a1, *qs)])
         return sweep, sweep.pack(x1, cot)
 
     def pack(self, x: np.ndarray, cot: np.ndarray) -> np.ndarray:
@@ -104,7 +102,7 @@ def adjoint_gradient(spec: vf.MlpSpec, theta: np.ndarray, x1: np.ndarray, a1: np
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, SolveReport]:
     """Loss gradient by integrating the adjoint system from t1 back to t0.
 
-    ``a1`` is the terminal-loss gradient at ``x1`` (per sample).  Returns
+    ``a1`` is the terminal-loss gradient at the (batch, m) states ``x1``.  Returns
     the flat parameter gradient, the reconstructed initial state, the
     adjoint at t0, and the solve report.  The error norm scores the state
     replay; the gradient is the quadrature, which no norm scores.
@@ -115,7 +113,5 @@ def adjoint_gradient(spec: vf.MlpSpec, theta: np.ndarray, x1: np.ndarray, a1: np
     report = odesolve(y1, t1, t0, sweep.field, cfg, scored=sweep.x_len,
                       quadrature=np.zeros(sweep.quad_len))
     x0, a0 = sweep.unpack(report.terminal_state)
-    if np.ndim(x1) == 1:
-        x0, a0 = x0[0], a0[0]
     # the solve runs from t1 down to t0, so it subtracts the integral
     return -report.quadrature, x0, a0, report

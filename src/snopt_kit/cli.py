@@ -278,17 +278,11 @@ def _check_gradient(tol_scale: float):
     target = rng.uniform(-1, 1, size=(8, 2))
     lossfn = loss.TerminalLoss(kind="mse", target=target)
     cfg = SolverConfig(method="rk4", fixed_step=1e-2)
-
-    def fwd(th):
-        w = vf.unpack_params(spec, th)
-        fld = lambda t, y: vf._forward(spec, w, t, y.reshape(8, 2)).zs[-1].ravel()
-        from .odesolve import odesolve
-        return odesolve(x0.ravel(), 0.0, 1.0, fld, cfg).terminal_state.reshape(8, 2)
-
-    x1 = fwd(theta)
+    x1 = oracle.flow(spec, theta, x0, 0.0, 1.0, cfg)
     grad, _, _, _ = adjoint.adjoint_gradient(spec, theta, x1, loss.grad_x1(lossfn, x1),
                                              0.0, 1.0, cfg)
-    fd = oracle.fd_gradient(lambda th: loss.loss_value(lossfn, fwd(th)), theta)
+    fd = oracle.fd_gradient(
+        lambda th: loss.loss_value(lossfn, oracle.flow(spec, th, x0, 0.0, 1.0, cfg)), theta)
     err = np.linalg.norm(grad - fd) / np.linalg.norm(fd)
     return "adjoint gradient vs finite differences", float(err), 1e-4 * tol_scale
 
@@ -296,11 +290,9 @@ def _check_gradient(tol_scale: float):
 def _check_dense_curvature(tol_scale: float):
     spec = vf.MlpSpec(dims=(2, 4, 2), activations=("tanh", "identity"))
     theta = vf.init_params(spec, 3)
-    x0 = np.array([0.4, -0.2])
+    x0 = np.array([[0.4, -0.2]])
     cfg = SolverConfig(method="dopri5", rtol=1e-8, atol=1e-8)
-    from .odesolve import odesolve
-    fld = lambda t, y: vf.eval(spec, theta, t, y)[0]
-    x1 = odesolve(x0, 0.0, 1.0, fld, cfg).terminal_state
+    x1 = oracle.flow(spec, theta, x0, 0.0, 1.0, cfg)
     lossfn = loss.TerminalLoss(kind="mse", target=np.zeros(2))
     curv = loss.terminal_curvature(lossfn, x1, 0.0, 1.0, "exact_rank")
     dense = curvature.dense_sweep(spec, theta, x1, curv, 0.0, 1.0, cfg)
@@ -314,9 +306,9 @@ def _check_lowrank_equivalence(tol_scale: float):
     spec = vf.MlpSpec(dims=(2, 3, 2), activations=("tanh", "identity"))
     theta = vf.init_params(spec, 5)
     rng = np.random.Generator(np.random.Philox(7))
-    x1 = rng.uniform(-1, 1, size=2)
-    curv = loss.TerminalCurvature(grad=rng.normal(size=2),
-                                  factors=[rng.normal(size=2) for _ in range(2)],
+    x1 = rng.uniform(-1, 1, size=(1, 2))
+    curv = loss.TerminalCurvature(grad=rng.normal(size=(1, 2)),
+                                  factors=[rng.normal(size=(1, 2)) for _ in range(2)],
                                   mode="exact_rank")
     cfg = SolverConfig(method="dopri5", rtol=1e-10, atol=1e-10)
     dense = curvature.dense_sweep(spec, theta, x1, curv, 0.0, 1.0, cfg)
@@ -343,7 +335,7 @@ def _check_kron_update(tol_scale: float):
     state = optimizer.SnoptState(lr=1.0, epsilon=eps, amortization=0.0)
     delta = theta - optimizer.snopt_step(state, factors, grad, theta)
     ea, eb = numerics.sym_eigen(a), numerics.sym_eigen(b)
-    basis = numerics.kron(ea.vectors, eb.vectors)
+    basis = np.kron(ea.vectors, eb.vectors)
     xg = basis.T @ grad
     want = basis @ (xg / (xg ** 2 + eps))
     err = np.linalg.norm(delta - want) / np.linalg.norm(want)

@@ -6,7 +6,7 @@ Two routes to the same curvature:
   the state-state block, the state-parameter block, and the
   parameter-parameter block — jointly with the state replay.  It is the
   desk-scale reference: exact for the linearized dynamics, quadratic in
-  the problem sizes, single sample only.
+  the problem sizes, for a batch of one.
 
 * :func:`lowrank_sweep` replaces the matrix system with independent vector
   pairs ``(q_i, p_i)`` seeded by a rank factorization of the terminal
@@ -31,29 +31,17 @@ import numpy as np
 from . import vector_field as vf
 from .kfac import KroneckerFactors
 from .loss import TerminalCurvature
+from .numerics import triu_flat, triu_unpack
 from .odesolve import SolveReport, SolverConfig, odesolve
 from .adjoint import BackwardSweep
-
-
-def _triu_pack(mat: np.ndarray) -> np.ndarray:
-    i, j = np.triu_indices(mat.shape[0])
-    return mat[i, j]
-
-
-def _triu_unpack(flat: np.ndarray, d: int) -> np.ndarray:
-    out = np.zeros((d, d))
-    i, j = np.triu_indices(d)
-    out[i, j] = flat
-    out[j, i] = flat
-    return out
 
 
 @dataclass
 class DenseCurvatureState:
     """All cost-to-go derivatives at t0 from the matrix sweep."""
 
-    x0: np.ndarray
-    qx: np.ndarray      # (m,)
+    x0: np.ndarray      # (1, m)
+    qx: np.ndarray      # (1, m)
     qu: np.ndarray      # (n,) gradient
     qxx: np.ndarray     # (m, m) symmetric
     qxu: np.ndarray     # (m, n)
@@ -61,20 +49,11 @@ class DenseCurvatureState:
     report: SolveReport
 
 
-def _single_sample(x1, grad):
-    x1 = np.asarray(x1, dtype=float)
-    grad = np.asarray(grad, dtype=float)
-    if x1.ndim == 2:
-        if x1.shape[0] != 1:
-            raise ValueError("dense_sweep handles a single sample")
-        x1, grad = x1[0], np.atleast_2d(grad)[0]
-    return x1, grad
-
-
 def dense_sweep(spec: vf.MlpSpec, theta: np.ndarray, x1: np.ndarray,
                 curv: TerminalCurvature, t0: float, t1: float,
                 cfg: SolverConfig) -> DenseCurvatureState:
-    """Backward matrix sweep seeded by the terminal gradient and Hessian.
+    """Backward matrix sweep from the terminal state ``x1`` of a batch of one,
+    seeded by the terminal gradient and Hessian.
 
     Only the upper triangles of the two symmetric blocks are carried;
     they are symmetrized on read.  The off-diagonal parameter-state block
@@ -82,7 +61,7 @@ def dense_sweep(spec: vf.MlpSpec, theta: np.ndarray, x1: np.ndarray,
     is integrated.
     """
     m, n = spec.state_dim, vf.num_params(spec)
-    x1v, gradv = _single_sample(x1, curv.grad)
+    x1v, gradv = vf.one_sample(x1, "x1"), vf.one_sample(curv.grad, "the terminal gradient")
     phi_xx = curv.hessian()
 
     txx = m * (m + 1) // 2
@@ -91,12 +70,13 @@ def dense_sweep(spec: vf.MlpSpec, theta: np.ndarray, x1: np.ndarray,
     offsets = np.cumsum([0] + sizes)
 
     def pack(x, qx, qu, qxx, qxu, quu):
-        return np.concatenate([x, qx, qu, _triu_pack(qxx), qxu.ravel(), _triu_pack(quu)])
+        return np.concatenate([x, qx, qu, qxx.ravel()[triu_flat(m)], qxu.ravel(),
+                               quu.ravel()[triu_flat(n)]])
 
     def unpack(y):
         parts = [y[offsets[i]:offsets[i + 1]] for i in range(6)]
-        return (parts[0], parts[1], parts[2], _triu_unpack(parts[3], m),
-                parts[4].reshape(m, n), _triu_unpack(parts[5], n))
+        return (parts[0], parts[1], parts[2], triu_unpack(parts[3], m),
+                parts[4].reshape(m, n), triu_unpack(parts[5], n))
 
     def field(t, y):
         x, qx, qu, qxx, qxu, _ = unpack(y)
@@ -112,7 +92,7 @@ def dense_sweep(spec: vf.MlpSpec, theta: np.ndarray, x1: np.ndarray,
     y1 = pack(x1v, gradv, np.zeros(n), phi_xx, np.zeros((m, n)), np.zeros((n, n)))
     report = odesolve(y1, t1, t0, field, cfg)
     x0, qx, qu, qxx, qxu, quu = unpack(report.terminal_state)
-    return DenseCurvatureState(x0=x0.copy(), qx=qx.copy(), qu=qu.copy(),
+    return DenseCurvatureState(x0=x0[None].copy(), qx=qx[None].copy(), qu=qu.copy(),
                                qxx=qxx, qxu=qxu.copy(), quu=quu, report=report)
 
 
@@ -134,10 +114,7 @@ class LowRankCurvatureState:
     report: SolveReport
 
     def _sample_qs(self) -> list[np.ndarray]:
-        qs = [np.atleast_2d(q) for q in self.qs]
-        if any(q.shape[0] != 1 for q in qs):
-            raise ValueError("reconstructions are defined per sample")
-        return [q[0] for q in qs]
+        return [vf.one_sample(q, "a rank vector") for q in self.qs]
 
     def recon_qxx(self) -> np.ndarray:
         return sum(np.outer(q, q) for q in self._sample_qs())

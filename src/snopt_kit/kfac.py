@@ -35,12 +35,12 @@ layout ``vec([W, b])``.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
 from . import vector_field as vf
 from .loss import TerminalCurvature
+from .numerics import triu_flat, triu_unpack
 from .odesolve import SolveReport, SolverConfig, odesolve
 from .adjoint import BackwardSweep
 
@@ -57,16 +57,9 @@ class KroneckerFactors:
         return replace(self, extra_damping=self.extra_damping + gamma)
 
 
-@lru_cache(maxsize=None)
-def _triangles(spec: vf.MlpSpec) -> tuple[tuple[int, np.ndarray], ...]:
-    """The packed integrand's layout: per factor, in the order ``A_1..A_L,
-    B_1..B_L``, its side and the row-major flat indices of its upper triangle."""
-    pbar = [p + (1 if spec.bias else 0) for p in spec.dims[:-1]]
-    out = []
-    for side in pbar + list(spec.dims[1:]):
-        rows, cols = np.triu_indices(side)
-        out.append((side, rows * side + cols))
-    return tuple(out)
+def _sides(spec: vf.MlpSpec) -> list[int]:
+    """The factors' sides in the packed order ``A_1..A_L, B_1..B_L``."""
+    return [p + (1 if spec.bias else 0) for p in spec.dims[:-1]] + list(spec.dims[1:])
 
 
 def _factor_terms(spec: vf.MlpSpec, trace: vf.LayerTrace,
@@ -80,7 +73,7 @@ def _factor_terms(spec: vf.MlpSpec, trace: vf.LayerTrace,
     zbars = vf.trace_zbars(spec, trace)
     mats = [zb.T @ zb for zb in zbars]
     mats += [g.T @ g for g in (g.reshape(-1, g.shape[-1]) for g in gs)]
-    out = np.concatenate([mat.ravel()[flat] for mat, (_, flat) in zip(mats, _triangles(spec))])
+    out = np.concatenate([mat.ravel()[triu_flat(mat.shape[0])] for mat in mats])
     out /= zbars[0].shape[0]
     return out
 
@@ -88,14 +81,10 @@ def _factor_terms(spec: vf.MlpSpec, trace: vf.LayerTrace,
 def _unpack_factors(spec: vf.MlpSpec, packed: np.ndarray) -> KroneckerFactors:
     """Full symmetric factors from their packed upper triangles."""
     mats, offset = [], 0
-    for side, flat in _triangles(spec):
-        rows, cols = np.divmod(flat, side)
-        values = packed[offset:offset + flat.size]
-        mat = np.empty((side, side))
-        mat[rows, cols] = values
-        mat[cols, rows] = values
-        mats.append(mat)
-        offset += flat.size
+    for side in _sides(spec):
+        size = side * (side + 1) // 2
+        mats.append(triu_unpack(packed[offset:offset + size], side))
+        offset += size
     return KroneckerFactors(a_factors=mats[:spec.n_layers], b_factors=mats[spec.n_layers:])
 
 
@@ -112,7 +101,7 @@ def accumulate_factors(spec: vf.MlpSpec, theta: np.ndarray, x1: np.ndarray,
     sweep, state = BackwardSweep.seeded(spec, theta, x1, curv.grad,
                                         curv.factors if scale is None else ())
     n = sweep.quad_len
-    sizes = [flat.size for _, flat in _triangles(spec)]
+    sizes = [side * (side + 1) // 2 for side in _sides(spec)]
     b_side = slice(n + sum(sizes[:spec.n_layers]), None)
 
     def field(t: float, y: np.ndarray):

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import vector_field as vf
 
 LOSS_KINDS = ("mse", "softmax_ce")
 CURVATURE_MODES = ("exact_rank", "gauss_newton_scaled")
@@ -79,17 +80,9 @@ class TerminalCurvature:
     adjoint_scale: float | None = None
 
     def hessian(self) -> np.ndarray:
-        """Dense reconstruction for a single sample."""
-        ys = [np.atleast_2d(y) for y in self.factors]
-        if any(y.shape[0] != 1 for y in ys):
-            raise ValueError("dense reconstruction is defined per sample")
-        return sum(np.outer(y[0], y[0]) for y in ys)
-
-
-def _as_batch(x1: np.ndarray) -> tuple[np.ndarray, bool]:
-    x1 = np.asarray(x1, dtype=float)
-    single = x1.ndim == 1
-    return (x1[None, :] if single else x1), single
+        """Dense reconstruction for a batch of one."""
+        ys = [vf.one_sample(y, "a factor") for y in self.factors]
+        return sum(np.outer(y, y) for y in ys)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -99,26 +92,22 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _check_labels(labels: np.ndarray, n_classes: int, batch: int):
-    labels = np.asarray(labels)
-    if labels.ndim == 0:
-        labels = labels[None]
-    if labels.shape[0] not in (1, batch):
-        raise BadLabel(f"{labels.shape[0]} labels for batch of {batch}")
+    if labels.shape != (batch,):
+        raise BadLabel(f"labels of shape {labels.shape} for a batch of {batch}")
     if labels.min() < 0 or labels.max() >= n_classes:
         raise BadLabel(f"label out of range for {n_classes} classes")
-    return np.broadcast_to(labels, (batch,))
+    return labels
 
 
-def _predictions(lossfn: TerminalLoss, x1b: np.ndarray) -> np.ndarray:
-    return lossfn.readout.logits(x1b) if lossfn.readout is not None else x1b
+def _predictions(lossfn: TerminalLoss, x1: np.ndarray) -> np.ndarray:
+    return lossfn.readout.logits(x1) if lossfn.readout is not None else x1
 
 
 def loss_value(lossfn: TerminalLoss, x1: np.ndarray) -> float:
-    """Batch-mean objective at the terminal state."""
-    x1b, _ = _as_batch(x1)
-    pred = _predictions(lossfn, x1b)
+    """Batch-mean objective at the (batch, m) terminal states."""
+    pred = _predictions(lossfn, x1)
     if lossfn.kind == "mse":
-        target = np.broadcast_to(np.atleast_2d(lossfn.target), pred.shape)
+        target = np.broadcast_to(lossfn.target, pred.shape)
         return float(0.5 * np.mean(np.sum((pred - target) ** 2, axis=1)))
     labels = _check_labels(lossfn.target, pred.shape[1], pred.shape[0])
     z = pred - pred.max(axis=1, keepdims=True)
@@ -126,11 +115,11 @@ def loss_value(lossfn: TerminalLoss, x1: np.ndarray) -> float:
     return float(-np.mean(log_probs[np.arange(pred.shape[0]), labels]))
 
 
-def _residual(lossfn: TerminalLoss, x1b: np.ndarray) -> np.ndarray:
+def _residual(lossfn: TerminalLoss, x1: np.ndarray) -> np.ndarray:
     """Per-sample gradient of the objective w.r.t. the predictions."""
-    pred = _predictions(lossfn, x1b)
+    pred = _predictions(lossfn, x1)
     if lossfn.kind == "mse":
-        target = np.broadcast_to(np.atleast_2d(lossfn.target), pred.shape)
+        target = np.broadcast_to(lossfn.target, pred.shape)
         return pred - target
     labels = _check_labels(lossfn.target, pred.shape[1], pred.shape[0])
     resid = _softmax(pred)
@@ -140,20 +129,16 @@ def _residual(lossfn: TerminalLoss, x1b: np.ndarray) -> np.ndarray:
 
 def grad_x1(lossfn: TerminalLoss, x1: np.ndarray) -> np.ndarray:
     """Per-sample gradient of the per-sample objective w.r.t. the state."""
-    x1b, single = _as_batch(x1)
-    resid = _residual(lossfn, x1b)
-    g = resid @ lossfn.readout.weight if lossfn.readout is not None else resid
-    return g[0] if single else g
+    resid = _residual(lossfn, x1)
+    return resid @ lossfn.readout.weight if lossfn.readout is not None else resid
 
 
 def readout_grads(lossfn: TerminalLoss, x1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Batch-mean gradients of the readout weight and bias."""
     if lossfn.readout is None:
         raise ValueError("loss has no readout")
-    x1b, _ = _as_batch(x1)
-    resid = _residual(lossfn, x1b)
-    batch = x1b.shape[0]
-    return resid.T @ x1b / batch, resid.mean(axis=0)
+    resid = _residual(lossfn, x1)
+    return resid.T @ x1 / x1.shape[0], resid.mean(axis=0)
 
 
 def terminal_curvature(lossfn: TerminalLoss, x1: np.ndarray, t0: float, t1: float,
@@ -163,23 +148,22 @@ def terminal_curvature(lossfn: TerminalLoss, x1: np.ndarray, t0: float, t1: floa
         raise ValueError("terminal_curvature requires t1 > t0")
     if mode not in CURVATURE_MODES:
         raise ValueError(f"unknown curvature mode {mode!r}")
-    x1b, single = _as_batch(x1)
-    grad = grad_x1(lossfn, x1b)
+    grad = grad_x1(lossfn, x1)
 
     adjoint_scale = None
     if mode == "gauss_newton_scaled":
         adjoint_scale = float(1.0 / np.sqrt(t1 - t0))
         factors = [adjoint_scale * grad]
     elif lossfn.kind == "mse":
-        m = x1b.shape[1]
+        m = x1.shape[1]
         if lossfn.readout is None:
             # Hessian is the identity: factors are the unit vectors
-            factors = [np.broadcast_to(np.eye(m)[i], x1b.shape).copy() for i in range(m)]
+            factors = [np.broadcast_to(np.eye(m)[i], x1.shape).copy() for i in range(m)]
         else:
             # Hessian is V^T V: one factor per readout row
-            factors = [np.broadcast_to(row, x1b.shape).copy() for row in lossfn.readout.weight]
+            factors = [np.broadcast_to(row, x1.shape).copy() for row in lossfn.readout.weight]
     else:
-        pred = _predictions(lossfn, x1b)
+        pred = _predictions(lossfn, x1)
         _check_labels(lossfn.target, pred.shape[1], pred.shape[0])
         probs = _softmax(pred)
         n_cls = pred.shape[1]
@@ -188,10 +172,6 @@ def terminal_curvature(lossfn: TerminalLoss, x1: np.ndarray, t0: float, t1: floa
             # column k of diag(sqrt(p)) - p sqrt(p)^T, pushed through the readout
             bk = np.sqrt(probs[:, k:k + 1]) * (np.eye(n_cls)[k] - probs)
             factors.append(bk @ lossfn.readout.weight if lossfn.readout is not None else bk.copy())
-
-    if single:
-        grad = grad[0]
-        factors = [y[0] if y.ndim == 2 else y for y in factors]
     return TerminalCurvature(grad=grad, factors=factors, mode=mode,
                              adjoint_scale=adjoint_scale)
 
@@ -200,7 +180,6 @@ def accuracy(lossfn: TerminalLoss, x1: np.ndarray) -> float:
     """Fraction of correct argmax predictions; NaN for vector targets."""
     if lossfn.kind != "softmax_ce":
         return float("nan")
-    x1b, _ = _as_batch(x1)
-    pred = _predictions(lossfn, x1b)
+    pred = _predictions(lossfn, x1)
     labels = _check_labels(lossfn.target, pred.shape[1], pred.shape[0])
     return float(np.mean(pred.argmax(axis=1) == labels))

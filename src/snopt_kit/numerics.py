@@ -19,6 +19,7 @@ breaks both identities.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,9 +30,23 @@ class NotSymmetric(ValueError):
     """Input violates the symmetry tolerance of the eigensolver."""
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product (package-wide spelling of ``numpy.kron``)."""
-    return np.kron(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+@lru_cache(maxsize=None)
+def triu_flat(side: int) -> np.ndarray:
+    """Row-major flat indices of the upper triangle of a ``(side, side)``
+    matrix, the one packed-triangle layout: ``mat.ravel()[triu_flat(side)]``."""
+    rows, cols = np.triu_indices(side)
+    flat = rows * side + cols
+    flat.setflags(write=False)
+    return flat
+
+
+def triu_unpack(packed: np.ndarray, side: int) -> np.ndarray:
+    """The symmetric matrix whose packed upper triangle is ``packed``."""
+    rows, cols = np.divmod(triu_flat(side), side)
+    mat = np.empty((side, side))
+    mat[rows, cols] = packed
+    mat[cols, rows] = packed
+    return mat
 
 
 @dataclass

@@ -1,9 +1,10 @@
 """Independent brute-force references for the analytic sweeps.
 
 Central finite differences over the loss and over the flow provide the
-ground-truth surrogate for gradient and curvature checks, and
-:func:`error_study` tabulates how far the backward sweeps drift from them
-as the solver tolerances vary.  Finite differencing assumes a smooth
+ground-truth surrogate for gradient and curvature checks, :func:`flow` is
+the one forward solve they difference, and :func:`error_study` tabulates
+how far the backward sweeps drift from them as the solver tolerances
+vary.  Finite differencing assumes a smooth
 field, so these references are only valid for tanh/softplus networks.
 """
 
@@ -25,6 +26,15 @@ REFERENCE_CFG = SolverConfig(method="dopri5", rtol=1e-12, atol=1e-12, max_steps=
 FD_STEP = 1e-5
 
 
+def flow(spec: vf.MlpSpec, theta: np.ndarray, x0: np.ndarray, t0: float, t1: float,
+         cfg: SolverConfig) -> np.ndarray:
+    """Terminal states at ``t1`` of the (batch, m) states ``x0`` at ``t0``."""
+    x0 = vf.check_states(spec, x0)
+    weights = vf.unpack_params(spec, theta)
+    fld = lambda t, y: vf._forward(spec, weights, t, y.reshape(x0.shape)).zs[-1].ravel()
+    return odesolve(x0.ravel(), t0, t1, fld, cfg).terminal_state.reshape(x0.shape)
+
+
 def fd_gradient(lossfn, theta: np.ndarray) -> np.ndarray:
     """Central-difference gradient of a scalar function of the parameters."""
     h = FD_STEP
@@ -39,22 +49,16 @@ def fd_gradient(lossfn, theta: np.ndarray) -> np.ndarray:
 
 def fd_flow_jacobian(spec: vf.MlpSpec, theta: np.ndarray, x0: np.ndarray,
                      t0: float, t1: float, cfg: SolverConfig) -> np.ndarray:
-    """Central differences of the terminal state w.r.t. each parameter."""
+    """Central differences of the terminal state of the batch of one ``x0``
+    w.r.t. each parameter: the (m, n) flow Jacobian."""
     h = FD_STEP
-    x0 = np.asarray(x0, dtype=float)
-    if x0.ndim != 1:
-        raise ValueError("fd_flow_jacobian expects a single state vector")
-
-    def flow(th):
-        field = lambda t, y: vf.eval(spec, th, t, y)[0]
-        return odesolve(x0, t0, t1, field, cfg).terminal_state
-
-    m = x0.size
-    jac = np.empty((m, theta.size))
+    vf.one_sample(x0, "x0")
+    jac = np.empty((spec.state_dim, theta.size))
     for j in range(theta.size):
         step = np.zeros_like(theta)
         step[j] = h
-        jac[:, j] = (flow(theta + step) - flow(theta - step)) / (2 * h)
+        jac[:, j] = (flow(spec, theta + step, x0, t0, t1, cfg)[0]
+                     - flow(spec, theta - step, x0, t0, t1, cfg)[0]) / (2 * h)
     return jac
 
 
@@ -75,7 +79,8 @@ def _rel(err_vec: np.ndarray, ref: np.ndarray) -> float:
 def error_study(spec: vf.MlpSpec, theta: np.ndarray, x0: np.ndarray,
                 lossfn: TerminalLoss, solver_cfgs: list[tuple[str, SolverConfig]],
                 ) -> list[ErrorRow]:
-    """Relative errors of both derivative orders per solver setting, over [0, 1].
+    """Relative errors of both derivative orders per solver setting, over [0, 1],
+    from the batch of one ``x0``.
 
     For each entry, the forward and backward passes run at that setting,
     the backward sweeps under the error norm training uses (the state
@@ -84,25 +89,18 @@ def error_study(spec: vf.MlpSpec, theta: np.ndarray, x0: np.ndarray,
     from a finite-difference flow Jacobian.
     """
     t0, t1 = 0.0, 1.0
-    x0 = np.asarray(x0, dtype=float)
-    field = lambda t, y: vf.eval(spec, theta, t, y)[0]
-
-    x1_ref = odesolve(x0, t0, t1, field, REFERENCE_CFG).terminal_state
+    x1_ref = flow(spec, theta, x0, t0, t1, REFERENCE_CFG)
     curv_ref = terminal_curvature(lossfn, x1_ref, t0, t1, mode="exact_rank")
     phi_xx = curv_ref.hessian()
 
-    def loss_of(th):
-        fld = lambda t, y: vf.eval(spec, th, t, y)[0]
-        x1 = odesolve(x0, t0, t1, fld, REFERENCE_CFG).terminal_state
-        return loss_value(lossfn, x1)
-
-    grad_ref = fd_gradient(loss_of, theta)
+    grad_ref = fd_gradient(
+        lambda th: loss_value(lossfn, flow(spec, th, x0, t0, t1, REFERENCE_CFG)), theta)
     jac = fd_flow_jacobian(spec, theta, x0, t0, t1, REFERENCE_CFG)
     quu_ref = jac.T @ phi_xx @ jac
 
     rows = []
     for label, cfg in solver_cfgs:
-        x1 = odesolve(x0, t0, t1, field, cfg).terminal_state
+        x1 = flow(spec, theta, x0, t0, t1, cfg)
         a1 = grad_x1(lossfn, x1)
         grad, _, _, _ = adjoint_gradient(spec, theta, x1, a1, t0, t1, cfg)
         curv = terminal_curvature(lossfn, x1, t0, t1, mode="exact_rank")

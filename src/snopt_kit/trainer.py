@@ -30,7 +30,7 @@ from .curvature import apply_weight_decay
 from .horizon import (HorizonState, NonFiniteUpdate, first_order_horizon_step, horizon_step,
                       horizon_terms)
 from .kfac import KroneckerFactors, accumulate_factors
-from .loss import (CURVATURE_MODES, LOSS_KINDS, Readout, TerminalLoss, accuracy, grad_x1,
+from .loss import (CURVATURE_MODES, LOSS_KINDS, TerminalLoss, accuracy, grad_x1,
                    init_readout, loss_value, readout_grads, terminal_curvature)
 from .odesolve import MaxStepsExceeded, NonFiniteState, SolveReport, SolverConfig, odesolve
 from .optimizer import (AdamState, SgdState, SingularFactor, SnoptState, adam_step, sgd_step,
@@ -222,10 +222,6 @@ def build_dataset(cfg: DatasetConfig, seed: int) -> data_mod.Dataset:
     return data_mod.make_regression(cfg.n, seed, test_fraction=cfg.test_fraction)
 
 
-def _loss_for(cfg: LossConfig, labels, readout: Readout | None) -> TerminalLoss:
-    return TerminalLoss(kind=cfg.kind, target=labels, readout=readout)
-
-
 class _Run:
     """Mutable pieces of one training run."""
 
@@ -277,13 +273,14 @@ class _Run:
         size = min(self.cfg.batch_size, self.ds.n_train)
         pos = self.batch_rng.choice(self.ds.n_train, size=size, replace=False)
         labels = self.ds.labels[self.ds.train_idx[pos]]
-        return pos, _loss_for(self.cfg.loss, labels, self.readout)
+        return pos, TerminalLoss(kind=self.cfg.loss.kind, target=labels, readout=self.readout)
 
     def evaluate(self, idx: np.ndarray, x1: np.ndarray | None = None) -> tuple[float, float]:
         """Loss and accuracy on ``idx``; solves forward unless given its terminal states."""
         if x1 is None:
             x1, _ = self.forward(self.ds.inputs[idx])
-        lf = _loss_for(self.cfg.loss, self.ds.labels[idx], self.readout)
+        lf = TerminalLoss(kind=self.cfg.loss.kind, target=self.ds.labels[idx],
+                          readout=self.readout)
         return loss_value(lf, x1), accuracy(lf, x1)
 
     def backward(self, x1: np.ndarray, lossfn: TerminalLoss,
@@ -334,14 +331,13 @@ class _Run:
 
         if self.readout is not None:
             d_w, d_b = readout_grads(lossfn, x1)
-            w_flat = adam_step(self.ro_w_state,
-                               d_w.ravel() + gamma * self.readout.weight.ravel(),
-                               self.readout.weight.ravel())
-            self.readout.weight = w_flat.reshape(self.readout.weight.shape)
+            self.readout.weight = adam_step(self.ro_w_state, d_w + gamma * self.readout.weight,
+                                            self.readout.weight)
             self.readout.bias = adam_step(self.ro_b_state, d_b, self.readout.bias)
 
         if self.horizon is not None:
-            terms = horizon_terms(self.spec, self.theta, x1, phi_grad, grad,
+            # x1 and phi_grad were reached at the pre-update parameters
+            terms = horizon_terms(self.spec, theta_before, x1, phi_grad, grad,
                                   self.horizon.t_bar, self.horizon.penalty)
             self.horizon.observe(terms)
             if it % self.horizon.period == 0:

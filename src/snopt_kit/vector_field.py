@@ -9,10 +9,10 @@ column-major ``vec`` of ``[W_k, b_k]``, so the parameter gradient of layer
 ``g^k = (dF/dh^k)^T q``.  That identity is what the Kronecker factorization
 downstream rests on, so it is asserted in the tests rather than assumed.
 
-Evaluation is batched over a leading axis (1-D inputs are promoted and
-squeezed back), and cotangents may carry an extra leading group axis on
-top of the batch.  Backward-solve hot loops unpack the flat parameters
-once via :func:`unpack_params` and call the underscored variants.
+States are ``(batch, m)`` everywhere, and cotangents may carry an extra
+leading group axis on top of the batch.  Backward-solve hot loops unpack
+the flat parameters once via :func:`unpack_params` and call the
+underscored variants.
 """
 
 from __future__ import annotations
@@ -152,27 +152,26 @@ class LayerTrace:
     t: float
     zs: list[np.ndarray]
     hs: list[np.ndarray]
-    single: bool
     _zbars: list[np.ndarray] | None = None
 
-    @property
-    def value(self) -> np.ndarray:
-        out = self.zs[-1]
-        return out[0] if self.single else out
 
-
-def _as_batch(x: np.ndarray, width: int, what: str) -> tuple[np.ndarray, bool]:
+def check_states(spec: MlpSpec, x: np.ndarray) -> np.ndarray:
+    """``x`` as a float ``(batch, m)`` array of states; anything else is rejected."""
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    if x.ndim < 2 or x.shape[-1] != width:
-        raise DimensionMismatch(f"{what} must have width {width}, got shape {x.shape}")
-    return x, single
+    if x.ndim != 2 or x.shape[1] != spec.state_dim:
+        raise DimensionMismatch(f"states must be (batch, {spec.state_dim}), got shape {x.shape}")
+    return x
 
 
-def _forward(spec: MlpSpec, weights: Weights, t: float, x: np.ndarray,
-             single: bool = False) -> LayerTrace:
+def one_sample(x: np.ndarray, what: str) -> np.ndarray:
+    """The row of a ``(1, m)`` batch of one, which the dense references take."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[0] != 1:
+        raise DimensionMismatch(f"{what} must be a batch of one, got shape {x.shape}")
+    return x[0]
+
+
+def _forward(spec: MlpSpec, weights: Weights, t: float, x: np.ndarray) -> LayerTrace:
     if spec.time_input == "concat":
         z = np.concatenate([x, np.full((x.shape[0], 1), float(t))], axis=1)
     else:
@@ -185,14 +184,13 @@ def _forward(spec: MlpSpec, weights: Weights, t: float, x: np.ndarray,
         hs.append(h)
         z = _act(spec.activations[k], h)
         zs.append(z)
-    return LayerTrace(t=float(t), zs=zs, hs=hs, single=single)
+    return LayerTrace(t=float(t), zs=zs, hs=hs)
 
 
 def eval(spec: MlpSpec, theta: np.ndarray, t: float, x: np.ndarray) -> tuple[np.ndarray, LayerTrace]:
-    """Evaluate the field, returning the value and the full layer trace."""
-    xb, single = _as_batch(x, spec.state_dim, "state")
-    trace = _forward(spec, unpack_params(spec, theta), t, xb, single)
-    return trace.value, trace
+    """Evaluate the field at ``(batch, m)`` states: the value and the full layer trace."""
+    trace = _forward(spec, unpack_params(spec, theta), t, check_states(spec, x))
+    return trace.zs[-1], trace
 
 
 def _cotangents(spec: MlpSpec, weights: Weights, trace: LayerTrace,
@@ -251,15 +249,15 @@ def jacobians(spec: MlpSpec, theta: np.ndarray, t: float,
               x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Field value plus dense Jacobians ``dF/dx`` and ``dF/dtheta``.
 
-    Single-sample only; the identity matrix is pushed through the reverse
-    traversal in one shot.  Meant for the dense curvature sweep where the
-    state is a handful of components.
+    At one state vector ``(m,)``, the flat ODE state of the dense
+    curvature sweep; the identity matrix is pushed through the reverse
+    traversal in one shot.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise DimensionMismatch("jacobians expects a single state vector")
     weights = unpack_params(spec, theta)
-    trace = _forward(spec, weights, t, x[None, :], single=True)
+    trace = _forward(spec, weights, t, x[None, :])
     m = spec.state_dim
     fu = np.empty((m, num_params(spec)))
     r = np.eye(m)
@@ -271,4 +269,4 @@ def jacobians(spec: MlpSpec, theta: np.ndarray, t: float,
         fu[:, sl] = (g[:, None, :] * zb[None, :, None]).reshape(m, -1)
         r = g @ weights[k][0]
     fx = r[:, :m] if spec.time_input == "concat" else r
-    return trace.value, fx, fu
+    return trace.zs[-1][0], fx, fu

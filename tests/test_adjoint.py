@@ -4,17 +4,14 @@ import pytest
 from snopt_kit import vector_field as vf
 from snopt_kit.adjoint import BackwardSweep, adjoint_gradient
 from snopt_kit.loss import TerminalLoss, grad_x1, loss_value
-from snopt_kit.odesolve import SolverConfig, odesolve
-from snopt_kit.oracle import fd_gradient
+from snopt_kit.odesolve import SolverConfig
+from snopt_kit.oracle import fd_gradient, flow
 
 RK4 = SolverConfig(method="rk4", fixed_step=1e-2)
 
 
-def forward(spec, theta, x0, cfg=RK4, t0=0.0, t1=1.0):
-    batch, m = x0.shape
-    weights = vf.unpack_params(spec, theta)
-    fld = lambda t, y: vf._forward(spec, weights, t, y.reshape(batch, m)).zs[-1].ravel()
-    return odesolve(x0.ravel(), t0, t1, fld, cfg).terminal_state.reshape(batch, m)
+def forward(spec, theta, x0):
+    return flow(spec, theta, x0, 0.0, 1.0, RK4)
 
 
 # (rank R, couplings p on/off) of the state [x | a, q_1..q_R] and the quadrature
@@ -120,10 +117,15 @@ class TestAdjointGradient:
             sizes.append((rep.terminal_state.size, rep.quadrature.size))
         assert sizes[0] == sizes[1] == sizes[2] == (2 * 2 * 2, vf.num_params(spec))
 
-    def test_single_sample_shapes(self):
+    def test_rejects_one_dimensional_state(self):
+        # states are (batch, m) everywhere: a bare (m,) state is an error
         spec = vf.MlpSpec(dims=(2, 3, 2), activations=("tanh", "identity"))
         theta = vf.init_params(spec, 7)
-        grad, x0, a0, _ = adjoint_gradient(spec, theta, np.array([0.1, 0.2]),
-                                           np.array([1.0, 0.0]), 0.0, 1.0, RK4)
-        assert x0.shape == (2,) and a0.shape == (2,)
+        x, a = np.array([0.1, 0.2]), np.array([1.0, 0.0])
+        with pytest.raises(ValueError):
+            adjoint_gradient(spec, theta, x, a, 0.0, 1.0, RK4)
+        with pytest.raises(vf.DimensionMismatch):
+            vf.eval(spec, theta, 0.0, x)
+        grad, x0, a0, _ = adjoint_gradient(spec, theta, x[None], a[None], 0.0, 1.0, RK4)
+        assert x0.shape == (1, 2) and a0.shape == (1, 2)
         assert grad.shape == (vf.num_params(spec),)

@@ -8,7 +8,7 @@ from snopt_kit.curvature import (apply_weight_decay, assemble_quu, dense_sweep,
 from snopt_kit.kfac import KroneckerFactors
 from snopt_kit.loss import TerminalCurvature
 from snopt_kit.odesolve import SolverConfig
-from snopt_kit.oracle import fd_flow_jacobian
+from snopt_kit.oracle import fd_flow_jacobian, flow
 
 TIGHT = SolverConfig(method="dopri5", rtol=1e-10, atol=1e-10)
 
@@ -26,8 +26,9 @@ def rel_fro(a, b):
 class TestDenseSweep:
     def test_zero_terminal_data_gives_zero(self):
         spec, theta = tiny_net(0)
-        curv = TerminalCurvature(grad=np.zeros(2), factors=[np.zeros(2)], mode="exact_rank")
-        out = dense_sweep(spec, theta, np.array([0.3, 0.1]), curv, 0.0, 1.0, TIGHT)
+        curv = TerminalCurvature(grad=np.zeros((1, 2)), factors=[np.zeros((1, 2))],
+                                 mode="exact_rank")
+        out = dense_sweep(spec, theta, np.array([[0.3, 0.1]]), curv, 0.0, 1.0, TIGHT)
         for block in (out.qx, out.qu, out.qxx, out.qxu, out.quu):
             assert np.allclose(block, 0.0)
 
@@ -35,22 +36,20 @@ class TestDenseSweep:
         # dx/dt = theta x, Phi = x^2, theta = 0: curvature 2 e^{2 theta} = 2
         spec = vf.MlpSpec(dims=(1, 1), activations=("identity",), bias=False)
         theta = np.zeros(1)
-        x1 = np.array([1.0])
-        curv = TerminalCurvature(grad=np.array([2.0]),
-                                 factors=[np.array([np.sqrt(2.0)])], mode="exact_rank")
+        x1 = np.array([[1.0]])
+        curv = TerminalCurvature(grad=np.array([[2.0]]),
+                                 factors=[np.array([[np.sqrt(2.0)]])], mode="exact_rank")
         out = dense_sweep(spec, theta, x1, curv, 0.0, 1.0, TIGHT)
         assert out.quu[0, 0] == pytest.approx(2.0, abs=1e-6)
         assert out.qu[0] == pytest.approx(2.0, abs=1e-8)
 
     def test_matches_fd_flow_jacobian_reference(self):
         spec, theta = tiny_net(3, dims=(2, 4, 2))
-        x0 = np.array([0.4, -0.2])
-        fld = lambda t, y: vf.eval(spec, theta, t, y)[0]
-        from snopt_kit.odesolve import odesolve
-        x1 = odesolve(x0, 0.0, 1.0, fld, TIGHT).terminal_state
+        x0 = np.array([[0.4, -0.2]])
+        x1 = flow(spec, theta, x0, 0.0, 1.0, TIGHT)
         rng = np.random.default_rng(0)
-        ys = [rng.normal(size=2) for _ in range(2)]
-        curv = TerminalCurvature(grad=rng.normal(size=2), factors=ys, mode="exact_rank")
+        ys = [rng.normal(size=(1, 2)) for _ in range(2)]
+        curv = TerminalCurvature(grad=rng.normal(size=(1, 2)), factors=ys, mode="exact_rank")
         out = dense_sweep(spec, theta, x1, curv, 0.0, 1.0, TIGHT)
         jac = fd_flow_jacobian(spec, theta, x0, 0.0, 1.0, TIGHT)
         phi_xx = curv.hessian()
@@ -59,18 +58,18 @@ class TestDenseSweep:
     def test_symmetry_and_transpose_invariants(self):
         spec, theta = tiny_net(5)
         rng = np.random.default_rng(1)
-        curv = TerminalCurvature(grad=rng.normal(size=2),
-                                 factors=[rng.normal(size=2)], mode="exact_rank")
-        out = dense_sweep(spec, theta, np.array([0.2, 0.6]), curv, 0.0, 1.0, TIGHT)
+        curv = TerminalCurvature(grad=rng.normal(size=(1, 2)),
+                                 factors=[rng.normal(size=(1, 2))], mode="exact_rank")
+        out = dense_sweep(spec, theta, np.array([[0.2, 0.6]]), curv, 0.0, 1.0, TIGHT)
         assert np.allclose(out.qxx, out.qxx.T)
         assert np.allclose(out.quu, out.quu.T)
 
     def test_agrees_with_adjoint_gradient(self):
         spec, theta = tiny_net(7)
         rng = np.random.default_rng(2)
-        x1 = rng.uniform(-1, 1, size=2)
-        grad_vec = rng.normal(size=2)
-        curv = TerminalCurvature(grad=grad_vec, factors=[rng.normal(size=2)],
+        x1 = rng.uniform(-1, 1, size=(1, 2))
+        grad_vec = rng.normal(size=(1, 2))
+        curv = TerminalCurvature(grad=grad_vec, factors=[rng.normal(size=(1, 2))],
                                  mode="exact_rank")
         out = dense_sweep(spec, theta, x1, curv, 0.0, 1.0, TIGHT)
         g_adj, _, a0, _ = adjoint_gradient(spec, theta, x1, grad_vec, 0.0, 1.0, TIGHT)
@@ -81,9 +80,9 @@ class TestDenseSweep:
 class TestLowRankSweep:
     def test_zero_factors_stay_zero(self):
         spec, theta = tiny_net(0)
-        curv = TerminalCurvature(grad=np.zeros(2),
-                                 factors=[np.zeros(2), np.zeros(2)], mode="exact_rank")
-        out = lowrank_sweep(spec, theta, np.array([0.1, 0.9]), curv, 0.0, 1.0, TIGHT)
+        curv = TerminalCurvature(grad=np.zeros((1, 2)),
+                                 factors=[np.zeros((1, 2)), np.zeros((1, 2))], mode="exact_rank")
+        out = lowrank_sweep(spec, theta, np.array([[0.1, 0.9]]), curv, 0.0, 1.0, TIGHT)
         for q in out.qs:
             assert np.allclose(q, 0.0)
         for p in out.ps:
@@ -94,8 +93,8 @@ class TestLowRankSweep:
         # adjoint trajectory and p accumulate the gradient path
         spec, theta = tiny_net(9)
         rng = np.random.default_rng(3)
-        x1 = rng.uniform(-1, 1, size=2)
-        a1 = rng.normal(size=2)
+        x1 = rng.uniform(-1, 1, size=(1, 2))
+        a1 = rng.normal(size=(1, 2))
         curv = TerminalCurvature(grad=a1, factors=[a1], mode="exact_rank")
         out = lowrank_sweep(spec, theta, x1, curv, 0.0, 1.0, TIGHT)
         assert np.max(np.abs(out.qs[0][0] - out.qx[0])) < 1e-10
@@ -106,10 +105,10 @@ class TestLowRankSweep:
             for seed in range(5):
                 spec, theta = tiny_net(seed + 20, dims, time_input)
                 rng = np.random.default_rng(seed)
-                x1 = rng.uniform(-1, 1, size=3)
+                x1 = rng.uniform(-1, 1, size=(1, 3))
                 for rank in (1, 2, 3):
-                    ys = [rng.normal(size=3) for _ in range(rank)]
-                    curv = TerminalCurvature(grad=rng.normal(size=3), factors=ys,
+                    ys = [rng.normal(size=(1, 3)) for _ in range(rank)]
+                    curv = TerminalCurvature(grad=rng.normal(size=(1, 3)), factors=ys,
                                              mode="exact_rank")
                     dense = dense_sweep(spec, theta, x1, curv, 0.0, 1.0, TIGHT)
                     low = lowrank_sweep(spec, theta, x1, curv, 0.0, 1.0, TIGHT)
@@ -121,32 +120,34 @@ class TestLowRankSweep:
         spec, theta = tiny_net(11)
         n = vf.num_params(spec)
         rng = np.random.default_rng(4)
-        curv = TerminalCurvature(grad=rng.normal(size=2),
-                                 factors=[rng.normal(size=2) for _ in range(2)],
+        curv = TerminalCurvature(grad=rng.normal(size=(1, 2)),
+                                 factors=[rng.normal(size=(1, 2)) for _ in range(2)],
                                  mode="exact_rank")
-        out = lowrank_sweep(spec, theta, rng.normal(size=2), curv, 0.0, 1.0, TIGHT)
+        out = lowrank_sweep(spec, theta, rng.normal(size=(1, 2)), curv, 0.0, 1.0, TIGHT)
         # [x | a | q_1, q_2] is the state; [g | p_1, p_2] the quadrature
         assert out.report.terminal_state.size == 2 * (2 + 2)
         assert out.report.quadrature.size == n * (1 + 2)
 
     def test_requires_a_factor(self):
         spec, theta = tiny_net(12)
-        curv = TerminalCurvature(grad=np.zeros(2), factors=[], mode="exact_rank")
+        curv = TerminalCurvature(grad=np.zeros((1, 2)), factors=[], mode="exact_rank")
         with pytest.raises(ValueError):
-            lowrank_sweep(spec, theta, np.zeros(2), curv, 0.0, 1.0, TIGHT)
+            lowrank_sweep(spec, theta, np.zeros((1, 2)), curv, 0.0, 1.0, TIGHT)
 
 
 class TestAssembleQuu:
     def test_zero(self):
         spec, theta = tiny_net(0)
-        curv = TerminalCurvature(grad=np.zeros(2), factors=[np.zeros(2)], mode="exact_rank")
-        out = lowrank_sweep(spec, theta, np.zeros(2), curv, 0.0, 1.0, TIGHT)
+        curv = TerminalCurvature(grad=np.zeros((1, 2)), factors=[np.zeros((1, 2))],
+                                 mode="exact_rank")
+        out = lowrank_sweep(spec, theta, np.zeros((1, 2)), curv, 0.0, 1.0, TIGHT)
         assert np.allclose(assemble_quu(out), 0.0)
 
     def test_rank_one_outer_product(self):
         spec, theta = tiny_net(0)
-        curv = TerminalCurvature(grad=np.zeros(2), factors=[np.zeros(2)], mode="exact_rank")
-        out = lowrank_sweep(spec, theta, np.zeros(2), curv, 0.0, 1.0, TIGHT)
+        curv = TerminalCurvature(grad=np.zeros((1, 2)), factors=[np.zeros((1, 2))],
+                                 mode="exact_rank")
+        out = lowrank_sweep(spec, theta, np.zeros((1, 2)), curv, 0.0, 1.0, TIGHT)
         e1 = np.zeros_like(out.ps[0])
         e1[0] = 1.0
         out.ps[0] = e1
@@ -158,10 +159,10 @@ class TestAssembleQuu:
     def test_psd(self):
         spec, theta = tiny_net(13)
         rng = np.random.default_rng(5)
-        curv = TerminalCurvature(grad=rng.normal(size=2),
-                                 factors=[rng.normal(size=2) for _ in range(2)],
+        curv = TerminalCurvature(grad=rng.normal(size=(1, 2)),
+                                 factors=[rng.normal(size=(1, 2)) for _ in range(2)],
                                  mode="exact_rank")
-        out = lowrank_sweep(spec, theta, rng.normal(size=2), curv, 0.0, 1.0, TIGHT)
+        out = lowrank_sweep(spec, theta, rng.normal(size=(1, 2)), curv, 0.0, 1.0, TIGHT)
         assert np.linalg.eigvalsh(assemble_quu(out)).min() >= -1e-10
 
 

@@ -7,7 +7,8 @@ from snopt_kit import vector_field as vf
 from snopt_kit.horizon import (HorizonState, HorizonTerms, NonFiniteUpdate,
                                first_order_horizon_step, horizon_step,
                                horizon_terms)
-from snopt_kit.odesolve import SolverConfig, odesolve
+from snopt_kit.odesolve import SolverConfig
+from snopt_kit.oracle import flow
 
 
 def scalar_exp_spec():
@@ -20,10 +21,10 @@ class TestHorizonTerms:
     def test_orthogonal_loss_direction(self):
         spec = vf.MlpSpec(dims=(2, 2), activations=("identity",), bias=False)
         theta = np.array([0.0, 1.0, -1.0, 0.0])  # rotation generator
-        x1 = np.array([1.0, 0.0])
+        x1 = np.array([[1.0, 0.0]])
         f_val, _ = vf.eval(spec, theta, 0.0, x1)
-        phi_grad = np.array([1.0, 0.0])
-        assert abs(float(phi_grad @ f_val)) < 1e-12
+        phi_grad = np.array([[1.0, 0.0]])
+        assert abs(float(np.sum(phi_grad * f_val))) < 1e-12
         terms = horizon_terms(spec, theta, x1, phi_grad, np.ones(4), t_bar=1.5, penalty=0.7)
         assert terms.s == pytest.approx(0.0)
         assert terms.qt == pytest.approx(0.7 * 1.5)
@@ -32,7 +33,7 @@ class TestHorizonTerms:
     def test_degenerate_all_zero(self):
         spec = vf.MlpSpec(dims=(2, 2), activations=("identity",), bias=False)
         theta = np.array([0.0, 1.0, -1.0, 0.0])
-        terms = horizon_terms(spec, theta, np.array([1.0, 0.0]), np.array([1.0, 0.0]),
+        terms = horizon_terms(spec, theta, np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]]),
                               np.zeros(4), t_bar=1.0, penalty=0.0)
         assert terms.qt == 0.0 and terms.qtt == 0.0
 
@@ -41,13 +42,13 @@ class TestHorizonTerms:
         spec, theta = scalar_exp_spec()
         cfg = SolverConfig(method="dopri5", rtol=1e-10, atol=1e-10)
         c, t_bar = 0.3, 1.0
-        fld = lambda t, y: vf.eval(spec, theta, t, y)[0]
+        x0 = np.array([[1.0]])
 
         def objective(T):
-            x = odesolve(np.array([1.0]), 0.0, T, fld, cfg).terminal_state
-            return 0.5 * x[0] ** 2 + 0.5 * c * T ** 2
+            x = flow(spec, theta, x0, 0.0, T, cfg)
+            return 0.5 * x[0, 0] ** 2 + 0.5 * c * T ** 2
 
-        x1 = odesolve(np.array([1.0]), 0.0, t_bar, fld, cfg).terminal_state
+        x1 = flow(spec, theta, x0, 0.0, t_bar, cfg)
         terms = horizon_terms(spec, theta, x1, x1, np.zeros(1), t_bar, c)
         assert terms.s == pytest.approx(np.e ** 2, rel=1e-8)
         h = 1e-6
@@ -158,6 +159,6 @@ class TestMovingAverages:
 def test_qtt_dominates_penalty(penalty, s):
     spec = vf.MlpSpec(dims=(1, 1), activations=("identity",), bias=False)
     theta = np.array([float(s)])
-    x1 = np.array([1.0])
+    x1 = np.array([[1.0]])
     terms = horizon_terms(spec, theta, x1, x1, np.zeros(1), 1.0, penalty)
     assert terms.qtt >= penalty

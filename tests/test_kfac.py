@@ -5,7 +5,6 @@ from snopt_kit import vector_field as vf
 from snopt_kit.adjoint import BackwardSweep, adjoint_gradient
 from snopt_kit.kfac import _factor_terms, _unpack_factors, accumulate_factors
 from snopt_kit.loss import TerminalCurvature, terminal_curvature
-from snopt_kit.numerics import kron
 from snopt_kit.odesolve import SolverConfig
 
 RK4 = SolverConfig(method="rk4", fixed_step=1e-2)
@@ -53,7 +52,7 @@ class TestFactorTerms:
             zbar = np.concatenate([trace.zs[k][0], [1.0]])
             g = gs[k][0, 0]
             seg = np.kron(zbar, g)
-            product = kron(terms.a_factors[k], terms.b_factors[k])
+            product = np.kron(terms.a_factors[k], terms.b_factors[k])
             assert np.max(np.abs(product - np.outer(seg, seg))) < 1e-10
 
     def test_psd(self):

@@ -8,8 +8,8 @@ def fd_grad(fn, x, h=1e-6):
     out = np.empty_like(x)
     for i in range(x.size):
         e = np.zeros_like(x)
-        e[i] = h
-        out[i] = (fn(x + e) - fn(x - e)) / (2 * h)
+        e.flat[i] = h
+        out.flat[i] = (fn(x + e) - fn(x - e)) / (2 * h)
     return out
 
 
@@ -18,30 +18,34 @@ def fd_hessian(fn, x, h=1e-4):
     hess = np.empty((d, d))
     for i in range(d):
         e = np.zeros_like(x)
-        e[i] = h
+        e.flat[i] = h
         gp = fd_grad(fn, x + e, h)
         gm = fd_grad(fn, x - e, h)
-        hess[i] = (gp - gm) / (2 * h)
+        hess[i] = ((gp - gm) / (2 * h)).ravel()
     return 0.5 * (hess + hess.T)
 
 
 class TestLossValue:
     def test_mse_zero_at_target(self):
         lf = ls.TerminalLoss(kind="mse", target=np.array([1.0, -2.0]))
-        assert ls.loss_value(lf, np.array([1.0, -2.0])) == 0.0
+        assert ls.loss_value(lf, np.array([[1.0, -2.0]])) == 0.0
 
     def test_mse_unit_perturbation(self):
         lf = ls.TerminalLoss(kind="mse", target=np.array([1.0, -2.0]))
-        assert ls.loss_value(lf, np.array([2.0, -2.0])) == pytest.approx(0.5)
+        assert ls.loss_value(lf, np.array([[2.0, -2.0]])) == pytest.approx(0.5)
 
     def test_softmax_uniform_logits(self):
         lf = ls.TerminalLoss(kind="softmax_ce", target=np.array([0]))
-        assert ls.loss_value(lf, np.array([0.0, 0.0])) == pytest.approx(np.log(2.0))
+        assert ls.loss_value(lf, np.array([[0.0, 0.0]])) == pytest.approx(np.log(2.0))
 
     def test_bad_label(self):
         lf = ls.TerminalLoss(kind="softmax_ce", target=np.array([5]))
         with pytest.raises(ls.BadLabel):
-            ls.loss_value(lf, np.array([0.0, 0.0]))
+            ls.loss_value(lf, np.array([[0.0, 0.0]]))
+        # one label per sample: a lone label does not stand for the batch
+        lf = ls.TerminalLoss(kind="softmax_ce", target=np.array([0]))
+        with pytest.raises(ls.BadLabel):
+            ls.loss_value(lf, np.zeros((2, 2)))
 
     def test_float_labels_rejected(self):
         with pytest.raises(ls.BadLabel):
@@ -56,14 +60,14 @@ class TestLossValue:
 class TestGrad:
     def test_mse_grad(self):
         lf = ls.TerminalLoss(kind="mse", target=np.array([1.0, 0.0]))
-        x = np.array([2.0, 3.0])
-        assert np.allclose(ls.grad_x1(lf, x), [1.0, 3.0])
+        x = np.array([[2.0, 3.0]])
+        assert np.allclose(ls.grad_x1(lf, x), [[1.0, 3.0]])
 
     def test_grad_matches_fd(self):
         rng = np.random.default_rng(0)
         readout = ls.Readout(weight=rng.normal(size=(3, 2)), bias=rng.normal(size=3))
         lf = ls.TerminalLoss(kind="softmax_ce", target=np.array([1]), readout=readout)
-        x = rng.normal(size=2)
+        x = rng.normal(size=(1, 2))
         got = ls.grad_x1(lf, x)
         want = fd_grad(lambda v: ls.loss_value(lf, v), x)
         assert np.linalg.norm(got - want) < 1e-6 * max(1.0, np.linalg.norm(want))
@@ -88,20 +92,20 @@ class TestGrad:
 class TestTerminalCurvature:
     def test_mse_exact_rank_is_identity(self):
         lf = ls.TerminalLoss(kind="mse", target=np.zeros(3))
-        curv = ls.terminal_curvature(lf, np.array([1.0, 2.0, 3.0]), 0.0, 1.0, "exact_rank")
+        curv = ls.terminal_curvature(lf, np.array([[1.0, 2.0, 3.0]]), 0.0, 1.0, "exact_rank")
         assert len(curv.factors) == 3
         assert np.allclose(curv.hessian(), np.eye(3))
 
     def test_gauss_newton_unit_interval(self):
         lf = ls.TerminalLoss(kind="mse", target=np.zeros(2))
-        x = np.array([0.5, -0.5])
+        x = np.array([[0.5, -0.5]])
         curv = ls.terminal_curvature(lf, x, 0.0, 1.0, "gauss_newton_scaled")
         assert len(curv.factors) == 1
         assert np.allclose(curv.factors[0], curv.grad)
 
     def test_gauss_newton_interval_scaling(self):
         lf = ls.TerminalLoss(kind="mse", target=np.zeros(2))
-        x = np.array([0.5, -0.5])
+        x = np.array([[0.5, -0.5]])
         curv = ls.terminal_curvature(lf, x, 0.0, 4.0, "gauss_newton_scaled")
         assert np.allclose(curv.factors[0], curv.grad / 2.0)
         assert curv.adjoint_scale == 0.5
@@ -111,7 +115,7 @@ class TestTerminalCurvature:
         rng = np.random.default_rng(2)
         readout = ls.Readout(weight=rng.normal(size=(3, 2)), bias=rng.normal(size=3))
         lf = ls.TerminalLoss(kind="softmax_ce", target=np.array([2]), readout=readout)
-        x = rng.normal(size=2)
+        x = rng.normal(size=(1, 2))
         curv = ls.terminal_curvature(lf, x, 0.0, 1.0, "exact_rank")
         want = fd_hessian(lambda v: ls.loss_value(lf, v), x)
         rel = np.linalg.norm(curv.hessian() - want) / np.linalg.norm(want)
@@ -122,13 +126,13 @@ class TestTerminalCurvature:
         readout = ls.Readout(weight=rng.normal(size=(4, 3)), bias=np.zeros(4))
         for mode in ("exact_rank", "gauss_newton_scaled"):
             lf = ls.TerminalLoss(kind="softmax_ce", target=np.array([1]), readout=readout)
-            curv = ls.terminal_curvature(lf, rng.normal(size=3), 0.0, 1.0, mode)
+            curv = ls.terminal_curvature(lf, rng.normal(size=(1, 3)), 0.0, 1.0, mode)
             assert np.linalg.eigvalsh(curv.hessian()).min() >= -1e-10
 
     def test_requires_forward_interval(self):
         lf = ls.TerminalLoss(kind="mse", target=np.zeros(2))
         with pytest.raises(ValueError):
-            ls.terminal_curvature(lf, np.zeros(2), 1.0, 1.0)
+            ls.terminal_curvature(lf, np.zeros((1, 2)), 1.0, 1.0)
 
 
 def test_accuracy():

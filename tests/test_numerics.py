@@ -13,14 +13,14 @@ def random_spd(rng, d):
 
 class TestKron:
     def test_identity(self):
-        assert np.array_equal(nm.kron(np.eye(2), np.eye(2)), np.eye(4))
+        assert np.array_equal(np.kron(np.eye(2), np.eye(2)), np.eye(4))
 
     def test_scalar(self):
-        assert np.array_equal(nm.kron([[2.0]], [[3.0]]), [[6.0]])
+        assert np.array_equal(np.kron([[2.0]], [[3.0]]), [[6.0]])
 
     def test_diagonal(self):
         # expanded by hand: diag(2,3) x diag(1,4) interleaves as (2*1, 2*4, 3*1, 3*4)
-        out = nm.kron(np.diag([2.0, 3.0]), np.diag([1.0, 4.0]))
+        out = np.kron(np.diag([2.0, 3.0]), np.diag([1.0, 4.0]))
         assert np.array_equal(out, np.diag([2.0, 8.0, 3.0, 12.0]))
 
     def test_mixed_product_identity(self):
@@ -30,9 +30,23 @@ class TestKron:
             p, l = rng.integers(1, 5, size=2)
             a, c = rng.normal(size=(p, p)), rng.normal(size=(p, p))
             b, d = rng.normal(size=(l, l)), rng.normal(size=(l, l))
-            lhs = nm.kron(a, b) @ nm.kron(c, d).T
-            rhs = nm.kron(a @ c.T, b @ d.T)
+            lhs = np.kron(a, b) @ np.kron(c, d).T
+            rhs = np.kron(a @ c.T, b @ d.T)
             assert np.max(np.abs(lhs - rhs)) < 1e-10
+
+
+class TestTriangle:
+    def test_flat_indices_are_row_major(self):
+        assert np.array_equal(nm.triu_flat(3), [0, 1, 2, 4, 5, 8])
+
+    def test_round_trip(self):
+        rng = np.random.default_rng(2)
+        for side in (1, 2, 5):
+            a = rng.normal(size=(side, side))
+            m = a + a.T
+            packed = m.ravel()[nm.triu_flat(side)]
+            assert packed.size == side * (side + 1) // 2
+            assert np.array_equal(nm.triu_unpack(packed, side), m)
 
 
 class TestSymEigen:
@@ -74,4 +88,4 @@ class TestSymEigen:
 def test_kron_transpose_property(dim, seed):
     rng = np.random.default_rng(seed)
     a, b = rng.normal(size=(dim, dim)), rng.normal(size=(dim, dim))
-    assert np.max(np.abs(nm.kron(a, b).T - nm.kron(a.T, b.T))) < 1e-12
+    assert np.max(np.abs(np.kron(a, b).T - np.kron(a.T, b.T))) < 1e-12

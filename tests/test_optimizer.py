@@ -44,7 +44,7 @@ class TestSnoptStep:
             state = SnoptState(lr=1.0, epsilon=eps, amortization=0.0)
             delta = theta - snopt_step(state, one_layer_factors(a, b), g, theta)
             ea, eb = nm.sym_eigen(a), nm.sym_eigen(b)
-            basis = nm.kron(ea.vectors, eb.vectors)
+            basis = np.kron(ea.vectors, eb.vectors)
             xg = basis.T @ g
             dense = basis @ (xg / (xg ** 2 + eps))
             assert np.linalg.norm(delta - dense) / np.linalg.norm(dense) < 1e-8

@@ -5,8 +5,19 @@ from snopt_kit import vector_field as vf
 from snopt_kit.loss import TerminalLoss
 from snopt_kit.odesolve import SolverConfig
 from snopt_kit.oracle import (ErrorRow, error_study, fd_flow_jacobian,
-                              fd_gradient, format_error_study_markdown,
+                              fd_gradient, flow, format_error_study_markdown,
                               write_error_study_csv)
+
+
+class TestFlow:
+    def test_linear_closed_form_per_row(self):
+        # dx/dt = w x: every row of the batch grows by e^w
+        spec = vf.MlpSpec(dims=(1, 1), activations=("identity",), bias=False)
+        cfg = SolverConfig(method="dopri5", rtol=1e-10, atol=1e-10)
+        x0 = np.array([[1.0], [-2.0], [0.5]])
+        x1 = flow(spec, np.array([0.5]), x0, 0.0, 1.0, cfg)
+        assert x1.shape == (3, 1)
+        assert np.allclose(x1, x0 * np.exp(0.5), rtol=1e-8)
 
 
 class TestFdGradient:
@@ -23,7 +34,7 @@ class TestFdGradient:
         spec = vf.MlpSpec(dims=(2, 3, 2), activations=("tanh", "identity"))
         theta = vf.init_params(spec, 1)
         x = np.array([0.3, -0.5])
-        fn = lambda th: float(np.sum(vf.eval(spec, th, 0.0, x)[0] ** 2))
+        fn = lambda th: float(np.sum(vf.eval(spec, th, 0.0, x[None])[0] ** 2))
         f, _, fu = vf.jacobians(spec, theta, 0.0, x)
         want = 2 * fu.T @ f
         assert np.linalg.norm(fd_gradient(fn, theta) - want) < 1e-8 * np.linalg.norm(want)
@@ -35,14 +46,14 @@ class TestFdFlowJacobian:
         spec = vf.MlpSpec(dims=(2, 2), activations=("identity",), bias=False)
         theta = np.zeros(vf.num_params(spec))
         cfg = SolverConfig(method="rk4", fixed_step=0.1)
-        jac = fd_flow_jacobian(spec, theta, np.zeros(2), 0.0, 1.0, cfg)
+        jac = fd_flow_jacobian(spec, theta, np.zeros((1, 2)), 0.0, 1.0, cfg)
         assert np.max(np.abs(jac)) < 1e-9
 
     def test_scalar_linear_closed_form(self):
         # dx/dt = w x at w=0, x0=1: d x(1) / d w = 1
         spec = vf.MlpSpec(dims=(1, 1), activations=("identity",), bias=False)
         cfg = SolverConfig(method="rk4", fixed_step=0.01)
-        jac = fd_flow_jacobian(spec, np.zeros(1), np.array([1.0]), 0.0, 1.0, cfg)
+        jac = fd_flow_jacobian(spec, np.zeros(1), np.array([[1.0]]), 0.0, 1.0, cfg)
         assert jac[0, 0] == pytest.approx(1.0, abs=1e-6)
 
 
@@ -58,7 +69,7 @@ class TestErrorStudy:
             ("dopri5 1e-3", SolverConfig(method="dopri5", rtol=1e-3, atol=1e-3)),
             ("dopri5 1e-6", SolverConfig(method="dopri5", rtol=1e-6, atol=1e-6)),
         ]
-        return error_study(spec, theta, np.array([0.4, -0.2]), lossfn, cfgs)
+        return error_study(spec, theta, np.array([[0.4, -0.2]]), lossfn, cfgs)
 
     def test_errors_finite_and_reported(self, rows):
         assert len(rows) == 4

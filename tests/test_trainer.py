@@ -5,7 +5,7 @@ from snopt_kit import trainer as tr
 from snopt_kit import vector_field as vf
 from snopt_kit.adjoint import adjoint_gradient
 from snopt_kit.kfac import accumulate_factors
-from snopt_kit.loss import TerminalCurvature, grad_x1
+from snopt_kit.loss import TerminalCurvature, TerminalLoss, grad_x1
 from snopt_kit.odesolve import SolverConfig
 
 
@@ -148,6 +148,21 @@ class TestTrainBasics:
         records2 = tr.train(cfg2)
         assert len({r.t1 for r in records2}) > 1
 
+    def test_horizon_terms_use_pre_update_parameters(self):
+        # s pairs the minibatch's x1 with the parameters that produced it
+        cfg = small_config(iterations=1, optimizer=tr.OptimizerConfig(kind="adam", lr=0.1),
+                           horizon=tr.HorizonConfig(enabled=True, period=1))
+        ref = tr._Run(cfg)
+        pos, lossfn = ref.draw_batch()
+        x1 = ref.forward(ref.ds.inputs[ref.ds.train_idx])[0][pos]
+        f1, _ = vf.eval(ref.spec, ref.theta, cfg.t1, x1)
+        s0 = float(np.mean(np.sum(grad_x1(lossfn, x1) * f1, axis=1)))
+
+        run = tr._Run(cfg)
+        run.iterate(1, 0.0)
+        assert not np.array_equal(run.theta, ref.theta)
+        assert run.horizon.avg_s == pytest.approx(s0, rel=1e-12, abs=0.0)
+
 
 class TestDefaultConfigSolves:
     """The default config's seed-0 batch under its own dopri5 settings."""
@@ -167,7 +182,8 @@ class TestDefaultConfigSolves:
         for cfg in (tr.ExperimentConfig(), tr.ExperimentConfig(solver=tight)):
             run = tr._Run(cfg)
             idx = run.batch_rng.choice(run.ds.train_idx, size=cfg.batch_size, replace=False)
-            lossfn = tr._loss_for(cfg.loss, run.ds.labels[idx], run.readout)
+            lossfn = TerminalLoss(kind=cfg.loss.kind, target=run.ds.labels[idx],
+                                  readout=run.readout)
             x1, _ = run.forward(run.ds.inputs[idx])
             grad, _, _, _ = adjoint_gradient(run.spec, run.theta, x1, grad_x1(lossfn, x1),
                                              cfg.t0, cfg.t1, cfg.solver)

@@ -11,21 +11,22 @@ def tanh_spec():
 
 
 def vjps(spec, theta, x, q):
-    """``(dF/dx)^T q``, ``(dF/dtheta)^T q`` and the per-layer cotangents of one sample."""
+    """``(dF/dx)^T q``, ``(dF/dtheta)^T q`` and the per-layer cotangents of
+    the batch of one ``x`` with cotangent ``q``, both (1, m)."""
     weights = vf.unpack_params(spec, theta)
-    trace = vf._forward(spec, weights, 0.0, x[None, :])
-    gs, r = vf._cotangents(spec, weights, trace, q[None, :])
+    trace = vf._forward(spec, weights, 0.0, x)
+    gs, r = vf._cotangents(spec, weights, trace, q)
     flat = vf._param_grad_from_cotangents(spec, trace, gs)
     return r[0, :spec.state_dim], flat, [g[0] for g in gs]
 
 
 def fd_state(spec, theta, t, x, q, h=1e-5):
-    out = np.empty_like(x)
+    out = np.empty(x.size)
     for i in range(x.size):
         e = np.zeros_like(x)
-        e[i] = h
-        fp = q @ vf.eval(spec, theta, t, x + e)[0]
-        fm = q @ vf.eval(spec, theta, t, x - e)[0]
+        e.flat[i] = h
+        fp = np.sum(q * vf.eval(spec, theta, t, x + e)[0])
+        fm = np.sum(q * vf.eval(spec, theta, t, x - e)[0])
         out[i] = (fp - fm) / (2 * h)
     return out
 
@@ -35,8 +36,8 @@ def fd_param(spec, theta, t, x, q, h=1e-5):
     for i in range(theta.size):
         e = np.zeros_like(theta)
         e[i] = h
-        fp = q @ vf.eval(spec, theta + e, t, x)[0]
-        fm = q @ vf.eval(spec, theta - e, t, x)[0]
+        fp = np.sum(q * vf.eval(spec, theta + e, t, x)[0])
+        fm = np.sum(q * vf.eval(spec, theta - e, t, x)[0])
         out[i] = (fp - fm) / (2 * h)
     return out
 
@@ -102,13 +103,13 @@ class TestEval:
     def test_zero_params_zero_field(self):
         spec = tanh_spec()
         theta = np.zeros(vf.num_params(spec))
-        out, _ = vf.eval(spec, theta, 0.0, np.array([1.5, -0.3]))
+        out, _ = vf.eval(spec, theta, 0.0, np.array([[1.5, -0.3]]))
         assert np.allclose(out, 0.0)
 
     def test_identity_single_layer(self):
         spec = vf.MlpSpec(dims=(2, 2), activations=("identity",))
         theta = np.hstack([np.eye(2), np.zeros((2, 1))]).reshape(-1, order="F")
-        x = np.array([0.7, -1.1])
+        x = np.array([[0.7, -1.1]])
         out, _ = vf.eval(spec, theta, 0.0, x)
         assert np.allclose(out, x)
 
@@ -119,7 +120,8 @@ class TestEval:
         x = np.array([0.4, -0.9])
         (w0, b0), (w1, b1) = vf.unpack_params(spec, theta)
         expected = w1 @ np.tanh(w0 @ x + b0) + b1
-        out, _ = vf.eval(spec, theta, 0.0, x)
+        out, _ = vf.eval(spec, theta, 0.0, x[None])
+        assert out.shape == (1, 2)
         assert np.allclose(out, expected, atol=1e-14)
 
     def test_batched_eval_matches_loop(self):
@@ -127,27 +129,27 @@ class TestEval:
         theta = vf.init_params(spec, 7)
         xs = np.random.default_rng(0).normal(size=(5, 2))
         batched, _ = vf.eval(spec, theta, 0.0, xs)
-        for i, x in enumerate(xs):
-            single, _ = vf.eval(spec, theta, 0.0, x)
-            assert np.allclose(batched[i], single, atol=1e-14)
+        for i in range(len(xs)):
+            single, _ = vf.eval(spec, theta, 0.0, xs[i:i + 1])
+            assert np.allclose(batched[i], single[0], atol=1e-14)
 
     def test_time_concat_enters_input(self):
         spec = vf.MlpSpec(dims=(3, 3, 2), activations=("tanh", "identity"),
                           time_input="concat")
         theta = vf.init_params(spec, 3)
-        x = np.array([0.2, 0.1])
+        x = np.array([[0.2, 0.1]])
         a, _ = vf.eval(spec, theta, 0.0, x)
         b, _ = vf.eval(spec, theta, 1.0, x)
         assert not np.allclose(a, b)
 
     def test_dimension_mismatch(self):
         with pytest.raises(vf.DimensionMismatch):
-            vf.eval(tanh_spec(), vf.init_params(tanh_spec(), 0), 0.0, np.zeros(3))
+            vf.eval(tanh_spec(), vf.init_params(tanh_spec(), 0), 0.0, np.zeros((1, 3)))
 
     def test_trace_replay(self):
         spec = tanh_spec()
         theta = vf.init_params(spec, 7)
-        _, trace = vf.eval(spec, theta, 0.0, np.array([0.4, -0.9]))
+        _, trace = vf.eval(spec, theta, 0.0, np.array([[0.4, -0.9]]))
         w0, b0 = vf.unpack_params(spec, theta)[0]
         assert np.array_equal(trace.hs[0], trace.zs[0] @ w0.T + b0)
         assert np.array_equal(trace.zs[1], np.tanh(trace.hs[0]))
@@ -157,8 +159,8 @@ class TestVjps:
     def test_zero_cotangent(self):
         spec = tanh_spec()
         theta = vf.init_params(spec, 7)
-        x = np.array([0.3, 0.8])
-        state, flat, _ = vjps(spec, theta, x, np.zeros(2))
+        x = np.array([[0.3, 0.8]])
+        state, flat, _ = vjps(spec, theta, x, np.zeros((1, 2)))
         assert np.allclose(state, 0.0)
         assert np.allclose(flat, 0.0)
 
@@ -167,21 +169,21 @@ class TestVjps:
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
         theta = a.reshape(-1, order="F")
         q = np.array([0.5, -1.0])
-        assert np.allclose(vjps(spec, theta, np.ones(2), q)[0], a.T @ q)
+        assert np.allclose(vjps(spec, theta, np.ones((1, 2)), q[None])[0], a.T @ q)
 
     def test_linear_weight_gradient_is_kron(self):
         spec = vf.MlpSpec(dims=(2, 2), activations=("identity",), bias=False)
         theta = np.zeros(4)
         x = np.array([0.3, -0.7])
         q = np.array([1.5, 0.25])
-        _, flat, _ = vjps(spec, theta, x, q)
+        _, flat, _ = vjps(spec, theta, x[None], q[None])
         assert np.allclose(flat, np.kron(x, q))
 
     def test_vjp_state_matches_fd(self):
         spec = tanh_spec()
         theta = vf.init_params(spec, 5)
-        x = np.array([0.3, -0.2])
-        q = np.array([0.5, -1.2])
+        x = np.array([[0.3, -0.2]])
+        q = np.array([[0.5, -1.2]])
         got = vjps(spec, theta, x, q)[0]
         want = fd_state(spec, theta, 0.0, x, q)
         assert np.linalg.norm(got - want) < 1e-6 * max(1.0, np.linalg.norm(want))
@@ -189,8 +191,8 @@ class TestVjps:
     def test_vjp_param_matches_fd(self):
         spec = tanh_spec()
         theta = vf.init_params(spec, 5)
-        x = np.array([0.3, -0.2])
-        q = np.array([0.5, -1.2])
+        x = np.array([[0.3, -0.2]])
+        q = np.array([[0.5, -1.2]])
         _, got, _ = vjps(spec, theta, x, q)
         want = fd_param(spec, theta, 0.0, x, q)
         assert np.linalg.norm(got - want) < 1e-6 * max(1.0, np.linalg.norm(want))
@@ -199,8 +201,8 @@ class TestVjps:
         # the factorization identity: each flat segment equals zbar x g exactly
         spec = vf.MlpSpec(dims=(2, 5, 3, 2), activations=("tanh", "softplus", "identity"))
         theta = vf.init_params(spec, 9)
-        x = np.array([0.6, -0.1])
-        q = np.array([-0.4, 1.1])
+        x = np.array([[0.6, -0.1]])
+        q = np.array([[-0.4, 1.1]])
         _, flat, gs = vjps(spec, theta, x, q)
         _, trace = vf.eval(spec, theta, 0.0, x)
         for k, (sl, _, _) in enumerate(vf.layer_slices(spec)):
@@ -210,15 +212,15 @@ class TestVjps:
     def test_relu_subgradient_zero_at_kink(self):
         spec = vf.MlpSpec(dims=(1, 1, 1), activations=("relu", "identity"), bias=False)
         theta = np.array([1.0, 1.0])  # h = x, out = relu(x)
-        assert np.allclose(vjps(spec, theta, np.array([0.0]), np.ones(1))[0], 0.0)
-        assert np.allclose(vjps(spec, theta, np.array([2.0]), np.ones(1))[0], 1.0)
+        assert np.allclose(vjps(spec, theta, np.array([[0.0]]), np.ones((1, 1)))[0], 0.0)
+        assert np.allclose(vjps(spec, theta, np.array([[2.0]]), np.ones((1, 1)))[0], 1.0)
 
     def test_softplus_stable_at_large_inputs(self):
         spec = vf.MlpSpec(dims=(1, 1), activations=("softplus",), bias=False)
         theta = np.array([1.0])
-        out, _ = vf.eval(spec, theta, 0.0, np.array([500.0]))
-        assert np.isfinite(out).all() and abs(out[0] - 500.0) < 1e-9
-        g = vjps(spec, theta, np.array([500.0]), np.ones(1))[0]
+        out, _ = vf.eval(spec, theta, 0.0, np.array([[500.0]]))
+        assert np.isfinite(out).all() and abs(out[0, 0] - 500.0) < 1e-9
+        g = vjps(spec, theta, np.array([[500.0]]), np.ones((1, 1)))[0]
         assert np.allclose(g, 1.0)
 
 
@@ -228,8 +230,8 @@ def test_vjp_linearity_in_cotangent(alpha, beta, seed):
     spec = tanh_spec()
     theta = vf.init_params(spec, 13)
     rng = np.random.default_rng(seed)
-    x = rng.normal(size=2)
-    q1, q2 = rng.normal(size=2), rng.normal(size=2)
+    x = rng.normal(size=(1, 2))
+    q1, q2 = rng.normal(size=(1, 2)), rng.normal(size=(1, 2))
     sm, pm, _ = vjps(spec, theta, x, alpha * q1 + beta * q2)
     s1, p1, _ = vjps(spec, theta, x, q1)
     s2, p2, _ = vjps(spec, theta, x, q2)
@@ -242,10 +244,10 @@ def test_jacobians_match_vjps():
     theta = vf.init_params(spec, 21)
     x = np.array([0.2, 0.9])
     f, fx, fu = vf.jacobians(spec, theta, 0.0, x)
-    out, _ = vf.eval(spec, theta, 0.0, x)
-    assert np.allclose(f, out)
+    out, _ = vf.eval(spec, theta, 0.0, x[None])
+    assert np.allclose(f, out[0])
     for j in range(2):
-        e = np.eye(2)[j]
-        state, flat, _ = vjps(spec, theta, x, e)
+        e = np.eye(2)[j:j + 1]
+        state, flat, _ = vjps(spec, theta, x[None], e)
         assert np.allclose(fx[j], state, atol=1e-13)
         assert np.allclose(fu[j], flat, atol=1e-13)
