@@ -24,8 +24,9 @@ The ``gauss_newton_scaled`` surrogate carries no rank vector: its ``q_1``
 is the adjoint times the curvature's constant ``adjoint_scale`` at every
 t, so the sweep runs ``[x | a]``, the B side integrates the adjoint
 group's second moment and is scaled by ``adjoint_scale**2`` once after
-the solve.  ``exact_rank`` carries its rank vectors and the B side sums
-groups 1..R.
+the solve.  ``exact_rank`` carries its R >= 1 rank vectors, one per
+terminal factor (C-1 for a C-class softmax), and the B side sums groups
+1..R.  Each rank vector adds ``batch*m`` entries to the state.
 
 Biases share their layer's block through the homogeneous coordinate: the
 activation vector gets a constant 1 appended, matching the flat parameter
@@ -98,6 +99,10 @@ def accumulate_factors(spec: vf.MlpSpec, theta: np.ndarray, x1: np.ndarray,
     state replay ``x``.
     """
     scale = curv.adjoint_scale
+    if scale is None and not curv.factors:
+        # a rank-0 sweep would leave the cotangents 2-D and the B side would
+        # read the adjoint's rows as rank vectors
+        raise ValueError("need at least one terminal factor")
     sweep, state = BackwardSweep.seeded(spec, theta, x1, curv.grad,
                                         curv.factors if scale is None else ())
     n = sweep.quad_len

@@ -8,9 +8,13 @@ rule in the training loop; its curvature is never Kronecker-tracked).
 ``terminal_curvature`` produces the terminal Hessian as a list of factor
 vectors ``y_i`` with ``Hessian = sum_i y_i y_i^T``:
 
-* ``exact_rank`` gives an exact symmetric factorization (identity columns
-  for mse; the Gauss-Newton factorization of ``diag(p) - p p^T`` pushed
-  through the readout for cross entropy).
+* ``exact_rank`` gives an exact symmetric factorization: identity columns
+  for mse (the readout's rows with a readout), and for cross entropy the
+  C-1 columns of the stick-breaking Cholesky factor of the multinomial
+  covariance ``diag(p) - p p^T`` (Tanabe & Sagae, J. R. Stat. Soc. B 54,
+  1992), pushed through the readout.  That matrix maps the all-ones
+  vector to zero, so it has rank C-1 and a C-th column would be
+  redundant.
 * ``gauss_newton_scaled`` gives the single factor ``grad / sqrt(t1 - t0)``,
   the cheap rank-1 surrogate used in production training, and records the
   scale so a sweep can read the factor off the adjoint.
@@ -70,6 +74,9 @@ class TerminalCurvature:
 
     ``factors`` is a list of arrays shaped like the per-sample gradient;
     the reconstruction ``sum_i y_i y_i^T`` is symmetric PSD by build.
+    Each factor is one rank vector of a backward sweep: ``exact_rank``
+    gives m of them for mse without a readout, one per output with one,
+    and C-1 for a C-class softmax; ``gauss_newton_scaled`` gives one.
     ``adjoint_scale`` is set when the one factor is ``adjoint_scale *
     grad`` (the ``gauss_newton_scaled`` surrogate) and None otherwise.
     """
@@ -115,22 +122,62 @@ def loss_value(lossfn: TerminalLoss, x1: np.ndarray) -> float:
     return float(-np.mean(log_probs[np.arange(pred.shape[0]), labels]))
 
 
+def _probs(lossfn: TerminalLoss, x1: np.ndarray) -> np.ndarray:
+    """Class probabilities of a ``softmax_ce`` loss at the terminal states."""
+    pred = _predictions(lossfn, x1)
+    _check_labels(lossfn.target, pred.shape[1], pred.shape[0])
+    return _softmax(pred)
+
+
+def _ce_residual(lossfn: TerminalLoss, probs: np.ndarray) -> np.ndarray:
+    """``probs`` minus the one-hot labels, in place."""
+    probs[np.arange(probs.shape[0]), lossfn.target] -= 1.0
+    return probs
+
+
 def _residual(lossfn: TerminalLoss, x1: np.ndarray) -> np.ndarray:
     """Per-sample gradient of the objective w.r.t. the predictions."""
-    pred = _predictions(lossfn, x1)
     if lossfn.kind == "mse":
-        target = np.broadcast_to(lossfn.target, pred.shape)
-        return pred - target
-    labels = _check_labels(lossfn.target, pred.shape[1], pred.shape[0])
-    resid = _softmax(pred)
-    resid[np.arange(pred.shape[0]), labels] -= 1.0
-    return resid
+        pred = _predictions(lossfn, x1)
+        return pred - np.broadcast_to(lossfn.target, pred.shape)
+    return _ce_residual(lossfn, _probs(lossfn, x1))
+
+
+def _to_state(lossfn: TerminalLoss, v: np.ndarray) -> np.ndarray:
+    """Pull per-sample prediction-space vectors back through the readout."""
+    return v @ lossfn.readout.weight if lossfn.readout is not None else v
 
 
 def grad_x1(lossfn: TerminalLoss, x1: np.ndarray) -> np.ndarray:
     """Per-sample gradient of the per-sample objective w.r.t. the state."""
-    resid = _residual(lossfn, x1)
-    return resid @ lossfn.readout.weight if lossfn.readout is not None else resid
+    return _to_state(lossfn, _residual(lossfn, x1))
+
+
+def _quotient(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """``num / den``, with 0 wherever ``den`` is 0."""
+    out = np.zeros(np.broadcast_shapes(num.shape, den.shape))
+    return np.divide(num, den, out=out, where=den > 0)
+
+
+def _multinomial_cholesky(probs: np.ndarray) -> list[np.ndarray]:
+    """The C-1 columns of the stick-breaking factor of ``diag(p) - p p^T``.
+
+    With ``s_k = sum_{j>=k} p_j`` (a reverse cumulative sum, so a small
+    tail is not lost to ``1 - p``), column k holds ``sqrt(p_k/s_k) *
+    sqrt(s_{k+1})`` at row k, ``-sqrt(p_k/s_k) * p_j/sqrt(s_{k+1})`` at
+    the rows j > k and 0 above.  A quotient whose denominator underflowed
+    to 0 is 0.  For C = 2 the one column is ``sqrt(p_0 p_1) (e_0 - e_1)``.
+    """
+    tail = np.cumsum(probs[:, ::-1], axis=1)[:, ::-1]
+    root_next = np.sqrt(tail[:, 1:])
+    lead = np.sqrt(_quotient(probs[:, :-1], tail[:, :-1]))
+    cols = []
+    for k in range(probs.shape[1] - 1):
+        col = np.zeros_like(probs)
+        col[:, k] = lead[:, k] * root_next[:, k]
+        col[:, k + 1:] = -lead[:, k:k + 1] * _quotient(probs[:, k + 1:], root_next[:, k:k + 1])
+        cols.append(col)
+    return cols
 
 
 def readout_grads(lossfn: TerminalLoss, x1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -148,32 +195,27 @@ def terminal_curvature(lossfn: TerminalLoss, x1: np.ndarray, t0: float, t1: floa
         raise ValueError("terminal_curvature requires t1 > t0")
     if mode not in CURVATURE_MODES:
         raise ValueError(f"unknown curvature mode {mode!r}")
-    grad = grad_x1(lossfn, x1)
 
-    adjoint_scale = None
+    if mode == "exact_rank" and lossfn.kind == "softmax_ce":
+        # one softmax feeds the gradient and the factors
+        probs = _probs(lossfn, x1)
+        return TerminalCurvature(
+            grad=_to_state(lossfn, _ce_residual(lossfn, probs.copy())),
+            factors=[_to_state(lossfn, col) for col in _multinomial_cholesky(probs)],
+            mode=mode)
+    grad = grad_x1(lossfn, x1)
     if mode == "gauss_newton_scaled":
-        adjoint_scale = float(1.0 / np.sqrt(t1 - t0))
-        factors = [adjoint_scale * grad]
-    elif lossfn.kind == "mse":
-        m = x1.shape[1]
-        if lossfn.readout is None:
-            # Hessian is the identity: factors are the unit vectors
-            factors = [np.broadcast_to(np.eye(m)[i], x1.shape).copy() for i in range(m)]
-        else:
-            # Hessian is V^T V: one factor per readout row
-            factors = [np.broadcast_to(row, x1.shape).copy() for row in lossfn.readout.weight]
+        scale = float(1.0 / np.sqrt(t1 - t0))
+        return TerminalCurvature(grad=grad, factors=[scale * grad], mode=mode,
+                                 adjoint_scale=scale)
+    m = x1.shape[1]
+    if lossfn.readout is None:
+        # Hessian is the identity: factors are the unit vectors
+        factors = [np.broadcast_to(np.eye(m)[i], x1.shape).copy() for i in range(m)]
     else:
-        pred = _predictions(lossfn, x1)
-        _check_labels(lossfn.target, pred.shape[1], pred.shape[0])
-        probs = _softmax(pred)
-        n_cls = pred.shape[1]
-        factors = []
-        for k in range(n_cls):
-            # column k of diag(sqrt(p)) - p sqrt(p)^T, pushed through the readout
-            bk = np.sqrt(probs[:, k:k + 1]) * (np.eye(n_cls)[k] - probs)
-            factors.append(bk @ lossfn.readout.weight if lossfn.readout is not None else bk.copy())
-    return TerminalCurvature(grad=grad, factors=factors, mode=mode,
-                             adjoint_scale=adjoint_scale)
+        # Hessian is V^T V: one factor per readout row
+        factors = [np.broadcast_to(row, x1.shape).copy() for row in lossfn.readout.weight]
+    return TerminalCurvature(grad=grad, factors=factors, mode=mode)
 
 
 def accuracy(lossfn: TerminalLoss, x1: np.ndarray) -> float:

@@ -193,6 +193,9 @@ def check_config(cfg: ExperimentConfig):
         raise ValueError(f"loss {lossc.kind} does not fit dataset {data.kind}: mse needs "
                          "regression targets, softmax_ce needs class labels")
     outputs = lossc.readout_classes or width
+    if lossc.kind == "softmax_ce" and outputs < 2:
+        # a one-output softmax is constant: its loss, gradient and Hessian are 0
+        raise ValueError(f"softmax_ce needs at least 2 outputs, the readout has {outputs}")
     if data.n_classes > outputs:
         what = "readout" if lossc.readout_classes else "state (no readout)"
         raise ValueError(f"dataset {data.kind} has {data.n_classes} classes but the "

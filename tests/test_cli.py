@@ -277,6 +277,8 @@ CONFIG_ERRORS = {
     "classes_over_readout": ("train", ["dataset.kind=circles", "dataset.radii=0.5,1.0,1.5"]),
     "classes_over_state": ("train", ["loss.readout_classes=0", "dataset.kind=circles",
                                      "dataset.radii=0.5,1.0,1.5"]),
+    "one_output_softmax": ("train", ["dataset.kind=circles", "dataset.radii=1.0",
+                                     "loss.readout_classes=1"]),
     "state_width_over_inputs": ("train", ["model.dims=3,4,3"]),
     "grid_cell_mismatch": ("grid", "[grid]\ndataset.kind = spirals, regression\n"),
     "n_per_class_0": ("train", ["dataset.n_per_class=0"]),

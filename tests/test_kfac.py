@@ -1,5 +1,7 @@
 import numpy as np
+import pytest
 
+from snopt_kit import loss as ls
 from snopt_kit import trainer as tr
 from snopt_kit import vector_field as vf
 from snopt_kit.adjoint import BackwardSweep, adjoint_gradient
@@ -16,17 +18,21 @@ def tanh_net(seed, dims=(2, 3, 2), time_input="none"):
     return spec, vf.init_params(spec, seed)
 
 
-def default_batch(t1=1.0):
-    """Network, terminal states and curvature of the default snopt config's first batch.
+def first_batch(cfg, t1):
+    """Network, terminal states and curvature of ``cfg``'s first batch.
 
     The curvature is taken for a horizon ``[0, t1]``.
     """
-    cfg = tr.ExperimentConfig(optimizer=tr.OptimizerConfig(kind="snopt"))
     run = tr._Run(cfg)
     pos, lossfn = run.draw_batch()
     x1 = run.forward(run.ds.inputs[run.ds.train_idx])[0][pos]
     curv = terminal_curvature(lossfn, x1, cfg.t0, t1, mode=cfg.loss.curvature)
     return run.spec, run.theta, x1, curv, cfg
+
+
+def default_batch(t1=1.0):
+    """:func:`first_batch` of the default snopt config."""
+    return first_batch(tr.ExperimentConfig(optimizer=tr.OptimizerConfig(kind="snopt")), t1)
 
 
 def terms_at(spec, theta, t, x, qs):
@@ -94,6 +100,15 @@ class TestAccumulateFactors:
             assert np.linalg.eigvalsh(a).min() >= -1e-12
             assert np.linalg.norm(a) > 0
         assert np.allclose(grad, 0.0)
+
+    def test_rejects_exact_rank_without_factors(self):
+        # a rank-0 sweep has no rank vector for the B side to integrate
+        spec, theta = tanh_net(6, (2, 4, 2))
+        rng = np.random.default_rng(6)
+        x1, a1 = rng.uniform(-1, 1, size=(8, 2)), rng.normal(size=(8, 2))
+        curv = TerminalCurvature(grad=a1, factors=[], mode="exact_rank")
+        with pytest.raises(ValueError, match="at least one terminal factor"):
+            accumulate_factors(spec, theta, x1, curv, 0.0, 1.0, RK4)
 
     def test_rk4_step_weights_its_stages(self):
         # one RK4 step over [0, T]: the factors are T/6 * (F1 + 2 F2 + 2 F3 + F4)
@@ -232,3 +247,37 @@ class TestDefaultConfigSweep:
         for mine, want in zip(got.a_factors + got.b_factors, ref.a_factors + ref.b_factors):
             assert np.linalg.norm(mine - want) <= 1e-3 * np.linalg.norm(want)
         assert np.linalg.norm(grad - g_ref) <= 1e-3 * np.linalg.norm(g_ref)
+
+
+class TestSoftmaxRankVectors:
+    """The circles config with ``exact_rank`` softmax factors, first batch."""
+
+    def test_classes_minus_one_vectors_match_classes_vectors(self):
+        # the C columns of diag(sqrt p) - p sqrt(p)^T and the C-1 stick-breaking
+        # columns reconstruct the same Hessian; the sweep carries one vector
+        # fewer and must agree: steps, NFE, gradient, A side and x0 bit for
+        # bit, the B side to rounding
+        cfg = tr.ExperimentConfig(dataset=tr.DatasetConfig(kind="circles"),
+                                  loss=tr.LossConfig(curvature="exact_rank"),
+                                  optimizer=tr.OptimizerConfig(kind="snopt"), batch_size=128,
+                                  model=tr.ModelConfig(dims=(2, 16, 16, 2)))
+        spec, theta, x1, curv, cfg = first_batch(cfg, cfg.t1)
+        run = tr._Run(cfg)
+        probs = ls._softmax(run.readout.logits(x1))
+        n_cls = probs.shape[1]
+        full = TerminalCurvature(
+            grad=curv.grad, mode="exact_rank",
+            factors=[np.sqrt(probs[:, k:k + 1]) * (np.eye(n_cls)[k] - probs) @ run.readout.weight
+                     for k in range(n_cls)])
+        assert len(curv.factors) == n_cls - 1 == len(full.factors) - 1
+        got, grad, rep = accumulate_factors(spec, theta, x1, curv, cfg.t0, cfg.t1, cfg.solver)
+        ref, g_ref, rep_ref = accumulate_factors(spec, theta, x1, full, cfg.t0, cfg.t1,
+                                                 cfg.solver)
+        assert (rep.nfe, rep.accepted_steps, rep.rejected_steps) == (
+            rep_ref.nfe, rep_ref.accepted_steps, rep_ref.rejected_steps)
+        assert np.array_equal(grad, g_ref)
+        assert np.array_equal(rep.terminal_state[:x1.size], rep_ref.terminal_state[:x1.size])
+        for mine, want in zip(got.a_factors, ref.a_factors):
+            assert np.array_equal(mine, want)
+        for mine, want in zip(got.b_factors, ref.b_factors):
+            assert np.max(np.abs(mine - want)) <= 1e-14 * np.max(np.abs(want))

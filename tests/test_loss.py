@@ -129,6 +129,46 @@ class TestTerminalCurvature:
             curv = ls.terminal_curvature(lf, rng.normal(size=(1, 3)), 0.0, 1.0, mode)
             assert np.linalg.eigvalsh(curv.hessian()).min() >= -1e-10
 
+    def test_softmax_factor_count_is_classes_minus_one(self):
+        # diag(p) - p p^T maps the all-ones vector to 0: rank C-1, C-1 factors
+        rng = np.random.default_rng(4)
+        for n_cls in range(2, 6):
+            readout = ls.Readout(weight=rng.normal(size=(n_cls, 3)), bias=np.zeros(n_cls))
+            lf = ls.TerminalLoss(kind="softmax_ce", target=np.array([0, n_cls - 1]),
+                                 readout=readout)
+            curv = ls.terminal_curvature(lf, rng.normal(size=(2, 3)), 0.0, 1.0, "exact_rank")
+            assert len(curv.factors) == n_cls - 1
+            assert all(f.shape == (2, 3) for f in curv.factors)
+
+    def test_softmax_two_class_closed_form(self):
+        # C = 2: the one factor is sqrt(p0 p1) (e0 - e1)
+        x = np.array([[0.3, -1.2], [4.0, 0.5], [-2.0, 2.0]])
+        lf = ls.TerminalLoss(kind="softmax_ce", target=np.array([0, 1, 1]))
+        (factor,) = ls.terminal_curvature(lf, x, 0.0, 1.0, "exact_rank").factors
+        p = ls._softmax(x)
+        want = np.sqrt(p[:, :1] * p[:, 1:]) * np.array([1.0, -1.0])
+        np.testing.assert_allclose(factor, want, rtol=1e-15, atol=0)
+
+    def test_softmax_reconstruction_matches_accurate_reference(self):
+        # the reference p_i (delta_ij - p_j), with its diagonal summed as
+        # p_i * sum_{j != i} p_j; logits up to 1000 make probabilities underflow
+        # to exactly 0, and the reconstruction stays finite and exact to rounding
+        rng = np.random.default_rng(5)
+        for n_cls in range(2, 6):
+            x = np.concatenate([rng.normal(size=(100, n_cls)) * scale
+                                for scale in (1.0, 10.0, 100.0, 1000.0)])
+            p = ls._softmax(x)
+            assert np.any(p == 0.0)
+            lf = ls.TerminalLoss(kind="softmax_ce", target=np.zeros(len(x), dtype=int))
+            ys = np.stack(ls.terminal_curvature(lf, x, 0.0, 1.0, "exact_rank").factors)
+            recon = np.einsum("kbi,kbj->bij", ys, ys)
+            ref = -p[:, :, None] * p[:, None, :]
+            for i in range(n_cls):
+                ref[:, i, i] = p[:, i] * np.delete(p, i, axis=1).sum(axis=1)
+            assert np.all(np.isfinite(recon))
+            err = np.linalg.norm(recon - ref, axis=(1, 2))
+            assert np.all(err <= 1e-14 * np.linalg.norm(ref, axis=(1, 2)))
+
     def test_requires_forward_interval(self):
         lf = ls.TerminalLoss(kind="mse", target=np.zeros(2))
         with pytest.raises(ValueError):
