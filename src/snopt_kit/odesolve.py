@@ -124,7 +124,9 @@ def _check_finite(y: np.ndarray, t: float):
 
 def _scaled_rms(v: np.ndarray, scale: np.ndarray, scored: int | None) -> float:
     """RMS of ``v / scale`` over the first ``scored`` components (all when None)."""
-    return float(np.sqrt(np.mean((v[:scored] / scale[:scored]) ** 2)))
+    u = v[:scored] / scale[:scored]
+    # np.mean's own pairwise sum and division, without its Python wrapper
+    return float(np.sqrt(np.add.reduce(u * u) / u.size))
 
 
 def _stage(fn, t: float, y: np.ndarray, weight: float, acc: np.ndarray | None):

@@ -118,40 +118,52 @@ def unpack_params(spec: MlpSpec, theta: np.ndarray) -> Weights:
 
 
 def _act(name: str, h: np.ndarray) -> np.ndarray:
+    """``act(h)``, written over ``h``: a trace keeps no pre-activation."""
     if name == "tanh":
-        return np.tanh(h)
+        return np.tanh(h, out=h)
     if name == "relu":
-        return np.maximum(h, 0.0)
+        return np.maximum(h, 0.0, out=h)
     if name == "softplus":
-        # split at |h| > 30 to avoid exp overflow
-        return np.where(h > 30.0, h, np.log1p(np.exp(np.minimum(h, 30.0))))
+        # split at h > 30 to avoid exp overflow; above it softplus(h) is h
+        np.copyto(h, np.log1p(np.exp(np.minimum(h, 30.0))), where=h <= 30.0)
     return h
 
 
-def _act_deriv(name: str, h: np.ndarray, z_next: np.ndarray) -> np.ndarray:
+def _act_deriv(name: str, z_next: np.ndarray) -> np.ndarray:
+    """``act'(h)`` read off the layer output ``z_next = act(h)``."""
     if name == "tanh":
         return 1.0 - z_next ** 2
     if name == "relu":
-        # subgradient 0 at exactly zero
-        return (h > 0.0).astype(float)
+        # z > 0 exactly where h > 0, so the subgradient at 0 is 0
+        return (z_next > 0.0).astype(float)
     if name == "softplus":
-        return np.where(h > 30.0, 1.0, 1.0 / (1.0 + np.exp(-np.minimum(h, 30.0))))
-    return np.ones_like(h)
+        # sigmoid(h) = 1 - exp(-softplus(h))
+        return -np.expm1(-z_next)
+    return np.ones_like(z_next)
+
+
+def _pullback(name: str, r: np.ndarray, z_next: np.ndarray) -> np.ndarray:
+    """The cotangent ``r`` of a layer output pulled back through its
+    activation; an identity layer hands ``r`` back with no multiply."""
+    if name == "identity":
+        return r
+    return r * _act_deriv(name, z_next)
 
 
 @dataclass
 class LayerTrace:
-    """Forward intermediates at one evaluation point.
+    """The layer outputs at one evaluation point, and nothing else.
 
     ``zs[k]`` is the input to layer ``k`` (``zs[0]`` includes the time
-    column when concatenated), ``hs[k]`` its pre-activation, ``zs[-1]``
-    the field value.  Replaying the affine/activation chain from any
-    ``zs[k]`` reproduces the suffix bit-exactly.
+    column when concatenated) and ``zs[-1]`` the field value.  No
+    pre-activation is kept: the reverse pass reads every activation
+    derivative off the layer's output (:func:`_act_deriv`).  Replaying the
+    affine/activation chain from any ``zs[k]`` reproduces the suffix
+    bit-exactly.
     """
 
     t: float
     zs: list[np.ndarray]
-    hs: list[np.ndarray]
     _zbars: list[np.ndarray] | None = None
 
 
@@ -176,15 +188,14 @@ def _forward(spec: MlpSpec, weights: Weights, t: float, x: np.ndarray) -> LayerT
         z = np.concatenate([x, np.full((x.shape[0], 1), float(t))], axis=1)
     else:
         z = x
-    zs, hs = [z], []
+    zs = [z]
     for k, (w, b) in enumerate(weights):
         h = z @ w.T
         if b is not None:
             h += b
-        hs.append(h)
         z = _act(spec.activations[k], h)
         zs.append(z)
-    return LayerTrace(t=float(t), zs=zs, hs=hs)
+    return LayerTrace(t=float(t), zs=zs)
 
 
 def eval(spec: MlpSpec, theta: np.ndarray, t: float, x: np.ndarray) -> tuple[np.ndarray, LayerTrace]:
@@ -198,12 +209,15 @@ def _cotangents(spec: MlpSpec, weights: Weights, trace: LayerTrace,
     """Reverse traversal: per-layer ``g^k = (dF/dh^k)^T q`` plus input grad.
 
     ``q`` may carry leading axes broadcastable against the trace batch;
-    one traversal serves both the state and parameter VJPs.
+    one traversal serves both the state and parameter VJPs.  Activation
+    derivatives are read off the trace's layer outputs, and an identity
+    layer's ``g^k`` is its incoming cotangent itself (for the output
+    layer, ``q`` as given).
     """
     r = np.asarray(q, dtype=float)
     gs: list[np.ndarray] = [None] * spec.n_layers  # type: ignore[list-item]
     for k in reversed(range(spec.n_layers)):
-        g = r * _act_deriv(spec.activations[k], trace.hs[k], trace.zs[k + 1])
+        g = _pullback(spec.activations[k], r, trace.zs[k + 1])
         gs[k] = g
         r = g @ weights[k][0]
     return gs, r
@@ -262,7 +276,7 @@ def jacobians(spec: MlpSpec, theta: np.ndarray, t: float,
     fu = np.empty((m, num_params(spec)))
     r = np.eye(m)
     for k in reversed(range(spec.n_layers)):
-        g = r * _act_deriv(spec.activations[k], trace.hs[k], trace.zs[k + 1])  # (m, l)
+        g = _pullback(spec.activations[k], r, trace.zs[k + 1])  # (m, l)
         zb = _zbar(spec, trace.zs[k])[0]  # (pbar,)
         sl, _, _ = layer_slices(spec)[k]
         # row j of the segment is vec_F(g_j zbar^T) = zbar ⊗ g_j

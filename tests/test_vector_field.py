@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -147,12 +149,65 @@ class TestEval:
             vf.eval(tanh_spec(), vf.init_params(tanh_spec(), 0), 0.0, np.zeros((1, 3)))
 
     def test_trace_replay(self):
+        # the layer outputs alone replay the chain bit-exactly (tanh, then identity)
         spec = tanh_spec()
         theta = vf.init_params(spec, 7)
         _, trace = vf.eval(spec, theta, 0.0, np.array([[0.4, -0.9]]))
-        w0, b0 = vf.unpack_params(spec, theta)[0]
-        assert np.array_equal(trace.hs[0], trace.zs[0] @ w0.T + b0)
-        assert np.array_equal(trace.zs[1], np.tanh(trace.hs[0]))
+        (w0, b0), (w1, b1) = vf.unpack_params(spec, theta)
+        assert np.array_equal(trace.zs[1], np.tanh(trace.zs[0] @ w0.T + b0))
+        assert np.array_equal(trace.zs[2], trace.zs[1] @ w1.T + b1)
+
+    def test_trace_keeps_only_layer_outputs(self):
+        # one warm 400-row forward through 2-16-16-2 keeps its three layer
+        # outputs and a little bookkeeping, no pre-activation beside them
+        spec = vf.MlpSpec(dims=(2, 16, 16, 2), activations=("tanh", "tanh", "identity"))
+        weights = vf.unpack_params(spec, vf.init_params(spec, 0))
+        x = np.random.default_rng(0).normal(size=(400, 2))
+        vf._forward(spec, weights, 0.0, x)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            trace = vf._forward(spec, weights, 0.0, x)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(trace.zs) == 4
+        assert kept < 400 * (16 + 16 + 2) * 8 + 4096
+
+
+def _pre_activation_deriv(name, h):
+    """The activation derivatives written against the pre-activation ``h``."""
+    if name == "tanh":
+        return 1.0 - np.tanh(h) ** 2
+    if name == "relu":
+        return (h > 0.0).astype(float)
+    if name == "softplus":
+        return 1.0 / (1.0 + np.exp(-h))
+    return np.ones_like(h)
+
+
+class TestActivationDerivatives:
+    # both sides of softplus's split at 30, and relu's kink at exactly 0
+    H = np.concatenate([np.linspace(-50.0, 50.0, 2001),
+                        [-1e-300, 0.0, 1e-300, 29.999999, 30.0, 30.000001]])
+
+    @pytest.mark.parametrize("name", vf.ACTIVATIONS)
+    def test_read_off_outputs(self, name):
+        got = vf._act_deriv(name, vf._act(name, self.H.copy()))
+        want = _pre_activation_deriv(name, self.H)
+        if name == "softplus":
+            assert np.max(np.abs(got - want) / want) < 1e-13
+        else:
+            assert np.array_equal(got, want)
+
+    def test_identity_output_passes_cotangent_through(self):
+        spec = tanh_spec()
+        weights = vf.unpack_params(spec, vf.init_params(spec, 7))
+        rng = np.random.default_rng(1)
+        trace = vf._forward(spec, weights, 0.0, rng.normal(size=(3, 2)))
+        q = rng.normal(size=(3, 2))
+        gs, _ = vf._cotangents(spec, weights, trace, q.copy())
+        assert np.array_equal(gs[-1], q)
 
 
 class TestVjps:
