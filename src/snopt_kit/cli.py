@@ -8,8 +8,8 @@ config seed.
 
 Exit codes: 0 success, 1 config error (``ConfigError``: an unknown key, a
 value the config dataclasses reject, sections that do not fit together
-(``trainer.check_config``), an unparsable config or grid file, a missing
-output directory, a bad ``SNOPT_SEED``), 2 numeric abort
+(which ``ExperimentConfig`` rejects as it is built), an unparsable config
+or grid file, a missing output directory, a bad ``SNOPT_SEED``), 2 numeric abort
 (``TrainAbort``: a non-finite state, a solve over ``max_steps``, a factor
 eigendecomposition that fails, or a non-finite horizon update).  ``grid``
 records an aborted cell in its summary and carries on.
@@ -23,7 +23,7 @@ import itertools
 import math
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from . import vector_field as vf
 from .odesolve import SolverConfig
 from .trainer import ExperimentConfig, TrainAbort, TrainRecord
 
-CSV_HEADER = "iteration,wall_clock_s,train_loss,train_acc,test_loss,test_acc,nfe_fwd,nfe_bwd,t1"
+CSV_HEADER = ",".join(f.name for f in fields(TrainRecord))
 
 
 class ConfigError(ValueError):
@@ -73,59 +73,64 @@ _TRAIN_KEYS = ("t0", "t1", "iterations", "batch_size", "grid_samples",
                "eval_every", "seed")
 
 
-def _coerced_updates(cfg: ExperimentConfig, section: str,
-                     items: list[tuple[str, str]]) -> dict:
-    if section not in _SECTIONS:
-        raise ConfigError(f"unknown config section [{section}]")
-    holder = cfg if section == "train" else getattr(cfg, section)
-    valid = set(_TRAIN_KEYS) if section == "train" else {f.name for f in fields(holder)}
-    updates = {}
-    for key, value in items:
-        if key not in valid:
-            raise ConfigError(f"unknown key {key!r} in [{section}]")
-        updates[key] = _coerce(getattr(holder, key), value)
-    return updates
-
-
-def _apply_section(cfg: ExperimentConfig, section: str,
-                   items: list[tuple[str, str]]) -> ExperimentConfig:
-    """Apply a whole section at once so partial states never get validated."""
-    updates = _coerced_updates(cfg, section, items)
-    if section == "train":
-        return replace(cfg, **updates)
-    return replace(cfg, **{section: replace(getattr(cfg, section), **updates)})
-
-
-def load_config(path: str, overrides: list[str] | None = None) -> ExperimentConfig:
-    """Build an ExperimentConfig from an INI file plus dotted overrides."""
+def _config_items(path: str, overrides: list[str] | None) -> dict[str, list[tuple[str, str]]]:
+    """The file's items, then the overrides, then ``SNOPT_SEED``, by section."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         parser.read(path)
-        # coerce everything against the defaults, then construct each group once
         staged: dict[str, list[tuple[str, str]]] = {}
         for section in parser.sections():
             staged.setdefault(section, []).extend(parser.items(section))
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
 
+    for ov in overrides or []:
+        section, key, value = _split_override(ov)
+        staged.setdefault(section, []).append((key, value))
+    if "SNOPT_SEED" in os.environ:
+        try:
+            seed = int(os.environ["SNOPT_SEED"])
+            if seed < 0:
+                raise ValueError(f"got {seed}")
+        except ValueError as exc:
+            raise ConfigError(f"SNOPT_SEED must be a nonnegative integer: {exc}") from exc
+        staged.setdefault("train", []).append(("seed", str(seed)))
+    return staged
+
+
+def _build(staged: dict[str, list[tuple[str, str]]]) -> ExperimentConfig:
+    """Coerce the items against the defaults, then build each section and the config once."""
+    defaults = ExperimentConfig()
+    kwargs = {}
     try:
-        for ov in overrides or []:
-            section, key, value = _split_override(ov)
-            staged.setdefault(section, []).append((key, value))
-        cfg = ExperimentConfig()
         for section, items in staged.items():
-            cfg = _apply_section(cfg, section, items)
+            if section not in _SECTIONS:
+                raise ConfigError(f"unknown config section [{section}]")
+            holder = defaults if section == "train" else getattr(defaults, section)
+            valid = set(_TRAIN_KEYS) if section == "train" else {f.name for f in fields(holder)}
+            updates = {}
+            for key, value in items:
+                if key not in valid:
+                    raise ConfigError(f"unknown key {key!r} in [{section}]")
+                updates[key] = _coerce(getattr(holder, key), value)
+            if section == "train":
+                kwargs.update(updates)
+            else:
+                kwargs[section] = replace(holder, **updates)
+        return ExperimentConfig(**kwargs)
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
 
-    if "SNOPT_SEED" in os.environ:
-        try:
-            cfg = replace(cfg, seed=int(os.environ["SNOPT_SEED"]))
-        except ValueError as exc:
-            raise ConfigError(f"SNOPT_SEED must be a nonnegative integer: {exc}") from exc
-    return cfg
+
+def load_config(path: str, overrides: list[str] | None = None) -> ExperimentConfig:
+    """Build an ExperimentConfig from an INI file plus dotted overrides.
+
+    Everything is collected before anything is built, so no half-built
+    config is ever checked.
+    """
+    return _build(_config_items(path, overrides))
 
 
 def _split_override(spec: str) -> tuple[str, str, str]:
@@ -149,23 +154,12 @@ def write_records_csv(path: str, records: list[TrainRecord],
             fh.write(f"# {line}\n")
         fh.write(CSV_HEADER + "\n")
         for r in records:
-            fh.write(",".join(_fmt(v) for v in (
-                r.iteration, r.wall_clock_s, r.train_loss, r.train_acc,
-                r.test_loss, r.test_acc, r.nfe_fwd, r.nfe_bwd, r.t1)) + "\n")
-
-
-def _check_finished(cfg: ExperimentConfig) -> ExperimentConfig:
-    """Apply the cross-section rules (``trainer.check_config``) to a finished config."""
-    try:
-        trainer.check_config(cfg)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return cfg
+            fh.write(",".join(_fmt(v) for v in astuple(r)) + "\n")
 
 
 def cmd_train(config_path: str, out_path: str, overrides: list[str] | None = None) -> int:
     try:
-        cfg = _check_finished(load_config(config_path, overrides))
+        cfg = load_config(config_path, overrides)
         out_dir = os.path.dirname(out_path) or "."
         if not os.path.isdir(out_dir):
             raise ConfigError(f"output directory not found: {out_dir}")
@@ -183,11 +177,12 @@ def cmd_train(config_path: str, out_path: str, overrides: list[str] | None = Non
     return 0
 
 
-def _grid_cells(grid_path: str, base: ExperimentConfig) -> list[list[tuple[str, str]]]:
+def _grid_cells(grid_path: str) -> list[list[tuple[str, str]]]:
     """Cartesian product of the comma-separated values in [grid].
 
-    The commas split values, so a tuple-valued key of ``base`` cannot be
-    swept and is rejected.
+    The commas split values, so a tuple-valued key cannot be swept and is
+    rejected; a key's type does not depend on its value, so the defaults
+    tell which keys hold tuples.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
@@ -195,10 +190,10 @@ def _grid_cells(grid_path: str, base: ExperimentConfig) -> list[list[tuple[str, 
         items = parser.items("grid") if parser.has_section("grid") else []
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {grid_path}: {exc}") from exc
-    axes = []
+    defaults, axes = ExperimentConfig(), []
     for key, values in items:
         section, _, name = key.partition(".")
-        holder = base if section == "train" else getattr(base, section, None)
+        holder = defaults if section == "train" else getattr(defaults, section, None)
         if isinstance(getattr(holder, name, None), tuple):
             raise ConfigError(f"cannot sweep tuple-valued key {key} in {grid_path}")
         choices = [v.strip() for v in values.split(",") if v.strip()]
@@ -218,20 +213,22 @@ def _final_metrics(records: list[TrainRecord]) -> tuple[float, float, float, flo
 def cmd_grid(config_path: str, grid_path: str, out_dir: str,
              overrides: list[str] | None = None) -> int:
     try:
-        base = load_config(config_path, overrides)
+        staged = _config_items(config_path, overrides)
         if not os.path.exists(grid_path):
             raise ConfigError(f"grid file not found: {grid_path}")
-        cells = _grid_cells(grid_path, base)
+        cells = _grid_cells(grid_path)
+        if not cells:
+            _build(staged)  # no cell: the base alone must be valid
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     # every cell is checked before any trains; a cell's values join the
-    # overrides, so each section is built once, whatever the key order
+    # overrides, so the base only has to be valid together with each cell
     configs = []
     for idx, cell in enumerate(cells):
         try:
             cell_overrides = [*(overrides or []), *(f"{k}={v}" for k, v in cell)]
-            configs.append(_check_finished(load_config(config_path, cell_overrides)))
+            configs.append(load_config(config_path, cell_overrides))
         except ConfigError as exc:
             print(f"config error in cell {idx}: {exc}", file=sys.stderr)
             return 1
@@ -308,8 +305,7 @@ def _check_lowrank_equivalence(tol_scale: float):
     rng = np.random.Generator(np.random.Philox(7))
     x1 = rng.uniform(-1, 1, size=(1, 2))
     curv = loss.TerminalCurvature(grad=rng.normal(size=(1, 2)),
-                                  factors=[rng.normal(size=(1, 2)) for _ in range(2)],
-                                  mode="exact_rank")
+                                  factors=[rng.normal(size=(1, 2)) for _ in range(2)])
     cfg = SolverConfig(method="dopri5", rtol=1e-10, atol=1e-10)
     dense = curvature.dense_sweep(spec, theta, x1, curv, 0.0, 1.0, cfg)
     low = curvature.lowrank_sweep(spec, theta, x1, curv, 0.0, 1.0, cfg)

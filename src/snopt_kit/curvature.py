@@ -123,7 +123,7 @@ class LowRankCurvatureState:
         return sum(np.outer(q, p) for q, p in zip(self._sample_qs(), self.ps))
 
     def recon_quu(self) -> np.ndarray:
-        return assemble_quu(self)
+        return sum(np.outer(p, p) for p in self.ps)
 
 
 def lowrank_sweep(spec: vf.MlpSpec, theta: np.ndarray, x1: np.ndarray,
@@ -147,15 +147,6 @@ def lowrank_sweep(spec: vf.MlpSpec, theta: np.ndarray, x1: np.ndarray,
     return LowRankCurvatureState(x0=x0.copy(), qx=cot[0].copy(), qu=params[0],
                                  qs=[q.copy() for q in cot[1:]],
                                  ps=list(params[1:]), report=report)
-
-
-def assemble_quu(state: LowRankCurvatureState) -> np.ndarray:
-    """Parameter-space curvature ``sum_i p_i p_i^T`` (symmetric PSD)."""
-    n = state.ps[0].shape[0]
-    out = np.zeros((n, n))
-    for p in state.ps:
-        out += np.outer(p, p)
-    return out
 
 
 def apply_weight_decay(grad: np.ndarray, factors: KroneckerFactors | None, gamma: float,

@@ -21,8 +21,6 @@ class Dataset:
     labels: np.ndarray            # (N,) int classes, or (N, m) vector targets
     train_idx: np.ndarray
     test_idx: np.ndarray
-    seed: int
-    task: str                     # "classification" | "regression"
 
     @property
     def n_train(self) -> int:
@@ -62,8 +60,7 @@ def make_spirals(n_per_class: int, noise_sd: float, seed: int,
     inputs = np.concatenate(chunks)
     labels = np.concatenate(labels)
     train_idx, test_idx = _split(rng, inputs.shape[0], test_fraction)
-    return Dataset(inputs=inputs, labels=labels, train_idx=train_idx,
-                   test_idx=test_idx, seed=seed, task="classification")
+    return Dataset(inputs=inputs, labels=labels, train_idx=train_idx, test_idx=test_idx)
 
 
 def make_circles(n_per_class: int, radii: tuple[float, ...], noise_sd: float,
@@ -82,8 +79,7 @@ def make_circles(n_per_class: int, radii: tuple[float, ...], noise_sd: float,
     inputs = np.concatenate(chunks)
     labels = np.concatenate(labels)
     train_idx, test_idx = _split(rng, inputs.shape[0], test_fraction)
-    return Dataset(inputs=inputs, labels=labels, train_idx=train_idx,
-                   test_idx=test_idx, seed=seed, task="classification")
+    return Dataset(inputs=inputs, labels=labels, train_idx=train_idx, test_idx=test_idx)
 
 
 def regression_targets(inputs: np.ndarray) -> np.ndarray:
@@ -101,6 +97,5 @@ def make_regression(n: int, seed: int, test_fraction: float = 0.2) -> Dataset:
     inputs = rng.uniform(-1.0, 1.0, size=(n, 2))
     targets = regression_targets(inputs)
     train_idx, test_idx = _split(rng, n, test_fraction)
-    return Dataset(inputs=inputs, labels=targets, train_idx=train_idx,
-                   test_idx=test_idx, seed=seed, task="regression")
+    return Dataset(inputs=inputs, labels=targets, train_idx=train_idx, test_idx=test_idx)
 

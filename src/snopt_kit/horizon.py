@@ -22,6 +22,10 @@ iteration:
 applied once every ``period`` iterations from exponential moving averages
 of the per-iteration terms.  The first-order baseline drops the curvature
 scaling and the feedback.
+
+The bound itself belongs to the caller, which passes its current value in
+and keeps the one returned; ``HorizonState`` holds only the settings and
+the moving averages.
 """
 
 from __future__ import annotations
@@ -37,68 +41,75 @@ class NonFiniteUpdate(RuntimeError):
     pass
 
 
+@dataclass(frozen=True)
+class HorizonConfig:
+    enabled: bool = False
+    policy: str = "feedback"         # feedback | first_order
+    penalty: float = 0.5             # c > 0
+    lr: float = 0.3                  # eta_T
+    period: int = 75                 # iterations between bound updates
+    t_min: float = 0.05
+    t_max: float = 2.0
+    ema: float = 0.9
+
+    def __post_init__(self):
+        if self.policy not in ("feedback", "first_order"):
+            raise ValueError(f"unknown horizon policy {self.policy!r}; "
+                             "expected one of feedback, first_order")
+        if self.period < 1:
+            raise ValueError("need horizon period >= 1")
+
+
 @dataclass
 class HorizonTerms:
     qt: float
     qtt: float
     s: float
-    grad: np.ndarray
 
 
 @dataclass
 class HorizonState:
-    t_bar: float
-    penalty: float            # c > 0
-    lr: float                 # eta_T
-    period: int = 75          # iterations between bound updates
-    t_min: float = 0.05
-    t_max: float = 2.0
-    ema: float = 0.9
+    config: HorizonConfig
     avg_qt: float | None = None
     avg_qtt: float | None = None
     avg_s: float | None = None
-    updates: int = 0
 
     def observe(self, terms: HorizonTerms):
         """Fold one iteration's terms into the moving averages."""
         if self.avg_qt is None:
             self.avg_qt, self.avg_qtt, self.avg_s = terms.qt, terms.qtt, terms.s
         else:
-            w = self.ema
+            w = self.config.ema
             self.avg_qt = w * self.avg_qt + (1 - w) * terms.qt
             self.avg_qtt = w * self.avg_qtt + (1 - w) * terms.qtt
             self.avg_s = w * self.avg_s + (1 - w) * terms.s
 
 
 def horizon_terms(spec: vf.MlpSpec, theta: np.ndarray, x1: np.ndarray,
-                  phi_grad: np.ndarray, grad: np.ndarray, t_bar: float,
-                  penalty: float) -> HorizonTerms:
+                  phi_grad: np.ndarray, t_bar: float, penalty: float) -> HorizonTerms:
     """Derivative terms of the penalized objective w.r.t. the bound, at the
     parameters ``theta`` that reached the (batch, m) terminal states ``x1``."""
     f_bar, _ = vf.eval(spec, theta, t_bar, x1)
     s = float(np.mean(np.sum(phi_grad * f_bar, axis=1)))
-    return HorizonTerms(qt=penalty * t_bar + s, qtt=penalty + s * s, s=s,
-                        grad=np.asarray(grad))
+    return HorizonTerms(qt=penalty * t_bar + s, qtt=penalty + s * s, s=s)
 
 
-def horizon_step(state: HorizonState, terms: HorizonTerms,
+def horizon_step(state: HorizonState, t_bar: float, grad: np.ndarray,
                  dtheta: np.ndarray) -> float:
-    """Second-order feedback update of the bound; mutates the state."""
+    """Second-order feedback update of the bound ``t_bar``; returns the new bound."""
     if state.avg_qtt is None or state.avg_qtt <= 0:
         raise NonFiniteUpdate("moving averages not populated")
-    feedback = state.avg_s * float(np.dot(terms.grad, np.asarray(dtheta)))
+    feedback = state.avg_s * float(np.dot(np.asarray(grad), np.asarray(dtheta)))
     dt = (state.avg_qt + feedback) / state.avg_qtt
     if not np.isfinite(dt):
         raise NonFiniteUpdate(f"non-finite bound update {dt}")
-    state.t_bar = float(np.clip(state.t_bar - state.lr * dt, state.t_min, state.t_max))
-    state.updates += 1
-    return state.t_bar
+    cfg = state.config
+    return float(np.clip(t_bar - cfg.lr * dt, cfg.t_min, cfg.t_max))
 
 
-def first_order_horizon_step(state: HorizonState, qt: float) -> float:
-    """Plain gradient step on the bound (comparison baseline)."""
-    if not np.isfinite(qt):
+def first_order_horizon_step(state: HorizonState, t_bar: float) -> float:
+    """Plain gradient step on the bound along the averaged ``Q_T`` (comparison baseline)."""
+    qt, cfg = state.avg_qt, state.config
+    if qt is None or not np.isfinite(qt):
         raise NonFiniteUpdate(f"non-finite bound gradient {qt}")
-    state.t_bar = float(np.clip(state.t_bar - state.lr * qt, state.t_min, state.t_max))
-    state.updates += 1
-    return state.t_bar
+    return float(np.clip(t_bar - cfg.lr * qt, cfg.t_min, cfg.t_max))

@@ -83,7 +83,6 @@ class TerminalCurvature:
 
     grad: np.ndarray
     factors: list[np.ndarray]
-    mode: str
     adjoint_scale: float | None = None
 
     def hessian(self) -> np.ndarray:
@@ -201,13 +200,11 @@ def terminal_curvature(lossfn: TerminalLoss, x1: np.ndarray, t0: float, t1: floa
         probs = _probs(lossfn, x1)
         return TerminalCurvature(
             grad=_to_state(lossfn, _ce_residual(lossfn, probs.copy())),
-            factors=[_to_state(lossfn, col) for col in _multinomial_cholesky(probs)],
-            mode=mode)
+            factors=[_to_state(lossfn, col) for col in _multinomial_cholesky(probs)])
     grad = grad_x1(lossfn, x1)
     if mode == "gauss_newton_scaled":
         scale = float(1.0 / np.sqrt(t1 - t0))
-        return TerminalCurvature(grad=grad, factors=[scale * grad], mode=mode,
-                                 adjoint_scale=scale)
+        return TerminalCurvature(grad=grad, factors=[scale * grad], adjoint_scale=scale)
     m = x1.shape[1]
     if lossfn.readout is None:
         # Hessian is the identity: factors are the unit vectors
@@ -215,7 +212,7 @@ def terminal_curvature(lossfn: TerminalLoss, x1: np.ndarray, t0: float, t1: floa
     else:
         # Hessian is V^T V: one factor per readout row
         factors = [np.broadcast_to(row, x1.shape).copy() for row in lossfn.readout.weight]
-    return TerminalCurvature(grad=grad, factors=factors, mode=mode)
+    return TerminalCurvature(grad=grad, factors=factors)
 
 
 def accuracy(lossfn: TerminalLoss, x1: np.ndarray) -> float:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import vector_field as vf
 from .adjoint import adjoint_gradient
-from .curvature import assemble_quu, lowrank_sweep
+from .curvature import lowrank_sweep
 from .loss import TerminalLoss, grad_x1, loss_value, terminal_curvature
 from .odesolve import SolverConfig, odesolve
 
@@ -105,7 +105,7 @@ def error_study(spec: vf.MlpSpec, theta: np.ndarray, x0: np.ndarray,
         grad, _, _, _ = adjoint_gradient(spec, theta, x1, a1, t0, t1, cfg)
         curv = terminal_curvature(lossfn, x1, t0, t1, mode="exact_rank")
         state = lowrank_sweep(spec, theta, x1, curv, t0, t1, cfg)
-        quu = assemble_quu(state)
+        quu = state.recon_quu()
         tol = cfg.fixed_step if cfg.method in ("euler", "rk4") else cfg.rtol
         rows.append(ErrorRow(
             label=label, method=cfg.method, tolerance=float(tol),

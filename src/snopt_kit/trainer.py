@@ -27,8 +27,8 @@ from . import data as data_mod
 from . import vector_field as vf
 from .adjoint import adjoint_gradient
 from .curvature import apply_weight_decay
-from .horizon import (HorizonState, NonFiniteUpdate, first_order_horizon_step, horizon_step,
-                      horizon_terms)
+from .horizon import (HorizonConfig, HorizonState, NonFiniteUpdate, first_order_horizon_step,
+                      horizon_step, horizon_terms)
 from .kfac import KroneckerFactors, accumulate_factors
 from .loss import (CURVATURE_MODES, LOSS_KINDS, TerminalLoss, accuracy, grad_x1,
                    init_readout, loss_value, readout_grads, terminal_curvature)
@@ -53,7 +53,7 @@ def _check_choice(what: str, value: str, choices: tuple[str, ...]):
         raise ValueError(f"unknown {what} {value!r}; expected one of {', '.join(choices)}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class DatasetConfig:
     kind: str = "spirals"            # spirals | circles | regression
     n_per_class: int = 250
@@ -87,7 +87,7 @@ class DatasetConfig:
         return self.n if self.kind == "regression" else self.n_per_class * self.n_classes
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
     dims: tuple[int, ...] = (2, 16, 16, 2)
     activations: tuple[str, ...] = ("tanh", "tanh", "identity")
@@ -102,7 +102,7 @@ class ModelConfig:
                           time_input=self.time_input, bias=self.bias)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LossConfig:
     kind: str = "softmax_ce"
     readout_classes: int = 2         # 0 disables the readout
@@ -113,7 +113,7 @@ class LossConfig:
         _check_choice("curvature mode", self.curvature, CURVATURE_MODES)
 
 
-@dataclass
+@dataclass(frozen=True)
 class OptimizerConfig:
     kind: str = "adam"               # adam | sgd | snopt
     lr: float = 1e-3
@@ -129,24 +129,7 @@ class OptimizerConfig:
         SnoptState(lr=self.lr, epsilon=self.epsilon, amortization=self.amortization)
 
 
-@dataclass
-class HorizonConfig:
-    enabled: bool = False
-    policy: str = "feedback"         # feedback | first_order
-    penalty: float = 0.5
-    lr: float = 0.3
-    period: int = 75
-    t_min: float = 0.05
-    t_max: float = 2.0
-    ema: float = 0.9
-
-    def __post_init__(self):
-        _check_choice("horizon policy", self.policy, ("feedback", "first_order"))
-        if self.period < 1:
-            raise ValueError("need horizon period >= 1")
-
-
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
@@ -176,30 +159,23 @@ class ExperimentConfig:
             raise ValueError("need eval_every >= 1")
         if self.seed < 0:
             raise ValueError("need seed >= 0")
-
-
-def check_config(cfg: ExperimentConfig):
-    """Rules that join config sections, for a finished config.
-
-    The sections validate themselves as they are built, one at a time, so
-    a rule across sections can only hold once all of them are in place.
-    """
-    data, lossc = cfg.dataset, cfg.loss
-    width = cfg.model.spec().state_dim
-    if width != data_mod.INPUT_DIM:
-        raise ValueError(f"model state width {width} differs from the dataset's "
-                         f"{data_mod.INPUT_DIM} input features")
-    if (lossc.kind == "mse") != (data.kind == "regression"):
-        raise ValueError(f"loss {lossc.kind} does not fit dataset {data.kind}: mse needs "
-                         "regression targets, softmax_ce needs class labels")
-    outputs = lossc.readout_classes or width
-    if lossc.kind == "softmax_ce" and outputs < 2:
-        # a one-output softmax is constant: its loss, gradient and Hessian are 0
-        raise ValueError(f"softmax_ce needs at least 2 outputs, the readout has {outputs}")
-    if data.n_classes > outputs:
-        what = "readout" if lossc.readout_classes else "state (no readout)"
-        raise ValueError(f"dataset {data.kind} has {data.n_classes} classes but the "
-                         f"{what} has {outputs} outputs")
+        # rules that join the sections, which check themselves as they are built
+        data, lossc = self.dataset, self.loss
+        width = self.model.spec().state_dim
+        if width != data_mod.INPUT_DIM:
+            raise ValueError(f"model state width {width} differs from the dataset's "
+                             f"{data_mod.INPUT_DIM} input features")
+        if (lossc.kind == "mse") != (data.kind == "regression"):
+            raise ValueError(f"loss {lossc.kind} does not fit dataset {data.kind}: mse needs "
+                             "regression targets, softmax_ce needs class labels")
+        outputs = lossc.readout_classes or width
+        if lossc.kind == "softmax_ce" and outputs < 2:
+            # a one-output softmax is constant: its loss, gradient and Hessian are 0
+            raise ValueError(f"softmax_ce needs at least 2 outputs, the readout has {outputs}")
+        if data.n_classes > outputs:
+            what = "readout" if lossc.readout_classes else "state (no readout)"
+            raise ValueError(f"dataset {data.kind} has {data.n_classes} classes but the "
+                             f"{what} has {outputs} outputs")
 
 
 @dataclass
@@ -229,7 +205,6 @@ class _Run:
     """Mutable pieces of one training run."""
 
     def __init__(self, cfg: ExperimentConfig):
-        check_config(cfg)
         self.cfg = cfg
         self.spec = cfg.model.spec()
         self.ds = build_dataset(cfg.dataset, cfg.seed)
@@ -254,12 +229,7 @@ class _Run:
         ro_lr = cfg.optimizer.readout_lr
         self.ro_w_state, self.ro_b_state = AdamState(lr=ro_lr), AdamState(lr=ro_lr)
 
-        self.horizon = None
-        if cfg.horizon.enabled:
-            self.horizon = HorizonState(t_bar=cfg.t1, penalty=cfg.horizon.penalty,
-                                        lr=cfg.horizon.lr, period=cfg.horizon.period,
-                                        t_min=cfg.horizon.t_min, t_max=cfg.horizon.t_max,
-                                        ema=cfg.horizon.ema)
+        self.horizon = HorizonState(cfg.horizon) if cfg.horizon.enabled else None
 
     def forward(self, x0: np.ndarray) -> tuple[np.ndarray, SolveReport]:
         batch, m = x0.shape
@@ -340,14 +310,14 @@ class _Run:
 
         if self.horizon is not None:
             # x1 and phi_grad were reached at the pre-update parameters
-            terms = horizon_terms(self.spec, theta_before, x1, phi_grad, grad,
-                                  self.horizon.t_bar, self.horizon.penalty)
-            self.horizon.observe(terms)
-            if it % self.horizon.period == 0:
+            self.horizon.observe(horizon_terms(self.spec, theta_before, x1, phi_grad,
+                                               self.t1, cfg.horizon.penalty))
+            if it % cfg.horizon.period == 0:
                 if cfg.horizon.policy == "feedback":
-                    self.t1 = horizon_step(self.horizon, terms, self.theta - theta_before)
+                    self.t1 = horizon_step(self.horizon, self.t1, grad,
+                                           self.theta - theta_before)
                 else:
-                    self.t1 = first_order_horizon_step(self.horizon, self.horizon.avg_qt)
+                    self.t1 = first_order_horizon_step(self.horizon, self.t1)
 
         test_loss = test_acc = float("nan")
         if (it % cfg.eval_every == 0 or it == cfg.iterations) and self.ds.test_idx.size:

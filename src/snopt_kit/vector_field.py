@@ -162,7 +162,6 @@ class LayerTrace:
     bit-exactly.
     """
 
-    t: float
     zs: list[np.ndarray]
     _zbars: list[np.ndarray] | None = None
 
@@ -195,7 +194,7 @@ def _forward(spec: MlpSpec, weights: Weights, t: float, x: np.ndarray) -> LayerT
             h += b
         z = _act(spec.activations[k], h)
         zs.append(z)
-    return LayerTrace(t=float(t), zs=zs)
+    return LayerTrace(zs=zs)
 
 
 def eval(spec: MlpSpec, theta: np.ndarray, t: float, x: np.ndarray) -> tuple[np.ndarray, LayerTrace]:

@@ -200,6 +200,18 @@ class TestCmdGrid:
             losses.append((out_dir / "summary.csv").read_text().splitlines()[1].split(",")[2])
         assert losses[0] == losses[1]
 
+    def test_base_valid_only_with_its_cells(self, tmp_path):
+        # regression data under the default softmax_ce is invalid alone; the
+        # one cell makes the loss mse, and only the cell is built
+        config = tmp_path / "regression.ini"
+        config.write_text(BASE_CONFIG.replace("kind = spirals", "kind = regression\nn = 40"))
+        grid = tmp_path / "grid.ini"
+        grid.write_text("[grid]\nloss.kind = mse\n")
+        out_dir = tmp_path / "cells"
+        assert cli.cmd_grid(str(config), str(grid), str(out_dir)) == 0
+        assert len((out_dir / "summary.csv").read_text().splitlines()) == 1 + 1
+        assert sorted(f for f in os.listdir(out_dir) if f.startswith("cell_")) == [
+            "cell_000.csv"]
 
     def test_aborted_cell_recorded(self, config_path, tmp_path, capsys):
         grid = tmp_path / "grid.ini"

@@ -20,7 +20,7 @@ def test_every_grid_file_has_a_base_config():
 def test_config_and_grid_cells_train(path):
     base = cli.load_config(str(path))
     grid = path.with_name(path.stem + ".grid.ini")
-    cells = cli._grid_cells(str(grid), base) if grid.exists() else []
+    cells = cli._grid_cells(str(grid)) if grid.exists() else []
     configs = [base] + [cli.load_config(str(path), [f"{k}={v}" for k, v in cell])
                         for cell in cells]
     for cfg in configs:

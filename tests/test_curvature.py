@@ -3,8 +3,7 @@ import pytest
 
 from snopt_kit import vector_field as vf
 from snopt_kit.adjoint import adjoint_gradient
-from snopt_kit.curvature import (apply_weight_decay, assemble_quu, dense_sweep,
-                                 lowrank_sweep)
+from snopt_kit.curvature import apply_weight_decay, dense_sweep, lowrank_sweep
 from snopt_kit.kfac import KroneckerFactors
 from snopt_kit.loss import TerminalCurvature
 from snopt_kit.odesolve import SolverConfig
@@ -26,8 +25,7 @@ def rel_fro(a, b):
 class TestDenseSweep:
     def test_zero_terminal_data_gives_zero(self):
         spec, theta = tiny_net(0)
-        curv = TerminalCurvature(grad=np.zeros((1, 2)), factors=[np.zeros((1, 2))],
-                                 mode="exact_rank")
+        curv = TerminalCurvature(grad=np.zeros((1, 2)), factors=[np.zeros((1, 2))])
         out = dense_sweep(spec, theta, np.array([[0.3, 0.1]]), curv, 0.0, 1.0, TIGHT)
         for block in (out.qx, out.qu, out.qxx, out.qxu, out.quu):
             assert np.allclose(block, 0.0)
@@ -38,7 +36,7 @@ class TestDenseSweep:
         theta = np.zeros(1)
         x1 = np.array([[1.0]])
         curv = TerminalCurvature(grad=np.array([[2.0]]),
-                                 factors=[np.array([[np.sqrt(2.0)]])], mode="exact_rank")
+                                 factors=[np.array([[np.sqrt(2.0)]])])
         out = dense_sweep(spec, theta, x1, curv, 0.0, 1.0, TIGHT)
         assert out.quu[0, 0] == pytest.approx(2.0, abs=1e-6)
         assert out.qu[0] == pytest.approx(2.0, abs=1e-8)
@@ -49,7 +47,7 @@ class TestDenseSweep:
         x1 = flow(spec, theta, x0, 0.0, 1.0, TIGHT)
         rng = np.random.default_rng(0)
         ys = [rng.normal(size=(1, 2)) for _ in range(2)]
-        curv = TerminalCurvature(grad=rng.normal(size=(1, 2)), factors=ys, mode="exact_rank")
+        curv = TerminalCurvature(grad=rng.normal(size=(1, 2)), factors=ys)
         out = dense_sweep(spec, theta, x1, curv, 0.0, 1.0, TIGHT)
         jac = fd_flow_jacobian(spec, theta, x0, 0.0, 1.0, TIGHT)
         phi_xx = curv.hessian()
@@ -59,7 +57,7 @@ class TestDenseSweep:
         spec, theta = tiny_net(5)
         rng = np.random.default_rng(1)
         curv = TerminalCurvature(grad=rng.normal(size=(1, 2)),
-                                 factors=[rng.normal(size=(1, 2))], mode="exact_rank")
+                                 factors=[rng.normal(size=(1, 2))])
         out = dense_sweep(spec, theta, np.array([[0.2, 0.6]]), curv, 0.0, 1.0, TIGHT)
         assert np.allclose(out.qxx, out.qxx.T)
         assert np.allclose(out.quu, out.quu.T)
@@ -69,8 +67,7 @@ class TestDenseSweep:
         rng = np.random.default_rng(2)
         x1 = rng.uniform(-1, 1, size=(1, 2))
         grad_vec = rng.normal(size=(1, 2))
-        curv = TerminalCurvature(grad=grad_vec, factors=[rng.normal(size=(1, 2))],
-                                 mode="exact_rank")
+        curv = TerminalCurvature(grad=grad_vec, factors=[rng.normal(size=(1, 2))])
         out = dense_sweep(spec, theta, x1, curv, 0.0, 1.0, TIGHT)
         g_adj, _, a0, _ = adjoint_gradient(spec, theta, x1, grad_vec, 0.0, 1.0, TIGHT)
         assert np.max(np.abs(out.qu - g_adj)) < 1e-8
@@ -81,7 +78,7 @@ class TestLowRankSweep:
     def test_zero_factors_stay_zero(self):
         spec, theta = tiny_net(0)
         curv = TerminalCurvature(grad=np.zeros((1, 2)),
-                                 factors=[np.zeros((1, 2)), np.zeros((1, 2))], mode="exact_rank")
+                                 factors=[np.zeros((1, 2)), np.zeros((1, 2))])
         out = lowrank_sweep(spec, theta, np.array([[0.1, 0.9]]), curv, 0.0, 1.0, TIGHT)
         for q in out.qs:
             assert np.allclose(q, 0.0)
@@ -95,7 +92,7 @@ class TestLowRankSweep:
         rng = np.random.default_rng(3)
         x1 = rng.uniform(-1, 1, size=(1, 2))
         a1 = rng.normal(size=(1, 2))
-        curv = TerminalCurvature(grad=a1, factors=[a1], mode="exact_rank")
+        curv = TerminalCurvature(grad=a1, factors=[a1])
         out = lowrank_sweep(spec, theta, x1, curv, 0.0, 1.0, TIGHT)
         assert np.max(np.abs(out.qs[0][0] - out.qx[0])) < 1e-10
         assert np.max(np.abs(out.ps[0] - out.qu)) < 1e-10
@@ -108,8 +105,7 @@ class TestLowRankSweep:
                 x1 = rng.uniform(-1, 1, size=(1, 3))
                 for rank in (1, 2, 3):
                     ys = [rng.normal(size=(1, 3)) for _ in range(rank)]
-                    curv = TerminalCurvature(grad=rng.normal(size=(1, 3)), factors=ys,
-                                             mode="exact_rank")
+                    curv = TerminalCurvature(grad=rng.normal(size=(1, 3)), factors=ys)
                     dense = dense_sweep(spec, theta, x1, curv, 0.0, 1.0, TIGHT)
                     low = lowrank_sweep(spec, theta, x1, curv, 0.0, 1.0, TIGHT)
                     assert rel_fro(low.recon_qxx(), dense.qxx) < 1e-6
@@ -121,8 +117,7 @@ class TestLowRankSweep:
         n = vf.num_params(spec)
         rng = np.random.default_rng(4)
         curv = TerminalCurvature(grad=rng.normal(size=(1, 2)),
-                                 factors=[rng.normal(size=(1, 2)) for _ in range(2)],
-                                 mode="exact_rank")
+                                 factors=[rng.normal(size=(1, 2)) for _ in range(2)])
         out = lowrank_sweep(spec, theta, rng.normal(size=(1, 2)), curv, 0.0, 1.0, TIGHT)
         # [x | a | q_1, q_2] is the state; [g | p_1, p_2] the quadrature
         assert out.report.terminal_state.size == 2 * (2 + 2)
@@ -130,7 +125,7 @@ class TestLowRankSweep:
 
     def test_requires_a_factor(self):
         spec, theta = tiny_net(12)
-        curv = TerminalCurvature(grad=np.zeros((1, 2)), factors=[], mode="exact_rank")
+        curv = TerminalCurvature(grad=np.zeros((1, 2)), factors=[])
         with pytest.raises(ValueError):
             lowrank_sweep(spec, theta, np.zeros((1, 2)), curv, 0.0, 1.0, TIGHT)
 
@@ -138,20 +133,18 @@ class TestLowRankSweep:
 class TestAssembleQuu:
     def test_zero(self):
         spec, theta = tiny_net(0)
-        curv = TerminalCurvature(grad=np.zeros((1, 2)), factors=[np.zeros((1, 2))],
-                                 mode="exact_rank")
+        curv = TerminalCurvature(grad=np.zeros((1, 2)), factors=[np.zeros((1, 2))])
         out = lowrank_sweep(spec, theta, np.zeros((1, 2)), curv, 0.0, 1.0, TIGHT)
-        assert np.allclose(assemble_quu(out), 0.0)
+        assert np.allclose(out.recon_quu(), 0.0)
 
     def test_rank_one_outer_product(self):
         spec, theta = tiny_net(0)
-        curv = TerminalCurvature(grad=np.zeros((1, 2)), factors=[np.zeros((1, 2))],
-                                 mode="exact_rank")
+        curv = TerminalCurvature(grad=np.zeros((1, 2)), factors=[np.zeros((1, 2))])
         out = lowrank_sweep(spec, theta, np.zeros((1, 2)), curv, 0.0, 1.0, TIGHT)
         e1 = np.zeros_like(out.ps[0])
         e1[0] = 1.0
         out.ps[0] = e1
-        quu = assemble_quu(out)
+        quu = out.recon_quu()
         want = np.zeros_like(quu)
         want[0, 0] = 1.0
         assert np.array_equal(quu, want)
@@ -160,10 +153,9 @@ class TestAssembleQuu:
         spec, theta = tiny_net(13)
         rng = np.random.default_rng(5)
         curv = TerminalCurvature(grad=rng.normal(size=(1, 2)),
-                                 factors=[rng.normal(size=(1, 2)) for _ in range(2)],
-                                 mode="exact_rank")
+                                 factors=[rng.normal(size=(1, 2)) for _ in range(2)])
         out = lowrank_sweep(spec, theta, rng.normal(size=(1, 2)), curv, 0.0, 1.0, TIGHT)
-        assert np.linalg.eigvalsh(assemble_quu(out)).min() >= -1e-10
+        assert np.linalg.eigvalsh(out.recon_quu()).min() >= -1e-10
 
 
 class TestApplyWeightDecay:

@@ -74,8 +74,3 @@ class TestRegression:
         b = dm.make_regression(50, 4)
         assert np.array_equal(a.inputs, b.inputs)
         assert np.array_equal(a.labels, b.labels)
-
-    def test_task_marker(self):
-        assert dm.make_regression(10, 0).task == "regression"
-        assert dm.make_spirals(10, 0.0, 0).task == "classification"
-

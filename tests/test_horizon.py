@@ -4,9 +4,8 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from snopt_kit import vector_field as vf
-from snopt_kit.horizon import (HorizonState, HorizonTerms, NonFiniteUpdate,
-                               first_order_horizon_step, horizon_step,
-                               horizon_terms)
+from snopt_kit.horizon import (HorizonConfig, HorizonState, HorizonTerms, NonFiniteUpdate,
+                               first_order_horizon_step, horizon_step, horizon_terms)
 from snopt_kit.odesolve import SolverConfig
 from snopt_kit.oracle import flow
 
@@ -25,7 +24,7 @@ class TestHorizonTerms:
         f_val, _ = vf.eval(spec, theta, 0.0, x1)
         phi_grad = np.array([[1.0, 0.0]])
         assert abs(float(np.sum(phi_grad * f_val))) < 1e-12
-        terms = horizon_terms(spec, theta, x1, phi_grad, np.ones(4), t_bar=1.5, penalty=0.7)
+        terms = horizon_terms(spec, theta, x1, phi_grad, t_bar=1.5, penalty=0.7)
         assert terms.s == pytest.approx(0.0)
         assert terms.qt == pytest.approx(0.7 * 1.5)
         assert terms.qtt == pytest.approx(0.7)
@@ -34,7 +33,7 @@ class TestHorizonTerms:
         spec = vf.MlpSpec(dims=(2, 2), activations=("identity",), bias=False)
         theta = np.array([0.0, 1.0, -1.0, 0.0])
         terms = horizon_terms(spec, theta, np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]]),
-                              np.zeros(4), t_bar=1.0, penalty=0.0)
+                              t_bar=1.0, penalty=0.0)
         assert terms.qt == 0.0 and terms.qtt == 0.0
 
     def test_scalar_exponential_fd(self):
@@ -49,7 +48,7 @@ class TestHorizonTerms:
             return 0.5 * x[0, 0] ** 2 + 0.5 * c * T ** 2
 
         x1 = flow(spec, theta, x0, 0.0, t_bar, cfg)
-        terms = horizon_terms(spec, theta, x1, x1, np.zeros(1), t_bar, c)
+        terms = horizon_terms(spec, theta, x1, x1, t_bar, c)
         assert terms.s == pytest.approx(np.e ** 2, rel=1e-8)
         h = 1e-6
         fd = (objective(t_bar + h) - objective(t_bar - h)) / (2 * h)
@@ -60,94 +59,93 @@ class TestHorizonTerms:
         theta = np.array([1.0])
         x1 = np.array([[1.0], [2.0]])
         pg = np.array([[1.0], [1.0]])
-        terms = horizon_terms(spec, theta, x1, pg, np.zeros(1), 1.0, 0.0)
+        terms = horizon_terms(spec, theta, x1, pg, 1.0, 0.0)
         assert terms.s == pytest.approx((1.0 * 1.0 + 1.0 * 2.0) / 2)
 
 
 def seeded_state(**kw):
-    defaults = dict(t_bar=1.0, penalty=0.5, lr=0.2, period=10,
-                    t_min=0.05, t_max=2.0, ema=0.9)
-    defaults.update(kw)
-    return HorizonState(**defaults)
+    settings = dict(penalty=0.5, lr=0.2, period=10, t_min=0.05, t_max=2.0, ema=0.9)
+    settings.update(kw)
+    return HorizonState(HorizonConfig(**settings))
 
 
 class TestHorizonStep:
     def test_pure_newton_when_no_feedback(self):
         state = seeded_state()
-        terms = HorizonTerms(qt=0.4, qtt=0.8, s=0.1, grad=np.zeros(3))
-        state.observe(terms)
-        out = horizon_step(state, terms, np.zeros(3))
+        state.observe(HorizonTerms(qt=0.4, qtt=0.8, s=0.1))
+        out = horizon_step(state, 1.0, np.zeros(3), np.zeros(3))
         assert out == pytest.approx(1.0 - 0.2 * 0.4 / 0.8)
 
     def test_penalty_shrinks_geometrically(self):
         # with the loss term frozen (s = 0) the update is T <- (1 - lr) T
-        state = seeded_state(t_bar=1.5, penalty=0.5, lr=0.25, t_min=0.0)
+        state = seeded_state(penalty=0.5, lr=0.25, t_min=0.0)
+        t_bar = 1.5
         for _ in range(6):
-            terms = HorizonTerms(qt=state.penalty * state.t_bar, qtt=state.penalty,
-                                 s=0.0, grad=np.zeros(2))
-            state.avg_qt = terms.qt
-            state.avg_qtt = terms.qtt
+            state.avg_qt = state.config.penalty * t_bar
+            state.avg_qtt = state.config.penalty
             state.avg_s = 0.0
-            horizon_step(state, terms, np.zeros(2))
-        assert state.t_bar == pytest.approx(1.5 * 0.75 ** 6)
+            t_bar = horizon_step(state, t_bar, np.zeros(2), np.zeros(2))
+        assert t_bar == pytest.approx(1.5 * 0.75 ** 6)
 
     def test_feedback_term_enters(self):
         state = seeded_state()
         grad = np.array([1.0, 2.0])
-        terms = HorizonTerms(qt=0.0, qtt=1.0, s=0.5, grad=grad)
-        state.observe(terms)
+        state.observe(HorizonTerms(qt=0.0, qtt=1.0, s=0.5))
         dtheta = np.array([0.1, 0.1])
-        out = horizon_step(state, terms, dtheta)
+        out = horizon_step(state, 1.0, grad, dtheta)
         # dt = (0 + 0.5 * <grad, dtheta>) / 1.0
         assert out == pytest.approx(1.0 - 0.2 * 0.5 * 0.3)
 
     def test_clamped_to_bounds(self):
-        state = seeded_state(t_bar=0.1, lr=5.0, t_min=0.05, t_max=2.0)
-        terms = HorizonTerms(qt=10.0, qtt=1.0, s=0.0, grad=np.zeros(1))
-        state.observe(terms)
-        assert horizon_step(state, terms, np.zeros(1)) == 0.05
+        state = seeded_state(lr=5.0, t_min=0.05, t_max=2.0)
+        state.observe(HorizonTerms(qt=10.0, qtt=1.0, s=0.0))
+        assert horizon_step(state, 0.1, np.zeros(1), np.zeros(1)) == 0.05
 
     def test_requires_populated_averages(self):
         state = seeded_state()
-        terms = HorizonTerms(qt=0.0, qtt=1.0, s=0.0, grad=np.zeros(1))
         with pytest.raises(NonFiniteUpdate):
-            horizon_step(state, terms, np.zeros(1))
+            horizon_step(state, 1.0, np.zeros(1), np.zeros(1))
 
     def test_non_finite_rejected(self):
         state = seeded_state()
-        terms = HorizonTerms(qt=np.inf, qtt=1.0, s=0.0, grad=np.zeros(1))
-        state.observe(terms)
+        state.observe(HorizonTerms(qt=np.inf, qtt=1.0, s=0.0))
         with pytest.raises(NonFiniteUpdate):
-            horizon_step(state, terms, np.zeros(1))
+            horizon_step(state, 1.0, np.zeros(1), np.zeros(1))
 
 
 class TestFirstOrderStep:
     def test_zero_gradient_keeps_bound(self):
         state = seeded_state()
-        assert first_order_horizon_step(state, 0.0) == 1.0
+        state.avg_qt = 0.0
+        assert first_order_horizon_step(state, 1.0) == 1.0
 
     def test_penalty_descent(self):
-        state = seeded_state(t_bar=1.0, lr=0.1, penalty=0.5)
-        out = first_order_horizon_step(state, 0.5 * 1.0)
+        state = seeded_state(lr=0.1, penalty=0.5)
+        state.avg_qt = 0.5 * 1.0
+        out = first_order_horizon_step(state, 1.0)
         assert out == pytest.approx(1.0 - 0.1 * 0.5)
 
     def test_non_finite_rejected(self):
         state = seeded_state()
+        state.avg_qt = np.nan
         with pytest.raises(NonFiniteUpdate):
-            first_order_horizon_step(state, np.nan)
+            first_order_horizon_step(state, 1.0)
+
+    def test_requires_populated_averages(self):
+        with pytest.raises(NonFiniteUpdate):
+            first_order_horizon_step(seeded_state(), 1.0)
 
 
 class TestMovingAverages:
     def test_first_observation_initializes(self):
         state = seeded_state()
-        terms = HorizonTerms(qt=2.0, qtt=3.0, s=0.5, grad=np.zeros(1))
-        state.observe(terms)
+        state.observe(HorizonTerms(qt=2.0, qtt=3.0, s=0.5))
         assert state.avg_qt == 2.0 and state.avg_qtt == 3.0 and state.avg_s == 0.5
 
     def test_exponential_update(self):
         state = seeded_state(ema=0.9)
-        a = HorizonTerms(qt=1.0, qtt=1.0, s=0.0, grad=np.zeros(1))
-        b = HorizonTerms(qt=2.0, qtt=3.0, s=1.0, grad=np.zeros(1))
+        a = HorizonTerms(qt=1.0, qtt=1.0, s=0.0)
+        b = HorizonTerms(qt=2.0, qtt=3.0, s=1.0)
         state.observe(a)
         state.observe(b)
         assert state.avg_qt == pytest.approx(0.9 * 1.0 + 0.1 * 2.0)
@@ -160,5 +158,5 @@ def test_qtt_dominates_penalty(penalty, s):
     spec = vf.MlpSpec(dims=(1, 1), activations=("identity",), bias=False)
     theta = np.array([float(s)])
     x1 = np.array([[1.0]])
-    terms = horizon_terms(spec, theta, x1, x1, np.zeros(1), 1.0, penalty)
+    terms = horizon_terms(spec, theta, x1, x1, 1.0, penalty)
     assert terms.qtt >= penalty

@@ -90,8 +90,7 @@ class TestAccumulateFactors:
     def test_zero_factors_zero_b(self):
         spec, theta = tanh_net(3)
         x1 = np.array([[0.5, -0.5]])
-        curv = TerminalCurvature(grad=np.zeros((1, 2)), factors=[np.zeros((1, 2))],
-                                 mode="exact_rank")
+        curv = TerminalCurvature(grad=np.zeros((1, 2)), factors=[np.zeros((1, 2))])
         factors, grad, _ = accumulate_factors(spec, theta, x1, curv, 0.0, 1.0, RK4)
         for b in factors.b_factors:
             assert np.allclose(b, 0.0)
@@ -106,7 +105,7 @@ class TestAccumulateFactors:
         spec, theta = tanh_net(6, (2, 4, 2))
         rng = np.random.default_rng(6)
         x1, a1 = rng.uniform(-1, 1, size=(8, 2)), rng.normal(size=(8, 2))
-        curv = TerminalCurvature(grad=a1, factors=[], mode="exact_rank")
+        curv = TerminalCurvature(grad=a1, factors=[])
         with pytest.raises(ValueError, match="at least one terminal factor"):
             accumulate_factors(spec, theta, x1, curv, 0.0, 1.0, RK4)
 
@@ -118,7 +117,7 @@ class TestAccumulateFactors:
         x1, a1 = rng.uniform(-1, 1, size=(5, 2)), rng.normal(size=(5, 2))
         span = 0.9
         for qs in ([a1], [a1, rng.normal(size=(5, 2))]):
-            curv = TerminalCurvature(grad=a1, factors=qs, mode="exact_rank")
+            curv = TerminalCurvature(grad=a1, factors=qs)
             got, _, rep = accumulate_factors(spec, theta, x1, curv, 0.0, span,
                                              SolverConfig(method="rk4", fixed_step=span))
             assert rep.nfe == 4
@@ -142,7 +141,7 @@ class TestAccumulateFactors:
         spec, theta = tanh_net(4)
         rng = np.random.default_rng(1)
         x1, a1 = rng.uniform(-1, 1, size=(2, 2)), rng.normal(size=(2, 2))
-        curv = TerminalCurvature(grad=a1, factors=[a1], mode="exact_rank")
+        curv = TerminalCurvature(grad=a1, factors=[a1])
         h = 0.25
         got, grad, rep = accumulate_factors(spec, theta, x1, curv, 0.0, 1.0,
                                             SolverConfig(method="euler", fixed_step=h))
@@ -172,8 +171,7 @@ class TestAccumulateFactors:
         # the factors add no evaluation of their own at any grid point
         spec, theta = tanh_net(9)
         x1 = np.array([[0.1, 0.1]])
-        curv = TerminalCurvature(grad=np.ones((1, 2)), factors=[np.ones((1, 2))],
-                                 mode="gauss_newton_scaled")
+        curv = TerminalCurvature(grad=np.ones((1, 2)), factors=[np.ones((1, 2))])
         cfg = SolverConfig(method="rk4", fixed_step=0.1)
         _, _, report = accumulate_factors(spec, theta, x1, curv, 0.0, 1.0, cfg)
         assert report.accepted_steps == 10
@@ -185,7 +183,7 @@ class TestAccumulateFactors:
             rng = np.random.default_rng(2)
             x1 = rng.uniform(-1, 1, size=(4, 2))
             a1 = rng.normal(size=(4, 2))
-            curv = TerminalCurvature(grad=a1, factors=[a1], mode="gauss_newton_scaled")
+            curv = TerminalCurvature(grad=a1, factors=[a1])
             factors, grad, _ = accumulate_factors(spec, theta, x1, curv, 0.0, 1.0, RK4)
             g_adj, _, _, _ = adjoint_gradient(spec, theta, x1, a1, 0.0, 1.0, RK4)
             assert np.max(np.abs(grad - g_adj)) < 1e-8
@@ -195,7 +193,7 @@ class TestAccumulateFactors:
         rng = np.random.default_rng(3)
         x1 = rng.uniform(-1, 1, size=(4, 2))
         a1 = rng.normal(size=(4, 2))
-        curv = TerminalCurvature(grad=a1, factors=[a1], mode="gauss_newton_scaled")
+        curv = TerminalCurvature(grad=a1, factors=[a1])
         factors, _, _ = accumulate_factors(spec, theta, x1, curv, 0.0, 1.0,
                                            SolverConfig(method="rk4", fixed_step=0.125))
         for mat in factors.a_factors + factors.b_factors:
@@ -225,8 +223,7 @@ class TestDefaultConfigSweep:
         for t1, rel_tol in ((1.0, 0.0), (0.7, 1e-14)):
             spec, theta, x1, curv, cfg = default_batch(t1)
             assert curv.adjoint_scale == 1.0 / np.sqrt(t1)
-            carried = TerminalCurvature(grad=curv.grad, factors=[curv.grad / np.sqrt(t1)],
-                                        mode="exact_rank")
+            carried = TerminalCurvature(grad=curv.grad, factors=[curv.grad / np.sqrt(t1)])
             runs = []
             for c in (curv, carried):
                 out = accumulate_factors(spec, theta, x1, c, 0.0, t1, cfg.solver)
@@ -266,7 +263,7 @@ class TestSoftmaxRankVectors:
         probs = ls._softmax(run.readout.logits(x1))
         n_cls = probs.shape[1]
         full = TerminalCurvature(
-            grad=curv.grad, mode="exact_rank",
+            grad=curv.grad,
             factors=[np.sqrt(probs[:, k:k + 1]) * (np.eye(n_cls)[k] - probs) @ run.readout.weight
                      for k in range(n_cls)])
         assert len(curv.factors) == n_cls - 1 == len(full.factors) - 1

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 
@@ -272,8 +274,7 @@ class TestMemoryProbe:
         x1 = np.random.default_rng(0).uniform(-1, 1, size=(16, 2))
         probes = {}
         for rank in (1, 2, 4):
-            curv = TerminalCurvature(grad=x1, factors=[x1 * (i + 1.0) for i in range(rank)],
-                                     mode="exact_rank")
+            curv = TerminalCurvature(grad=x1, factors=[x1 * (i + 1.0) for i in range(rank)])
             rep = accumulate_factors(spec, theta, x1, curv, 0.0, 1.0,
                                      SolverConfig(method="rk4", fixed_step=0.25))[2]
             probes[rank] = rep.terminal_state.size + rep.quadrature.size
@@ -317,9 +318,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="grid_samples"):
             small_config(grid_samples=1)
 
-    def test_train_and_probe_check_joined_sections(self):
-        # mse on the spirals labels: the cross-section rule, not a deep numpy error
-        cfg = tr.ExperimentConfig(loss=tr.LossConfig(kind="mse"), iterations=2)
-        for entry in (tr.train, tr.memory_probe):
-            with pytest.raises(ValueError, match="loss mse does not fit dataset spirals"):
-                entry(cfg)
+    def test_built_and_replaced_configs_check_joined_sections(self):
+        # mse on the spirals labels: the cross-section rule, checked on every build
+        with pytest.raises(ValueError, match="loss mse does not fit dataset spirals"):
+            tr.ExperimentConfig(loss=tr.LossConfig(kind="mse"))
+        valid = tr.ExperimentConfig(iterations=2)
+        with pytest.raises(ValueError, match="loss mse does not fit dataset spirals"):
+            replace(valid, loss=tr.LossConfig(kind="mse"))
+
+    def test_built_config_cannot_be_changed_unchecked(self):
+        # replace sections share, so a mutable one would skip the check for both configs
+        cfg = tr.ExperimentConfig()
+        with pytest.raises(FrozenInstanceError):
+            cfg.loss.kind = "mse"
+        with pytest.raises(FrozenInstanceError):
+            cfg.seed = 1
