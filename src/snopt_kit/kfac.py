@@ -28,9 +28,9 @@ the solve.  ``exact_rank`` carries its R >= 1 rank vectors, one per
 terminal factor (C-1 for a C-class softmax), and the B side sums groups
 1..R.  Each rank vector adds ``batch*m`` entries to the state.
 
-Biases share their layer's block through the homogeneous coordinate: the
-activation vector gets a constant 1 appended, matching the flat parameter
-layout ``vec([W, b])``.
+Biases share their layer's block through the homogeneous coordinate that
+``vector_field`` evaluates in: each trace entry ``zs[k]`` already is
+``zbar^k = [z^k, 1]``, matching the flat parameter layout ``vec([W, b])``.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ class KroneckerFactors:
 
 def _sides(spec: vf.MlpSpec) -> list[int]:
     """The factors' sides in the packed order ``A_1..A_L, B_1..B_L``."""
-    return [p + (1 if spec.bias else 0) for p in spec.dims[:-1]] + list(spec.dims[1:])
+    return list(spec.zbar_widths) + list(spec.dims[1:])
 
 
 def _factor_terms(spec: vf.MlpSpec, trace: vf.LayerTrace,
@@ -71,11 +71,10 @@ def _factor_terms(spec: vf.MlpSpec, trace: vf.LayerTrace,
     ``trace`` is the stage's forward pass and ``gs[k]`` its layer-``k``
     cotangents, (batch, l) or (R, batch, l); every row is a B-side sample.
     """
-    zbars = vf.trace_zbars(spec, trace)
-    mats = [zb.T @ zb for zb in zbars]
+    mats = [zb.T @ zb for zb in trace.zs[:-1]]
     mats += [g.T @ g for g in (g.reshape(-1, g.shape[-1]) for g in gs)]
     out = np.concatenate([mat.ravel()[triu_flat(mat.shape[0])] for mat in mats])
-    out /= zbars[0].shape[0]
+    out /= trace.zs[0].shape[0]
     return out
 
 

@@ -7,13 +7,13 @@ identities the preconditioner relies on,
     (A ⊗ B) (C ⊗ D)^T = (A C^T) ⊗ (B D^T)
     (U_A ⊗ U_B)^T vec(G) = vec(U_B^T G U_A),
 
-hold literally.  The layout is defined by ``vector_field``, whose
-``init_params`` and ``unpack_params`` store each layer's ``[W, b]`` as its
-``order="F"`` flattening, and ``optimizer.snopt_step`` reshapes gradient
-segments with the same order for the eigenbasis projection (the second
-identity); ``snopt-kit verify`` checks that update against the dense
-Kronecker assembly.  A row-major ``reshape`` in either place silently
-breaks both identities.
+hold literally.  The layout is defined by ``vector_field``, which stores
+each layer's homogeneous ``Wbar = [W, b]`` as its ``order="F"`` flattening
+and evaluates the field through ``unpack_params``' column-major views of
+it, and ``optimizer.snopt_step`` reshapes gradient segments with the same
+order for the eigenbasis projection (the second identity); ``snopt-kit
+verify`` checks that update against the dense Kronecker assembly.  A
+row-major ``reshape`` in either place silently breaks both identities.
 """
 
 from __future__ import annotations

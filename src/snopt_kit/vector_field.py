@@ -1,13 +1,15 @@
 """Parametric MLP vector field with analytic VJPs.
 
-The field is a plain fully-connected stack: ``h^k = W_k z^k + b_k`` and
-``z^{k+1} = act_k(h^k)``, optionally with the scalar time appended to the
-input.  Parameters live in one flat vector; the per-layer segment is the
-column-major ``vec`` of ``[W_k, b_k]``, so the parameter gradient of layer
-``k`` seeded with a cotangent ``q`` is exactly ``zbar^k ⊗ g^k`` where
-``zbar`` is the activation with a homogeneous 1 appended and
-``g^k = (dF/dh^k)^T q``.  That identity is what the Kronecker factorization
-downstream rests on, so it is asserted in the tests rather than assumed.
+The field is a plain fully-connected stack in the homogeneous coordinate:
+``h^k = Wbar_k zbar^k`` with ``Wbar_k = [W_k, b_k]`` and ``zbar^k = [z^k, 1]``,
+then ``z^{k+1} = act_k(h^k)``, optionally with the scalar time appended to
+the input.  Without biases ``Wbar_k = W_k`` and ``zbar^k = z^k``.  This
+module owns that layout.  Parameters live in one flat vector whose
+per-layer segment is the column-major ``vec`` of ``Wbar_k``, so the
+parameter gradient of layer ``k`` seeded with a cotangent ``q`` is exactly
+``zbar^k ⊗ g^k`` with ``g^k = (dF/dh^k)^T q``.  That identity is what the
+Kronecker factorization downstream rests on, so it is asserted in the
+tests rather than assumed.
 
 States are ``(batch, m)`` everywhere, and cotangents may carry an extra
 leading group axis on top of the batch.  Backward-solve hot loops unpack
@@ -24,7 +26,7 @@ import numpy as np
 
 ACTIVATIONS = ("tanh", "relu", "softplus", "identity")
 
-Weights = tuple[tuple[np.ndarray, np.ndarray | None], ...]
+Weights = tuple[np.ndarray, ...]
 
 
 class DimensionMismatch(ValueError):
@@ -70,6 +72,12 @@ class MlpSpec:
     def n_layers(self) -> int:
         return len(self.dims) - 1
 
+    @property
+    def zbar_widths(self) -> tuple[int, ...]:
+        """Per-layer width of ``zbar^k``: the input width, plus the homogeneous 1
+        when the layers have biases."""
+        return tuple(p + self.bias for p in self.dims[:-1])
+
 
 @lru_cache(maxsize=None)
 def layer_slices(spec: MlpSpec) -> tuple[tuple[slice, int, int], ...]:
@@ -79,11 +87,9 @@ def layer_slices(spec: MlpSpec) -> tuple[tuple[slice, int, int], ...]:
     """
     out = []
     offset = 0
-    for k in range(spec.n_layers):
-        p, l = spec.dims[k], spec.dims[k + 1]
-        size = l * p + (l if spec.bias else 0)
-        out.append((slice(offset, offset + size), l, p))
-        offset += size
+    for p, pbar, l in zip(spec.dims, spec.zbar_widths, spec.dims[1:]):
+        out.append((slice(offset, offset + l * pbar), l, p))
+        offset += l * pbar
     return tuple(out)
 
 
@@ -96,25 +102,20 @@ def init_params(spec: MlpSpec, seed: int) -> np.ndarray:
     """Uniform ±sqrt(6/(fan_in+fan_out)) weights, zero biases, Philox-seeded."""
     rng = np.random.Generator(np.random.Philox(seed))
     theta = np.zeros(num_params(spec))
-    for sl, l, p in layer_slices(spec):
+    for w, (_, l, p) in zip(unpack_params(spec, theta), layer_slices(spec)):
         bound = np.sqrt(6.0 / (p + l))
-        w = rng.uniform(-bound, bound, size=(l, p))
-        theta[sl.start:sl.start + l * p] = w.reshape(-1, order="F")
+        w[:, :p] = rng.uniform(-bound, bound, size=(l, p))
     return theta
 
 
 def unpack_params(spec: MlpSpec, theta: np.ndarray) -> Weights:
-    """Per-layer ``(W, b)`` views; unpack once per backward solve."""
+    """Per-layer ``Wbar = [W, b]`` views, ``(l, p + 1)`` (``(l, p)`` without
+    biases) and column-major; unpack once per solve."""
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (num_params(spec),):
         raise DimensionMismatch(
             f"parameter vector has shape {theta.shape}, expected ({num_params(spec)},)")
-    out = []
-    for sl, l, p in layer_slices(spec):
-        w = theta[sl.start:sl.start + l * p].reshape(l, p, order="F")
-        b = theta[sl.start + l * p:sl.stop] if spec.bias else None
-        out.append((w, b))
-    return tuple(out)
+    return tuple(theta[sl].reshape(l, -1, order="F") for sl, l, _ in layer_slices(spec))
 
 
 def _act(name: str, h: np.ndarray) -> np.ndarray:
@@ -142,28 +143,21 @@ def _act_deriv(name: str, z_next: np.ndarray) -> np.ndarray:
     return np.ones_like(z_next)
 
 
-def _pullback(name: str, r: np.ndarray, z_next: np.ndarray) -> np.ndarray:
-    """The cotangent ``r`` of a layer output pulled back through its
-    activation; an identity layer hands ``r`` back with no multiply."""
-    if name == "identity":
-        return r
-    return r * _act_deriv(name, z_next)
-
-
 @dataclass
 class LayerTrace:
     """The layer outputs at one evaluation point, and nothing else.
 
-    ``zs[k]`` is the input to layer ``k`` (``zs[0]`` includes the time
-    column when concatenated) and ``zs[-1]`` the field value.  No
+    ``zs[k]`` is ``zbar^k``, the homogeneous input to layer ``k``: a
+    column-major ``(batch, zbar_widths[k])`` array whose last column is the
+    bias's 1 (``zs[0]`` holds the time column before it when concatenated).
+    ``zs[-1]`` is the field value, a plain ``(batch, m)`` array.  No
     pre-activation is kept: the reverse pass reads every activation
-    derivative off the layer's output (:func:`_act_deriv`).  Replaying the
-    affine/activation chain from any ``zs[k]`` reproduces the suffix
+    derivative off the layer's output (:func:`_act_deriv`).  Replaying
+    ``act(zs[k] @ Wbar_k.T)`` from any ``zs[k]`` reproduces the suffix
     bit-exactly.
     """
 
     zs: list[np.ndarray]
-    _zbars: list[np.ndarray] | None = None
 
 
 def check_states(spec: MlpSpec, x: np.ndarray) -> np.ndarray:
@@ -182,18 +176,27 @@ def one_sample(x: np.ndarray, what: str) -> np.ndarray:
     return x[0]
 
 
+def _homogeneous(spec: MlpSpec, batch: int, width: int) -> np.ndarray:
+    """A column-major ``(batch, width)`` layer input plus its bias's ones column."""
+    z = np.empty((batch, width + spec.bias), order="F")
+    z[:, width:] = 1.0
+    return z
+
+
 def _forward(spec: MlpSpec, weights: Weights, t: float, x: np.ndarray) -> LayerTrace:
-    if spec.time_input == "concat":
-        z = np.concatenate([x, np.full((x.shape[0], 1), float(t))], axis=1)
-    else:
-        z = x
+    # each hidden output is written straight into the next layer's input; the
+    # column-major slice it fills is contiguous, so matmul needs no temporary
+    m, batch = spec.state_dim, x.shape[0]
+    z = _homogeneous(spec, batch, spec.dims[0])
+    z[:, :m] = x
+    z[:, m:spec.dims[0]] = t
     zs = [z]
-    for k, (w, b) in enumerate(weights):
-        h = z @ w.T
-        if b is not None:
-            h += b
-        z = _act(spec.activations[k], h)
+    for name, w in zip(spec.activations, weights[:-1]):
+        l = w.shape[0]
+        z = _homogeneous(spec, batch, l)
+        _act(name, np.matmul(zs[-1], w.T, out=z[:, :l]))
         zs.append(z)
+    zs.append(_act(spec.activations[-1], zs[-1] @ weights[-1].T))
     return LayerTrace(zs=zs)
 
 
@@ -207,32 +210,26 @@ def _cotangents(spec: MlpSpec, weights: Weights, trace: LayerTrace,
                 q: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     """Reverse traversal: per-layer ``g^k = (dF/dh^k)^T q`` plus input grad.
 
-    ``q`` may carry leading axes broadcastable against the trace batch;
-    one traversal serves both the state and parameter VJPs.  Activation
-    derivatives are read off the trace's layer outputs, and an identity
-    layer's ``g^k`` is its incoming cotangent itself (for the output
-    layer, ``q`` as given).
+    ``q`` is (batch, m) or carries a leading group axis on top of the
+    trace batch; one traversal serves both the state and parameter VJPs.
+    Activation derivatives are read off the trace's layer outputs, and an
+    identity layer's ``g^k`` is its incoming cotangent itself (for the
+    output layer, ``q`` as given).  ``q`` is never written: every hidden
+    layer pulls back in place the cotangent the traversal itself made.
     """
     r = np.asarray(q, dtype=float)
     gs: list[np.ndarray] = [None] * spec.n_layers  # type: ignore[list-item]
     for k in reversed(range(spec.n_layers)):
-        g = _pullback(spec.activations[k], r, trace.zs[k + 1])
-        gs[k] = g
-        r = g @ weights[k][0]
+        w, name = weights[k], spec.activations[k]
+        if name != "identity":
+            d = _act_deriv(name, trace.zs[k + 1][:, :w.shape[0]])
+            if k == spec.n_layers - 1:
+                r = r * d
+            else:
+                r *= d
+        gs[k] = r
+        r = r @ w[:, :spec.dims[k]]
     return gs, r
-
-
-def _zbar(spec: MlpSpec, z: np.ndarray) -> np.ndarray:
-    if not spec.bias:
-        return z
-    return np.concatenate([z, np.ones(z.shape[:-1] + (1,))], axis=-1)
-
-
-def trace_zbars(spec: MlpSpec, trace: LayerTrace) -> list[np.ndarray]:
-    """Per-layer homogeneous activations, computed once per trace."""
-    if trace._zbars is None:
-        trace._zbars = [_zbar(spec, trace.zs[k]) for k in range(spec.n_layers)]
-    return trace._zbars
 
 
 def _param_grad_from_cotangents(spec: MlpSpec, trace: LayerTrace,
@@ -243,18 +240,12 @@ def _param_grad_from_cotangents(spec: MlpSpec, trace: LayerTrace,
     with a stack of cotangent groups; the result then holds one flat
     gradient row per group.
     """
-    zbars = trace_zbars(spec, trace)
     lead = gs[0].shape[:-2]
-    batch = max(zbars[0].shape[0], gs[0].shape[-2])
     flat = np.empty(lead + (num_params(spec),))
-    for (sl, _, _), zb, g in zip(layer_slices(spec), zbars, gs):
-        if zb.shape[0] != batch:
-            zb = np.broadcast_to(zb, (batch, zb.shape[-1]))
-        if g.shape[-2] != batch:
-            g = np.broadcast_to(g, lead + (batch, g.shape[-1]))
+    for (sl, _, _), zb, g in zip(layer_slices(spec), trace.zs, gs):
         # (zb^T g).ravel() per group is the column-major vec of the (l, pbar) gradient
         flat[..., sl] = (zb.T @ g).reshape(lead + (-1,))
-    flat /= batch
+    flat /= trace.zs[0].shape[0]
     return flat
 
 
@@ -264,7 +255,8 @@ def jacobians(spec: MlpSpec, theta: np.ndarray, t: float,
 
     At one state vector ``(m,)``, the flat ODE state of the dense
     curvature sweep; the identity matrix is pushed through the reverse
-    traversal in one shot.
+    traversal in one shot, one cotangent group per output, so row ``j``
+    of ``dF/dtheta`` is group ``j``'s parameter gradient.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
@@ -272,14 +264,6 @@ def jacobians(spec: MlpSpec, theta: np.ndarray, t: float,
     weights = unpack_params(spec, theta)
     trace = _forward(spec, weights, t, x[None, :])
     m = spec.state_dim
-    fu = np.empty((m, num_params(spec)))
-    r = np.eye(m)
-    for k in reversed(range(spec.n_layers)):
-        g = _pullback(spec.activations[k], r, trace.zs[k + 1])  # (m, l)
-        zb = _zbar(spec, trace.zs[k])[0]  # (pbar,)
-        sl, _, _ = layer_slices(spec)[k]
-        # row j of the segment is vec_F(g_j zbar^T) = zbar ⊗ g_j
-        fu[:, sl] = (g[:, None, :] * zb[None, :, None]).reshape(m, -1)
-        r = g @ weights[k][0]
-    fx = r[:, :m] if spec.time_input == "concat" else r
-    return trace.zs[-1][0], fx, fu
+    gs, r = _cotangents(spec, weights, trace, np.eye(m)[:, None, :])
+    fu = _param_grad_from_cotangents(spec, trace, gs)
+    return trace.zs[-1][0], r[:, 0, :m], fu

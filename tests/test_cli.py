@@ -300,6 +300,13 @@ CONFIG_ERRORS = {
     "test_fraction_1_5": ("train", ["dataset.test_fraction=1.5"]),
     "negative_test_fraction": ("train", ["dataset.test_fraction=-0.1"]),
     "empty_train_split": ("train", ["dataset.n_per_class=1", "dataset.test_fraction=0.75"]),
+    "horizon_t_min_over_t_max": ("train", ["horizon.t_min=3"]),
+    "horizon_t_min_at_t_max": ("train", ["horizon.t_min=2", "horizon.t_max=2"]),
+    "horizon_negative_ema": ("train", ["horizon.ema=-1"]),
+    "horizon_ema_1": ("train", ["horizon.ema=1"]),
+    "horizon_negative_penalty": ("train", ["horizon.penalty=-1"]),
+    "horizon_zero_penalty": ("train", ["horizon.penalty=0"]),
+    "horizon_zero_lr": ("train", ["horizon.lr=0"]),
 }
 
 

@@ -78,16 +78,18 @@ class TestLayout:
 
     def test_weights_read_column_major(self):
         spec = vf.MlpSpec(dims=(2, 2), activations=("identity",), bias=False)
-        (w, _), = vf.unpack_params(spec, np.array([1.0, 3.0, 2.0, 4.0]))
+        w, = vf.unpack_params(spec, np.array([1.0, 3.0, 2.0, 4.0]))
         assert np.array_equal(w, [[1.0, 2.0], [3.0, 4.0]])
 
     def test_layer_segments_round_trip(self):
         # each segment is the column-major flattening of [W, b]
         spec = vf.MlpSpec(dims=(2, 5, 3, 2), activations=("tanh", "tanh", "identity"))
         theta = np.random.default_rng(0).normal(size=vf.num_params(spec))
-        flat = [np.column_stack([w, b]).reshape(-1, order="F")
-                for w, b in vf.unpack_params(spec, theta)]
+        weights = vf.unpack_params(spec, theta)
+        assert [w.shape for w in weights] == [(5, 3), (3, 6), (2, 4)]
+        flat = [w.reshape(-1, order="F") for w in weights]
         assert np.array_equal(np.concatenate(flat), theta)
+        assert all(np.shares_memory(w, theta) for w in weights)
 
     def test_unpack_size_mismatch(self):
         with pytest.raises(vf.DimensionMismatch):
@@ -96,9 +98,9 @@ class TestLayout:
     def test_init_bound(self):
         spec = tanh_spec()
         theta = vf.init_params(spec, 0)
-        w0, b0 = vf.unpack_params(spec, theta)[0]
-        assert np.max(np.abs(w0)) <= np.sqrt(6.0 / (2 + 4))
-        assert np.all(b0 == 0.0)
+        w0 = vf.unpack_params(spec, theta)[0]
+        assert np.max(np.abs(w0[:, :2])) <= np.sqrt(6.0 / (2 + 4))
+        assert np.all(w0[:, 2] == 0.0)
 
 
 class TestEval:
@@ -120,8 +122,8 @@ class TestEval:
         spec = tanh_spec()
         theta = vf.init_params(spec, 7)
         x = np.array([0.4, -0.9])
-        (w0, b0), (w1, b1) = vf.unpack_params(spec, theta)
-        expected = w1 @ np.tanh(w0 @ x + b0) + b1
+        w0, w1 = vf.unpack_params(spec, theta)
+        expected = w1[:, :4] @ np.tanh(w0[:, :2] @ x + w0[:, 2]) + w1[:, 4]
         out, _ = vf.eval(spec, theta, 0.0, x[None])
         assert out.shape == (1, 2)
         assert np.allclose(out, expected, atol=1e-14)
@@ -153,13 +155,15 @@ class TestEval:
         spec = tanh_spec()
         theta = vf.init_params(spec, 7)
         _, trace = vf.eval(spec, theta, 0.0, np.array([[0.4, -0.9]]))
-        (w0, b0), (w1, b1) = vf.unpack_params(spec, theta)
-        assert np.array_equal(trace.zs[1], np.tanh(trace.zs[0] @ w0.T + b0))
-        assert np.array_equal(trace.zs[2], trace.zs[1] @ w1.T + b1)
+        w0, w1 = vf.unpack_params(spec, theta)
+        assert np.array_equal(trace.zs[1][:, :4], np.tanh(trace.zs[0] @ w0.T))
+        assert np.array_equal(trace.zs[2], trace.zs[1] @ w1.T)
 
     def test_trace_keeps_only_layer_outputs(self):
-        # one warm 400-row forward through 2-16-16-2 keeps its three layer
-        # outputs and a little bookkeeping, no pre-activation beside them
+        # one warm 400-row forward through 2-16-16-2 keeps its homogeneous
+        # layer inputs and output and a little bookkeeping, no pre-activation
+        # beside them, and at no point holds a temporary as large as a layer
+        # (a broadcast bias add would buffer 8192 elements)
         spec = vf.MlpSpec(dims=(2, 16, 16, 2), activations=("tanh", "tanh", "identity"))
         weights = vf.unpack_params(spec, vf.init_params(spec, 0))
         x = np.random.default_rng(0).normal(size=(400, 2))
@@ -168,11 +172,23 @@ class TestEval:
         try:
             before = tracemalloc.get_traced_memory()[0]
             trace = vf._forward(spec, weights, 0.0, x)
-            kept = tracemalloc.get_traced_memory()[0] - before
+            kept, peak = (v - before for v in tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
-        assert len(trace.zs) == 4
-        assert kept < 400 * (16 + 16 + 2) * 8 + 4096
+        assert [z.shape for z in trace.zs] == [(400, 3), (400, 17), (400, 17), (400, 2)]
+        assert kept < 400 * (3 + 17 + 17 + 2) * 8 + 4096
+        assert peak < 400 * (3 + 17 + 17 + 2) * 8 + 4096
+
+    def test_trace_without_bias_has_no_ones_column(self):
+        spec = vf.MlpSpec(dims=(3, 4, 2), activations=("tanh", "identity"),
+                          time_input="concat", bias=False)
+        theta = vf.init_params(spec, 4)
+        x = np.array([[0.4, -0.9], [1.3, 0.2]])
+        out, trace = vf.eval(spec, theta, 0.6, x)
+        assert [z.shape for z in trace.zs] == [(2, 3), (2, 4), (2, 2)]
+        assert np.array_equal(trace.zs[0], [[0.4, -0.9, 0.6], [1.3, 0.2, 0.6]])
+        w0, w1 = vf.unpack_params(spec, theta)
+        assert np.allclose(out, np.tanh(trace.zs[0] @ w0.T) @ w1.T, atol=1e-14)
 
 
 def _pre_activation_deriv(name, h):
@@ -211,6 +227,19 @@ class TestActivationDerivatives:
 
 
 class TestVjps:
+    def test_cotangent_seed_is_never_written(self):
+        # the seed is a view into the solver state; only the traversal's own
+        # hidden-layer cotangents are pulled back in place
+        spec = vf.MlpSpec(dims=(2, 5, 3, 2), activations=("tanh", "softplus", "tanh"))
+        weights = vf.unpack_params(spec, vf.init_params(spec, 9))
+        rng = np.random.default_rng(2)
+        trace = vf._forward(spec, weights, 0.0, rng.normal(size=(4, 2)))
+        q = rng.normal(size=(2, 4, 2))
+        seed = q.copy()
+        gs, _ = vf._cotangents(spec, weights, trace, q)
+        assert np.array_equal(q, seed)
+        assert np.array_equal(gs[-1], seed * vf._act_deriv("tanh", trace.zs[-1]))
+
     def test_zero_cotangent(self):
         spec = tanh_spec()
         theta = vf.init_params(spec, 7)
@@ -261,7 +290,8 @@ class TestVjps:
         _, flat, gs = vjps(spec, theta, x, q)
         _, trace = vf.eval(spec, theta, 0.0, x)
         for k, (sl, _, _) in enumerate(vf.layer_slices(spec)):
-            zbar = np.concatenate([trace.zs[k][0], [1.0]])
+            zbar = trace.zs[k][0]
+            assert zbar[-1] == 1.0
             assert np.array_equal(flat[sl], np.kron(zbar, gs[k]))
 
     def test_relu_subgradient_zero_at_kink(self):
