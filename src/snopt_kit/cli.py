@@ -27,7 +27,7 @@ from dataclasses import astuple, fields, replace
 
 import numpy as np
 
-from . import adjoint, curvature, kfac, loss, numerics, oracle, optimizer, trainer
+from . import adjoint, curvature, horizon, kfac, loss, numerics, oracle, optimizer, trainer
 from . import vector_field as vf
 from .odesolve import SolverConfig
 from .trainer import ExperimentConfig, TrainAbort, TrainRecord
@@ -338,8 +338,27 @@ def _check_kron_update(tol_scale: float):
     return "eigenbasis update vs dense assembly", float(err), 1e-8 * tol_scale
 
 
+def _check_horizon(tol_scale: float):
+    # s = mean_b <grad_b, F(T, x1_b)> is dL/dT of the batch loss, exactly
+    spec = vf.MlpSpec(dims=(2, 4, 2), activations=("tanh", "identity"))
+    theta = vf.init_params(spec, 11)
+    rng = np.random.Generator(np.random.Philox(13))
+    x0 = rng.uniform(-1, 1, size=(8, 2))
+    lossfn = loss.TerminalLoss(kind="softmax_ce", target=rng.integers(0, 3, size=8),
+                               readout=loss.init_readout(2, 3, 17))
+    cfg = SolverConfig(method="rk4", fixed_step=1e-2)
+    t_bar, h = 0.8, oracle.FD_STEP
+    x1 = oracle.flow(spec, theta, x0, 0.0, t_bar, cfg)
+    terms = horizon.horizon_terms(spec, theta, x1, loss.grad_x1(lossfn, x1), t_bar, 0.5)
+    up, down = (loss.loss_value(lossfn, oracle.flow(spec, theta, x0, 0.0, t, cfg))
+                for t in (t_bar + h, t_bar - h))
+    fd = (up - down) / (2 * h)
+    err = abs(terms.s - fd) / abs(fd)
+    return "horizon sensitivity vs finite differences in T", float(err), 1e-6 * tol_scale
+
+
 CHECKS = (_check_gradient, _check_dense_curvature, _check_lowrank_equivalence,
-          _check_kron_update)
+          _check_kron_update, _check_horizon)
 
 
 def cmd_verify(tol_scale: float = 1.0) -> int:

@@ -20,13 +20,15 @@ steps, ``x0`` and ``a0`` are the adjoint's, bit for bit, and its gradient
 is the adjoint's to rounding.  ``kron(Abar_n, Bbar_n)`` then approximates
 the layer's parameter-space curvature block.
 
-The ``gauss_newton_scaled`` surrogate carries no rank vector: its ``q_1``
-is the adjoint times the curvature's constant ``adjoint_scale`` at every
-t, so the sweep runs ``[x | a]``, the B side integrates the adjoint
-group's second moment and is scaled by ``adjoint_scale**2`` once after
-the solve.  ``exact_rank`` carries its R >= 1 rank vectors, one per
-terminal factor (C-1 for a C-class softmax), and the B side sums groups
-1..R.  Each rank vector adds ``batch*m`` entries to the state.
+A terminal factor parallel to the gradient carries no rank vector: with
+the curvature's per-sample ``adjoint_weights`` w, its ``q_1`` at sample b
+is ``w_b a_b`` at every t, because a rank vector obeys the adjoint's
+linear ODE.  The sweep then runs ``[x | a]`` and its B side is ``B_n(t) =
+mean_b (w_b g_b)(w_b g_b)^T`` over the adjoint group's cotangents ``g``.
+That covers the ``gauss_newton_scaled`` surrogate (constant w) and the
+two-class softmax.  Otherwise the sweep carries R >= 1 rank vectors, one
+per terminal factor (C-1 for C >= 3 classes, m for mse), and the B side
+sums groups 1..R.  Each rank vector adds ``batch*m`` entries to the state.
 
 Biases share their layer's block through the homogeneous coordinate that
 ``vector_field`` evaluates in: each trace entry ``zs[k]`` already is
@@ -63,16 +65,22 @@ def _sides(spec: vf.MlpSpec) -> list[int]:
     return list(spec.zbar_widths) + list(spec.dims[1:])
 
 
-def _factor_terms(spec: vf.MlpSpec, trace: vf.LayerTrace,
-                  gs: list[np.ndarray]) -> np.ndarray:
+def _factor_terms(spec: vf.MlpSpec, trace: vf.LayerTrace, gs: list[np.ndarray],
+                  weights: np.ndarray | None = None) -> np.ndarray:
     """Upper triangles of ``A_n(t)`` and ``B_n(t)`` at one stage, packed
     ``[A_1..A_L | B_1..B_L]``.
 
     ``trace`` is the stage's forward pass and ``gs[k]`` its layer-``k``
     cotangents, (batch, l) or (R, batch, l); every row is a B-side sample.
+    With per-sample ``weights`` (batch,), ``gs`` are the adjoint's (batch, l)
+    cotangents and row b is weighted by ``weights[b]`` before its square:
+    the weight alone can overflow when squared.
     """
     mats = [zb.T @ zb for zb in trace.zs[:-1]]
-    mats += [g.T @ g for g in (g.reshape(-1, g.shape[-1]) for g in gs)]
+    for g in gs:
+        # one weighted (batch, l) copy alive at a time
+        g = g.reshape(-1, g.shape[-1]) if weights is None else g * weights[:, None]
+        mats.append(g.T @ g)
     out = np.concatenate([mat.ravel()[triu_flat(mat.shape[0])] for mat in mats])
     out /= trace.zs[0].shape[0]
     return out
@@ -97,32 +105,29 @@ def accumulate_factors(spec: vf.MlpSpec, theta: np.ndarray, x1: np.ndarray,
     and the factor integrand as its quadrature.  The error norm scores the
     state replay ``x``.
     """
-    scale = curv.adjoint_scale
-    if scale is None and not curv.factors:
+    weights = curv.adjoint_weights
+    if weights is None and not curv.factors:
         # a rank-0 sweep would leave the cotangents 2-D and the B side would
         # read the adjoint's rows as rank vectors
         raise ValueError("need at least one terminal factor")
     sweep, state = BackwardSweep.seeded(spec, theta, x1, curv.grad,
-                                        curv.factors if scale is None else ())
+                                        curv.factors if weights is None else ())
     n = sweep.quad_len
-    sizes = [side * (side + 1) // 2 for side in _sides(spec)]
-    b_side = slice(n + sum(sizes[:spec.n_layers]), None)
+    packed = sum(side * (side + 1) // 2 for side in _sides(spec))
 
     def field(t: float, y: np.ndarray):
         dy, trace, gs = sweep.stage(t, y)
 
         def integrand() -> np.ndarray:
             grad = sweep.param_grad(trace, gs)
-            # scaled: the adjoint group is the B-side sample; exact: groups 1..R
-            terms = _factor_terms(spec, trace, gs if scale is not None else [g[1:] for g in gs])
-            return np.concatenate([grad, terms])
+            # weighted: the adjoint group is the B-side sample; else groups 1..R
+            samples = gs if weights is not None else [g[1:] for g in gs]
+            return np.concatenate([grad, _factor_terms(spec, trace, samples, weights)])
 
         return dy, integrand
 
     report = odesolve(state, t1, t0, field, cfg, scored=sweep.x_len,
-                      quadrature=np.zeros(n + sum(sizes)))
+                      quadrature=np.zeros(n + packed))
     # the solve runs from t1 down to t0, so it subtracts the integral
     total = -report.quadrature
-    if scale is not None:
-        total[b_side] *= scale * scale
     return _unpack_factors(spec, total[n:]), total[:n], report

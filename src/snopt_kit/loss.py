@@ -16,8 +16,18 @@ vectors ``y_i`` with ``Hessian = sum_i y_i y_i^T``:
   vector to zero, so it has rank C-1 and a C-th column would be
   redundant.
 * ``gauss_newton_scaled`` gives the single factor ``grad / sqrt(t1 - t0)``,
-  the cheap rank-1 surrogate used in production training, and records the
-  scale so a sweep can read the factor off the adjoint.
+  the cheap rank-1 surrogate used in production training (an
+  empirical-Fisher B side; Kunstner, Balles & Hennig, arXiv:1905.12558).
+
+A factor parallel to the gradient, sample by sample, is the gradient
+times per-sample ``adjoint_weights``: the surrogate's constant
+``1/sqrt(t1 - t0)``, and for a two-class softmax ``sqrt(p_y) /
+sqrt(p_o)`` (``p_o`` the non-label probability).  A rank vector obeys the
+adjoint's linear ODE, so a sweep reads such a factor off the adjoint
+instead of carrying it.  For that the gradient's label entry is
+``-sum_{j != y} p_j``, not ``p_y - 1``, which cancels to 0 once ``p_o <
+2**-53``.  Rank vectors are carried only for C >= 3 classes (C-1 of
+them) and for mse.
 """
 
 from __future__ import annotations
@@ -74,16 +84,19 @@ class TerminalCurvature:
 
     ``factors`` is a list of arrays shaped like the per-sample gradient;
     the reconstruction ``sum_i y_i y_i^T`` is symmetric PSD by build.
-    Each factor is one rank vector of a backward sweep: ``exact_rank``
-    gives m of them for mse without a readout, one per output with one,
-    and C-1 for a C-class softmax; ``gauss_newton_scaled`` gives one.
-    ``adjoint_scale`` is set when the one factor is ``adjoint_scale *
-    grad`` (the ``gauss_newton_scaled`` surrogate) and None otherwise.
+    ``exact_rank`` gives m factors for mse without a readout, one per
+    output with one, and C-1 for a C-class softmax; ``gauss_newton_scaled``
+    gives one.  ``adjoint_weights`` (batch,) is set when the one factor is,
+    up to each row's sign, ``adjoint_weights[:, None] * grad`` (the
+    surrogate and the two-class softmax), and a backward sweep then reads
+    it off the adjoint; it is None otherwise, and each factor is one rank
+    vector of the sweep.  The dense and low-rank references read
+    ``factors`` either way.
     """
 
     grad: np.ndarray
     factors: list[np.ndarray]
-    adjoint_scale: float | None = None
+    adjoint_weights: np.ndarray | None = None
 
     def hessian(self) -> np.ndarray:
         """Dense reconstruction for a batch of one."""
@@ -129,8 +142,14 @@ def _probs(lossfn: TerminalLoss, x1: np.ndarray) -> np.ndarray:
 
 
 def _ce_residual(lossfn: TerminalLoss, probs: np.ndarray) -> np.ndarray:
-    """``probs`` minus the one-hot labels, in place."""
-    probs[np.arange(probs.shape[0]), lossfn.target] -= 1.0
+    """``probs`` minus the one-hot labels, in place.
+
+    The label entry is ``-sum_{j != y} p_j``: ``p_y - 1`` would cancel to 0
+    for a confident sample and drop the gradient's label component.
+    """
+    rows = np.arange(probs.shape[0])
+    probs[rows, lossfn.target] = 0.0
+    probs[rows, lossfn.target] = -probs.sum(axis=1)
     return probs
 
 
@@ -155,7 +174,7 @@ def grad_x1(lossfn: TerminalLoss, x1: np.ndarray) -> np.ndarray:
 def _quotient(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """``num / den``, with 0 wherever ``den`` is 0."""
     out = np.zeros(np.broadcast_shapes(num.shape, den.shape))
-    return np.divide(num, den, out=out, where=den > 0)
+    return np.divide(num, den, out=out, where=den != 0)
 
 
 def _multinomial_cholesky(probs: np.ndarray) -> list[np.ndarray]:
@@ -198,13 +217,22 @@ def terminal_curvature(lossfn: TerminalLoss, x1: np.ndarray, t0: float, t1: floa
     if mode == "exact_rank" and lossfn.kind == "softmax_ce":
         # one softmax feeds the gradient and the factors
         probs = _probs(lossfn, x1)
+        weights = None
+        if probs.shape[1] == 2:
+            # the one factor is ±sqrt(p_y p_o) (e_y - e_o) and the residual
+            # p_o (e_o - e_y); the roots come first, as p_y / p_o overflows
+            # where p_o is subnormal
+            rows, roots = np.arange(probs.shape[0]), np.sqrt(probs)
+            weights = _quotient(roots[rows, lossfn.target], roots[rows, 1 - lossfn.target])
         return TerminalCurvature(
             grad=_to_state(lossfn, _ce_residual(lossfn, probs.copy())),
-            factors=[_to_state(lossfn, col) for col in _multinomial_cholesky(probs)])
+            factors=[_to_state(lossfn, col) for col in _multinomial_cholesky(probs)],
+            adjoint_weights=weights)
     grad = grad_x1(lossfn, x1)
     if mode == "gauss_newton_scaled":
         scale = float(1.0 / np.sqrt(t1 - t0))
-        return TerminalCurvature(grad=grad, factors=[scale * grad], adjoint_scale=scale)
+        return TerminalCurvature(grad=grad, factors=[scale * grad],
+                                 adjoint_weights=np.broadcast_to(scale, grad.shape[:1]))
     m = x1.shape[1]
     if lossfn.readout is None:
         # Hessian is the identity: factors are the unit vectors

@@ -3,7 +3,7 @@ import csv
 import math
 import os
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -332,7 +332,7 @@ class TestCmdVerify:
     def test_all_checks_pass(self, capsys):
         assert cli.cmd_verify() == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") == 4 and "FAIL" not in out
+        assert out.count("PASS") == 5 and "FAIL" not in out
 
     def test_sign_flip_mutation_caught(self, monkeypatch, capsys):
         # flipping the gradient integrand must make the gradient check fail
@@ -347,6 +347,19 @@ class TestCmdVerify:
         assert cli.cmd_verify() == 1
         out = capsys.readouterr().out
         assert "FAIL adjoint gradient" in out
+
+    def test_horizon_sign_flip_caught(self, monkeypatch, capsys):
+        # a horizon sensitivity of the wrong sign must fail the horizon check
+        orig = cli.horizon.horizon_terms
+
+        def flipped(*args, **kwargs):
+            terms = orig(*args, **kwargs)
+            return replace(terms, s=-terms.s)
+
+        monkeypatch.setattr(cli.horizon, "horizon_terms", flipped)
+        assert cli.cmd_verify() == 1
+        out = capsys.readouterr().out
+        assert "FAIL horizon sensitivity" in out and out.count("PASS") == 4
 
     def test_tolerance_flag_propagates(self, capsys):
         # impossibly tight tolerances force failures; loose ones pass

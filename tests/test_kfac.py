@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,29 @@ def first_batch(cfg, t1):
 def default_batch(t1=1.0):
     """:func:`first_batch` of the default snopt config."""
     return first_batch(tr.ExperimentConfig(optimizer=tr.OptimizerConfig(kind="snopt")), t1)
+
+
+CIRCLES = tr.ExperimentConfig(dataset=tr.DatasetConfig(kind="circles"),
+                              loss=tr.LossConfig(curvature="exact_rank"),
+                              optimizer=tr.OptimizerConfig(kind="snopt"), batch_size=128,
+                              model=tr.ModelConfig(dims=(2, 16, 16, 2)))
+
+
+def assert_same_sweep(spec, theta, x1, curv, ref_curv, t0, t1, solver, b_tol):
+    """Both curvatures' sweeps take the same steps and NFE and give the same
+    gradient, A side and ``x0``, bit for bit, and B sides within ``b_tol``
+    relative to the reference's largest entry."""
+    got, grad, rep = accumulate_factors(spec, theta, x1, curv, t0, t1, solver)
+    ref, g_ref, rep_ref = accumulate_factors(spec, theta, x1, ref_curv, t0, t1, solver)
+    assert (rep.nfe, rep.accepted_steps, rep.rejected_steps) == (
+        rep_ref.nfe, rep_ref.accepted_steps, rep_ref.rejected_steps)
+    assert np.array_equal(grad, g_ref)
+    assert np.array_equal(rep.terminal_state[:x1.size], rep_ref.terminal_state[:x1.size])
+    for mine, want in zip(got.a_factors, ref.a_factors):
+        assert np.array_equal(mine, want)
+    for mine, want in zip(got.b_factors, ref.b_factors):
+        assert np.all(np.isfinite(mine))
+        assert np.max(np.abs(mine - want)) <= b_tol * np.max(np.abs(want))
 
 
 def terms_at(spec, theta, t, x, qs):
@@ -217,13 +242,13 @@ class TestDefaultConfigSweep:
         assert np.array_equal(rep.terminal_state[:x1.size], x0.ravel())
 
     def test_scaled_adjoint_matches_carried_rank_vector(self):
-        # gauss_newton_scaled reads q_1 = a/sqrt(T) off the adjoint and scales
-        # its integrated B side by 1/T once; an exact_rank sweep that carries q_1
-        # as a rank vector must agree: bit for bit at T = 1, where the scale is
-        # exactly 1, and to rounding (measured 1.3e-15) at T = 0.7
+        # gauss_newton_scaled reads q_1 = a/sqrt(T) off the adjoint, weighting
+        # each stage's adjoint cotangents by 1/sqrt(T); an exact_rank sweep that
+        # carries q_1 as a rank vector must agree: bit for bit at T = 1, where
+        # the weight is exactly 1, and to rounding at T = 0.7
         for t1, rel_tol in ((1.0, 0.0), (0.7, 1e-14)):
             spec, theta, x1, curv, cfg = default_batch(t1)
-            assert curv.adjoint_scale == 1.0 / np.sqrt(t1)
+            assert np.all(curv.adjoint_weights == 1.0 / np.sqrt(t1))
             carried = TerminalCurvature(grad=curv.grad, factors=[curv.grad / np.sqrt(t1)])
             runs = []
             for c in (curv, carried):
@@ -253,13 +278,9 @@ class TestSoftmaxRankVectors:
     def test_classes_minus_one_vectors_match_classes_vectors(self):
         # the C columns of diag(sqrt p) - p sqrt(p)^T and the C-1 stick-breaking
         # columns reconstruct the same Hessian; the sweep carries one vector
-        # fewer and must agree: steps, NFE, gradient, A side and x0 bit for
-        # bit, the B side to rounding
-        cfg = tr.ExperimentConfig(dataset=tr.DatasetConfig(kind="circles"),
-                                  loss=tr.LossConfig(curvature="exact_rank"),
-                                  optimizer=tr.OptimizerConfig(kind="snopt"), batch_size=128,
-                                  model=tr.ModelConfig(dims=(2, 16, 16, 2)))
-        spec, theta, x1, curv, cfg = first_batch(cfg, cfg.t1)
+        # fewer (for C = 2 none: it rides on the adjoint) and must agree:
+        # steps, NFE, gradient, A side and x0 bit for bit, the B side to rounding
+        spec, theta, x1, curv, cfg = first_batch(CIRCLES, CIRCLES.t1)
         run = tr._Run(cfg)
         probs = ls._softmax(run.readout.logits(x1))
         n_cls = probs.shape[1]
@@ -268,14 +289,30 @@ class TestSoftmaxRankVectors:
             factors=[np.sqrt(probs[:, k:k + 1]) * (np.eye(n_cls)[k] - probs) @ run.readout.weight
                      for k in range(n_cls)])
         assert len(curv.factors) == n_cls - 1 == len(full.factors) - 1
-        got, grad, rep = accumulate_factors(spec, theta, x1, curv, cfg.t0, cfg.t1, cfg.solver)
-        ref, g_ref, rep_ref = accumulate_factors(spec, theta, x1, full, cfg.t0, cfg.t1,
-                                                 cfg.solver)
-        assert (rep.nfe, rep.accepted_steps, rep.rejected_steps) == (
-            rep_ref.nfe, rep_ref.accepted_steps, rep_ref.rejected_steps)
-        assert np.array_equal(grad, g_ref)
-        assert np.array_equal(rep.terminal_state[:x1.size], rep_ref.terminal_state[:x1.size])
-        for mine, want in zip(got.a_factors, ref.a_factors):
-            assert np.array_equal(mine, want)
-        for mine, want in zip(got.b_factors, ref.b_factors):
-            assert np.max(np.abs(mine - want)) <= 1e-14 * np.max(np.abs(want))
+        assert_same_sweep(spec, theta, x1, curv, full, cfg.t0, cfg.t1, cfg.solver, 1e-14)
+
+    def test_two_class_factor_rides_on_the_adjoint(self):
+        # the weighted sweep carries [x | a] only; carrying the same factor as a
+        # rank vector must give the same sweep, the B side to rounding
+        spec, theta, x1, curv, cfg = first_batch(CIRCLES, CIRCLES.t1)
+        assert curv.adjoint_weights.shape == (x1.shape[0],)
+        carried = replace(curv, adjoint_weights=None)
+        assert_same_sweep(spec, theta, x1, curv, carried, cfg.t0, cfg.t1, cfg.solver, 1e-14)
+
+    def test_confident_samples_ride_on_the_adjoint(self):
+        # logit gaps of 30, 400 and 740 either way, so p_o is below 2**-53, far
+        # below and subnormal; w_b = sqrt(p_y)/sqrt(p_o) reaches 4.9e160, and
+        # the weighted B side must stay finite and match the carried rank vector
+        # (the second readout row is zero: a gradient that dropped its label
+        # component would vanish)
+        spec, theta = tanh_net(12, (2, 6, 2))
+        gaps = np.array([30.0, -30.0, 400.0, -400.0, 740.0, -740.0])
+        x1 = np.stack([gaps / 100.0, np.linspace(-1.0, 1.0, gaps.size)], axis=1)
+        readout = ls.Readout(weight=np.array([[100.0, 0.0], [0.0, 0.0]]), bias=np.zeros(2))
+        for labels in (np.zeros(gaps.size, dtype=int), np.arange(gaps.size) % 2):
+            lf = ls.TerminalLoss(kind="softmax_ce", target=labels, readout=readout)
+            curv = terminal_curvature(lf, x1, 0.0, 1.0, mode="exact_rank")
+            assert np.all(np.isfinite(curv.adjoint_weights))
+            assert curv.adjoint_weights.max() > 1e160
+            carried = replace(curv, adjoint_weights=None)
+            assert_same_sweep(spec, theta, x1, curv, carried, 0.0, 1.0, RK4, 1e-14)

@@ -72,6 +72,26 @@ class TestGrad:
         want = fd_grad(lambda v: ls.loss_value(lf, v), x)
         assert np.linalg.norm(got - want) < 1e-6 * max(1.0, np.linalg.norm(want))
 
+    def test_confident_gradient_keeps_label_component(self):
+        # logit gaps of 50 and 59 put p_o below 2**-53, where p_y - 1 rounds
+        # to 0; the gradient is still p_o (V_o - V_y)
+        readout = ls.Readout(weight=np.array([[1.0, 0.5], [-1.0, 0.25]]), bias=np.zeros(2))
+        labels = np.array([0, 1])
+        lf = ls.TerminalLoss(kind="softmax_ce", target=labels, readout=readout)
+        x = np.array([[25.0, 0.0], [-30.0, 4.0]])
+        logits = readout.logits(x)
+        rows, other = np.arange(2), 1 - labels
+        e_o = np.exp(logits[rows, other] - logits[rows, labels])
+        p_o = e_o / (1.0 + e_o)
+        assert np.all(p_o < 2.0 ** -53)
+        want = p_o[:, None] * (readout.weight[other] - readout.weight[labels])
+        np.testing.assert_allclose(ls.grad_x1(lf, x), want, rtol=1e-15, atol=0)
+
+    def test_quotient_divides_where_denominator_nonzero(self):
+        num = np.array([1.0, 1.0, 1.0, 0.0])
+        den = np.array([2.0, 0.0, -2.0, -4.0])
+        np.testing.assert_array_equal(ls._quotient(num, den), [0.5, 0.0, -0.5, -0.0])
+
     def test_readout_grads_match_fd(self):
         rng = np.random.default_rng(1)
         readout = ls.Readout(weight=rng.normal(size=(2, 2)), bias=np.zeros(2))
@@ -108,8 +128,10 @@ class TestTerminalCurvature:
         x = np.array([[0.5, -0.5]])
         curv = ls.terminal_curvature(lf, x, 0.0, 4.0, "gauss_newton_scaled")
         assert np.allclose(curv.factors[0], curv.grad / 2.0)
-        assert curv.adjoint_scale == 0.5
-        assert ls.terminal_curvature(lf, x, 0.0, 4.0, "exact_rank").adjoint_scale is None
+        np.testing.assert_array_equal(curv.adjoint_weights, [0.5])
+        # one weight per sample, as a zero-stride view
+        assert curv.adjoint_weights.strides == (0,)
+        assert ls.terminal_curvature(lf, x, 0.0, 4.0, "exact_rank").adjoint_weights is None
 
     def test_softmax_exact_rank_matches_fd_hessian(self):
         rng = np.random.default_rng(2)
@@ -139,6 +161,8 @@ class TestTerminalCurvature:
             curv = ls.terminal_curvature(lf, rng.normal(size=(2, 3)), 0.0, 1.0, "exact_rank")
             assert len(curv.factors) == n_cls - 1
             assert all(f.shape == (2, 3) for f in curv.factors)
+            # only the two-class factor rides on the adjoint
+            assert (curv.adjoint_weights is None) == (n_cls > 2)
 
     def test_softmax_two_class_closed_form(self):
         # C = 2: the one factor is sqrt(p0 p1) (e0 - e1)
@@ -168,6 +192,28 @@ class TestTerminalCurvature:
             assert np.all(np.isfinite(recon))
             err = np.linalg.norm(recon - ref, axis=(1, 2))
             assert np.all(err <= 1e-14 * np.linalg.norm(ref, axis=(1, 2)))
+
+    def test_two_class_weights_carry_the_factor(self):
+        # the one factor is parallel to the gradient: w_b |grad_b| = |factor_b|
+        # wherever the gradient is normal, and the weighted second moment is
+        # the factors' on the whole batch, for logits up to 1000 (p_o underflows
+        # to subnormal and to 0; the weight must stay finite there)
+        rng = np.random.default_rng(6)
+        x = np.concatenate([rng.normal(size=(100, 2)) * scale
+                            for scale in (1.0, 10.0, 100.0, 1000.0)])
+        lf = ls.TerminalLoss(kind="softmax_ce", target=rng.integers(0, 2, size=len(x)))
+        curv = ls.terminal_curvature(lf, x, 0.0, 1.0, "exact_rank")
+        (factor,), w = curv.factors, curv.adjoint_weights
+        p_o = ls._softmax(x)[np.arange(len(x)), 1 - lf.target]
+        assert np.any(p_o == 0.0) and np.any((p_o > 0) & (p_o < np.finfo(float).tiny))
+        assert np.all(np.isfinite(w))
+        assert np.all(w[p_o == 0.0] == 0.0)
+        # entry by entry: a row norm would square a 1e-306 gradient to 0
+        normal = np.all(np.abs(curv.grad) >= np.finfo(float).tiny, axis=1)
+        np.testing.assert_allclose(np.abs(w[normal, None] * curv.grad[normal]),
+                                   np.abs(factor[normal]), rtol=1e-15, atol=0)
+        wg = curv.grad * w[:, None]
+        np.testing.assert_allclose(wg.T @ wg, factor.T @ factor, rtol=1e-14, atol=0)
 
     def test_requires_forward_interval(self):
         lf = ls.TerminalLoss(kind="mse", target=np.zeros(2))

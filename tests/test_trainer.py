@@ -286,8 +286,8 @@ class TestMemoryProbe:
         # batch 128 through 2-16-16-2 (n = 354 parameters; the factor integrand
         # holds upper triangles, 6 + 2*153 + 2*136 + 3 = 587 entries): adjoint
         # 2*256 + n; the rank-1 gauss_newton_scaled sweep carries the adjoint's
-        # own state, 2*256 + n + 587; exact_rank on two-class circles carries
-        # the one (C-1 = 1) softmax rank vector, one more 128-by-2 block
+        # own state, 2*256 + n + 587; so does exact_rank on two-class circles,
+        # whose one (C-1 = 1) softmax factor rides on the adjoint
         base = dict(batch_size=128, model=tr.ModelConfig(dims=(2, 16, 16, 2)))
         adam = tr.ExperimentConfig(optimizer=tr.OptimizerConfig(kind="adam"), **base)
         grid33 = tr.ExperimentConfig(optimizer=tr.OptimizerConfig(kind="snopt"),
@@ -296,7 +296,7 @@ class TestMemoryProbe:
                                     loss=tr.LossConfig(curvature="exact_rank"),
                                     optimizer=tr.OptimizerConfig(kind="snopt"),
                                     grid_samples=13, **base)
-        assert [tr.memory_probe(c) for c in (adam, grid33, rank2)] == [866, 1453, 1709]
+        assert [tr.memory_probe(c) for c in (adam, grid33, rank2)] == [866, 1453, 1453]
 
     def test_baseline_below_snopt(self):
         adj = tr.memory_probe(small_config(optimizer=tr.OptimizerConfig(kind="adam", lr=1e-3)))
