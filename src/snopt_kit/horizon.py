@@ -95,7 +95,7 @@ def horizon_terms(spec: vf.MlpSpec, theta: np.ndarray, x1: np.ndarray,
                   phi_grad: np.ndarray, t_bar: float, penalty: float) -> HorizonTerms:
     """Derivative terms of the penalized objective w.r.t. the bound, at the
     parameters ``theta`` that reached the (batch, m) terminal states ``x1``."""
-    f_bar, _ = vf.eval(spec, theta, t_bar, x1)
+    f_bar = vf.eval(spec, theta, t_bar, x1)
     s = float(np.mean(np.sum(phi_grad * f_bar, axis=1)))
     return HorizonTerms(qt=penalty * t_bar + s, qtt=penalty + s * s, s=s)
 

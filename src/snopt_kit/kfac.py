@@ -74,12 +74,21 @@ def _factor_terms(spec: vf.MlpSpec, trace: vf.LayerTrace, gs: list[np.ndarray],
     cotangents, (batch, l) or (R, batch, l); every row is a B-side sample.
     With per-sample ``weights`` (batch,), ``gs`` are the adjoint's (batch, l)
     cotangents and row b is weighted by ``weights[b]`` before its square:
-    the weight alone can overflow when squared.
+    the weight alone can overflow when squared.  The weighting writes the
+    traversal's own rows in place, so anything else that reads ``gs``
+    must read it first; only an identity output layer's rows, which are
+    the solver's stage input (:func:`vector_field._cotangents`), are
+    weighted in a copy, and that copy is (batch, m).
     """
     mats = [zb.T @ zb for zb in trace.zs[:-1]]
-    for g in gs:
-        # one weighted (batch, l) copy alive at a time
-        g = g.reshape(-1, g.shape[-1]) if weights is None else g * weights[:, None]
+    top = spec.n_layers - 1
+    for k, g in enumerate(gs):
+        if weights is None:
+            g = g.reshape(-1, g.shape[-1])
+        elif k == top and spec.activations[k] == "identity":
+            g = g * weights[:, None]
+        else:
+            g *= weights[:, None]
         mats.append(g.T @ g)
     out = np.concatenate([mat.ravel()[triu_flat(mat.shape[0])] for mat in mats])
     out /= trace.zs[0].shape[0]
@@ -119,6 +128,7 @@ def accumulate_factors(spec: vf.MlpSpec, theta: np.ndarray, x1: np.ndarray,
         dy, trace, gs = sweep.stage(t, y)
 
         def integrand() -> np.ndarray:
+            # the gradient reads gs before the weighted factor terms write them
             grad = sweep.param_grad(trace, gs)
             # weighted: the adjoint group is the B-side sample; else groups 1..R
             samples = gs if weights is not None else [g[1:] for g in gs]

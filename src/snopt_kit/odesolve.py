@@ -155,8 +155,7 @@ def _solve_fixed(y0, t_start, t_end, fn, cfg: SolverConfig, q0) -> SolveReport:
     if n_steps > cfg.max_steps:
         raise MaxStepsExceeded(f"{n_steps} fixed steps exceed max_steps={cfg.max_steps}")
 
-    y = np.array(y0, dtype=float)
-    q = None if q0 is None else np.array(q0, dtype=float)
+    y, q = y0, q0
     k = np.empty((b.size, y.size))
     t = t_start
     for i in range(n_steps):
@@ -219,8 +218,7 @@ def _solve_dopri5(y0, t_start, t_end, fn, cfg: SolverConfig, scored: int | None,
     direction = 1.0 if span >= 0 else -1.0
     total = abs(span)
 
-    y = np.array(y0, dtype=float)
-    q = None if q0 is None else np.array(q0, dtype=float)
+    y, q = y0, q0
     # b_1 times the integrand at the attempt's start point
     first = None if q is None else np.zeros_like(q)
     t = t_start
@@ -255,10 +253,11 @@ def _solve_dopri5(y0, t_start, t_end, fn, cfg: SolverConfig, scored: int | None,
         nfe += 6
 
         _check_finite(y_new, t + hs)
-        # the norm reads the scored prefix: slice before building any temporary
-        y_s, y_new_s = y[:scored], y_new[:scored]
+        # the norm reads the scored prefix: slice before building any temporary;
+        # a named slice of y would keep this y alive through the next attempt
         err = _scaled_rms(hs * (_DP_E @ k[:, :scored]),
-                          cfg.atol + cfg.rtol * np.maximum(np.abs(y_s), np.abs(y_new_s)), None)
+                          cfg.atol + cfg.rtol * np.maximum(np.abs(y[:scored]),
+                                                           np.abs(y_new[:scored])), None)
         if not np.isfinite(err):
             raise NonFiniteState(f"non-finite error estimate at t={t:.6g}")
 
@@ -283,9 +282,11 @@ def _solve_dopri5(y0, t_start, t_end, fn, cfg: SolverConfig, scored: int | None,
             rejected += 1
             # stage 1 is still f(t, y): no new evaluation needed on retry
             h = h_eff * min(1.0, max(_MIN_FACTOR, _SAFETY * err ** (-0.2)))
-        fsal = None   # drop the stage's trace before the next evaluation
-    return SolveReport(terminal_state=y, nfe=nfe, accepted_steps=accepted,
-                       rejected_steps=rejected, quadrature=q)
+        # drop the stage's trace and a rejected candidate before the next evaluation
+        fsal = y_new = None
+    # an interval under the loop's cutoff takes no step: y is still the caller's y0
+    return SolveReport(terminal_state=y.copy() if y is y0 else y, nfe=nfe,
+                       accepted_steps=accepted, rejected_steps=rejected, quadrature=q)
 
 
 def odesolve(y0: np.ndarray, t_start: float, t_end: float, fn: Field, cfg: SolverConfig, *,
@@ -308,15 +309,22 @@ def odesolve(y0: np.ndarray, t_start: float, t_end: float, fn: Field, cfg: Solve
     ``5 * accepted + 4 * rejected`` calls.  The first-step probe, stage 2
     (``b_2 = 0``) and the FSAL stage of a rejected or final step never run
     theirs.
+
+    Neither array of the caller's is copied.  ``y0`` is never written: every
+    step builds a new state, and a solve that takes no step returns a copy
+    of ``y0``.  A float ``q0`` is the accumulator itself: the integral is
+    added to it in place and the report's ``quadrature`` is ``q0``, so a
+    caller passes an array it gives up.  Only the empty interval
+    ``t_start == t_end``, which calls nothing, returns copies of both.
     """
     if scored is not None and scored < 1:
         raise ValueError(f"scored prefix must be positive, got {scored}")
     y0 = np.asarray(y0, dtype=float)
     _check_finite(y0, t_start)
+    q0 = None if quadrature is None else np.asarray(quadrature, dtype=float)
     if t_start == t_end:
         return SolveReport(terminal_state=y0.copy(), nfe=0, accepted_steps=0, rejected_steps=0,
-                           quadrature=None if quadrature is None
-                           else np.array(quadrature, dtype=float))
+                           quadrature=None if q0 is None else q0.copy())
     if cfg.method in _FIXED:
-        return _solve_fixed(y0, t_start, t_end, fn, cfg, quadrature)
-    return _solve_dopri5(y0, t_start, t_end, fn, cfg, scored, quadrature)
+        return _solve_fixed(y0, t_start, t_end, fn, cfg, q0)
+    return _solve_dopri5(y0, t_start, t_end, fn, cfg, scored, q0)

@@ -31,7 +31,8 @@ def flow(spec: vf.MlpSpec, theta: np.ndarray, x0: np.ndarray, t0: float, t1: flo
     """Terminal states at ``t1`` of the (batch, m) states ``x0`` at ``t0``."""
     x0 = vf.check_states(spec, x0)
     weights = vf.unpack_params(spec, theta)
-    fld = lambda t, y: vf._forward(spec, weights, t, y.reshape(x0.shape)).zs[-1].ravel()
+    fld = lambda t, y: vf._forward(spec, weights, t, y.reshape(x0.shape),
+                                   value_only=True).zs[-1].ravel()
     return odesolve(x0.ravel(), t0, t1, fld, cfg).terminal_state.reshape(x0.shape)
 
 

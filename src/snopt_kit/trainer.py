@@ -236,7 +236,8 @@ class _Run:
         weights = vf.unpack_params(self.spec, self.theta)
 
         def fld(t, y):
-            return vf._forward(self.spec, weights, t, y.reshape(batch, m)).zs[-1].ravel()
+            return vf._forward(self.spec, weights, t, y.reshape(batch, m),
+                               value_only=True).zs[-1].ravel()
 
         rep = odesolve(x0.ravel(), self.cfg.t0, self.t1, fld, self.cfg.solver)
         return rep.terminal_state.reshape(batch, m), rep

@@ -131,16 +131,25 @@ def _act(name: str, h: np.ndarray) -> np.ndarray:
 
 
 def _act_deriv(name: str, z_next: np.ndarray) -> np.ndarray:
-    """``act'(h)`` read off the layer output ``z_next = act(h)``."""
+    """``act'(h)`` read off the layer output ``z_next = act(h)``, as one new
+    row-major array computed in place.
+
+    A trace's layer outputs are column-major and the cotangents they scale
+    are row-major; a ufunc that mixes the two layouts buffers a copy of its
+    operand, a plain copy does not.
+    """
+    d = np.array(z_next, order="C")
     if name == "tanh":
-        return 1.0 - z_next ** 2
-    if name == "relu":
+        np.subtract(1.0, np.square(d, out=d), out=d)
+    elif name == "relu":
         # z > 0 exactly where h > 0, so the subgradient at 0 is 0
-        return (z_next > 0.0).astype(float)
-    if name == "softplus":
+        np.greater(d, 0.0, out=d)
+    elif name == "softplus":
         # sigmoid(h) = 1 - exp(-softplus(h))
-        return -np.expm1(-z_next)
-    return np.ones_like(z_next)
+        np.negative(np.expm1(np.negative(d, out=d), out=d), out=d)
+    else:
+        d.fill(1.0)
+    return d
 
 
 @dataclass
@@ -154,7 +163,8 @@ class LayerTrace:
     pre-activation is kept: the reverse pass reads every activation
     derivative off the layer's output (:func:`_act_deriv`).  Replaying
     ``act(zs[k] @ Wbar_k.T)`` from any ``zs[k]`` reproduces the suffix
-    bit-exactly.
+    bit-exactly.  A value-only evaluation returns ``zs == [F]``, the field
+    value alone.
     """
 
     zs: list[np.ndarray]
@@ -183,7 +193,14 @@ def _homogeneous(spec: MlpSpec, batch: int, width: int) -> np.ndarray:
     return z
 
 
-def _forward(spec: MlpSpec, weights: Weights, t: float, x: np.ndarray) -> LayerTrace:
+def _forward(spec: MlpSpec, weights: Weights, t: float, x: np.ndarray, *,
+             value_only: bool = False) -> LayerTrace:
+    """The layer trace at ``(t, x)``; with ``value_only``, a trace of the value alone.
+
+    The value path (``zs == [F]``) drops each layer input once the next one
+    is written, so it holds at most two consecutive layer inputs instead of
+    the whole trace.
+    """
     # each hidden output is written straight into the next layer's input; the
     # column-major slice it fills is contiguous, so matmul needs no temporary
     m, batch = spec.state_dim, x.shape[0]
@@ -195,15 +212,19 @@ def _forward(spec: MlpSpec, weights: Weights, t: float, x: np.ndarray) -> LayerT
         l = w.shape[0]
         z = _homogeneous(spec, batch, l)
         _act(name, np.matmul(zs[-1], w.T, out=z[:, :l]))
+        if value_only:
+            zs.pop()
         zs.append(z)
     zs.append(_act(spec.activations[-1], zs[-1] @ weights[-1].T))
+    if value_only:
+        del zs[:-1]
     return LayerTrace(zs=zs)
 
 
-def eval(spec: MlpSpec, theta: np.ndarray, t: float, x: np.ndarray) -> tuple[np.ndarray, LayerTrace]:
-    """Evaluate the field at ``(batch, m)`` states: the value and the full layer trace."""
-    trace = _forward(spec, unpack_params(spec, theta), t, check_states(spec, x))
-    return trace.zs[-1], trace
+def eval(spec: MlpSpec, theta: np.ndarray, t: float, x: np.ndarray) -> np.ndarray:
+    """The field's value at ``(batch, m)`` states, through the value path: no trace is kept."""
+    return _forward(spec, unpack_params(spec, theta), t, check_states(spec, x),
+                    value_only=True).zs[-1]
 
 
 def _cotangents(spec: MlpSpec, weights: Weights, trace: LayerTrace,
@@ -213,9 +234,14 @@ def _cotangents(spec: MlpSpec, weights: Weights, trace: LayerTrace,
     ``q`` is (batch, m) or carries a leading group axis on top of the
     trace batch; one traversal serves both the state and parameter VJPs.
     Activation derivatives are read off the trace's layer outputs, and an
-    identity layer's ``g^k`` is its incoming cotangent itself (for the
-    output layer, ``q`` as given).  ``q`` is never written: every hidden
-    layer pulls back in place the cotangent the traversal itself made.
+    identity layer's ``g^k`` is its incoming cotangent itself.
+
+    ``q`` is never written.  When the output layer is identity, ``gs[-1]``
+    is ``q`` as given (a view of the caller's seed, for a backward sweep
+    its solver state); every other ``gs[k]`` is a fresh array the
+    traversal owns and hands to the caller, which may write it.  Each
+    hidden layer pulls back in place, and at most one derivative array is
+    alive at a time.
     """
     r = np.asarray(q, dtype=float)
     gs: list[np.ndarray] = [None] * spec.n_layers  # type: ignore[list-item]
@@ -227,6 +253,7 @@ def _cotangents(spec: MlpSpec, weights: Weights, trace: LayerTrace,
                 r = r * d
             else:
                 r *= d
+            del d
         gs[k] = r
         r = r @ w[:, :spec.dims[k]]
     return gs, r

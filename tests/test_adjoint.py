@@ -129,3 +129,15 @@ class TestAdjointGradient:
         grad, x0, a0, _ = adjoint_gradient(spec, theta, x[None], a[None], 0.0, 1.0, RK4)
         assert x0.shape == (1, 2) and a0.shape == (1, 2)
         assert grad.shape == (vf.num_params(spec),)
+
+    def test_writes_no_caller_array(self):
+        # x1 and a1 seed the backward state, which is built from copies
+        spec = vf.MlpSpec(dims=(2, 5, 2), activations=("tanh", "identity"))
+        theta = vf.init_params(spec, 6)
+        rng = np.random.default_rng(8)
+        x1, a1 = rng.normal(size=(4, 2)), rng.normal(size=(4, 2))
+        held = (theta, x1, a1)
+        kept = [v.tobytes() for v in held]
+        for cfg in (RK4, SolverConfig(method="dopri5", rtol=1e-6, atol=1e-6)):
+            adjoint_gradient(spec, theta, x1, a1, 0.0, 1.0, cfg)
+            assert [v.tobytes() for v in held] == kept

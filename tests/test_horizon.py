@@ -21,13 +21,33 @@ class TestHorizonTerms:
         spec = vf.MlpSpec(dims=(2, 2), activations=("identity",), bias=False)
         theta = np.array([0.0, 1.0, -1.0, 0.0])  # rotation generator
         x1 = np.array([[1.0, 0.0]])
-        f_val, _ = vf.eval(spec, theta, 0.0, x1)
+        f_val = vf.eval(spec, theta, 0.0, x1)
         phi_grad = np.array([[1.0, 0.0]])
         assert abs(float(np.sum(phi_grad * f_val))) < 1e-12
         terms = horizon_terms(spec, theta, x1, phi_grad, t_bar=1.5, penalty=0.7)
         assert terms.s == pytest.approx(0.0)
         assert terms.qt == pytest.approx(0.7 * 1.5)
         assert terms.qtt == pytest.approx(0.7)
+
+    def test_reads_the_value_path(self, monkeypatch):
+        # F(T, x1) comes from one value-only evaluation, the full trace's last
+        # entry bit for bit
+        spec = vf.MlpSpec(dims=(2, 16, 16, 2), activations=("tanh", "tanh", "identity"))
+        theta = vf.init_params(spec, 2)
+        rng = np.random.default_rng(4)
+        x1, phi_grad = rng.normal(size=(32, 2)), rng.normal(size=(32, 2))
+        f = vf._forward(spec, vf.unpack_params(spec, theta), 0.8, x1).zs[-1]
+        modes = []
+        forward = vf._forward
+
+        def logged(*args, **kwargs):
+            modes.append(kwargs.get("value_only", False))
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(vf, "_forward", logged)
+        terms = horizon_terms(spec, theta, x1, phi_grad, t_bar=0.8, penalty=0.5)
+        assert modes == [True]
+        assert terms.s == float(np.mean(np.sum(phi_grad * f, axis=1)))
 
     def test_degenerate_all_zero(self):
         spec = vf.MlpSpec(dims=(2, 2), activations=("identity",), bias=False)

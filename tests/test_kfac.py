@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -77,7 +78,7 @@ class TestFactorTerms:
         x = np.array([[0.4, -0.7]])
         q = np.array([[[0.9, -0.3]]])
         terms = terms_at(spec, theta, 0.7, x, q)
-        _, trace = vf.eval(spec, theta, 0.7, x)
+        trace = vf._forward(spec, weights, 0.7, x)
         gs, _ = vf._cotangents(spec, weights, trace, q)
         for k in range(spec.n_layers):
             zbar = trace.zs[k][0]
@@ -93,6 +94,40 @@ class TestFactorTerms:
         terms = terms_at(spec, theta, 0.3, rng.normal(size=(8, 2)), rng.normal(size=(2, 8, 2)))
         for mat in terms.a_factors + terms.b_factors:
             assert np.linalg.eigvalsh(mat).min() >= -1e-12
+
+    def test_weighted_terms_copy_no_hidden_rows(self):
+        # weights scale the traversal's own (batch, l) rows in place and copy
+        # only the identity output layer's (batch, m) rows: a warm weighted call
+        # through 2-16-16-2 on 128 rows peaks less than one (batch, l) array
+        # above the unweighted one, the seed is never written, and the terms
+        # equal those of pre-weighted copies
+        spec = vf.MlpSpec(dims=(2, 16, 16, 2), activations=("tanh", "tanh", "identity"))
+        weights = vf.unpack_params(spec, vf.init_params(spec, 0))
+        rng = np.random.default_rng(5)
+        trace = vf._forward(spec, weights, 0.3, rng.normal(size=(128, 2)))
+        q = rng.normal(size=(128, 2))
+        seed = q.copy()
+        w = rng.uniform(0.5, 2.0, size=128)
+        want = _factor_terms(spec, trace, [g * w[:, None] for g in
+                                           vf._cotangents(spec, weights, trace, q)[0]])
+
+        def peak(w):
+            gs, _ = vf._cotangents(spec, weights, trace, q)
+            _factor_terms(spec, trace, gs, w)
+            gs, _ = vf._cotangents(spec, weights, trace, q)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                out = _factor_terms(spec, trace, gs, w)
+                return out, tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+
+        got, weighted = peak(w)
+        _, plain = peak(None)
+        assert np.array_equal(got, want)
+        assert np.array_equal(q, seed)
+        assert weighted < plain + 8 * 128 * 16
 
     def test_packed_triangles_round_trip(self):
         # the packed integrand holds each upper triangle once; unpacking gives
@@ -316,3 +351,24 @@ class TestSoftmaxRankVectors:
             assert curv.adjoint_weights.max() > 1e160
             carried = replace(curv, adjoint_weights=None)
             assert_same_sweep(spec, theta, x1, curv, carried, 0.0, 1.0, RK4, 1e-14)
+
+
+class TestCallerArrays:
+    # the weighted factor terms write the traversal's own cotangents in place;
+    # the caller's terminal states and curvature must come out as they went in
+    THREE_CIRCLES = replace(CIRCLES, dataset=tr.DatasetConfig(kind="circles",
+                                                              radii=(0.5, 1.0, 1.5)),
+                            loss=tr.LossConfig(readout_classes=3, curvature="exact_rank"))
+
+    @pytest.mark.parametrize("case", ["surrogate", "two_class", "three_class"])
+    def test_sweep_writes_no_caller_array(self, case):
+        cfg = {"surrogate": tr.ExperimentConfig(optimizer=tr.OptimizerConfig(kind="snopt")),
+               "two_class": CIRCLES, "three_class": self.THREE_CIRCLES}[case]
+        spec, theta, x1, curv, cfg = first_batch(cfg, cfg.t1)
+        assert (curv.adjoint_weights is None) == (case == "three_class")
+        held = [theta, x1, curv.grad, *curv.factors]
+        if curv.adjoint_weights is not None:
+            held.append(curv.adjoint_weights)
+        kept = [v.tobytes() for v in held]
+        accumulate_factors(spec, theta, x1, curv, cfg.t0, cfg.t1, cfg.solver)
+        assert [v.tobytes() for v in held] == kept

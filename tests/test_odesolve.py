@@ -431,6 +431,32 @@ class TestIntegrandContract:
             assert ran == list(range(calls)) and calls == rep.nfe == stages * 10
 
 
+class TestCallerArrays:
+    """odesolve copies neither of the caller's arrays and writes only ``q0``."""
+
+    @pytest.mark.parametrize("cfg", [dopri(1e-6, 1e-6), SolverConfig(method="rk4", fixed_step=0.1),
+                                     SolverConfig(method="euler", fixed_step=0.1)],
+                             ids=["dopri5", "rk4", "euler"])
+    def test_y0_is_read_and_q0_accumulates(self, cfg):
+        y0 = np.array([1.0, -0.5, 2.0])
+        kept = y0.tobytes()
+        q0 = np.zeros(1)
+        rep = quad_solve(y0, 0.0, 1.3, DECAY, cfg, powers([0])[0], q0=q0)
+        assert y0.tobytes() == kept
+        assert not np.shares_memory(rep.terminal_state, y0)
+        assert rep.quadrature is q0
+        assert abs(q0[0] - 1.3) < 1e-12
+
+    def test_interval_below_the_cutoff_returns_a_copy(self):
+        # dopri5 takes no step on an interval under its 1e-14 cutoff, so its
+        # state is still y0: the report must not hand the caller's array back
+        y0 = np.array([1.0, 2.0])
+        rep = odesolve(y0, 0.0, 1e-16, lambda t, y: y, dopri())
+        assert rep.accepted_steps == rep.rejected_steps == 0
+        assert not np.shares_memory(rep.terminal_state, y0)
+        assert np.array_equal(rep.terminal_state, y0)
+
+
 class TestErrors:
     def test_max_steps(self):
         cfg = SolverConfig(method="euler", fixed_step=1e-4, max_steps=10)

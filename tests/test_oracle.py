@@ -34,7 +34,7 @@ class TestFdGradient:
         spec = vf.MlpSpec(dims=(2, 3, 2), activations=("tanh", "identity"))
         theta = vf.init_params(spec, 1)
         x = np.array([0.3, -0.5])
-        fn = lambda th: float(np.sum(vf.eval(spec, th, 0.0, x[None])[0] ** 2))
+        fn = lambda th: float(np.sum(vf.eval(spec, th, 0.0, x[None]) ** 2))
         f, _, fu = vf.jacobians(spec, theta, 0.0, x)
         want = 2 * fu.T @ f
         assert np.linalg.norm(fd_gradient(fn, theta) - want) < 1e-8 * np.linalg.norm(want)

@@ -1,3 +1,4 @@
+import time
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -157,13 +158,33 @@ class TestTrainBasics:
         ref = tr._Run(cfg)
         pos, lossfn = ref.draw_batch()
         x1 = ref.forward(ref.ds.inputs[ref.ds.train_idx])[0][pos]
-        f1, _ = vf.eval(ref.spec, ref.theta, cfg.t1, x1)
+        f1 = vf.eval(ref.spec, ref.theta, cfg.t1, x1)
         s0 = float(np.mean(np.sum(grad_x1(lossfn, x1) * f1, axis=1)))
 
         run = tr._Run(cfg)
         run.iterate(1, 0.0)
         assert not np.array_equal(run.theta, ref.theta)
         assert run.horizon.avg_s == pytest.approx(s0, rel=1e-12, abs=0.0)
+
+
+class TestCallerArrays:
+    @pytest.mark.parametrize("cfg", [
+        small_config(optimizer=tr.OptimizerConfig(kind="adam")),
+        small_config(optimizer=tr.OptimizerConfig(kind="snopt")),
+        small_config(dataset=tr.DatasetConfig(kind="circles", n_per_class=40,
+                                              radii=(0.5, 1.0, 1.5)),
+                     loss=tr.LossConfig(readout_classes=3, curvature="exact_rank"),
+                     optimizer=tr.OptimizerConfig(kind="snopt"),
+                     horizon=tr.HorizonConfig(enabled=True, period=1)),
+    ], ids=["adam", "snopt", "snopt-three-class-horizon"])
+    def test_iterations_leave_the_dataset_alone(self, cfg):
+        # no solve, sweep or update of an iteration writes the dataset's arrays
+        run = tr._Run(cfg)
+        kept = [v.tobytes() for v in (run.ds.inputs, run.ds.labels)]
+        started = time.perf_counter()
+        for it in (1, 2):
+            run.iterate(it, started)
+        assert [v.tobytes() for v in (run.ds.inputs, run.ds.labels)] == kept
 
 
 class TestDefaultConfigSolves:

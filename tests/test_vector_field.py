@@ -12,6 +12,11 @@ def tanh_spec():
     return vf.MlpSpec(dims=(2, 4, 2), activations=("tanh", "identity"))
 
 
+def trace_at(spec, theta, t, x):
+    """The full layer trace of the field at ``(t, x)``."""
+    return vf._forward(spec, vf.unpack_params(spec, theta), t, x)
+
+
 def vjps(spec, theta, x, q):
     """``(dF/dx)^T q``, ``(dF/dtheta)^T q`` and the per-layer cotangents of
     the batch of one ``x`` with cotangent ``q``, both (1, m)."""
@@ -27,8 +32,8 @@ def fd_state(spec, theta, t, x, q, h=1e-5):
     for i in range(x.size):
         e = np.zeros_like(x)
         e.flat[i] = h
-        fp = np.sum(q * vf.eval(spec, theta, t, x + e)[0])
-        fm = np.sum(q * vf.eval(spec, theta, t, x - e)[0])
+        fp = np.sum(q * vf.eval(spec, theta, t, x + e))
+        fm = np.sum(q * vf.eval(spec, theta, t, x - e))
         out[i] = (fp - fm) / (2 * h)
     return out
 
@@ -38,8 +43,8 @@ def fd_param(spec, theta, t, x, q, h=1e-5):
     for i in range(theta.size):
         e = np.zeros_like(theta)
         e[i] = h
-        fp = np.sum(q * vf.eval(spec, theta + e, t, x)[0])
-        fm = np.sum(q * vf.eval(spec, theta - e, t, x)[0])
+        fp = np.sum(q * vf.eval(spec, theta + e, t, x))
+        fm = np.sum(q * vf.eval(spec, theta - e, t, x))
         out[i] = (fp - fm) / (2 * h)
     return out
 
@@ -107,14 +112,14 @@ class TestEval:
     def test_zero_params_zero_field(self):
         spec = tanh_spec()
         theta = np.zeros(vf.num_params(spec))
-        out, _ = vf.eval(spec, theta, 0.0, np.array([[1.5, -0.3]]))
+        out = vf.eval(spec, theta, 0.0, np.array([[1.5, -0.3]]))
         assert np.allclose(out, 0.0)
 
     def test_identity_single_layer(self):
         spec = vf.MlpSpec(dims=(2, 2), activations=("identity",))
         theta = np.hstack([np.eye(2), np.zeros((2, 1))]).reshape(-1, order="F")
         x = np.array([[0.7, -1.1]])
-        out, _ = vf.eval(spec, theta, 0.0, x)
+        out = vf.eval(spec, theta, 0.0, x)
         assert np.allclose(out, x)
 
     def test_matches_plain_reimplementation(self):
@@ -124,7 +129,7 @@ class TestEval:
         x = np.array([0.4, -0.9])
         w0, w1 = vf.unpack_params(spec, theta)
         expected = w1[:, :4] @ np.tanh(w0[:, :2] @ x + w0[:, 2]) + w1[:, 4]
-        out, _ = vf.eval(spec, theta, 0.0, x[None])
+        out = vf.eval(spec, theta, 0.0, x[None])
         assert out.shape == (1, 2)
         assert np.allclose(out, expected, atol=1e-14)
 
@@ -132,9 +137,9 @@ class TestEval:
         spec = tanh_spec()
         theta = vf.init_params(spec, 7)
         xs = np.random.default_rng(0).normal(size=(5, 2))
-        batched, _ = vf.eval(spec, theta, 0.0, xs)
+        batched = vf.eval(spec, theta, 0.0, xs)
         for i in range(len(xs)):
-            single, _ = vf.eval(spec, theta, 0.0, xs[i:i + 1])
+            single = vf.eval(spec, theta, 0.0, xs[i:i + 1])
             assert np.allclose(batched[i], single[0], atol=1e-14)
 
     def test_time_concat_enters_input(self):
@@ -142,8 +147,8 @@ class TestEval:
                           time_input="concat")
         theta = vf.init_params(spec, 3)
         x = np.array([[0.2, 0.1]])
-        a, _ = vf.eval(spec, theta, 0.0, x)
-        b, _ = vf.eval(spec, theta, 1.0, x)
+        a = vf.eval(spec, theta, 0.0, x)
+        b = vf.eval(spec, theta, 1.0, x)
         assert not np.allclose(a, b)
 
     def test_dimension_mismatch(self):
@@ -154,7 +159,7 @@ class TestEval:
         # the layer outputs alone replay the chain bit-exactly (tanh, then identity)
         spec = tanh_spec()
         theta = vf.init_params(spec, 7)
-        _, trace = vf.eval(spec, theta, 0.0, np.array([[0.4, -0.9]]))
+        trace = trace_at(spec, theta, 0.0, np.array([[0.4, -0.9]]))
         w0, w1 = vf.unpack_params(spec, theta)
         assert np.array_equal(trace.zs[1][:, :4], np.tanh(trace.zs[0] @ w0.T))
         assert np.array_equal(trace.zs[2], trace.zs[1] @ w1.T)
@@ -179,12 +184,32 @@ class TestEval:
         assert kept < 400 * (3 + 17 + 17 + 2) * 8 + 4096
         assert peak < 400 * (3 + 17 + 17 + 2) * 8 + 4096
 
+    def test_value_path_keeps_two_layer_inputs(self):
+        # the plain flows read only the field value: a warm value-only 400-row
+        # forward through 2-16-16-2 peaks at two consecutive homogeneous layer
+        # inputs (108,800 bytes), below the whole trace's 124,800
+        spec = vf.MlpSpec(dims=(2, 16, 16, 2), activations=("tanh", "tanh", "identity"))
+        weights = vf.unpack_params(spec, vf.init_params(spec, 0))
+        x = np.random.default_rng(0).normal(size=(400, 2))
+        vf._forward(spec, weights, 0.0, x, value_only=True)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            value = vf._forward(spec, weights, 0.0, x, value_only=True)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(value.zs) == 1
+        assert np.array_equal(value.zs[0], vf._forward(spec, weights, 0.0, x).zs[-1])
+        assert peak < 8 * 400 * (17 + 17) + 4096
+
     def test_trace_without_bias_has_no_ones_column(self):
         spec = vf.MlpSpec(dims=(3, 4, 2), activations=("tanh", "identity"),
                           time_input="concat", bias=False)
         theta = vf.init_params(spec, 4)
         x = np.array([[0.4, -0.9], [1.3, 0.2]])
-        out, trace = vf.eval(spec, theta, 0.6, x)
+        trace = trace_at(spec, theta, 0.6, x)
+        out = trace.zs[-1]
         assert [z.shape for z in trace.zs] == [(2, 3), (2, 4), (2, 2)]
         assert np.array_equal(trace.zs[0], [[0.4, -0.9, 0.6], [1.3, 0.2, 0.6]])
         w0, w1 = vf.unpack_params(spec, theta)
@@ -226,6 +251,17 @@ class TestActivationDerivatives:
         assert np.array_equal(gs[-1], q)
 
 
+
+    @pytest.mark.parametrize("name", vf.ACTIVATIONS)
+    def test_derivative_is_a_new_row_major_array(self, name):
+        # read off a column-major trace output, which stays as it was
+        z = np.asfortranarray(vf._act(name, self.H[:12].reshape(3, 4).copy()))
+        kept = z.copy()
+        d = vf._act_deriv(name, z)
+        assert np.array_equal(z, kept)
+        assert d.flags.c_contiguous and not np.shares_memory(d, z)
+
+
 class TestVjps:
     def test_cotangent_seed_is_never_written(self):
         # the seed is a view into the solver state; only the traversal's own
@@ -239,6 +275,27 @@ class TestVjps:
         gs, _ = vf._cotangents(spec, weights, trace, q)
         assert np.array_equal(q, seed)
         assert np.array_equal(gs[-1], seed * vf._act_deriv("tanh", trace.zs[-1]))
+
+    def test_cotangents_hold_one_derivative_at_a_time(self):
+        # a warm traversal of a 128-row trace through 2-16-16-2 holds its own
+        # cotangents plus at most one (batch, l) activation derivative; the
+        # identity output layer's cotangent is the seed itself
+        spec = vf.MlpSpec(dims=(2, 16, 16, 2), activations=("tanh", "tanh", "identity"))
+        weights = vf.unpack_params(spec, vf.init_params(spec, 0))
+        rng = np.random.default_rng(3)
+        trace = vf._forward(spec, weights, 0.0, rng.normal(size=(128, 2)))
+        q = rng.normal(size=(128, 2))
+        vf._cotangents(spec, weights, trace, q)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            gs, r = vf._cotangents(spec, weights, trace, q)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert gs[-1] is q
+        own = sum(g.nbytes for g in gs[:-1]) + r.nbytes
+        assert peak < own + 8 * 128 * 16 + 1024
 
     def test_zero_cotangent(self):
         spec = tanh_spec()
@@ -288,7 +345,7 @@ class TestVjps:
         x = np.array([[0.6, -0.1]])
         q = np.array([[-0.4, 1.1]])
         _, flat, gs = vjps(spec, theta, x, q)
-        _, trace = vf.eval(spec, theta, 0.0, x)
+        trace = trace_at(spec, theta, 0.0, x)
         for k, (sl, _, _) in enumerate(vf.layer_slices(spec)):
             zbar = trace.zs[k][0]
             assert zbar[-1] == 1.0
@@ -303,7 +360,7 @@ class TestVjps:
     def test_softplus_stable_at_large_inputs(self):
         spec = vf.MlpSpec(dims=(1, 1), activations=("softplus",), bias=False)
         theta = np.array([1.0])
-        out, _ = vf.eval(spec, theta, 0.0, np.array([[500.0]]))
+        out = vf.eval(spec, theta, 0.0, np.array([[500.0]]))
         assert np.isfinite(out).all() and abs(out[0, 0] - 500.0) < 1e-9
         g = vjps(spec, theta, np.array([[500.0]]), np.ones((1, 1)))[0]
         assert np.allclose(g, 1.0)
@@ -329,7 +386,7 @@ def test_jacobians_match_vjps():
     theta = vf.init_params(spec, 21)
     x = np.array([0.2, 0.9])
     f, fx, fu = vf.jacobians(spec, theta, 0.0, x)
-    out, _ = vf.eval(spec, theta, 0.0, x[None])
+    out = vf.eval(spec, theta, 0.0, x[None])
     assert np.allclose(f, out[0])
     for j in range(2):
         e = np.eye(2)[j:j + 1]
