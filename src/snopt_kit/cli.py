@@ -66,11 +66,18 @@ def _coerce(current, text: str):
 
 
 # Each section's keys live on the ExperimentConfig attribute of the same
-# name, except [train], whose keys are its top-level scalars.
+# name, except [train], whose keys are the config's fields that are not sections.
 _SECTIONS = ("dataset", "model", "loss", "optimizer", "solver", "train", "horizon")
 
-_TRAIN_KEYS = ("t0", "t1", "iterations", "batch_size", "grid_samples",
-               "eval_every", "seed")
+_TRAIN_KEYS = tuple(f.name for f in fields(ExperimentConfig) if f.name not in _SECTIONS)
+
+
+def _section_defaults(defaults: ExperimentConfig, section: str):
+    """The object whose fields hold ``[section]``'s defaults, and the section's keys."""
+    if section not in _SECTIONS:
+        raise ConfigError(f"unknown config section [{section}]")
+    holder = defaults if section == "train" else getattr(defaults, section)
+    return holder, _TRAIN_KEYS if section == "train" else {f.name for f in fields(holder)}
 
 
 def _config_items(path: str, overrides: list[str] | None) -> dict[str, list[tuple[str, str]]]:
@@ -106,10 +113,7 @@ def _build(staged: dict[str, list[tuple[str, str]]]) -> ExperimentConfig:
     kwargs = {}
     try:
         for section, items in staged.items():
-            if section not in _SECTIONS:
-                raise ConfigError(f"unknown config section [{section}]")
-            holder = defaults if section == "train" else getattr(defaults, section)
-            valid = set(_TRAIN_KEYS) if section == "train" else {f.name for f in fields(holder)}
+            holder, valid = _section_defaults(defaults, section)
             updates = {}
             for key, value in items:
                 if key not in valid:
@@ -193,7 +197,7 @@ def _grid_cells(grid_path: str) -> list[list[tuple[str, str]]]:
     defaults, axes = ExperimentConfig(), []
     for key, values in items:
         section, _, name = key.partition(".")
-        holder = defaults if section == "train" else getattr(defaults, section, None)
+        holder, _ = _section_defaults(defaults, section)
         if isinstance(getattr(holder, name, None), tuple):
             raise ConfigError(f"cannot sweep tuple-valued key {key} in {grid_path}")
         choices = [v.strip() for v in values.split(",") if v.strip()]

@@ -13,13 +13,10 @@ Two routes to the same curvature:
   Hessian.  Each ``q_i`` obeys the same backward ODE as the adjoint and
   each ``p_i`` accumulates the parameter coupling, so the reconstructions
   ``sum q q^T``, ``sum q p^T``, ``sum p p^T`` reproduce the dense blocks.
-  It runs the shared :class:`adjoint.BackwardSweep` with couplings on: the
-  ``q_i`` are ODE state, the gradient and the ``p_i`` its quadrature.  It
-  is checked against :func:`dense_sweep`.
-
-Running costs (the intermediate penalty) are restricted to weight decay,
-which is applied after the sweep as two additive corrections rather than
-inside the integrals.
+  It runs the shared :class:`adjoint.BackwardSweep`: the ``q_i`` are ODE
+  state, and its integrand is the gradient of every cotangent group, so
+  the quadrature is ``[g | p_1..p_R]``.  It is checked against
+  :func:`dense_sweep`.
 """
 
 from __future__ import annotations
@@ -29,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import vector_field as vf
-from .kfac import KroneckerFactors
 from .loss import TerminalCurvature
 from .numerics import triu_flat, triu_unpack
 from .odesolve import SolveReport, SolverConfig, odesolve
@@ -137,26 +133,15 @@ def lowrank_sweep(spec: vf.MlpSpec, theta: np.ndarray, x1: np.ndarray,
     """
     if len(curv.factors) < 1:
         raise ValueError("need at least one terminal factor")
-    sweep, y1 = BackwardSweep.seeded(spec, theta, x1, curv.grad, curv.factors,
-                                     couplings=True)
-    report = odesolve(y1, t1, t0, sweep.field, cfg, scored=sweep.x_len,
-                      quadrature=np.zeros(sweep.quad_len))
+    sweep = BackwardSweep(spec, theta, x1, curv.grad, curv.factors)
+    fn = sweep.field(lambda trace, gs: vf._param_grad_from_cotangents(spec, trace, gs).ravel())
+    groups = 1 + len(curv.factors)
+    report = odesolve(sweep.state, t1, t0, fn, cfg, scored=sweep.x_len,
+                      quadrature=np.zeros(groups * vf.num_params(spec)))
     x0, cot = sweep.unpack(report.terminal_state)
     # the solve runs from t1 down to t0, so it subtracts the integral
-    params = -report.quadrature.reshape(sweep.param_rows, -1)
+    params = -report.quadrature.reshape(groups, -1)
     return LowRankCurvatureState(x0=x0.copy(), qx=cot[0].copy(), qu=params[0],
                                  qs=[q.copy() for q in cot[1:]],
                                  ps=list(params[1:]), report=report)
 
-
-def apply_weight_decay(grad: np.ndarray, factors: KroneckerFactors | None, gamma: float,
-                       theta: np.ndarray):
-    """Fold the decay penalty in after the sweep: grad += γθ, curvature += γI.
-
-    On Kronecker factors the identity shift lands as extra diagonal damping
-    in the update's eigenbasis; first-order paths pass ``None``.
-    """
-    if gamma < 0:
-        raise ValueError("weight decay must be nonnegative")
-    new_grad = grad + gamma * theta
-    return new_grad, None if factors is None else factors.with_damping(gamma)

@@ -1,24 +1,22 @@
 """Kronecker factors integrated along the backward sweep.
 
 This is the production second-order sweep.  It integrates the backward
-state ``[x | a, q_1..q_R]`` of :class:`adjoint.BackwardSweep` (no
-parameter couplings) from t1 down to t0 in one solve.  Each solver stage
-runs the sweep's forward and reverse pass once, and the same trace and
-cotangents give the gradient integrand and the per-layer second moments
+state ``[x | a, q_1..q_R]`` of :class:`adjoint.BackwardSweep` from t1 down
+to t0 in one solve, and its integrand is the gradient ``g`` of the adjoint
+group plus the per-layer second moments
 
     A_n(t) = mean_b zbar^n zbar^nT          (activation side)
     B_n(t) = mean_b sum_i g^n_i g^n_iT      (signal side)
 
-which ride along with the gradient ``g`` as the solve's one quadrature
-(``odesolve(..., quadrature=)``), packed ``[g | A_1..A_L | B_1..B_L]``:
-the solver's own stage weights give ``Abar_n = ∫ A_n dt`` and ``Bbar_n =
-∫ B_n dt`` over the steps it accepts, at no extra field evaluation, and
-it runs the integrand only at the stages whose weight it uses.  The
-factors are held as the upper triangles of the symmetric matrices.  The
-quadrature stays out of the state and the error norm, so the sweep's
-steps, ``x0`` and ``a0`` are the adjoint's, bit for bit, and its gradient
-is the adjoint's to rounding.  ``kron(Abar_n, Bbar_n)`` then approximates
-the layer's parameter-space curvature block.
+read off the same stage trace and cotangents that the derivative was
+computed from, packed ``[g | A_1..A_L | B_1..B_L]``.  The solver's own
+stage weights give ``Abar_n = ∫ A_n dt`` and ``Bbar_n = ∫ B_n dt`` over the
+steps it accepts, at no extra field evaluation, and it runs the integrand
+only at the stages whose weight it uses.  The factors are held as the
+upper triangles of the symmetric matrices.  The quadrature stays out of
+the state and the error norm, so the sweep's steps, ``x0`` and ``a0`` are
+the adjoint's, and so is its gradient, bit for bit.  ``kron(Abar_n,
+Bbar_n)`` then approximates the layer's parameter-space curvature block.
 
 A terminal factor parallel to the gradient carries no rank vector: with
 the curvature's per-sample ``adjoint_weights`` w, its ``q_1`` at sample b
@@ -37,7 +35,7 @@ Biases share their layer's block through the homogeneous coordinate that
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,10 +52,6 @@ class KroneckerFactors:
 
     a_factors: list[np.ndarray]   # per layer: (pbar, pbar)
     b_factors: list[np.ndarray]   # per layer: (l, l)
-    extra_damping: float = 0.0    # weight decay folded into the update's eigenbasis
-
-    def with_damping(self, gamma: float) -> "KroneckerFactors":
-        return replace(self, extra_damping=self.extra_damping + gamma)
 
 
 def _sides(spec: vf.MlpSpec) -> list[int]:
@@ -119,24 +113,19 @@ def accumulate_factors(spec: vf.MlpSpec, theta: np.ndarray, x1: np.ndarray,
         # a rank-0 sweep would leave the cotangents 2-D and the B side would
         # read the adjoint's rows as rank vectors
         raise ValueError("need at least one terminal factor")
-    sweep, state = BackwardSweep.seeded(spec, theta, x1, curv.grad,
-                                        curv.factors if weights is None else ())
-    n = sweep.quad_len
+    sweep = BackwardSweep(spec, theta, x1, curv.grad, curv.factors if weights is None else ())
+    n = vf.num_params(spec)
     packed = sum(side * (side + 1) // 2 for side in _sides(spec))
 
-    def field(t: float, y: np.ndarray):
-        dy, trace, gs = sweep.stage(t, y)
+    def integrand(trace: vf.LayerTrace, gs: list[np.ndarray]) -> np.ndarray:
+        # weighted, the adjoint group is also the B-side sample; else groups 1..R are
+        adjoint, samples = (gs, gs) if weights is not None else ([g[0] for g in gs],
+                                                                  [g[1:] for g in gs])
+        # the gradient reads gs before the weighted factor terms write them
+        grad = vf._param_grad_from_cotangents(spec, trace, adjoint).ravel()
+        return np.concatenate([grad, _factor_terms(spec, trace, samples, weights)])
 
-        def integrand() -> np.ndarray:
-            # the gradient reads gs before the weighted factor terms write them
-            grad = sweep.param_grad(trace, gs)
-            # weighted: the adjoint group is the B-side sample; else groups 1..R
-            samples = gs if weights is not None else [g[1:] for g in gs]
-            return np.concatenate([grad, _factor_terms(spec, trace, samples, weights)])
-
-        return dy, integrand
-
-    report = odesolve(state, t1, t0, field, cfg, scored=sweep.x_len,
+    report = odesolve(sweep.state, t1, t0, sweep.field(integrand), cfg, scored=sweep.x_len,
                       quadrature=np.zeros(n + packed))
     # the solve runs from t1 down to t0, so it subtracts the integral
     total = -report.quadrature

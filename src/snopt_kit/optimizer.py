@@ -12,6 +12,12 @@ which, at alpha = 0, equals the dense preconditioner
 ``(U_A ⊗ U_B) diag(vec(X^2) + eps)^{-1} (U_A ⊗ U_B)^T grad`` — asserted in
 the tests via the Kronecker identities.  SGD with momentum and Adam are
 the first-order baselines with their textbook constants.
+
+Weight decay γ is the one running cost (the intermediate penalty).  It is
+folded in after the backward sweep rather than inside its integrals: the
+gradient gains ``γθ`` (:func:`apply_weight_decay`) and the curvature
+``γI``, which in the eigenbasis update is a constant shift of the damping,
+so the trainer builds its :class:`SnoptState` with ``epsilon = ε + γ``.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ class SnoptState:
     """Hyperparameters and per-layer amortized squares for the update."""
 
     lr: float
-    epsilon: float = 0.05
+    epsilon: float = 0.05                   # Tikhonov damping, weight decay included
     amortization: float = 0.75
     s_star: list[np.ndarray] | None = None  # zero-initialized on first step
 
@@ -56,7 +62,6 @@ def snopt_step(state: SnoptState, factors: KroneckerFactors, grad: np.ndarray,
     if state.s_star is None:
         state.s_star = [np.zeros((b.shape[0], a.shape[0]))
                         for a, b in zip(factors.a_factors, factors.b_factors)]
-    damping = state.epsilon + factors.extra_damping
     offset = 0
     for k, (a_bar, b_bar) in enumerate(zip(factors.a_factors, factors.b_factors)):
         pbar, l = a_bar.shape[0], b_bar.shape[0]
@@ -71,12 +76,17 @@ def snopt_step(state: SnoptState, factors: KroneckerFactors, grad: np.ndarray,
         x = eig_b.vectors.T @ g_mat @ eig_a.vectors
         state.s_star[k] = (state.amortization * state.s_star[k]
                            + (1.0 - state.amortization) * x ** 2)
-        x = x / (state.s_star[k] + damping)
+        x = x / (state.s_star[k] + state.epsilon)
         delta = eig_b.vectors @ x @ eig_a.vectors.T
         theta_new[sl] -= state.lr * delta.reshape(-1, order="F")
     if offset != theta_new.size:
         raise ValueError(f"factors cover {offset} parameters, vector has {theta_new.size}")
     return theta_new
+
+
+def apply_weight_decay(grad: np.ndarray, gamma: float, theta: np.ndarray) -> np.ndarray:
+    """The gradient of the loss plus the decay penalty ``γ/2 |θ|^2``."""
+    return grad + gamma * theta
 
 
 @dataclass

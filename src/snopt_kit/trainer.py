@@ -26,15 +26,14 @@ import numpy as np
 from . import data as data_mod
 from . import vector_field as vf
 from .adjoint import adjoint_gradient
-from .curvature import apply_weight_decay
 from .horizon import (HorizonConfig, HorizonState, NonFiniteUpdate, first_order_horizon_step,
                       horizon_step, horizon_terms)
 from .kfac import KroneckerFactors, accumulate_factors
 from .loss import (CURVATURE_MODES, LOSS_KINDS, TerminalLoss, accuracy, grad_x1,
                    init_readout, loss_value, readout_grads, terminal_curvature)
 from .odesolve import MaxStepsExceeded, NonFiniteState, SolveReport, SolverConfig, odesolve
-from .optimizer import (AdamState, SgdState, SingularFactor, SnoptState, adam_step, sgd_step,
-                        snopt_step)
+from .optimizer import (AdamState, SgdState, SingularFactor, SnoptState, adam_step,
+                        apply_weight_decay, sgd_step, snopt_step)
 
 # Numeric failures of one iteration; ``train`` re-raises each as ``TrainAbort``.
 NUMERIC_FAILURES = (NonFiniteState, MaxStepsExceeded, SingularFactor, NonFiniteUpdate)
@@ -127,6 +126,13 @@ class OptimizerConfig:
         _check_choice("optimizer", self.kind, ("adam", "sgd", "snopt"))
         # checked whatever the kind, so a grid may switch kinds in any order
         SnoptState(lr=self.lr, epsilon=self.epsilon, amortization=self.amortization)
+        # zero rates stay valid: they freeze the ODE or the readout
+        if not (self.lr >= 0 and self.readout_lr >= 0):
+            raise ValueError("need optimizer lr >= 0 and readout_lr >= 0")
+        if not self.weight_decay >= 0:
+            raise ValueError("need optimizer weight_decay >= 0")
+        if not 0 <= self.momentum < 1:
+            raise ValueError("need 0 <= optimizer momentum < 1")
 
 
 @dataclass(frozen=True)
@@ -219,8 +225,10 @@ class _Run:
 
         kind = cfg.optimizer.kind
         if kind == "snopt":
-            self.opt_state = SnoptState(lr=cfg.optimizer.lr, epsilon=cfg.optimizer.epsilon,
-                                        amortization=cfg.optimizer.amortization)
+            # the decay's curvature γI shifts the damping
+            self.opt_state = SnoptState(
+                lr=cfg.optimizer.lr, epsilon=cfg.optimizer.epsilon + cfg.optimizer.weight_decay,
+                amortization=cfg.optimizer.amortization)
         elif kind == "adam":
             self.opt_state = AdamState(lr=cfg.optimizer.lr)
         else:
@@ -295,7 +303,7 @@ class _Run:
 
         theta_before = self.theta
         grad, factors, phi_grad, rep_bwd = self.backward(x1, lossfn)
-        grad, factors = apply_weight_decay(grad, factors, gamma, self.theta)
+        grad = apply_weight_decay(grad, gamma, self.theta)
         if cfg.optimizer.kind == "snopt":
             self.theta = snopt_step(self.opt_state, factors, grad, self.theta)
         elif cfg.optimizer.kind == "adam":

@@ -14,46 +14,47 @@ def forward(spec, theta, x0):
     return flow(spec, theta, x0, 0.0, 1.0, RK4)
 
 
-# (rank R, couplings p on/off) of the state [x | a, q_1..q_R] and the quadrature
-# [g | p_1..p_R]
-LAYOUTS = [(rank, couplings) for rank in (0, 1, 2) for couplings in (False, True)]
-
-
 class TestAugmentedState:
-    def test_flatten_round_trip(self):
+    # the state [x | a, q_1..q_R] for R = 0, 1, 2 rank vectors
+    RANKS = (0, 1, 2)
+
+    def sweep(self, rank, seed):
         spec = vf.MlpSpec(dims=(3, 4, 3), activations=("tanh", "identity"))
-        n = vf.num_params(spec)
+        rng = np.random.default_rng(seed)
+        x1, a1 = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
+        qs = [rng.normal(size=3) for _ in range(rank)]
+        return spec, x1, a1, qs, BackwardSweep(spec, vf.init_params(spec, 0), x1, a1, qs)
+
+    def test_flatten_round_trip(self):
         rng = np.random.default_rng(0)
-        for rank, couplings in LAYOUTS:
-            sweep = BackwardSweep(spec, vf.init_params(spec, 0), 4, rank, couplings)
+        for rank in self.RANKS:
+            _, x1, a1, qs, sweep = self.sweep(rank, rank)
+            # the seed unpacks to x1, a1 and each rank vector broadcast over the batch
+            x, cot = sweep.unpack(sweep.state)
+            seeds = np.stack([np.broadcast_to(v, x1.shape) for v in (a1, *qs)])
+            assert np.array_equal(x, x1)
+            assert np.array_equal(cot, seeds if rank else a1)
             # a lone adjoint is unpacked 2-D, rank vectors stack on a group axis
-            cot_shape = (1 + rank, 4, 3) if rank else (4, 3)
-            parts = (rng.normal(size=(4, 3)), rng.normal(size=cot_shape))
-            back = sweep.unpack(sweep.pack(*parts))
-            assert len(back) == 2
-            for got, want in zip(back, parts):
-                assert np.array_equal(got, want)
-            # the gradient and the couplings are the quadrature, not the state
-            assert sweep.quad_len == (1 + rank if couplings else 1) * n
+            y = rng.normal(size=sweep.state.size)
+            x, cot = sweep.unpack(y)
+            assert x.shape == (4, 3)
+            assert cot.shape == ((1 + rank, 4, 3) if rank else (4, 3))
+            assert np.array_equal(np.concatenate([x.ravel(), cot.ravel()]), y)
 
     def test_flat_length_is_2bm_plus_n(self):
-        # the plain adjoint: a state of 2bm and a quadrature of n; each rank
-        # vector adds bm to the state, each coupling n to the quadrature
-        spec = vf.MlpSpec(dims=(3, 4, 3), activations=("tanh", "identity"))
-        n = vf.num_params(spec)
-        rng = np.random.default_rng(1)
-        x1, a1 = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
-        for rank, couplings in LAYOUTS:
-            qs = [rng.normal(size=3) for _ in range(rank)]
-            sweep, y1 = BackwardSweep.seeded(spec, vf.init_params(spec, 0), x1, a1, qs,
-                                             couplings)
-            assert y1.size == 4 * 3 * (2 + rank)
-            assert sweep.quad_len == n * (1 + rank * couplings)
-            x, cot = sweep.unpack(y1)
-            cot = cot.reshape(1 + rank, *x1.shape)
-            assert np.array_equal(x, x1) and np.array_equal(cot[0], a1)
-            for q, seeded in zip(qs, cot[1:]):
-                assert np.array_equal(seeded, np.broadcast_to(q, x1.shape))
+        # the plain adjoint: a state of 2bm and, with the gradient as its
+        # integrand, a quadrature of n; each rank vector adds bm to the state,
+        # and n to the gradient of every group
+        for rank in self.RANKS:
+            spec, x1, _, _, sweep = self.sweep(rank, 1)
+            n = vf.num_params(spec)
+            assert sweep.state.size == 4 * 3 * (2 + rank)
+            assert sweep.x_len == 4 * 3
+            fn = sweep.field(
+                lambda trace, gs: vf._param_grad_from_cotangents(spec, trace, gs).ravel())
+            dy, integrand = fn(0.5, sweep.state)
+            assert dy.shape == sweep.state.shape
+            assert integrand().size == (1 + rank) * n
 
 
 class TestAdjointGradient:

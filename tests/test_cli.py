@@ -275,6 +275,11 @@ CONFIG_ERRORS = {
     "unknown_dataset": ("train", ["dataset.kind=moons"]),
     "unknown_curvature": ("train", ["optimizer.kind=snopt", "loss.curvature=full"]),
     "zero_epsilon": ("train", ["optimizer.kind=snopt", "optimizer.epsilon=0"]),
+    "negative_weight_decay": ("train", ["optimizer.weight_decay=-0.1"]),
+    "negative_lr": ("train", ["optimizer.lr=-1"]),
+    "negative_readout_lr": ("train", ["optimizer.readout_lr=-1"]),
+    "negative_momentum": ("train", ["optimizer.kind=sgd", "optimizer.momentum=-5"]),
+    "momentum_1": ("train", ["optimizer.kind=sgd", "optimizer.momentum=1"]),
     "one_grid_sample": ("train", ["optimizer.kind=snopt", "train.grid_samples=1"]),
     "unknown_policy": ("train", ["horizon.enabled=true", "horizon.policy=feedbak"]),
     "missing_out_dir": ("train", []),

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from snopt_kit import trainer as tr
 from snopt_kit import vector_field as vf
 from snopt_kit.adjoint import adjoint_gradient
-from snopt_kit.curvature import apply_weight_decay, dense_sweep, lowrank_sweep
-from snopt_kit.kfac import KroneckerFactors
+from snopt_kit.curvature import dense_sweep, lowrank_sweep
 from snopt_kit.loss import TerminalCurvature
 from snopt_kit.odesolve import SolverConfig
+from snopt_kit.optimizer import apply_weight_decay
 from snopt_kit.oracle import fd_flow_jacobian, flow
 
 TIGHT = SolverConfig(method="dopri5", rtol=1e-10, atol=1e-10)
@@ -159,24 +160,31 @@ class TestAssembleQuu:
 
 
 class TestApplyWeightDecay:
+    # the decay penalty is folded in after the sweep: grad += γθ, and its
+    # curvature γI lands in the update's damping, epsilon = ε + γ
+
     def test_zero_decay_is_identity(self):
         grad = np.array([1.0, 2.0])
-        factors = KroneckerFactors(a_factors=[np.eye(2)], b_factors=[np.eye(1)])
-        g2, f2 = apply_weight_decay(grad, factors, 0.0, np.array([5.0, -5.0]))
-        assert np.array_equal(g2, grad)
-        assert f2 == factors
+        assert np.array_equal(apply_weight_decay(grad, 0.0, np.array([5.0, -5.0])), grad)
+        # and leaves the second-order damping as configured
+        run = tr._Run(tr.ExperimentConfig(optimizer=tr.OptimizerConfig(kind="snopt")))
+        assert run.opt_state.epsilon == tr.OptimizerConfig().epsilon
 
     def test_gradient_shift(self):
-        g2, _ = apply_weight_decay(np.zeros(2), None, 1.0, np.array([1.0, 0.0]))
+        g2 = apply_weight_decay(np.zeros(2), 1.0, np.array([1.0, 0.0]))
         assert np.array_equal(g2, [1.0, 0.0])
 
     def test_kronecker_factor_damping(self):
-        factors = KroneckerFactors(a_factors=[np.eye(2)], b_factors=[np.eye(2)])
-        g2, f2 = apply_weight_decay(np.ones(4), factors, 1e-3, np.full(4, 2.0))
+        grad, theta = np.ones(4), np.full(4, 2.0)
+        g2 = apply_weight_decay(grad, 1e-3, theta)
         assert np.allclose(g2, 1.0 + 2e-3)
-        assert f2.extra_damping == pytest.approx(1e-3)
-        assert factors.extra_damping == 0.0
+        assert np.array_equal(grad, np.ones(4)) and np.array_equal(theta, np.full(4, 2.0))
+        # the trainer shifts the second-order damping by the decay
+        opt = tr.OptimizerConfig(kind="snopt", epsilon=0.05, weight_decay=1e-3)
+        run = tr._Run(tr.ExperimentConfig(optimizer=opt))
+        assert run.opt_state.epsilon == 0.05 + 1e-3
 
     def test_negative_decay_rejected(self):
-        with pytest.raises(ValueError):
-            apply_weight_decay(np.zeros(1), None, -0.1, np.zeros(1))
+        # the config rejects it, before any iteration runs
+        with pytest.raises(ValueError, match="weight_decay"):
+            tr.OptimizerConfig(weight_decay=-0.1)

@@ -172,8 +172,10 @@ class TestAccumulateFactors:
 
     def test_rk4_step_weights_its_stages(self):
         # one RK4 step over [0, T]: the factors are T/6 * (F1 + 2 F2 + 2 F3 + F4)
-        # at the step's four stages, with the B side over the rank vectors only
+        # at the step's four stages, with the B side over the rank vectors only;
+        # each stage's integrand reads that stage's own trace and cotangents
         spec, theta = tanh_net(10, (2, 4, 3, 2))
+        weights = vf.unpack_params(spec, theta)
         rng = np.random.default_rng(4)
         x1, a1 = rng.uniform(-1, 1, size=(5, 2)), rng.normal(size=(5, 2))
         span = 0.9
@@ -182,13 +184,23 @@ class TestAccumulateFactors:
             got, _, rep = accumulate_factors(spec, theta, x1, curv, 0.0, span,
                                              SolverConfig(method="rk4", fixed_step=span))
             assert rep.nfe == 4
-            sweep, y = BackwardSweep.seeded(spec, theta, x1, a1, qs)
-            hs, stages, k = -span, [], None
+            sweep = BackwardSweep(spec, theta, x1, a1, qs)
+            fn = sweep.field(lambda trace, gs: _unpack_factors(
+                spec, _factor_terms(spec, trace, [g[1:] for g in gs])))
+            y, hs, stages, k = sweep.state, -span, [], None
             for dt, shift in ((0.0, 0.0), (0.5, 0.5), (0.5, 0.5), (1.0, 1.0)):
-                y_stage = y if k is None else y + shift * hs * k
-                k = sweep.field(span + dt * hs, y_stage)[0]
+                t, y_stage = span + dt * hs, y if k is None else y + shift * hs * k
+                k, integrand = fn(t, y_stage)
+                stages.append(integrand())
                 x, cot = sweep.unpack(y_stage)
-                stages.append(terms_at(spec, theta, span + dt * hs, x, cot[1:]))
+                want = terms_at(spec, theta, t, x, cot[1:])
+                for mine, ref in zip(stages[-1].a_factors + stages[-1].b_factors,
+                                     want.a_factors + want.b_factors):
+                    assert np.array_equal(mine, ref)
+                # the stage's derivative is the field and the adjoint ODE there
+                trace = vf._forward(spec, weights, t, x)
+                _, r = vf._cotangents(spec, weights, trace, cot)
+                assert np.array_equal(k, np.concatenate([trace.zs[-1].ravel(), -r.ravel()]))
             for side in ("a_factors", "b_factors"):
                 for n in range(spec.n_layers):
                     f = [getattr(s, side)[n] for s in stages]
@@ -207,7 +219,10 @@ class TestAccumulateFactors:
         got, grad, rep = accumulate_factors(spec, theta, x1, curv, 0.0, 1.0,
                                             SolverConfig(method="euler", fixed_step=h))
         assert rep.nfe == rep.accepted_steps == 4
-        sweep, y = BackwardSweep.seeded(spec, theta, x1, a1, [a1])
+        sweep = BackwardSweep(spec, theta, x1, a1, [a1])
+        fn = sweep.field(lambda trace, gs: vf._param_grad_from_cotangents(
+            spec, trace, [g[0] for g in gs]).ravel())
+        y = sweep.state
         a_sum = [np.zeros_like(a) for a in got.a_factors]
         b_sum = [np.zeros_like(b) for b in got.b_factors]
         g_sum = np.zeros_like(grad)
@@ -218,7 +233,7 @@ class TestAccumulateFactors:
             for n in range(spec.n_layers):
                 a_sum[n] += h * terms.a_factors[n]
                 b_sum[n] += h * terms.b_factors[n]
-            dy, integrand = sweep.field(t, y)
+            dy, integrand = fn(t, y)
             g_sum += h * integrand()
             y = y - h * dy
             t -= h
@@ -247,7 +262,7 @@ class TestAccumulateFactors:
             curv = TerminalCurvature(grad=a1, factors=[a1])
             factors, grad, _ = accumulate_factors(spec, theta, x1, curv, 0.0, 1.0, RK4)
             g_adj, _, _, _ = adjoint_gradient(spec, theta, x1, a1, 0.0, 1.0, RK4)
-            assert np.max(np.abs(grad - g_adj)) < 1e-8
+            assert np.array_equal(grad, g_adj)
 
     def test_psd_preserved_under_accumulation(self):
         spec, theta = tanh_net(8)

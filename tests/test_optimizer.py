@@ -74,11 +74,12 @@ class TestSnoptStep:
                            (0.75 * 0.25 + 0.25) * g ** 2)
 
     def test_extra_damping_enters_denominator(self):
+        # weight decay 0.2 rides in the damping: epsilon = 0.05 + 0.2
         rng = np.random.default_rng(5)
         g = rng.normal(size=4)
         theta = np.zeros(4)
-        factors = one_layer_factors(np.eye(2), np.eye(2)).with_damping(0.2)
-        state = SnoptState(lr=1.0, epsilon=0.05, amortization=0.0)
+        factors = one_layer_factors(np.eye(2), np.eye(2))
+        state = SnoptState(lr=1.0, epsilon=0.05 + 0.2, amortization=0.0)
         out = snopt_step(state, factors, g, theta)
         assert np.allclose(theta - out, g / (g ** 2 + 0.25))
 
