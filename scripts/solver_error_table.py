@@ -1,4 +1,4 @@
-"""Tabulate gradient and curvature errors of the backward sweeps per solver.
+"""Tabulate gradient and curvature errors of the backward sweep per solver.
 
 Writes both CSV and markdown next to each other.
 

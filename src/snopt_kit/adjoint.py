@@ -15,12 +15,14 @@ off each stage's forward trace and per-layer cotangents, which rides as
 the solve's quadrature (``odesolve(..., quadrature=)``).  A quadrature
 never enters the stage storage or the error norm, and the solver runs the
 integrand only at the stages whose weight it uses (Kidger, Chen & Lyons,
-arXiv:2009.09457).  The adjoint integrates the gradient ``g``; the
-low-rank sweep the gradient of every group, ``[g | p_1..p_R]`` with the
-rank vectors' parameter couplings ``p_i``; the Kronecker-factor sweep the
-gradient and the factors.  The ``1 + R`` cotangent groups share one
-reverse traversal per field evaluation, so a stage costs one forward and
-one reverse pass whatever R is.
+arXiv:2009.09457).  :func:`adjoint_gradient` integrates the gradient of
+every group, ``[g | p_1..p_R]``: the loss gradient ``g`` and, given rank
+vectors, their parameter couplings ``p_i``, whose products ``QᵀQ``,
+``QᵀP`` and ``PᵀP`` are the low-rank curvature blocks.  The
+Kronecker-factor sweep integrates the gradient and the factors.  The
+``1 + R`` cotangent groups share one reverse traversal per field
+evaluation, so a stage costs one forward and one reverse pass whatever R
+is.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ class BackwardSweep:
 
 
 def adjoint_gradient(spec: vf.MlpSpec, theta: np.ndarray, x1: np.ndarray, a1: np.ndarray,
-                     t0: float, t1: float, cfg: SolverConfig,
+                     t0: float, t1: float, cfg: SolverConfig, qs=(),
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, SolveReport]:
     """Loss gradient by integrating the adjoint system from t1 back to t0.
 
@@ -88,13 +90,19 @@ def adjoint_gradient(spec: vf.MlpSpec, theta: np.ndarray, x1: np.ndarray, a1: np
     the flat parameter gradient, the reconstructed initial state, the
     adjoint at t0, and the solve report.  The error norm scores the state
     replay; the gradient is the quadrature, which no norm scores.
+
+    With R rank vectors ``qs``, the gradients are (1+R, n), the loss
+    gradient then each coupling ``p_i``, and the cotangents at t0 are
+    ``[a, q_1..q_R]``, (1+R, batch, m).  Group 0 is bit for bit the lone
+    adjoint's.
     """
     if np.shape(a1) != np.shape(x1):
         raise ValueError(f"state/adjoint shapes {np.shape(x1)}/{np.shape(a1)} differ")
-    sweep = BackwardSweep(spec, theta, x1, a1)
+    sweep = BackwardSweep(spec, theta, x1, a1, qs)
     fn = sweep.field(lambda trace, gs: vf._param_grad_from_cotangents(spec, trace, gs).ravel())
     report = odesolve(sweep.state, t1, t0, fn, cfg, scored=sweep.x_len,
-                      quadrature=np.zeros(vf.num_params(spec)))
-    x0, a0 = sweep.unpack(report.terminal_state)
-    # the solve runs from t1 down to t0, so it subtracts the integral
-    return -report.quadrature, x0, a0, report
+                      quadrature=np.zeros((1 + len(qs)) * vf.num_params(spec)))
+    x0, cot = sweep.unpack(report.terminal_state)
+    # the solve runs from t1 down to t0, so it subtracts the integral; each
+    # cotangent group has its row of gradients
+    return -report.quadrature.reshape(*cot.shape[:-2], -1), x0, cot, report

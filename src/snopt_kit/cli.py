@@ -27,7 +27,7 @@ from dataclasses import astuple, fields, replace
 
 import numpy as np
 
-from . import adjoint, curvature, horizon, kfac, loss, numerics, oracle, optimizer, trainer
+from . import adjoint, horizon, kfac, loss, numerics, oracle, optimizer, trainer
 from . import vector_field as vf
 from .odesolve import SolverConfig
 from .trainer import ExperimentConfig, TrainAbort, TrainRecord
@@ -296,7 +296,7 @@ def _check_dense_curvature(tol_scale: float):
     x1 = oracle.flow(spec, theta, x0, 0.0, 1.0, cfg)
     lossfn = loss.TerminalLoss(kind="mse", target=np.zeros(2))
     curv = loss.terminal_curvature(lossfn, x1, 0.0, 1.0, "exact_rank")
-    dense = curvature.dense_sweep(spec, theta, x1, curv, 0.0, 1.0, cfg)
+    dense = oracle.dense_sweep(spec, theta, x1, curv, 0.0, 1.0, cfg)
     jac = oracle.fd_flow_jacobian(spec, theta, x0, 0.0, 1.0, cfg)
     ref = jac.T @ curv.hessian() @ jac
     err = np.linalg.norm(dense.quu - ref) / np.linalg.norm(ref)
@@ -311,13 +311,13 @@ def _check_lowrank_equivalence(tol_scale: float):
     curv = loss.TerminalCurvature(grad=rng.normal(size=(1, 2)),
                                   factors=[rng.normal(size=(1, 2)) for _ in range(2)])
     cfg = SolverConfig(method="dopri5", rtol=1e-10, atol=1e-10)
-    dense = curvature.dense_sweep(spec, theta, x1, curv, 0.0, 1.0, cfg)
-    low = curvature.lowrank_sweep(spec, theta, x1, curv, 0.0, 1.0, cfg)
-    err = max(
-        np.linalg.norm(low.recon_qxx() - dense.qxx) / max(np.linalg.norm(dense.qxx), 1e-300),
-        np.linalg.norm(low.recon_qxu() - dense.qxu) / max(np.linalg.norm(dense.qxu), 1e-300),
-        np.linalg.norm(low.recon_quu() - dense.quu) / max(np.linalg.norm(dense.quu), 1e-300),
-    )
+    dense = oracle.dense_sweep(spec, theta, x1, curv, 0.0, 1.0, cfg)
+    grads, _, cot, _ = adjoint.adjoint_gradient(spec, theta, x1, curv.grad, 0.0, 1.0, cfg,
+                                                qs=curv.factors)
+    # the rank vectors' rows Q (R, m) and their couplings P (R, n) at t0
+    q, p = cot[1:, 0], grads[1:]
+    err = max(np.linalg.norm(low - ref) / max(np.linalg.norm(ref), 1e-300)
+              for low, ref in ((q.T @ q, dense.qxx), (q.T @ p, dense.qxu), (p.T @ p, dense.quu)))
     return "low-rank sweep vs dense sweep", float(err), 1e-6 * tol_scale
 
 

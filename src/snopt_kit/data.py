@@ -45,7 +45,7 @@ def make_spirals(n_per_class: int, noise_sd: float, seed: int,
     class 1 rotated by pi, plus Gaussian noise.  The first class-0 point is
     the origin when noise_sd = 0.
     """
-    if n_per_class < 1 or noise_sd < 0:
+    if n_per_class < 1 or not noise_sd >= 0:
         raise ValueError("need n_per_class >= 1 and noise_sd >= 0")
     rng = _rng(seed)
     phi = np.linspace(0.0, 4 * np.pi, n_per_class)
@@ -66,7 +66,7 @@ def make_spirals(n_per_class: int, noise_sd: float, seed: int,
 def make_circles(n_per_class: int, radii: tuple[float, ...], noise_sd: float,
                  seed: int, test_fraction: float = 0.2) -> Dataset:
     """Concentric circles, one radius per class."""
-    if n_per_class < 1 or noise_sd < 0 or len(radii) < 1:
+    if n_per_class < 1 or not noise_sd >= 0 or len(radii) < 1:
         raise ValueError("need n_per_class >= 1, noise_sd >= 0, and radii")
     rng = _rng(seed)
     ang = np.linspace(0.0, 2 * np.pi, n_per_class, endpoint=False)

@@ -58,10 +58,10 @@ class HorizonConfig:
                              "expected one of feedback, first_order")
         if self.period < 1:
             raise ValueError("need horizon period >= 1")
-        if self.penalty <= 0 or self.lr <= 0:
+        if not (self.penalty > 0 and self.lr > 0):
             raise ValueError("horizon penalty and lr must be positive")
-        if self.t_min >= self.t_max:
-            raise ValueError("need horizon t_min < t_max")
+        if not -np.inf < self.t_min < self.t_max < np.inf:
+            raise ValueError("need finite horizon t_min < t_max")
         if not 0.0 <= self.ema < 1.0:
             raise ValueError("horizon ema must lie in [0, 1)")
 

@@ -90,7 +90,7 @@ class TerminalCurvature:
     up to each row's sign, ``adjoint_weights[:, None] * grad`` (the
     surrogate and the two-class softmax), and a backward sweep then reads
     it off the adjoint; it is None otherwise, and each factor is one rank
-    vector of the sweep.  The dense and low-rank references read
+    vector of the sweep.  The dense reference and the low-rank checks read
     ``factors`` either way.
     """
 
@@ -233,14 +233,10 @@ def terminal_curvature(lossfn: TerminalLoss, x1: np.ndarray, t0: float, t1: floa
         scale = float(1.0 / np.sqrt(t1 - t0))
         return TerminalCurvature(grad=grad, factors=[scale * grad],
                                  adjoint_weights=np.broadcast_to(scale, grad.shape[:1]))
-    m = x1.shape[1]
-    if lossfn.readout is None:
-        # Hessian is the identity: factors are the unit vectors
-        factors = [np.broadcast_to(np.eye(m)[i], x1.shape).copy() for i in range(m)]
-    else:
-        # Hessian is V^T V: one factor per readout row
-        factors = [np.broadcast_to(row, x1.shape).copy() for row in lossfn.readout.weight]
-    return TerminalCurvature(grad=grad, factors=factors)
+    # the Hessian is V^T V, one factor per readout row, or the identity
+    # without a readout, one unit vector each: read-only views of those rows
+    rows = lossfn.readout.weight if lossfn.readout is not None else np.eye(x1.shape[1])
+    return TerminalCurvature(grad=grad, factors=[np.broadcast_to(row, x1.shape) for row in rows])
 
 
 def accuracy(lossfn: TerminalLoss, x1: np.ndarray) -> float:

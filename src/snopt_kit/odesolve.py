@@ -31,6 +31,7 @@ channels, so it costs no evaluation and no step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -65,14 +66,15 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.rtol <= 0 or self.atol <= 0:
-            raise ValueError("rtol and atol must be positive")
+        # each check is written so that NaN fails it
+        if not (0 < self.rtol < np.inf and 0 < self.atol < np.inf):
+            raise ValueError("rtol and atol must be positive and finite")
         if self.method in _FIXED:
-            if self.fixed_step is None or self.fixed_step <= 0:
+            if self.fixed_step is None or not self.fixed_step > 0:
                 raise ValueError(f"{self.method} requires fixed_step > 0")
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
-        if self.max_step is not None and self.max_step <= 0:
+        if self.max_step is not None and not self.max_step > 0:
             raise ValueError("max_step must be positive")
 
 
@@ -319,6 +321,8 @@ def odesolve(y0: np.ndarray, t_start: float, t_end: float, fn: Field, cfg: Solve
     """
     if scored is not None and scored < 1:
         raise ValueError(f"scored prefix must be positive, got {scored}")
+    if not (math.isfinite(t_start) and math.isfinite(t_end)):
+        raise ValueError(f"the interval [{t_start}, {t_end}] is not finite")
     y0 = np.asarray(y0, dtype=float)
     _check_finite(y0, t_start)
     q0 = None if quadrature is None else np.asarray(quadrature, dtype=float)

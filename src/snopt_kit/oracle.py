@@ -3,9 +3,15 @@
 Central finite differences over the loss and over the flow provide the
 ground-truth surrogate for gradient and curvature checks, :func:`flow` is
 the one forward solve they difference, and :func:`error_study` tabulates
-how far the backward sweeps drift from them as the solver tolerances
+how far the backward sweep drifts from them as the solver tolerances
 vary.  Finite differencing assumes a smooth
 field, so these references are only valid for tanh/softplus networks.
+
+:func:`dense_sweep` is the desk-scale reference for the low-rank
+curvature blocks: it integrates the full matrix system (gradient pieces,
+the state-state, state-parameter and parameter-parameter blocks) jointly
+with the state replay, exact for the linearized dynamics, quadratic in
+the problem sizes, for a batch of one.
 """
 
 from __future__ import annotations
@@ -16,9 +22,9 @@ import numpy as np
 
 from . import vector_field as vf
 from .adjoint import adjoint_gradient
-from .curvature import lowrank_sweep
-from .loss import TerminalLoss, grad_x1, loss_value, terminal_curvature
-from .odesolve import SolverConfig, odesolve
+from .loss import TerminalCurvature, TerminalLoss, loss_value, terminal_curvature
+from .numerics import triu_flat, triu_unpack
+from .odesolve import SolveReport, SolverConfig, odesolve
 
 # ground-truth surrogate solver for the error study
 REFERENCE_CFG = SolverConfig(method="dopri5", rtol=1e-12, atol=1e-12, max_steps=10_000_000)
@@ -64,6 +70,66 @@ def fd_flow_jacobian(spec: vf.MlpSpec, theta: np.ndarray, x0: np.ndarray,
 
 
 @dataclass
+class DenseCurvatureState:
+    """All cost-to-go derivatives at t0 from the matrix sweep."""
+
+    x0: np.ndarray      # (1, m)
+    qx: np.ndarray      # (1, m)
+    qu: np.ndarray      # (n,) gradient
+    qxx: np.ndarray     # (m, m) symmetric
+    qxu: np.ndarray     # (m, n)
+    quu: np.ndarray     # (n, n) symmetric
+    report: SolveReport
+
+
+def dense_sweep(spec: vf.MlpSpec, theta: np.ndarray, x1: np.ndarray,
+                curv: TerminalCurvature, t0: float, t1: float,
+                cfg: SolverConfig) -> DenseCurvatureState:
+    """Backward matrix sweep from the terminal state ``x1`` of a batch of one,
+    seeded by the terminal gradient and Hessian.
+
+    Only the upper triangles of the two symmetric blocks are carried;
+    they are symmetrized on read.  The off-diagonal parameter-state block
+    is the transpose of the state-parameter block throughout, so only one
+    is integrated.
+    """
+    m, n = spec.state_dim, vf.num_params(spec)
+    x1v, gradv = vf.one_sample(x1, "x1"), vf.one_sample(curv.grad, "the terminal gradient")
+    phi_xx = curv.hessian()
+
+    txx = m * (m + 1) // 2
+    tuu = n * (n + 1) // 2
+    sizes = [m, m, n, txx, m * n, tuu]
+    offsets = np.cumsum([0] + sizes)
+
+    def pack(x, qx, qu, qxx, qxu, quu):
+        return np.concatenate([x, qx, qu, qxx.ravel()[triu_flat(m)], qxu.ravel(),
+                               quu.ravel()[triu_flat(n)]])
+
+    def unpack(y):
+        parts = [y[offsets[i]:offsets[i + 1]] for i in range(6)]
+        return (parts[0], parts[1], parts[2], triu_unpack(parts[3], m),
+                parts[4].reshape(m, n), triu_unpack(parts[5], n))
+
+    def field(t, y):
+        x, qx, qu, qxx, qxu, _ = unpack(y)
+        f, fx, fu = vf.jacobians(spec, theta, t, x)
+        dqx = -(fx.T @ qx)
+        dqu = -(fu.T @ qx)
+        dqxx = -(fx.T @ qxx + qxx @ fx)
+        dqxu = -(qxx @ fu + fx.T @ qxu)
+        fuqxu = fu.T @ qxu
+        dquu = -(fuqxu + fuqxu.T)
+        return pack(f, dqx, dqu, dqxx, dqxu, dquu)
+
+    y1 = pack(x1v, gradv, np.zeros(n), phi_xx, np.zeros((m, n)), np.zeros((n, n)))
+    report = odesolve(y1, t1, t0, field, cfg)
+    x0, qx, qu, qxx, qxu, quu = unpack(report.terminal_state)
+    return DenseCurvatureState(x0=x0[None].copy(), qx=qx[None].copy(), qu=qu.copy(),
+                               qxx=qxx, qxu=qxu.copy(), quu=quu, report=report)
+
+
+@dataclass
 class ErrorRow:
     label: str
     method: str
@@ -83,9 +149,11 @@ def error_study(spec: vf.MlpSpec, theta: np.ndarray, x0: np.ndarray,
     """Relative errors of both derivative orders per solver setting, over [0, 1],
     from the batch of one ``x0``.
 
-    For each entry, the forward and backward passes run at that setting,
-    the backward sweeps under the error norm training uses (the state
-    replay); the references are a finite-difference gradient (over
+    For each entry, the forward pass and one backward sweep run at that
+    setting, the sweep under the error norm training uses (the state
+    replay) with the terminal Hessian's factors as its rank vectors: its
+    row 0 is the gradient and its couplings ``P`` give the curvature
+    ``PᵀP``.  The references are a finite-difference gradient (over
     tightly solved forward passes) and the Gauss-Newton curvature built
     from a finite-difference flow Jacobian.
     """
@@ -102,11 +170,11 @@ def error_study(spec: vf.MlpSpec, theta: np.ndarray, x0: np.ndarray,
     rows = []
     for label, cfg in solver_cfgs:
         x1 = flow(spec, theta, x0, t0, t1, cfg)
-        a1 = grad_x1(lossfn, x1)
-        grad, _, _, _ = adjoint_gradient(spec, theta, x1, a1, t0, t1, cfg)
         curv = terminal_curvature(lossfn, x1, t0, t1, mode="exact_rank")
-        state = lowrank_sweep(spec, theta, x1, curv, t0, t1, cfg)
-        quu = state.recon_quu()
+        grads, _, _, _ = adjoint_gradient(spec, theta, x1, curv.grad, t0, t1, cfg,
+                                          qs=curv.factors)
+        grad, p = grads[0], grads[1:]
+        quu = p.T @ p
         tol = cfg.fixed_step if cfg.method in ("euler", "rk4") else cfg.rtol
         rows.append(ErrorRow(
             label=label, method=cfg.method, tolerance=float(tol),

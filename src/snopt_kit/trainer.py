@@ -66,10 +66,10 @@ class DatasetConfig:
         # checked whatever the kind, so a grid may switch kinds in any order
         if self.n_per_class < 1 or self.n < 1:
             raise ValueError("need dataset n_per_class >= 1 and n >= 1")
-        if not self.noise_sd >= 0:
-            raise ValueError("need dataset noise_sd >= 0")
-        if not self.radii:
-            raise ValueError("need at least one dataset radius")
+        if not 0 <= self.noise_sd < np.inf:
+            raise ValueError("need a finite dataset noise_sd >= 0")
+        if not (self.radii and np.all(np.isfinite(self.radii))):
+            raise ValueError("need at least one dataset radius, all finite")
         if not 0 <= self.test_fraction < 1:
             raise ValueError("need 0 <= dataset test_fraction < 1")
         if round(self.n_samples * self.test_fraction) >= self.n_samples:
@@ -155,8 +155,10 @@ class ExperimentConfig:
     horizon: HorizonConfig = field(default_factory=HorizonConfig)
 
     def __post_init__(self):
-        if not self.t1 > self.t0:
-            raise ValueError(f"need t1 > t0, got [{self.t0}, {self.t1}]")
+        if not -np.inf < self.t0 < self.t1 < np.inf:
+            raise ValueError(f"need finite t1 > t0, got [{self.t0}, {self.t1}]")
+        if self.iterations < 0:
+            raise ValueError("need iterations >= 0")
         if self.grid_samples < 2:
             raise ValueError("need grid_samples >= 2")
         if self.batch_size < 1:

@@ -50,6 +50,8 @@ class MlpSpec:
     def __post_init__(self):
         if len(self.dims) < 2:
             raise ValueError("need at least one layer")
+        if min(self.dims) < 1:
+            raise ValueError(f"layer widths must be at least 1, got {self.dims}")
         if len(self.activations) != len(self.dims) - 1:
             raise ValueError("one activation per layer required")
         for act in self.activations:

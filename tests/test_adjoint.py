@@ -142,3 +142,26 @@ class TestAdjointGradient:
         for cfg in (RK4, SolverConfig(method="dopri5", rtol=1e-6, atol=1e-6)):
             adjoint_gradient(spec, theta, x1, a1, 0.0, 1.0, cfg)
             assert [v.tobytes() for v in held] == kept
+
+
+class TestRankVectors:
+    # the rank vectors ride along the adjoint without touching it, which is
+    # what lets one sweep give both the gradient and the curvature blocks
+
+    @pytest.mark.parametrize("cfg", [RK4, SolverConfig(method="dopri5", rtol=1e-6, atol=1e-6)],
+                             ids=["rk4", "dopri5"])
+    @pytest.mark.parametrize("batch", [1, 128])
+    def test_group_0_is_the_lone_adjoint(self, cfg, batch):
+        spec = vf.MlpSpec(dims=(2, 16, 16, 2), activations=("tanh", "tanh", "identity"))
+        theta = vf.init_params(spec, 3)
+        rng = np.random.default_rng(batch)
+        x1, a1 = rng.uniform(-1, 1, size=(batch, 2)), rng.normal(size=(batch, 2))
+        grad, x0, a0, rep = adjoint_gradient(spec, theta, x1, a1, 0.0, 1.0, cfg)
+        for rank in (1, 2, 3):
+            qs = [rng.normal(size=(batch, 2)) for _ in range(rank)]
+            grads, x0_r, cot, rep_r = adjoint_gradient(spec, theta, x1, a1, 0.0, 1.0, cfg, qs=qs)
+            assert grads.shape == (1 + rank, vf.num_params(spec))
+            assert cot.shape == (1 + rank, batch, 2)
+            assert np.array_equal(grads[0], grad) and np.array_equal(cot[0], a0)
+            assert np.array_equal(x0_r, x0)
+            assert (rep_r.nfe, rep_r.accepted_steps) == (rep.nfe, rep.accepted_steps)

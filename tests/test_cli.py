@@ -312,6 +312,22 @@ CONFIG_ERRORS = {
     "horizon_negative_penalty": ("train", ["horizon.penalty=-1"]),
     "horizon_zero_penalty": ("train", ["horizon.penalty=0"]),
     "horizon_zero_lr": ("train", ["horizon.lr=0"]),
+    # widths < 1 and NaN or infinite settings, which each check must fail
+    "zero_width": ("train", ["model.dims=2,0,2"]),
+    "fixed_step_nan": ("train", ["solver.method=rk4", "solver.fixed_step=nan"]),
+    "t1_inf": ("train", ["train.t1=inf"]),
+    "t0_minus_inf": ("train", ["train.t0=-inf"]),
+    "rtol_nan": ("train", ["solver.rtol=nan"]),
+    "atol_nan": ("train", ["solver.atol=nan"]),
+    "max_step_nan": ("train", ["solver.max_step=nan"]),
+    "epsilon_nan": ("train", ["optimizer.kind=snopt", "optimizer.epsilon=nan"]),
+    "horizon_penalty_nan": ("train", ["horizon.penalty=nan"]),
+    "horizon_lr_nan": ("train", ["horizon.lr=nan"]),
+    "horizon_t_min_nan": ("train", ["horizon.t_min=nan"]),
+    "horizon_t_max_nan": ("train", ["horizon.t_max=nan"]),
+    "noise_sd_inf": ("train", ["dataset.noise_sd=inf"]),
+    "radius_nan": ("train", ["dataset.kind=circles", "dataset.radii=0.5,nan"]),
+    "negative_iterations": ("train", ["train.iterations=-3"]),
 }
 
 

@@ -4,11 +4,10 @@ import pytest
 from snopt_kit import trainer as tr
 from snopt_kit import vector_field as vf
 from snopt_kit.adjoint import adjoint_gradient
-from snopt_kit.curvature import dense_sweep, lowrank_sweep
 from snopt_kit.loss import TerminalCurvature
 from snopt_kit.odesolve import SolverConfig
 from snopt_kit.optimizer import apply_weight_decay
-from snopt_kit.oracle import fd_flow_jacobian, flow
+from snopt_kit.oracle import dense_sweep, fd_flow_jacobian, flow
 
 TIGHT = SolverConfig(method="dopri5", rtol=1e-10, atol=1e-10)
 
@@ -21,6 +20,17 @@ def tiny_net(seed, dims=(2, 3, 2), time_input="none"):
 
 def rel_fro(a, b):
     return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
+
+
+def lowrank(spec, theta, x1, curv):
+    """The adjoint sweep with the curvature's factors as its rank vectors."""
+    return adjoint_gradient(spec, theta, x1, curv.grad, 0.0, 1.0, TIGHT, qs=curv.factors)
+
+
+def blocks(grads, cot):
+    """QᵀQ, QᵀP and PᵀP of the rank vectors Q of a batch of one and their couplings P."""
+    q, p = cot[1:, 0], grads[1:]
+    return q.T @ q, q.T @ p, p.T @ p
 
 
 class TestDenseSweep:
@@ -76,14 +86,17 @@ class TestDenseSweep:
 
 
 class TestLowRankSweep:
+    # the adjoint sweep carries the rank vectors q_i; its quadrature the
+    # gradient of every group, [g | p_1..p_R]
+
     def test_zero_factors_stay_zero(self):
         spec, theta = tiny_net(0)
         curv = TerminalCurvature(grad=np.zeros((1, 2)),
                                  factors=[np.zeros((1, 2)), np.zeros((1, 2))])
-        out = lowrank_sweep(spec, theta, np.array([[0.1, 0.9]]), curv, 0.0, 1.0, TIGHT)
-        for q in out.qs:
+        grads, _, cot, _ = lowrank(spec, theta, np.array([[0.1, 0.9]]), curv)
+        for q in cot[1:]:
             assert np.allclose(q, 0.0)
-        for p in out.ps:
+        for p in grads[1:]:
             assert np.allclose(p, 0.0)
 
     def test_adjoint_aliasing(self):
@@ -94,9 +107,9 @@ class TestLowRankSweep:
         x1 = rng.uniform(-1, 1, size=(1, 2))
         a1 = rng.normal(size=(1, 2))
         curv = TerminalCurvature(grad=a1, factors=[a1])
-        out = lowrank_sweep(spec, theta, x1, curv, 0.0, 1.0, TIGHT)
-        assert np.max(np.abs(out.qs[0][0] - out.qx[0])) < 1e-10
-        assert np.max(np.abs(out.ps[0] - out.qu)) < 1e-10
+        grads, _, cot, _ = lowrank(spec, theta, x1, curv)
+        assert np.max(np.abs(cot[1][0] - cot[0][0])) < 1e-10
+        assert np.max(np.abs(grads[1] - grads[0])) < 1e-10
 
     def test_reconstructions_match_dense(self):
         for time_input, dims in (("none", (3, 4, 3)), ("concat", (4, 4, 3))):
@@ -108,10 +121,11 @@ class TestLowRankSweep:
                     ys = [rng.normal(size=(1, 3)) for _ in range(rank)]
                     curv = TerminalCurvature(grad=rng.normal(size=(1, 3)), factors=ys)
                     dense = dense_sweep(spec, theta, x1, curv, 0.0, 1.0, TIGHT)
-                    low = lowrank_sweep(spec, theta, x1, curv, 0.0, 1.0, TIGHT)
-                    assert rel_fro(low.recon_qxx(), dense.qxx) < 1e-6
-                    assert rel_fro(low.recon_qxu(), dense.qxu) < 1e-6
-                    assert rel_fro(low.recon_quu(), dense.quu) < 1e-6
+                    grads, _, cot, _ = lowrank(spec, theta, x1, curv)
+                    qxx, qxu, quu = blocks(grads, cot)
+                    assert rel_fro(qxx, dense.qxx) < 1e-6
+                    assert rel_fro(qxu, dense.qxu) < 1e-6
+                    assert rel_fro(quu, dense.quu) < 1e-6
 
     def test_state_length(self):
         spec, theta = tiny_net(11)
@@ -119,44 +133,26 @@ class TestLowRankSweep:
         rng = np.random.default_rng(4)
         curv = TerminalCurvature(grad=rng.normal(size=(1, 2)),
                                  factors=[rng.normal(size=(1, 2)) for _ in range(2)])
-        out = lowrank_sweep(spec, theta, rng.normal(size=(1, 2)), curv, 0.0, 1.0, TIGHT)
+        report = lowrank(spec, theta, rng.normal(size=(1, 2)), curv)[3]
         # [x | a | q_1, q_2] is the state; [g | p_1, p_2] the quadrature
-        assert out.report.terminal_state.size == 2 * (2 + 2)
-        assert out.report.quadrature.size == n * (1 + 2)
-
-    def test_requires_a_factor(self):
-        spec, theta = tiny_net(12)
-        curv = TerminalCurvature(grad=np.zeros((1, 2)), factors=[])
-        with pytest.raises(ValueError):
-            lowrank_sweep(spec, theta, np.zeros((1, 2)), curv, 0.0, 1.0, TIGHT)
+        assert report.terminal_state.size == 2 * (2 + 2)
+        assert report.quadrature.size == n * (1 + 2)
 
 
 class TestAssembleQuu:
     def test_zero(self):
         spec, theta = tiny_net(0)
         curv = TerminalCurvature(grad=np.zeros((1, 2)), factors=[np.zeros((1, 2))])
-        out = lowrank_sweep(spec, theta, np.zeros((1, 2)), curv, 0.0, 1.0, TIGHT)
-        assert np.allclose(out.recon_quu(), 0.0)
-
-    def test_rank_one_outer_product(self):
-        spec, theta = tiny_net(0)
-        curv = TerminalCurvature(grad=np.zeros((1, 2)), factors=[np.zeros((1, 2))])
-        out = lowrank_sweep(spec, theta, np.zeros((1, 2)), curv, 0.0, 1.0, TIGHT)
-        e1 = np.zeros_like(out.ps[0])
-        e1[0] = 1.0
-        out.ps[0] = e1
-        quu = out.recon_quu()
-        want = np.zeros_like(quu)
-        want[0, 0] = 1.0
-        assert np.array_equal(quu, want)
+        grads, _, cot, _ = lowrank(spec, theta, np.zeros((1, 2)), curv)
+        assert np.allclose(blocks(grads, cot)[2], 0.0)
 
     def test_psd(self):
         spec, theta = tiny_net(13)
         rng = np.random.default_rng(5)
         curv = TerminalCurvature(grad=rng.normal(size=(1, 2)),
                                  factors=[rng.normal(size=(1, 2)) for _ in range(2)])
-        out = lowrank_sweep(spec, theta, rng.normal(size=(1, 2)), curv, 0.0, 1.0, TIGHT)
-        assert np.linalg.eigvalsh(out.recon_quu()).min() >= -1e-10
+        grads, _, cot, _ = lowrank(spec, theta, rng.normal(size=(1, 2)), curv)
+        assert np.linalg.eigvalsh(blocks(grads, cot)[2]).min() >= -1e-10
 
 
 class TestApplyWeightDecay:

@@ -472,3 +472,10 @@ class TestErrors:
     def test_non_finite_initial_state(self):
         with pytest.raises(NonFiniteState):
             odesolve(np.array([np.nan]), 0.0, 1.0, lambda t, y: y, dopri())
+
+    def test_non_finite_interval(self):
+        # dopri5's cutoff would scale with an infinite span and take no step
+        for t_start, t_end in ((0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0), (0.0, np.nan)):
+            for cfg in (dopri(), SolverConfig(method="rk4", fixed_step=0.1)):
+                with pytest.raises(ValueError, match="not finite"):
+                    odesolve(np.array([1.0]), t_start, t_end, lambda t, y: y, cfg)
