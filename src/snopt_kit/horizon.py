@@ -58,8 +58,8 @@ class HorizonConfig:
                              "expected one of feedback, first_order")
         if self.period < 1:
             raise ValueError("need horizon period >= 1")
-        if not (self.penalty > 0 and self.lr > 0):
-            raise ValueError("horizon penalty and lr must be positive")
+        if not (0 < self.penalty < np.inf and 0 < self.lr < np.inf):
+            raise ValueError("horizon penalty and lr must be positive and finite")
         if not -np.inf < self.t_min < self.t_max < np.inf:
             raise ValueError("need finite horizon t_min < t_max")
         if not 0.0 <= self.ema < 1.0:

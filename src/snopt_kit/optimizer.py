@@ -44,8 +44,8 @@ class SnoptState:
     s_star: list[np.ndarray] | None = None  # zero-initialized on first step
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < np.inf:
+            raise ValueError("epsilon must be positive and finite")
         if not 0.0 <= self.amortization < 1.0:
             raise ValueError("amortization must lie in [0, 1)")
 

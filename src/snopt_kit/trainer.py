@@ -29,8 +29,8 @@ from .adjoint import adjoint_gradient
 from .horizon import (HorizonConfig, HorizonState, NonFiniteUpdate, first_order_horizon_step,
                       horizon_step, horizon_terms)
 from .kfac import KroneckerFactors, accumulate_factors
-from .loss import (CURVATURE_MODES, LOSS_KINDS, TerminalLoss, accuracy, grad_x1,
-                   init_readout, loss_value, readout_grads, terminal_curvature)
+from .loss import (CURVATURE_MODES, TerminalLoss, accuracy, grad_x1, init_readout,
+                   loss_value, readout_grads, terminal_curvature)
 from .odesolve import MaxStepsExceeded, NonFiniteState, SolveReport, SolverConfig, odesolve
 from .optimizer import (AdamState, SgdState, SingularFactor, SnoptState, adam_step,
                         apply_weight_decay, sgd_step, snopt_step)
@@ -103,12 +103,11 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class LossConfig:
-    kind: str = "softmax_ce"
-    readout_classes: int = 2         # 0 disables the readout
+    # the dataset sets the loss: softmax_ce on class labels, mse on regression targets
+    readout: bool = True             # an affine row per class before the softmax
     curvature: str = "gauss_newton_scaled"
 
     def __post_init__(self):
-        _check_choice("loss kind", self.kind, LOSS_KINDS)
         _check_choice("curvature mode", self.curvature, CURVATURE_MODES)
 
 
@@ -127,10 +126,10 @@ class OptimizerConfig:
         # checked whatever the kind, so a grid may switch kinds in any order
         SnoptState(lr=self.lr, epsilon=self.epsilon, amortization=self.amortization)
         # zero rates stay valid: they freeze the ODE or the readout
-        if not (self.lr >= 0 and self.readout_lr >= 0):
-            raise ValueError("need optimizer lr >= 0 and readout_lr >= 0")
-        if not self.weight_decay >= 0:
-            raise ValueError("need optimizer weight_decay >= 0")
+        if not (0 <= self.lr < np.inf and 0 <= self.readout_lr < np.inf):
+            raise ValueError("need finite optimizer lr >= 0 and readout_lr >= 0")
+        if not 0 <= self.weight_decay < np.inf:
+            raise ValueError("need a finite optimizer weight_decay >= 0")
         if not 0 <= self.momentum < 1:
             raise ValueError("need 0 <= optimizer momentum < 1")
 
@@ -168,22 +167,17 @@ class ExperimentConfig:
         if self.seed < 0:
             raise ValueError("need seed >= 0")
         # rules that join the sections, which check themselves as they are built
-        data, lossc = self.dataset, self.loss
-        width = self.model.spec().state_dim
+        classes, width = self.dataset.n_classes, self.model.spec().state_dim
         if width != data_mod.INPUT_DIM:
             raise ValueError(f"model state width {width} differs from the dataset's "
                              f"{data_mod.INPUT_DIM} input features")
-        if (lossc.kind == "mse") != (data.kind == "regression"):
-            raise ValueError(f"loss {lossc.kind} does not fit dataset {data.kind}: mse needs "
-                             "regression targets, softmax_ce needs class labels")
-        outputs = lossc.readout_classes or width
-        if lossc.kind == "softmax_ce" and outputs < 2:
+        outputs = classes if self.loss.readout else width
+        if classes and outputs < 2:
             # a one-output softmax is constant: its loss, gradient and Hessian are 0
             raise ValueError(f"softmax_ce needs at least 2 outputs, the readout has {outputs}")
-        if data.n_classes > outputs:
-            what = "readout" if lossc.readout_classes else "state (no readout)"
-            raise ValueError(f"dataset {data.kind} has {data.n_classes} classes but the "
-                             f"{what} has {outputs} outputs")
+        if classes > outputs:
+            raise ValueError(f"dataset {self.dataset.kind} has {classes} classes but the state "
+                             f"(no readout) has {outputs} outputs")
 
 
 @dataclass
@@ -217,11 +211,10 @@ class _Run:
         self.spec = cfg.model.spec()
         self.ds = build_dataset(cfg.dataset, cfg.seed)
         self.theta = vf.init_params(self.spec, cfg.seed + 1)
-        if cfg.loss.readout_classes > 0 and cfg.loss.kind == "softmax_ce":
-            self.readout = init_readout(self.spec.state_dim, cfg.loss.readout_classes,
-                                        cfg.seed + 1)
-        else:
-            self.readout = None
+        classes = cfg.dataset.n_classes
+        self.loss_kind = "softmax_ce" if classes else "mse"
+        self.readout = (init_readout(self.spec.state_dim, classes, cfg.seed + 1)
+                        if classes and cfg.loss.readout else None)
         self.batch_rng = np.random.Generator(np.random.Philox(cfg.seed + 2))
         self.t1 = cfg.t1
 
@@ -256,15 +249,17 @@ class _Run:
         """Next minibatch: its positions in the training split and its loss."""
         size = min(self.cfg.batch_size, self.ds.n_train)
         pos = self.batch_rng.choice(self.ds.n_train, size=size, replace=False)
-        labels = self.ds.labels[self.ds.train_idx[pos]]
-        return pos, TerminalLoss(kind=self.cfg.loss.kind, target=labels, readout=self.readout)
+        return pos, self.loss_on(self.ds.train_idx[pos])
+
+    def loss_on(self, idx: np.ndarray) -> TerminalLoss:
+        """The run's loss on the samples ``idx``."""
+        return TerminalLoss(kind=self.loss_kind, target=self.ds.labels[idx], readout=self.readout)
 
     def evaluate(self, idx: np.ndarray, x1: np.ndarray | None = None) -> tuple[float, float]:
         """Loss and accuracy on ``idx``; solves forward unless given its terminal states."""
         if x1 is None:
             x1, _ = self.forward(self.ds.inputs[idx])
-        lf = TerminalLoss(kind=self.cfg.loss.kind, target=self.ds.labels[idx],
-                          readout=self.readout)
+        lf = self.loss_on(idx)
         return loss_value(lf, x1), accuracy(lf, x1)
 
     def backward(self, x1: np.ndarray, lossfn: TerminalLoss,

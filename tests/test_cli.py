@@ -78,6 +78,17 @@ class TestConfigLoading:
         monkeypatch.setenv("SNOPT_SEED", "99")
         assert cli.load_config(config_path).seed == 99
 
+    @pytest.mark.parametrize("overrides, kind, readout_shape", [
+        (["dataset.kind=circles", "dataset.radii=0.5,1.0,1.5"], "softmax_ce", (3, 2)),
+        (["dataset.kind=regression"], "mse", None),
+        (["loss.readout=false"], "softmax_ce", None),
+    ], ids=["three_radii", "regression", "readout_off"])
+    def test_dataset_sets_loss_and_readout(self, config_path, overrides, kind, readout_shape):
+        # the readout has one row per class; regression targets have none
+        run = trainer._Run(cli.load_config(config_path, overrides))
+        assert run.loss_kind == kind
+        assert (None if run.readout is None else run.readout.weight.shape) == readout_shape
+
 
 class TestReadmeConfigBlock:
     """The README's config block shows every accepted key at its default."""
@@ -129,8 +140,7 @@ class TestCmdTrain:
         path = tmp_path / "explode.ini"
         path.write_text(BASE_CONFIG.replace("kind = adam", "kind = sgd")
                         .replace("lr = 0.01", "lr = 1e160")
-                        .replace("kind = spirals", "kind = regression")
-                        + "\n[loss]\nkind = mse\nreadout_classes = 0\n")
+                        .replace("kind = spirals", "kind = regression"))
         rc = cli.cmd_train(str(path), str(tmp_path / "o.csv"))
         assert rc == 2
 
@@ -201,17 +211,31 @@ class TestCmdGrid:
         assert losses[0] == losses[1]
 
     def test_base_valid_only_with_its_cells(self, tmp_path):
-        # regression data under the default softmax_ce is invalid alone; the
-        # one cell makes the loss mse, and only the cell is built
-        config = tmp_path / "regression.ini"
-        config.write_text(BASE_CONFIG.replace("kind = spirals", "kind = regression\nn = 40"))
+        # three classes on the two-wide state are invalid without the readout;
+        # the one cell turns it on, and only the cell is built
+        config = tmp_path / "three_class.ini"
+        config.write_text(BASE_CONFIG.replace("kind = spirals", "kind = circles\n"
+                                              "radii = 0.5,1.0,1.5")
+                          + "\n[loss]\nreadout = false\n")
+        assert cli.cmd_train(str(config), str(tmp_path / "o.csv")) == 1
         grid = tmp_path / "grid.ini"
-        grid.write_text("[grid]\nloss.kind = mse\n")
+        grid.write_text("[grid]\nloss.readout = true\n")
         out_dir = tmp_path / "cells"
         assert cli.cmd_grid(str(config), str(grid), str(out_dir)) == 0
         assert len((out_dir / "summary.csv").read_text().splitlines()) == 1 + 1
         assert sorted(f for f in os.listdir(out_dir) if f.startswith("cell_")) == [
             "cell_000.csv"]
+
+    def test_dataset_kind_grid_trains_every_task(self, config_path, tmp_path):
+        # each cell's dataset sets its loss: softmax_ce on labels, mse on targets
+        grid = tmp_path / "grid.ini"
+        grid.write_text("[grid]\ndataset.kind = spirals, circles, regression\n")
+        out_dir = tmp_path / "cells"
+        assert cli.cmd_grid(config_path, str(grid), str(out_dir)) == 0
+        rows = [row.split(",") for row in
+                (out_dir / "summary.csv").read_text().strip().split("\n")[1:]]
+        assert [row[-1] for row in rows] == ["0", "0", "0"]
+        assert [math.isnan(float(row[3])) for row in rows] == [False, False, True]
 
     def test_aborted_cell_recorded(self, config_path, tmp_path, capsys):
         grid = tmp_path / "grid.ini"
@@ -267,73 +291,97 @@ class TestFailureExitCodes:
         assert "NonFiniteUpdate" in capsys.readouterr().err
 
 
-# (command, overrides for train or the text of the grid file)
+# (command, overrides for train or the text of the grid file, a fragment of the error)
 CONFIG_ERRORS = {
-    "eval_every_0": ("train", ["train.eval_every=0"]),
-    "negative_seed": ("train", ["train.seed=-1"]),
-    "unknown_optimizer": ("train", ["optimizer.kind=lbfgs"]),
-    "unknown_dataset": ("train", ["dataset.kind=moons"]),
-    "unknown_curvature": ("train", ["optimizer.kind=snopt", "loss.curvature=full"]),
-    "zero_epsilon": ("train", ["optimizer.kind=snopt", "optimizer.epsilon=0"]),
-    "negative_weight_decay": ("train", ["optimizer.weight_decay=-0.1"]),
-    "negative_lr": ("train", ["optimizer.lr=-1"]),
-    "negative_readout_lr": ("train", ["optimizer.readout_lr=-1"]),
-    "negative_momentum": ("train", ["optimizer.kind=sgd", "optimizer.momentum=-5"]),
-    "momentum_1": ("train", ["optimizer.kind=sgd", "optimizer.momentum=1"]),
-    "one_grid_sample": ("train", ["optimizer.kind=snopt", "train.grid_samples=1"]),
-    "unknown_policy": ("train", ["horizon.enabled=true", "horizon.policy=feedbak"]),
-    "missing_out_dir": ("train", []),
-    "grid_no_header": ("grid", "optimizer.lr = 0.01, 0.02\n"),
-    "grid_repeated_key": ("grid", "[grid]\noptimizer.lr = 0.01\noptimizer.lr = 0.02\n"),
-    "grid_bad_interpolation": ("grid", "[grid]\noptimizer.lr = 5%\n"),
-    "grid_tuple_key": ("grid", "[grid]\nmodel.dims = 2,4,2\n"),
-    "error_norm_key": ("train", ["solver.error_norm=semi"]),
-    "semi_prefix_key": ("train", ["solver.semi_prefix=5"]),
-    "softmax_ce_on_regression": ("train", ["dataset.kind=regression"]),
-    "mse_on_labels": ("train", ["loss.kind=mse"]),
-    "classes_over_readout": ("train", ["dataset.kind=circles", "dataset.radii=0.5,1.0,1.5"]),
-    "classes_over_state": ("train", ["loss.readout_classes=0", "dataset.kind=circles",
-                                     "dataset.radii=0.5,1.0,1.5"]),
-    "one_output_softmax": ("train", ["dataset.kind=circles", "dataset.radii=1.0",
-                                     "loss.readout_classes=1"]),
-    "state_width_over_inputs": ("train", ["model.dims=3,4,3"]),
-    "grid_cell_mismatch": ("grid", "[grid]\ndataset.kind = spirals, regression\n"),
-    "n_per_class_0": ("train", ["dataset.n_per_class=0"]),
-    "regression_n_0": ("train", ["dataset.kind=regression", "loss.kind=mse", "dataset.n=0"]),
-    "negative_noise_sd": ("train", ["dataset.noise_sd=-1"]),
-    "no_radii": ("train", ["dataset.kind=circles", "dataset.radii="]),
-    "test_fraction_1_5": ("train", ["dataset.test_fraction=1.5"]),
-    "negative_test_fraction": ("train", ["dataset.test_fraction=-0.1"]),
-    "empty_train_split": ("train", ["dataset.n_per_class=1", "dataset.test_fraction=0.75"]),
-    "horizon_t_min_over_t_max": ("train", ["horizon.t_min=3"]),
-    "horizon_t_min_at_t_max": ("train", ["horizon.t_min=2", "horizon.t_max=2"]),
-    "horizon_negative_ema": ("train", ["horizon.ema=-1"]),
-    "horizon_ema_1": ("train", ["horizon.ema=1"]),
-    "horizon_negative_penalty": ("train", ["horizon.penalty=-1"]),
-    "horizon_zero_penalty": ("train", ["horizon.penalty=0"]),
-    "horizon_zero_lr": ("train", ["horizon.lr=0"]),
+    "eval_every_0": ("train", ["train.eval_every=0"], "eval_every >= 1"),
+    "negative_seed": ("train", ["train.seed=-1"], "seed >= 0"),
+    "unknown_optimizer": ("train", ["optimizer.kind=lbfgs"], "unknown optimizer 'lbfgs'"),
+    "unknown_dataset": ("train", ["dataset.kind=moons"], "unknown dataset kind 'moons'"),
+    "unknown_curvature": ("train", ["optimizer.kind=snopt", "loss.curvature=full"],
+                          "unknown curvature mode 'full'"),
+    "zero_epsilon": ("train", ["optimizer.kind=snopt", "optimizer.epsilon=0"],
+                     "epsilon must be positive"),
+    "negative_weight_decay": ("train", ["optimizer.weight_decay=-0.1"], "weight_decay >= 0"),
+    "negative_lr": ("train", ["optimizer.lr=-1"], "lr >= 0"),
+    "negative_readout_lr": ("train", ["optimizer.readout_lr=-1"], "readout_lr >= 0"),
+    "negative_momentum": ("train", ["optimizer.kind=sgd", "optimizer.momentum=-5"],
+                          "momentum < 1"),
+    "momentum_1": ("train", ["optimizer.kind=sgd", "optimizer.momentum=1"], "momentum < 1"),
+    "one_grid_sample": ("train", ["optimizer.kind=snopt", "train.grid_samples=1"],
+                        "grid_samples >= 2"),
+    "unknown_policy": ("train", ["horizon.enabled=true", "horizon.policy=feedbak"],
+                       "unknown horizon policy 'feedbak'"),
+    "missing_out_dir": ("train", [], "output directory not found"),
+    "grid_no_header": ("grid", "optimizer.lr = 0.01, 0.02\n", "no section headers"),
+    "grid_repeated_key": ("grid", "[grid]\noptimizer.lr = 0.01\noptimizer.lr = 0.02\n",
+                          "'optimizer.lr' in section 'grid' already exists"),
+    "grid_bad_interpolation": ("grid", "[grid]\noptimizer.lr = 5%\n", "'%' must be followed"),
+    "grid_tuple_key": ("grid", "[grid]\nmodel.dims = 2,4,2\n",
+                       "cannot sweep tuple-valued key model.dims"),
+    "error_norm_key": ("train", ["solver.error_norm=semi"], "unknown key 'error_norm'"),
+    "semi_prefix_key": ("train", ["solver.semi_prefix=5"], "unknown key 'semi_prefix'"),
+    "loss_kind_key": ("train", ["loss.kind=mse"], "unknown key 'kind' in [loss]"),
+    "readout_classes_key": ("train", ["loss.readout_classes=3"],
+                            "unknown key 'readout_classes' in [loss]"),
+    "classes_over_state": ("train", ["loss.readout=false", "dataset.kind=circles",
+                                     "dataset.radii=0.5,1.0,1.5"],
+                           "3 classes but the state (no readout) has 2 outputs"),
+    "one_output_softmax": ("train", ["dataset.kind=circles", "dataset.radii=1.0"],
+                           "at least 2 outputs, the readout has 1"),
+    "state_width_over_inputs": ("train", ["model.dims=3,4,3"], "state width 3"),
+    "n_per_class_0": ("train", ["dataset.n_per_class=0"], "n_per_class >= 1"),
+    "regression_n_0": ("train", ["dataset.kind=regression", "dataset.n=0"], "n >= 1"),
+    "negative_noise_sd": ("train", ["dataset.noise_sd=-1"], "noise_sd >= 0"),
+    "no_radii": ("train", ["dataset.kind=circles", "dataset.radii="],
+                 "at least one dataset radius"),
+    "test_fraction_1_5": ("train", ["dataset.test_fraction=1.5"], "test_fraction < 1"),
+    "negative_test_fraction": ("train", ["dataset.test_fraction=-0.1"],
+                               "0 <= dataset test_fraction"),
+    "empty_train_split": ("train", ["dataset.n_per_class=1", "dataset.test_fraction=0.75"],
+                          "leaves no training sample"),
+    "horizon_t_min_over_t_max": ("train", ["horizon.t_min=3"], "t_min < t_max"),
+    "horizon_t_min_at_t_max": ("train", ["horizon.t_min=2", "horizon.t_max=2"], "t_min < t_max"),
+    "horizon_negative_ema": ("train", ["horizon.ema=-1"], "ema must lie in [0, 1)"),
+    "horizon_ema_1": ("train", ["horizon.ema=1"], "ema must lie in [0, 1)"),
+    "horizon_negative_penalty": ("train", ["horizon.penalty=-1"],
+                                 "penalty and lr must be positive"),
+    "horizon_zero_penalty": ("train", ["horizon.penalty=0"], "penalty and lr must be positive"),
+    "horizon_zero_lr": ("train", ["horizon.lr=0"], "penalty and lr must be positive"),
     # widths < 1 and NaN or infinite settings, which each check must fail
-    "zero_width": ("train", ["model.dims=2,0,2"]),
-    "fixed_step_nan": ("train", ["solver.method=rk4", "solver.fixed_step=nan"]),
-    "t1_inf": ("train", ["train.t1=inf"]),
-    "t0_minus_inf": ("train", ["train.t0=-inf"]),
-    "rtol_nan": ("train", ["solver.rtol=nan"]),
-    "atol_nan": ("train", ["solver.atol=nan"]),
-    "max_step_nan": ("train", ["solver.max_step=nan"]),
-    "epsilon_nan": ("train", ["optimizer.kind=snopt", "optimizer.epsilon=nan"]),
-    "horizon_penalty_nan": ("train", ["horizon.penalty=nan"]),
-    "horizon_lr_nan": ("train", ["horizon.lr=nan"]),
-    "horizon_t_min_nan": ("train", ["horizon.t_min=nan"]),
-    "horizon_t_max_nan": ("train", ["horizon.t_max=nan"]),
-    "noise_sd_inf": ("train", ["dataset.noise_sd=inf"]),
-    "radius_nan": ("train", ["dataset.kind=circles", "dataset.radii=0.5,nan"]),
-    "negative_iterations": ("train", ["train.iterations=-3"]),
+    "zero_width": ("train", ["model.dims=2,0,2"], "widths must be at least 1"),
+    "fixed_step_nan": ("train", ["solver.method=rk4", "solver.fixed_step=nan"],
+                       "requires fixed_step > 0"),
+    "t1_inf": ("train", ["train.t1=inf"], "need finite t1 > t0"),
+    "t0_minus_inf": ("train", ["train.t0=-inf"], "need finite t1 > t0"),
+    "rtol_nan": ("train", ["solver.rtol=nan"], "rtol and atol must be positive"),
+    "atol_nan": ("train", ["solver.atol=nan"], "rtol and atol must be positive"),
+    "max_step_nan": ("train", ["solver.max_step=nan"], "max_step must be positive"),
+    "epsilon_nan": ("train", ["optimizer.kind=snopt", "optimizer.epsilon=nan"],
+                    "epsilon must be positive"),
+    "horizon_penalty_nan": ("train", ["horizon.penalty=nan"], "penalty and lr must be positive"),
+    "horizon_lr_nan": ("train", ["horizon.lr=nan"], "penalty and lr must be positive"),
+    "horizon_t_min_nan": ("train", ["horizon.t_min=nan"], "finite horizon t_min"),
+    "horizon_t_max_nan": ("train", ["horizon.t_max=nan"], "finite horizon t_min"),
+    "noise_sd_inf": ("train", ["dataset.noise_sd=inf"], "finite dataset noise_sd"),
+    "radius_nan": ("train", ["dataset.kind=circles", "dataset.radii=0.5,nan"], "all finite"),
+    "negative_iterations": ("train", ["train.iterations=-3"], "iterations >= 0"),
+    "lr_inf": ("train", ["optimizer.lr=inf"], "finite optimizer lr"),
+    "weight_decay_inf": ("train", ["optimizer.weight_decay=inf"], "finite optimizer weight_decay"),
+    "readout_lr_inf": ("train", ["optimizer.readout_lr=inf"],
+                       "finite optimizer lr >= 0 and readout_lr"),
+    "epsilon_inf": ("train", ["optimizer.kind=snopt", "optimizer.epsilon=inf"],
+                    "epsilon must be positive and finite"),
+    "horizon_penalty_inf": ("train", ["horizon.enabled=true", "horizon.period=2",
+                                      "horizon.penalty=inf"],
+                            "penalty and lr must be positive and finite"),
+    "horizon_lr_inf": ("train", ["horizon.enabled=true", "horizon.lr=inf"],
+                       "penalty and lr must be positive and finite"),
 }
 
 
 @pytest.mark.parametrize("case", CONFIG_ERRORS)
 def test_config_error_exit_1(case, config_path, tmp_path, capsys):
-    command, payload = CONFIG_ERRORS[case]
+    command, payload, why = CONFIG_ERRORS[case]
     if command == "grid":
         grid = tmp_path / "grid.ini"
         grid.write_text(payload)
@@ -344,7 +392,8 @@ def test_config_error_exit_1(case, config_path, tmp_path, capsys):
         for override in payload:
             argv += ["--override", override]
     assert cli.main(argv) == 1
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err and why in err
     # a grid checks every cell before it trains or writes any
     assert not (tmp_path / "cells").exists()
 

@@ -372,8 +372,7 @@ class TestCallerArrays:
     # the weighted factor terms write the traversal's own cotangents in place;
     # the caller's terminal states and curvature must come out as they went in
     THREE_CIRCLES = replace(CIRCLES, dataset=tr.DatasetConfig(kind="circles",
-                                                              radii=(0.5, 1.0, 1.5)),
-                            loss=tr.LossConfig(readout_classes=3, curvature="exact_rank"))
+                                                              radii=(0.5, 1.0, 1.5)))
 
     @pytest.mark.parametrize("case", ["surrogate", "two_class", "three_class"])
     def test_sweep_writes_no_caller_array(self, case):

@@ -8,7 +8,7 @@ from snopt_kit import trainer as tr
 from snopt_kit import vector_field as vf
 from snopt_kit.adjoint import adjoint_gradient
 from snopt_kit.kfac import accumulate_factors
-from snopt_kit.loss import TerminalCurvature, TerminalLoss, grad_x1
+from snopt_kit.loss import TerminalCurvature, grad_x1
 from snopt_kit.odesolve import SolverConfig
 
 
@@ -73,7 +73,6 @@ class TestTrainBasics:
     def test_regression_task(self):
         cfg = small_config(
             dataset=tr.DatasetConfig(kind="regression", n=60),
-            loss=tr.LossConfig(kind="mse", readout_classes=0),
             optimizer=tr.OptimizerConfig(kind="adam", lr=1e-2),
         )
         records = tr.train(cfg)
@@ -85,7 +84,6 @@ class TestTrainBasics:
         cfg = small_config(
             iterations=30,
             dataset=tr.DatasetConfig(kind="regression", n=60),
-            loss=tr.LossConfig(kind="mse", readout_classes=0),
             solver=SolverConfig(method="rk4", fixed_step=0.1),
             optimizer=tr.OptimizerConfig(kind="sgd", lr=1e160, momentum=0.0),
         )
@@ -173,7 +171,7 @@ class TestCallerArrays:
         small_config(optimizer=tr.OptimizerConfig(kind="snopt")),
         small_config(dataset=tr.DatasetConfig(kind="circles", n_per_class=40,
                                               radii=(0.5, 1.0, 1.5)),
-                     loss=tr.LossConfig(readout_classes=3, curvature="exact_rank"),
+                     loss=tr.LossConfig(curvature="exact_rank"),
                      optimizer=tr.OptimizerConfig(kind="snopt"),
                      horizon=tr.HorizonConfig(enabled=True, period=1)),
     ], ids=["adam", "snopt", "snopt-three-class-horizon"])
@@ -205,8 +203,7 @@ class TestDefaultConfigSolves:
         for cfg in (tr.ExperimentConfig(), tr.ExperimentConfig(solver=tight)):
             run = tr._Run(cfg)
             idx = run.batch_rng.choice(run.ds.train_idx, size=cfg.batch_size, replace=False)
-            lossfn = TerminalLoss(kind=cfg.loss.kind, target=run.ds.labels[idx],
-                                  readout=run.readout)
+            lossfn = run.loss_on(idx)
             x1, _ = run.forward(run.ds.inputs[idx])
             grad, _, _, _ = adjoint_gradient(run.spec, run.theta, x1, grad_x1(lossfn, x1),
                                              cfg.t0, cfg.t1, cfg.solver)
@@ -340,17 +337,20 @@ class TestConfigValidation:
             small_config(grid_samples=1)
 
     def test_built_and_replaced_configs_check_joined_sections(self):
-        # mse on the spirals labels: the cross-section rule, checked on every build
-        with pytest.raises(ValueError, match="loss mse does not fit dataset spirals"):
-            tr.ExperimentConfig(loss=tr.LossConfig(kind="mse"))
-        valid = tr.ExperimentConfig(iterations=2)
-        with pytest.raises(ValueError, match="loss mse does not fit dataset spirals"):
-            replace(valid, loss=tr.LossConfig(kind="mse"))
+        # three classes on the two-wide state without a readout: the
+        # cross-section rule, checked on every build
+        three = tr.DatasetConfig(kind="circles", radii=(0.5, 1.0, 1.5))
+        off = tr.LossConfig(readout=False)
+        with pytest.raises(ValueError, match="3 classes but the state"):
+            tr.ExperimentConfig(dataset=three, loss=off)
+        valid = tr.ExperimentConfig(dataset=three, iterations=2)
+        with pytest.raises(ValueError, match="3 classes but the state"):
+            replace(valid, loss=off)
 
     def test_built_config_cannot_be_changed_unchecked(self):
         # replace sections share, so a mutable one would skip the check for both configs
         cfg = tr.ExperimentConfig()
         with pytest.raises(FrozenInstanceError):
-            cfg.loss.kind = "mse"
+            cfg.loss.readout = False
         with pytest.raises(FrozenInstanceError):
             cfg.seed = 1
