@@ -1,7 +1,47 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from snopt_kit import data as dm
+from snopt_kit.trainer import DatasetConfig, build_dataset
+
+
+def _sha256(a: np.ndarray, dtype: str) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a, dtype=dtype).tobytes()).hexdigest()
+
+
+# One small dataset per kind, pinned as generated: the little-endian bytes of
+# the inputs and labels, the labels' dtype, and both splits.  A change to the
+# draw order, the noiseless points or the split changes one of these.
+PINNED = {
+    "spirals": (
+        DatasetConfig(kind="spirals", n_per_class=6, noise_sd=0.1), 3,
+        "006aed79e4ee2daaff2ae592bdb9163db0ec022c832773930875948286de7c18",
+        np.int64, "fabb5ef74cba3752ffd24955e8916ccae8342160d51ebef4b186dcd786e61e11",
+        [0, 1, 2, 3, 5, 6, 8, 9, 10, 11], [4, 7]),
+    "circles": (
+        DatasetConfig(kind="circles", n_per_class=4, radii=(0.5, 1.0, 1.5), noise_sd=0.1), 5,
+        "4e01b38f05f83861549f306d475fa4965c77b135b9e0f2662a836079e66e01f0",
+        np.int64, "5664ee91a9289943f6b968bac7b7d35ad321fe7c6ff70cc91c8d20139c9c6afe",
+        [0, 1, 2, 3, 4, 6, 7, 9, 10, 11], [5, 8]),
+    "regression": (
+        DatasetConfig(kind="regression", n=10), 7,
+        "7773a12e82f750bb8f257f93f3ce9c107585d517e575ed3bf0513e3c8e451cff",
+        np.float64, "4f8c7ebc0ac184bd76bc6badb189ae7b9de3b29e3166a843c0720befb4d234e0",
+        [0, 1, 3, 4, 6, 7, 8, 9], [2, 5]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED))
+def test_pinned_draw(kind):
+    cfg, seed, inputs_sha, label_dtype, labels_sha, train_idx, test_idx = PINNED[kind]
+    ds = build_dataset(cfg, seed)
+    assert _sha256(ds.inputs, "<f8") == inputs_sha
+    assert ds.labels.dtype == label_dtype
+    assert _sha256(ds.labels, np.dtype(label_dtype).newbyteorder("<")) == labels_sha
+    assert ds.train_idx.tolist() == train_idx
+    assert ds.test_idx.tolist() == test_idx
 
 
 class TestSpirals:
