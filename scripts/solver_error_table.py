@@ -37,7 +37,7 @@ def main():
 
     spec = vf.MlpSpec(dims=(2, 3, 2), activations=("tanh", "identity"))
     theta = vf.init_params(spec, args.seed)
-    lossfn = TerminalLoss(kind="mse", target=np.array([0.25, -0.5]))
+    lossfn = TerminalLoss(target=np.array([0.25, -0.5]))
     rows = error_study(spec, theta, np.array([[0.4, -0.2]]), lossfn, SOLVERS)
 
     write_error_study_csv(rows, args.out)

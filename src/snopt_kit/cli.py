@@ -4,7 +4,7 @@ Experiment configs are flat INI files (one section per config group, all
 defaults overridable); metrics land in a fixed-schema CSV whose floats are
 written with 17 significant digits so parsing the file back reproduces the
 records exactly.  The ``SNOPT_SEED`` environment variable overrides the
-config seed.
+config file's seed, and ``--override`` (or a grid cell) overrides both.
 
 Exit codes: 0 success, 1 config error (``ConfigError``: an unknown key, a
 value the config dataclasses reject, sections that do not fit together
@@ -81,7 +81,7 @@ def _section_defaults(defaults: ExperimentConfig, section: str):
 
 
 def _config_items(path: str, overrides: list[str] | None) -> dict[str, list[tuple[str, str]]]:
-    """The file's items, then the overrides, then ``SNOPT_SEED``, by section."""
+    """The file's items, then ``SNOPT_SEED``, then the overrides, by section."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
@@ -93,9 +93,6 @@ def _config_items(path: str, overrides: list[str] | None) -> dict[str, list[tupl
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
 
-    for ov in overrides or []:
-        section, key, value = _split_override(ov)
-        staged.setdefault(section, []).append((key, value))
     if "SNOPT_SEED" in os.environ:
         try:
             seed = int(os.environ["SNOPT_SEED"])
@@ -104,6 +101,9 @@ def _config_items(path: str, overrides: list[str] | None) -> dict[str, list[tupl
         except ValueError as exc:
             raise ConfigError(f"SNOPT_SEED must be a nonnegative integer: {exc}") from exc
         staged.setdefault("train", []).append(("seed", str(seed)))
+    for ov in overrides or []:
+        section, key, value = _split_override(ov)
+        staged.setdefault(section, []).append((key, value))
     return staged
 
 
@@ -277,7 +277,7 @@ def _check_gradient(tol_scale: float):
     rng = np.random.Generator(np.random.Philox(1))
     x0 = rng.uniform(-1, 1, size=(8, 2))
     target = rng.uniform(-1, 1, size=(8, 2))
-    lossfn = loss.TerminalLoss(kind="mse", target=target)
+    lossfn = loss.TerminalLoss(target=target)
     cfg = SolverConfig(method="rk4", fixed_step=1e-2)
     x1 = oracle.flow(spec, theta, x0, 0.0, 1.0, cfg)
     grad, _, _, _ = adjoint.adjoint_gradient(spec, theta, x1, loss.grad_x1(lossfn, x1),
@@ -294,7 +294,7 @@ def _check_dense_curvature(tol_scale: float):
     x0 = np.array([[0.4, -0.2]])
     cfg = SolverConfig(method="dopri5", rtol=1e-8, atol=1e-8)
     x1 = oracle.flow(spec, theta, x0, 0.0, 1.0, cfg)
-    lossfn = loss.TerminalLoss(kind="mse", target=np.zeros(2))
+    lossfn = loss.TerminalLoss(target=np.zeros(2))
     curv = loss.terminal_curvature(lossfn, x1, 0.0, 1.0, "exact_rank")
     dense = oracle.dense_sweep(spec, theta, x1, curv, 0.0, 1.0, cfg)
     jac = oracle.fd_flow_jacobian(spec, theta, x0, 0.0, 1.0, cfg)
@@ -348,7 +348,7 @@ def _check_horizon(tol_scale: float):
     theta = vf.init_params(spec, 11)
     rng = np.random.Generator(np.random.Philox(13))
     x0 = rng.uniform(-1, 1, size=(8, 2))
-    lossfn = loss.TerminalLoss(kind="softmax_ce", target=rng.integers(0, 3, size=8),
+    lossfn = loss.TerminalLoss(target=rng.integers(0, 3, size=8),
                                readout=loss.init_readout(2, 3, 17))
     cfg = SolverConfig(method="rk4", fixed_step=1e-2)
     t_bar, h = 0.8, oracle.FD_STEP

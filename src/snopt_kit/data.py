@@ -1,9 +1,14 @@
-"""Deterministic synthetic datasets at desk scale.
+"""Deterministic synthetic datasets at desk scale: their config and one builder.
+
+``DatasetConfig`` states the task, and everything else is read off it: the
+class count (0 for regression targets), the sample count and, in the
+trainer, the loss and the readout's width.  ``build_dataset`` is the one
+way to draw a dataset.
 
 All randomness comes from numpy's Philox generator, a named 64-bit
 counter-based PRNG, so regenerating with the same seed is bit-identical
 across platforms.  Draw order is fixed: class-0 noise, class-1 noise, ...,
-then the split permutation.
+then the split permutation (regression: the inputs, then the split).
 """
 
 from __future__ import annotations
@@ -15,10 +20,46 @@ import numpy as np
 INPUT_DIM = 2                     # every dataset here is planar
 
 
+@dataclass(frozen=True)
+class DatasetConfig:
+    kind: str = "spirals"            # spirals | circles | regression
+    n_per_class: int = 250
+    noise_sd: float = 0.05
+    radii: tuple[float, ...] = (0.5, 1.0)
+    n: int = 400                     # regression sample count
+    test_fraction: float = 0.2
+
+    def __post_init__(self):
+        if self.kind not in ("spirals", "circles", "regression"):
+            raise ValueError(f"unknown dataset kind {self.kind!r}; "
+                             "expected one of spirals, circles, regression")
+        # checked whatever the kind, so a grid may switch kinds in any order
+        if self.n_per_class < 1 or self.n < 1:
+            raise ValueError("need dataset n_per_class >= 1 and n >= 1")
+        if not 0 <= self.noise_sd < np.inf:
+            raise ValueError("need a finite dataset noise_sd >= 0")
+        if not (self.radii and np.all(np.isfinite(self.radii))):
+            raise ValueError("need at least one dataset radius, all finite")
+        if not 0 <= self.test_fraction < 1:
+            raise ValueError("need 0 <= dataset test_fraction < 1")
+        if round(self.n_samples * self.test_fraction) >= self.n_samples:
+            raise ValueError(f"test_fraction {self.test_fraction} leaves no training "
+                             f"sample of {self.n_samples}")
+
+    @property
+    def n_classes(self) -> int:
+        """Number of label classes; 0 for regression targets."""
+        return {"spirals": 2, "circles": len(self.radii)}.get(self.kind, 0)
+
+    @property
+    def n_samples(self) -> int:
+        return self.n if self.kind == "regression" else self.n_per_class * self.n_classes
+
+
 @dataclass
 class Dataset:
     inputs: np.ndarray            # (N, m)
-    labels: np.ndarray            # (N,) int classes, or (N, m) vector targets
+    labels: np.ndarray            # (N,) int64 classes, or (N, m) float vector targets
     train_idx: np.ndarray
     test_idx: np.ndarray
 
@@ -27,59 +68,26 @@ class Dataset:
         return self.train_idx.size
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(seed))
-
-
 def _split(rng: np.random.Generator, n: int, test_fraction: float):
     perm = rng.permutation(n)
     n_test = int(round(n * test_fraction))
     return np.sort(perm[n_test:]), np.sort(perm[:n_test])
 
 
-def make_spirals(n_per_class: int, noise_sd: float, seed: int,
-                 test_fraction: float = 0.2) -> Dataset:
-    """Two interleaved planar spirals, one per class.
+def _noiseless_classes(cfg: DatasetConfig) -> list[np.ndarray]:
+    """Each class's (n_per_class, 2) points before noise, class by class.
 
-    Points sit at radius ``phi / 4pi`` for angles ``phi`` in [0, 4pi], with
-    class 1 rotated by pi, plus Gaussian noise.  The first class-0 point is
-    the origin when noise_sd = 0.
+    Spiral arm k sits at radius ``phi / 4pi`` for angles ``phi`` in [0, 4pi],
+    rotated by ``k pi``, so arm 0 starts at the origin; circle k spaces its
+    points evenly at ``radii[k]``.
     """
-    if n_per_class < 1 or not noise_sd >= 0:
-        raise ValueError("need n_per_class >= 1 and noise_sd >= 0")
-    rng = _rng(seed)
-    phi = np.linspace(0.0, 4 * np.pi, n_per_class)
-    r = phi / (4 * np.pi)
-    chunks, labels = [], []
-    for cls in range(2):
-        ang = phi + np.pi * cls
-        pts = np.stack([r * np.cos(ang), r * np.sin(ang)], axis=1)
-        pts = pts + rng.normal(0.0, 1.0, size=pts.shape) * noise_sd
-        chunks.append(pts)
-        labels.append(np.full(n_per_class, cls, dtype=np.int64))
-    inputs = np.concatenate(chunks)
-    labels = np.concatenate(labels)
-    train_idx, test_idx = _split(rng, inputs.shape[0], test_fraction)
-    return Dataset(inputs=inputs, labels=labels, train_idx=train_idx, test_idx=test_idx)
-
-
-def make_circles(n_per_class: int, radii: tuple[float, ...], noise_sd: float,
-                 seed: int, test_fraction: float = 0.2) -> Dataset:
-    """Concentric circles, one radius per class."""
-    if n_per_class < 1 or not noise_sd >= 0 or len(radii) < 1:
-        raise ValueError("need n_per_class >= 1, noise_sd >= 0, and radii")
-    rng = _rng(seed)
-    ang = np.linspace(0.0, 2 * np.pi, n_per_class, endpoint=False)
-    chunks, labels = [], []
-    for cls, radius in enumerate(radii):
-        pts = radius * np.stack([np.cos(ang), np.sin(ang)], axis=1)
-        pts = pts + rng.normal(0.0, 1.0, size=pts.shape) * noise_sd
-        chunks.append(pts)
-        labels.append(np.full(n_per_class, cls, dtype=np.int64))
-    inputs = np.concatenate(chunks)
-    labels = np.concatenate(labels)
-    train_idx, test_idx = _split(rng, inputs.shape[0], test_fraction)
-    return Dataset(inputs=inputs, labels=labels, train_idx=train_idx, test_idx=test_idx)
+    if cfg.kind == "spirals":
+        phi = np.linspace(0.0, 4 * np.pi, cfg.n_per_class)
+        polar = [((phi / (4 * np.pi))[:, None], phi + np.pi * k) for k in range(cfg.n_classes)]
+    else:
+        ang = np.linspace(0.0, 2 * np.pi, cfg.n_per_class, endpoint=False)
+        polar = [(radius, ang) for radius in cfg.radii]
+    return [r * np.stack([np.cos(a), np.sin(a)], axis=1) for r, a in polar]
 
 
 def regression_targets(inputs: np.ndarray) -> np.ndarray:
@@ -89,13 +97,21 @@ def regression_targets(inputs: np.ndarray) -> np.ndarray:
                            x0 ** 2 - x1 ** 2], axis=1)
 
 
-def make_regression(n: int, seed: int, test_fraction: float = 0.2) -> Dataset:
-    """Uniform planar inputs with smooth vector targets."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    rng = _rng(seed)
-    inputs = rng.uniform(-1.0, 1.0, size=(n, 2))
-    targets = regression_targets(inputs)
-    train_idx, test_idx = _split(rng, n, test_fraction)
-    return Dataset(inputs=inputs, labels=targets, train_idx=train_idx, test_idx=test_idx)
+def build_dataset(cfg: DatasetConfig, seed: int) -> Dataset:
+    """The dataset ``cfg`` describes, drawn from the Philox stream ``seed``.
 
+    Classes get Gaussian noise of sd ``noise_sd`` on their noiseless points
+    and int64 labels, ``n_per_class`` of each in class order; regression
+    draws uniform inputs in [-1, 1]^2 and takes ``regression_targets`` of
+    them as float targets.
+    """
+    rng = np.random.Generator(np.random.Philox(seed))
+    if cfg.kind == "regression":
+        inputs = rng.uniform(-1.0, 1.0, size=(cfg.n, INPUT_DIM))
+        labels = regression_targets(inputs)
+    else:
+        inputs = np.concatenate([pts + rng.normal(0.0, 1.0, size=pts.shape) * cfg.noise_sd
+                                 for pts in _noiseless_classes(cfg)])
+        labels = np.repeat(np.arange(cfg.n_classes, dtype=np.int64), cfg.n_per_class)
+    train_idx, test_idx = _split(rng, inputs.shape[0], cfg.test_fraction)
+    return Dataset(inputs=inputs, labels=labels, train_idx=train_idx, test_idx=test_idx)

@@ -1,20 +1,21 @@
 """Terminal objectives, their gradients, and rank-factorized Hessians.
 
-Two objectives: ``mse`` uses the half-scaled convention ``0.5 * ||pred -
-target||^2`` so its Hessian is exactly the identity, and ``softmax_ce``
-goes through an optional affine readout (trained by a plain first-order
-rule in the training loop; its curvature is never Kronecker-tracked).
+Two objectives, read off the target: float targets take ``mse`` on the
+state itself, in the half-scaled convention ``0.5 * ||x1 - target||^2`` so
+its Hessian is exactly the identity, and integer class labels take
+``softmax_ce`` through an optional affine readout (trained by a plain
+first-order rule in the training loop; its curvature is never
+Kronecker-tracked).
 
 ``terminal_curvature`` produces the terminal Hessian as a list of factor
 vectors ``y_i`` with ``Hessian = sum_i y_i y_i^T``:
 
 * ``exact_rank`` gives an exact symmetric factorization: identity columns
-  for mse (the readout's rows with a readout), and for cross entropy the
-  C-1 columns of the stick-breaking Cholesky factor of the multinomial
-  covariance ``diag(p) - p p^T`` (Tanabe & Sagae, J. R. Stat. Soc. B 54,
-  1992), pushed through the readout.  That matrix maps the all-ones
-  vector to zero, so it has rank C-1 and a C-th column would be
-  redundant.
+  for mse, and for cross entropy the C-1 columns of the stick-breaking
+  Cholesky factor of the multinomial covariance ``diag(p) - p p^T``
+  (Tanabe & Sagae, J. R. Stat. Soc. B 54, 1992), pushed through the
+  readout.  That matrix maps the all-ones vector to zero, so it has rank
+  C-1 and a C-th column would be redundant.
 * ``gauss_newton_scaled`` gives the single factor ``grad / sqrt(t1 - t0)``,
   the cheap rank-1 surrogate used in production training (an
   empirical-Fisher B side; Kunstner, Balles & Hennig, arXiv:1905.12558).
@@ -38,7 +39,6 @@ import numpy as np
 
 from . import vector_field as vf
 
-LOSS_KINDS = ("mse", "softmax_ce")
 CURVATURE_MODES = ("exact_rank", "gauss_newton_scaled")
 
 
@@ -66,16 +66,25 @@ def init_readout(state_dim: int, n_classes: int, seed: int) -> Readout:
 
 @dataclass
 class TerminalLoss:
-    kind: str                      # "mse" | "softmax_ce"
-    target: np.ndarray             # vectors for mse, integer labels for softmax_ce
+    """The terminal objective, whose kind its target implies.
+
+    Integer class labels (batch,) take ``softmax_ce`` through the optional
+    readout; float targets, (m,) or (batch, m), take ``mse`` on the state.
+    """
+
+    target: np.ndarray
     readout: Readout | None = None
 
     def __post_init__(self):
-        if self.kind not in LOSS_KINDS:
-            raise ValueError(f"unknown loss kind {self.kind!r}")
         self.target = np.asarray(self.target)
-        if self.kind == "softmax_ce" and not np.issubdtype(self.target.dtype, np.integer):
-            raise BadLabel("softmax_ce expects integer class labels")
+        if self.readout is not None and not self.classifies:
+            raise ValueError("a readout needs integer class labels; float targets are "
+                             "mse on the state itself")
+
+    @property
+    def classifies(self) -> bool:
+        """True for integer class labels (``softmax_ce``), False for ``mse``."""
+        return self.target.dtype.kind in "iu"    # signed or unsigned integers
 
 
 @dataclass
@@ -84,9 +93,8 @@ class TerminalCurvature:
 
     ``factors`` is a list of arrays shaped like the per-sample gradient;
     the reconstruction ``sum_i y_i y_i^T`` is symmetric PSD by build.
-    ``exact_rank`` gives m factors for mse without a readout, one per
-    output with one, and C-1 for a C-class softmax; ``gauss_newton_scaled``
-    gives one.  ``adjoint_weights`` (batch,) is set when the one factor is,
+    ``exact_rank`` gives m factors for mse and C-1 for a C-class softmax;
+    ``gauss_newton_scaled`` gives one.  ``adjoint_weights`` (batch,) is set when the one factor is,
     up to each row's sign, ``adjoint_weights[:, None] * grad`` (the
     surrogate and the two-class softmax), and a backward sweep then reads
     it off the adjoint; it is None otherwise, and each factor is one rank
@@ -124,10 +132,9 @@ def _predictions(lossfn: TerminalLoss, x1: np.ndarray) -> np.ndarray:
 
 def loss_value(lossfn: TerminalLoss, x1: np.ndarray) -> float:
     """Batch-mean objective at the (batch, m) terminal states."""
+    if not lossfn.classifies:
+        return float(0.5 * np.mean(np.sum(_residual(lossfn, x1) ** 2, axis=1)))
     pred = _predictions(lossfn, x1)
-    if lossfn.kind == "mse":
-        target = np.broadcast_to(lossfn.target, pred.shape)
-        return float(0.5 * np.mean(np.sum((pred - target) ** 2, axis=1)))
     labels = _check_labels(lossfn.target, pred.shape[1], pred.shape[0])
     z = pred - pred.max(axis=1, keepdims=True)
     log_probs = z - np.log(np.sum(np.exp(z), axis=1, keepdims=True))
@@ -155,9 +162,8 @@ def _ce_residual(lossfn: TerminalLoss, probs: np.ndarray) -> np.ndarray:
 
 def _residual(lossfn: TerminalLoss, x1: np.ndarray) -> np.ndarray:
     """Per-sample gradient of the objective w.r.t. the predictions."""
-    if lossfn.kind == "mse":
-        pred = _predictions(lossfn, x1)
-        return pred - np.broadcast_to(lossfn.target, pred.shape)
+    if not lossfn.classifies:
+        return x1 - np.broadcast_to(lossfn.target, x1.shape)
     return _ce_residual(lossfn, _probs(lossfn, x1))
 
 
@@ -214,7 +220,7 @@ def terminal_curvature(lossfn: TerminalLoss, x1: np.ndarray, t0: float, t1: floa
     if mode not in CURVATURE_MODES:
         raise ValueError(f"unknown curvature mode {mode!r}")
 
-    if mode == "exact_rank" and lossfn.kind == "softmax_ce":
+    if mode == "exact_rank" and lossfn.classifies:
         # one softmax feeds the gradient and the factors
         probs = _probs(lossfn, x1)
         weights = None
@@ -233,15 +239,15 @@ def terminal_curvature(lossfn: TerminalLoss, x1: np.ndarray, t0: float, t1: floa
         scale = float(1.0 / np.sqrt(t1 - t0))
         return TerminalCurvature(grad=grad, factors=[scale * grad],
                                  adjoint_weights=np.broadcast_to(scale, grad.shape[:1]))
-    # the Hessian is V^T V, one factor per readout row, or the identity
-    # without a readout, one unit vector each: read-only views of those rows
-    rows = lossfn.readout.weight if lossfn.readout is not None else np.eye(x1.shape[1])
-    return TerminalCurvature(grad=grad, factors=[np.broadcast_to(row, x1.shape) for row in rows])
+    # the mse Hessian is the identity, one unit vector per factor: read-only
+    # views of its rows
+    return TerminalCurvature(grad=grad, factors=[np.broadcast_to(row, x1.shape)
+                                                 for row in np.eye(x1.shape[1])])
 
 
 def accuracy(lossfn: TerminalLoss, x1: np.ndarray) -> float:
     """Fraction of correct argmax predictions; NaN for vector targets."""
-    if lossfn.kind != "softmax_ce":
+    if not lossfn.classifies:
         return float("nan")
     pred = _predictions(lossfn, x1)
     labels = _check_labels(lossfn.target, pred.shape[1], pred.shape[0])

@@ -10,6 +10,11 @@ loss sequence.  The readout (when present) is updated in the same
 iteration by Adam; its curvature is never tracked.  Test
 metrics run on the evaluation cadence and on the final iteration.
 
+The dataset (``data.DatasetConfig``) states the task and the loss follows
+from its labels (``loss.TerminalLoss``): class labels take softmax_ce
+through a readout of one row per class (or on the state with
+``loss.readout`` off), and regression targets take mse on the state.
+
 Randomness is split into three Philox streams derived from the run seed:
 the dataset, parameter/readout initialization (seed+1), and batch
 sampling (seed+2).  Two runs with the same config produce identical
@@ -23,9 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import data as data_mod
 from . import vector_field as vf
 from .adjoint import adjoint_gradient
+from .data import INPUT_DIM, DatasetConfig, build_dataset
 from .horizon import (HorizonConfig, HorizonState, NonFiniteUpdate, first_order_horizon_step,
                       horizon_step, horizon_terms)
 from .kfac import KroneckerFactors, accumulate_factors
@@ -50,40 +55,6 @@ class TrainAbort(RuntimeError):
 def _check_choice(what: str, value: str, choices: tuple[str, ...]):
     if value not in choices:
         raise ValueError(f"unknown {what} {value!r}; expected one of {', '.join(choices)}")
-
-
-@dataclass(frozen=True)
-class DatasetConfig:
-    kind: str = "spirals"            # spirals | circles | regression
-    n_per_class: int = 250
-    noise_sd: float = 0.05
-    radii: tuple[float, ...] = (0.5, 1.0)
-    n: int = 400                     # regression sample count
-    test_fraction: float = 0.2
-
-    def __post_init__(self):
-        _check_choice("dataset kind", self.kind, ("spirals", "circles", "regression"))
-        # checked whatever the kind, so a grid may switch kinds in any order
-        if self.n_per_class < 1 or self.n < 1:
-            raise ValueError("need dataset n_per_class >= 1 and n >= 1")
-        if not 0 <= self.noise_sd < np.inf:
-            raise ValueError("need a finite dataset noise_sd >= 0")
-        if not (self.radii and np.all(np.isfinite(self.radii))):
-            raise ValueError("need at least one dataset radius, all finite")
-        if not 0 <= self.test_fraction < 1:
-            raise ValueError("need 0 <= dataset test_fraction < 1")
-        if round(self.n_samples * self.test_fraction) >= self.n_samples:
-            raise ValueError(f"test_fraction {self.test_fraction} leaves no training "
-                             f"sample of {self.n_samples}")
-
-    @property
-    def n_classes(self) -> int:
-        """Number of label classes; 0 for regression targets."""
-        return {"spirals": 2, "circles": len(self.radii)}.get(self.kind, 0)
-
-    @property
-    def n_samples(self) -> int:
-        return self.n if self.kind == "regression" else self.n_per_class * self.n_classes
 
 
 @dataclass(frozen=True)
@@ -168,9 +139,9 @@ class ExperimentConfig:
             raise ValueError("need seed >= 0")
         # rules that join the sections, which check themselves as they are built
         classes, width = self.dataset.n_classes, self.model.spec().state_dim
-        if width != data_mod.INPUT_DIM:
+        if width != INPUT_DIM:
             raise ValueError(f"model state width {width} differs from the dataset's "
-                             f"{data_mod.INPUT_DIM} input features")
+                             f"{INPUT_DIM} input features")
         outputs = classes if self.loss.readout else width
         if classes and outputs < 2:
             # a one-output softmax is constant: its loss, gradient and Hessian are 0
@@ -178,6 +149,10 @@ class ExperimentConfig:
         if classes > outputs:
             raise ValueError(f"dataset {self.dataset.kind} has {classes} classes but the state "
                              f"(no readout) has {outputs} outputs")
+        if self.horizon.enabled and not self.t0 < self.horizon.t_min:
+            # the bound may be driven down to t_min, and the flow needs t1 > t0
+            raise ValueError(f"need t0 < horizon t_min with the horizon enabled, got t0 = "
+                             f"{self.t0}, t_min = {self.horizon.t_min}")
 
 
 @dataclass
@@ -193,16 +168,6 @@ class TrainRecord:
     t1: float
 
 
-def build_dataset(cfg: DatasetConfig, seed: int) -> data_mod.Dataset:
-    if cfg.kind == "spirals":
-        return data_mod.make_spirals(cfg.n_per_class, cfg.noise_sd, seed,
-                                     test_fraction=cfg.test_fraction)
-    if cfg.kind == "circles":
-        return data_mod.make_circles(cfg.n_per_class, tuple(cfg.radii), cfg.noise_sd,
-                                     seed, test_fraction=cfg.test_fraction)
-    return data_mod.make_regression(cfg.n, seed, test_fraction=cfg.test_fraction)
-
-
 class _Run:
     """Mutable pieces of one training run."""
 
@@ -212,7 +177,6 @@ class _Run:
         self.ds = build_dataset(cfg.dataset, cfg.seed)
         self.theta = vf.init_params(self.spec, cfg.seed + 1)
         classes = cfg.dataset.n_classes
-        self.loss_kind = "softmax_ce" if classes else "mse"
         self.readout = (init_readout(self.spec.state_dim, classes, cfg.seed + 1)
                         if classes and cfg.loss.readout else None)
         self.batch_rng = np.random.Generator(np.random.Philox(cfg.seed + 2))
@@ -253,7 +217,7 @@ class _Run:
 
     def loss_on(self, idx: np.ndarray) -> TerminalLoss:
         """The run's loss on the samples ``idx``."""
-        return TerminalLoss(kind=self.loss_kind, target=self.ds.labels[idx], readout=self.readout)
+        return TerminalLoss(target=self.ds.labels[idx], readout=self.readout)
 
     def evaluate(self, idx: np.ndarray, x1: np.ndarray | None = None) -> tuple[float, float]:
         """Loss and accuracy on ``idx``; solves forward unless given its terminal states."""

@@ -81,7 +81,7 @@ class TestAdjointGradient:
             theta = vf.init_params(spec, 2)
             rng = np.random.default_rng(3)
             x0 = rng.uniform(-1, 1, size=(4, 2))
-            lossfn = TerminalLoss(kind="mse", target=rng.uniform(-1, 1, size=(4, 2)))
+            lossfn = TerminalLoss(target=rng.uniform(-1, 1, size=(4, 2)))
 
             x1 = forward(spec, theta, x0)
             grad, _, _, _ = adjoint_gradient(spec, theta, x1, grad_x1(lossfn, x1), 0.0, 1.0,

@@ -78,6 +78,11 @@ class TestConfigLoading:
         monkeypatch.setenv("SNOPT_SEED", "99")
         assert cli.load_config(config_path).seed == 99
 
+    def test_override_beats_env_seed(self, config_path, monkeypatch):
+        # file < SNOPT_SEED < --override
+        monkeypatch.setenv("SNOPT_SEED", "99")
+        assert cli.load_config(config_path, overrides=["train.seed=5"]).seed == 5
+
     @pytest.mark.parametrize("overrides, kind, readout_shape", [
         (["dataset.kind=circles", "dataset.radii=0.5,1.0,1.5"], "softmax_ce", (3, 2)),
         (["dataset.kind=regression"], "mse", None),
@@ -86,7 +91,7 @@ class TestConfigLoading:
     def test_dataset_sets_loss_and_readout(self, config_path, overrides, kind, readout_shape):
         # the readout has one row per class; regression targets have none
         run = trainer._Run(cli.load_config(config_path, overrides))
-        assert run.loss_kind == kind
+        assert run.loss_on(run.ds.train_idx).classifies == (kind == "softmax_ce")
         assert (None if run.readout is None else run.readout.weight.shape) == readout_shape
 
 
@@ -237,6 +242,16 @@ class TestCmdGrid:
         assert [row[-1] for row in rows] == ["0", "0", "0"]
         assert [math.isnan(float(row[3])) for row in rows] == [False, False, True]
 
+    def test_seed_cells_beat_env_seed(self, config_path, tmp_path, monkeypatch):
+        # a cell's train.seed rides in the overrides, so SNOPT_SEED yields to it
+        monkeypatch.setenv("SNOPT_SEED", "99")
+        seeds = []
+        monkeypatch.setattr(trainer, "train", lambda cfg: seeds.append(cfg.seed) or [])
+        grid = tmp_path / "grid.ini"
+        grid.write_text("[grid]\ntrain.seed = 1, 2, 3\n")
+        assert cli.cmd_grid(config_path, str(grid), str(tmp_path / "cells")) == 0
+        assert seeds == [1, 2, 3]
+
     def test_aborted_cell_recorded(self, config_path, tmp_path, capsys):
         grid = tmp_path / "grid.ini"
         grid.write_text("[grid]\nsolver.max_steps = 3, 100000\n")
@@ -320,7 +335,7 @@ CONFIG_ERRORS = {
                        "cannot sweep tuple-valued key model.dims"),
     "error_norm_key": ("train", ["solver.error_norm=semi"], "unknown key 'error_norm'"),
     "semi_prefix_key": ("train", ["solver.semi_prefix=5"], "unknown key 'semi_prefix'"),
-    "loss_kind_key": ("train", ["loss.kind=mse"], "unknown key 'kind' in [loss]"),
+    "kind_key_in_loss": ("train", ["loss.kind=mse"], "unknown key 'kind' in [loss]"),
     "readout_classes_key": ("train", ["loss.readout_classes=3"],
                             "unknown key 'readout_classes' in [loss]"),
     "classes_over_state": ("train", ["loss.readout=false", "dataset.kind=circles",
@@ -341,6 +356,10 @@ CONFIG_ERRORS = {
                           "leaves no training sample"),
     "horizon_t_min_over_t_max": ("train", ["horizon.t_min=3"], "t_min < t_max"),
     "horizon_t_min_at_t_max": ("train", ["horizon.t_min=2", "horizon.t_max=2"], "t_min < t_max"),
+    "horizon_t_min_below_t0": ("train", ["horizon.enabled=true", "horizon.t_min=-1"],
+                               "need t0 < horizon t_min"),
+    "horizon_t_min_at_t0": ("train", ["horizon.enabled=true", "horizon.t_min=0"],
+                            "need t0 < horizon t_min"),
     "horizon_negative_ema": ("train", ["horizon.ema=-1"], "ema must lie in [0, 1)"),
     "horizon_ema_1": ("train", ["horizon.ema=1"], "ema must lie in [0, 1)"),
     "horizon_negative_penalty": ("train", ["horizon.penalty=-1"],

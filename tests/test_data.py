@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from snopt_kit import data as dm
-from snopt_kit.trainer import DatasetConfig, build_dataset
+from snopt_kit.data import DatasetConfig, build_dataset
 
 
 def _sha256(a: np.ndarray, dtype: str) -> str:
@@ -44,14 +44,28 @@ def test_pinned_draw(kind):
     assert ds.test_idx.tolist() == test_idx
 
 
+def spirals(n_per_class, noise_sd, seed):
+    return build_dataset(DatasetConfig(kind="spirals", n_per_class=n_per_class,
+                                       noise_sd=noise_sd), seed)
+
+
+def circles(n_per_class, radii, noise_sd, seed):
+    return build_dataset(DatasetConfig(kind="circles", n_per_class=n_per_class, radii=radii,
+                                       noise_sd=noise_sd), seed)
+
+
+def regression(n, seed):
+    return build_dataset(DatasetConfig(kind="regression", n=n), seed)
+
+
 class TestSpirals:
     def test_origin_point_when_noiseless(self):
-        ds = dm.make_spirals(10, 0.0, 0)
+        ds = spirals(10, 0.0, 0)
         assert np.allclose(ds.inputs[0], [0.0, 0.0])
         assert ds.labels[0] == 0
 
     def test_noiseless_geometry(self):
-        ds = dm.make_spirals(50, 0.0, 3)
+        ds = spirals(50, 0.0, 3)
         phi = np.linspace(0, 4 * np.pi, 50)
         r = phi / (4 * np.pi)
         arm0 = np.stack([r * np.cos(phi), r * np.sin(phi)], axis=1)
@@ -60,57 +74,57 @@ class TestSpirals:
         assert np.allclose(ds.inputs[50:], -arm0, atol=1e-12)
 
     def test_deterministic_given_seed(self):
-        a = dm.make_spirals(100, 0.05, 42)
-        b = dm.make_spirals(100, 0.05, 42)
+        a = spirals(100, 0.05, 42)
+        b = spirals(100, 0.05, 42)
         assert np.array_equal(a.inputs, b.inputs)
         assert np.array_equal(a.labels, b.labels)
         assert np.array_equal(a.train_idx, b.train_idx)
 
     def test_different_seed_differs(self):
-        a = dm.make_spirals(100, 0.05, 1)
-        b = dm.make_spirals(100, 0.05, 2)
+        a = spirals(100, 0.05, 1)
+        b = spirals(100, 0.05, 2)
         assert not np.array_equal(a.inputs, b.inputs)
 
     def test_label_balance_exact(self):
-        ds = dm.make_spirals(123, 0.1, 7)
+        ds = spirals(123, 0.1, 7)
         assert np.sum(ds.labels == 0) == np.sum(ds.labels == 1) == 123
 
     def test_splits_disjoint_and_cover(self):
-        ds = dm.make_spirals(100, 0.05, 5)
+        ds = spirals(100, 0.05, 5)
         assert np.intersect1d(ds.train_idx, ds.test_idx).size == 0
         assert np.union1d(ds.train_idx, ds.test_idx).size == 200
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            dm.make_spirals(0, 0.05, 1)
-        with pytest.raises(ValueError):
-            dm.make_spirals(10, -1.0, 1)
+        with pytest.raises(ValueError, match="n_per_class >= 1"):
+            DatasetConfig(kind="spirals", n_per_class=0)
+        with pytest.raises(ValueError, match="noise_sd >= 0"):
+            DatasetConfig(kind="spirals", noise_sd=-1.0)
 
 
 class TestCircles:
     def test_noiseless_radii(self):
-        ds = dm.make_circles(40, (0.5, 1.0), 0.0, 2)
+        ds = circles(40, (0.5, 1.0), 0.0, 2)
         radii = np.linalg.norm(ds.inputs, axis=1)
         assert np.allclose(radii[:40], 0.5)
         assert np.allclose(radii[40:], 1.0)
 
     def test_deterministic(self):
-        a = dm.make_circles(30, (0.5, 1.0), 0.05, 9)
-        b = dm.make_circles(30, (0.5, 1.0), 0.05, 9)
+        a = circles(30, (0.5, 1.0), 0.05, 9)
+        b = circles(30, (0.5, 1.0), 0.05, 9)
         assert np.array_equal(a.inputs, b.inputs)
 
     def test_three_classes(self):
-        ds = dm.make_circles(20, (0.3, 0.6, 0.9), 0.0, 1)
+        ds = circles(20, (0.3, 0.6, 0.9), 0.0, 1)
         assert set(np.unique(ds.labels)) == {0, 1, 2}
 
 
 class TestRegression:
     def test_targets_follow_smooth_map(self):
-        ds = dm.make_regression(200, 11)
+        ds = regression(200, 11)
         assert np.allclose(ds.labels, dm.regression_targets(ds.inputs))
 
     def test_deterministic(self):
-        a = dm.make_regression(50, 4)
-        b = dm.make_regression(50, 4)
+        a = regression(50, 4)
+        b = regression(50, 4)
         assert np.array_equal(a.inputs, b.inputs)
         assert np.array_equal(a.labels, b.labels)

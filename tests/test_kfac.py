@@ -360,7 +360,7 @@ class TestSoftmaxRankVectors:
         x1 = np.stack([gaps / 100.0, np.linspace(-1.0, 1.0, gaps.size)], axis=1)
         readout = ls.Readout(weight=np.array([[100.0, 0.0], [0.0, 0.0]]), bias=np.zeros(2))
         for labels in (np.zeros(gaps.size, dtype=int), np.arange(gaps.size) % 2):
-            lf = ls.TerminalLoss(kind="softmax_ce", target=labels, readout=readout)
+            lf = ls.TerminalLoss(target=labels, readout=readout)
             curv = terminal_curvature(lf, x1, 0.0, 1.0, mode="exact_rank")
             assert np.all(np.isfinite(curv.adjoint_weights))
             assert curv.adjoint_weights.max() > 1e160

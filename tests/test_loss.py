@@ -27,46 +27,52 @@ def fd_hessian(fn, x, h=1e-4):
 
 class TestLossValue:
     def test_mse_zero_at_target(self):
-        lf = ls.TerminalLoss(kind="mse", target=np.array([1.0, -2.0]))
+        lf = ls.TerminalLoss(target=np.array([1.0, -2.0]))
         assert ls.loss_value(lf, np.array([[1.0, -2.0]])) == 0.0
 
     def test_mse_unit_perturbation(self):
-        lf = ls.TerminalLoss(kind="mse", target=np.array([1.0, -2.0]))
+        lf = ls.TerminalLoss(target=np.array([1.0, -2.0]))
         assert ls.loss_value(lf, np.array([[2.0, -2.0]])) == pytest.approx(0.5)
 
     def test_softmax_uniform_logits(self):
-        lf = ls.TerminalLoss(kind="softmax_ce", target=np.array([0]))
+        lf = ls.TerminalLoss(target=np.array([0]))
         assert ls.loss_value(lf, np.array([[0.0, 0.0]])) == pytest.approx(np.log(2.0))
 
     def test_bad_label(self):
-        lf = ls.TerminalLoss(kind="softmax_ce", target=np.array([5]))
+        lf = ls.TerminalLoss(target=np.array([5]))
         with pytest.raises(ls.BadLabel):
             ls.loss_value(lf, np.array([[0.0, 0.0]]))
         # one label per sample: a lone label does not stand for the batch
-        lf = ls.TerminalLoss(kind="softmax_ce", target=np.array([0]))
+        lf = ls.TerminalLoss(target=np.array([0]))
         with pytest.raises(ls.BadLabel):
             ls.loss_value(lf, np.zeros((2, 2)))
 
     def test_float_labels_rejected(self):
-        with pytest.raises(ls.BadLabel):
-            ls.TerminalLoss(kind="softmax_ce", target=np.array([0.5]))
+        # float labels cannot feed a readout's softmax; without one they are mse targets
+        readout = ls.Readout(weight=np.eye(2), bias=np.zeros(2))
+        for target in (np.array([0.0]), np.zeros((1, 2))):
+            with pytest.raises(ValueError, match="readout needs integer class labels"):
+                ls.TerminalLoss(target=target, readout=readout)
+        lf = ls.TerminalLoss(target=np.array([0.5, 0.0]))
+        assert not lf.classifies and ls.loss_value(lf, np.zeros((1, 2))) == 0.125
+        assert np.isnan(ls.accuracy(lf, np.zeros((1, 2))))
 
     def test_batch_mean(self):
-        lf = ls.TerminalLoss(kind="mse", target=np.zeros(2))
+        lf = ls.TerminalLoss(target=np.zeros(2))
         x = np.array([[1.0, 0.0], [0.0, 2.0]])
         assert ls.loss_value(lf, x) == pytest.approx(0.5 * (1.0 + 4.0) / 2)
 
 
 class TestGrad:
     def test_mse_grad(self):
-        lf = ls.TerminalLoss(kind="mse", target=np.array([1.0, 0.0]))
+        lf = ls.TerminalLoss(target=np.array([1.0, 0.0]))
         x = np.array([[2.0, 3.0]])
         assert np.allclose(ls.grad_x1(lf, x), [[1.0, 3.0]])
 
     def test_grad_matches_fd(self):
         rng = np.random.default_rng(0)
         readout = ls.Readout(weight=rng.normal(size=(3, 2)), bias=rng.normal(size=3))
-        lf = ls.TerminalLoss(kind="softmax_ce", target=np.array([1]), readout=readout)
+        lf = ls.TerminalLoss(target=np.array([1]), readout=readout)
         x = rng.normal(size=(1, 2))
         got = ls.grad_x1(lf, x)
         want = fd_grad(lambda v: ls.loss_value(lf, v), x)
@@ -77,7 +83,7 @@ class TestGrad:
         # to 0; the gradient is still p_o (V_o - V_y)
         readout = ls.Readout(weight=np.array([[1.0, 0.5], [-1.0, 0.25]]), bias=np.zeros(2))
         labels = np.array([0, 1])
-        lf = ls.TerminalLoss(kind="softmax_ce", target=labels, readout=readout)
+        lf = ls.TerminalLoss(target=labels, readout=readout)
         x = np.array([[25.0, 0.0], [-30.0, 4.0]])
         logits = readout.logits(x)
         rows, other = np.arange(2), 1 - labels
@@ -95,7 +101,7 @@ class TestGrad:
     def test_readout_grads_match_fd(self):
         rng = np.random.default_rng(1)
         readout = ls.Readout(weight=rng.normal(size=(2, 2)), bias=np.zeros(2))
-        lf = ls.TerminalLoss(kind="softmax_ce", target=np.array([0, 1]), readout=readout)
+        lf = ls.TerminalLoss(target=np.array([0, 1]), readout=readout)
         x = rng.normal(size=(2, 2))
         dw, db = ls.readout_grads(lf, x)
         h = 1e-6
@@ -111,20 +117,20 @@ class TestGrad:
 
 class TestTerminalCurvature:
     def test_mse_exact_rank_is_identity(self):
-        lf = ls.TerminalLoss(kind="mse", target=np.zeros(3))
+        lf = ls.TerminalLoss(target=np.zeros(3))
         curv = ls.terminal_curvature(lf, np.array([[1.0, 2.0, 3.0]]), 0.0, 1.0, "exact_rank")
         assert len(curv.factors) == 3
         assert np.allclose(curv.hessian(), np.eye(3))
 
     def test_gauss_newton_unit_interval(self):
-        lf = ls.TerminalLoss(kind="mse", target=np.zeros(2))
+        lf = ls.TerminalLoss(target=np.zeros(2))
         x = np.array([[0.5, -0.5]])
         curv = ls.terminal_curvature(lf, x, 0.0, 1.0, "gauss_newton_scaled")
         assert len(curv.factors) == 1
         assert np.allclose(curv.factors[0], curv.grad)
 
     def test_gauss_newton_interval_scaling(self):
-        lf = ls.TerminalLoss(kind="mse", target=np.zeros(2))
+        lf = ls.TerminalLoss(target=np.zeros(2))
         x = np.array([[0.5, -0.5]])
         curv = ls.terminal_curvature(lf, x, 0.0, 4.0, "gauss_newton_scaled")
         assert np.allclose(curv.factors[0], curv.grad / 2.0)
@@ -136,7 +142,7 @@ class TestTerminalCurvature:
     def test_softmax_exact_rank_matches_fd_hessian(self):
         rng = np.random.default_rng(2)
         readout = ls.Readout(weight=rng.normal(size=(3, 2)), bias=rng.normal(size=3))
-        lf = ls.TerminalLoss(kind="softmax_ce", target=np.array([2]), readout=readout)
+        lf = ls.TerminalLoss(target=np.array([2]), readout=readout)
         x = rng.normal(size=(1, 2))
         curv = ls.terminal_curvature(lf, x, 0.0, 1.0, "exact_rank")
         want = fd_hessian(lambda v: ls.loss_value(lf, v), x)
@@ -147,7 +153,7 @@ class TestTerminalCurvature:
         rng = np.random.default_rng(3)
         readout = ls.Readout(weight=rng.normal(size=(4, 3)), bias=np.zeros(4))
         for mode in ("exact_rank", "gauss_newton_scaled"):
-            lf = ls.TerminalLoss(kind="softmax_ce", target=np.array([1]), readout=readout)
+            lf = ls.TerminalLoss(target=np.array([1]), readout=readout)
             curv = ls.terminal_curvature(lf, rng.normal(size=(1, 3)), 0.0, 1.0, mode)
             assert np.linalg.eigvalsh(curv.hessian()).min() >= -1e-10
 
@@ -156,7 +162,7 @@ class TestTerminalCurvature:
         rng = np.random.default_rng(4)
         for n_cls in range(2, 6):
             readout = ls.Readout(weight=rng.normal(size=(n_cls, 3)), bias=np.zeros(n_cls))
-            lf = ls.TerminalLoss(kind="softmax_ce", target=np.array([0, n_cls - 1]),
+            lf = ls.TerminalLoss(target=np.array([0, n_cls - 1]),
                                  readout=readout)
             curv = ls.terminal_curvature(lf, rng.normal(size=(2, 3)), 0.0, 1.0, "exact_rank")
             assert len(curv.factors) == n_cls - 1
@@ -167,7 +173,7 @@ class TestTerminalCurvature:
     def test_softmax_two_class_closed_form(self):
         # C = 2: the one factor is sqrt(p0 p1) (e0 - e1)
         x = np.array([[0.3, -1.2], [4.0, 0.5], [-2.0, 2.0]])
-        lf = ls.TerminalLoss(kind="softmax_ce", target=np.array([0, 1, 1]))
+        lf = ls.TerminalLoss(target=np.array([0, 1, 1]))
         (factor,) = ls.terminal_curvature(lf, x, 0.0, 1.0, "exact_rank").factors
         p = ls._softmax(x)
         want = np.sqrt(p[:, :1] * p[:, 1:]) * np.array([1.0, -1.0])
@@ -183,7 +189,7 @@ class TestTerminalCurvature:
                                 for scale in (1.0, 10.0, 100.0, 1000.0)])
             p = ls._softmax(x)
             assert np.any(p == 0.0)
-            lf = ls.TerminalLoss(kind="softmax_ce", target=np.zeros(len(x), dtype=int))
+            lf = ls.TerminalLoss(target=np.zeros(len(x), dtype=int))
             ys = np.stack(ls.terminal_curvature(lf, x, 0.0, 1.0, "exact_rank").factors)
             recon = np.einsum("kbi,kbj->bij", ys, ys)
             ref = -p[:, :, None] * p[:, None, :]
@@ -201,7 +207,7 @@ class TestTerminalCurvature:
         rng = np.random.default_rng(6)
         x = np.concatenate([rng.normal(size=(100, 2)) * scale
                             for scale in (1.0, 10.0, 100.0, 1000.0)])
-        lf = ls.TerminalLoss(kind="softmax_ce", target=rng.integers(0, 2, size=len(x)))
+        lf = ls.TerminalLoss(target=rng.integers(0, 2, size=len(x)))
         curv = ls.terminal_curvature(lf, x, 0.0, 1.0, "exact_rank")
         (factor,), w = curv.factors, curv.adjoint_weights
         p_o = ls._softmax(x)[np.arange(len(x)), 1 - lf.target]
@@ -216,13 +222,13 @@ class TestTerminalCurvature:
         np.testing.assert_allclose(wg.T @ wg, factor.T @ factor, rtol=1e-14, atol=0)
 
     def test_requires_forward_interval(self):
-        lf = ls.TerminalLoss(kind="mse", target=np.zeros(2))
+        lf = ls.TerminalLoss(target=np.zeros(2))
         with pytest.raises(ValueError):
             ls.terminal_curvature(lf, np.zeros((1, 2)), 1.0, 1.0)
 
 
 def test_accuracy():
     readout = ls.Readout(weight=np.eye(2), bias=np.zeros(2))
-    lf = ls.TerminalLoss(kind="softmax_ce", target=np.array([0, 1, 1]), readout=readout)
+    lf = ls.TerminalLoss(target=np.array([0, 1, 1]), readout=readout)
     x = np.array([[2.0, 0.0], [0.0, 2.0], [3.0, 0.0]])
     assert ls.accuracy(lf, x) == pytest.approx(2.0 / 3.0)

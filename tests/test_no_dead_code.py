@@ -1,13 +1,15 @@
-"""Every function, class, method and defaulted parameter in the package is
-reached from outside the tests.
+"""Every function, class, method, module-level constant and defaulted
+parameter in the package is reached from outside the tests.
 
 A name counts as used when ``src/``, ``scripts/`` or ``bench/`` refer to it
-as a name, an attribute, an imported name, a keyword argument, or a
-``pyproject.toml`` entry point.  A method or property defined in a class
-body counts as used only when they refer to it as an attribute, so a local
-variable or parameter of the same name does not keep it alive.  Dunder
-methods are called by Python itself and are exempt.  The check is by name,
-so it misses a dead definition that shares its name with a live one.
+as a name they read, an attribute, an imported name, a keyword argument,
+or a ``pyproject.toml`` entry point; a name they only assign, such as a
+module constant at its own assignment, does not count.  A method or
+property defined in a class body counts as used only when they refer to it
+as an attribute, so a local variable or parameter of the same name does
+not keep it alive.  Dunder methods and dunder constants such as
+``__version__`` are exempt.  The check is by name, so it misses a dead
+definition that shares its name with a live one.
 
 A parameter with a default counts as set only when some call in those
 directories passes it, by keyword or by position, to a callee of the
@@ -52,7 +54,7 @@ def _references():
     names, attributes = set(), set()
     for _, tree in _trees("src", "scripts", "bench"):
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 attributes.add(node.attr)
@@ -129,3 +131,21 @@ def test_every_defaulted_parameter_is_set():
                         or (pos is not None and (most.get(c, 0) > pos or c in star))
                         for c in callees)]
     assert never == [], "parameters no call outside the tests sets: " + ", ".join(never)
+
+
+def _module_constants():
+    """(where, name) for every non-dunder name a package module assigns at top level."""
+    for path, tree in _trees("src/snopt_kit"):
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    for name in ast.walk(target):
+                        if isinstance(name, ast.Name) and not name.id.startswith("__"):
+                            yield f"{path.relative_to(ROOT)}:{node.lineno} {name.id}", name.id
+
+
+def test_every_module_constant_is_read():
+    used, _ = _references()
+    unread = [where for where, name in _module_constants() if name not in used]
+    assert unread == [], "module-level names nothing outside the tests reads: " + ", ".join(unread)

@@ -62,7 +62,7 @@ class TestErrorStudy:
     def rows(self):
         spec = vf.MlpSpec(dims=(2, 3, 2), activations=("tanh", "identity"))
         theta = vf.init_params(spec, 2)
-        lossfn = TerminalLoss(kind="mse", target=np.array([0.25, -0.5]))
+        lossfn = TerminalLoss(target=np.array([0.25, -0.5]))
         cfgs = [
             ("rk4 h=1e-1", SolverConfig(method="rk4", fixed_step=1e-1)),
             ("rk4 h=1e-2", SolverConfig(method="rk4", fixed_step=1e-2)),
