@@ -23,6 +23,13 @@ Kronecker-factor sweep integrates the gradient and the factors.  The
 ``1 + R`` cotangent groups share one reverse traversal per field
 evaluation, so a stage costs one forward and one reverse pass whatever R
 is.
+
+A sweep allocates its stage buffers once per solve: the layer inputs of
+the forward trace, with the bias's ones columns set once, which every
+stage overwrites.  That relies on ``odesolve`` calling each stage's
+integrand before the field's next evaluation or never.  Each stage's
+derivative ``[F | -r]`` is written into one new array, which the solver
+keeps as its stage.
 """
 
 from __future__ import annotations
@@ -66,16 +73,24 @@ class BackwardSweep:
 
         At each stage the derivative comes from one forward and one reverse
         pass, and ``dq`` is ``integrand(trace, gs)`` on that stage's forward
-        trace and per-layer cotangents of every group.
+        trace and per-layer cotangents of every group.  The field writes
+        every stage's trace into one set of layer inputs, allocated here
+        once per solve, so a stage's trace is overwritten by the next
+        stage's; ``odesolve`` calls each integrand before the field's next
+        evaluation or never, which is what makes that safe.  The
+        derivative ``[F | -r]`` is written into one new array per stage.
         """
         spec, weights, m = self._spec, self._weights, self._x_shape[1]
+        inputs = vf._trace_inputs(spec, self._x_shape[0])
 
         def fn(t: float, y: np.ndarray):
             x, cot = self.unpack(y)
-            trace = vf._forward(spec, weights, t, x)
+            dy = np.empty_like(y)
+            value, dcot = self.unpack(dy)
+            trace = vf._forward(spec, weights, t, x, inputs=inputs, out=value)
             gs, r = vf._cotangents(spec, weights, trace, cot)
             # a time input column is not part of the state: drop its cotangent
-            dy = np.concatenate([trace.zs[-1].ravel(), (-r[..., :m]).ravel()])
+            np.negative(r[..., :m], out=dcot)
             return dy, lambda: integrand(trace, gs)
 
         return fn

@@ -8,8 +8,8 @@ config file's seed, and ``--override`` (or a grid cell) overrides both.
 
 Exit codes: 0 success, 1 config error (``ConfigError``: an unknown key, a
 value the config dataclasses reject, sections that do not fit together
-(which ``ExperimentConfig`` rejects as it is built), an unparsable config
-or grid file, a missing output directory, a bad ``SNOPT_SEED``), 2 numeric abort
+(which ``ExperimentConfig`` rejects as it is built), an unreadable or
+unparsable config or grid file, a missing output directory, a bad ``SNOPT_SEED``), 2 numeric abort
 (``TrainAbort``: a non-finite state, a solve over ``max_steps``, a factor
 eigendecomposition that fails, or a non-finite horizon update).  ``grid``
 records an aborted cell in its summary and carries on.
@@ -80,13 +80,30 @@ def _section_defaults(defaults: ExperimentConfig, section: str):
     return holder, _TRAIN_KEYS if section == "train" else {f.name for f in fields(holder)}
 
 
+def _read_ini(path: str, what: str) -> configparser.ConfigParser:
+    """The INI file at ``path``, read through an opened handle.
+
+    ``ConfigParser.read`` skips any path it cannot open, so a directory or
+    an unreadable file would pass as an empty file; here it is a
+    ``ConfigError``, and so is a file that does not parse.
+    """
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            parser.read_file(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc.strerror}") from exc
+    except configparser.Error as exc:
+        raise ConfigError(f"cannot parse {path}: {exc}") from exc
+    return parser
+
+
 def _config_items(path: str, overrides: list[str] | None) -> dict[str, list[tuple[str, str]]]:
     """The file's items, then ``SNOPT_SEED``, then the overrides, by section."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = _read_ini(path, "config file")
     try:
-        parser.read(path)
         staged: dict[str, list[tuple[str, str]]] = {}
         for section in parser.sections():
             staged.setdefault(section, []).extend(parser.items(section))
@@ -188,9 +205,8 @@ def _grid_cells(grid_path: str) -> list[list[tuple[str, str]]]:
     rejected; a key's type does not depend on its value, so the defaults
     tell which keys hold tuples.
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = _read_ini(grid_path, "grid file")
     try:
-        parser.read(grid_path)
         items = parser.items("grid") if parser.has_section("grid") else []
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {grid_path}: {exc}") from exc
@@ -280,10 +296,10 @@ def _check_gradient(tol_scale: float):
     lossfn = loss.TerminalLoss(target=target)
     cfg = SolverConfig(method="rk4", fixed_step=1e-2)
     x1 = oracle.flow(spec, theta, x0, 0.0, 1.0, cfg)
-    grad, _, _, _ = adjoint.adjoint_gradient(spec, theta, x1, loss.grad_x1(lossfn, x1),
+    grad, _, _, _ = adjoint.adjoint_gradient(spec, theta, x1, loss.grad_x1(lossfn.at(x1)),
                                              0.0, 1.0, cfg)
     fd = oracle.fd_gradient(
-        lambda th: loss.loss_value(lossfn, oracle.flow(spec, th, x0, 0.0, 1.0, cfg)), theta)
+        lambda th: loss.loss_value(lossfn.at(oracle.flow(spec, th, x0, 0.0, 1.0, cfg))), theta)
     err = np.linalg.norm(grad - fd) / np.linalg.norm(fd)
     return "adjoint gradient vs finite differences", float(err), 1e-4 * tol_scale
 
@@ -295,7 +311,7 @@ def _check_dense_curvature(tol_scale: float):
     cfg = SolverConfig(method="dopri5", rtol=1e-8, atol=1e-8)
     x1 = oracle.flow(spec, theta, x0, 0.0, 1.0, cfg)
     lossfn = loss.TerminalLoss(target=np.zeros(2))
-    curv = loss.terminal_curvature(lossfn, x1, 0.0, 1.0, "exact_rank")
+    curv = loss.terminal_curvature(lossfn.at(x1), 0.0, 1.0, "exact_rank")
     dense = oracle.dense_sweep(spec, theta, x1, curv, 0.0, 1.0, cfg)
     jac = oracle.fd_flow_jacobian(spec, theta, x0, 0.0, 1.0, cfg)
     ref = jac.T @ curv.hessian() @ jac
@@ -353,8 +369,8 @@ def _check_horizon(tol_scale: float):
     cfg = SolverConfig(method="rk4", fixed_step=1e-2)
     t_bar, h = 0.8, oracle.FD_STEP
     x1 = oracle.flow(spec, theta, x0, 0.0, t_bar, cfg)
-    terms = horizon.horizon_terms(spec, theta, x1, loss.grad_x1(lossfn, x1), t_bar, 0.5)
-    up, down = (loss.loss_value(lossfn, oracle.flow(spec, theta, x0, 0.0, t, cfg))
+    terms = horizon.horizon_terms(spec, theta, x1, loss.grad_x1(lossfn.at(x1)), t_bar, 0.5)
+    up, down = (loss.loss_value(lossfn.at(oracle.flow(spec, theta, x0, 0.0, t, cfg)))
                 for t in (t_bar + h, t_bar - h))
     fd = (up - down) / (2 * h)
     err = abs(terms.s - fd) / abs(fd)

@@ -13,7 +13,12 @@ computed from, packed ``[g | A_1..A_L | B_1..B_L]``.  The solver's own
 stage weights give ``Abar_n = ∫ A_n dt`` and ``Bbar_n = ∫ B_n dt`` over the
 steps it accepts, at no extra field evaluation, and it runs the integrand
 only at the stages whose weight it uses.  The factors are held as the
-upper triangles of the symmetric matrices.  The quadrature stays out of
+upper triangles of the symmetric matrices.  Each stage writes its
+integrand into one new array, which the solver weights in place.  The
+stage's trace lives in the sweep's per-solve layer-input buffers
+(:class:`adjoint.BackwardSweep`), which the next stage overwrites, so the
+integrand reads it before the field's next evaluation, as ``odesolve``
+guarantees.  The quadrature stays out of
 the state and the error norm, so the sweep's steps, ``x0`` and ``a0`` are
 the adjoint's, and so is its gradient, bit for bit.  ``kron(Abar_n,
 Bbar_n)`` then approximates the layer's parameter-space curvature block.
@@ -59,10 +64,16 @@ def _sides(spec: vf.MlpSpec) -> list[int]:
     return list(spec.zbar_widths) + list(spec.dims[1:])
 
 
+def _packed_len(spec: vf.MlpSpec) -> int:
+    """Entries of the factors' packed upper triangles."""
+    return sum(side * (side + 1) // 2 for side in _sides(spec))
+
+
 def _factor_terms(spec: vf.MlpSpec, trace: vf.LayerTrace, gs: list[np.ndarray],
-                  weights: np.ndarray | None = None) -> np.ndarray:
+                  weights: np.ndarray | None = None, *,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """Upper triangles of ``A_n(t)`` and ``B_n(t)`` at one stage, packed
-    ``[A_1..A_L | B_1..B_L]``.
+    ``[A_1..A_L | B_1..B_L]``, written into ``out`` when given.
 
     ``trace`` is the stage's forward pass and ``gs[k]`` its layer-``k``
     cotangents, (batch, l) or (R, batch, l); every row is a B-side sample.
@@ -74,17 +85,26 @@ def _factor_terms(spec: vf.MlpSpec, trace: vf.LayerTrace, gs: list[np.ndarray],
     the solver's stage input (:func:`vector_field._cotangents`), are
     weighted in a copy, and that copy is (batch, m).
     """
-    mats = [zb.T @ zb for zb in trace.zs[:-1]]
     top = spec.n_layers - 1
+    samples = []
     for k, g in enumerate(gs):
         if weights is None:
             g = g.reshape(-1, g.shape[-1])
         elif k == top and spec.activations[k] == "identity":
             g = g * weights[:, None]
         else:
+            # numpy buffers the zero-stride weight column; no Gram matrix is
+            # alive yet while it does
             g *= weights[:, None]
-        mats.append(g.T @ g)
-    out = np.concatenate([mat.ravel()[triu_flat(mat.shape[0])] for mat in mats])
+        samples.append(g)
+    mats = [zb.T @ zb for zb in trace.zs[:-1]] + [g.T @ g for g in samples]
+    if out is None:
+        out = np.empty(_packed_len(spec))
+    offset = 0
+    for mat in mats:
+        triu = triu_flat(mat.shape[0])
+        out[offset:offset + triu.size] = mat.ravel()[triu]
+        offset += triu.size
     out /= trace.zs[0].shape[0]
     return out
 
@@ -115,15 +135,18 @@ def accumulate_factors(spec: vf.MlpSpec, theta: np.ndarray, x1: np.ndarray,
         raise ValueError("need at least one terminal factor")
     sweep = BackwardSweep(spec, theta, x1, curv.grad, curv.factors if weights is None else ())
     n = vf.num_params(spec)
-    packed = sum(side * (side + 1) // 2 for side in _sides(spec))
+    packed = _packed_len(spec)
 
     def integrand(trace: vf.LayerTrace, gs: list[np.ndarray]) -> np.ndarray:
         # weighted, the adjoint group is also the B-side sample; else groups 1..R are
         adjoint, samples = (gs, gs) if weights is not None else ([g[0] for g in gs],
                                                                   [g[1:] for g in gs])
-        # the gradient reads gs before the weighted factor terms write them
-        grad = vf._param_grad_from_cotangents(spec, trace, adjoint).ravel()
-        return np.concatenate([grad, _factor_terms(spec, trace, samples, weights)])
+        # one array per stage, [g | factor triangles]; the gradient reads gs
+        # before the weighted factor terms write them
+        dq = np.empty(n + packed)
+        vf._param_grad_from_cotangents(spec, trace, adjoint, out=dq[:n])
+        _factor_terms(spec, trace, samples, weights, out=dq[n:])
+        return dq
 
     report = odesolve(sweep.state, t1, t0, sweep.field(integrand), cfg, scored=sweep.x_len,
                       quadrature=np.zeros(n + packed))

@@ -29,11 +29,18 @@ instead of carrying it.  For that the gradient's label entry is
 ``-sum_{j != y} p_j``, not ``p_y - 1``, which cancels to 0 once ``p_o <
 2**-53``.  Rank vectors are carried only for C >= 3 classes (C-1 of
 them) and for mse.
+
+Every function that scores, differentiates or factors the loss reads it at
+one batch of terminal states through :class:`LossAt` (``lossfn.at(x1)``),
+which computes the predictions, the label check, the softmax and the
+residual once for all of them.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -86,8 +93,49 @@ class TerminalLoss:
         """True for integer class labels (``softmax_ce``), False for ``mse``."""
         return self.target.dtype.kind in "iu"    # signed or unsigned integers
 
+    def at(self, x1: np.ndarray) -> LossAt:
+        """The loss at the (batch, m) terminal states ``x1``."""
+        return LossAt(self, x1)
 
-@dataclass
+
+class LossAt:
+    """A terminal loss at one batch of (batch, m) terminal states.
+
+    The predictions (the readout's logits, or the states themselves) and
+    the readout ``weight`` are taken when it is built, so a later readout
+    update does not reach it.  The label check, the softmax and the
+    residual are computed on first use and then shared by every function
+    that reads them: a minibatch's curvature or state gradient and its
+    readout gradients pay for one softmax, and the train loss and accuracy
+    for one set of logits.  Callers must not write the arrays it holds.
+    """
+
+    def __init__(self, lossfn: TerminalLoss, x1: np.ndarray):
+        readout = lossfn.readout
+        self.lossfn = lossfn
+        self.x1 = x1
+        self.pred = x1 if readout is None else readout.logits(x1)
+        self.weight = None if readout is None else readout.weight
+
+    @cached_property
+    def labels(self) -> np.ndarray:
+        """The class labels, checked once against the predictions."""
+        return _check_labels(self.lossfn.target, self.pred.shape[1], self.pred.shape[0])
+
+    @cached_property
+    def probs(self) -> np.ndarray:
+        """Class probabilities of a ``softmax_ce`` loss."""
+        self.labels  # bad labels fail before any arithmetic
+        return _softmax(self.pred)
+
+    @cached_property
+    def residual(self) -> np.ndarray:
+        """Per-sample gradient of the objective w.r.t. the predictions."""
+        if not self.lossfn.classifies:
+            return self.x1 - np.broadcast_to(self.lossfn.target, self.x1.shape)
+        return _ce_residual(self.labels, self.probs.copy())
+
+
 class TerminalCurvature:
     """Gradient and factor vectors of the terminal Hessian.
 
@@ -100,11 +148,26 @@ class TerminalCurvature:
     it off the adjoint; it is None otherwise, and each factor is one rank
     vector of the sweep.  The dense reference and the low-rank checks read
     ``factors`` either way.
+
+    ``factors`` may be given as a zero-argument builder instead of a list;
+    it is then built on first read.  :func:`terminal_curvature` passes a
+    builder, so a sweep that reads the factor off the adjoint never builds
+    it.
     """
 
-    grad: np.ndarray
-    factors: list[np.ndarray]
-    adjoint_weights: np.ndarray | None = None
+    def __init__(self, grad: np.ndarray,
+                 factors: list[np.ndarray] | Callable[[], list[np.ndarray]],
+                 adjoint_weights: np.ndarray | None = None):
+        self.grad = grad
+        self._factors = factors
+        self.adjoint_weights = adjoint_weights
+
+    @property
+    def factors(self) -> list[np.ndarray]:
+        """The factor vectors, built on the first read when given as a builder."""
+        if callable(self._factors):
+            self._factors = self._factors()
+        return self._factors
 
     def hessian(self) -> np.ndarray:
         """Dense reconstruction for a batch of one."""
@@ -112,8 +175,17 @@ class TerminalCurvature:
         return sum(np.outer(y, y) for y in ys)
 
 
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """``a.max(axis=1, keepdims=True)``, one column at a time.
+
+    A max is exact in any order, and a reduction along a row of a few
+    classes costs more than the C-1 elementwise maxima over the columns.
+    """
+    return reduce(np.maximum, a.T)[:, None]
+
+
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
+    z = logits - _row_max(logits)
     e = np.exp(z)
     return e / e.sum(axis=1, keepdims=True)
 
@@ -126,55 +198,36 @@ def _check_labels(labels: np.ndarray, n_classes: int, batch: int):
     return labels
 
 
-def _predictions(lossfn: TerminalLoss, x1: np.ndarray) -> np.ndarray:
-    return lossfn.readout.logits(x1) if lossfn.readout is not None else x1
-
-
-def loss_value(lossfn: TerminalLoss, x1: np.ndarray) -> float:
-    """Batch-mean objective at the (batch, m) terminal states."""
-    if not lossfn.classifies:
-        return float(0.5 * np.mean(np.sum(_residual(lossfn, x1) ** 2, axis=1)))
-    pred = _predictions(lossfn, x1)
-    labels = _check_labels(lossfn.target, pred.shape[1], pred.shape[0])
-    z = pred - pred.max(axis=1, keepdims=True)
+def loss_value(at: LossAt) -> float:
+    """Batch-mean objective at the terminal states."""
+    if not at.lossfn.classifies:
+        return float(0.5 * np.mean(np.sum(at.residual ** 2, axis=1)))
+    pred, labels = at.pred, at.labels
+    z = pred - _row_max(pred)
     log_probs = z - np.log(np.sum(np.exp(z), axis=1, keepdims=True))
     return float(-np.mean(log_probs[np.arange(pred.shape[0]), labels]))
 
 
-def _probs(lossfn: TerminalLoss, x1: np.ndarray) -> np.ndarray:
-    """Class probabilities of a ``softmax_ce`` loss at the terminal states."""
-    pred = _predictions(lossfn, x1)
-    _check_labels(lossfn.target, pred.shape[1], pred.shape[0])
-    return _softmax(pred)
-
-
-def _ce_residual(lossfn: TerminalLoss, probs: np.ndarray) -> np.ndarray:
+def _ce_residual(labels: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """``probs`` minus the one-hot labels, in place.
 
     The label entry is ``-sum_{j != y} p_j``: ``p_y - 1`` would cancel to 0
     for a confident sample and drop the gradient's label component.
     """
     rows = np.arange(probs.shape[0])
-    probs[rows, lossfn.target] = 0.0
-    probs[rows, lossfn.target] = -probs.sum(axis=1)
+    probs[rows, labels] = 0.0
+    probs[rows, labels] = -probs.sum(axis=1)
     return probs
 
 
-def _residual(lossfn: TerminalLoss, x1: np.ndarray) -> np.ndarray:
-    """Per-sample gradient of the objective w.r.t. the predictions."""
-    if not lossfn.classifies:
-        return x1 - np.broadcast_to(lossfn.target, x1.shape)
-    return _ce_residual(lossfn, _probs(lossfn, x1))
+def _to_state(weight: np.ndarray | None, v: np.ndarray) -> np.ndarray:
+    """Pull per-sample prediction-space vectors back through a readout ``weight``."""
+    return v if weight is None else v @ weight
 
 
-def _to_state(lossfn: TerminalLoss, v: np.ndarray) -> np.ndarray:
-    """Pull per-sample prediction-space vectors back through the readout."""
-    return v @ lossfn.readout.weight if lossfn.readout is not None else v
-
-
-def grad_x1(lossfn: TerminalLoss, x1: np.ndarray) -> np.ndarray:
+def grad_x1(at: LossAt) -> np.ndarray:
     """Per-sample gradient of the per-sample objective w.r.t. the state."""
-    return _to_state(lossfn, _residual(lossfn, x1))
+    return _to_state(at.weight, at.residual)
 
 
 def _quotient(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -204,51 +257,55 @@ def _multinomial_cholesky(probs: np.ndarray) -> list[np.ndarray]:
     return cols
 
 
-def readout_grads(lossfn: TerminalLoss, x1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def readout_grads(at: LossAt) -> tuple[np.ndarray, np.ndarray]:
     """Batch-mean gradients of the readout weight and bias."""
-    if lossfn.readout is None:
+    if at.lossfn.readout is None:
         raise ValueError("loss has no readout")
-    resid = _residual(lossfn, x1)
+    resid, x1 = at.residual, at.x1
     return resid.T @ x1 / x1.shape[0], resid.mean(axis=0)
 
 
-def terminal_curvature(lossfn: TerminalLoss, x1: np.ndarray, t0: float, t1: float,
+def terminal_curvature(at: LossAt, t0: float, t1: float,
                        mode: str = "gauss_newton_scaled") -> TerminalCurvature:
-    """Terminal gradient plus factor vectors of the terminal Hessian."""
+    """Terminal gradient plus factor vectors of the terminal Hessian.
+
+    The factors are built only when a caller reads them.
+    """
     if not t1 > t0:
         raise ValueError("terminal_curvature requires t1 > t0")
     if mode not in CURVATURE_MODES:
         raise ValueError(f"unknown curvature mode {mode!r}")
 
-    if mode == "exact_rank" and lossfn.classifies:
-        # one softmax feeds the gradient and the factors
-        probs = _probs(lossfn, x1)
-        weights = None
+    grad = grad_x1(at)
+    if mode == "exact_rank" and at.lossfn.classifies:
+        # one softmax feeds the gradient, the weights and the factors
+        probs, weights = at.probs, None
         if probs.shape[1] == 2:
             # the one factor is ±sqrt(p_y p_o) (e_y - e_o) and the residual
             # p_o (e_o - e_y); the roots come first, as p_y / p_o overflows
             # where p_o is subnormal
-            rows, roots = np.arange(probs.shape[0]), np.sqrt(probs)
-            weights = _quotient(roots[rows, lossfn.target], roots[rows, 1 - lossfn.target])
+            rows, roots, labels = np.arange(probs.shape[0]), np.sqrt(probs), at.labels
+            weights = _quotient(roots[rows, labels], roots[rows, 1 - labels])
+        # the builder holds the softmax and the readout weight, not the whole ``at``
+        readout_weight = at.weight
         return TerminalCurvature(
-            grad=_to_state(lossfn, _ce_residual(lossfn, probs.copy())),
-            factors=[_to_state(lossfn, col) for col in _multinomial_cholesky(probs)],
+            grad=grad,
+            factors=lambda: [_to_state(readout_weight, col)
+                             for col in _multinomial_cholesky(probs)],
             adjoint_weights=weights)
-    grad = grad_x1(lossfn, x1)
     if mode == "gauss_newton_scaled":
         scale = float(1.0 / np.sqrt(t1 - t0))
-        return TerminalCurvature(grad=grad, factors=[scale * grad],
+        return TerminalCurvature(grad=grad, factors=lambda: [scale * grad],
                                  adjoint_weights=np.broadcast_to(scale, grad.shape[:1]))
     # the mse Hessian is the identity, one unit vector per factor: read-only
     # views of its rows
-    return TerminalCurvature(grad=grad, factors=[np.broadcast_to(row, x1.shape)
-                                                 for row in np.eye(x1.shape[1])])
+    x1 = at.x1
+    return TerminalCurvature(grad=grad, factors=lambda: [np.broadcast_to(row, x1.shape)
+                                                         for row in np.eye(x1.shape[1])])
 
 
-def accuracy(lossfn: TerminalLoss, x1: np.ndarray) -> float:
+def accuracy(at: LossAt) -> float:
     """Fraction of correct argmax predictions; NaN for vector targets."""
-    if not lossfn.classifies:
+    if not at.lossfn.classifies:
         return float("nan")
-    pred = _predictions(lossfn, x1)
-    labels = _check_labels(lossfn.target, pred.shape[1], pred.shape[0])
-    return float(np.mean(pred.argmax(axis=1) == labels))
+    return float(np.mean(at.pred.argmax(axis=1) == at.labels))

@@ -26,7 +26,10 @@ an accepted step, so dopri5 skips the first-step probe, the zero-weight
 second stage and the FSAL stage of a rejected or final step.  The
 integrand never enters the state, the stage storage or the error norm,
 the way Kidger, Chen & Lyons (arXiv:2009.09457) treat parameter-integral
-channels, so it costs no evaluation and no step.
+channels, so it costs no evaluation and no step.  Every integrand the
+solver calls, it calls before the field's next evaluation, so a field may
+keep each stage's intermediates in buffers that its next evaluation
+overwrites (``adjoint.BackwardSweep.field`` does).
 """
 
 from __future__ import annotations
@@ -136,15 +139,18 @@ def _stage(fn, t: float, y: np.ndarray, weight: float, acc: np.ndarray | None):
 
     With an accumulator ``acc`` the solve has a quadrature: ``fn`` returns
     ``(dy, integrand)``, and a nonzero ``weight`` adds ``weight *
-    integrand()`` to ``acc``.  A plain field (``acc`` None) has no
-    integrand.  Callers that do not keep the integrand drop it at once, so
-    its closure dies before the solver's next evaluation.
+    integrand()`` to ``acc``, weighting the integrand's array in place.  A
+    plain field (``acc`` None) has no integrand.  Callers that do not keep
+    the integrand drop it at once, so its closure dies before the solver's
+    next evaluation.
     """
     if acc is None:
         return fn(t, y), None
     dy, integrand = fn(t, y)
     if weight:
-        acc += weight * integrand()
+        dq = integrand()
+        dq *= weight
+        acc += dq
     return dy, integrand
 
 
@@ -271,7 +277,9 @@ def _solve_dopri5(y0, t_start, t_end, fn, cfg: SolverConfig, scored: int | None,
             if q is not None:
                 q += hs * dq
                 if not last:
-                    first = _DP_B[0] * fsal()
+                    # before the next attempt's first evaluation
+                    first = fsal()
+                    first *= _DP_B[0]
             if err == 0.0:
                 factor = _MAX_FACTOR
             else:
@@ -310,7 +318,11 @@ def odesolve(y0: np.ndarray, t_start: float, t_end: float, fn: Field, cfg: Solve
     and the FSAL stage of every accepted step but the last, so
     ``5 * accepted + 4 * rejected`` calls.  The first-step probe, stage 2
     (``b_2 = 0``) and the FSAL stage of a rejected or final step never run
-    theirs.
+    theirs.  Each integrand is called before the field's next evaluation
+    or never: the FSAL stage's runs once its step is accepted, before the
+    next attempt's first evaluation.  The array an integrand returns
+    belongs to the solver, which weights it in place, so ``integrand()``
+    returns a new array on every call.
 
     Neither array of the caller's is copied.  ``y0`` is never written: every
     step builds a new state, and a solve that takes no step returns a copy

@@ -159,18 +159,18 @@ def error_study(spec: vf.MlpSpec, theta: np.ndarray, x0: np.ndarray,
     """
     t0, t1 = 0.0, 1.0
     x1_ref = flow(spec, theta, x0, t0, t1, REFERENCE_CFG)
-    curv_ref = terminal_curvature(lossfn, x1_ref, t0, t1, mode="exact_rank")
+    curv_ref = terminal_curvature(lossfn.at(x1_ref), t0, t1, mode="exact_rank")
     phi_xx = curv_ref.hessian()
 
     grad_ref = fd_gradient(
-        lambda th: loss_value(lossfn, flow(spec, th, x0, t0, t1, REFERENCE_CFG)), theta)
+        lambda th: loss_value(lossfn.at(flow(spec, th, x0, t0, t1, REFERENCE_CFG))), theta)
     jac = fd_flow_jacobian(spec, theta, x0, t0, t1, REFERENCE_CFG)
     quu_ref = jac.T @ phi_xx @ jac
 
     rows = []
     for label, cfg in solver_cfgs:
         x1 = flow(spec, theta, x0, t0, t1, cfg)
-        curv = terminal_curvature(lossfn, x1, t0, t1, mode="exact_rank")
+        curv = terminal_curvature(lossfn.at(x1), t0, t1, mode="exact_rank")
         grads, _, _, _ = adjoint_gradient(spec, theta, x1, curv.grad, t0, t1, cfg,
                                           qs=curv.factors)
         grad, p = grads[0], grads[1:]

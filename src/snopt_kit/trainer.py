@@ -34,8 +34,8 @@ from .data import INPUT_DIM, DatasetConfig, build_dataset
 from .horizon import (HorizonConfig, HorizonState, NonFiniteUpdate, first_order_horizon_step,
                       horizon_step, horizon_terms)
 from .kfac import KroneckerFactors, accumulate_factors
-from .loss import (CURVATURE_MODES, TerminalLoss, accuracy, grad_x1, init_readout,
-                   loss_value, readout_grads, terminal_curvature)
+from .loss import (CURVATURE_MODES, LossAt, TerminalCurvature, TerminalLoss, accuracy, grad_x1,
+                   init_readout, loss_value, readout_grads, terminal_curvature)
 from .odesolve import MaxStepsExceeded, NonFiniteState, SolveReport, SolverConfig, odesolve
 from .optimizer import (AdamState, SgdState, SingularFactor, SnoptState, adam_step,
                         apply_weight_decay, sgd_step, snopt_step)
@@ -223,26 +223,35 @@ class _Run:
         """Loss and accuracy on ``idx``; solves forward unless given its terminal states."""
         if x1 is None:
             x1, _ = self.forward(self.ds.inputs[idx])
-        lf = self.loss_on(idx)
-        return loss_value(lf, x1), accuracy(lf, x1)
+        at = self.loss_on(idx).at(x1)    # one set of logits for both
+        return loss_value(at), accuracy(at)
 
-    def backward(self, x1: np.ndarray, lossfn: TerminalLoss,
-                 ) -> tuple[np.ndarray, KroneckerFactors | None, np.ndarray, SolveReport]:
-        """The factor sweep (snopt) or the adjoint from the minibatch's ``x1``.
+    def terminal(self, at: LossAt) -> tuple[np.ndarray, TerminalCurvature | None]:
+        """What the backward sweep starts from, read off the minibatch's loss ``at``.
+
+        Returns the terminal-loss gradient and, for the second-order rule,
+        the terminal curvature (None for first order).
+        """
+        if self.cfg.optimizer.kind == "snopt":
+            curv = terminal_curvature(at, self.cfg.t0, self.t1, mode=self.cfg.loss.curvature)
+            return curv.grad, curv
+        return grad_x1(at), None
+
+    def backward(self, x1: np.ndarray, phi_grad: np.ndarray, curv: TerminalCurvature | None,
+                 ) -> tuple[np.ndarray, KroneckerFactors | None, SolveReport]:
+        """The factor sweep (given a curvature) or the adjoint from the minibatch's ``x1``.
 
         Returns the parameter gradient, the Kronecker factors (None for
-        first order), the terminal-loss gradient and the solve report.
+        first order) and the solve report.
         """
         cfg = self.cfg
-        if cfg.optimizer.kind == "snopt":
-            curv = terminal_curvature(lossfn, x1, cfg.t0, self.t1, mode=cfg.loss.curvature)
+        if curv is not None:
             factors, grad, rep = accumulate_factors(self.spec, self.theta, x1, curv, cfg.t0,
                                                     self.t1, cfg.solver)
-            return grad, factors, curv.grad, rep
-        phi_grad = grad_x1(lossfn, x1)
+            return grad, factors, rep
         grad, _, _, rep = adjoint_gradient(self.spec, self.theta, x1, phi_grad, cfg.t0,
                                            self.t1, cfg.solver)
-        return grad, None, phi_grad, rep
+        return grad, None, rep
 
     def iterate(self, it: int, started: float) -> TrainRecord:
         """Training iteration ``it``; ``started`` is the run's start on the perf clock.
@@ -262,8 +271,22 @@ class _Run:
         if not np.isfinite(train_loss):
             raise NonFiniteState(f"train loss {train_loss}")
 
+        # one softmax of the minibatch feeds the sweep's terminal values and
+        # the readout update; the readout takes its step before the sweep,
+        # which reads neither, so only the terminal values stay alive
+        # through the sweep, whose peak is the iteration's
+        at = lossfn.at(x1)
+        phi_grad, curv = self.terminal(at)
+        if self.readout is not None:
+            d_w, d_b = readout_grads(at)
+            self.readout.weight = adam_step(self.ro_w_state, d_w + gamma * self.readout.weight,
+                                            self.readout.weight)
+            self.readout.bias = adam_step(self.ro_b_state, d_b, self.readout.bias)
+            del d_w, d_b
+        del at
+
         theta_before = self.theta
-        grad, factors, phi_grad, rep_bwd = self.backward(x1, lossfn)
+        grad, factors, rep_bwd = self.backward(x1, phi_grad, curv)
         grad = apply_weight_decay(grad, gamma, self.theta)
         if cfg.optimizer.kind == "snopt":
             self.theta = snopt_step(self.opt_state, factors, grad, self.theta)
@@ -271,12 +294,6 @@ class _Run:
             self.theta = adam_step(self.opt_state, grad, self.theta)
         else:
             self.theta = sgd_step(self.opt_state, grad, self.theta)
-
-        if self.readout is not None:
-            d_w, d_b = readout_grads(lossfn, x1)
-            self.readout.weight = adam_step(self.ro_w_state, d_w + gamma * self.readout.weight,
-                                            self.readout.weight)
-            self.readout.bias = adam_step(self.ro_b_state, d_b, self.readout.bias)
 
         if self.horizon is not None:
             # x1 and phi_grad were reached at the pre-update parameters
@@ -331,5 +348,5 @@ def memory_probe(config: ExperimentConfig) -> int:
     run = _Run(config)
     pos, lossfn = run.draw_batch()
     x1 = run.forward(run.ds.inputs[run.ds.train_idx])[0][pos]
-    rep = run.backward(x1, lossfn)[3]
+    rep = run.backward(x1, *run.terminal(lossfn.at(x1)))[2]
     return rep.terminal_state.size + rep.quadrature.size

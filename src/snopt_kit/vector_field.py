@@ -13,8 +13,8 @@ tests rather than assumed.
 
 States are ``(batch, m)`` everywhere, and cotangents may carry an extra
 leading group axis on top of the batch.  Backward-solve hot loops unpack
-the flat parameters once via :func:`unpack_params` and call the
-underscored variants.
+the flat parameters once via :func:`unpack_params`, allocate the layer
+inputs once via :func:`_trace_inputs` and call the underscored variants.
 """
 
 from __future__ import annotations
@@ -195,29 +195,41 @@ def _homogeneous(spec: MlpSpec, batch: int, width: int) -> np.ndarray:
     return z
 
 
+def _trace_inputs(spec: MlpSpec, batch: int) -> list[np.ndarray]:
+    """One :func:`_homogeneous` input per layer, for ``_forward(..., inputs=)``."""
+    return [_homogeneous(spec, batch, width) for width in spec.dims[:-1]]
+
+
 def _forward(spec: MlpSpec, weights: Weights, t: float, x: np.ndarray, *,
-             value_only: bool = False) -> LayerTrace:
+             value_only: bool = False, inputs: list[np.ndarray] | None = None,
+             out: np.ndarray | None = None) -> LayerTrace:
     """The layer trace at ``(t, x)``; with ``value_only``, a trace of the value alone.
 
     The value path (``zs == [F]``) drops each layer input once the next one
     is written, so it holds at most two consecutive layer inputs instead of
-    the whole trace.
+    the whole trace.  A caller that evaluates the field many times can pass
+    the layer inputs of :func:`_trace_inputs` as ``inputs``, whose ones
+    columns are already set, and a C-ordered ``(batch, m)`` array as
+    ``out``: the trace is then written into them, ``zs[:-1]`` is
+    ``inputs`` and ``zs[-1]`` is ``out``, and the next call with them
+    overwrites this trace.
     """
     # each hidden output is written straight into the next layer's input; the
     # column-major slice it fills is contiguous, so matmul needs no temporary
     m, batch = spec.state_dim, x.shape[0]
-    z = _homogeneous(spec, batch, spec.dims[0])
+    z = _homogeneous(spec, batch, spec.dims[0]) if inputs is None else inputs[0]
     z[:, :m] = x
     z[:, m:spec.dims[0]] = t
     zs = [z]
     for name, w in zip(spec.activations, weights[:-1]):
         l = w.shape[0]
-        z = _homogeneous(spec, batch, l)
+        # without value_only, zs holds every input so far: len(zs) is this layer's index
+        z = _homogeneous(spec, batch, l) if inputs is None else inputs[len(zs)]
         _act(name, np.matmul(zs[-1], w.T, out=z[:, :l]))
         if value_only:
             zs.pop()
         zs.append(z)
-    zs.append(_act(spec.activations[-1], zs[-1] @ weights[-1].T))
+    zs.append(_act(spec.activations[-1], np.matmul(zs[-1], weights[-1].T, out=out)))
     if value_only:
         del zs[:-1]
     return LayerTrace(zs=zs)
@@ -261,16 +273,18 @@ def _cotangents(spec: MlpSpec, weights: Weights, trace: LayerTrace,
     return gs, r
 
 
-def _param_grad_from_cotangents(spec: MlpSpec, trace: LayerTrace,
-                                gs: list[np.ndarray]) -> np.ndarray:
+def _param_grad_from_cotangents(spec: MlpSpec, trace: LayerTrace, gs: list[np.ndarray], *,
+                                out: np.ndarray | None = None) -> np.ndarray:
     """Batch-mean flat parameter gradient from per-layer cotangents.
 
     ``gs[k]`` is (batch, l), or (groups, batch, l) from a traversal seeded
     with a stack of cotangent groups; the result then holds one flat
-    gradient row per group.
+    gradient row per group.  It is written into ``out`` when given, a
+    contiguous array of as many entries.
     """
     lead = gs[0].shape[:-2]
-    flat = np.empty(lead + (num_params(spec),))
+    shape = lead + (num_params(spec),)
+    flat = np.empty(shape) if out is None else out.reshape(shape)
     for (sl, _, _), zb, g in zip(layer_slices(spec), trace.zs, gs):
         # (zb^T g).ravel() per group is the column-major vec of the (l, pbar) gradient
         flat[..., sl] = (zb.T @ g).reshape(lead + (-1,))

@@ -84,9 +84,9 @@ class TestAdjointGradient:
             lossfn = TerminalLoss(target=rng.uniform(-1, 1, size=(4, 2)))
 
             x1 = forward(spec, theta, x0)
-            grad, _, _, _ = adjoint_gradient(spec, theta, x1, grad_x1(lossfn, x1), 0.0, 1.0,
+            grad, _, _, _ = adjoint_gradient(spec, theta, x1, grad_x1(lossfn.at(x1)), 0.0, 1.0,
                                              RK4)
-            fd = fd_gradient(lambda th: loss_value(lossfn, forward(spec, th, x0)), theta)
+            fd = fd_gradient(lambda th: loss_value(lossfn.at(forward(spec, th, x0))), theta)
             assert np.linalg.norm(grad - fd) / np.linalg.norm(fd) < 1e-4
 
     def test_linear_in_terminal_adjoint(self):

@@ -327,6 +327,10 @@ CONFIG_ERRORS = {
     "unknown_policy": ("train", ["horizon.enabled=true", "horizon.policy=feedbak"],
                        "unknown horizon policy 'feedbak'"),
     "missing_out_dir": ("train", [], "output directory not found"),
+    # a path that exists but cannot be read as a file (here a directory):
+    # configparser's read() would skip it and run the built-in defaults
+    "unreadable_config": ("train", None, "cannot read config file"),
+    "unreadable_grid": ("grid", None, "cannot read grid file"),
     "grid_no_header": ("grid", "optimizer.lr = 0.01, 0.02\n", "no section headers"),
     "grid_repeated_key": ("grid", "[grid]\noptimizer.lr = 0.01\noptimizer.lr = 0.02\n",
                           "'optimizer.lr' in section 'grid' already exists"),
@@ -403,12 +407,15 @@ def test_config_error_exit_1(case, config_path, tmp_path, capsys):
     command, payload, why = CONFIG_ERRORS[case]
     if command == "grid":
         grid = tmp_path / "grid.ini"
-        grid.write_text(payload)
+        if payload is None:
+            grid.mkdir()
+        else:
+            grid.write_text(payload)
         argv = ["grid", config_path, str(grid), "--out-dir", str(tmp_path / "cells")]
     else:
         out = tmp_path / "missing" / "o.csv" if case == "missing_out_dir" else tmp_path / "o.csv"
-        argv = ["train", config_path, "--out", str(out)]
-        for override in payload:
+        argv = ["train", str(tmp_path) if payload is None else config_path, "--out", str(out)]
+        for override in payload or []:
             argv += ["--override", override]
     assert cli.main(argv) == 1
     err = capsys.readouterr().err

@@ -28,24 +28,24 @@ def fd_hessian(fn, x, h=1e-4):
 class TestLossValue:
     def test_mse_zero_at_target(self):
         lf = ls.TerminalLoss(target=np.array([1.0, -2.0]))
-        assert ls.loss_value(lf, np.array([[1.0, -2.0]])) == 0.0
+        assert ls.loss_value(lf.at(np.array([[1.0, -2.0]]))) == 0.0
 
     def test_mse_unit_perturbation(self):
         lf = ls.TerminalLoss(target=np.array([1.0, -2.0]))
-        assert ls.loss_value(lf, np.array([[2.0, -2.0]])) == pytest.approx(0.5)
+        assert ls.loss_value(lf.at(np.array([[2.0, -2.0]]))) == pytest.approx(0.5)
 
     def test_softmax_uniform_logits(self):
         lf = ls.TerminalLoss(target=np.array([0]))
-        assert ls.loss_value(lf, np.array([[0.0, 0.0]])) == pytest.approx(np.log(2.0))
+        assert ls.loss_value(lf.at(np.array([[0.0, 0.0]]))) == pytest.approx(np.log(2.0))
 
     def test_bad_label(self):
         lf = ls.TerminalLoss(target=np.array([5]))
         with pytest.raises(ls.BadLabel):
-            ls.loss_value(lf, np.array([[0.0, 0.0]]))
+            ls.loss_value(lf.at(np.array([[0.0, 0.0]])))
         # one label per sample: a lone label does not stand for the batch
         lf = ls.TerminalLoss(target=np.array([0]))
         with pytest.raises(ls.BadLabel):
-            ls.loss_value(lf, np.zeros((2, 2)))
+            ls.loss_value(lf.at(np.zeros((2, 2))))
 
     def test_float_labels_rejected(self):
         # float labels cannot feed a readout's softmax; without one they are mse targets
@@ -54,28 +54,28 @@ class TestLossValue:
             with pytest.raises(ValueError, match="readout needs integer class labels"):
                 ls.TerminalLoss(target=target, readout=readout)
         lf = ls.TerminalLoss(target=np.array([0.5, 0.0]))
-        assert not lf.classifies and ls.loss_value(lf, np.zeros((1, 2))) == 0.125
-        assert np.isnan(ls.accuracy(lf, np.zeros((1, 2))))
+        assert not lf.classifies and ls.loss_value(lf.at(np.zeros((1, 2)))) == 0.125
+        assert np.isnan(ls.accuracy(lf.at(np.zeros((1, 2)))))
 
     def test_batch_mean(self):
         lf = ls.TerminalLoss(target=np.zeros(2))
         x = np.array([[1.0, 0.0], [0.0, 2.0]])
-        assert ls.loss_value(lf, x) == pytest.approx(0.5 * (1.0 + 4.0) / 2)
+        assert ls.loss_value(lf.at(x)) == pytest.approx(0.5 * (1.0 + 4.0) / 2)
 
 
 class TestGrad:
     def test_mse_grad(self):
         lf = ls.TerminalLoss(target=np.array([1.0, 0.0]))
         x = np.array([[2.0, 3.0]])
-        assert np.allclose(ls.grad_x1(lf, x), [[1.0, 3.0]])
+        assert np.allclose(ls.grad_x1(lf.at(x)), [[1.0, 3.0]])
 
     def test_grad_matches_fd(self):
         rng = np.random.default_rng(0)
         readout = ls.Readout(weight=rng.normal(size=(3, 2)), bias=rng.normal(size=3))
         lf = ls.TerminalLoss(target=np.array([1]), readout=readout)
         x = rng.normal(size=(1, 2))
-        got = ls.grad_x1(lf, x)
-        want = fd_grad(lambda v: ls.loss_value(lf, v), x)
+        got = ls.grad_x1(lf.at(x))
+        want = fd_grad(lambda v: ls.loss_value(lf.at(v)), x)
         assert np.linalg.norm(got - want) < 1e-6 * max(1.0, np.linalg.norm(want))
 
     def test_confident_gradient_keeps_label_component(self):
@@ -91,7 +91,7 @@ class TestGrad:
         p_o = e_o / (1.0 + e_o)
         assert np.all(p_o < 2.0 ** -53)
         want = p_o[:, None] * (readout.weight[other] - readout.weight[labels])
-        np.testing.assert_allclose(ls.grad_x1(lf, x), want, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(ls.grad_x1(lf.at(x)), want, rtol=1e-15, atol=0)
 
     def test_quotient_divides_where_denominator_nonzero(self):
         num = np.array([1.0, 1.0, 1.0, 0.0])
@@ -103,14 +103,14 @@ class TestGrad:
         readout = ls.Readout(weight=rng.normal(size=(2, 2)), bias=np.zeros(2))
         lf = ls.TerminalLoss(target=np.array([0, 1]), readout=readout)
         x = rng.normal(size=(2, 2))
-        dw, db = ls.readout_grads(lf, x)
+        dw, db = ls.readout_grads(lf.at(x))
         h = 1e-6
         for i in range(2):
             for j in range(2):
                 readout.weight[i, j] += h
-                up = ls.loss_value(lf, x)
+                up = ls.loss_value(lf.at(x))
                 readout.weight[i, j] -= 2 * h
-                dn = ls.loss_value(lf, x)
+                dn = ls.loss_value(lf.at(x))
                 readout.weight[i, j] += h
                 assert dw[i, j] == pytest.approx((up - dn) / (2 * h), abs=1e-6)
 
@@ -118,34 +118,34 @@ class TestGrad:
 class TestTerminalCurvature:
     def test_mse_exact_rank_is_identity(self):
         lf = ls.TerminalLoss(target=np.zeros(3))
-        curv = ls.terminal_curvature(lf, np.array([[1.0, 2.0, 3.0]]), 0.0, 1.0, "exact_rank")
+        curv = ls.terminal_curvature(lf.at(np.array([[1.0, 2.0, 3.0]])), 0.0, 1.0, "exact_rank")
         assert len(curv.factors) == 3
         assert np.allclose(curv.hessian(), np.eye(3))
 
     def test_gauss_newton_unit_interval(self):
         lf = ls.TerminalLoss(target=np.zeros(2))
         x = np.array([[0.5, -0.5]])
-        curv = ls.terminal_curvature(lf, x, 0.0, 1.0, "gauss_newton_scaled")
+        curv = ls.terminal_curvature(lf.at(x), 0.0, 1.0, "gauss_newton_scaled")
         assert len(curv.factors) == 1
         assert np.allclose(curv.factors[0], curv.grad)
 
     def test_gauss_newton_interval_scaling(self):
         lf = ls.TerminalLoss(target=np.zeros(2))
         x = np.array([[0.5, -0.5]])
-        curv = ls.terminal_curvature(lf, x, 0.0, 4.0, "gauss_newton_scaled")
+        curv = ls.terminal_curvature(lf.at(x), 0.0, 4.0, "gauss_newton_scaled")
         assert np.allclose(curv.factors[0], curv.grad / 2.0)
         np.testing.assert_array_equal(curv.adjoint_weights, [0.5])
         # one weight per sample, as a zero-stride view
         assert curv.adjoint_weights.strides == (0,)
-        assert ls.terminal_curvature(lf, x, 0.0, 4.0, "exact_rank").adjoint_weights is None
+        assert ls.terminal_curvature(lf.at(x), 0.0, 4.0, "exact_rank").adjoint_weights is None
 
     def test_softmax_exact_rank_matches_fd_hessian(self):
         rng = np.random.default_rng(2)
         readout = ls.Readout(weight=rng.normal(size=(3, 2)), bias=rng.normal(size=3))
         lf = ls.TerminalLoss(target=np.array([2]), readout=readout)
         x = rng.normal(size=(1, 2))
-        curv = ls.terminal_curvature(lf, x, 0.0, 1.0, "exact_rank")
-        want = fd_hessian(lambda v: ls.loss_value(lf, v), x)
+        curv = ls.terminal_curvature(lf.at(x), 0.0, 1.0, "exact_rank")
+        want = fd_hessian(lambda v: ls.loss_value(lf.at(v)), x)
         rel = np.linalg.norm(curv.hessian() - want) / np.linalg.norm(want)
         assert rel < 1e-5
 
@@ -154,7 +154,7 @@ class TestTerminalCurvature:
         readout = ls.Readout(weight=rng.normal(size=(4, 3)), bias=np.zeros(4))
         for mode in ("exact_rank", "gauss_newton_scaled"):
             lf = ls.TerminalLoss(target=np.array([1]), readout=readout)
-            curv = ls.terminal_curvature(lf, rng.normal(size=(1, 3)), 0.0, 1.0, mode)
+            curv = ls.terminal_curvature(lf.at(rng.normal(size=(1, 3))), 0.0, 1.0, mode)
             assert np.linalg.eigvalsh(curv.hessian()).min() >= -1e-10
 
     def test_softmax_factor_count_is_classes_minus_one(self):
@@ -164,7 +164,7 @@ class TestTerminalCurvature:
             readout = ls.Readout(weight=rng.normal(size=(n_cls, 3)), bias=np.zeros(n_cls))
             lf = ls.TerminalLoss(target=np.array([0, n_cls - 1]),
                                  readout=readout)
-            curv = ls.terminal_curvature(lf, rng.normal(size=(2, 3)), 0.0, 1.0, "exact_rank")
+            curv = ls.terminal_curvature(lf.at(rng.normal(size=(2, 3))), 0.0, 1.0, "exact_rank")
             assert len(curv.factors) == n_cls - 1
             assert all(f.shape == (2, 3) for f in curv.factors)
             # only the two-class factor rides on the adjoint
@@ -174,7 +174,7 @@ class TestTerminalCurvature:
         # C = 2: the one factor is sqrt(p0 p1) (e0 - e1)
         x = np.array([[0.3, -1.2], [4.0, 0.5], [-2.0, 2.0]])
         lf = ls.TerminalLoss(target=np.array([0, 1, 1]))
-        (factor,) = ls.terminal_curvature(lf, x, 0.0, 1.0, "exact_rank").factors
+        (factor,) = ls.terminal_curvature(lf.at(x), 0.0, 1.0, "exact_rank").factors
         p = ls._softmax(x)
         want = np.sqrt(p[:, :1] * p[:, 1:]) * np.array([1.0, -1.0])
         np.testing.assert_allclose(factor, want, rtol=1e-15, atol=0)
@@ -190,7 +190,7 @@ class TestTerminalCurvature:
             p = ls._softmax(x)
             assert np.any(p == 0.0)
             lf = ls.TerminalLoss(target=np.zeros(len(x), dtype=int))
-            ys = np.stack(ls.terminal_curvature(lf, x, 0.0, 1.0, "exact_rank").factors)
+            ys = np.stack(ls.terminal_curvature(lf.at(x), 0.0, 1.0, "exact_rank").factors)
             recon = np.einsum("kbi,kbj->bij", ys, ys)
             ref = -p[:, :, None] * p[:, None, :]
             for i in range(n_cls):
@@ -208,7 +208,7 @@ class TestTerminalCurvature:
         x = np.concatenate([rng.normal(size=(100, 2)) * scale
                             for scale in (1.0, 10.0, 100.0, 1000.0)])
         lf = ls.TerminalLoss(target=rng.integers(0, 2, size=len(x)))
-        curv = ls.terminal_curvature(lf, x, 0.0, 1.0, "exact_rank")
+        curv = ls.terminal_curvature(lf.at(x), 0.0, 1.0, "exact_rank")
         (factor,), w = curv.factors, curv.adjoint_weights
         p_o = ls._softmax(x)[np.arange(len(x)), 1 - lf.target]
         assert np.any(p_o == 0.0) and np.any((p_o > 0) & (p_o < np.finfo(float).tiny))
@@ -224,11 +224,11 @@ class TestTerminalCurvature:
     def test_requires_forward_interval(self):
         lf = ls.TerminalLoss(target=np.zeros(2))
         with pytest.raises(ValueError):
-            ls.terminal_curvature(lf, np.zeros((1, 2)), 1.0, 1.0)
+            ls.terminal_curvature(lf.at(np.zeros((1, 2))), 1.0, 1.0)
 
 
 def test_accuracy():
     readout = ls.Readout(weight=np.eye(2), bias=np.zeros(2))
     lf = ls.TerminalLoss(target=np.array([0, 1, 1]), readout=readout)
     x = np.array([[2.0, 0.0], [0.0, 2.0], [3.0, 0.0]])
-    assert ls.accuracy(lf, x) == pytest.approx(2.0 / 3.0)
+    assert ls.accuracy(lf.at(x)) == pytest.approx(2.0 / 3.0)

@@ -157,7 +157,7 @@ class TestTrainBasics:
         pos, lossfn = ref.draw_batch()
         x1 = ref.forward(ref.ds.inputs[ref.ds.train_idx])[0][pos]
         f1 = vf.eval(ref.spec, ref.theta, cfg.t1, x1)
-        s0 = float(np.mean(np.sum(grad_x1(lossfn, x1) * f1, axis=1)))
+        s0 = float(np.mean(np.sum(grad_x1(lossfn.at(x1)) * f1, axis=1)))
 
         run = tr._Run(cfg)
         run.iterate(1, 0.0)
@@ -205,7 +205,7 @@ class TestDefaultConfigSolves:
             idx = run.batch_rng.choice(run.ds.train_idx, size=cfg.batch_size, replace=False)
             lossfn = run.loss_on(idx)
             x1, _ = run.forward(run.ds.inputs[idx])
-            grad, _, _, _ = adjoint_gradient(run.spec, run.theta, x1, grad_x1(lossfn, x1),
+            grad, _, _, _ = adjoint_gradient(run.spec, run.theta, x1, grad_x1(lossfn.at(x1)),
                                              cfg.t0, cfg.t1, cfg.solver)
             x1s.append(x1)
             grads.append(grad)
@@ -282,7 +282,8 @@ class TestMemoryProbe:
         # the state [x | a] and the gradient quadrature
         run = tr._Run(cfg)
         pos, lossfn = run.draw_batch()
-        rep = run.backward(run.forward(run.ds.inputs[run.ds.train_idx])[0][pos], lossfn)[3]
+        x1 = run.forward(run.ds.inputs[run.ds.train_idx])[0][pos]
+        rep = run.backward(x1, *run.terminal(lossfn.at(x1)))[2]
         assert (rep.terminal_state.size, rep.quadrature.size) == (2 * 16 * m, n_params)
 
     def test_snopt_probe_linear_in_rank(self):
