@@ -73,12 +73,9 @@ class BackwardSweep:
 
         At each stage the derivative comes from one forward and one reverse
         pass, and ``dq`` is ``integrand(trace, gs)`` on that stage's forward
-        trace and per-layer cotangents of every group.  The field writes
-        every stage's trace into one set of layer inputs, allocated here
-        once per solve, so a stage's trace is overwritten by the next
-        stage's; ``odesolve`` calls each integrand before the field's next
-        evaluation or never, which is what makes that safe.  The
-        derivative ``[F | -r]`` is written into one new array per stage.
+        trace and per-layer cotangents of every group.  Each call of
+        ``field`` allocates the layer inputs that all its stages' traces
+        are written into (see the module docstring).
         """
         spec, weights, m = self._spec, self._weights, self._x_shape[1]
         inputs = vf._trace_inputs(spec, self._x_shape[0])

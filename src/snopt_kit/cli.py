@@ -9,10 +9,11 @@ config file's seed, and ``--override`` (or a grid cell) overrides both.
 Exit codes: 0 success, 1 config error (``ConfigError``: an unknown key, a
 value the config dataclasses reject, sections that do not fit together
 (which ``ExperimentConfig`` rejects as it is built), an unreadable or
-unparsable config or grid file, a missing output directory, a bad ``SNOPT_SEED``), 2 numeric abort
-(``TrainAbort``: a non-finite state, a solve over ``max_steps``, a factor
-eigendecomposition that fails, or a non-finite horizon update).  ``grid``
-records an aborted cell in its summary and carries on.
+unparsable config or grid file, a missing output directory, a bad
+``SNOPT_SEED``), 2 numeric abort (``TrainAbort``: a non-finite state, a
+solve over ``max_steps``, a factor eigendecomposition that fails, or a
+non-finite horizon update).  ``grid`` records an aborted cell in its
+summary and carries on.
 """
 
 from __future__ import annotations
@@ -83,9 +84,9 @@ def _section_defaults(defaults: ExperimentConfig, section: str):
 def _read_ini(path: str, what: str) -> configparser.ConfigParser:
     """The INI file at ``path``, read through an opened handle.
 
-    ``ConfigParser.read`` skips any path it cannot open, so a directory or
-    an unreadable file would pass as an empty file; here it is a
-    ``ConfigError``, and so is a file that does not parse.
+    ``ConfigParser.read`` skips any path it cannot open, so a missing
+    file, a directory or an unreadable file would pass as an empty file;
+    here each is a ``ConfigError``, and so is a file that does not parse.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
@@ -100,8 +101,6 @@ def _read_ini(path: str, what: str) -> configparser.ConfigParser:
 
 def _config_items(path: str, overrides: list[str] | None) -> dict[str, list[tuple[str, str]]]:
     """The file's items, then ``SNOPT_SEED``, then the overrides, by section."""
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
     parser = _read_ini(path, "config file")
     try:
         staged: dict[str, list[tuple[str, str]]] = {}
@@ -234,8 +233,6 @@ def cmd_grid(config_path: str, grid_path: str, out_dir: str,
              overrides: list[str] | None = None) -> int:
     try:
         staged = _config_items(config_path, overrides)
-        if not os.path.exists(grid_path):
-            raise ConfigError(f"grid file not found: {grid_path}")
         cells = _grid_cells(grid_path)
         if not cells:
             _build(staged)  # no cell: the base alone must be valid

@@ -380,7 +380,12 @@ class TestObserve:
 
 def integrand_log(fn, cfg, y0, t_start, t_end):
     """Quadrature solve of ``y' = fn``; returns the report, the number of
-    field calls and the indices of the calls whose integrand the solver ran."""
+    field calls and the indices of the calls whose integrand the solver ran.
+
+    An integrand that runs after a later field call fails the solve: a
+    field may keep a stage's intermediates in buffers that its next
+    evaluation overwrites (``adjoint.BackwardSweep.field`` does).
+    """
     calls, ran = [0], []
 
     def field(t, y):
@@ -388,6 +393,7 @@ def integrand_log(fn, cfg, y0, t_start, t_end):
         calls[0] += 1
 
         def integrand():
+            assert calls[0] == index + 1, f"integrand {index} ran after call {calls[0] - 1}"
             ran.append(index)
             return np.ones(1)
 
@@ -399,7 +405,8 @@ def integrand_log(fn, cfg, y0, t_start, t_end):
 
 
 class TestIntegrandContract:
-    """The solver runs an integrand only where its weight reaches an accepted step."""
+    """The solver runs an integrand only where its weight reaches an accepted
+    step, and before the field's next evaluation (``integrand_log``)."""
 
     def test_dopri5_skips_probe_zero_weight_and_unused_fsal(self):
         stiff = lambda t, y: np.array([y[0], -80.0 * y[1]])
@@ -429,53 +436,6 @@ class TestIntegrandContract:
             rep, calls, ran = integrand_log(DECAY, cfg, [1.0], 0.0, 1.0)
             assert rep.accepted_steps == 10
             assert ran == list(range(calls)) and calls == rep.nfe == stages * 10
-
-
-def integrand_timing(fn, cfg, y0, t_start, t_end):
-    """Quadrature solve of ``y' = fn``; returns the report, the indices of the
-    field calls whose integrand ran, and those whose integrand ran after a
-    later field call."""
-    calls, ran, late = [0], [], []
-
-    def field(t, y):
-        index = calls[0]
-        calls[0] += 1
-
-        def integrand():
-            ran.append(index)
-            if calls[0] != index + 1:
-                late.append(index)
-            return np.ones(1)
-
-        return fn(t, y), integrand
-
-    rep = odesolve(np.asarray(y0, dtype=float), t_start, t_end, field, cfg,
-                   quadrature=np.zeros(1))
-    return rep, ran, late
-
-
-class TestIntegrandTiming:
-    """Every integrand the solver runs, it runs before the field's next evaluation.
-
-    A field may therefore write each stage's trace into buffers that the
-    next evaluation overwrites (``adjoint.BackwardSweep.field``).
-    """
-
-    def test_dopri5_rejected_attempts_and_fsal(self):
-        stiff = lambda t, y: np.array([y[0], -80.0 * y[1]])
-        rep, ran, late = integrand_timing(stiff, dopri(1e-6, 1e-6), [1.0, 1.0], 0.0, 1.0)
-        assert rep.rejected_steps > 0 and rep.accepted_steps > 1
-        # field calls 2 + 6j .. 7 + 6j are attempt j's stages; the FSAL
-        # stage's integrand is the next step's first
-        assert [(i - 2) % 6 for i in ran[1:]].count(5) == rep.accepted_steps - 1
-        assert late == []
-
-    @pytest.mark.parametrize("method,stages", [("rk4", 4), ("euler", 1)])
-    def test_fixed_steps(self, method, stages):
-        cfg = SolverConfig(method=method, fixed_step=0.1)
-        rep, ran, late = integrand_timing(DECAY, cfg, [1.0], 0.0, 1.0)
-        assert len(ran) == rep.nfe == stages * 10
-        assert late == []
 
 
 class TestCallerArrays:
