@@ -20,7 +20,8 @@ every group, ``[g | p_1..p_R]``: the loss gradient ``g`` and, given rank
 vectors, their parameter couplings ``p_i``, whose products ``QᵀQ``,
 ``QᵀP`` and ``PᵀP`` are the low-rank curvature blocks.  The
 Kronecker-factor sweep integrates the gradient and the factors.  The
-``1 + R`` cotangent groups share one reverse traversal per field
+``1 + R`` cotangent groups are one (1+R, batch, m) stack for every R,
+the adjoint group 0, and share one reverse traversal per field
 evaluation, so a stage costs one forward and one reverse pass whatever R
 is.
 
@@ -45,7 +46,8 @@ class BackwardSweep:
 
     The adjoint ``a1`` and each rank vector in ``qs`` broadcast against the
     (batch, m) terminal states ``x1``; ``state`` is the packed terminal
-    state, built from copies.
+    state, built from copies.  The cotangents are one (1+R, batch, m)
+    stack for every R, the adjoint its group 0.
     """
 
     def __init__(self, spec: vf.MlpSpec, theta: np.ndarray, x1: np.ndarray, a1: np.ndarray,
@@ -54,26 +56,20 @@ class BackwardSweep:
         self._spec = spec
         self._weights = vf.unpack_params(spec, theta)
         self._x_shape = x1.shape
-        # a lone adjoint stays 2-D: a stacked traversal costs a few µs more per evaluation
-        self._cot_shape = (1 + len(qs), *x1.shape) if len(qs) else x1.shape
         self.x_len = x1.size
         cot = np.stack([np.broadcast_to(v, x1.shape) for v in (a1, *qs)])
         self.state = np.concatenate([x1.ravel(), cot.ravel()])
 
     def unpack(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Views of ``x`` (batch, m) and ``[a, q_i]``.
-
-        The cotangents are (1+R, batch, m), or the adjoint alone as
-        (batch, m) when R = 0.
-        """
-        return y[:self.x_len].reshape(self._x_shape), y[self.x_len:].reshape(self._cot_shape)
+        """Views of ``x`` (batch, m) and ``[a, q_i]`` (1+R, batch, m)."""
+        return y[:self.x_len].reshape(self._x_shape), y[self.x_len:].reshape(-1, *self._x_shape)
 
     def field(self, integrand):
         """The ``odesolve`` quadrature field of the sweep.
 
         At each stage the derivative comes from one forward and one reverse
-        pass, and ``dq`` is ``integrand(trace, gs)`` on that stage's forward
-        trace and per-layer cotangents of every group.  Each call of
+        pass, and ``dq`` is ``integrand(zs, gs)`` on that stage's forward
+        trace and per-layer (1+R, batch, l) cotangents.  Each call of
         ``field`` allocates the layer inputs that all its stages' traces
         are written into (see the module docstring).
         """
@@ -84,11 +80,11 @@ class BackwardSweep:
             x, cot = self.unpack(y)
             dy = np.empty_like(y)
             value, dcot = self.unpack(dy)
-            trace = vf._forward(spec, weights, t, x, inputs=inputs, out=value)
-            gs, r = vf._cotangents(spec, weights, trace, cot)
+            zs = vf._forward(spec, weights, t, x, inputs=inputs, out=value)
+            gs, r = vf._cotangents(spec, weights, zs, cot)
             # a time input column is not part of the state: drop its cotangent
             np.negative(r[..., :m], out=dcot)
-            return dy, lambda: integrand(trace, gs)
+            return dy, lambda: integrand(zs, gs)
 
         return fn
 
@@ -98,23 +94,21 @@ def adjoint_gradient(spec: vf.MlpSpec, theta: np.ndarray, x1: np.ndarray, a1: np
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, SolveReport]:
     """Loss gradient by integrating the adjoint system from t1 back to t0.
 
-    ``a1`` is the terminal-loss gradient at the (batch, m) states ``x1``.  Returns
-    the flat parameter gradient, the reconstructed initial state, the
-    adjoint at t0, and the solve report.  The error norm scores the state
-    replay; the gradient is the quadrature, which no norm scores.
-
-    With R rank vectors ``qs``, the gradients are (1+R, n), the loss
-    gradient then each coupling ``p_i``, and the cotangents at t0 are
-    ``[a, q_1..q_R]``, (1+R, batch, m).  Group 0 is bit for bit the lone
-    adjoint's.
+    ``a1`` is the terminal-loss gradient at the (batch, m) states ``x1``
+    and ``qs`` holds R rank vectors.  Returns the (1+R, n) gradients, the
+    loss gradient then each coupling ``p_i``, the reconstructed initial
+    state, the cotangents ``[a, q_1..q_R]`` at t0, (1+R, batch, m), and the
+    solve report; row 0 is the loss gradient and the adjoint whatever R
+    is, bit for bit.  The error norm scores the state replay; the
+    gradients are the quadrature, which no norm scores.
     """
     if np.shape(a1) != np.shape(x1):
         raise ValueError(f"state/adjoint shapes {np.shape(x1)}/{np.shape(a1)} differ")
     sweep = BackwardSweep(spec, theta, x1, a1, qs)
-    fn = sweep.field(lambda trace, gs: vf._param_grad_from_cotangents(spec, trace, gs).ravel())
+    fn = sweep.field(lambda zs, gs: vf._param_grad_from_cotangents(spec, zs, gs).ravel())
     report = odesolve(sweep.state, t1, t0, fn, cfg, scored=sweep.x_len,
                       quadrature=np.zeros((1 + len(qs)) * vf.num_params(spec)))
     x0, cot = sweep.unpack(report.terminal_state)
     # the solve runs from t1 down to t0, so it subtracts the integral; each
     # cotangent group has its row of gradients
-    return -report.quadrature.reshape(*cot.shape[:-2], -1), x0, cot, report
+    return -report.quadrature.reshape(len(cot), -1), x0, cot, report

@@ -293,11 +293,11 @@ def _check_gradient(tol_scale: float):
     lossfn = loss.TerminalLoss(target=target)
     cfg = SolverConfig(method="rk4", fixed_step=1e-2)
     x1 = oracle.flow(spec, theta, x0, 0.0, 1.0, cfg)
-    grad, _, _, _ = adjoint.adjoint_gradient(spec, theta, x1, loss.grad_x1(lossfn.at(x1)),
-                                             0.0, 1.0, cfg)
+    grads, _, _, _ = adjoint.adjoint_gradient(spec, theta, x1, loss.grad_x1(lossfn.at(x1)),
+                                              0.0, 1.0, cfg)
     fd = oracle.fd_gradient(
         lambda th: loss.loss_value(lossfn.at(oracle.flow(spec, th, x0, 0.0, 1.0, cfg))), theta)
-    err = np.linalg.norm(grad - fd) / np.linalg.norm(fd)
+    err = np.linalg.norm(grads[0] - fd) / np.linalg.norm(fd)
     return "adjoint gradient vs finite differences", float(err), 1e-4 * tol_scale
 
 

@@ -31,7 +31,9 @@ mean_b (w_b g_b)(w_b g_b)^T`` over the adjoint group's cotangents ``g``.
 That covers the ``gauss_newton_scaled`` surrogate (constant w) and the
 two-class softmax.  Otherwise the sweep carries R >= 1 rank vectors, one
 per terminal factor (C-1 for C >= 3 classes, m for mse), and the B side
-sums groups 1..R.  Each rank vector adds ``batch*m`` entries to the state.
+sums groups 1..R.  Either way the B side reads a slice of the one
+(1+R, batch, l) group stack: group 0 weighted, or groups 1..R.  Each rank
+vector adds ``batch*m`` entries to the state.
 
 Biases share their layer's block through the homogeneous coordinate that
 ``vector_field`` evaluates in: each trace entry ``zs[k]`` already is
@@ -69,35 +71,33 @@ def _packed_len(spec: vf.MlpSpec) -> int:
     return sum(side * (side + 1) // 2 for side in _sides(spec))
 
 
-def _factor_terms(spec: vf.MlpSpec, trace: vf.LayerTrace, gs: list[np.ndarray],
+def _factor_terms(spec: vf.MlpSpec, zs: list[np.ndarray], gs: list[np.ndarray],
                   weights: np.ndarray | None = None, *,
                   out: np.ndarray | None = None) -> np.ndarray:
     """Upper triangles of ``A_n(t)`` and ``B_n(t)`` at one stage, packed
     ``[A_1..A_L | B_1..B_L]``, written into ``out`` when given.
 
-    ``trace`` is the stage's forward pass and ``gs[k]`` its layer-``k``
-    cotangents, (batch, l) or (R, batch, l); every row is a B-side sample.
-    With per-sample ``weights`` (batch,), ``gs`` are the adjoint's (batch, l)
-    cotangents and row b is weighted by ``weights[b]`` before its square:
-    the weight alone can overflow when squared.  The weighting writes the
-    traversal's own rows in place, so anything else that reads ``gs``
-    must read it first; only an identity output layer's rows, which are
-    the solver's stage input (:func:`vector_field._cotangents`), are
-    weighted in a copy, and that copy is (batch, m).
+    ``zs`` is the stage's forward trace and ``gs[k]`` its layer-``k``
+    cotangents, a (groups, batch, l) stack; every row of every group is a
+    B-side sample.  With per-sample ``weights`` (batch,), row b of each
+    group is weighted by ``weights[b]`` before its square: the weight alone
+    can overflow when squared.  The weighting writes the traversal's own
+    rows in place, so anything else that reads ``gs`` must read it first;
+    only an identity output layer's rows, which are the solver's stage
+    input (:func:`vector_field._cotangents`), are weighted in a copy.
     """
     top = spec.n_layers - 1
     samples = []
     for k, g in enumerate(gs):
-        if weights is None:
-            g = g.reshape(-1, g.shape[-1])
-        elif k == top and spec.activations[k] == "identity":
-            g = g * weights[:, None]
-        else:
-            # numpy buffers the zero-stride weight column; no Gram matrix is
-            # alive yet while it does
-            g *= weights[:, None]
-        samples.append(g)
-    mats = [zb.T @ zb for zb in trace.zs[:-1]] + [g.T @ g for g in samples]
+        if weights is not None:
+            if k == top and spec.activations[k] == "identity":
+                g = g * weights[:, None]
+            else:
+                # numpy buffers the zero-stride weight column; no Gram matrix
+                # is alive yet while it does
+                g *= weights[:, None]
+        samples.append(g.reshape(-1, g.shape[-1]))
+    mats = [zb.T @ zb for zb in zs[:-1]] + [g.T @ g for g in samples]
     if out is None:
         out = np.empty(_packed_len(spec))
     offset = 0
@@ -105,7 +105,7 @@ def _factor_terms(spec: vf.MlpSpec, trace: vf.LayerTrace, gs: list[np.ndarray],
         triu = triu_flat(mat.shape[0])
         out[offset:offset + triu.size] = mat.ravel()[triu]
         offset += triu.size
-    out /= trace.zs[0].shape[0]
+    out /= zs[0].shape[0]
     return out
 
 
@@ -130,22 +130,21 @@ def accumulate_factors(spec: vf.MlpSpec, theta: np.ndarray, x1: np.ndarray,
     """
     weights = curv.adjoint_weights
     if weights is None and not curv.factors:
-        # a rank-0 sweep would leave the cotangents 2-D and the B side would
-        # read the adjoint's rows as rank vectors
+        # a rank-0 sweep would give the B side no sample
         raise ValueError("need at least one terminal factor")
     sweep = BackwardSweep(spec, theta, x1, curv.grad, curv.factors if weights is None else ())
     n = vf.num_params(spec)
     packed = _packed_len(spec)
 
-    def integrand(trace: vf.LayerTrace, gs: list[np.ndarray]) -> np.ndarray:
+    def integrand(zs: list[np.ndarray], gs: list[np.ndarray]) -> np.ndarray:
         # weighted, the adjoint group is also the B-side sample; else groups 1..R are
-        adjoint, samples = (gs, gs) if weights is not None else ([g[0] for g in gs],
+        adjoint, samples = (gs, gs) if weights is not None else ([g[:1] for g in gs],
                                                                   [g[1:] for g in gs])
         # one array per stage, [g | factor triangles]; the gradient reads gs
         # before the weighted factor terms write them
         dq = np.empty(n + packed)
-        vf._param_grad_from_cotangents(spec, trace, adjoint, out=dq[:n])
-        _factor_terms(spec, trace, samples, weights, out=dq[n:])
+        vf._param_grad_from_cotangents(spec, zs, adjoint, out=dq[:n])
+        _factor_terms(spec, zs, samples, weights, out=dq[n:])
         return dq
 
     report = odesolve(sweep.state, t1, t0, sweep.field(integrand), cfg, scored=sweep.x_len,

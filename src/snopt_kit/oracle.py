@@ -38,7 +38,7 @@ def flow(spec: vf.MlpSpec, theta: np.ndarray, x0: np.ndarray, t0: float, t1: flo
     x0 = vf.check_states(spec, x0)
     weights = vf.unpack_params(spec, theta)
     fld = lambda t, y: vf._forward(spec, weights, t, y.reshape(x0.shape),
-                                   value_only=True).zs[-1].ravel()
+                                   value_only=True)[-1].ravel()
     return odesolve(x0.ravel(), t0, t1, fld, cfg).terminal_state.reshape(x0.shape)
 
 

@@ -204,7 +204,7 @@ class _Run:
 
         def fld(t, y):
             return vf._forward(self.spec, weights, t, y.reshape(batch, m),
-                               value_only=True).zs[-1].ravel()
+                               value_only=True)[-1].ravel()
 
         rep = odesolve(x0.ravel(), self.cfg.t0, self.t1, fld, self.cfg.solver)
         return rep.terminal_state.reshape(batch, m), rep
@@ -249,9 +249,9 @@ class _Run:
             factors, grad, rep = accumulate_factors(self.spec, self.theta, x1, curv, cfg.t0,
                                                     self.t1, cfg.solver)
             return grad, factors, rep
-        grad, _, _, rep = adjoint_gradient(self.spec, self.theta, x1, phi_grad, cfg.t0,
-                                           self.t1, cfg.solver)
-        return grad, None, rep
+        grads, _, _, rep = adjoint_gradient(self.spec, self.theta, x1, phi_grad, cfg.t0,
+                                            self.t1, cfg.solver)
+        return grads[0], None, rep
 
     def iterate(self, it: int, started: float) -> TrainRecord:
         """Training iteration ``it``; ``started`` is the run's start on the perf clock.

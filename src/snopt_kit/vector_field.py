@@ -11,10 +11,11 @@ parameter gradient of layer ``k`` seeded with a cotangent ``q`` is exactly
 Kronecker factorization downstream rests on, so it is asserted in the
 tests rather than assumed.
 
-States are ``(batch, m)`` everywhere, and cotangents may carry an extra
-leading group axis on top of the batch.  Backward-solve hot loops unpack
-the flat parameters once via :func:`unpack_params`, allocate the layer
-inputs once via :func:`_trace_inputs` and call the underscored variants.
+States are ``(batch, m)`` everywhere, and a backward sweep's cotangents
+stack its groups on a leading axis, ``(groups, batch, m)``.  Backward-solve
+hot loops unpack the flat parameters once via :func:`unpack_params`,
+allocate the layer inputs once via :func:`_trace_inputs` and call the
+underscored variants.
 """
 
 from __future__ import annotations
@@ -154,24 +155,6 @@ def _act_deriv(name: str, z_next: np.ndarray) -> np.ndarray:
     return d
 
 
-@dataclass
-class LayerTrace:
-    """The layer outputs at one evaluation point, and nothing else.
-
-    ``zs[k]`` is ``zbar^k``, the homogeneous input to layer ``k``: a
-    column-major ``(batch, zbar_widths[k])`` array whose last column is the
-    bias's 1 (``zs[0]`` holds the time column before it when concatenated).
-    ``zs[-1]`` is the field value, a plain ``(batch, m)`` array.  No
-    pre-activation is kept: the reverse pass reads every activation
-    derivative off the layer's output (:func:`_act_deriv`).  Replaying
-    ``act(zs[k] @ Wbar_k.T)`` from any ``zs[k]`` reproduces the suffix
-    bit-exactly.  A value-only evaluation returns ``zs == [F]``, the field
-    value alone.
-    """
-
-    zs: list[np.ndarray]
-
-
 def check_states(spec: MlpSpec, x: np.ndarray) -> np.ndarray:
     """``x`` as a float ``(batch, m)`` array of states; anything else is rejected."""
     x = np.asarray(x, dtype=float)
@@ -202,17 +185,25 @@ def _trace_inputs(spec: MlpSpec, batch: int) -> list[np.ndarray]:
 
 def _forward(spec: MlpSpec, weights: Weights, t: float, x: np.ndarray, *,
              value_only: bool = False, inputs: list[np.ndarray] | None = None,
-             out: np.ndarray | None = None) -> LayerTrace:
-    """The layer trace at ``(t, x)``; with ``value_only``, a trace of the value alone.
+             out: np.ndarray | None = None) -> list[np.ndarray]:
+    """The layer trace ``zs`` at ``(t, x)``; with ``value_only``, ``[F]``, the value alone.
 
-    The value path (``zs == [F]``) drops each layer input once the next one
-    is written, so it holds at most two consecutive layer inputs instead of
-    the whole trace.  A caller that evaluates the field many times can pass
-    the layer inputs of :func:`_trace_inputs` as ``inputs``, whose ones
-    columns are already set, and a C-ordered ``(batch, m)`` array as
-    ``out``: the trace is then written into them, ``zs[:-1]`` is
-    ``inputs`` and ``zs[-1]`` is ``out``, and the next call with them
-    overwrites this trace.
+    ``zs[k]`` is ``zbar^k``, the homogeneous input to layer ``k``: a
+    column-major ``(batch, zbar_widths[k])`` array whose last column is the
+    bias's 1 (``zs[0]`` holds the time column before it when concatenated).
+    ``zs[-1]`` is the field value, a plain ``(batch, m)`` array.  No
+    pre-activation is kept: the reverse pass reads every activation
+    derivative off the layer's output (:func:`_act_deriv`).  Replaying
+    ``act(zs[k] @ Wbar_k.T)`` from any ``zs[k]`` reproduces the suffix
+    bit-exactly.
+
+    The value path drops each layer input once the next one is written, so
+    it holds at most two consecutive layer inputs instead of the whole
+    trace.  A caller that evaluates the field many times can pass the layer
+    inputs of :func:`_trace_inputs` as ``inputs``, whose ones columns are
+    already set, and a C-ordered ``(batch, m)`` array as ``out``: the trace
+    is then written into them, ``zs[:-1]`` is ``inputs`` and ``zs[-1]`` is
+    ``out``, and the next call with them overwrites this trace.
     """
     # each hidden output is written straight into the next layer's input; the
     # column-major slice it fills is contiguous, so matmul needs no temporary
@@ -232,21 +223,22 @@ def _forward(spec: MlpSpec, weights: Weights, t: float, x: np.ndarray, *,
     zs.append(_act(spec.activations[-1], np.matmul(zs[-1], weights[-1].T, out=out)))
     if value_only:
         del zs[:-1]
-    return LayerTrace(zs=zs)
+    return zs
 
 
 def eval(spec: MlpSpec, theta: np.ndarray, t: float, x: np.ndarray) -> np.ndarray:
     """The field's value at ``(batch, m)`` states, through the value path: no trace is kept."""
     return _forward(spec, unpack_params(spec, theta), t, check_states(spec, x),
-                    value_only=True).zs[-1]
+                    value_only=True)[-1]
 
 
-def _cotangents(spec: MlpSpec, weights: Weights, trace: LayerTrace,
+def _cotangents(spec: MlpSpec, weights: Weights, zs: list[np.ndarray],
                 q: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     """Reverse traversal: per-layer ``g^k = (dF/dh^k)^T q`` plus input grad.
 
-    ``q`` is (batch, m) or carries a leading group axis on top of the
-    trace batch; one traversal serves both the state and parameter VJPs.
+    ``q`` is a (groups, batch, m) stack of cotangent groups on the trace
+    batch, or one (batch, m) cotangent; one traversal serves both the state
+    and parameter VJPs of every group.
     Activation derivatives are read off the trace's layer outputs, and an
     identity layer's ``g^k`` is its incoming cotangent itself.
 
@@ -262,7 +254,7 @@ def _cotangents(spec: MlpSpec, weights: Weights, trace: LayerTrace,
     for k in reversed(range(spec.n_layers)):
         w, name = weights[k], spec.activations[k]
         if name != "identity":
-            d = _act_deriv(name, trace.zs[k + 1][:, :w.shape[0]])
+            d = _act_deriv(name, zs[k + 1][:, :w.shape[0]])
             if k == spec.n_layers - 1:
                 r = r * d
             else:
@@ -273,22 +265,22 @@ def _cotangents(spec: MlpSpec, weights: Weights, trace: LayerTrace,
     return gs, r
 
 
-def _param_grad_from_cotangents(spec: MlpSpec, trace: LayerTrace, gs: list[np.ndarray], *,
+def _param_grad_from_cotangents(spec: MlpSpec, zs: list[np.ndarray], gs: list[np.ndarray], *,
                                 out: np.ndarray | None = None) -> np.ndarray:
     """Batch-mean flat parameter gradient from per-layer cotangents.
 
-    ``gs[k]`` is (batch, l), or (groups, batch, l) from a traversal seeded
-    with a stack of cotangent groups; the result then holds one flat
-    gradient row per group.  It is written into ``out`` when given, a
-    contiguous array of as many entries.
+    ``gs[k]`` is (groups, batch, l), from a traversal seeded with a stack of
+    cotangent groups, and the result holds one flat gradient row per group;
+    a (batch, l) ``gs[k]`` gives one flat gradient.  It is written into
+    ``out`` when given, a contiguous array of as many entries.
     """
     lead = gs[0].shape[:-2]
     shape = lead + (num_params(spec),)
     flat = np.empty(shape) if out is None else out.reshape(shape)
-    for (sl, _, _), zb, g in zip(layer_slices(spec), trace.zs, gs):
+    for (sl, _, _), zb, g in zip(layer_slices(spec), zs, gs):
         # (zb^T g).ravel() per group is the column-major vec of the (l, pbar) gradient
         flat[..., sl] = (zb.T @ g).reshape(lead + (-1,))
-    flat /= trace.zs[0].shape[0]
+    flat /= zs[0].shape[0]
     return flat
 
 
@@ -305,8 +297,8 @@ def jacobians(spec: MlpSpec, theta: np.ndarray, t: float,
     if x.ndim != 1:
         raise DimensionMismatch("jacobians expects a single state vector")
     weights = unpack_params(spec, theta)
-    trace = _forward(spec, weights, t, x[None, :])
+    zs = _forward(spec, weights, t, x[None, :])
     m = spec.state_dim
-    gs, r = _cotangents(spec, weights, trace, np.eye(m)[:, None, :])
-    fu = _param_grad_from_cotangents(spec, trace, gs)
-    return trace.zs[-1][0], r[:, 0, :m], fu
+    gs, r = _cotangents(spec, weights, zs, np.eye(m)[:, None, :])
+    fu = _param_grad_from_cotangents(spec, zs, gs)
+    return zs[-1][0], r[:, 0, :m], fu

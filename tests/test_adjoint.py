@@ -33,12 +33,12 @@ class TestAugmentedState:
             x, cot = sweep.unpack(sweep.state)
             seeds = np.stack([np.broadcast_to(v, x1.shape) for v in (a1, *qs)])
             assert np.array_equal(x, x1)
-            assert np.array_equal(cot, seeds if rank else a1)
-            # a lone adjoint is unpacked 2-D, rank vectors stack on a group axis
+            assert np.array_equal(cot, seeds)
+            # the adjoint and the rank vectors stack on one group axis, for every rank
             y = rng.normal(size=sweep.state.size)
             x, cot = sweep.unpack(y)
             assert x.shape == (4, 3)
-            assert cot.shape == ((1 + rank, 4, 3) if rank else (4, 3))
+            assert cot.shape == (1 + rank, 4, 3)
             assert np.array_equal(np.concatenate([x.ravel(), cot.ravel()]), y)
 
     def test_flat_length_is_2bm_plus_n(self):
@@ -72,7 +72,7 @@ class TestAdjointGradient:
         theta = np.zeros(1)
         x1 = forward(spec, theta, np.array([[1.0]]))
         grad, _, _, _ = adjoint_gradient(spec, theta, x1, 2 * x1, 0.0, 1.0, RK4)
-        assert grad[0] == pytest.approx(2.0, abs=1e-8)
+        assert grad[0, 0] == pytest.approx(2.0, abs=1e-8)
 
     def test_matches_fd_on_batch(self):
         for time_input, width in (("none", 2), ("concat", 3)):
@@ -84,10 +84,10 @@ class TestAdjointGradient:
             lossfn = TerminalLoss(target=rng.uniform(-1, 1, size=(4, 2)))
 
             x1 = forward(spec, theta, x0)
-            grad, _, _, _ = adjoint_gradient(spec, theta, x1, grad_x1(lossfn.at(x1)), 0.0, 1.0,
-                                             RK4)
+            grads, _, _, _ = adjoint_gradient(spec, theta, x1, grad_x1(lossfn.at(x1)), 0.0,
+                                              1.0, RK4)
             fd = fd_gradient(lambda th: loss_value(lossfn.at(forward(spec, th, x0))), theta)
-            assert np.linalg.norm(grad - fd) / np.linalg.norm(fd) < 1e-4
+            assert np.linalg.norm(grads[0] - fd) / np.linalg.norm(fd) < 1e-4
 
     def test_linear_in_terminal_adjoint(self):
         spec = vf.MlpSpec(dims=(2, 3, 2), activations=("tanh", "identity"))
@@ -128,8 +128,8 @@ class TestAdjointGradient:
         with pytest.raises(vf.DimensionMismatch):
             vf.eval(spec, theta, 0.0, x)
         grad, x0, a0, _ = adjoint_gradient(spec, theta, x[None], a[None], 0.0, 1.0, RK4)
-        assert x0.shape == (1, 2) and a0.shape == (1, 2)
-        assert grad.shape == (vf.num_params(spec),)
+        assert x0.shape == (1, 2) and a0.shape == (1, 1, 2)
+        assert grad.shape == (1, vf.num_params(spec))
 
     def test_writes_no_caller_array(self):
         # x1 and a1 seed the backward state, which is built from copies
@@ -162,6 +162,6 @@ class TestRankVectors:
             grads, x0_r, cot, rep_r = adjoint_gradient(spec, theta, x1, a1, 0.0, 1.0, cfg, qs=qs)
             assert grads.shape == (1 + rank, vf.num_params(spec))
             assert cot.shape == (1 + rank, batch, 2)
-            assert np.array_equal(grads[0], grad) and np.array_equal(cot[0], a0)
+            assert np.array_equal(grads[:1], grad) and np.array_equal(cot[:1], a0)
             assert np.array_equal(x0_r, x0)
             assert (rep_r.nfe, rep_r.accepted_steps) == (rep.nfe, rep.accepted_steps)

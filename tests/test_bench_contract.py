@@ -5,8 +5,8 @@
 A change that moves a call site or bypasses a rebound name breaks the
 benchmark only when it runs; this test trains every workload for two
 iterations under the tracer and checks its two gates here.  It also
-re-measures the benchmark's ``peak_alloc_kib`` on snopt-grid33 against the
-value recorded below.  It imports the benchmark's modules and changes
+re-measures the benchmark's ``peak_alloc_kib`` on every workload against
+the values recorded below.  It imports the benchmark's modules and changes
 nothing in them.
 """
 
@@ -46,11 +46,11 @@ def test_workload_reaches_its_entry_points(name):
     assert tracer.calls["vector_field.forward"] >= sum(r.nfe_fwd + r.nfe_bwd for r in records)
 
 
-def grid33_peak_kib() -> float:
-    """The benchmark's ``peak_alloc_kib`` on snopt-grid33, config seed 0: the
-    largest per-iteration tracemalloc peak of a 6-iteration run after a
+def peak_kib(name: str) -> float:
+    """The benchmark's ``peak_alloc_kib`` on workload ``name``, config seed 0:
+    the largest per-iteration tracemalloc peak of a 6-iteration run after a
     3-iteration warm-up, the first iteration excluded."""
-    workload = WORKLOADS["snopt-grid33"]
+    workload = WORKLOADS[name]
     trainer.train(workload.config_for(0, iterations=3))
     peaks = []
 
@@ -67,11 +67,12 @@ def grid33_peak_kib() -> float:
 
 
 # measured on Linux x86-64, CPython 3.11, numpy 2.4; before the dead buffers at
-# the two peak moments were freed it read 236.8
-GRID33_PEAK_KIB = 204.2
+# the two peak moments were freed snopt-grid33 read 236.8
+PEAK_KIB = {"adam-spirals": 205.9, "snopt-grid33": 204.2, "snopt-rank2-horizon": 203.6}
 
 
-def test_grid33_peak_stays_at_its_measured_value():
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_peak_stays_at_its_measured_value(name):
     # the forward's two 400-row hidden inputs and dopri5's seven stage rows
     # (150 KiB) are the floor; no dead buffer may ride on top of them again
-    assert grid33_peak_kib() <= 1.05 * GRID33_PEAK_KIB
+    assert peak_kib(name) <= 1.05 * PEAK_KIB[name]

@@ -81,8 +81,8 @@ class TestDenseSweep:
         curv = TerminalCurvature(grad=grad_vec, factors=[rng.normal(size=(1, 2))])
         out = dense_sweep(spec, theta, x1, curv, 0.0, 1.0, TIGHT)
         g_adj, _, a0, _ = adjoint_gradient(spec, theta, x1, grad_vec, 0.0, 1.0, TIGHT)
-        assert np.max(np.abs(out.qu - g_adj)) < 1e-8
-        assert np.max(np.abs(out.qx - a0)) < 1e-8
+        assert np.max(np.abs(out.qu - g_adj[0])) < 1e-8
+        assert np.max(np.abs(out.qx - a0[0])) < 1e-8
 
 
 class TestLowRankSweep:

@@ -36,7 +36,7 @@ class TestHorizonTerms:
         theta = vf.init_params(spec, 2)
         rng = np.random.default_rng(4)
         x1, phi_grad = rng.normal(size=(32, 2)), rng.normal(size=(32, 2))
-        f = vf._forward(spec, vf.unpack_params(spec, theta), 0.8, x1).zs[-1]
+        f = vf._forward(spec, vf.unpack_params(spec, theta), 0.8, x1)[-1]
         modes = []
         forward = vf._forward
 

@@ -81,7 +81,7 @@ class TestFactorTerms:
         trace = vf._forward(spec, weights, 0.7, x)
         gs, _ = vf._cotangents(spec, weights, trace, q)
         for k in range(spec.n_layers):
-            zbar = trace.zs[k][0]
+            zbar = trace[k][0]
             assert zbar[-1] == 1.0
             g = gs[k][0, 0]
             seg = np.kron(zbar, g)
@@ -141,7 +141,7 @@ class TestFactorTerms:
         packed = _factor_terms(spec, trace, gs)
         assert packed.size == sum(n * (n + 1) // 2 for n in (4, 6, 5, 5, 4, 2))
         terms = _unpack_factors(spec, packed)
-        for k, zb in enumerate(trace.zs[:-1]):
+        for k, zb in enumerate(trace[:-1]):
             g = gs[k].reshape(-1, gs[k].shape[-1])
             assert np.array_equal(terms.a_factors[k], zb.T @ zb / 6)
             assert np.array_equal(terms.b_factors[k], g.T @ g / 6)
@@ -200,7 +200,7 @@ class TestAccumulateFactors:
                 # the stage's derivative is the field and the adjoint ODE there
                 trace = vf._forward(spec, weights, t, x)
                 _, r = vf._cotangents(spec, weights, trace, cot)
-                assert np.array_equal(k, np.concatenate([trace.zs[-1].ravel(), -r.ravel()]))
+                assert np.array_equal(k, np.concatenate([trace[-1].ravel(), -r.ravel()]))
             for side in ("a_factors", "b_factors"):
                 for n in range(spec.n_layers):
                     f = [getattr(s, side)[n] for s in stages]
@@ -262,7 +262,7 @@ class TestAccumulateFactors:
             curv = TerminalCurvature(grad=a1, factors=[a1])
             factors, grad, _ = accumulate_factors(spec, theta, x1, curv, 0.0, 1.0, RK4)
             g_adj, _, _, _ = adjoint_gradient(spec, theta, x1, a1, 0.0, 1.0, RK4)
-            assert np.array_equal(grad, g_adj)
+            assert np.array_equal(grad, g_adj[0])
 
     def test_psd_preserved_under_accumulation(self):
         spec, theta = tanh_net(8)
@@ -288,7 +288,7 @@ class TestDefaultConfigSweep:
                                                  cfg.solver)
         assert (rep.nfe, rep.accepted_steps, rep.rejected_steps) == (
             rep_adj.nfe, rep_adj.accepted_steps, rep_adj.rejected_steps) == (14, 2, 0)
-        assert np.array_equal(grad, g_adj)
+        assert np.array_equal(grad, g_adj[0])
         assert np.array_equal(rep.terminal_state[:x1.size], x0.ravel())
 
     def test_scaled_adjoint_matches_carried_rank_vector(self):

@@ -161,8 +161,8 @@ class TestEval:
         theta = vf.init_params(spec, 7)
         trace = trace_at(spec, theta, 0.0, np.array([[0.4, -0.9]]))
         w0, w1 = vf.unpack_params(spec, theta)
-        assert np.array_equal(trace.zs[1][:, :4], np.tanh(trace.zs[0] @ w0.T))
-        assert np.array_equal(trace.zs[2], trace.zs[1] @ w1.T)
+        assert np.array_equal(trace[1][:, :4], np.tanh(trace[0] @ w0.T))
+        assert np.array_equal(trace[2], trace[1] @ w1.T)
 
     def test_trace_keeps_only_layer_outputs(self):
         # one warm 400-row forward through 2-16-16-2 keeps its homogeneous
@@ -180,7 +180,7 @@ class TestEval:
             kept, peak = (v - before for v in tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
-        assert [z.shape for z in trace.zs] == [(400, 3), (400, 17), (400, 17), (400, 2)]
+        assert [z.shape for z in trace] == [(400, 3), (400, 17), (400, 17), (400, 2)]
         assert kept < 400 * (3 + 17 + 17 + 2) * 8 + 4096
         assert peak < 400 * (3 + 17 + 17 + 2) * 8 + 4096
 
@@ -199,8 +199,8 @@ class TestEval:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert len(value.zs) == 1
-        assert np.array_equal(value.zs[0], vf._forward(spec, weights, 0.0, x).zs[-1])
+        assert len(value) == 1
+        assert np.array_equal(value[0], vf._forward(spec, weights, 0.0, x)[-1])
         assert peak < 8 * 400 * (17 + 17) + 4096
 
     def test_trace_without_bias_has_no_ones_column(self):
@@ -209,11 +209,11 @@ class TestEval:
         theta = vf.init_params(spec, 4)
         x = np.array([[0.4, -0.9], [1.3, 0.2]])
         trace = trace_at(spec, theta, 0.6, x)
-        out = trace.zs[-1]
-        assert [z.shape for z in trace.zs] == [(2, 3), (2, 4), (2, 2)]
-        assert np.array_equal(trace.zs[0], [[0.4, -0.9, 0.6], [1.3, 0.2, 0.6]])
+        out = trace[-1]
+        assert [z.shape for z in trace] == [(2, 3), (2, 4), (2, 2)]
+        assert np.array_equal(trace[0], [[0.4, -0.9, 0.6], [1.3, 0.2, 0.6]])
         w0, w1 = vf.unpack_params(spec, theta)
-        assert np.allclose(out, np.tanh(trace.zs[0] @ w0.T) @ w1.T, atol=1e-14)
+        assert np.allclose(out, np.tanh(trace[0] @ w0.T) @ w1.T, atol=1e-14)
 
 
 def _pre_activation_deriv(name, h):
@@ -274,7 +274,7 @@ class TestVjps:
         seed = q.copy()
         gs, _ = vf._cotangents(spec, weights, trace, q)
         assert np.array_equal(q, seed)
-        assert np.array_equal(gs[-1], seed * vf._act_deriv("tanh", trace.zs[-1]))
+        assert np.array_equal(gs[-1], seed * vf._act_deriv("tanh", trace[-1]))
 
     def test_cotangents_hold_one_derivative_at_a_time(self):
         # a warm traversal of a 128-row trace through 2-16-16-2 holds its own
@@ -347,7 +347,7 @@ class TestVjps:
         _, flat, gs = vjps(spec, theta, x, q)
         trace = trace_at(spec, theta, 0.0, x)
         for k, (sl, _, _) in enumerate(vf.layer_slices(spec)):
-            zbar = trace.zs[k][0]
+            zbar = trace[k][0]
             assert zbar[-1] == 1.0
             assert np.array_equal(flat[sl], np.kron(zbar, gs[k]))
 
