@@ -265,8 +265,7 @@ def readout_grads(at: LossAt) -> tuple[np.ndarray, np.ndarray]:
     return resid.T @ x1 / x1.shape[0], resid.mean(axis=0)
 
 
-def terminal_curvature(at: LossAt, t0: float, t1: float,
-                       mode: str = "gauss_newton_scaled") -> TerminalCurvature:
+def terminal_curvature(at: LossAt, t0: float, t1: float, mode: str) -> TerminalCurvature:
     """Terminal gradient plus factor vectors of the terminal Hessian.
 
     The factors are built only when a caller reads them.

@@ -53,15 +53,15 @@ class NonFiniteState(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Solver settings.
+    """Solver settings: the ``[solver]`` config section, with its defaults.
 
     ``max_steps`` bounds the step attempts (accepted plus rejected) of one
     ``odesolve`` call.
     """
 
     method: str = "dopri5"
-    rtol: float = 1e-6
-    atol: float = 1e-6
+    rtol: float = 1e-3
+    atol: float = 1e-3
     fixed_step: float | None = None
     max_steps: int = 100_000
     max_step: float | None = None     # optional cap on the adaptive step

@@ -39,8 +39,8 @@ class SnoptState:
     """Hyperparameters and per-layer amortized squares for the update."""
 
     lr: float
-    epsilon: float = 0.05                   # Tikhonov damping, weight decay included
-    amortization: float = 0.75
+    epsilon: float                          # Tikhonov damping, weight decay included
+    amortization: float
     s_star: list[np.ndarray] | None = None  # zero-initialized on first step
 
     def __post_init__(self):
@@ -92,7 +92,7 @@ def apply_weight_decay(grad: np.ndarray, gamma: float, theta: np.ndarray) -> np.
 @dataclass
 class SgdState:
     lr: float
-    momentum: float = 0.9
+    momentum: float
     buf: np.ndarray | None = None
 
 

@@ -39,6 +39,7 @@ from .loss import (CURVATURE_MODES, LossAt, TerminalCurvature, TerminalLoss, acc
 from .odesolve import MaxStepsExceeded, NonFiniteState, SolveReport, SolverConfig, odesolve
 from .optimizer import (AdamState, SgdState, SingularFactor, SnoptState, adam_step,
                         apply_weight_decay, sgd_step, snopt_step)
+from .vector_field import MlpSpec as ModelConfig
 
 # Numeric failures of one iteration; ``train`` re-raises each as ``TrainAbort``.
 NUMERIC_FAILURES = (NonFiniteState, MaxStepsExceeded, SingularFactor, NonFiniteUpdate)
@@ -55,21 +56,6 @@ class TrainAbort(RuntimeError):
 def _check_choice(what: str, value: str, choices: tuple[str, ...]):
     if value not in choices:
         raise ValueError(f"unknown {what} {value!r}; expected one of {', '.join(choices)}")
-
-
-@dataclass(frozen=True)
-class ModelConfig:
-    dims: tuple[int, ...] = (2, 16, 16, 2)
-    activations: tuple[str, ...] = ("tanh", "tanh", "identity")
-    time_input: str = "none"
-    bias: bool = True
-
-    def __post_init__(self):
-        self.spec()  # MlpSpec rejects inconsistent widths and activations
-
-    def spec(self) -> vf.MlpSpec:
-        return vf.MlpSpec(dims=tuple(self.dims), activations=tuple(self.activations),
-                          time_input=self.time_input, bias=self.bias)
 
 
 @dataclass(frozen=True)
@@ -111,8 +97,7 @@ class ExperimentConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
     loss: LossConfig = field(default_factory=LossConfig)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
-    solver: SolverConfig = field(default_factory=lambda: SolverConfig(
-        method="dopri5", rtol=1e-3, atol=1e-3))
+    solver: SolverConfig = field(default_factory=SolverConfig)
     t0: float = 0.0
     t1: float = 1.0
     iterations: int = 500
@@ -138,7 +123,7 @@ class ExperimentConfig:
         if self.seed < 0:
             raise ValueError("need seed >= 0")
         # rules that join the sections, which check themselves as they are built
-        classes, width = self.dataset.n_classes, self.model.spec().state_dim
+        classes, width = self.dataset.n_classes, self.model.state_dim
         if width != INPUT_DIM:
             raise ValueError(f"model state width {width} differs from the dataset's "
                              f"{INPUT_DIM} input features")
@@ -173,7 +158,7 @@ class _Run:
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
-        self.spec = cfg.model.spec()
+        self.spec = cfg.model
         self.ds = build_dataset(cfg.dataset, cfg.seed)
         self.theta = vf.init_params(self.spec, cfg.seed + 1)
         classes = cfg.dataset.n_classes

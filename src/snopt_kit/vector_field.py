@@ -38,17 +38,22 @@ class DimensionMismatch(ValueError):
 class MlpSpec:
     """Layer widths, per-layer activations, and time handling.
 
+    This is the ``[model]`` config section, and its defaults are the
+    section's: 2-16-16-2, tanh/tanh/identity, no time input, biases.
     ``dims[0]`` is the network input width: the state dimension plus one
     when ``time_input == "concat"``.  ``dims[-1]`` must equal the state
     dimension, since the field maps states to state derivatives.
     """
 
-    dims: tuple[int, ...]
-    activations: tuple[str, ...]
+    dims: tuple[int, ...] = (2, 16, 16, 2)
+    activations: tuple[str, ...] = ("tanh", "tanh", "identity")
     time_input: str = "none"
     bias: bool = True
 
     def __post_init__(self):
+        # stored as tuples, so a spec built from lists still hashes as a cache key
+        object.__setattr__(self, "dims", tuple(self.dims))
+        object.__setattr__(self, "activations", tuple(self.activations))
         if len(self.dims) < 2:
             raise ValueError("need at least one layer")
         if min(self.dims) < 1:

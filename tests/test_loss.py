@@ -224,7 +224,7 @@ class TestTerminalCurvature:
     def test_requires_forward_interval(self):
         lf = ls.TerminalLoss(target=np.zeros(2))
         with pytest.raises(ValueError):
-            ls.terminal_curvature(lf.at(np.zeros((1, 2))), 1.0, 1.0)
+            ls.terminal_curvature(lf.at(np.zeros((1, 2))), 1.0, 1.0, "gauss_newton_scaled")
 
 
 def test_accuracy():

@@ -23,7 +23,7 @@ class TestSnoptStep:
         rng = np.random.default_rng(0)
         factors = one_layer_factors(spd(rng, 3), spd(rng, 2))
         theta = rng.normal(size=6)
-        state = SnoptState(lr=0.5)
+        state = SnoptState(lr=0.5, epsilon=0.05, amortization=0.75)
         assert np.array_equal(snopt_step(state, factors, np.zeros(6), theta), theta)
 
     def test_identity_factors_elementwise_rule(self):
@@ -101,15 +101,15 @@ class TestSnoptStep:
     def test_parameter_count_mismatch(self):
         rng = np.random.default_rng(7)
         factors = one_layer_factors(spd(rng, 2), spd(rng, 2))
-        state = SnoptState(lr=1.0)
+        state = SnoptState(lr=1.0, epsilon=0.05, amortization=0.75)
         with pytest.raises(ValueError):
             snopt_step(state, factors, np.zeros(5), np.zeros(5))
 
     def test_hyperparameter_validation(self):
         with pytest.raises(ValueError):
-            SnoptState(lr=0.1, epsilon=0.0)
+            SnoptState(lr=0.1, epsilon=0.0, amortization=0.75)
         with pytest.raises(ValueError):
-            SnoptState(lr=0.1, amortization=1.0)
+            SnoptState(lr=0.1, epsilon=0.05, amortization=1.0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -128,12 +128,12 @@ def test_descent_direction(seed):
 
 class TestBaselines:
     def test_sgd_zero_gradient(self):
-        state = SgdState(lr=0.1)
+        state = SgdState(lr=0.1, momentum=0.9)
         theta = np.array([1.0, 2.0])
         assert np.array_equal(sgd_step(state, np.zeros(2), theta), theta)
 
     def test_sgd_single_step(self):
-        state = SgdState(lr=0.1)
+        state = SgdState(lr=0.1, momentum=0.9)
         out = sgd_step(state, np.array([1.0, 0.0]), np.zeros(2))
         assert np.allclose(out, [-0.1, 0.0])
 

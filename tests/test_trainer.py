@@ -1,5 +1,5 @@
 import time
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -308,7 +308,7 @@ class TestMemoryProbe:
 
     def test_snopt_probe_linear_in_rank(self):
         # the factor sweep's probe, batch 16 through 2-4-2, synthetic rank-R factors
-        spec = small_config().model.spec()
+        spec = small_config().model
         theta = vf.init_params(spec, 1)
         x1 = np.random.default_rng(0).uniform(-1, 1, size=(16, 2))
         probes = {}
@@ -367,6 +367,16 @@ class TestConfigValidation:
         valid = tr.ExperimentConfig(dataset=three, iterations=2)
         with pytest.raises(ValueError, match="3 classes but the state"):
             replace(valid, loss=off)
+
+    def test_sections_hold_their_types_defaults(self):
+        # one default per setting: each section of the default config is its
+        # type built with no argument
+        cfg = tr.ExperimentConfig()
+        sections = [f.name for f in fields(cfg) if is_dataclass(getattr(cfg, f.name))]
+        assert sections == ["dataset", "model", "loss", "optimizer", "solver", "horizon"]
+        for name in sections:
+            section = getattr(cfg, name)
+            assert section == type(section)(), name
 
     def test_built_config_cannot_be_changed_unchecked(self):
         # replace sections share, so a mutable one would skip the check for both configs

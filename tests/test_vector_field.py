@@ -66,6 +66,13 @@ class TestSpecValidation:
             vf.MlpSpec(dims=(2, 4, 2), activations=("tanh", "identity"),
                        time_input="concat")
 
+    def test_lists_stored_as_tuples(self):
+        # a spec keys the layout cache, so one built from lists must hash and
+        # equal the tuple-built one
+        spec = vf.MlpSpec(dims=[2, 4, 2], activations=["tanh", "identity"])
+        assert (spec.dims, spec.activations) == ((2, 4, 2), ("tanh", "identity"))
+        assert spec == tanh_spec() and vf.layer_slices(spec) == vf.layer_slices(tanh_spec())
+
 
 class TestLayout:
     def test_slices_partition_params(self):
