@@ -9,11 +9,15 @@ config file's seed, and ``--override`` (or a grid cell) overrides both.
 Exit codes: 0 success, 1 config error (``ConfigError``: an unknown key, a
 value the config dataclasses reject, sections that do not fit together
 (which ``ExperimentConfig`` rejects as it is built), an unreadable or
-unparsable config or grid file, a missing output directory, a bad
+unparsable config or grid file, a grid file without a lone ``[grid]``
+section or with a key that has no values, a missing output directory, an
+``--out`` that is a directory or an ``--out-dir`` that is a file, a bad
 ``SNOPT_SEED``), 2 numeric abort (``TrainAbort``: a non-finite state, a
-solve over ``max_steps``, a factor eigendecomposition that fails, or a
-non-finite horizon update).  ``grid`` records an aborted cell in its
-summary and carries on.
+field whose scaled norm overflows at a solve's start, a solve over
+``max_steps``, a factor eigendecomposition that fails, or a non-finite
+horizon update).  Every config error is found before anything trains or
+is written.  ``grid`` records an aborted cell in its summary and carries
+on.
 """
 
 from __future__ import annotations
@@ -183,6 +187,8 @@ def cmd_train(config_path: str, out_path: str, overrides: list[str] | None = Non
         out_dir = os.path.dirname(out_path) or "."
         if not os.path.isdir(out_dir):
             raise ConfigError(f"output directory not found: {out_dir}")
+        if os.path.isdir(out_path):
+            raise ConfigError(f"output path is a directory: {out_path}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -200,13 +206,20 @@ def cmd_train(config_path: str, out_path: str, overrides: list[str] | None = Non
 def _grid_cells(grid_path: str) -> list[list[tuple[str, str]]]:
     """Cartesian product of the comma-separated values in [grid].
 
-    The commas split values, so a tuple-valued key cannot be swept and is
-    rejected; a key's type does not depend on its value, so the defaults
-    tell which keys hold tuples.
+    The file holds one ``[grid]`` section and nothing else, and every key
+    has at least one value, so a misspelled section or an unfinished line
+    is an error instead of a grid with no cell.  The commas split values,
+    so a tuple-valued key cannot be swept and is rejected; a key's type
+    does not depend on its value, so the defaults tell which keys hold
+    tuples.
     """
     parser = _read_ini(grid_path, "grid file")
+    found = parser.sections() + (["DEFAULT"] if parser.defaults() else [])
+    if found != ["grid"]:
+        raise ConfigError(f"grid file {grid_path} must hold one [grid] section alone, found "
+                          f"{', '.join(f'[{name}]' for name in found) or 'none'}")
     try:
-        items = parser.items("grid") if parser.has_section("grid") else []
+        items = parser.items("grid")
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {grid_path}: {exc}") from exc
     defaults, axes = ExperimentConfig(), []
@@ -216,6 +229,8 @@ def _grid_cells(grid_path: str) -> list[list[tuple[str, str]]]:
         if isinstance(getattr(holder, name, None), tuple):
             raise ConfigError(f"cannot sweep tuple-valued key {key} in {grid_path}")
         choices = [v.strip() for v in values.split(",") if v.strip()]
+        if not choices:
+            raise ConfigError(f"grid key {key} in {grid_path} has no values")
         axes.append([(key, v) for v in choices])
     if not axes:
         return []
@@ -236,6 +251,8 @@ def cmd_grid(config_path: str, grid_path: str, out_dir: str,
         cells = _grid_cells(grid_path)
         if not cells:
             _build(staged)  # no cell: the base alone must be valid
+        if os.path.exists(out_dir) and not os.path.isdir(out_dir):
+            raise ConfigError(f"output directory is a file: {out_dir}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

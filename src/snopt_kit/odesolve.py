@@ -202,12 +202,16 @@ def _initial_step(fn: Field, t: float, y0: np.ndarray, f0: np.ndarray, direction
     dropped.  When both derivative estimates vanish, ``h1`` is the whole
     interval.  The controller still judges that step, so a constant state
     costs one step instead of a 10x-per-step ramp up from 1e-6.  The probe
-    is one field evaluation, which the caller counts; a non-finite probe
-    raises ``NonFiniteState``.
+    is one field evaluation, which the caller counts.  A non-finite probe
+    raises ``NonFiniteState``, and so does a start derivative whose scaled
+    norm ``|f0|`` overflows, which leaves no step size to probe with.
     """
     scale = cfg.atol + cfg.rtol * np.abs(y0)
     d0 = _scaled_rms(y0, scale, scored)
     d1 = _scaled_rms(f0, scale, scored)
+    if not math.isfinite(d1):
+        # an overflowing norm would make h0 zero, and the probe's quotient 0/0
+        raise NonFiniteState(f"the field's scaled norm overflows at the start t={t:.6g}")
     unscaled = d0 < 1e-5 or d1 < 1e-5
     h0 = min(1e-6 if unscaled else 0.01 * d0 / d1, total)  # the probe stays inside the interval
     f1 = fn(t + direction * h0, y0 + direction * h0 * f0)

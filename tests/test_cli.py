@@ -305,6 +305,48 @@ class TestFailureExitCodes:
         assert cli.cmd_train(path, str(tmp_path / "o.csv")) == 2
         assert "NonFiniteUpdate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["adam", "sgd", "snopt"])
+    def test_dopri5_start_overflow_exit_2(self, kind, tmp_path, capsys):
+        # after one step at lr 1e300 the field's scaled norm overflows at the
+        # start of the next forward solve, where dopri5 sizes its first step
+        path = tmp_path / "dopri5.ini"
+        path.write_text(BASE_CONFIG.replace("kind = adam", f"kind = {kind}")
+                        .replace("lr = 0.01", "lr = 1e300")
+                        .replace("method = rk4\nfixed_step = 0.1", "method = dopri5"))
+        out = tmp_path / "o.csv"
+        assert cli.main(["train", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "numeric abort" in err and "NonFiniteState" in err
+        assert "overflows at the start" in err and not out.exists()
+
+
+class TestOutputPaths:
+    """A bad output path is a config error, found before anything trains."""
+
+    @pytest.fixture
+    def trained(self, monkeypatch):
+        cfgs = []
+        monkeypatch.setattr(trainer, "train", lambda cfg: cfgs.append(cfg) or [])
+        return cfgs
+
+    def test_out_is_a_directory(self, config_path, tmp_path, trained, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        assert cli.main(["train", config_path, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "output path is a directory" in err
+        assert trained == [] and list(out.iterdir()) == []
+
+    def test_out_dir_is_a_file(self, config_path, tmp_path, trained, capsys):
+        grid = tmp_path / "grid.ini"
+        grid.write_text("[grid]\noptimizer.lr = 0.01, 0.02\n")
+        out = tmp_path / "cells"
+        out.write_text("kept\n")
+        assert cli.main(["grid", config_path, str(grid), "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "output directory is a file" in err
+        assert trained == [] and out.read_text() == "kept\n"
+
 
 # (command, overrides for train or the text of the grid file, a fragment of the error)
 CONFIG_ERRORS = {
@@ -337,6 +379,18 @@ CONFIG_ERRORS = {
     "grid_bad_interpolation": ("grid", "[grid]\noptimizer.lr = 5%\n", "'%' must be followed"),
     "grid_tuple_key": ("grid", "[grid]\nmodel.dims = 2,4,2\n",
                        "cannot sweep tuple-valued key model.dims"),
+    # a grid file holds one [grid] section alone, and every key has a value
+    "grid_misspelled_section": ("grid", "[grdi]\noptimizer.lr = 0.01, 0.02\n",
+                                "one [grid] section alone, found [grdi]"),
+    "grid_extra_section": ("grid", "[grid]\noptimizer.lr = 0.01\n[optimizer]\nlr = 0.02\n",
+                           "found [grid], [optimizer]"),
+    "grid_default_section": ("grid", "[DEFAULT]\noptimizer.lr = 0.01\n[grid]\n",
+                             "found [grid], [DEFAULT]"),
+    "grid_empty_file": ("grid", "", "one [grid] section alone, found none"),
+    "grid_key_without_values": ("grid", "[grid]\noptimizer.lr =\n",
+                                "grid key optimizer.lr in"),
+    "grid_key_only_commas": ("grid", "[grid]\ntrain.seed = 1, 2\noptimizer.lr = ,\n",
+                             "has no values"),
     "error_norm_key": ("train", ["solver.error_norm=semi"], "unknown key 'error_norm'"),
     "semi_prefix_key": ("train", ["solver.semi_prefix=5"], "unknown key 'semi_prefix'"),
     "kind_key_in_loss": ("train", ["loss.kind=mse"], "unknown key 'kind' in [loss]"),

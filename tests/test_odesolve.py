@@ -209,6 +209,15 @@ class TestInitialStep:
             odesolve(y0, 0.0, 1.0, fn, dopri())
         assert len(times) == 2
 
+    def test_overflowing_start_norm(self):
+        # a finite derivative whose scaled norm overflows leaves h0 = 0, and the
+        # probe's quotient used to raise ZeroDivisionError
+        for scale in (1e300, 1e160):
+            fn, times = call_log(lambda t, y: scale * y)
+            with pytest.raises(NonFiniteState, match="overflows at the start"):
+                odesolve(np.array([1.0, 2.0]), 0.0, 1.0, fn, dopri(1e-3, 1e-3))
+            assert times == [0.0]
+
 
 def quad_solve(y0, t_start, t_end, fn, cfg, integrand, q0=(0.0,)):
     """Solve ``y' = fn`` with ``integrand(t, y)`` as the quadrature, run when the solver asks."""
