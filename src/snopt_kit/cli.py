@@ -11,13 +11,13 @@ value the config dataclasses reject, sections that do not fit together
 (which ``ExperimentConfig`` rejects as it is built), an unreadable or
 unparsable config or grid file, a grid file without a lone ``[grid]``
 section or with a key that has no values, a missing output directory, an
-``--out`` that is a directory or an ``--out-dir`` that is a file, a bad
-``SNOPT_SEED``), 2 numeric abort (``TrainAbort``: a non-finite state, a
-field whose scaled norm overflows at a solve's start, a solve over
-``max_steps``, a factor eigendecomposition that fails, or a non-finite
-horizon update).  Every config error is found before anything trains or
-is written.  ``grid`` records an aborted cell in its summary and carries
-on.
+``--out`` that names no file (a directory or an empty path), an
+``--out-dir`` that cannot be made, a bad ``SNOPT_SEED``), 2 numeric abort
+(``TrainAbort``: a non-finite state, a field whose scaled norm overflows
+at a solve's start, a solve over ``max_steps``, a factor
+eigendecomposition that fails, or a non-finite horizon update).  Every
+config error is found before anything trains or is written.  ``grid``
+records an aborted cell in its summary and carries on.
 """
 
 from __future__ import annotations
@@ -187,8 +187,8 @@ def cmd_train(config_path: str, out_path: str, overrides: list[str] | None = Non
         out_dir = os.path.dirname(out_path) or "."
         if not os.path.isdir(out_dir):
             raise ConfigError(f"output directory not found: {out_dir}")
-        if os.path.isdir(out_path):
-            raise ConfigError(f"output path is a directory: {out_path}")
+        if os.path.isdir(out_path) or not os.path.basename(out_path):
+            raise ConfigError(f"--out must name a file, got {out_path!r}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -251,8 +251,6 @@ def cmd_grid(config_path: str, grid_path: str, out_dir: str,
         cells = _grid_cells(grid_path)
         if not cells:
             _build(staged)  # no cell: the base alone must be valid
-        if os.path.exists(out_dir) and not os.path.isdir(out_dir):
-            raise ConfigError(f"output directory is a file: {out_dir}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -266,7 +264,12 @@ def cmd_grid(config_path: str, grid_path: str, out_dir: str,
         except ConfigError as exc:
             print(f"config error in cell {idx}: {exc}", file=sys.stderr)
             return 1
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:  # a file in the way, or no permission
+        print(f"config error: cannot make output directory {out_dir}: {exc.strerror}",
+              file=sys.stderr)
+        return 1
 
     summary_path = os.path.join(out_dir, "summary.csv")
     rows = []

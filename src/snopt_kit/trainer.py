@@ -259,12 +259,12 @@ class _Run:
         # one softmax of the minibatch feeds the sweep's terminal values and
         # the readout update; the readout takes its step before the sweep,
         # which reads neither, so only the terminal values stay alive
-        # through the sweep.  The sweep's peak is not always the iteration's.
-        # Under tracemalloc (numpy 2.4) the full-train solve's 400-row field
-        # evaluation reaches about 208 KiB on every benchmark workload, the
-        # adjoint sweep 183 KiB and the gauss_newton_scaled factor sweep
-        # 201 KiB; only the weighted factor integrand of the exact_rank
-        # sweep reaches 208 KiB too
+        # through the sweep.  The sweep's peak is not always the iteration's:
+        # sampled under tracemalloc (numpy 2.4), the full-train solve's
+        # 400-row field evaluation reaches about 208 KiB on every benchmark
+        # workload, against 183 KiB in the adjoint sweep and 201 KiB in the
+        # gauss_newton_scaled factor sweep; only the exact_rank sweep's
+        # weighted factor integrand reaches as high
         at = lossfn.at(x1)
         phi_grad, curv = self.terminal(at)
         if self.readout is not None:

@@ -329,23 +329,27 @@ class TestOutputPaths:
         monkeypatch.setattr(trainer, "train", lambda cfg: cfgs.append(cfg) or [])
         return cfgs
 
-    def test_out_is_a_directory(self, config_path, tmp_path, trained, capsys):
-        out = tmp_path / "out"
-        out.mkdir()
-        assert cli.main(["train", config_path, "--out", str(out)]) == 1
+    @pytest.mark.parametrize("out", ["out", "out/", ""], ids=["directory", "slash", "empty"])
+    def test_out_names_no_file(self, out, config_path, tmp_path, trained, capsys,
+                               monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "out").mkdir()
+        assert cli.main(["train", config_path, "--out", out]) == 1
         err = capsys.readouterr().err
-        assert "config error" in err and "output path is a directory" in err
-        assert trained == [] and list(out.iterdir()) == []
+        assert "config error: --out must name a file" in err
+        assert trained == [] and sorted(p.name for p in tmp_path.iterdir()) == [
+            "exp.ini", "out"] and list((tmp_path / "out").iterdir()) == []
 
-    def test_out_dir_is_a_file(self, config_path, tmp_path, trained, capsys):
+    @pytest.mark.parametrize("out_dir", ["cells", "cells/sub"], ids=["file", "under_a_file"])
+    def test_out_dir_is_a_file(self, out_dir, config_path, tmp_path, trained, capsys):
         grid = tmp_path / "grid.ini"
         grid.write_text("[grid]\noptimizer.lr = 0.01, 0.02\n")
-        out = tmp_path / "cells"
-        out.write_text("kept\n")
-        assert cli.main(["grid", config_path, str(grid), "--out-dir", str(out)]) == 1
+        (tmp_path / "cells").write_text("kept\n")
+        argv = ["grid", config_path, str(grid), "--out-dir", str(tmp_path / out_dir)]
+        assert cli.main(argv) == 1
         err = capsys.readouterr().err
-        assert "config error" in err and "output directory is a file" in err
-        assert trained == [] and out.read_text() == "kept\n"
+        assert "config error: cannot make output directory" in err
+        assert trained == [] and (tmp_path / "cells").read_text() == "kept\n"
 
 
 # (command, overrides for train or the text of the grid file, a fragment of the error)
