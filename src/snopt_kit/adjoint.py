@@ -73,7 +73,7 @@ class BackwardSweep:
         ``field`` allocates the layer inputs that all its stages' traces
         are written into (see the module docstring).
         """
-        spec, weights, m = self._spec, self._weights, self._x_shape[1]
+        spec, weights = self._spec, self._weights
         inputs = vf._trace_inputs(spec, self._x_shape[0])
 
         def fn(t: float, y: np.ndarray):
@@ -82,8 +82,7 @@ class BackwardSweep:
             value, dcot = self.unpack(dy)
             zs = vf._forward(spec, weights, t, x, inputs=inputs, out=value)
             gs, r = vf._cotangents(spec, weights, zs, cot)
-            # a time input column is not part of the state: drop its cotangent
-            np.negative(r[..., :m], out=dcot)
+            np.negative(r, out=dcot)
             return dy, lambda: integrand(zs, gs)
 
         return fn

@@ -355,6 +355,8 @@ def _check_lowrank_equivalence(tol_scale: float):
 
 
 def _check_kron_update(tol_scale: float):
+    # one layer, 3 inputs plus the bias into 3 outputs: its blocks are (3, 4)
+    spec = vf.MlpSpec(dims=(3, 3), activations=("identity",))
     rng = np.random.Generator(np.random.Philox(9))
     p, l = 4, 3
     m = rng.normal(size=(p, p))
@@ -366,7 +368,7 @@ def _check_kron_update(tol_scale: float):
     eps = 0.05
     factors = kfac.KroneckerFactors(a_factors=[a], b_factors=[b])
     state = optimizer.SnoptState(lr=1.0, epsilon=eps, amortization=0.0)
-    delta = theta - optimizer.snopt_step(state, factors, grad, theta)
+    delta = theta - optimizer.snopt_step(state, spec, factors, grad, theta)
     ea, eb = numerics.sym_eigen(a), numerics.sym_eigen(b)
     basis = np.kron(ea.vectors, eb.vectors)
     xg = basis.T @ grad

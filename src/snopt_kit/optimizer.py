@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import vector_field as vf
 from .kfac import KroneckerFactors
 from .numerics import NotSymmetric, sym_eigen
 
@@ -50,37 +51,31 @@ class SnoptState:
             raise ValueError("amortization must lie in [0, 1)")
 
 
-def snopt_step(state: SnoptState, factors: KroneckerFactors, grad: np.ndarray,
-               theta: np.ndarray) -> np.ndarray:
+def snopt_step(state: SnoptState, spec: vf.MlpSpec, factors: KroneckerFactors,
+               grad: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """One preconditioned update; mutates the amortized squares in place.
 
-    The layer layout is read off the factor shapes: layer ``k`` owns the
-    next ``rows(B_k) * rows(A_k)`` parameters, stored as the column-major
-    ``vec`` of the weight-and-bias matrix.
+    Each layer's gradient and update are its ``Wbar`` blocks as
+    :func:`vector_field.unpack_params` lays them out, so the factors must
+    fit the field ``spec`` layer by layer.
     """
     theta_new = np.array(theta, dtype=float)
     if state.s_star is None:
         state.s_star = [np.zeros((b.shape[0], a.shape[0]))
                         for a, b in zip(factors.a_factors, factors.b_factors)]
-    offset = 0
-    for k, (a_bar, b_bar) in enumerate(zip(factors.a_factors, factors.b_factors)):
-        pbar, l = a_bar.shape[0], b_bar.shape[0]
-        sl = slice(offset, offset + pbar * l)
-        offset = sl.stop
+    layers = zip(factors.a_factors, factors.b_factors, vf.unpack_params(spec, grad),
+                 vf.unpack_params(spec, theta_new), strict=True)
+    for k, (a_bar, b_bar, g_mat, w_bar) in enumerate(layers):
         try:
             eig_a = sym_eigen(a_bar)
             eig_b = sym_eigen(b_bar)
         except (np.linalg.LinAlgError, NotSymmetric) as exc:
             raise SingularFactor(f"layer {k}: {exc}") from exc
-        g_mat = grad[sl].reshape(l, pbar, order="F")
         x = eig_b.vectors.T @ g_mat @ eig_a.vectors
         state.s_star[k] = (state.amortization * state.s_star[k]
                            + (1.0 - state.amortization) * x ** 2)
         x = x / (state.s_star[k] + state.epsilon)
-        delta = eig_b.vectors @ x @ eig_a.vectors.T
-        theta_new[sl] -= state.lr * delta.reshape(-1, order="F")
-    if offset != theta_new.size:
-        raise ValueError(f"factors cover {offset} parameters, vector has {theta_new.size}")
+        w_bar -= state.lr * (eig_b.vectors @ x @ eig_a.vectors.T)
     return theta_new
 
 

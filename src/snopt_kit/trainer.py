@@ -279,7 +279,7 @@ class _Run:
         grad, factors, rep_bwd = self.backward(x1, phi_grad, curv)
         grad = apply_weight_decay(grad, gamma, self.theta)
         if cfg.optimizer.kind == "snopt":
-            self.theta = snopt_step(self.opt_state, factors, grad, self.theta)
+            self.theta = snopt_step(self.opt_state, self.spec, factors, grad, self.theta)
         elif cfg.optimizer.kind == "adam":
             self.theta = adam_step(self.opt_state, grad, self.theta)
         else:

@@ -239,11 +239,12 @@ def eval(spec: MlpSpec, theta: np.ndarray, t: float, x: np.ndarray) -> np.ndarra
 
 def _cotangents(spec: MlpSpec, weights: Weights, zs: list[np.ndarray],
                 q: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """Reverse traversal: per-layer ``g^k = (dF/dh^k)^T q`` plus input grad.
+    """Reverse traversal: per-layer ``g^k = (dF/dh^k)^T q`` plus ``(dF/dx)^T q``.
 
     ``q`` is a (groups, batch, m) stack of cotangent groups on the trace
     batch, or one (batch, m) cotangent; one traversal serves both the state
-    and parameter VJPs of every group.
+    and parameter VJPs of every group.  The state's cotangent is as wide
+    as the state: a time input column has none.
     Activation derivatives are read off the trace's layer outputs, and an
     identity layer's ``g^k`` is its incoming cotangent itself.
 
@@ -256,6 +257,7 @@ def _cotangents(spec: MlpSpec, weights: Weights, zs: list[np.ndarray],
     """
     r = np.asarray(q, dtype=float)
     gs: list[np.ndarray] = [None] * spec.n_layers  # type: ignore[list-item]
+    in_widths = (spec.state_dim, *spec.dims[1:-1])
     for k in reversed(range(spec.n_layers)):
         w, name = weights[k], spec.activations[k]
         if name != "identity":
@@ -266,7 +268,7 @@ def _cotangents(spec: MlpSpec, weights: Weights, zs: list[np.ndarray],
                 r *= d
             del d
         gs[k] = r
-        r = r @ w[:, :spec.dims[k]]
+        r = r @ w[:, :in_widths[k]]
     return gs, r
 
 
@@ -303,7 +305,6 @@ def jacobians(spec: MlpSpec, theta: np.ndarray, t: float,
         raise DimensionMismatch("jacobians expects a single state vector")
     weights = unpack_params(spec, theta)
     zs = _forward(spec, weights, t, x[None, :])
-    m = spec.state_dim
-    gs, r = _cotangents(spec, weights, zs, np.eye(m)[:, None, :])
+    gs, r = _cotangents(spec, weights, zs, np.eye(spec.state_dim)[:, None, :])
     fu = _param_grad_from_cotangents(spec, zs, gs)
-    return zs[-1][0], r[:, 0, :m], fu
+    return zs[-1][0], r[:, 0], fu

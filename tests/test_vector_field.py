@@ -24,7 +24,7 @@ def vjps(spec, theta, x, q):
     trace = vf._forward(spec, weights, 0.0, x)
     gs, r = vf._cotangents(spec, weights, trace, q)
     flat = vf._param_grad_from_cotangents(spec, trace, gs)
-    return r[0, :spec.state_dim], flat, [g[0] for g in gs]
+    return r[0], flat, [g[0] for g in gs]
 
 
 def fd_state(spec, theta, t, x, q, h=1e-5):
@@ -282,6 +282,19 @@ class TestVjps:
         gs, _ = vf._cotangents(spec, weights, trace, q)
         assert np.array_equal(q, seed)
         assert np.array_equal(gs[-1], seed * vf._act_deriv("tanh", trace[-1]))
+
+    def test_state_cotangent_has_no_time_column(self):
+        # the time input is not part of the state, so it gets no cotangent
+        spec = vf.MlpSpec(dims=(3, 4, 2), activations=("tanh", "identity"),
+                          time_input="concat")
+        w0, w1 = weights = vf.unpack_params(spec, vf.init_params(spec, 12))
+        rng = np.random.default_rng(4)
+        trace = vf._forward(spec, weights, 0.3, rng.normal(size=(5, 2)))
+        q = rng.normal(size=(2, 5, 2))
+        _, r = vf._cotangents(spec, weights, trace, q)
+        assert r.shape == q.shape
+        g0 = (q @ w1[:, :4]) * (1.0 - trace[1][:, :4] ** 2)
+        assert np.allclose(r, g0 @ w0[:, :2], rtol=1e-13, atol=1e-15)
 
     def test_cotangents_hold_one_derivative_at_a_time(self):
         # a warm traversal of a 128-row trace through 2-16-16-2 holds its own
