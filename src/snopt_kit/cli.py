@@ -9,8 +9,9 @@ config file's seed, and ``--override`` (or a grid cell) overrides both.
 Exit codes: 0 success, 1 config error (``ConfigError``: an unknown key, a
 value the config dataclasses reject, sections that do not fit together
 (which ``ExperimentConfig`` rejects as it is built), an unreadable or
-unparsable config or grid file, a grid file without a lone ``[grid]``
-section or with a key that has no values, a missing output directory, an
+unparsable config or grid file, a config or grid file with a
+``[DEFAULT]`` section, a grid file without a lone ``[grid]`` section or
+with a key that has no values, a missing output directory, an
 ``--out`` that names no file (a directory or an empty path), an
 ``--out-dir`` that cannot be made, a bad ``SNOPT_SEED``), 2 numeric abort
 (``TrainAbort``: a non-finite state, a field whose scaled norm overflows
@@ -91,6 +92,8 @@ def _read_ini(path: str, what: str) -> configparser.ConfigParser:
     ``ConfigParser.read`` skips any path it cannot open, so a missing
     file, a directory or an unreadable file would pass as an empty file;
     here each is a ``ConfigError``, and so is a file that does not parse.
+    A ``[DEFAULT]`` section with keys is one too: configparser would read
+    its keys into every other section, or drop them where there is none.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
@@ -100,6 +103,9 @@ def _read_ini(path: str, what: str) -> configparser.ConfigParser:
         raise ConfigError(f"cannot read {what} {path}: {exc.strerror}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
+    if parser.defaults():
+        found = ", ".join(f"[{name}]" for name in [*parser.sections(), "DEFAULT"])
+        raise ConfigError(f"{what} {path} must not hold a [DEFAULT] section, found {found}")
     return parser
 
 
@@ -214,7 +220,7 @@ def _grid_cells(grid_path: str) -> list[list[tuple[str, str]]]:
     tuples.
     """
     parser = _read_ini(grid_path, "grid file")
-    found = parser.sections() + (["DEFAULT"] if parser.defaults() else [])
+    found = parser.sections()
     if found != ["grid"]:
         raise ConfigError(f"grid file {grid_path} must hold one [grid] section alone, found "
                           f"{', '.join(f'[{name}]' for name in found) or 'none'}")

@@ -316,13 +316,16 @@ def train(config: ExperimentConfig, on_iteration=None) -> list[TrainRecord]:
     run = _Run(config)
     records: list[TrainRecord] = []
     started = time.perf_counter()
-    for it in range(1, config.iterations + 1):
-        try:
-            records.append(run.iterate(it, started))
-        except NUMERIC_FAILURES as exc:
-            raise TrainAbort(it, f"{type(exc).__name__}: {exc}") from exc
-        if on_iteration is not None:
-            on_iteration(it, run)
+    # an overflow or a NaN reaches one of the finiteness checks, which abort
+    # with their own message; numpy need not warn of it first
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(1, config.iterations + 1):
+            try:
+                records.append(run.iterate(it, started))
+            except NUMERIC_FAILURES as exc:
+                raise TrainAbort(it, f"{type(exc).__name__}: {exc}") from exc
+            if on_iteration is not None:
+                on_iteration(it, run)
     return records
 
 

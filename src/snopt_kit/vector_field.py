@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-ACTIVATIONS = ("tanh", "relu", "softplus", "identity")
+ACTIVATIONS = ("tanh", "softplus", "identity")
 
 Weights = tuple[np.ndarray, ...]
 
@@ -130,8 +130,6 @@ def _act(name: str, h: np.ndarray) -> np.ndarray:
     """``act(h)``, written over ``h``: a trace keeps no pre-activation."""
     if name == "tanh":
         return np.tanh(h, out=h)
-    if name == "relu":
-        return np.maximum(h, 0.0, out=h)
     if name == "softplus":
         # split at h > 30 to avoid exp overflow; above it softplus(h) is h
         np.copyto(h, np.log1p(np.exp(np.minimum(h, 30.0))), where=h <= 30.0)
@@ -139,8 +137,8 @@ def _act(name: str, h: np.ndarray) -> np.ndarray:
 
 
 def _act_deriv(name: str, z_next: np.ndarray) -> np.ndarray:
-    """``act'(h)`` read off the layer output ``z_next = act(h)``, as one new
-    row-major array computed in place.
+    """``act'(h)`` of a tanh or softplus layer, read off its output
+    ``z_next = act(h)``, as one new row-major array computed in place.
 
     A trace's layer outputs are column-major and the cotangents they scale
     are row-major; a ufunc that mixes the two layouts buffers a copy of its
@@ -149,14 +147,9 @@ def _act_deriv(name: str, z_next: np.ndarray) -> np.ndarray:
     d = np.array(z_next, order="C")
     if name == "tanh":
         np.subtract(1.0, np.square(d, out=d), out=d)
-    elif name == "relu":
-        # z > 0 exactly where h > 0, so the subgradient at 0 is 0
-        np.greater(d, 0.0, out=d)
-    elif name == "softplus":
+    else:
         # sigmoid(h) = 1 - exp(-softplus(h))
         np.negative(np.expm1(np.negative(d, out=d), out=d), out=d)
-    else:
-        d.fill(1.0)
     return d
 
 

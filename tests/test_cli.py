@@ -141,6 +141,7 @@ class TestCmdTrain:
         text = out.read_text()
         assert "# override optimizer.lr=0.05" in text
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_numeric_abort_exit_2(self, tmp_path, capsys):
         path = tmp_path / "explode.ini"
         path.write_text(BASE_CONFIG.replace("kind = adam", "kind = sgd")
@@ -305,6 +306,7 @@ class TestFailureExitCodes:
         assert cli.cmd_train(path, str(tmp_path / "o.csv")) == 2
         assert "NonFiniteUpdate" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("kind", ["adam", "sgd", "snopt"])
     def test_dopri5_start_overflow_exit_2(self, kind, tmp_path, capsys):
         # after one step at lr 1e300 the field's scaled norm overflows at the
@@ -352,7 +354,8 @@ class TestOutputPaths:
         assert trained == [] and (tmp_path / "cells").read_text() == "kept\n"
 
 
-# (command, overrides for train or the text of the grid file, a fragment of the error)
+# (command, overrides for train or the text of the config or grid file, a
+# fragment of the error); a "config" case trains the config file it gives
 CONFIG_ERRORS = {
     "eval_every_0": ("train", ["train.eval_every=0"], "eval_every >= 1"),
     "negative_seed": ("train", ["train.seed=-1"], "seed >= 0"),
@@ -390,6 +393,11 @@ CONFIG_ERRORS = {
                            "found [grid], [optimizer]"),
     "grid_default_section": ("grid", "[DEFAULT]\noptimizer.lr = 0.01\n[grid]\n",
                              "found [grid], [DEFAULT]"),
+    # configparser would read [DEFAULT]'s keys into every section, or drop them
+    "config_default_beside_sections": ("config", "[DEFAULT]\nlr = 0.5\n[optimizer]\n"
+                                       "kind = adam\n[horizon]\nenabled = false\n",
+                                       "found [optimizer], [horizon], [DEFAULT]"),
+    "config_default_alone": ("config", "[DEFAULT]\nlr = 0.5\n", "found [DEFAULT]"),
     "grid_empty_file": ("grid", "", "one [grid] section alone, found none"),
     "grid_key_without_values": ("grid", "[grid]\noptimizer.lr =\n",
                                 "grid key optimizer.lr in"),
@@ -406,6 +414,8 @@ CONFIG_ERRORS = {
     "one_output_softmax": ("train", ["dataset.kind=circles", "dataset.radii=1.0"],
                            "at least 2 outputs, the readout has 1"),
     "state_width_over_inputs": ("train", ["model.dims=3,4,3"], "state width 3"),
+    "relu_activation": ("train", ["model.activations=relu,relu,identity",
+                                  "model.dims=2,4,4,2"], "unknown activation 'relu'"),
     "n_per_class_0": ("train", ["dataset.n_per_class=0"], "n_per_class >= 1"),
     "regression_n_0": ("train", ["dataset.kind=regression", "dataset.n=0"], "n >= 1"),
     "negative_noise_sd": ("train", ["dataset.noise_sd=-1"], "noise_sd >= 0"),
@@ -470,6 +480,10 @@ def test_config_error_exit_1(case, config_path, tmp_path, capsys):
         else:
             grid.write_text(payload)
         argv = ["grid", config_path, str(grid), "--out-dir", str(tmp_path / "cells")]
+    elif command == "config":
+        config = tmp_path / "default.ini"
+        config.write_text(payload)
+        argv = ["train", str(config), "--out", str(tmp_path / "o.csv")]
     else:
         out = tmp_path / "missing" / "o.csv" if case == "missing_out_dir" else tmp_path / "o.csv"
         argv = ["train", str(tmp_path) if payload is None else config_path, "--out", str(out)]

@@ -79,6 +79,7 @@ class TestTrainBasics:
         assert np.isnan(records[-1].train_acc)
         assert np.isfinite(records[-1].train_loss)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_abort_carries_iteration(self):
         # a catastrophic step overflows the squared loss at the next evaluation
         cfg = small_config(
@@ -326,7 +327,9 @@ class TestMemoryProbe:
         # holds upper triangles, 6 + 2*153 + 2*136 + 3 = 587 entries): adjoint
         # 2*256 + n; the rank-1 gauss_newton_scaled sweep carries the adjoint's
         # own state, 2*256 + n + 587; so does exact_rank on two-class circles,
-        # whose one (C-1 = 1) softmax factor rides on the adjoint
+        # whose one (C-1 = 1) softmax factor rides on the adjoint.  Two rank
+        # vectors, exact_rank on three-radius circles (C-1 = 2) or on
+        # regression (identity), carry [x | a, q_1, q_2]: 4*256 + n + 587
         base = dict(batch_size=128, model=tr.ModelConfig(dims=(2, 16, 16, 2)))
         adam = tr.ExperimentConfig(optimizer=tr.OptimizerConfig(kind="adam"), **base)
         grid33 = tr.ExperimentConfig(optimizer=tr.OptimizerConfig(kind="snopt"),
@@ -335,7 +338,13 @@ class TestMemoryProbe:
                                     loss=tr.LossConfig(curvature="exact_rank"),
                                     optimizer=tr.OptimizerConfig(kind="snopt"),
                                     grid_samples=13, **base)
-        assert [tr.memory_probe(c) for c in (adam, grid33, rank2)] == [866, 1453, 1453]
+        two_ranks = [tr.ExperimentConfig(dataset=dataset,
+                                         loss=tr.LossConfig(curvature="exact_rank"),
+                                         optimizer=tr.OptimizerConfig(kind="snopt"), **base)
+                     for dataset in (tr.DatasetConfig(kind="circles", radii=(0.5, 1.0, 1.5)),
+                                     tr.DatasetConfig(kind="regression"))]
+        assert ([tr.memory_probe(c) for c in (adam, grid33, rank2, *two_ranks)]
+                == [866, 1453, 1453, 1965, 1965])
 
     def test_baseline_below_snopt(self):
         adj = tr.memory_probe(small_config(optimizer=tr.OptimizerConfig(kind="adam", lr=1e-3)))
