@@ -6,7 +6,8 @@ written with 17 significant digits so parsing the file back reproduces the
 records exactly.  The ``SNOPT_SEED`` environment variable overrides the
 config file's seed, and ``--override`` (or a grid cell) overrides both.
 
-Exit codes: 0 success, 1 config error (``ConfigError``: an unknown key, a
+Exit codes: 0 success, 1 for a config or usage error (a command line that
+argparse rejects, or a ``ConfigError``: an unknown key, a
 value the config dataclasses reject, sections that do not fit together
 (which ``ExperimentConfig`` rejects as it is built), an unreadable or
 unparsable config or grid file, a config or grid file with a
@@ -416,10 +417,19 @@ def cmd_verify(tol_scale: float = 1.0) -> int:
     return 0 if ok else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, except that a usage error exits 1, as a config error does:
+    argparse's own 2 is the numeric-abort code."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="snopt-kit",
-                                     description="train small Neural ODEs with a "
-                                                 "second-order Kronecker-preconditioned optimizer")
+    parser = _Parser(prog="snopt-kit",
+                     description="train small Neural ODEs with a "
+                                 "second-order Kronecker-preconditioned optimizer")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="run one training experiment")

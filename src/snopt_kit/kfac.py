@@ -81,21 +81,17 @@ def _factor_terms(spec: vf.MlpSpec, zs: list[np.ndarray], gs: list[np.ndarray],
     cotangents, a (groups, batch, l) stack; every row of every group is a
     B-side sample.  With per-sample ``weights`` (batch,), row b of each
     group is weighted by ``weights[b]`` before its square: the weight alone
-    can overflow when squared.  The weighting writes the traversal's own
-    rows in place, so anything else that reads ``gs`` must read it first;
-    only an identity output layer's rows, which are the solver's stage
-    input (:func:`vector_field._cotangents`), are weighted in a copy.
+    can overflow when squared.  The weighting writes every layer's rows in
+    place, which the traversal hands to its caller
+    (:func:`vector_field._cotangents`), so anything else that reads ``gs``
+    must read it first.
     """
-    top = spec.n_layers - 1
     samples = []
-    for k, g in enumerate(gs):
+    for g in gs:
         if weights is not None:
-            if k == top and spec.activations[k] == "identity":
-                g = g * weights[:, None]
-            else:
-                # numpy buffers the zero-stride weight column; no Gram matrix
-                # is alive yet while it does
-                g *= weights[:, None]
+            # numpy buffers the zero-stride weight column; no Gram matrix
+            # is alive yet while it does
+            g *= weights[:, None]
         samples.append(g.reshape(-1, g.shape[-1]))
     mats = [zb.T @ zb for zb in zs[:-1]] + [g.T @ g for g in samples]
     if out is None:

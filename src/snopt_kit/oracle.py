@@ -5,7 +5,7 @@ ground-truth surrogate for gradient and curvature checks, :func:`flow` is
 the one forward solve they difference, and :func:`error_study` tabulates
 how far the backward sweep drifts from them as the solver tolerances
 vary.  Finite differencing assumes a smooth
-field, so these references are only valid for tanh/softplus networks.
+field, so these references are only valid for tanh networks.
 
 :func:`dense_sweep` is the desk-scale reference for the low-rank
 curvature blocks: it integrates the full matrix system (gradient pieces,

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-ACTIVATIONS = ("tanh", "softplus", "identity")
+ACTIVATIONS = ("tanh", "identity")
 
 Weights = tuple[np.ndarray, ...]
 
@@ -128,29 +128,19 @@ def unpack_params(spec: MlpSpec, theta: np.ndarray) -> Weights:
 
 def _act(name: str, h: np.ndarray) -> np.ndarray:
     """``act(h)``, written over ``h``: a trace keeps no pre-activation."""
-    if name == "tanh":
-        return np.tanh(h, out=h)
-    if name == "softplus":
-        # split at h > 30 to avoid exp overflow; above it softplus(h) is h
-        np.copyto(h, np.log1p(np.exp(np.minimum(h, 30.0))), where=h <= 30.0)
-    return h
+    return np.tanh(h, out=h) if name == "tanh" else h
 
 
-def _act_deriv(name: str, z_next: np.ndarray) -> np.ndarray:
-    """``act'(h)`` of a tanh or softplus layer, read off its output
-    ``z_next = act(h)``, as one new row-major array computed in place.
+def _act_deriv(z_next: np.ndarray) -> np.ndarray:
+    """``tanh'(h) = 1 - z^2`` of a tanh layer, read off its output
+    ``z_next = tanh(h)``, as one new row-major array computed in place.
 
     A trace's layer outputs are column-major and the cotangents they scale
     are row-major; a ufunc that mixes the two layouts buffers a copy of its
     operand, a plain copy does not.
     """
     d = np.array(z_next, order="C")
-    if name == "tanh":
-        np.subtract(1.0, np.square(d, out=d), out=d)
-    else:
-        # sigmoid(h) = 1 - exp(-softplus(h))
-        np.negative(np.expm1(np.negative(d, out=d), out=d), out=d)
-    return d
+    return np.subtract(1.0, np.square(d, out=d), out=d)
 
 
 def check_states(spec: MlpSpec, x: np.ndarray) -> np.ndarray:
@@ -241,25 +231,19 @@ def _cotangents(spec: MlpSpec, weights: Weights, zs: list[np.ndarray],
     Activation derivatives are read off the trace's layer outputs, and an
     identity layer's ``g^k`` is its incoming cotangent itself.
 
-    ``q`` is never written.  When the output layer is identity, ``gs[-1]``
-    is ``q`` as given (a view of the caller's seed, for a backward sweep
-    its solver state); every other ``gs[k]`` is a fresh array the
-    traversal owns and hands to the caller, which may write it.  Each
-    hidden layer pulls back in place, and at most one derivative array is
+    The traversal copies ``q`` once and never writes it: every ``gs[k]``
+    and ``r`` it returns is a fresh array the caller owns and may write,
+    even when ``q`` is a view of a backward sweep's solver state.  Each
+    tanh layer pulls back in place, and at most one derivative array is
     alive at a time.
     """
-    r = np.asarray(q, dtype=float)
+    r = np.array(q, dtype=float)
     gs: list[np.ndarray] = [None] * spec.n_layers  # type: ignore[list-item]
     in_widths = (spec.state_dim, *spec.dims[1:-1])
     for k in reversed(range(spec.n_layers)):
-        w, name = weights[k], spec.activations[k]
-        if name != "identity":
-            d = _act_deriv(name, zs[k + 1][:, :w.shape[0]])
-            if k == spec.n_layers - 1:
-                r = r * d
-            else:
-                r *= d
-            del d
+        w = weights[k]
+        if spec.activations[k] == "tanh":
+            r *= _act_deriv(zs[k + 1][:, :w.shape[0]])
         gs[k] = r
         r = r @ w[:, :in_widths[k]]
     return gs, r

@@ -416,6 +416,8 @@ CONFIG_ERRORS = {
     "state_width_over_inputs": ("train", ["model.dims=3,4,3"], "state width 3"),
     "relu_activation": ("train", ["model.activations=relu,relu,identity",
                                   "model.dims=2,4,4,2"], "unknown activation 'relu'"),
+    "softplus_activation": ("train", ["model.activations=softplus,tanh,identity",
+                                      "model.dims=2,4,4,2"], "unknown activation 'softplus'"),
     "n_per_class_0": ("train", ["dataset.n_per_class=0"], "n_per_class >= 1"),
     "regression_n_0": ("train", ["dataset.kind=regression", "dataset.n=0"], "n >= 1"),
     "negative_noise_sd": ("train", ["dataset.noise_sd=-1"], "noise_sd >= 0"),
@@ -542,3 +544,22 @@ class TestMainEntry:
 
     def test_verify_subcommand(self):
         assert cli.main(["verify"]) == 0
+
+    @pytest.mark.parametrize("argv, why", [
+        (["train", "configs/spirals.ini"], "the following arguments are required: --out"),
+        ([], "the following arguments are required: command"),
+        (["verify", "--tol-scale", "abc"], "argument --tol-scale: invalid float value: 'abc'"),
+    ])
+    def test_usage_error_exit_1(self, argv, why, capsys):
+        # exit 2 is a numeric abort, so argparse's usage errors exit 1 instead
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: snopt-kit") and "error: " + why in err
+
+    def test_help_exit_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["train", "--help"])
+        assert exc.value.code == 0
+        assert "--out OUT" in capsys.readouterr().out

@@ -96,11 +96,11 @@ class TestFactorTerms:
             assert np.linalg.eigvalsh(mat).min() >= -1e-12
 
     def test_weighted_terms_copy_no_hidden_rows(self):
-        # weights scale the traversal's own (batch, l) rows in place and copy
-        # only the identity output layer's (batch, m) rows: a warm weighted call
-        # through 2-16-16-2 on 128 rows peaks less than one (batch, l) array
-        # above the unweighted one, the seed is never written, and the terms
-        # equal those of pre-weighted copies
+        # weights scale every layer's rows in place, the traversal's own copy
+        # of the seed included: a warm weighted call through 2-16-16-2 on 128
+        # rows peaks less than one (batch, l) array above the unweighted one,
+        # the seed is never written, and the terms equal those of pre-weighted
+        # copies
         spec = vf.MlpSpec(dims=(2, 16, 16, 2), activations=("tanh", "tanh", "identity"))
         weights = vf.unpack_params(spec, vf.init_params(spec, 0))
         rng = np.random.default_rng(5)

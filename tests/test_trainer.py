@@ -1,3 +1,4 @@
+import copy
 import time
 from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 
@@ -232,6 +233,23 @@ class TestDefaultConfigSolves:
         tight = SolverConfig(method="dopri5", rtol=1e-10, atol=1e-10)
         ref = adjoint_gradient(run.spec, run.theta, x1, phi_grad, cfg.t0, run.t1, tight)[0][0]
         assert np.linalg.norm(grad - ref) <= 10 * 8.3e-5 * np.linalg.norm(ref)
+
+    def test_train_loss_stays_accurate_at_trained_states(self):
+        # record k's full-train loss is solved at the state after update k-1;
+        # over 30 Adam iterations at lr 0.01 it measured at most 3.9e-7
+        # relative to an rtol = atol = 1e-10 solve, and the bound is 10x that.
+        # Starting each solve at the previous solve's last proposed step
+        # instead measured 1.5e-5
+        cfg = tr.ExperimentConfig(optimizer=tr.OptimizerConfig(kind="adam", lr=0.01),
+                                  iterations=30)
+        states = []
+        records = tr.train(cfg, on_iteration=lambda it, run: states.append(
+            (run.theta.copy(), copy.deepcopy(run.readout), run.t1)))
+        ref = tr._Run(replace(cfg, solver=SolverConfig(method="dopri5", rtol=1e-10,
+                                                       atol=1e-10)))
+        for record, (ref.theta, ref.readout, ref.t1) in zip(records[1:], states):
+            want, _ = ref.evaluate(ref.ds.train_idx)
+            assert abs(record.train_loss - want) <= 10 * 3.9e-7 * want
 
 
 class TestSharedForward:
