@@ -3,8 +3,11 @@
 Experiment configs are flat INI files (one section per config group, all
 defaults overridable); metrics land in a fixed-schema CSV whose floats are
 written with 17 significant digits so parsing the file back reproduces the
-records exactly.  The ``SNOPT_SEED`` environment variable overrides the
-config file's seed, and ``--override`` (or a grid cell) overrides both.
+records exactly.  A run's config is its file's items, then its
+``--override``s (a grid cell's values join them), and nothing else: a seed
+comes from the file, ``--override train.seed=N`` or a grid cell, and the
+environment is not read.  Section and key names match exactly, in a file
+as on the command line.
 
 Exit codes: 0 success, 1 for a config or usage error (a command line that
 argparse rejects, or a ``ConfigError``: an unknown key, a
@@ -14,7 +17,7 @@ unparsable config or grid file, a config or grid file with a
 ``[DEFAULT]`` section, a grid file without a lone ``[grid]`` section or
 with a key that has no values, a missing output directory, an
 ``--out`` that names no file (a directory or an empty path), an
-``--out-dir`` that cannot be made, a bad ``SNOPT_SEED``), 2 numeric abort
+``--out-dir`` that cannot be made), 2 numeric abort
 (``TrainAbort``: a non-finite state, a field whose scaled norm overflows
 at a solve's start, a solve over ``max_steps``, a factor
 eigendecomposition that fails, or a non-finite horizon update).  Every
@@ -95,8 +98,10 @@ def _read_ini(path: str, what: str) -> configparser.ConfigParser:
     here each is a ``ConfigError``, and so is a file that does not parse.
     A ``[DEFAULT]`` section with keys is one too: configparser would read
     its keys into every other section, or drop them where there is none.
+    Key names keep their case, which configparser would fold to lower.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser.optionxform = str
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
@@ -110,32 +115,24 @@ def _read_ini(path: str, what: str) -> configparser.ConfigParser:
     return parser
 
 
-def _config_items(path: str, overrides: list[str] | None) -> dict[str, list[tuple[str, str]]]:
-    """The file's items, then ``SNOPT_SEED``, then the overrides, by section."""
+def _file_items(path: str) -> dict[str, list[tuple[str, str]]]:
+    """The config file's items, by section."""
     parser = _read_ini(path, "config file")
     try:
-        staged: dict[str, list[tuple[str, str]]] = {}
-        for section in parser.sections():
-            staged.setdefault(section, []).extend(parser.items(section))
+        return {section: parser.items(section) for section in parser.sections()}
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
 
-    if "SNOPT_SEED" in os.environ:
-        try:
-            seed = int(os.environ["SNOPT_SEED"])
-            if seed < 0:
-                raise ValueError(f"got {seed}")
-        except ValueError as exc:
-            raise ConfigError(f"SNOPT_SEED must be a nonnegative integer: {exc}") from exc
-        staged.setdefault("train", []).append(("seed", str(seed)))
-    for ov in overrides or []:
+
+def _build(file_items: dict[str, list[tuple[str, str]]],
+           overrides: list[str]) -> ExperimentConfig:
+    """The file's items, then the overrides, coerced against the defaults;
+    then each section and the config are built once, so no half-built
+    config is ever checked."""
+    staged = {section: list(items) for section, items in file_items.items()}
+    for ov in overrides:
         section, key, value = _split_override(ov)
         staged.setdefault(section, []).append((key, value))
-    return staged
-
-
-def _build(staged: dict[str, list[tuple[str, str]]]) -> ExperimentConfig:
-    """Coerce the items against the defaults, then build each section and the config once."""
     defaults = ExperimentConfig()
     kwargs = {}
     try:
@@ -156,12 +153,8 @@ def _build(staged: dict[str, list[tuple[str, str]]]) -> ExperimentConfig:
 
 
 def load_config(path: str, overrides: list[str] | None = None) -> ExperimentConfig:
-    """Build an ExperimentConfig from an INI file plus dotted overrides.
-
-    Everything is collected before anything is built, so no half-built
-    config is ever checked.
-    """
-    return _build(_config_items(path, overrides))
+    """Build an ExperimentConfig from an INI file plus dotted overrides."""
+    return _build(_file_items(path), overrides or [])
 
 
 def _split_override(spec: str) -> tuple[str, str, str]:
@@ -253,11 +246,12 @@ def _final_metrics(records: list[TrainRecord]) -> tuple[float, float, float, flo
 
 def cmd_grid(config_path: str, grid_path: str, out_dir: str,
              overrides: list[str] | None = None) -> int:
+    overrides = overrides or []
     try:
-        staged = _config_items(config_path, overrides)
+        file_items = _file_items(config_path)  # read once, for every cell
         cells = _grid_cells(grid_path)
         if not cells:
-            _build(staged)  # no cell: the base alone must be valid
+            _build(file_items, overrides)  # no cell: the base alone must be valid
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -266,8 +260,7 @@ def cmd_grid(config_path: str, grid_path: str, out_dir: str,
     configs = []
     for idx, cell in enumerate(cells):
         try:
-            cell_overrides = [*(overrides or []), *(f"{k}={v}" for k, v in cell)]
-            configs.append(load_config(config_path, cell_overrides))
+            configs.append(_build(file_items, [*overrides, *(f"{k}={v}" for k, v in cell)]))
         except ConfigError as exc:
             print(f"config error in cell {idx}: {exc}", file=sys.stderr)
             return 1

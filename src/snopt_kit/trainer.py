@@ -138,6 +138,11 @@ class ExperimentConfig:
             # the bound may be driven down to t_min, and the flow needs t1 > t0
             raise ValueError(f"need t0 < horizon t_min with the horizon enabled, got t0 = "
                              f"{self.t0}, t_min = {self.horizon.t_min}")
+        if self.horizon.enabled and not self.horizon.t_min <= self.t1 <= self.horizon.t_max:
+            # the bound starts at t1 and every update clips it into [t_min, t_max]
+            raise ValueError(f"need horizon t_min <= t1 <= t_max with the horizon enabled, "
+                             f"got t1 = {self.t1} outside [{self.horizon.t_min}, "
+                             f"{self.horizon.t_max}]")
 
 
 @dataclass

@@ -3,6 +3,7 @@ import csv
 import math
 import os
 import re
+from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -74,15 +75,6 @@ class TestConfigLoading:
         with pytest.raises(cli.ConfigError):
             cli.load_config(config_path, overrides=["lr=0.05"])
 
-    def test_env_seed_override(self, config_path, monkeypatch):
-        monkeypatch.setenv("SNOPT_SEED", "99")
-        assert cli.load_config(config_path).seed == 99
-
-    def test_override_beats_env_seed(self, config_path, monkeypatch):
-        # file < SNOPT_SEED < --override
-        monkeypatch.setenv("SNOPT_SEED", "99")
-        assert cli.load_config(config_path, overrides=["train.seed=5"]).seed == 5
-
     @pytest.mark.parametrize("overrides, kind, readout_shape", [
         (["dataset.kind=circles", "dataset.radii=0.5,1.0,1.5"], "softmax_ce", (3, 2)),
         (["dataset.kind=regression"], "mse", None),
@@ -99,8 +91,7 @@ class TestReadmeConfigBlock:
     """The README's config block shows every accepted key at its default."""
 
     @pytest.fixture
-    def block(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("SNOPT_SEED", raising=False)
+    def block(self, tmp_path):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
         (text,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
         path = tmp_path / "readme.ini"
@@ -141,7 +132,6 @@ class TestCmdTrain:
         text = out.read_text()
         assert "# override optimizer.lr=0.05" in text
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_numeric_abort_exit_2(self, tmp_path, capsys):
         path = tmp_path / "explode.ini"
         path.write_text(BASE_CONFIG.replace("kind = adam", "kind = sgd")
@@ -244,14 +234,29 @@ class TestCmdGrid:
         assert [math.isnan(float(row[3])) for row in rows] == [False, False, True]
 
     def test_seed_cells_beat_env_seed(self, config_path, tmp_path, monkeypatch):
-        # a cell's train.seed rides in the overrides, so SNOPT_SEED yields to it
+        # the environment is not an input: an exported SNOPT_SEED moves
+        # neither the file's seed nor a cell's
         monkeypatch.setenv("SNOPT_SEED", "99")
+        assert cli.load_config(config_path).seed == 3
         seeds = []
         monkeypatch.setattr(trainer, "train", lambda cfg: seeds.append(cfg.seed) or [])
         grid = tmp_path / "grid.ini"
         grid.write_text("[grid]\ntrain.seed = 1, 2, 3\n")
         assert cli.cmd_grid(config_path, str(grid), str(tmp_path / "cells")) == 0
         assert seeds == [1, 2, 3]
+
+    def test_config_file_read_once(self, config_path, tmp_path, monkeypatch):
+        # the file's items are read once, and each cell's values join them
+        reads, lrs = [], []
+        read_ini = cli._read_ini
+        monkeypatch.setattr(cli, "_read_ini",
+                            lambda path, what: reads.append(path) or read_ini(path, what))
+        monkeypatch.setattr(trainer, "train", lambda cfg: lrs.append(cfg.optimizer.lr) or [])
+        grid = tmp_path / "grid.ini"
+        grid.write_text("[grid]\noptimizer.lr = 0.01, 0.02, 0.03\n")
+        assert cli.cmd_grid(config_path, str(grid), str(tmp_path / "cells")) == 0
+        assert lrs == [0.01, 0.02, 0.03]
+        assert Counter(reads) == {config_path: 1, str(grid): 1}
 
     def test_aborted_cell_recorded(self, config_path, tmp_path, capsys):
         grid = tmp_path / "grid.ini"
@@ -277,12 +282,6 @@ class TestFailureExitCodes:
         assert rc == 2
         assert "MaxStepsExceeded" in capsys.readouterr().err
 
-    def test_non_integer_seed_exit_1(self, config_path, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("SNOPT_SEED", "abc")
-        assert cli.cmd_train(config_path, str(tmp_path / "o.csv")) == 1
-        assert "SNOPT_SEED" in capsys.readouterr().err
-        assert cli.cmd_grid(config_path, str(tmp_path / "g.ini"), str(tmp_path / "g")) == 1
-
     def test_singular_factor_exit_2(self, tmp_path, monkeypatch, capsys):
         # an eigendecomposition that fails to converge inside the update
         def no_convergence(mat):
@@ -306,7 +305,6 @@ class TestFailureExitCodes:
         assert cli.cmd_train(path, str(tmp_path / "o.csv")) == 2
         assert "NonFiniteUpdate" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("kind", ["adam", "sgd", "snopt"])
     def test_dopri5_start_overflow_exit_2(self, kind, tmp_path, capsys):
         # after one step at lr 1e300 the field's scaled norm overflows at the
@@ -398,6 +396,11 @@ CONFIG_ERRORS = {
                                        "kind = adam\n[horizon]\nenabled = false\n",
                                        "found [optimizer], [horizon], [DEFAULT]"),
     "config_default_alone": ("config", "[DEFAULT]\nlr = 0.5\n", "found [DEFAULT]"),
+    # names match exactly: configparser would fold a key to lower case
+    "config_upper_case_key": ("config", "[optimizer]\nLR = 0.05\n",
+                              "unknown key 'LR' in [optimizer]"),
+    "grid_upper_case_key": ("grid", "[grid]\noptimizer.LR = 0.05\n",
+                            "unknown key 'LR' in [optimizer]"),
     "grid_empty_file": ("grid", "", "one [grid] section alone, found none"),
     "grid_key_without_values": ("grid", "[grid]\noptimizer.lr =\n",
                                 "grid key optimizer.lr in"),
@@ -434,6 +437,11 @@ CONFIG_ERRORS = {
                                "need t0 < horizon t_min"),
     "horizon_t_min_at_t0": ("train", ["horizon.enabled=true", "horizon.t_min=0"],
                             "need t0 < horizon t_min"),
+    # the bound starts at t1, and its first update would clip it into [t_min, t_max]
+    "horizon_t1_over_t_max": ("train", ["horizon.enabled=true", "train.t1=5"],
+                              "need horizon t_min <= t1 <= t_max"),
+    "horizon_t1_below_t_min": ("train", ["horizon.enabled=true", "horizon.t_min=0.5",
+                                         "train.t1=0.2"], "need horizon t_min <= t1 <= t_max"),
     "horizon_negative_ema": ("train", ["horizon.ema=-1"], "ema must lie in [0, 1)"),
     "horizon_ema_1": ("train", ["horizon.ema=1"], "ema must lie in [0, 1)"),
     "horizon_negative_penalty": ("train", ["horizon.penalty=-1"],
