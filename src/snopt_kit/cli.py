@@ -367,8 +367,8 @@ def _check_kron_update(tol_scale: float):
     theta = rng.normal(size=p * l)
     eps = 0.05
     factors = kfac.KroneckerFactors(a_factors=[a], b_factors=[b])
-    state = optimizer.SnoptState(lr=1.0, epsilon=eps, amortization=0.0)
-    delta = theta - optimizer.snopt_step(state, spec, factors, grad, theta)
+    delta = theta - optimizer.snopt_step(optimizer.SnoptState(), spec, factors, grad, theta,
+                                         lr=1.0, damping=eps, amortization=0.0)
     ea, eb = numerics.sym_eigen(a), numerics.sym_eigen(b)
     basis = np.kron(ea.vectors, eb.vectors)
     xg = basis.T @ grad

@@ -30,6 +30,9 @@ instead of carrying it.  For that the gradient's label entry is
 2**-53``.  Rank vectors are carried only for C >= 3 classes (C-1 of
 them) and for mse.
 
+:class:`LossConfig` is the ``[loss]`` config section: the readout switch
+and the curvature mode.
+
 Every function that scores, differentiates or factors the loss reads it at
 one batch of terminal states through :class:`LossAt` (``lossfn.at(x1)``),
 which computes the predictions, the label check, the softmax and the
@@ -51,6 +54,19 @@ CURVATURE_MODES = ("exact_rank", "gauss_newton_scaled")
 
 class BadLabel(ValueError):
     pass
+
+
+@dataclass(frozen=True)
+class LossConfig:
+    """The ``[loss]`` config section; the dataset's labels set the objective."""
+
+    readout: bool = True             # an affine row per class before the softmax
+    curvature: str = "gauss_newton_scaled"
+
+    def __post_init__(self):
+        if self.curvature not in CURVATURE_MODES:
+            raise ValueError(f"unknown curvature mode {self.curvature!r}; "
+                             f"expected one of {', '.join(CURVATURE_MODES)}")
 
 
 @dataclass

@@ -56,7 +56,8 @@ class SolverConfig:
     """Solver settings: the ``[solver]`` config section, with its defaults.
 
     ``max_steps`` bounds the step attempts (accepted plus rejected) of one
-    ``odesolve`` call.
+    ``odesolve`` call.  dopri5's step size has no cap but the interval:
+    the tolerances alone set it.
     """
 
     method: str = "dopri5"
@@ -64,7 +65,6 @@ class SolverConfig:
     atol: float = 1e-3
     fixed_step: float | None = None
     max_steps: int = 100_000
-    max_step: float | None = None     # optional cap on the adaptive step
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -77,8 +77,6 @@ class SolverConfig:
                 raise ValueError(f"{self.method} requires fixed_step > 0")
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
-        if self.max_step is not None and not self.max_step > 0:
-            raise ValueError("max_step must be positive")
 
 
 @dataclass
@@ -195,7 +193,7 @@ def _initial_step(fn: Field, t: float, y0: np.ndarray, f0: np.ndarray, direction
     estimates the second derivative ``d2 = |f1 - f0| / h0``, and ``h1 =
     (0.01 / max(|f0|, d2)) ** (1/5)`` puts the step's local error, of order
     ``h^5`` times those derivatives, near 1% of the tolerance.  The step is
-    ``min(100 * h0, h1)``, capped by the interval and ``max_step``.
+    ``min(100 * h0, h1)``, capped by the interval.
 
     When ``|y0|`` or ``|f0|`` is below 1e-5, ``h0`` says nothing about the
     scale: the probe then moves by 1e-6 and the ``100 * h0`` cap is
@@ -220,8 +218,7 @@ def _initial_step(fn: Field, t: float, y0: np.ndarray, f0: np.ndarray, direction
         raise NonFiniteState(
             f"non-finite field at the first-step probe t={t + direction * h0:.6g}")
     h1 = total if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2
-    h = min(h1, total) if unscaled else min(100.0 * h0, h1, total)
-    return h if cfg.max_step is None else min(h, cfg.max_step)
+    return min(h1, total) if unscaled else min(100.0 * h0, h1, total)
 
 
 def _solve_dopri5(y0, t_start, t_end, fn, cfg: SolverConfig, scored: int | None,
@@ -247,8 +244,7 @@ def _solve_dopri5(y0, t_start, t_end, fn, cfg: SolverConfig, scored: int | None,
         if accepted + rejected >= cfg.max_steps:
             raise MaxStepsExceeded(f"dopri5 exceeded max_steps={cfg.max_steps}")
         remaining = abs(t_end - t)
-        h_prop = min(h, cfg.max_step) if cfg.max_step is not None else h
-        h_eff = min(h_prop, remaining)
+        h_eff = min(h, remaining)
         hs = direction * h_eff
         last = h_eff >= remaining - 1e-14 * max(1.0, total)
 
@@ -290,7 +286,7 @@ def _solve_dopri5(y0, t_start, t_end, fn, cfg: SolverConfig, scored: int | None,
                 factor = _SAFETY * err ** (-_EXPO) * err_old ** _BETA
             h_next = h_eff * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
             # a boundary-clipped step says nothing against the proposed h
-            h = max(h_next, h_prop) if h_eff < h_prop else h_next
+            h = max(h_next, h) if h_eff < h else h_next
             err_old = max(err, 1e-10)
         else:
             rejected += 1

@@ -13,11 +13,16 @@ which, at alpha = 0, equals the dense preconditioner
 the tests via the Kronecker identities.  SGD with momentum and Adam are
 the first-order baselines with their textbook constants.
 
+:class:`OptimizerConfig` is the ``[optimizer]`` config section and holds
+every setting of every rule, with its checks.  A rule's state holds only
+what the rule accumulates from step to step; each step function takes its
+settings as arguments.
+
 Weight decay γ is the one running cost (the intermediate penalty).  It is
 folded in after the backward sweep rather than inside its integrals: the
 gradient gains ``γθ`` (:func:`apply_weight_decay`) and the curvature
 ``γI``, which in the eigenbasis update is a constant shift of the damping,
-so the trainer builds its :class:`SnoptState` with ``epsilon = ε + γ``.
+so the trainer passes ``damping = ε + γ`` to :func:`snopt_step`.
 """
 
 from __future__ import annotations
@@ -35,25 +40,58 @@ class SingularFactor(RuntimeError):
     """Eigendecomposition of a Kronecker factor failed to converge."""
 
 
-@dataclass
-class SnoptState:
-    """Hyperparameters and per-layer amortized squares for the update."""
+# Adam's textbook constants
+_BETA1 = 0.9
+_BETA2 = 0.999
+_ADAM_EPS = 1e-8
 
-    lr: float
-    epsilon: float                          # Tikhonov damping, weight decay included
-    amortization: float
-    s_star: list[np.ndarray] | None = None  # zero-initialized on first step
+
+@dataclass(frozen=True)
+class OptimizerConfig:
+    """The ``[optimizer]`` config section: the rule for the ODE's parameters."""
+
+    kind: str = "adam"               # adam | sgd | snopt
+    lr: float = 1e-3
+    weight_decay: float = 0.0
+    epsilon: float = 0.05            # snopt Tikhonov damping
+    amortization: float = 0.75       # snopt eigenbasis EMA
+    momentum: float = 0.9            # sgd
+    readout_lr: float = 0.01         # Adam on the readout, whose scale differs from the ODE's
 
     def __post_init__(self):
+        if self.kind not in ("adam", "sgd", "snopt"):
+            raise ValueError(f"unknown optimizer {self.kind!r}; expected one of adam, sgd, snopt")
+        # checked whatever the kind, so a grid may switch kinds in any order;
+        # each check is written so that NaN fails it
         if not 0 < self.epsilon < np.inf:
             raise ValueError("epsilon must be positive and finite")
         if not 0.0 <= self.amortization < 1.0:
             raise ValueError("amortization must lie in [0, 1)")
+        # zero rates stay valid: they freeze the ODE or the readout
+        if not (0 <= self.lr < np.inf and 0 <= self.readout_lr < np.inf):
+            raise ValueError("need finite optimizer lr >= 0 and readout_lr >= 0")
+        if not 0 <= self.weight_decay < np.inf:
+            raise ValueError("need a finite optimizer weight_decay >= 0")
+        if not 0 <= self.momentum < 1:
+            raise ValueError("need 0 <= optimizer momentum < 1")
+        if not self.epsilon + self.weight_decay < np.inf:
+            raise ValueError("need a finite snopt damping epsilon + weight_decay")
+
+
+@dataclass
+class SnoptState:
+    """Per-layer amortized squares, zero-initialized on the first step."""
+
+    s_star: list[np.ndarray] | None = None
 
 
 def snopt_step(state: SnoptState, spec: vf.MlpSpec, factors: KroneckerFactors,
-               grad: np.ndarray, theta: np.ndarray) -> np.ndarray:
+               grad: np.ndarray, theta: np.ndarray, lr: float, damping: float,
+               amortization: float) -> np.ndarray:
     """One preconditioned update; mutates the amortized squares in place.
+
+    ``damping`` is the Tikhonov damping, weight decay included, and
+    ``amortization`` the weight of the previous squares.
 
     Each layer's gradient and update are its ``Wbar`` blocks as
     :func:`vector_field.unpack_params` lays them out, so the factors must
@@ -72,10 +110,9 @@ def snopt_step(state: SnoptState, spec: vf.MlpSpec, factors: KroneckerFactors,
         except (np.linalg.LinAlgError, NotSymmetric) as exc:
             raise SingularFactor(f"layer {k}: {exc}") from exc
         x = eig_b.vectors.T @ g_mat @ eig_a.vectors
-        state.s_star[k] = (state.amortization * state.s_star[k]
-                           + (1.0 - state.amortization) * x ** 2)
-        x = x / (state.s_star[k] + state.epsilon)
-        w_bar -= state.lr * (eig_b.vectors @ x @ eig_a.vectors.T)
+        state.s_star[k] = amortization * state.s_star[k] + (1.0 - amortization) * x ** 2
+        x = x / (state.s_star[k] + damping)
+        w_bar -= lr * (eig_b.vectors @ x @ eig_a.vectors.T)
     return theta_new
 
 
@@ -86,36 +123,31 @@ def apply_weight_decay(grad: np.ndarray, gamma: float, theta: np.ndarray) -> np.
 
 @dataclass
 class SgdState:
-    lr: float
-    momentum: float
     buf: np.ndarray | None = None
 
 
-def sgd_step(state: SgdState, grad: np.ndarray, theta: np.ndarray) -> np.ndarray:
+def sgd_step(state: SgdState, grad: np.ndarray, theta: np.ndarray, lr: float,
+             momentum: float) -> np.ndarray:
     if state.buf is None:
         state.buf = np.zeros_like(theta)
-    state.buf = state.momentum * state.buf + grad
-    return theta - state.lr * state.buf
+    state.buf = momentum * state.buf + grad
+    return theta - lr * state.buf
 
 
 @dataclass
 class AdamState:
-    lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     m: np.ndarray | None = None
     v: np.ndarray | None = None
     t: int = 0
 
 
-def adam_step(state: AdamState, grad: np.ndarray, theta: np.ndarray) -> np.ndarray:
+def adam_step(state: AdamState, grad: np.ndarray, theta: np.ndarray, lr: float) -> np.ndarray:
     if state.m is None:
         state.m = np.zeros_like(theta)
         state.v = np.zeros_like(theta)
     state.t += 1
-    state.m = state.beta1 * state.m + (1 - state.beta1) * grad
-    state.v = state.beta2 * state.v + (1 - state.beta2) * grad ** 2
-    m_hat = state.m / (1 - state.beta1 ** state.t)
-    v_hat = state.v / (1 - state.beta2 ** state.t)
-    return theta - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    state.m = _BETA1 * state.m + (1 - _BETA1) * grad
+    state.v = _BETA2 * state.v + (1 - _BETA2) * grad ** 2
+    m_hat = state.m / (1 - _BETA1 ** state.t)
+    v_hat = state.v / (1 - _BETA2 ** state.t)
+    return theta - lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)

@@ -10,6 +10,14 @@ loss sequence.  The readout (when present) is updated in the same
 iteration by Adam; its curvature is never tracked.  Test
 metrics run on the evaluation cadence and on the final iteration.
 
+Each section of :class:`ExperimentConfig` is the config type of the
+module that reads it, with that type's checks: ``data.DatasetConfig``,
+``vector_field.MlpSpec``, ``loss.LossConfig``, ``optimizer.OptimizerConfig``,
+``odesolve.SolverConfig`` and ``horizon.HorizonConfig``; the config's own
+fields, and the rules that join sections, are checked here.  The run
+holds the optimizer's accumulators, and each step is given its settings
+from the config: the second-order damping is ``epsilon + weight_decay``.
+
 The dataset (``data.DatasetConfig``) states the task and the loss follows
 from its labels (``loss.TerminalLoss``): class labels take softmax_ce
 through a readout of one row per class (or on the state with
@@ -34,11 +42,11 @@ from .data import INPUT_DIM, DatasetConfig, build_dataset
 from .horizon import (HorizonConfig, HorizonState, NonFiniteUpdate, first_order_horizon_step,
                       horizon_step, horizon_terms)
 from .kfac import KroneckerFactors, accumulate_factors
-from .loss import (CURVATURE_MODES, LossAt, TerminalCurvature, TerminalLoss, accuracy, grad_x1,
+from .loss import (LossAt, LossConfig, TerminalCurvature, TerminalLoss, accuracy, grad_x1,
                    init_readout, loss_value, readout_grads, terminal_curvature)
 from .odesolve import MaxStepsExceeded, NonFiniteState, SolveReport, SolverConfig, odesolve
-from .optimizer import (AdamState, SgdState, SingularFactor, SnoptState, adam_step,
-                        apply_weight_decay, sgd_step, snopt_step)
+from .optimizer import (AdamState, OptimizerConfig, SgdState, SingularFactor, SnoptState,
+                        adam_step, apply_weight_decay, sgd_step, snopt_step)
 from .vector_field import MlpSpec as ModelConfig
 
 # Numeric failures of one iteration; ``train`` re-raises each as ``TrainAbort``.
@@ -51,44 +59,6 @@ class TrainAbort(RuntimeError):
     def __init__(self, iteration: int, cause: str):
         super().__init__(f"training aborted at iteration {iteration}: {cause}")
         self.iteration = iteration
-
-
-def _check_choice(what: str, value: str, choices: tuple[str, ...]):
-    if value not in choices:
-        raise ValueError(f"unknown {what} {value!r}; expected one of {', '.join(choices)}")
-
-
-@dataclass(frozen=True)
-class LossConfig:
-    # the dataset sets the loss: softmax_ce on class labels, mse on regression targets
-    readout: bool = True             # an affine row per class before the softmax
-    curvature: str = "gauss_newton_scaled"
-
-    def __post_init__(self):
-        _check_choice("curvature mode", self.curvature, CURVATURE_MODES)
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    kind: str = "adam"               # adam | sgd | snopt
-    lr: float = 1e-3
-    weight_decay: float = 0.0
-    epsilon: float = 0.05            # snopt Tikhonov damping
-    amortization: float = 0.75       # snopt eigenbasis EMA
-    momentum: float = 0.9            # sgd
-    readout_lr: float = 0.01         # Adam on the readout, whose scale differs from the ODE's
-
-    def __post_init__(self):
-        _check_choice("optimizer", self.kind, ("adam", "sgd", "snopt"))
-        # checked whatever the kind, so a grid may switch kinds in any order
-        SnoptState(lr=self.lr, epsilon=self.epsilon, amortization=self.amortization)
-        # zero rates stay valid: they freeze the ODE or the readout
-        if not (0 <= self.lr < np.inf and 0 <= self.readout_lr < np.inf):
-            raise ValueError("need finite optimizer lr >= 0 and readout_lr >= 0")
-        if not 0 <= self.weight_decay < np.inf:
-            raise ValueError("need a finite optimizer weight_decay >= 0")
-        if not 0 <= self.momentum < 1:
-            raise ValueError("need 0 <= optimizer momentum < 1")
 
 
 @dataclass(frozen=True)
@@ -171,21 +141,9 @@ class _Run:
                         if classes and cfg.loss.readout else None)
         self.batch_rng = np.random.Generator(np.random.Philox(cfg.seed + 2))
         self.t1 = cfg.t1
-
-        kind = cfg.optimizer.kind
-        if kind == "snopt":
-            # the decay's curvature γI shifts the damping
-            self.opt_state = SnoptState(
-                lr=cfg.optimizer.lr, epsilon=cfg.optimizer.epsilon + cfg.optimizer.weight_decay,
-                amortization=cfg.optimizer.amortization)
-        elif kind == "adam":
-            self.opt_state = AdamState(lr=cfg.optimizer.lr)
-        else:
-            self.opt_state = SgdState(lr=cfg.optimizer.lr, momentum=cfg.optimizer.momentum)
-
-        ro_lr = cfg.optimizer.readout_lr
-        self.ro_w_state, self.ro_b_state = AdamState(lr=ro_lr), AdamState(lr=ro_lr)
-
+        self.opt_state = {"snopt": SnoptState, "adam": AdamState,
+                          "sgd": SgdState}[cfg.optimizer.kind]()
+        self.ro_w_state, self.ro_b_state = AdamState(), AdamState()
         self.horizon = HorizonState(cfg.horizon) if cfg.horizon.enabled else None
 
     def forward(self, x0: np.ndarray) -> tuple[np.ndarray, SolveReport]:
@@ -250,8 +208,8 @@ class _Run:
         with the call, so none of them stays alive through the next
         iteration's forward solve.
         """
-        cfg = self.cfg
-        gamma = cfg.optimizer.weight_decay
+        cfg, opt = self.cfg, self.cfg.optimizer
+        gamma = opt.weight_decay
         pos, lossfn = self.draw_batch()
         x_train, rep_fwd = self.forward(self.ds.inputs[self.ds.train_idx])
         nfe_fwd, x1 = rep_fwd.nfe, x_train[pos]
@@ -275,20 +233,22 @@ class _Run:
         if self.readout is not None:
             d_w, d_b = readout_grads(at)
             self.readout.weight = adam_step(self.ro_w_state, d_w + gamma * self.readout.weight,
-                                            self.readout.weight)
-            self.readout.bias = adam_step(self.ro_b_state, d_b, self.readout.bias)
+                                            self.readout.weight, opt.readout_lr)
+            self.readout.bias = adam_step(self.ro_b_state, d_b, self.readout.bias, opt.readout_lr)
             del d_w, d_b
         del at
 
         theta_before = self.theta
         grad, factors, rep_bwd = self.backward(x1, phi_grad, curv)
         grad = apply_weight_decay(grad, gamma, self.theta)
-        if cfg.optimizer.kind == "snopt":
-            self.theta = snopt_step(self.opt_state, self.spec, factors, grad, self.theta)
-        elif cfg.optimizer.kind == "adam":
-            self.theta = adam_step(self.opt_state, grad, self.theta)
+        if opt.kind == "snopt":
+            # the decay's curvature γI shifts the damping
+            self.theta = snopt_step(self.opt_state, self.spec, factors, grad, self.theta,
+                                    opt.lr, opt.epsilon + gamma, opt.amortization)
+        elif opt.kind == "adam":
+            self.theta = adam_step(self.opt_state, grad, self.theta, opt.lr)
         else:
-            self.theta = sgd_step(self.opt_state, grad, self.theta)
+            self.theta = sgd_step(self.opt_state, grad, self.theta, opt.lr, opt.momentum)
 
         if self.horizon is not None:
             # x1 and phi_grad were reached at the pre-update parameters
@@ -318,12 +278,13 @@ def train(config: ExperimentConfig, on_iteration=None) -> list[TrainRecord]:
     live run state, for sampling internals (for example the moving
     averages of the horizon policy) or timing iterations.
     """
-    run = _Run(config)
     records: list[TrainRecord] = []
-    started = time.perf_counter()
-    # an overflow or a NaN reaches one of the finiteness checks, which abort
-    # with their own message; numpy need not warn of it first
+    # an overflow or a NaN, in the dataset's draw or in an iteration, reaches
+    # one of the finiteness checks, which abort with their own message;
+    # numpy need not warn of it first
     with np.errstate(over="ignore", invalid="ignore"):
+        run = _Run(config)
+        started = time.perf_counter()
         for it in range(1, config.iterations + 1):
             try:
                 records.append(run.iterate(it, started))

@@ -3,6 +3,7 @@ import csv
 import math
 import os
 import re
+import warnings
 from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
@@ -319,6 +320,19 @@ class TestFailureExitCodes:
         assert "numeric abort" in err and "NonFiniteState" in err
         assert "overflows at the start" in err and not out.exists()
 
+    def test_dataset_overflow_exit_2_without_warning(self, config_path, tmp_path, capsys):
+        # the draw's noise overflows to inf; the first solve aborts on it, and
+        # numpy warns of nothing on the way
+        out = tmp_path / "o.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = cli.main(["train", config_path, "--out", str(out),
+                           "--override", "dataset.noise_sd=1e308"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "numeric abort" in err and "NonFiniteState" in err
+        assert "RuntimeWarning" not in err and not out.exists()
+
 
 class TestOutputPaths:
     """A bad output path is a config error, found before anything trains."""
@@ -456,7 +470,8 @@ CONFIG_ERRORS = {
     "t0_minus_inf": ("train", ["train.t0=-inf"], "need finite t1 > t0"),
     "rtol_nan": ("train", ["solver.rtol=nan"], "rtol and atol must be positive"),
     "atol_nan": ("train", ["solver.atol=nan"], "rtol and atol must be positive"),
-    "max_step_nan": ("train", ["solver.max_step=nan"], "max_step must be positive"),
+    # the dopri5 step has no cap but the interval
+    "max_step_key": ("train", ["solver.max_step=0.1"], "unknown key 'max_step' in [solver]"),
     "epsilon_nan": ("train", ["optimizer.kind=snopt", "optimizer.epsilon=nan"],
                     "epsilon must be positive"),
     "horizon_penalty_nan": ("train", ["horizon.penalty=nan"], "penalty and lr must be positive"),
@@ -472,6 +487,10 @@ CONFIG_ERRORS = {
                        "finite optimizer lr >= 0 and readout_lr"),
     "epsilon_inf": ("train", ["optimizer.kind=snopt", "optimizer.epsilon=inf"],
                     "epsilon must be positive and finite"),
+    # each finite, but the damping they sum to is not
+    "damping_overflow": ("train", ["optimizer.kind=snopt", "optimizer.epsilon=1e308",
+                                   "optimizer.weight_decay=1e308"],
+                         "finite snopt damping epsilon + weight_decay"),
     "horizon_penalty_inf": ("train", ["horizon.enabled=true", "horizon.period=2",
                                       "horizon.penalty=inf"],
                             "penalty and lr must be positive and finite"),

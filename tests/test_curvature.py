@@ -157,28 +157,43 @@ class TestAssembleQuu:
 
 class TestApplyWeightDecay:
     # the decay penalty is folded in after the sweep: grad += γθ, and its
-    # curvature γI lands in the update's damping, epsilon = ε + γ
+    # curvature γI lands in the update's damping, ε + γ
 
-    def test_zero_decay_is_identity(self):
+    @staticmethod
+    def dampings(monkeypatch, opt):
+        """The damping that each iteration of a short run passes to ``snopt_step``."""
+        seen, step = [], tr.snopt_step
+
+        def spy(state, spec, factors, grad, theta, lr, damping, amortization):
+            seen.append(damping)
+            return step(state, spec, factors, grad, theta, lr, damping, amortization)
+
+        monkeypatch.setattr(tr, "snopt_step", spy)
+        tr.train(tr.ExperimentConfig(
+            dataset=tr.DatasetConfig(n_per_class=8),
+            model=tr.ModelConfig(dims=(2, 3, 2), activations=("tanh", "identity")),
+            optimizer=opt, iterations=2, batch_size=8))
+        return seen
+
+    def test_zero_decay_is_identity(self, monkeypatch):
         grad = np.array([1.0, 2.0])
         assert np.array_equal(apply_weight_decay(grad, 0.0, np.array([5.0, -5.0])), grad)
         # and leaves the second-order damping as configured
-        run = tr._Run(tr.ExperimentConfig(optimizer=tr.OptimizerConfig(kind="snopt")))
-        assert run.opt_state.epsilon == tr.OptimizerConfig().epsilon
+        damping = self.dampings(monkeypatch, tr.OptimizerConfig(kind="snopt"))
+        assert damping == [tr.OptimizerConfig().epsilon] * 2
 
     def test_gradient_shift(self):
         g2 = apply_weight_decay(np.zeros(2), 1.0, np.array([1.0, 0.0]))
         assert np.array_equal(g2, [1.0, 0.0])
 
-    def test_kronecker_factor_damping(self):
+    def test_kronecker_factor_damping(self, monkeypatch):
         grad, theta = np.ones(4), np.full(4, 2.0)
         g2 = apply_weight_decay(grad, 1e-3, theta)
         assert np.allclose(g2, 1.0 + 2e-3)
         assert np.array_equal(grad, np.ones(4)) and np.array_equal(theta, np.full(4, 2.0))
         # the trainer shifts the second-order damping by the decay
         opt = tr.OptimizerConfig(kind="snopt", epsilon=0.05, weight_decay=1e-3)
-        run = tr._Run(tr.ExperimentConfig(optimizer=opt))
-        assert run.opt_state.epsilon == 0.05 + 1e-3
+        assert self.dampings(monkeypatch, opt) == [0.05 + 1e-3] * 2
 
     def test_negative_decay_rejected(self):
         # the config rejects it, before any iteration runs

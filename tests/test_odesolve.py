@@ -97,11 +97,15 @@ class TestAccuracyProperties:
         assert abs(back.terminal_state[0] - 1.0) < 1e-6
 
     def test_dopri5_order_under_step_halving(self):
-        # with huge tolerances the max_step binds, exposing pure truncation error
+        # at huge tolerances each solve's first step is its whole interval, so
+        # chained solves of length h take steps of h: pure truncation error
         def err(h):
-            cfg = dopri(rtol=1e3, atol=1e3, max_step=h)
-            rep = odesolve(np.array([1.0]), 0.0, 1.0, lambda t, y: y, cfg)
-            return abs(rep.terminal_state[0] - np.e)
+            y = np.array([1.0])
+            for i in range(round(1 / h)):
+                rep = odesolve(y, i * h, (i + 1) * h, lambda t, y: y, dopri(rtol=1e3, atol=1e3))
+                assert rep.accepted_steps == 1 and rep.rejected_steps == 0
+                y = rep.terminal_state
+            return abs(y[0] - np.e)
 
         assert err(0.1) / err(0.05) >= 2 ** 4
 
@@ -147,16 +151,13 @@ class TestInitialStep:
             assert times[0] == t_start
             assert 0 < (times[1] - t_start) / (t_end - t_start) < 1
 
-    def test_bounded_by_interval_and_max_step(self):
+    def test_bounded_by_interval(self):
         # a slow field on loose tolerances wants a step far longer than the interval
         slow = lambda t, y: 1e-6 * y
         for t_end in (0.05, 1.0, 1e-9):
             for t_start, t_stop in ((0.0, t_end), (t_end, 0.0)):
                 h = first_step(slow, t_start, t_stop, [1.0], dopri(1e-2, 1e-2))
                 assert h == t_end
-        for max_step in (1e-3, 0.04):
-            h = first_step(slow, 0.0, 0.05, [1.0], dopri(1e-2, 1e-2, max_step=max_step))
-            assert h == max_step
         # and the solve lands on the end of a 0.05 interval
         rep = odesolve(np.array([1.0]), 0.0, 0.05, lambda t, y: y, dopri(1e-3, 1e-3))
         assert abs(rep.terminal_state[0] - np.exp(0.05)) < 1e-3

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +7,9 @@ import hypothesis.strategies as st
 
 from snopt_kit import numerics as nm
 from snopt_kit import vector_field as vf
+from snopt_kit import optimizer as opt
 from snopt_kit.kfac import KroneckerFactors
-from snopt_kit.optimizer import (AdamState, SgdState, SnoptState, adam_step,
+from snopt_kit.optimizer import (AdamState, OptimizerConfig, SgdState, SnoptState, adam_step,
                                  sgd_step, snopt_step)
 
 
@@ -29,15 +32,14 @@ class TestSnoptStep:
         rng = np.random.default_rng(0)
         layer = one_layer(spd(rng, 3), spd(rng, 2))
         theta = rng.normal(size=6)
-        state = SnoptState(lr=0.5, epsilon=0.05, amortization=0.75)
-        assert np.array_equal(snopt_step(state, *layer, np.zeros(6), theta), theta)
+        out = snopt_step(SnoptState(), *layer, np.zeros(6), theta, 0.5, 0.05, 0.75)
+        assert np.array_equal(out, theta)
 
     def test_identity_factors_elementwise_rule(self):
         rng = np.random.default_rng(1)
         g = rng.normal(size=6)
         theta = np.zeros(6)
-        state = SnoptState(lr=1.0, epsilon=0.1, amortization=0.0)
-        out = snopt_step(state, *one_layer(np.eye(3), np.eye(2)), g, theta)
+        out = snopt_step(SnoptState(), *one_layer(np.eye(3), np.eye(2)), g, theta, 1.0, 0.1, 0.0)
         assert np.allclose(theta - out, g / (g ** 2 + 0.1))
 
     def test_matches_dense_eigenbasis_assembly(self):
@@ -47,8 +49,7 @@ class TestSnoptStep:
             g = rng.normal(size=p * l)
             theta = rng.normal(size=p * l)
             eps = 0.05
-            state = SnoptState(lr=1.0, epsilon=eps, amortization=0.0)
-            delta = theta - snopt_step(state, *one_layer(a, b), g, theta)
+            delta = theta - snopt_step(SnoptState(), *one_layer(a, b), g, theta, 1.0, eps, 0.0)
             ea, eb = nm.sym_eigen(a), nm.sym_eigen(b)
             basis = np.kron(ea.vectors, eb.vectors)
             xg = basis.T @ g
@@ -62,8 +63,8 @@ class TestSnoptStep:
         beta = 3.0
         theta = np.zeros(4)
         eps = 0.05
-        state = SnoptState(lr=1.0, epsilon=eps, amortization=0.0)
-        out = snopt_step(state, *one_layer(np.eye(2), np.eye(2)), beta * g, theta)
+        out = snopt_step(SnoptState(), *one_layer(np.eye(2), np.eye(2)), beta * g, theta,
+                         1.0, eps, 0.0)
         assert np.allclose(theta - out, beta * g / (beta ** 2 * g ** 2 + eps))
 
     def test_amortization_accumulates(self):
@@ -71,22 +72,21 @@ class TestSnoptStep:
         rng = np.random.default_rng(4)
         g = rng.normal(size=4)
         theta = np.zeros(4)
-        state = SnoptState(lr=1.0, epsilon=0.05, amortization=0.75)
+        state = SnoptState()
         layer = one_layer(np.diag([2.0, 1.0]), np.diag([3.0, 1.0]))
-        snopt_step(state, *layer, g, theta)
+        snopt_step(state, *layer, g, theta, 1.0, 0.05, 0.75)
         assert np.allclose(np.abs(state.s_star[0]).ravel(order="F"), 0.25 * g ** 2)
-        snopt_step(state, *layer, g, theta)
+        snopt_step(state, *layer, g, theta, 1.0, 0.05, 0.75)
         assert np.allclose(state.s_star[0].ravel(order="F"),
                            (0.75 * 0.25 + 0.25) * g ** 2)
 
     def test_extra_damping_enters_denominator(self):
-        # weight decay 0.2 rides in the damping: epsilon = 0.05 + 0.2
+        # weight decay 0.2 rides in the damping: 0.05 + 0.2
         rng = np.random.default_rng(5)
         g = rng.normal(size=4)
         theta = np.zeros(4)
         layer = one_layer(np.eye(2), np.eye(2))
-        state = SnoptState(lr=1.0, epsilon=0.05 + 0.2, amortization=0.0)
-        out = snopt_step(state, *layer, g, theta)
+        out = snopt_step(SnoptState(), *layer, g, theta, 1.0, 0.05 + 0.2, 0.0)
         assert np.allclose(theta - out, g / (g ** 2 + 0.25))
 
     def test_multi_layer_offsets(self):
@@ -98,13 +98,12 @@ class TestSnoptStep:
                                    b_factors=[spd(rng, l) for l in spec.dims[1:]])
         n = vf.num_params(spec)
         g, theta = rng.normal(size=n), rng.normal(size=n)
-        state = SnoptState(lr=1.0, epsilon=0.05, amortization=0.0)
-        full = vf.unpack_params(spec, theta - snopt_step(state, spec, factors, g, theta))
+        full = vf.unpack_params(spec, theta - snopt_step(SnoptState(), spec, factors, g, theta,
+                                                         1.0, 0.05, 0.0))
         for k, (sl, _, _) in enumerate(vf.layer_slices(spec)):
             g_k = np.zeros(n)
             vf.unpack_params(spec, g_k)[k][...] = vf.unpack_params(spec, g)[k]
-            state = SnoptState(lr=1.0, epsilon=0.05, amortization=0.0)
-            delta = theta - snopt_step(state, spec, factors, g_k, theta)
+            delta = theta - snopt_step(SnoptState(), spec, factors, g_k, theta, 1.0, 0.05, 0.0)
             for j, block in enumerate(vf.unpack_params(spec, delta)):
                 if j != k:
                     assert not block.any()
@@ -119,23 +118,22 @@ class TestSnoptStep:
         rng = np.random.default_rng(8)
         spec = vf.MlpSpec(dims=(2, 3, 2), activations=("tanh", "identity"))
         factors = KroneckerFactors(a_factors=[spd(rng, 3)], b_factors=[spd(rng, 3)])
-        state = SnoptState(lr=1.0, epsilon=0.05, amortization=0.75)
         n = vf.num_params(spec)
         with pytest.raises(ValueError):
-            snopt_step(state, spec, factors, np.zeros(n), np.zeros(n))
+            snopt_step(SnoptState(), spec, factors, np.zeros(n), np.zeros(n), 1.0, 0.05, 0.75)
 
     def test_parameter_count_mismatch(self):
         rng = np.random.default_rng(7)
         layer = one_layer(spd(rng, 2), spd(rng, 2))
-        state = SnoptState(lr=1.0, epsilon=0.05, amortization=0.75)
         with pytest.raises(ValueError):
-            snopt_step(state, *layer, np.zeros(5), np.zeros(5))
+            snopt_step(SnoptState(), *layer, np.zeros(5), np.zeros(5), 1.0, 0.05, 0.75)
 
     def test_hyperparameter_validation(self):
-        with pytest.raises(ValueError):
-            SnoptState(lr=0.1, epsilon=0.0, amortization=0.75)
-        with pytest.raises(ValueError):
-            SnoptState(lr=0.1, epsilon=0.05, amortization=1.0)
+        # the config owns the update's settings, and checks them whatever the kind
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            OptimizerConfig(kind="snopt", lr=0.1, epsilon=0.0, amortization=0.75)
+        with pytest.raises(ValueError, match="amortization"):
+            OptimizerConfig(kind="adam", lr=0.1, epsilon=0.05, amortization=1.0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -147,43 +145,44 @@ def test_descent_direction(seed):
     g = rng.normal(size=6)
     if np.linalg.norm(g) < 1e-6:
         return
-    state = SnoptState(lr=1.0, epsilon=0.05, amortization=0.0)
-    delta = np.zeros(6) - snopt_step(state, *one_layer(a, b), g, np.zeros(6))
+    delta = np.zeros(6) - snopt_step(SnoptState(), *one_layer(a, b), g, np.zeros(6),
+                                     1.0, 0.05, 0.0)
     assert np.dot(delta, g) > 0
+
+
+def test_states_hold_only_their_accumulators():
+    # the settings are OptimizerConfig's; a state keeps what its rule carries from step to step
+    assert ([[f.name for f in fields(state)] for state in (SnoptState, SgdState, AdamState)]
+            == [["s_star"], ["buf"], ["m", "v", "t"]])
 
 
 class TestBaselines:
     def test_sgd_zero_gradient(self):
-        state = SgdState(lr=0.1, momentum=0.9)
         theta = np.array([1.0, 2.0])
-        assert np.array_equal(sgd_step(state, np.zeros(2), theta), theta)
+        assert np.array_equal(sgd_step(SgdState(), np.zeros(2), theta, 0.1, 0.9), theta)
 
     def test_sgd_single_step(self):
-        state = SgdState(lr=0.1, momentum=0.9)
-        out = sgd_step(state, np.array([1.0, 0.0]), np.zeros(2))
+        out = sgd_step(SgdState(), np.array([1.0, 0.0]), np.zeros(2), 0.1, 0.9)
         assert np.allclose(out, [-0.1, 0.0])
 
     def test_sgd_momentum_accumulates(self):
-        state = SgdState(lr=0.1, momentum=0.9)
+        state = SgdState()
         theta = np.zeros(1)
         g = np.array([1.0])
-        theta = sgd_step(state, g, theta)     # buf = 1
-        theta = sgd_step(state, g, theta)     # buf = 1.9
+        theta = sgd_step(state, g, theta, 0.1, 0.9)     # buf = 1
+        theta = sgd_step(state, g, theta, 0.1, 0.9)     # buf = 1.9
         assert theta[0] == pytest.approx(-0.1 * (1.0 + 1.9))
 
     def test_adam_zero_gradient(self):
-        state = AdamState(lr=0.1)
         theta = np.array([3.0])
-        assert np.array_equal(adam_step(state, np.zeros(1), theta), theta)
+        assert np.array_equal(adam_step(AdamState(), np.zeros(1), theta, 0.1), theta)
 
     def test_adam_first_step_hand_computed(self):
         # bias correction makes the first step lr * g/(|g| + eps) elementwise
-        state = AdamState(lr=0.1)
         g = np.array([0.5, -2.0])
-        out = adam_step(state, g, np.zeros(2))
+        out = adam_step(AdamState(), g, np.zeros(2), 0.1)
         want = -0.1 * g / (np.abs(g) + 1e-8)
         assert np.allclose(out, want, atol=1e-8)
 
     def test_adam_constants(self):
-        state = AdamState(lr=0.1)
-        assert state.beta1 == 0.9 and state.beta2 == 0.999 and state.eps == 1e-8
+        assert opt._BETA1 == 0.9 and opt._BETA2 == 0.999 and opt._ADAM_EPS == 1e-8

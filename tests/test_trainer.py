@@ -403,6 +403,10 @@ class TestConfigValidation:
         for name in sections:
             section = getattr(cfg, name)
             assert section == type(section)(), name
+        # and each section's type is the one of the module that reads it
+        modules = [type(getattr(cfg, name)).__module__ for name in sections]
+        assert modules == ["snopt_kit." + m for m in ("data", "vector_field", "loss", "optimizer",
+                                                      "odesolve", "horizon")]
 
     def test_built_config_cannot_be_changed_unchecked(self):
         # replace sections share, so a mutable one would skip the check for both configs
