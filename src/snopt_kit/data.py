@@ -1,9 +1,9 @@
 """Deterministic synthetic datasets at desk scale: their config and one builder.
 
 ``DatasetConfig`` states the task, and everything else is read off it: the
-class count (0 for regression targets), the sample count and, in the
-trainer, the loss and the readout's width.  ``build_dataset`` is the one
-way to draw a dataset.
+input width, the class count (0 for regression targets), the sample count
+and, in the trainer, the state width, the loss and the readout's width.
+``build_dataset`` is the one way to draw a dataset.
 
 All randomness comes from numpy's Philox generator, a named 64-bit
 counter-based PRNG, so regenerating with the same seed is bit-identical
@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-INPUT_DIM = 2                     # every dataset here is planar
 
 
 @dataclass(frozen=True)
@@ -50,6 +48,11 @@ class DatasetConfig:
     def n_classes(self) -> int:
         """Number of label classes; 0 for regression targets."""
         return {"spirals": 2, "circles": len(self.radii)}.get(self.kind, 0)
+
+    @property
+    def input_dim(self) -> int:
+        """Features per input: every kind here is planar."""
+        return 2
 
     @property
     def n_samples(self) -> int:
@@ -107,7 +110,7 @@ def build_dataset(cfg: DatasetConfig, seed: int) -> Dataset:
     """
     rng = np.random.Generator(np.random.Philox(seed))
     if cfg.kind == "regression":
-        inputs = rng.uniform(-1.0, 1.0, size=(cfg.n, INPUT_DIM))
+        inputs = rng.uniform(-1.0, 1.0, size=(cfg.n, cfg.input_dim))
         labels = regression_targets(inputs)
     else:
         inputs = np.concatenate([pts + rng.normal(0.0, 1.0, size=pts.shape) * cfg.noise_sd

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import vector_field as vf
 from .adjoint import adjoint_gradient
-from .data import INPUT_DIM, DatasetConfig, build_dataset
+from .data import DatasetConfig, build_dataset
 from .horizon import (HorizonConfig, HorizonState, NonFiniteUpdate, first_order_horizon_step,
                       horizon_step, horizon_terms)
 from .kfac import KroneckerFactors, accumulate_factors
@@ -94,9 +94,9 @@ class ExperimentConfig:
             raise ValueError("need seed >= 0")
         # rules that join the sections, which check themselves as they are built
         classes, width = self.dataset.n_classes, self.model.state_dim
-        if width != INPUT_DIM:
+        if width != self.dataset.input_dim:
             raise ValueError(f"model state width {width} differs from the dataset's "
-                             f"{INPUT_DIM} input features")
+                             f"{self.dataset.input_dim} input features")
         outputs = classes if self.loss.readout else width
         if classes and outputs < 2:
             # a one-output softmax is constant: its loss, gradient and Hessian are 0

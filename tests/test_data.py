@@ -37,6 +37,7 @@ PINNED = {
 def test_pinned_draw(kind):
     cfg, seed, inputs_sha, label_dtype, labels_sha, train_idx, test_idx = PINNED[kind]
     ds = build_dataset(cfg, seed)
+    assert ds.inputs.shape == (cfg.n_samples, cfg.input_dim)
     assert _sha256(ds.inputs, "<f8") == inputs_sha
     assert ds.labels.dtype == label_dtype
     assert _sha256(ds.labels, np.dtype(label_dtype).newbyteorder("<")) == labels_sha
