@@ -10,10 +10,13 @@ the field.
 
 dopri5 sizes its first step by the starting-step algorithm of Hairer,
 Norsett & Wanner (Solving ODEs I, II.4): one explicit Euler probe of the
-field, counted as one evaluation, measures how fast the field changes, and
-the step is chosen for a local error near 1% of the tolerance in the norm
-the controller scores.  A solve therefore starts at its working step size
-instead of growing into it.
+field, counted as one evaluation, measures how fast the field changes.
+Where that rule aims the step's local error at 1% of the tolerance, here
+it aims at the tolerance itself, in the norm the controller scores: on
+the fields trained here the rule's error model overestimates the first
+step's error by orders of magnitude, and the controller still judges the
+step.  A solve therefore starts at its working step size instead of
+growing into it.
 
 The solvers retain no per-step history: the only output is the terminal
 state plus step counters, so memory is independent of the number of
@@ -184,16 +187,19 @@ def _solve_fixed(y0, t_start, t_end, fn, cfg: SolverConfig, q0) -> SolveReport:
 def _initial_step(fn: Field, t: float, y0: np.ndarray, f0: np.ndarray, direction: float,
                   total: float, cfg: SolverConfig, scored: int | None) -> float:
     """First dopri5 step size, by the starting-step rule of Hairer, Norsett &
-    Wanner I, II.4 (the rule of scipy's ``solve_ivp`` and torchdiffeq).
+    Wanner I, II.4 (scipy's ``solve_ivp`` and torchdiffeq use it), with its
+    error target raised from 1% of the tolerance to the tolerance.
 
     Norms are the controller's: RMS scaled by ``atol + rtol * |y0|``, over
     the first ``scored`` components.  ``h0 = 0.01 * |y0| /
     |f0|`` moves the state by about 1%.  One explicit Euler probe ``f1 =
     fn(t + h0, y0 + h0 * f0)``, taken in the direction of integration,
     estimates the second derivative ``d2 = |f1 - f0| / h0``, and ``h1 =
-    (0.01 / max(|f0|, d2)) ** (1/5)`` puts the step's local error, of order
-    ``h^5`` times those derivatives, near 1% of the tolerance.  The step is
-    ``min(100 * h0, h1)``, capped by the interval.
+    (1 / max(|f0|, d2)) ** (1/5)`` predicts a local error, of order ``h^5``
+    times those derivatives, at the tolerance itself.  The book aims at 1%
+    of it, but on the fields trained here the first step's own error
+    estimate came out near 1e-6 to 1e-5 of the tolerance.  The
+    step is ``min(100 * h0, h1)``, capped by the interval.
 
     When ``|y0|`` or ``|f0|`` is below 1e-5, ``h0`` says nothing about the
     scale: the probe then moves by 1e-6 and the ``100 * h0`` cap is
@@ -217,7 +223,7 @@ def _initial_step(fn: Field, t: float, y0: np.ndarray, f0: np.ndarray, direction
     if not (np.all(np.isfinite(f1)) and np.isfinite(d2)):
         raise NonFiniteState(
             f"non-finite field at the first-step probe t={t + direction * h0:.6g}")
-    h1 = total if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2
+    h1 = total if max(d1, d2) <= 1e-15 else (1.0 / max(d1, d2)) ** 0.2
     return min(h1, total) if unscaled else min(100.0 * h0, h1, total)
 
 
@@ -333,8 +339,9 @@ def odesolve(y0: np.ndarray, t_start: float, t_end: float, fn: Field, cfg: Solve
     """
     if scored is not None and scored < 1:
         raise ValueError(f"scored prefix must be positive, got {scored}")
-    if not (math.isfinite(t_start) and math.isfinite(t_end)):
-        raise ValueError(f"the interval [{t_start}, {t_end}] is not finite")
+    # an infinite or NaN end, or finite ends whose distance overflows
+    if not math.isfinite(t_end - t_start):
+        raise ValueError(f"the length of the interval [{t_start}, {t_end}] is not finite")
     y0 = np.asarray(y0, dtype=float)
     _check_finite(y0, t_start)
     q0 = None if quadrature is None else np.asarray(quadrature, dtype=float)

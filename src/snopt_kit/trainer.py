@@ -80,8 +80,11 @@ class ExperimentConfig:
     horizon: HorizonConfig = field(default_factory=HorizonConfig)
 
     def __post_init__(self):
-        if not -np.inf < self.t0 < self.t1 < np.inf:
-            raise ValueError(f"need finite t1 > t0, got [{self.t0}, {self.t1}]")
+        # a positive, finite span: NaN fails it, and so do an infinite end
+        # and finite ends too far apart for their span to be a float
+        if not 0 < self.t1 - self.t0 < np.inf:
+            raise ValueError(f"need finite t1 > t0 and a finite span t1 - t0, "
+                             f"got [{self.t0}, {self.t1}]")
         if self.iterations < 0:
             raise ValueError("need iterations >= 0")
         if self.grid_samples < 2:
@@ -108,6 +111,10 @@ class ExperimentConfig:
             # the bound may be driven down to t_min, and the flow needs t1 > t0
             raise ValueError(f"need t0 < horizon t_min with the horizon enabled, got t0 = "
                              f"{self.t0}, t_min = {self.horizon.t_min}")
+        if self.horizon.enabled and not self.horizon.t_max - self.t0 < np.inf:
+            # the bound may be driven up to t_max
+            raise ValueError(f"need a finite span horizon t_max - t0 with the horizon "
+                             f"enabled, got t0 = {self.t0}, t_max = {self.horizon.t_max}")
         if self.horizon.enabled and not self.horizon.t_min <= self.t1 <= self.horizon.t_max:
             # the bound starts at t1 and every update clips it into [t_min, t_max]
             raise ValueError(f"need horizon t_min <= t1 <= t_max with the horizon enabled, "

@@ -468,6 +468,13 @@ CONFIG_ERRORS = {
                        "requires fixed_step > 0"),
     "t1_inf": ("train", ["train.t1=inf"], "need finite t1 > t0"),
     "t0_minus_inf": ("train", ["train.t0=-inf"], "need finite t1 > t0"),
+    # each end finite, but the span overflows: dopri5 would take no step
+    # and rk4's step count would overflow
+    "span_overflow": ("train", ["train.t0=-1e308", "train.t1=1e308"],
+                      "finite span t1 - t0"),
+    "horizon_span_overflow": ("train", ["horizon.enabled=true", "train.t0=-1e308",
+                                        "horizon.t_max=1e308"],
+                              "finite span horizon t_max - t0"),
     "rtol_nan": ("train", ["solver.rtol=nan"], "rtol and atol must be positive"),
     "atol_nan": ("train", ["solver.atol=nan"], "rtol and atol must be positive"),
     # the dopri5 step has no cap but the interval

@@ -151,6 +151,22 @@ class TestInitialStep:
             assert times[0] == t_start
             assert 0 < (times[1] - t_start) / (t_end - t_start) < 1
 
+    def test_aims_at_the_tolerance(self):
+        # y' = (y1, -y0) from (1, 0): f0 = (0, -1) and the probe's f1 - f0 =
+        # (-h0, 0), so with scale = atol + rtol * |y0| = (atol + rtol, atol) the
+        # scaled norms are d0 = 1 / (sqrt 2 (atol + rtol)), d1 = 1 / (sqrt 2 atol)
+        # and d2 = d0.  The step predicts a local error of the tolerance itself,
+        # capped by 100 h0 and by the interval.
+        rotate = lambda t, y: np.array([y[1], -y[0]])
+        for rtol, atol, total in ((1e-3, 1e-3, 1.0), (1e-6, 1e-7, 1.0), (1e-1, 1e-1, 1.0),
+                                  (1e-3, 1e-3, 0.1)):
+            d0 = d2 = 1 / (np.sqrt(2) * (atol + rtol))
+            d1 = 1 / (np.sqrt(2) * atol)
+            h0 = 0.01 * d0 / d1
+            want = min(100 * h0, (1 / max(d1, d2)) ** 0.2, total)
+            h = first_step(rotate, 0.0, total, [1.0, 0.0], dopri(rtol, atol))
+            assert h == pytest.approx(want, rel=1e-12)
+
     def test_bounded_by_interval(self):
         # a slow field on loose tolerances wants a step far longer than the interval
         slow = lambda t, y: 1e-6 * y
@@ -496,8 +512,10 @@ class TestErrors:
             odesolve(np.array([np.nan]), 0.0, 1.0, lambda t, y: y, dopri())
 
     def test_non_finite_interval(self):
-        # dopri5's cutoff would scale with an infinite span and take no step
-        for t_start, t_end in ((0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0), (0.0, np.nan)):
+        # dopri5's cutoff would scale with an infinite span and take no step, and
+        # finite ends 2e308 apart overflow rk4's step count
+        for t_start, t_end in ((0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0), (0.0, np.nan),
+                               (-1e308, 1e308), (1e308, -1e308)):
             for cfg in (dopri(), SolverConfig(method="rk4", fixed_step=0.1)):
                 with pytest.raises(ValueError, match="not finite"):
                     odesolve(np.array([1.0]), t_start, t_end, lambda t, y: y, cfg)

@@ -27,28 +27,28 @@ NAN = float("nan")
 # (nfe_fwd, nfe_bwd, train_loss, train_acc, test_loss, test_acc, t1) per iteration
 PINNED = {
     "adam-spirals": [
-        (14, 14, 0.6995329189566405, 0.5325, NAN, NAN, 1.0),
-        (14, 14, 0.6814254875524882, 0.5725, NAN, NAN, 1.0),
-        (14, 14, 0.6769512634692938, 0.5875, NAN, NAN, 1.0),
-        (14, 14, 0.6734489205706151, 0.585, 0.7130760462256666, 0.57, 1.0),
+        (14, 14, 0.6995328790929927, 0.5325, NAN, NAN, 1.0),
+        (14, 14, 0.681425479721147, 0.5725, NAN, NAN, 1.0),
+        (14, 14, 0.6769512486099903, 0.5875, NAN, NAN, 1.0),
+        (14, 14, 0.6734488515799386, 0.585, 0.7130759502913849, 0.57, 1.0),
     ],
     "snopt-grid33": [
-        (14, 14, 0.6995329189566405, 0.5325, NAN, NAN, 1.0),
-        (14, 14, 0.6854253745283089, 0.5875, NAN, NAN, 1.0),
-        (14, 14, 0.6749894814522952, 0.5675, NAN, NAN, 1.0),
-        (14, 14, 0.6751074214772484, 0.535, 0.7001219214325737, 0.51, 1.0),
+        (14, 14, 0.6995328790929927, 0.5325, NAN, NAN, 1.0),
+        (14, 14, 0.685425374651988, 0.5875, NAN, NAN, 1.0),
+        (14, 14, 0.6749894573922746, 0.5675, NAN, NAN, 1.0),
+        (14, 14, 0.675107386383482, 0.535, 0.7001217675237074, 0.51, 1.0),
     ],
     "snopt-rank2-horizon": [
-        (14, 14, 0.8730377119734026, 0.5075, NAN, NAN, 1.0),
-        (14, 14, 0.7651603321330721, 0.5525, NAN, NAN, 1.0),
-        (20, 14, 0.7285390657542823, 0.5375, NAN, NAN, 1.0),
-        (20, 20, 0.7127564399122137, 0.4925, 0.6995744704690161, 0.46, 1.0),
+        (14, 14, 0.8730376171253816, 0.5075, NAN, NAN, 1.0),
+        (14, 14, 0.7651601864713339, 0.5525, NAN, NAN, 1.0),
+        (14, 14, 0.7285387768027148, 0.5375, NAN, NAN, 1.0),
+        (14, 14, 0.7127576288103461, 0.4925, 0.6995766281851763, 0.46, 1.0),
     ],
     "snopt-rank2-horizon/period-2": [
-        (14, 14, 0.8730377119734026, 0.5075, NAN, NAN, 1.0),
-        (14, 14, 0.7651603321330721, 0.5525, NAN, NAN, 0.6721914433446556),
-        (14, 14, 0.7450559169020078, 0.52, NAN, NAN, 0.6721914433446556),
-        (14, 14, 0.72988739912793, 0.505, 0.7458119499991152, 0.5, 0.3773772549039213),
+        (14, 14, 0.8730376171253816, 0.5075, NAN, NAN, 1.0),
+        (14, 14, 0.7651601864713339, 0.5525, NAN, NAN, 0.6721914369864055),
+        (14, 14, 0.7450559010120614, 0.52, NAN, NAN, 0.6721914369864055),
+        (14, 14, 0.7298874017212589, 0.505, 0.745812140260435, 0.5, 0.37737724125457023),
     ],
 }
 

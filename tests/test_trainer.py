@@ -186,6 +186,19 @@ class TestCallerArrays:
         assert [v.tobytes() for v in (run.ds.inputs, run.ds.labels)] == kept
 
 
+TIGHT = SolverConfig(method="dopri5", rtol=1e-10, atol=1e-10)
+
+
+def _trained_sweep_start(cfg):
+    """Train ``cfg``, then draw the next minibatch: the run and what its sweep starts from."""
+    runs = []
+    tr.train(cfg, on_iteration=lambda it, run: runs.append(run))
+    run = runs[-1]
+    pos, lossfn = run.draw_batch()
+    x1 = run.forward(run.ds.inputs[run.ds.train_idx])[0][pos]
+    return (run, x1, *run.terminal(lossfn.at(x1)))
+
+
 class TestDefaultConfigSolves:
     """The default config's seed-0 batch under its own dopri5 settings."""
 
@@ -198,7 +211,9 @@ class TestDefaultConfigSolves:
             assert (rec.nfe_fwd, rec.nfe_bwd) == nfe
 
     def test_forward_and_gradient_match_tight_reference(self):
-        # rtol = atol = 1e-3 gives about 4e-7 (x1) and 2e-6 (gradient) relative
+        # rtol = atol = 1e-3 gave about 4e-7 (x1) and 2e-6 (gradient) relative
+        # with a first step aimed at 1% of the tolerance, and 5.1e-8 and 2.9e-7
+        # with the step aimed at the tolerance itself
         tight = SolverConfig(method="dopri5", rtol=1e-10, atol=1e-10)
         x1s, grads = [], []
         for cfg in (tr.ExperimentConfig(), tr.ExperimentConfig(solver=tight)):
@@ -216,27 +231,42 @@ class TestDefaultConfigSolves:
     def test_gradient_stays_accurate_at_a_trained_state(self):
         # after 10 Adam iterations at lr 0.01, the next minibatch's gradient
         # through _Run.backward measured 8.3e-5 relative to an rtol = atol =
-        # 1e-10 sweep from the same x1; the bound is 10x that.  The error norm
-        # scores only the replay x, so a sweep started at a step that fits x
-        # alone may span [t0, t1] in one step and lose the gradient: dopri5's
-        # first-step rule is what keeps it accurate
+        # 1e-10 sweep from the same x1 with a first step aimed at 1% of the
+        # tolerance (1.4e-4 aimed at the tolerance); the bound is 10x 8.3e-5.
+        # The error norm scores only the replay x, so a sweep started at a step
+        # that fits x alone may span [t0, t1] in one step and lose the
+        # gradient: dopri5's first-step rule is what keeps it accurate
         cfg = tr.ExperimentConfig(optimizer=tr.OptimizerConfig(kind="adam", lr=0.01),
                                   iterations=10)
-        runs = []
-        tr.train(cfg, on_iteration=lambda it, run: runs.append(run))
-        run = runs[-1]
-        pos, lossfn = run.draw_batch()
-        x1 = run.forward(run.ds.inputs[run.ds.train_idx])[0][pos]
-        phi_grad, curv = run.terminal(lossfn.at(x1))
+        run, x1, phi_grad, curv = _trained_sweep_start(cfg)
         grad, _, _ = run.backward(x1, phi_grad, curv)
-        tight = SolverConfig(method="dopri5", rtol=1e-10, atol=1e-10)
-        ref = adjoint_gradient(run.spec, run.theta, x1, phi_grad, cfg.t0, run.t1, tight)[0][0]
+        ref = adjoint_gradient(run.spec, run.theta, x1, phi_grad, cfg.t0, run.t1, TIGHT)[0][0]
         assert np.linalg.norm(grad - ref) <= 10 * 8.3e-5 * np.linalg.norm(ref)
+
+    def test_factors_stay_accurate_at_a_trained_state(self):
+        # after snopt-grid33's 12 snopt iterations at lr 0.03, the next
+        # minibatch's factor sweep through _Run.backward against an rtol =
+        # atol = 1e-10 sweep from the same x1, relative: the gradient measured
+        # 5.3e-5 with a first step aimed at 1% of the tolerance and 6.0e-6
+        # aimed at the tolerance, the worst factor 1.6e-4 and 1.1e-5.  Each
+        # bound is 10x the larger of the two
+        cfg = tr.ExperimentConfig(optimizer=tr.OptimizerConfig(kind="snopt", lr=0.03),
+                                  iterations=12)
+        run, x1, phi_grad, curv = _trained_sweep_start(cfg)
+        grad, factors, _ = run.backward(x1, phi_grad, curv)
+        ref, ref_grad, _ = accumulate_factors(run.spec, run.theta, x1, curv, cfg.t0, run.t1,
+                                              TIGHT)
+        assert np.linalg.norm(grad - ref_grad) <= 10 * 5.3e-5 * np.linalg.norm(ref_grad)
+        for got, want in zip(factors.a_factors + factors.b_factors,
+                             ref.a_factors + ref.b_factors):
+            assert np.linalg.norm(got - want) <= 10 * 1.6e-4 * np.linalg.norm(want)
 
     def test_train_loss_stays_accurate_at_trained_states(self):
         # record k's full-train loss is solved at the state after update k-1;
         # over 30 Adam iterations at lr 0.01 it measured at most 3.9e-7
-        # relative to an rtol = atol = 1e-10 solve, and the bound is 10x that.
+        # relative to an rtol = atol = 1e-10 solve with a first step aimed at 1%
+        # of the tolerance (9.2e-7 aimed at the tolerance), and the bound is
+        # 10x 3.9e-7.
         # Starting each solve at the previous solve's last proposed step
         # instead measured 1.5e-5
         cfg = tr.ExperimentConfig(optimizer=tr.OptimizerConfig(kind="adam", lr=0.01),
