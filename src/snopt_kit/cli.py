@@ -17,12 +17,15 @@ unparsable config or grid file, a config or grid file with a
 ``[DEFAULT]`` section, a grid file without a lone ``[grid]`` section or
 with a key that has no values, a missing output directory, an
 ``--out`` that names no file (a directory or an empty path), an
-``--out-dir`` that cannot be made), 2 numeric abort
+``--out-dir`` that cannot be made, a records or summary file that
+cannot be written), 2 numeric abort
 (``TrainAbort``: a non-finite state, a field whose scaled norm overflows
 at a solve's start, a solve over ``max_steps``, a factor
 eigendecomposition that fails, or a non-finite horizon update).  Every
-config error is found before anything trains or is written.  ``grid``
-records an aborted cell in its summary and carries on.
+config error but a failed write is found before anything trains or is
+written; a write fails once its records are trained (a full disk), and
+``grid`` stops at the first.  ``grid`` records an aborted cell in its
+summary and carries on.
 """
 
 from __future__ import annotations
@@ -171,14 +174,21 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _write_lines(path: str, lines) -> None:
+    """Write ``lines`` to ``path``, each ended by a newline; an ``OSError``
+    (a full disk, no permission) is a ``ConfigError``."""
+    try:
+        with open(path, "w") as fh:
+            for line in lines:
+                fh.write(line + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def write_records_csv(path: str, records: list[TrainRecord],
                       comments: list[str] | None = None) -> None:
-    with open(path, "w") as fh:
-        for line in comments or []:
-            fh.write(f"# {line}\n")
-        fh.write(CSV_HEADER + "\n")
-        for r in records:
-            fh.write(",".join(_fmt(v) for v in astuple(r)) + "\n")
+    _write_lines(path, [*(f"# {line}" for line in comments or []), CSV_HEADER,
+                        *(",".join(_fmt(v) for v in astuple(r)) for r in records)])
 
 
 def cmd_train(config_path: str, out_path: str, overrides: list[str] | None = None) -> int:
@@ -198,7 +208,11 @@ def cmd_train(config_path: str, out_path: str, overrides: list[str] | None = Non
         print(f"numeric abort: {exc}", file=sys.stderr)
         return 2
     comments = [f"override {ov}" for ov in overrides or []]
-    write_records_csv(out_path, records, comments)
+    try:
+        write_records_csv(out_path, records, comments)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
     print(f"wrote {len(records)} records to {out_path}")
     return 0
 
@@ -282,16 +296,24 @@ def cmd_grid(config_path: str, grid_path: str, out_dir: str,
             records = []
             aborted = 1
             print(f"cell {idx} aborted: {exc}", file=sys.stderr)
-        write_records_csv(os.path.join(out_dir, f"cell_{idx:03d}.csv"), records,
-                          [f"cell {label}"])
+        try:
+            write_records_csv(os.path.join(out_dir, f"cell_{idx:03d}.csv"), records,
+                              [f"cell {label}"])
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 1
         tl, ta, vl, va = _final_metrics(records)
         rows.append((idx, label, tl, ta, vl, va, aborted))
 
-    with open(summary_path, "w") as fh:
-        fh.write("cell,settings,final_train_loss,final_train_acc,"
-                 "final_test_loss,final_test_acc,aborted\n")
-        for idx, label, tl, ta, vl, va, aborted in rows:
-            fh.write(f"{idx},\"{label}\",{_fmt(tl)},{_fmt(ta)},{_fmt(vl)},{_fmt(va)},{aborted}\n")
+    try:
+        _write_lines(summary_path, [
+            "cell,settings,final_train_loss,final_train_acc,final_test_loss,final_test_acc,"
+            "aborted",
+            *(f"{idx},\"{label}\",{_fmt(tl)},{_fmt(ta)},{_fmt(vl)},{_fmt(va)},{aborted}"
+              for idx, label, tl, ta, vl, va, aborted in rows)])
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
 
     finished = [r for r in rows if not r[6] and not math.isnan(r[2])]
     if finished:
@@ -410,6 +432,18 @@ def cmd_verify(tol_scale: float = 1.0) -> int:
     return 0 if ok else 1
 
 
+def _tol_scale(text: str) -> float:
+    """A ``--tol-scale`` value: a positive, finite float.  0, a negative
+    value or NaN would fail every check, and inf would pass every one."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse, except that a usage error exits 1, as a config error does:
     argparse's own 2 is the numeric-abort code."""
@@ -438,7 +472,7 @@ def main(argv=None) -> int:
     p_grid.add_argument("--override", action="append", default=[])
 
     p_verify = sub.add_parser("verify", help="run the derivative and update checks")
-    p_verify.add_argument("--tol-scale", type=float, default=1.0,
+    p_verify.add_argument("--tol-scale", type=_tol_scale, default=1.0,
                           help="multiply every check tolerance")
 
     args = parser.parse_args(argv)

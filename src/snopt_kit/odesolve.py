@@ -9,14 +9,20 @@ t_start``; backward solves negate the internal step rather than rewriting
 the field.
 
 dopri5 sizes its first step by the starting-step algorithm of Hairer,
-Norsett & Wanner (Solving ODEs I, II.4): one explicit Euler probe of the
-field, counted as one evaluation, measures how fast the field changes.
-Where that rule aims the step's local error at 1% of the tolerance, here
-it aims at the tolerance itself, in the norm the controller scores: on
-the fields trained here the rule's error model overestimates the first
-step's error by orders of magnitude, and the controller still judges the
-step.  A solve therefore starts at its working step size instead of
-growing into it.
+Norsett & Wanner (Solving ODEs I, II.4): an explicit Euler probe of the
+field measures how fast the field changes.  Where that rule aims the
+step's local error at 1% of the tolerance, here it aims at the tolerance
+itself, in the norm the controller scores: on the fields trained here
+the rule's error model overestimates the first step's error by orders of
+magnitude, and the controller still judges the step.  A solve therefore
+starts at its working step size instead of growing into it.  The probe
+is no separate evaluation: dopri5's second stage is itself an explicit
+Euler step, of a fifth of the step, from the start.  The first attempt
+takes the longest step the rule allows before the probe, and its second
+stage is the probe.  Only where the rule then asks for a shorter step
+does the attempt restart, at that step, which costs the one evaluation
+a separate probe would; a solve whose first step stands spends one
+evaluation fewer.
 
 The solvers retain no per-step history: the only output is the terminal
 state plus step counters, so memory is independent of the number of
@@ -25,14 +31,15 @@ trajectory passes ``quadrature``: the field then returns, beside the
 derivative, a zero-argument callable that computes the integrand, and
 every accepted step adds the method's own weighted sum of its stages'
 integrands.  The solver calls an integrand only where its weight reaches
-an accepted step, so dopri5 skips the first-step probe, the zero-weight
-second stage and the FSAL stage of a rejected or final step.  The
-integrand never enters the state, the stage storage or the error norm,
-the way Kidger, Chen & Lyons (arXiv:2009.09457) treat parameter-integral
-channels, so it costs no evaluation and no step.  Every integrand the
-solver calls, it calls before the field's next evaluation, so a field may
-keep each stage's intermediates in buffers that its next evaluation
-overwrites (``adjoint.BackwardSweep.field`` does).
+an accepted step, so dopri5 skips the zero-weight second stage (the
+first-step probe among them) and the FSAL stage of a rejected or final
+step.  The integrand never enters the state, the stage storage or the
+error norm, the way Kidger, Chen & Lyons (arXiv:2009.09457) treat
+parameter-integral channels, so it costs no evaluation and no step.
+Every integrand the solver calls, it calls before the field's next
+evaluation, so a field may keep each stage's intermediates in buffers
+that its next evaluation overwrites (``adjoint.BackwardSweep.field``
+does).
 """
 
 from __future__ import annotations
@@ -184,47 +191,34 @@ def _solve_fixed(y0, t_start, t_end, fn, cfg: SolverConfig, q0) -> SolveReport:
                        rejected_steps=0, quadrature=q)
 
 
-def _initial_step(fn: Field, t: float, y0: np.ndarray, f0: np.ndarray, direction: float,
-                  total: float, cfg: SolverConfig, scored: int | None) -> float:
+def _initial_step(d0: float, d1: float, d2: float, total: float) -> float:
     """First dopri5 step size, by the starting-step rule of Hairer, Norsett &
     Wanner I, II.4 (scipy's ``solve_ivp`` and torchdiffeq use it), with its
     error target raised from 1% of the tolerance to the tolerance.
 
-    Norms are the controller's: RMS scaled by ``atol + rtol * |y0|``, over
-    the first ``scored`` components.  ``h0 = 0.01 * |y0| /
-    |f0|`` moves the state by about 1%.  One explicit Euler probe ``f1 =
-    fn(t + h0, y0 + h0 * f0)``, taken in the direction of integration,
-    estimates the second derivative ``d2 = |f1 - f0| / h0``, and ``h1 =
-    (1 / max(|f0|, d2)) ** (1/5)`` predicts a local error, of order ``h^5``
-    times those derivatives, at the tolerance itself.  The book aims at 1%
-    of it, but on the fields trained here the first step's own error
-    estimate came out near 1e-6 to 1e-5 of the tolerance.  The
-    step is ``min(100 * h0, h1)``, capped by the interval.
+    The norms are the controller's: RMS scaled by ``atol + rtol * |y0|``,
+    over the scored components.  ``d0 = |y0|`` and ``d1 = |f0|`` set ``h0
+    = 0.01 * d0 / d1``, a step that moves the state by about 1%.  ``d2``
+    estimates the second derivative from an explicit Euler probe, and ``h1
+    = (1 / max(d1, d2)) ** (1/5)`` predicts a local error, of order
+    ``h^5`` times those derivatives, at the tolerance itself.  The book
+    aims at 1% of it, but on the fields trained here the first step's own
+    error estimate came out near 1e-6 to 1e-5 of the tolerance.  The step
+    is ``min(100 * h0, h1)``, capped by the interval ``total``.  With
+    ``d2 = 0`` it is the rule's step before any probe, the longest the
+    probe can allow.
 
-    When ``|y0|`` or ``|f0|`` is below 1e-5, ``h0`` says nothing about the
-    scale: the probe then moves by 1e-6 and the ``100 * h0`` cap is
-    dropped.  When both derivative estimates vanish, ``h1`` is the whole
-    interval.  The controller still judges that step, so a constant state
-    costs one step instead of a 10x-per-step ramp up from 1e-6.  The probe
-    is one field evaluation, which the caller counts.  A non-finite probe
-    raises ``NonFiniteState``, and so does a start derivative whose scaled
-    norm ``|f0|`` overflows, which leaves no step size to probe with.
+    When ``d0`` or ``d1`` is below 1e-5, ``h0`` says nothing about the
+    scale and the ``100 * h0`` cap is dropped.  When both derivative
+    estimates vanish, ``h1`` is the whole interval.  The controller still
+    judges that step, so a constant state costs one step instead of a
+    10x-per-step ramp up from 1e-6.
     """
-    scale = cfg.atol + cfg.rtol * np.abs(y0)
-    d0 = _scaled_rms(y0, scale, scored)
-    d1 = _scaled_rms(f0, scale, scored)
-    if not math.isfinite(d1):
-        # an overflowing norm would make h0 zero, and the probe's quotient 0/0
-        raise NonFiniteState(f"the field's scaled norm overflows at the start t={t:.6g}")
-    unscaled = d0 < 1e-5 or d1 < 1e-5
-    h0 = min(1e-6 if unscaled else 0.01 * d0 / d1, total)  # the probe stays inside the interval
-    f1 = fn(t + direction * h0, y0 + direction * h0 * f0)
-    d2 = _scaled_rms(f1 - f0, scale, scored) / h0
-    if not (np.all(np.isfinite(f1)) and np.isfinite(d2)):
-        raise NonFiniteState(
-            f"non-finite field at the first-step probe t={t + direction * h0:.6g}")
-    h1 = total if max(d1, d2) <= 1e-15 else (1.0 / max(d1, d2)) ** 0.2
-    return min(h1, total) if unscaled else min(100.0 * h0, h1, total)
+    d = max(d1, d2)
+    h1 = total if d <= 1e-15 else (1.0 / d) ** 0.2
+    if d0 < 1e-5 or d1 < 1e-5:
+        return min(h1, total)
+    return min(100.0 * (0.01 * d0 / d1), h1, total)
 
 
 def _solve_dopri5(y0, t_start, t_end, fn, cfg: SolverConfig, scored: int | None,
@@ -232,6 +226,10 @@ def _solve_dopri5(y0, t_start, t_end, fn, cfg: SolverConfig, scored: int | None,
     span = t_end - t_start
     direction = 1.0 if span >= 0 else -1.0
     total = abs(span)
+    cutoff = 1e-14 * max(1.0, total)
+    if total <= cutoff:
+        # no step and no evaluation: y0 is the caller's, so the state is a copy
+        return SolveReport(terminal_state=y0.copy(), quadrature=q0)
 
     y, q = y0, q0
     # b_1 times the integrand at the attempt's start point
@@ -239,32 +237,56 @@ def _solve_dopri5(y0, t_start, t_end, fn, cfg: SolverConfig, scored: int | None,
     t = t_start
     k = np.empty((7, y.size))
     k[0] = _stage(fn, t, y, _DP_B[0], first)[0]
-    # weight 0: the probe's integrand is never called
-    h = _initial_step(lambda t, y: _stage(fn, t, y, 0.0, first)[0],
-                      t, y, k[0], direction, total, cfg, scored)
-    nfe = 2  # the start point and the first-step probe
+
+    # The first attempt takes the longest step the first-step rule allows
+    # before any probe.  Its second stage, an explicit Euler step of h/5
+    # from the start, is the rule's probe: if the rule's step with that d2
+    # is shorter, the attempt restarts at it, which costs the one
+    # evaluation a separate probe would; otherwise stage 2 stands.
+    scale = cfg.atol + cfg.rtol * np.abs(y0)
+    d0 = _scaled_rms(y0, scale, scored)
+    d1 = _scaled_rms(k[0], scale, scored)
+    if not math.isfinite(d1):
+        # an overflowing norm would make the step zero, and the probe's quotient 0/0
+        raise NonFiniteState(f"the field's scaled norm overflows at the start t={t:.6g}")
+    h = _initial_step(d0, d1, 0.0, total)
+    hs = direction * h
+    # weight 0 (b_2): the probe's integrand is never called
+    k[1] = _stage(fn, t + _DP_C[1] * hs, y + hs * (_DP_A[1] @ k[:1]), 0.0, first)[0]
+    d2 = _scaled_rms(k[1] - k[0], scale, scored) / (_DP_C[1] * h)
+    scale = None
+    if not (np.all(np.isfinite(k[1])) and math.isfinite(d2)):
+        raise NonFiniteState(
+            f"non-finite field at the first-step probe t={t + _DP_C[1] * hs:.6g}")
+    h_rule = _initial_step(d0, d1, d2, total)
+    nfe = 2   # the start point and the probe
+    stands = not h_rule < h   # the first attempt goes on from its stage 2
+    if not stands:
+        h = h_rule
 
     accepted = rejected = 0
     err_old = 1e-4
-    while abs(t_end - t) > 1e-14 * max(1.0, total):
+    while abs(t_end - t) > cutoff:
         if accepted + rejected >= cfg.max_steps:
             raise MaxStepsExceeded(f"dopri5 exceeded max_steps={cfg.max_steps}")
         remaining = abs(t_end - t)
         h_eff = min(h, remaining)
         hs = direction * h_eff
-        last = h_eff >= remaining - 1e-14 * max(1.0, total)
+        last = h_eff >= remaining - cutoff
 
         # this attempt's sum of b_i * dq_i, kept only if the step is accepted;
         # each stage's input stays a temporary, freed once its evaluation returns
         dq = None if q is None else first.copy()
-        for i in range(1, 6):
+        stages = range(2 if stands else 1, 6)
+        stands = False
+        for i in stages:
             k[i] = _stage(fn, t + _DP_C[i] * hs, y + hs * (_DP_A[i] @ k[:i]), _DP_B[i], dq)[0]
         # stage 7's combination row equals the 5th-order weights, so its
         # evaluation point is the candidate state itself (FSAL); b_7 = 0, and
         # its integrand is the next step's first, run once this step is accepted
         y_new = y + hs * (_DP_A[6] @ k[:6])
         k[6], fsal = _stage(fn, t + hs, y_new, _DP_B[6], dq)
-        nfe += 6
+        nfe += len(stages) + 1
 
         _check_finite(y_new, t + hs)
         # the norm reads the scored prefix: slice before building any temporary;
@@ -300,8 +322,7 @@ def _solve_dopri5(y0, t_start, t_end, fn, cfg: SolverConfig, scored: int | None,
             h = h_eff * min(1.0, max(_MIN_FACTOR, _SAFETY * err ** (-0.2)))
         # drop the stage's trace and a rejected candidate before the next evaluation
         fsal = y_new = None
-    # an interval under the loop's cutoff takes no step: y is still the caller's y0
-    return SolveReport(terminal_state=y.copy() if y is y0 else y, nfe=nfe,
+    return SolveReport(terminal_state=y, nfe=nfe,
                        accepted_steps=accepted, rejected_steps=rejected, quadrature=q)
 
 
@@ -322,13 +343,19 @@ def odesolve(y0: np.ndarray, t_start: float, t_end: float, fn: Field, cfg: Solve
     only where its weight reaches an accepted step: every fixed-step
     stage, and for dopri5 the start point, stages 3 to 6 of every attempt
     and the FSAL stage of every accepted step but the last, so
-    ``5 * accepted + 4 * rejected`` calls.  The first-step probe, stage 2
-    (``b_2 = 0``) and the FSAL stage of a rejected or final step never run
-    theirs.  Each integrand is called before the field's next evaluation
-    or never: the FSAL stage's runs once its step is accepted, before the
-    next attempt's first evaluation.  The array an integrand returns
-    belongs to the solver, which weights it in place, so ``integrand()``
-    returns a new array on every call.
+    ``5 * accepted + 4 * rejected`` calls.  Stage 2 (``b_2 = 0``), the
+    first-step probe among them, and the FSAL stage of a rejected or final
+    step never run theirs.  Each integrand is called before the field's
+    next evaluation or never: the FSAL stage's runs once its step is
+    accepted, before the next attempt's first evaluation.  The array an
+    integrand returns belongs to the solver, which weights it in place, so
+    ``integrand()`` returns a new array on every call.
+
+    dopri5's ``nfe`` is ``1 + 6 * attempts``, plus 1 when the first-step
+    probe, the first attempt's stage 2, restarts that attempt at a shorter
+    step.  A restart is neither a rejected step nor an attempt against
+    ``max_steps``.  An interval under dopri5's cutoff of ``1e-14 * max(1,
+    |t_end - t_start|)`` takes no step and calls nothing.
 
     Neither array of the caller's is copied.  ``y0`` is never written: every
     step builds a new state, and a solve that takes no step returns a copy

@@ -1,5 +1,6 @@
 import configparser
 import csv
+import errno
 import math
 import os
 import re
@@ -335,7 +336,8 @@ class TestFailureExitCodes:
 
 
 class TestOutputPaths:
-    """A bad output path is a config error, found before anything trains."""
+    """A bad output path is a config error, found before anything trains; a
+    write that fails is one too, found once its records are trained."""
 
     @pytest.fixture
     def trained(self, monkeypatch):
@@ -364,6 +366,32 @@ class TestOutputPaths:
         err = capsys.readouterr().err
         assert "config error: cannot make output directory" in err
         assert trained == [] and (tmp_path / "cells").read_text() == "kept\n"
+
+    @pytest.mark.parametrize("command, fails", [("train", "o.csv"), ("grid", "cell_001.csv"),
+                                                ("grid", "summary.csv")])
+    def test_failed_write_exit_1(self, command, fails, config_path, tmp_path, trained, capsys,
+                                 monkeypatch):
+        # a full disk shows only once the records are trained; grid stops at
+        # the first file it cannot write
+        def full_disk(path, *args, **kwargs):
+            if os.path.basename(path) == fails:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", full_disk, raising=False)
+        grid = tmp_path / "grid.ini"
+        grid.write_text("[grid]\noptimizer.lr = 0.01, 0.02, 0.03\n")
+        if command == "train":
+            path = tmp_path / fails
+            argv = ["train", config_path, "--out", str(path)]
+        else:
+            path = tmp_path / "cells" / fails
+            argv = ["grid", config_path, str(grid), "--out-dir", str(tmp_path / "cells")]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"config error: cannot write {path}: {os.strerror(errno.ENOSPC)}" in err
+        assert len(trained) == {"o.csv": 1, "cell_001.csv": 2, "summary.csv": 3}[fails]
+        assert not path.exists()
 
 
 # (command, overrides for train or the text of the config or grid file, a
@@ -583,6 +611,9 @@ class TestMainEntry:
         (["train", "configs/spirals.ini"], "the following arguments are required: --out"),
         ([], "the following arguments are required: command"),
         (["verify", "--tol-scale", "abc"], "argument --tol-scale: invalid float value: 'abc'"),
+        # inf would pass every check, and 0, a negative scale or NaN fail every one
+        *((["verify", "--tol-scale", v], f"argument --tol-scale: must be positive and finite, "
+           f"got '{v}'") for v in ("inf", "0", "-1", "nan")),
     ])
     def test_usage_error_exit_1(self, argv, why, capsys):
         # exit 2 is a numeric abort, so argparse's usage errors exit 1 instead

@@ -287,7 +287,7 @@ class TestDefaultConfigSweep:
         g_adj, x0, _, rep_adj = adjoint_gradient(spec, theta, x1, curv.grad, cfg.t0, cfg.t1,
                                                  cfg.solver)
         assert (rep.nfe, rep.accepted_steps, rep.rejected_steps) == (
-            rep_adj.nfe, rep_adj.accepted_steps, rep_adj.rejected_steps) == (14, 2, 0)
+            rep_adj.nfe, rep_adj.accepted_steps, rep_adj.rejected_steps) == (13, 2, 0)
         assert np.array_equal(grad, g_adj[0])
         assert np.array_equal(rep.terminal_state[:x1.size], x0.ravel())
 

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from snopt_kit.odesolve import (MaxStepsExceeded, NonFiniteState, SolverConfig, _initial_step,
-                               odesolve)
+from snopt_kit.odesolve import MaxStepsExceeded, NonFiniteState, SolverConfig, odesolve
 
 
 def dopri(rtol=1e-8, atol=1e-8, **kw):
@@ -73,7 +72,9 @@ class TestStepAccounting:
 
     def test_dopri5_fsal_accounting(self):
         rep = odesolve(np.array([1.0]), 0.0, 1.0, lambda t, y: y, dopri())
-        # one evaluation at the start, one first-step probe, six per attempt
+        # one evaluation at the start, six per attempt, and one for the
+        # first-step probe, whose attempt restarts here: d2 and d1 agree up to
+        # rounding, and the rule's step after the probe is an ulp shorter
         assert rep.nfe == 2 + 6 * (rep.accepted_steps + rep.rejected_steps)
 
     def test_nfe_counts_actual_calls(self):
@@ -133,30 +134,66 @@ def call_log(fn):
 
 
 def first_step(fn, t_start, t_end, y0, cfg):
-    y0 = np.asarray(y0, dtype=float)
-    direction = 1.0 if t_end >= t_start else -1.0
-    return _initial_step(fn, t_start, y0, fn(t_start, y0), direction, abs(t_end - t_start), cfg,
-                         None)
+    """Length of dopri5's first step, read off the time of its last stage.
+
+    The first attempt's stage 2 is the first-step probe; when the attempt
+    restarts, one call more than ``1 + 6 * attempts`` precedes it.
+    """
+    logged, times = call_log(fn)
+    rep = odesolve(np.asarray(y0, dtype=float), t_start, t_end, logged, cfg)
+    restarted = rep.nfe - 1 - 6 * (rep.accepted_steps + rep.rejected_steps)
+    assert restarted in (0, 1)
+    return abs(times[6 + restarted] - t_start)
 
 
 class TestInitialStep:
     def test_probe_is_one_counted_call(self):
-        # one call at the start, one probe inside the interval, six per attempt
-        for t_start, t_end, cfg, scored in ((0.0, 1.0, dopri(), None),
-                                            (1.0, 0.0, dopri(1e-3, 1e-3), None),
-                                            (0.0, 2.0, dopri(), 1)):
+        # one call at the start and six per attempt; the probe, inside the
+        # interval, is the first attempt's stage 2, and costs one call more
+        # only where it binds: scoring y0 alone, whose derivative is 0 at the
+        # start, the first attempt spans the interval and restarts
+        for t_start, t_end, cfg, scored, restarts in ((0.0, 1.0, dopri(), None, 0),
+                                                      (1.0, 0.0, dopri(1e-3, 1e-3), None, 0),
+                                                      (0.0, 2.0, dopri(), 1, 1)):
             fn, times = call_log(lambda t, y: np.array([y[1], -y[0]]))
             rep = odesolve(np.array([1.0, 0.0]), t_start, t_end, fn, cfg, scored=scored)
-            assert len(times) == rep.nfe == 2 + 6 * (rep.accepted_steps + rep.rejected_steps)
+            attempts = rep.accepted_steps + rep.rejected_steps
+            assert len(times) == rep.nfe == 1 + 6 * attempts + restarts
             assert times[0] == t_start
             assert 0 < (times[1] - t_start) / (t_end - t_start) < 1
 
+    def test_probe_that_does_not_bind_is_stage_two(self):
+        # y' = -0.5 y: d2 = d1 / 2, so the rule allows the probe's own step, and
+        # the solve is the one a separate probe gave, one call cheaper
+        fn, times = call_log(lambda t, y: -0.5 * y)
+        rep = odesolve(np.array([1.0]), 0.0, 1.0, fn, dopri(1e-3, 1e-3))
+        assert (rep.nfe, rep.accepted_steps, rep.rejected_steps) == (13, 2, 0)
+        assert len(times) == 13
+        # call 6 is the first step's last stage, at its end
+        assert times[1] == pytest.approx(times[6] / 5, rel=1e-15)
+        assert rep.terminal_state[0] == 0.606531067928576   # with a separate probe
+
+    def test_probe_that_binds_restarts_the_attempt(self):
+        # y' = -4 y from 1 at scale s = atol + rtol: d0 = 1/s and d1 = 4/s, so
+        # the attempt before the probe is h_t = min(100 h0, d1^(-1/5)) with
+        # h0 = 0.01 d0 / d1; its stage 2 measures d2 = 16/s, and the attempt
+        # restarts at h = d2^(-1/5) < h_t
+        s = 2e-3
+        h_t = min(100 * 0.01 / 4, (s / 4) ** 0.2)
+        h = (s / 16) ** 0.2
+        fn, times = call_log(lambda t, y: -4.0 * y)
+        rep = odesolve(np.array([1.0]), 0.0, 1.0, fn, dopri(1e-3, 1e-3))
+        assert rep.nfe == len(times) == 2 + 6 * (rep.accepted_steps + rep.rejected_steps)
+        assert times[1] == pytest.approx(h_t / 5, rel=1e-12)
+        assert times[2] == pytest.approx(h / 5, rel=1e-12)
+        assert times[7] == pytest.approx(h, rel=1e-12)
+
     def test_aims_at_the_tolerance(self):
-        # y' = (y1, -y0) from (1, 0): f0 = (0, -1) and the probe's f1 - f0 =
-        # (-h0, 0), so with scale = atol + rtol * |y0| = (atol + rtol, atol) the
-        # scaled norms are d0 = 1 / (sqrt 2 (atol + rtol)), d1 = 1 / (sqrt 2 atol)
-        # and d2 = d0.  The step predicts a local error of the tolerance itself,
-        # capped by 100 h0 and by the interval.
+        # y' = (y1, -y0) from (1, 0): f0 = (0, -1) and, after a probe of length
+        # p, f1 - f0 = (-p, 0), so with scale = atol + rtol * |y0| = (atol +
+        # rtol, atol) the scaled norms are d0 = 1 / (sqrt 2 (atol + rtol)), d1 =
+        # 1 / (sqrt 2 atol) and d2 = d0.  The step predicts a local error of the
+        # tolerance itself, capped by 100 h0 and by the interval.
         rotate = lambda t, y: np.array([y[1], -y[0]])
         for rtol, atol, total in ((1e-3, 1e-3, 1.0), (1e-6, 1e-7, 1.0), (1e-1, 1e-1, 1.0),
                                   (1e-3, 1e-3, 0.1)):
@@ -191,7 +228,7 @@ class TestInitialStep:
         for tol in (1e-3, 1e-8):
             rep = odesolve(np.array([1.0, 1.0]), 0.0, 1.0, lambda t, y: np.zeros_like(y),
                            dopri(tol, tol))
-            assert (rep.nfe, rep.accepted_steps, rep.rejected_steps) == (8, 1, 0)
+            assert (rep.nfe, rep.accepted_steps, rep.rejected_steps) == (7, 1, 0)
             assert np.array_equal(rep.terminal_state, [1.0, 1.0])
 
     def test_semi_norm_ignores_unscored_tail(self):
@@ -448,8 +485,9 @@ class TestIntegrandContract:
             assert len(ran) == 5 * rep.accepted_steps + 4 * rep.rejected_steps
             assert len(set(ran)) == len(ran)      # each integrand at most once
             assert ran[0] == 0 and 1 not in ran   # the start point, never the probe
-            # per attempt (field calls 2 + 6j .. 7 + 6j): stage 2 never, stages
-            # 3 to 6 always, the FSAL stage only after an accepted, non-final step
+            # both solves' first-step probes bind, so attempt j's calls are
+            # 2 + 6j .. 7 + 6j after the probe's: stage 2 never, stages 3 to 6
+            # always, the FSAL stage only after an accepted, non-final step
             stage = [(i - 2) % 6 for i in ran[1:]]
             assert 0 not in stage
             assert [stage.count(s) for s in (1, 2, 3, 4)] == [attempts] * 4
@@ -484,11 +522,12 @@ class TestCallerArrays:
         assert abs(q0[0] - 1.3) < 1e-12
 
     def test_interval_below_the_cutoff_returns_a_copy(self):
-        # dopri5 takes no step on an interval under its 1e-14 cutoff, so its
-        # state is still y0: the report must not hand the caller's array back
+        # dopri5 takes no step and calls nothing on an interval under its
+        # 1e-14 cutoff, so its state is still y0: the report must not hand the
+        # caller's array back
         y0 = np.array([1.0, 2.0])
         rep = odesolve(y0, 0.0, 1e-16, lambda t, y: y, dopri())
-        assert rep.accepted_steps == rep.rejected_steps == 0
+        assert rep.nfe == rep.accepted_steps == rep.rejected_steps == 0
         assert not np.shares_memory(rep.terminal_state, y0)
         assert np.array_equal(rep.terminal_state, y0)
 

@@ -27,28 +27,28 @@ NAN = float("nan")
 # (nfe_fwd, nfe_bwd, train_loss, train_acc, test_loss, test_acc, t1) per iteration
 PINNED = {
     "adam-spirals": [
-        (14, 14, 0.6995328790929927, 0.5325, NAN, NAN, 1.0),
-        (14, 14, 0.681425479721147, 0.5725, NAN, NAN, 1.0),
-        (14, 14, 0.6769512486099903, 0.5875, NAN, NAN, 1.0),
-        (14, 14, 0.6734488515799386, 0.585, 0.7130759502913849, 0.57, 1.0),
+        (13, 13, 0.6995328790929927, 0.5325, NAN, NAN, 1.0),
+        (13, 13, 0.681425479721147, 0.5725, NAN, NAN, 1.0),
+        (13, 13, 0.6769512486099903, 0.5875, NAN, NAN, 1.0),
+        (13, 13, 0.6734488515799386, 0.585, 0.7130759502913849, 0.57, 1.0),
     ],
     "snopt-grid33": [
-        (14, 14, 0.6995328790929927, 0.5325, NAN, NAN, 1.0),
-        (14, 14, 0.685425374651988, 0.5875, NAN, NAN, 1.0),
-        (14, 14, 0.6749894573922746, 0.5675, NAN, NAN, 1.0),
-        (14, 14, 0.675107386383482, 0.535, 0.7001217675237074, 0.51, 1.0),
+        (13, 13, 0.6995328790929927, 0.5325, NAN, NAN, 1.0),
+        (13, 13, 0.685425374651988, 0.5875, NAN, NAN, 1.0),
+        (13, 13, 0.6749894573922746, 0.5675, NAN, NAN, 1.0),
+        (13, 13, 0.675107386383482, 0.535, 0.7001217675237074, 0.51, 1.0),
     ],
     "snopt-rank2-horizon": [
-        (14, 14, 0.8730376171253816, 0.5075, NAN, NAN, 1.0),
-        (14, 14, 0.7651601864713339, 0.5525, NAN, NAN, 1.0),
-        (14, 14, 0.7285387768027148, 0.5375, NAN, NAN, 1.0),
-        (14, 14, 0.7127576288103461, 0.4925, 0.6995766281851763, 0.46, 1.0),
+        (13, 13, 0.8730376171253816, 0.5075, NAN, NAN, 1.0),
+        (13, 13, 0.7651601864713339, 0.5525, NAN, NAN, 1.0),
+        (13, 13, 0.7285387768027148, 0.5375, NAN, NAN, 1.0),
+        (13, 13, 0.7127576288103461, 0.4925, 0.6995766281851763, 0.46, 1.0),
     ],
     "snopt-rank2-horizon/period-2": [
-        (14, 14, 0.8730376171253816, 0.5075, NAN, NAN, 1.0),
-        (14, 14, 0.7651601864713339, 0.5525, NAN, NAN, 0.6721914369864055),
-        (14, 14, 0.7450559010120614, 0.52, NAN, NAN, 0.6721914369864055),
-        (14, 14, 0.7298874017212589, 0.505, 0.745812140260435, 0.5, 0.37737724125457023),
+        (13, 13, 0.8730376171253816, 0.5075, NAN, NAN, 1.0),
+        (13, 13, 0.7651601864713339, 0.5525, NAN, NAN, 0.6721914369864055),
+        (13, 13, 0.7450559010120614, 0.52, NAN, NAN, 0.6721914369864055),
+        (13, 13, 0.7298874017212589, 0.505, 0.745812140260435, 0.5, 0.37737724125457023),
     ],
 }
 
