@@ -12,7 +12,7 @@ which stores each layer's homogeneous ``Wbar = [W, b]`` as its
 ``order="F"`` flattening; the field and ``optimizer.snopt_step``'s
 eigenbasis projection (the second identity) both read it through
 ``unpack_params``' column-major views, and ``snopt-kit verify`` checks
-that update against the dense Kronecker assembly.
+that update against the dense damped solve ``(A ⊗ B + eps I)^{-1} vec(G)``.
 """
 
 from __future__ import annotations

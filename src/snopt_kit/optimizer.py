@@ -1,17 +1,19 @@
 """Parameter update rules.
 
-The second-order update inverts the Kronecker-approximated curvature in
-the joint eigenbasis of the two factors, with Tikhonov damping and
-eigen-amortization: per layer
+The second-order update is ``Q_θθ^{-1} Q_θ`` with each layer's curvature
+approximated by ``Ā ⊗ B̄`` and damped by ε.  With ``Ā = U_A diag(s_A) U_A^T``
+and ``B̄ = U_B diag(s_B) U_B^T`` the damped inverse is diagonal in the joint
+eigenbasis (K-FAC, Martens & Grosse 2015, arXiv:1503.05671): per layer
 
     X  = U_B^T unvec(grad) U_A
-    S* = alpha S* + (1 - alpha) X^2          (elementwise)
-    dW = U_B [X / (S* + eps)] U_A^T
+    dW = U_B [X / (s_B s_A^T + eps)] U_A^T      (elementwise division)
 
-which, at alpha = 0, equals the dense preconditioner
-``(U_A ⊗ U_B) diag(vec(X^2) + eps)^{-1} (U_A ⊗ U_B)^T grad`` — asserted in
-the tests via the Kronecker identities.  SGD with momentum and Adam are
-the first-order baselines with their textbook constants.
+which is ``(Ā ⊗ B̄ + eps I)^{-1} grad`` exactly; ``snopt-kit verify`` checks
+it against the dense solve.  The factors are positive semidefinite only in
+exact arithmetic (dopri5's quadrature weights are not all positive), so
+each eigenvalue is clamped at 0 and the divisor never falls below eps.
+The rule carries nothing from step to step.  SGD with momentum and Adam
+are the first-order baselines with their textbook constants.
 
 :class:`OptimizerConfig` is the ``[optimizer]`` config section and holds
 every setting of every rule, with its checks.  A rule's state holds only
@@ -54,7 +56,6 @@ class OptimizerConfig:
     lr: float = 1e-3
     weight_decay: float = 0.0
     epsilon: float = 0.05            # snopt Tikhonov damping
-    amortization: float = 0.75       # snopt eigenbasis EMA
     momentum: float = 0.9            # sgd
     readout_lr: float = 0.01         # Adam on the readout, whose scale differs from the ODE's
 
@@ -65,8 +66,6 @@ class OptimizerConfig:
         # each check is written so that NaN fails it
         if not 0 < self.epsilon < np.inf:
             raise ValueError("epsilon must be positive and finite")
-        if not 0.0 <= self.amortization < 1.0:
-            raise ValueError("amortization must lie in [0, 1)")
         # zero rates stay valid: they freeze the ODE or the readout
         if not (0 <= self.lr < np.inf and 0 <= self.readout_lr < np.inf):
             raise ValueError("need finite optimizer lr >= 0 and readout_lr >= 0")
@@ -78,29 +77,16 @@ class OptimizerConfig:
             raise ValueError("need a finite snopt damping epsilon + weight_decay")
 
 
-@dataclass
-class SnoptState:
-    """Per-layer amortized squares, zero-initialized on the first step."""
-
-    s_star: list[np.ndarray] | None = None
-
-
-def snopt_step(state: SnoptState, spec: vf.MlpSpec, factors: KroneckerFactors,
-               grad: np.ndarray, theta: np.ndarray, lr: float, damping: float,
-               amortization: float) -> np.ndarray:
-    """One preconditioned update; mutates the amortized squares in place.
-
-    ``damping`` is the Tikhonov damping, weight decay included, and
-    ``amortization`` the weight of the previous squares.
+def snopt_step(spec: vf.MlpSpec, factors: KroneckerFactors, grad: np.ndarray,
+               theta: np.ndarray, lr: float, damping: float) -> np.ndarray:
+    """One preconditioned update ``theta - lr (Ā ⊗ B̄ + damping I)^{-1} grad``
+    per layer; ``damping`` is the Tikhonov damping, weight decay included.
 
     Each layer's gradient and update are its ``Wbar`` blocks as
     :func:`vector_field.unpack_params` lays them out, so the factors must
     fit the field ``spec`` layer by layer.
     """
     theta_new = np.array(theta, dtype=float)
-    if state.s_star is None:
-        state.s_star = [np.zeros((b.shape[0], a.shape[0]))
-                        for a, b in zip(factors.a_factors, factors.b_factors)]
     layers = zip(factors.a_factors, factors.b_factors, vf.unpack_params(spec, grad),
                  vf.unpack_params(spec, theta_new), strict=True)
     for k, (a_bar, b_bar, g_mat, w_bar) in enumerate(layers):
@@ -110,8 +96,7 @@ def snopt_step(state: SnoptState, spec: vf.MlpSpec, factors: KroneckerFactors,
         except (np.linalg.LinAlgError, NotSymmetric) as exc:
             raise SingularFactor(f"layer {k}: {exc}") from exc
         x = eig_b.vectors.T @ g_mat @ eig_a.vectors
-        state.s_star[k] = amortization * state.s_star[k] + (1.0 - amortization) * x ** 2
-        x = x / (state.s_star[k] + damping)
+        x /= np.outer(np.maximum(eig_b.values, 0.0), np.maximum(eig_a.values, 0.0)) + damping
         w_bar -= lr * (eig_b.vectors @ x @ eig_a.vectors.T)
     return theta_new
 

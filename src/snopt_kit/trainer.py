@@ -45,8 +45,8 @@ from .kfac import KroneckerFactors, accumulate_factors
 from .loss import (LossAt, LossConfig, TerminalCurvature, TerminalLoss, accuracy, grad_x1,
                    init_readout, loss_value, readout_grads, terminal_curvature)
 from .odesolve import MaxStepsExceeded, NonFiniteState, SolveReport, SolverConfig, odesolve
-from .optimizer import (AdamState, OptimizerConfig, SgdState, SingularFactor, SnoptState,
-                        adam_step, apply_weight_decay, sgd_step, snopt_step)
+from .optimizer import (AdamState, OptimizerConfig, SgdState, SingularFactor, adam_step,
+                        apply_weight_decay, sgd_step, snopt_step)
 from .vector_field import MlpSpec as ModelConfig
 
 # Numeric failures of one iteration; ``train`` re-raises each as ``TrainAbort``.
@@ -148,8 +148,8 @@ class _Run:
                         if classes and cfg.loss.readout else None)
         self.batch_rng = np.random.Generator(np.random.Philox(cfg.seed + 2))
         self.t1 = cfg.t1
-        self.opt_state = {"snopt": SnoptState, "adam": AdamState,
-                          "sgd": SgdState}[cfg.optimizer.kind]()
+        # the first-order rules' accumulators; snopt carries none
+        self.opt_state = {"adam": AdamState(), "sgd": SgdState()}.get(cfg.optimizer.kind)
         self.ro_w_state, self.ro_b_state = AdamState(), AdamState()
         self.horizon = HorizonState(cfg.horizon) if cfg.horizon.enabled else None
 
@@ -250,8 +250,8 @@ class _Run:
         grad = apply_weight_decay(grad, gamma, self.theta)
         if opt.kind == "snopt":
             # the decay's curvature γI shifts the damping
-            self.theta = snopt_step(self.opt_state, self.spec, factors, grad, self.theta,
-                                    opt.lr, opt.epsilon + gamma, opt.amortization)
+            self.theta = snopt_step(self.spec, factors, grad, self.theta, opt.lr,
+                                    opt.epsilon + gamma)
         elif opt.kind == "adam":
             self.theta = adam_step(self.opt_state, grad, self.theta, opt.lr)
         else:

@@ -453,6 +453,8 @@ CONFIG_ERRORS = {
     "kind_key_in_loss": ("train", ["loss.kind=mse"], "unknown key 'kind' in [loss]"),
     "readout_classes_key": ("train", ["loss.readout_classes=3"],
                             "unknown key 'readout_classes' in [loss]"),
+    "amortization_key": ("train", ["optimizer.amortization=0.75"],
+                         "unknown key 'amortization' in [optimizer]"),
     "classes_over_state": ("train", ["loss.readout=false", "dataset.kind=circles",
                                      "dataset.radii=0.5,1.0,1.5"],
                            "3 classes but the state (no readout) has 2 outputs"),

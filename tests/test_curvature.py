@@ -164,9 +164,9 @@ class TestApplyWeightDecay:
         """The damping that each iteration of a short run passes to ``snopt_step``."""
         seen, step = [], tr.snopt_step
 
-        def spy(state, spec, factors, grad, theta, lr, damping, amortization):
+        def spy(spec, factors, grad, theta, lr, damping):
             seen.append(damping)
-            return step(state, spec, factors, grad, theta, lr, damping, amortization)
+            return step(spec, factors, grad, theta, lr, damping)
 
         monkeypatch.setattr(tr, "snopt_step", spy)
         tr.train(tr.ExperimentConfig(

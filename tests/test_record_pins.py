@@ -34,21 +34,21 @@ PINNED = {
     ],
     "snopt-grid33": [
         (13, 13, 0.6995328790929927, 0.5325, NAN, NAN, 1.0),
-        (13, 13, 0.685425374651988, 0.5875, NAN, NAN, 1.0),
-        (13, 13, 0.6749894573922746, 0.5675, NAN, NAN, 1.0),
-        (13, 13, 0.675107386383482, 0.535, 0.7001217675237074, 0.51, 1.0),
+        (13, 13, 0.6944217719191741, 0.5375, NAN, NAN, 1.0),
+        (13, 13, 0.6908025067252899, 0.535, NAN, NAN, 1.0),
+        (13, 13, 0.6890105073448489, 0.535, 0.736876011034256, 0.51, 1.0),
     ],
     "snopt-rank2-horizon": [
         (13, 13, 0.8730376171253816, 0.5075, NAN, NAN, 1.0),
-        (13, 13, 0.7651601864713339, 0.5525, NAN, NAN, 1.0),
-        (13, 13, 0.7285387768027148, 0.5375, NAN, NAN, 1.0),
-        (13, 13, 0.7127576288103461, 0.4925, 0.6995766281851763, 0.46, 1.0),
+        (13, 13, 0.8413449274853955, 0.5175, NAN, NAN, 1.0),
+        (13, 13, 0.8131182960760134, 0.5175, NAN, NAN, 1.0),
+        (13, 13, 0.7877985769458112, 0.5175, 0.783277139134308, 0.47, 1.0),
     ],
     "snopt-rank2-horizon/period-2": [
         (13, 13, 0.8730376171253816, 0.5075, NAN, NAN, 1.0),
-        (13, 13, 0.7651601864713339, 0.5525, NAN, NAN, 0.6721914369864055),
-        (13, 13, 0.7450559010120614, 0.52, NAN, NAN, 0.6721914369864055),
-        (13, 13, 0.7298874017212589, 0.505, 0.745812140260435, 0.5, 0.37737724125457023),
+        (13, 13, 0.8413449274853955, 0.5175, NAN, NAN, 0.6668930541908928),
+        (13, 13, 0.8096053841716769, 0.515, NAN, NAN, 0.6668930541908928),
+        (13, 13, 0.7893252241735894, 0.5175, 0.7958437700341043, 0.48, 0.3589148765983656),
     ],
 }
 
