@@ -15,23 +15,27 @@ value the config dataclasses reject, sections that do not fit together
 (which ``ExperimentConfig`` rejects as it is built), an unreadable or
 unparsable config or grid file, a config or grid file with a
 ``[DEFAULT]`` section, a grid file without a lone ``[grid]`` section or
-with a key that has no values, a missing output directory, an
-``--out`` that names no file (a directory or an empty path), an
-``--out-dir`` that cannot be made, a records or summary file that
-cannot be written), 2 numeric abort
+with a key that has no values, a grid cell whose config is invalid, a
+missing output directory, an ``--out`` that names no file (a directory
+or an empty path), an ``--out-dir`` that cannot be made, a records or
+summary file that cannot be written), 2 numeric abort
 (``TrainAbort``: a non-finite state, a field whose scaled norm overflows
 at a solve's start, a solve over ``max_steps``, a factor
-eigendecomposition that fails, or a non-finite horizon update).  Every
-config error but a failed write is found before anything trains or is
-written; a write fails once its records are trained (a full disk), and
-``grid`` stops at the first.  ``grid`` records an aborted cell in its
-summary and carries on.
+eigendecomposition that fails, or a non-finite horizon update).  One
+wrapper around ``cmd_train`` and ``cmd_grid`` maps both: the stderr line
+of a ``ConfigError`` starts with ``config error: `` (``config error: cell
+1: ...`` for an invalid grid cell), and that of a ``TrainAbort`` with
+``numeric abort: ``.  Every config error but a failed write is found
+before anything trains or is written; a write fails once its records are
+trained (a full disk), and ``grid`` stops at the first.  ``grid``
+records an aborted cell in its summary and carries on.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import itertools
 import math
 import os
@@ -93,36 +97,29 @@ def _section_defaults(defaults: ExperimentConfig, section: str):
     return holder, _TRAIN_KEYS if section == "train" else {f.name for f in fields(holder)}
 
 
-def _read_ini(path: str, what: str) -> configparser.ConfigParser:
-    """The INI file at ``path``, read through an opened handle.
+def _read_ini(path: str, what: str) -> dict[str, list[tuple[str, str]]]:
+    """The items of the INI file at ``path``, by section, read through an
+    opened handle.
 
     ``ConfigParser.read`` skips any path it cannot open, so a missing
     file, a directory or an unreadable file would pass as an empty file;
-    here each is a ``ConfigError``, and so is a file that does not parse.
-    A ``[DEFAULT]`` section with keys is one too: configparser would read
-    its keys into every other section, or drop them where there is none.
-    Key names keep their case, which configparser would fold to lower.
+    here each is a ``ConfigError``, and so is a file that does not parse or
+    whose values do not interpolate.  A ``[DEFAULT]`` section with keys is
+    one too: configparser would read its keys into every other section, or
+    drop them where there is none.  Key names keep their case, which
+    configparser would fold to lower.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     parser.optionxform = str
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
+        if parser.defaults():
+            found = ", ".join(f"[{name}]" for name in [*parser.sections(), "DEFAULT"])
+            raise ConfigError(f"{what} {path} must not hold a [DEFAULT] section, found {found}")
+        return {section: parser.items(section) for section in parser.sections()}
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc.strerror}") from exc
-    except configparser.Error as exc:
-        raise ConfigError(f"cannot parse {path}: {exc}") from exc
-    if parser.defaults():
-        found = ", ".join(f"[{name}]" for name in [*parser.sections(), "DEFAULT"])
-        raise ConfigError(f"{what} {path} must not hold a [DEFAULT] section, found {found}")
-    return parser
-
-
-def _file_items(path: str) -> dict[str, list[tuple[str, str]]]:
-    """The config file's items, by section."""
-    parser = _read_ini(path, "config file")
-    try:
-        return {section: parser.items(section) for section in parser.sections()}
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
 
@@ -157,7 +154,7 @@ def _build(file_items: dict[str, list[tuple[str, str]]],
 
 def load_config(path: str, overrides: list[str] | None = None) -> ExperimentConfig:
     """Build an ExperimentConfig from an INI file plus dotted overrides."""
-    return _build(_file_items(path), overrides or [])
+    return _build(_read_ini(path, "config file"), overrides or [])
 
 
 def _split_override(spec: str) -> tuple[str, str, str]:
@@ -191,28 +188,33 @@ def write_records_csv(path: str, records: list[TrainRecord],
                         *(",".join(_fmt(v) for v in astuple(r)) for r in records)])
 
 
+def _exit_code(command):
+    """``command`` with its failures mapped to exit codes: a ``ConfigError``
+    prints ``config error: ...`` to stderr and returns 1, a ``TrainAbort``
+    prints ``numeric abort: ...`` and returns 2."""
+    @functools.wraps(command)
+    def run(*args, **kwargs) -> int:
+        try:
+            return command(*args, **kwargs)
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 1
+        except TrainAbort as exc:
+            print(f"numeric abort: {exc}", file=sys.stderr)
+            return 2
+    return run
+
+
+@_exit_code
 def cmd_train(config_path: str, out_path: str, overrides: list[str] | None = None) -> int:
-    try:
-        cfg = load_config(config_path, overrides)
-        out_dir = os.path.dirname(out_path) or "."
-        if not os.path.isdir(out_dir):
-            raise ConfigError(f"output directory not found: {out_dir}")
-        if os.path.isdir(out_path) or not os.path.basename(out_path):
-            raise ConfigError(f"--out must name a file, got {out_path!r}")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        records = trainer.train(cfg)
-    except TrainAbort as exc:
-        print(f"numeric abort: {exc}", file=sys.stderr)
-        return 2
-    comments = [f"override {ov}" for ov in overrides or []]
-    try:
-        write_records_csv(out_path, records, comments)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+    cfg = load_config(config_path, overrides)
+    out_dir = os.path.dirname(out_path) or "."
+    if not os.path.isdir(out_dir):
+        raise ConfigError(f"output directory not found: {out_dir}")
+    if os.path.isdir(out_path) or not os.path.basename(out_path):
+        raise ConfigError(f"--out must name a file, got {out_path!r}")
+    records = trainer.train(cfg)
+    write_records_csv(out_path, records, [f"override {ov}" for ov in overrides or []])
     print(f"wrote {len(records)} records to {out_path}")
     return 0
 
@@ -227,17 +229,12 @@ def _grid_cells(grid_path: str) -> list[list[tuple[str, str]]]:
     does not depend on its value, so the defaults tell which keys hold
     tuples.
     """
-    parser = _read_ini(grid_path, "grid file")
-    found = parser.sections()
-    if found != ["grid"]:
+    sections = _read_ini(grid_path, "grid file")
+    if list(sections) != ["grid"]:
         raise ConfigError(f"grid file {grid_path} must hold one [grid] section alone, found "
-                          f"{', '.join(f'[{name}]' for name in found) or 'none'}")
-    try:
-        items = parser.items("grid")
-    except configparser.Error as exc:
-        raise ConfigError(f"cannot parse {grid_path}: {exc}") from exc
+                          f"{', '.join(f'[{name}]' for name in sections) or 'none'}")
     defaults, axes = ExperimentConfig(), []
-    for key, values in items:
+    for key, values in sections["grid"]:
         section, _, name = key.partition(".")
         holder, _ = _section_defaults(defaults, section)
         if isinstance(getattr(holder, name, None), tuple):
@@ -258,17 +255,14 @@ def _final_metrics(records: list[TrainRecord]) -> tuple[float, float, float, flo
     return last.train_loss, last.train_acc, last.test_loss, last.test_acc
 
 
+@_exit_code
 def cmd_grid(config_path: str, grid_path: str, out_dir: str,
              overrides: list[str] | None = None) -> int:
     overrides = overrides or []
-    try:
-        file_items = _file_items(config_path)  # read once, for every cell
-        cells = _grid_cells(grid_path)
-        if not cells:
-            _build(file_items, overrides)  # no cell: the base alone must be valid
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+    file_items = _read_ini(config_path, "config file")  # read once, for every cell
+    cells = _grid_cells(grid_path)
+    if not cells:
+        _build(file_items, overrides)  # no cell: the base alone must be valid
     # every cell is checked before any trains; a cell's values join the
     # overrides, so the base only has to be valid together with each cell
     configs = []
@@ -276,14 +270,11 @@ def cmd_grid(config_path: str, grid_path: str, out_dir: str,
         try:
             configs.append(_build(file_items, [*overrides, *(f"{k}={v}" for k, v in cell)]))
         except ConfigError as exc:
-            print(f"config error in cell {idx}: {exc}", file=sys.stderr)
-            return 1
+            raise ConfigError(f"cell {idx}: {exc}") from exc
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:  # a file in the way, or no permission
-        print(f"config error: cannot make output directory {out_dir}: {exc.strerror}",
-              file=sys.stderr)
-        return 1
+        raise ConfigError(f"cannot make output directory {out_dir}: {exc.strerror}") from exc
 
     summary_path = os.path.join(out_dir, "summary.csv")
     rows = []
@@ -296,24 +287,16 @@ def cmd_grid(config_path: str, grid_path: str, out_dir: str,
             records = []
             aborted = 1
             print(f"cell {idx} aborted: {exc}", file=sys.stderr)
-        try:
-            write_records_csv(os.path.join(out_dir, f"cell_{idx:03d}.csv"), records,
-                              [f"cell {label}"])
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 1
+        write_records_csv(os.path.join(out_dir, f"cell_{idx:03d}.csv"), records,
+                          [f"cell {label}"])
         tl, ta, vl, va = _final_metrics(records)
         rows.append((idx, label, tl, ta, vl, va, aborted))
 
-    try:
-        _write_lines(summary_path, [
-            "cell,settings,final_train_loss,final_train_acc,final_test_loss,final_test_acc,"
-            "aborted",
-            *(f"{idx},\"{label}\",{_fmt(tl)},{_fmt(ta)},{_fmt(vl)},{_fmt(va)},{aborted}"
-              for idx, label, tl, ta, vl, va, aborted in rows)])
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+    _write_lines(summary_path, [
+        "cell,settings,final_train_loss,final_train_acc,final_test_loss,final_test_acc,"
+        "aborted",
+        *(f"{idx},\"{label}\",{_fmt(tl)},{_fmt(ta)},{_fmt(vl)},{_fmt(va)},{aborted}"
+          for idx, label, tl, ta, vl, va, aborted in rows)])
 
     finished = [r for r in rows if not r[6] and not math.isnan(r[2])]
     if finished:

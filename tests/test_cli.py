@@ -318,7 +318,7 @@ class TestFailureExitCodes:
         out = tmp_path / "o.csv"
         assert cli.main(["train", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "numeric abort" in err and "NonFiniteState" in err
+        assert err.startswith("numeric abort: ") and "NonFiniteState" in err
         assert "overflows at the start" in err and not out.exists()
 
     def test_dataset_overflow_exit_2_without_warning(self, config_path, tmp_path, capsys):
@@ -331,7 +331,7 @@ class TestFailureExitCodes:
                            "--override", "dataset.noise_sd=1e308"])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "numeric abort" in err and "NonFiniteState" in err
+        assert err.startswith("numeric abort: ") and "NonFiniteState" in err
         assert "RuntimeWarning" not in err and not out.exists()
 
 
@@ -443,6 +443,8 @@ CONFIG_ERRORS = {
                               "unknown key 'LR' in [optimizer]"),
     "grid_upper_case_key": ("grid", "[grid]\noptimizer.LR = 0.05\n",
                             "unknown key 'LR' in [optimizer]"),
+    # a cell's own value is checked with the rest, before any cell trains
+    "grid_bad_cell": ("grid", "[grid]\noptimizer.lr = 0.01, -1\n", "cell 1: need finite"),
     "grid_empty_file": ("grid", "", "one [grid] section alone, found none"),
     "grid_key_without_values": ("grid", "[grid]\noptimizer.lr =\n",
                                 "grid key optimizer.lr in"),
@@ -557,7 +559,7 @@ def test_config_error_exit_1(case, config_path, tmp_path, capsys):
             argv += ["--override", override]
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
-    assert "config error" in err and why in err
+    assert err.startswith("config error: ") and why in err
     # a grid checks every cell before it trains or writes any
     assert not (tmp_path / "cells").exists()
 
