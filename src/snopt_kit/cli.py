@@ -21,7 +21,8 @@ or an empty path), an ``--out-dir`` that cannot be made, a records or
 summary file that cannot be written), 2 numeric abort
 (``TrainAbort``: a non-finite state, a field whose scaled norm overflows
 at a solve's start, a solve over ``max_steps``, a factor
-eigendecomposition that fails, or a non-finite horizon update).  One
+eigendecomposition that fails, a non-finite horizon update, or a train
+loss over ``trainer.DIVERGENCE_FACTOR`` times the first record's).  One
 wrapper around ``cmd_train`` and ``cmd_grid`` maps both: the stderr line
 of a ``ConfigError`` starts with ``config error: `` (``config error: cell
 1: ...`` for an invalid grid cell), and that of a ``TrainAbort`` with

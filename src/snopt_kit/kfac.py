@@ -43,12 +43,12 @@ Biases share their layer's block through the homogeneous coordinate that
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import vector_field as vf
 from .loss import TerminalCurvature
-from .numerics import triu_flat, triu_unpack
 from .odesolve import SolveReport, SolverConfig, odesolve
 from .adjoint import BackwardSweep
 
@@ -59,6 +59,25 @@ class KroneckerFactors:
 
     a_factors: list[np.ndarray]   # per layer: (pbar, pbar)
     b_factors: list[np.ndarray]   # per layer: (l, l)
+
+
+@lru_cache(maxsize=None)
+def triu_flat(side: int) -> np.ndarray:
+    """Row-major flat indices of the upper triangle of a ``(side, side)``
+    matrix, the one packed-triangle layout: ``mat.ravel()[triu_flat(side)]``."""
+    rows, cols = np.triu_indices(side)
+    flat = rows * side + cols
+    flat.setflags(write=False)
+    return flat
+
+
+def triu_unpack(packed: np.ndarray, side: int) -> np.ndarray:
+    """The symmetric matrix whose packed upper triangle is ``packed``."""
+    rows, cols = np.divmod(triu_flat(side), side)
+    mat = np.empty((side, side))
+    mat[rows, cols] = packed
+    mat[cols, rows] = packed
+    return mat
 
 
 def _sides(spec: vf.MlpSpec) -> list[int]:

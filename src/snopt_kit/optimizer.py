@@ -8,10 +8,13 @@ eigenbasis (K-FAC, Martens & Grosse 2015, arXiv:1503.05671): per layer
     X  = U_B^T unvec(grad) U_A
     dW = U_B [X / (s_B s_A^T + eps)] U_A^T      (elementwise division)
 
-which is ``(Ā ⊗ B̄ + eps I)^{-1} grad`` exactly; ``snopt-kit verify`` checks
-it against the dense solve.  The factors are positive semidefinite only in
-exact arithmetic (dopri5's quadrature weights are not all positive), so
-each eigenvalue is clamped at 0 and the divisor never falls below eps.
+which is ``(Ā ⊗ B̄ + eps I)^{-1} grad`` exactly, since ``vec`` stacks
+columns (``vector_field`` stores each ``Wbar = [W, b]`` as its
+``order="F"`` flattening) and so ``(U_A ⊗ U_B)^T vec(G) = vec(U_B^T G
+U_A)``; ``snopt-kit verify`` checks it against the dense solve.  The
+factors are positive semidefinite only in exact arithmetic (dopri5's
+quadrature weights are not all positive), so each eigenvalue is clamped
+at 0 and the divisor never falls below eps.
 The rule carries nothing from step to step.  SGD with momentum and Adam
 are the first-order baselines with their textbook constants.
 
@@ -35,7 +38,6 @@ import numpy as np
 
 from . import vector_field as vf
 from .kfac import KroneckerFactors
-from .numerics import NotSymmetric, sym_eigen
 
 
 class SingularFactor(RuntimeError):
@@ -77,6 +79,15 @@ class OptimizerConfig:
             raise ValueError("need a finite snopt damping epsilon + weight_decay")
 
 
+def sym_eigen(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of a symmetric matrix, descending, and the matching
+    eigenvectors as columns, via LAPACK ``eigh``, which reads only the
+    lower triangle: the matrix must be symmetric, as ``kfac`` builds it."""
+    values, vectors = np.linalg.eigh(mat)
+    order = values.argsort()[::-1]
+    return values[order], vectors[:, order]
+
+
 def snopt_step(spec: vf.MlpSpec, factors: KroneckerFactors, grad: np.ndarray,
                theta: np.ndarray, lr: float, damping: float) -> np.ndarray:
     """One preconditioned update ``theta - lr (Ā ⊗ B̄ + damping I)^{-1} grad``
@@ -84,20 +95,21 @@ def snopt_step(spec: vf.MlpSpec, factors: KroneckerFactors, grad: np.ndarray,
 
     Each layer's gradient and update are its ``Wbar`` blocks as
     :func:`vector_field.unpack_params` lays them out, so the factors must
-    fit the field ``spec`` layer by layer.
+    fit the field ``spec`` layer by layer.  The factors must be symmetric:
+    :func:`sym_eigen` reads each one's lower triangle only.
     """
     theta_new = np.array(theta, dtype=float)
     layers = zip(factors.a_factors, factors.b_factors, vf.unpack_params(spec, grad),
                  vf.unpack_params(spec, theta_new), strict=True)
     for k, (a_bar, b_bar, g_mat, w_bar) in enumerate(layers):
         try:
-            eig_a = sym_eigen(a_bar)
-            eig_b = sym_eigen(b_bar)
-        except (np.linalg.LinAlgError, NotSymmetric) as exc:
+            s_a, u_a = sym_eigen(a_bar)
+            s_b, u_b = sym_eigen(b_bar)
+        except np.linalg.LinAlgError as exc:
             raise SingularFactor(f"layer {k}: {exc}") from exc
-        x = eig_b.vectors.T @ g_mat @ eig_a.vectors
-        x /= np.outer(np.maximum(eig_b.values, 0.0), np.maximum(eig_a.values, 0.0)) + damping
-        w_bar -= lr * (eig_b.vectors @ x @ eig_a.vectors.T)
+        x = u_b.T @ g_mat @ u_a
+        x /= np.outer(np.maximum(s_b, 0.0), np.maximum(s_a, 0.0)) + damping
+        w_bar -= lr * (u_b @ x @ u_a.T)
     return theta_new
 
 

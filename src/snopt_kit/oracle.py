@@ -22,8 +22,8 @@ import numpy as np
 
 from . import vector_field as vf
 from .adjoint import adjoint_gradient
+from .kfac import triu_flat, triu_unpack
 from .loss import TerminalCurvature, TerminalLoss, loss_value, terminal_curvature
-from .numerics import triu_flat, triu_unpack
 from .odesolve import SolveReport, SolverConfig, odesolve
 
 # ground-truth surrogate solver for the error study

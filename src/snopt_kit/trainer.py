@@ -49,8 +49,16 @@ from .optimizer import (AdamState, OptimizerConfig, SgdState, SingularFactor, ad
                         apply_weight_decay, sgd_step, snopt_step)
 from .vector_field import MlpSpec as ModelConfig
 
+# A record's train loss above this multiple of the first record's ends the run
+DIVERGENCE_FACTOR = 1e6
+
+
+class Diverged(RuntimeError):
+    """The train loss grew past ``DIVERGENCE_FACTOR`` times the first record's."""
+
+
 # Numeric failures of one iteration; ``train`` re-raises each as ``TrainAbort``.
-NUMERIC_FAILURES = (NonFiniteState, MaxStepsExceeded, SingularFactor, NonFiniteUpdate)
+NUMERIC_FAILURES = (NonFiniteState, MaxStepsExceeded, SingularFactor, NonFiniteUpdate, Diverged)
 
 
 class TrainAbort(RuntimeError):
@@ -152,6 +160,7 @@ class _Run:
         self.opt_state = {"adam": AdamState(), "sgd": SgdState()}.get(cfg.optimizer.kind)
         self.ro_w_state, self.ro_b_state = AdamState(), AdamState()
         self.horizon = HorizonState(cfg.horizon) if cfg.horizon.enabled else None
+        self.first_loss = None           # the first record's train loss
 
     def forward(self, x0: np.ndarray) -> tuple[np.ndarray, SolveReport]:
         batch, m = x0.shape
@@ -225,6 +234,11 @@ class _Run:
         del x_train, rep_fwd
         if not np.isfinite(train_loss):
             raise NonFiniteState(f"train loss {train_loss}")
+        if self.first_loss is None:
+            self.first_loss = train_loss
+        if train_loss > DIVERGENCE_FACTOR * self.first_loss:
+            raise Diverged(f"train loss {train_loss:.3g} is over {DIVERGENCE_FACTOR:g} times "
+                           f"the first iteration's {self.first_loss:.3g}")
 
         # one softmax of the minibatch feeds the sweep's terminal values and
         # the readout update; the readout takes its step before the sweep,

@@ -321,6 +321,20 @@ class TestFailureExitCodes:
         assert err.startswith("numeric abort: ") and "NonFiniteState" in err
         assert "overflows at the start" in err and not out.exists()
 
+    def test_finite_divergence_exit_2(self, tmp_path, capsys):
+        # sgd at lr 3 on regression: the train loss stays finite but reads
+        # 6.19e36 at iteration 6 against 0.465 at iteration 1.  Without the
+        # bound the run went on until iteration 7's forward solve exceeded
+        # max_steps
+        config = Path(__file__).resolve().parent.parent / "configs" / "spirals.ini"
+        out = tmp_path / "o.csv"
+        assert cli.main(["train", str(config), "--out", str(out),
+                         "--override", "dataset.kind=regression",
+                         "--override", "optimizer.kind=sgd", "--override", "optimizer.lr=3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numeric abort: training aborted at iteration 6: Diverged: ")
+        assert not out.exists()
+
     def test_dataset_overflow_exit_2_without_warning(self, config_path, tmp_path, capsys):
         # the draw's noise overflows to inf; the first solve aborts on it, and
         # numpy warns of nothing on the way

@@ -8,7 +8,8 @@ from snopt_kit import loss as ls
 from snopt_kit import trainer as tr
 from snopt_kit import vector_field as vf
 from snopt_kit.adjoint import BackwardSweep, adjoint_gradient
-from snopt_kit.kfac import _factor_terms, _unpack_factors, accumulate_factors
+from snopt_kit.kfac import (_factor_terms, _packed_len, _unpack_factors, accumulate_factors,
+                            triu_flat, triu_unpack)
 from snopt_kit.loss import TerminalCurvature, terminal_curvature
 from snopt_kit.odesolve import SolverConfig
 
@@ -386,3 +387,30 @@ class TestCallerArrays:
         kept = [v.tobytes() for v in held]
         accumulate_factors(spec, theta, x1, curv, cfg.t0, cfg.t1, cfg.solver)
         assert [v.tobytes() for v in held] == kept
+
+
+class TestTriangle:
+    def test_flat_indices_are_row_major(self):
+        assert np.array_equal(triu_flat(3), [0, 1, 2, 4, 5, 8])
+
+    def test_round_trip(self):
+        rng = np.random.default_rng(2)
+        for side in (1, 2, 5):
+            a = rng.normal(size=(side, side))
+            m = a + a.T
+            packed = m.ravel()[triu_flat(side)]
+            assert packed.size == side * (side + 1) // 2
+            assert np.array_equal(triu_unpack(packed, side), m)
+
+    def test_unpacked_factors_are_exactly_symmetric(self):
+        # the eigen-update hands each factor to eigh, which reads only its
+        # lower triangle, so no unpacked factor may differ from its transpose
+        rng = np.random.default_rng(3)
+        for side in (1, 2, 3, 7, 17):
+            m = triu_unpack(rng.normal(size=side * (side + 1) // 2), side)
+            assert np.array_equal(m, m.T)
+        for dims in ((2, 16, 16, 2), (3, 5, 3)):
+            spec = vf.MlpSpec(dims=dims, activations=("tanh",) * (len(dims) - 2) + ("identity",))
+            factors = _unpack_factors(spec, rng.normal(size=_packed_len(spec)))
+            for m in factors.a_factors + factors.b_factors:
+                assert np.array_equal(m, m.T)

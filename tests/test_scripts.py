@@ -28,3 +28,26 @@ def test_record_digest_prints_one_digest_per_workload():
     assert all(len(line.split()[1]) == 64 for line in lines)
     # the digest leaves the wall clock out, so a rerun prints the same lines
     assert runs[1].stdout == runs[0].stdout
+
+
+def test_code_lines_counts_code_only(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        '"""Module docstring,\n\nover three lines."""\n\n# a comment\n'
+        'def f(x):\n    """Docstring."""\n    return (x +  # trailing comment\n'
+        '            1)\n\n\nTEXT = """not a\ndocstring"""\n')
+    (tmp_path / "empty.py").write_text("")
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "code_lines.py"), str(tmp_path)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert [line.split() for line in proc.stdout.splitlines()] == [
+        ["empty.py", "0"], ["mod.py", "5"], ["total", "5"]]
+
+
+def test_code_lines_lists_every_module():
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "code_lines.py")],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()]
+    src = SCRIPTS.parent / "src" / "snopt_kit"
+    assert [name for name, _ in rows[:-1]] == sorted(p.name for p in src.glob("*.py"))
+    assert rows[-1] == ["total", str(sum(int(n) for _, n in rows[:-1]))]

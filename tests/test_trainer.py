@@ -261,6 +261,8 @@ class TestDefaultConfigSolves:
         for got, want in zip(factors.a_factors + factors.b_factors,
                              ref.a_factors + ref.b_factors):
             assert np.linalg.norm(got - want) <= 10 * 1.6e-4 * np.linalg.norm(want)
+            # eigh reads only the lower triangle: the factors are symmetric bit for bit
+            assert np.array_equal(got, got.T) and np.array_equal(want, want.T)
 
     def test_train_loss_stays_accurate_at_trained_states(self):
         # record k's full-train loss is solved at the state after update k-1;
