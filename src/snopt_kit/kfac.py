@@ -23,17 +23,18 @@ the state and the error norm, so the sweep's steps, ``x0`` and ``a0`` are
 the adjoint's, and so is its gradient, bit for bit.  ``kron(Abar_n,
 Bbar_n)`` then approximates the layer's parameter-space curvature block.
 
-A terminal factor parallel to the gradient carries no rank vector: with
-the curvature's per-sample ``adjoint_weights`` w, its ``q_1`` at sample b
-is ``w_b a_b`` at every t, because a rank vector obeys the adjoint's
-linear ODE.  The sweep then runs ``[x | a]`` and its B side is ``B_n(t) =
-mean_b (w_b g_b)(w_b g_b)^T`` over the adjoint group's cotangents ``g``.
-That covers the ``gauss_newton_scaled`` surrogate (constant w) and the
-two-class softmax.  Otherwise the sweep carries R >= 1 rank vectors, one
-per terminal factor (C-1 for C >= 3 classes, m for mse), and the B side
-sums groups 1..R.  Either way the B side reads a slice of the one
-(1+R, batch, l) group stack: group 0 weighted, or groups 1..R.  Each rank
-vector adds ``batch*m`` entries to the state.
+A terminal curvature given as per-sample ``adjoint_weights`` w carries
+no rank vector: its one factor's ``q_1`` at sample b is ``w_b a_b`` at
+every t, because a rank vector obeys the adjoint's linear ODE.  The
+sweep then runs ``[x | a]`` and its B side is ``B_n(t) = mean_b (w_b
+g_b)(w_b g_b)^T`` over the adjoint group's cotangents ``g``.  That covers
+the ``gauss_newton_scaled`` surrogate (constant w) and the two-class
+softmax.  A curvature given as R >= 1 rank vectors (C-1 for C >= 3
+classes, m for mse) has the sweep carry them, and the B side sums groups
+1..R.  The curvature holds exactly one of the two forms, so the sweep is
+seeded with its rank vectors, none when weighted.  Either way the B side
+reads a slice of the one (1+R, batch, l) group stack: group 0 weighted,
+or groups 1..R.  Each rank vector adds ``batch*m`` entries to the state.
 
 Biases share their layer's block through the homogeneous coordinate that
 ``vector_field`` evaluates in: each trace entry ``zs[k]`` already is
@@ -90,11 +91,10 @@ def _packed_len(spec: vf.MlpSpec) -> int:
     return sum(side * (side + 1) // 2 for side in _sides(spec))
 
 
-def _factor_terms(spec: vf.MlpSpec, zs: list[np.ndarray], gs: list[np.ndarray],
-                  weights: np.ndarray | None = None, *,
-                  out: np.ndarray | None = None) -> np.ndarray:
+def _factor_terms(zs: list[np.ndarray], gs: list[np.ndarray], weights: np.ndarray | None,
+                  out: np.ndarray) -> np.ndarray:
     """Upper triangles of ``A_n(t)`` and ``B_n(t)`` at one stage, packed
-    ``[A_1..A_L | B_1..B_L]``, written into ``out`` when given.
+    ``[A_1..A_L | B_1..B_L]``, written into ``out``.
 
     ``zs`` is the stage's forward trace and ``gs[k]`` its layer-``k``
     cotangents, a (groups, batch, l) stack; every row of every group is a
@@ -113,8 +113,6 @@ def _factor_terms(spec: vf.MlpSpec, zs: list[np.ndarray], gs: list[np.ndarray],
             g *= weights[:, None]
         samples.append(g.reshape(-1, g.shape[-1]))
     mats = [zb.T @ zb for zb in zs[:-1]] + [g.T @ g for g in samples]
-    if out is None:
-        out = np.empty(_packed_len(spec))
     offset = 0
     for mat in mats:
         triu = triu_flat(mat.shape[0])
@@ -144,10 +142,7 @@ def accumulate_factors(spec: vf.MlpSpec, theta: np.ndarray, x1: np.ndarray,
     state replay ``x``.
     """
     weights = curv.adjoint_weights
-    if weights is None and not curv.factors:
-        # a rank-0 sweep would give the B side no sample
-        raise ValueError("need at least one terminal factor")
-    sweep = BackwardSweep(spec, theta, x1, curv.grad, curv.factors if weights is None else ())
+    sweep = BackwardSweep(spec, theta, x1, curv.grad, curv.factors)
     n = vf.num_params(spec)
     packed = _packed_len(spec)
 
@@ -159,7 +154,7 @@ def accumulate_factors(spec: vf.MlpSpec, theta: np.ndarray, x1: np.ndarray,
         # before the weighted factor terms write them
         dq = np.empty(n + packed)
         vf._param_grad_from_cotangents(spec, zs, adjoint, out=dq[:n])
-        _factor_terms(spec, zs, samples, weights, out=dq[n:])
+        _factor_terms(zs, samples, weights, dq[n:])
         return dq
 
     report = odesolve(sweep.state, t1, t0, sweep.field(integrand), cfg, scored=sweep.x_len,

@@ -7,8 +7,9 @@ its Hessian is exactly the identity, and integer class labels take
 first-order rule in the training loop; its curvature is never
 Kronecker-tracked).
 
-``terminal_curvature`` produces the terminal Hessian as a list of factor
-vectors ``y_i`` with ``Hessian = sum_i y_i y_i^T``:
+``terminal_curvature`` produces the terminal Hessian as rank vectors
+``y_i`` with ``Hessian = sum_i y_i y_i^T``, in the one form a backward
+sweep reads:
 
 * ``exact_rank`` gives an exact symmetric factorization: identity columns
   for mse, and for cross entropy the C-1 columns of the stick-breaking
@@ -20,15 +21,15 @@ vectors ``y_i`` with ``Hessian = sum_i y_i y_i^T``:
   the cheap rank-1 surrogate used in production training (an
   empirical-Fisher B side; Kunstner, Balles & Hennig, arXiv:1905.12558).
 
-A factor parallel to the gradient, sample by sample, is the gradient
-times per-sample ``adjoint_weights``: the surrogate's constant
-``1/sqrt(t1 - t0)``, and for a two-class softmax ``sqrt(p_y) /
-sqrt(p_o)`` (``p_o`` the non-label probability).  A rank vector obeys the
-adjoint's linear ODE, so a sweep reads such a factor off the adjoint
-instead of carrying it.  For that the gradient's label entry is
-``-sum_{j != y} p_j``, not ``p_y - 1``, which cancels to 0 once ``p_o <
-2**-53``.  Rank vectors are carried only for C >= 3 classes (C-1 of
-them) and for mse.
+A factor parallel to the gradient, sample by sample, is held as the
+per-sample ``adjoint_weights`` it multiplies the gradient by, not as a
+vector: the surrogate's constant ``1/sqrt(t1 - t0)``, and for a two-class
+softmax ``sqrt(p_y) / sqrt(p_o)`` (``p_o`` the non-label probability).  A
+rank vector obeys the adjoint's linear ODE, so a sweep reads such a
+factor off the adjoint instead of carrying it.  For that the gradient's
+label entry is ``-sum_{j != y} p_j``, not ``p_y - 1``, which cancels to 0
+once ``p_o < 2**-53``.  Rank vectors are built only for C >= 3 classes
+(C-1 of them) and for mse.
 
 :class:`LossConfig` is the ``[loss]`` config section: the readout switch
 and the curvature mode.
@@ -41,7 +42,6 @@ residual once for all of them.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property, reduce
 
@@ -153,41 +153,41 @@ class LossAt:
 
 
 class TerminalCurvature:
-    """Gradient and factor vectors of the terminal Hessian.
+    """Gradient and rank factorization of the terminal Hessian.
 
-    ``factors`` is a list of arrays shaped like the per-sample gradient;
-    the reconstruction ``sum_i y_i y_i^T`` is symmetric PSD by build.
-    ``exact_rank`` gives m factors for mse and C-1 for a C-class softmax;
-    ``gauss_newton_scaled`` gives one.  ``adjoint_weights`` (batch,) is set when the one factor is,
-    up to each row's sign, ``adjoint_weights[:, None] * grad`` (the
-    surrogate and the two-class softmax), and a backward sweep then reads
-    it off the adjoint; it is None otherwise, and each factor is one rank
-    vector of the sweep.  The dense reference and the low-rank checks read
-    ``factors`` either way.
-
-    ``factors`` may be given as a zero-argument builder instead of a list;
-    it is then built on first read.  :func:`terminal_curvature` passes a
-    builder, so a sweep that reads the factor off the adjoint never builds
-    it.
+    The Hessian ``sum_i y_i y_i^T`` is held in exactly one of two forms,
+    the one a backward sweep reads.  ``factors`` is a list of rank
+    vectors shaped like the per-sample gradient, each carried by the
+    sweep: m of them for mse and C-1 for a C >= 3 class softmax under
+    ``exact_rank``.  ``adjoint_weights`` (batch,) stands for the one
+    factor ``adjoint_weights[:, None] * grad`` (up to each row's sign),
+    which the sweep reads off the adjoint: the ``gauss_newton_scaled``
+    surrogate and the two-class softmax.  Given neither or both, the
+    curvature is a ``ValueError``: a rank-0 sweep would give the B side no
+    sample, and a sweep seeded with both would carry rank vectors while
+    weighting the adjoint.  The reference paths read every factor as a
+    vector through :meth:`rank_vectors`.
     """
 
-    def __init__(self, grad: np.ndarray,
-                 factors: list[np.ndarray] | Callable[[], list[np.ndarray]],
+    def __init__(self, grad: np.ndarray, factors: list[np.ndarray] | tuple = (),
                  adjoint_weights: np.ndarray | None = None):
+        if (adjoint_weights is None) == (len(factors) == 0):
+            raise ValueError("a terminal curvature takes rank vectors or adjoint weights, "
+                             "exactly one of the two")
         self.grad = grad
-        self._factors = factors
+        self.factors = factors
         self.adjoint_weights = adjoint_weights
 
-    @property
-    def factors(self) -> list[np.ndarray]:
-        """The factor vectors, built on the first read when given as a builder."""
-        if callable(self._factors):
-            self._factors = self._factors()
-        return self._factors
+    def rank_vectors(self) -> list[np.ndarray]:
+        """Every factor as a vector, for the dense reference and the error
+        study: ``factors``, or the one weighted factor rebuilt as
+        ``adjoint_weights[:, None] * grad``, whose rows' signs may differ
+        from the factor's but not its outer products."""
+        return self.factors or [self.adjoint_weights[:, None] * self.grad]
 
     def hessian(self) -> np.ndarray:
         """Dense reconstruction for a batch of one."""
-        ys = [vf.one_sample(y, "a factor") for y in self.factors]
+        ys = [vf.one_sample(y, "a factor") for y in self.rank_vectors()]
         return sum(np.outer(y, y) for y in ys)
 
 
@@ -282,41 +282,31 @@ def readout_grads(at: LossAt) -> tuple[np.ndarray, np.ndarray]:
 
 
 def terminal_curvature(at: LossAt, t0: float, t1: float, mode: str) -> TerminalCurvature:
-    """Terminal gradient plus factor vectors of the terminal Hessian.
-
-    The factors are built only when a caller reads them.
-    """
+    """Terminal gradient plus the terminal Hessian in the form its sweep reads."""
     if not t1 > t0:
         raise ValueError("terminal_curvature requires t1 > t0")
     if mode not in CURVATURE_MODES:
         raise ValueError(f"unknown curvature mode {mode!r}")
 
     grad = grad_x1(at)
-    if mode == "exact_rank" and at.lossfn.classifies:
-        # one softmax feeds the gradient, the weights and the factors
-        probs, weights = at.probs, None
-        if probs.shape[1] == 2:
-            # the one factor is ±sqrt(p_y p_o) (e_y - e_o) and the residual
-            # p_o (e_o - e_y); the roots come first, as p_y / p_o overflows
-            # where p_o is subnormal
-            rows, roots, labels = np.arange(probs.shape[0]), np.sqrt(probs), at.labels
-            weights = _quotient(roots[rows, labels], roots[rows, 1 - labels])
-        # the builder holds the softmax and the readout weight, not the whole ``at``
-        readout_weight = at.weight
-        return TerminalCurvature(
-            grad=grad,
-            factors=lambda: [_to_state(readout_weight, col)
-                             for col in _multinomial_cholesky(probs)],
-            adjoint_weights=weights)
     if mode == "gauss_newton_scaled":
-        scale = float(1.0 / np.sqrt(t1 - t0))
-        return TerminalCurvature(grad=grad, factors=lambda: [scale * grad],
-                                 adjoint_weights=np.broadcast_to(scale, grad.shape[:1]))
-    # the mse Hessian is the identity, one unit vector per factor: read-only
-    # views of its rows
-    x1 = at.x1
-    return TerminalCurvature(grad=grad, factors=lambda: [np.broadcast_to(row, x1.shape)
-                                                         for row in np.eye(x1.shape[1])])
+        return TerminalCurvature(grad, adjoint_weights=np.broadcast_to(
+            float(1.0 / np.sqrt(t1 - t0)), grad.shape[:1]))
+    if not at.lossfn.classifies:
+        # the mse Hessian is the identity: read-only views of its rows
+        return TerminalCurvature(grad, [np.broadcast_to(row, grad.shape)
+                                        for row in np.eye(grad.shape[1])])
+    # one softmax feeds the gradient and the curvature
+    probs = at.probs
+    if probs.shape[1] == 2:
+        # the one factor is ±sqrt(p_y p_o) (e_y - e_o) and the residual
+        # p_o (e_o - e_y); the roots come first, as p_y / p_o overflows
+        # where p_o is subnormal
+        rows, roots, labels = np.arange(probs.shape[0]), np.sqrt(probs), at.labels
+        return TerminalCurvature(grad, adjoint_weights=_quotient(
+            roots[rows, labels], roots[rows, 1 - labels]))
+    return TerminalCurvature(grad, [_to_state(at.weight, col)
+                                    for col in _multinomial_cholesky(probs)])
 
 
 def accuracy(at: LossAt) -> float:

@@ -172,7 +172,7 @@ def error_study(spec: vf.MlpSpec, theta: np.ndarray, x0: np.ndarray,
         x1 = flow(spec, theta, x0, t0, t1, cfg)
         curv = terminal_curvature(lossfn.at(x1), t0, t1, mode="exact_rank")
         grads, _, _, _ = adjoint_gradient(spec, theta, x1, curv.grad, t0, t1, cfg,
-                                          qs=curv.factors)
+                                          qs=curv.rank_vectors())
         grad, p = grads[0], grads[1:]
         quu = p.T @ p
         tol = cfg.fixed_step if cfg.method in ("euler", "rk4") else cfg.rtol

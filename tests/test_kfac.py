@@ -67,7 +67,17 @@ def terms_at(spec, theta, t, x, qs):
     weights = vf.unpack_params(spec, theta)
     trace = vf._forward(spec, weights, t, x)
     gs, _ = vf._cotangents(spec, weights, trace, qs)
-    return _unpack_factors(spec, _factor_terms(spec, trace, gs))
+    return _unpack_factors(spec, packed_terms(spec, trace, gs))
+
+
+def packed_terms(spec, trace, gs, weights=None):
+    """:func:`_factor_terms` into a new array."""
+    return _factor_terms(trace, gs, weights, np.empty(_packed_len(spec)))
+
+
+def stick_breaking(probs, readout_weight):
+    """The C-1 stick-breaking rank vectors of a softmax Hessian, through the readout."""
+    return [col @ readout_weight for col in ls._multinomial_cholesky(probs)]
 
 
 class TestFactorTerms:
@@ -109,17 +119,18 @@ class TestFactorTerms:
         q = rng.normal(size=(128, 2))
         seed = q.copy()
         w = rng.uniform(0.5, 2.0, size=128)
-        want = _factor_terms(spec, trace, [g * w[:, None] for g in
-                                           vf._cotangents(spec, weights, trace, q)[0]])
+        want = packed_terms(spec, trace, [g * w[:, None] for g in
+                                          vf._cotangents(spec, weights, trace, q)[0]])
 
         def peak(w):
             gs, _ = vf._cotangents(spec, weights, trace, q)
-            _factor_terms(spec, trace, gs, w)
+            packed_terms(spec, trace, gs, w)
             gs, _ = vf._cotangents(spec, weights, trace, q)
+            out = np.empty(_packed_len(spec))
             tracemalloc.start()
             try:
                 before = tracemalloc.get_traced_memory()[0]
-                out = _factor_terms(spec, trace, gs, w)
+                _factor_terms(trace, gs, w, out)
                 return out, tracemalloc.get_traced_memory()[1] - before
             finally:
                 tracemalloc.stop()
@@ -139,7 +150,7 @@ class TestFactorTerms:
         x, qs = rng.normal(size=(6, 2)), rng.normal(size=(2, 6, 2))
         trace = vf._forward(spec, weights, 0.4, x)
         gs, _ = vf._cotangents(spec, weights, trace, qs)
-        packed = _factor_terms(spec, trace, gs)
+        packed = packed_terms(spec, trace, gs)
         assert packed.size == sum(n * (n + 1) // 2 for n in (4, 6, 5, 5, 4, 2))
         terms = _unpack_factors(spec, packed)
         for k, zb in enumerate(trace[:-1]):
@@ -163,13 +174,11 @@ class TestAccumulateFactors:
         assert np.allclose(grad, 0.0)
 
     def test_rejects_exact_rank_without_factors(self):
-        # a rank-0 sweep has no rank vector for the B side to integrate
-        spec, theta = tanh_net(6, (2, 4, 2))
-        rng = np.random.default_rng(6)
-        x1, a1 = rng.uniform(-1, 1, size=(8, 2)), rng.normal(size=(8, 2))
-        curv = TerminalCurvature(grad=a1, factors=[])
-        with pytest.raises(ValueError, match="at least one terminal factor"):
-            accumulate_factors(spec, theta, x1, curv, 0.0, 1.0, RK4)
+        # a rank-0 sweep has no rank vector for the B side to integrate: the
+        # curvature it would start from cannot be built
+        a1 = np.random.default_rng(6).normal(size=(8, 2))
+        with pytest.raises(ValueError, match="exactly one of the two"):
+            TerminalCurvature(grad=a1, factors=[])
 
     def test_rk4_step_weights_its_stages(self):
         # one RK4 step over [0, T]: the factors are T/6 * (F1 + 2 F2 + 2 F3 + F4)
@@ -187,7 +196,7 @@ class TestAccumulateFactors:
             assert rep.nfe == 4
             sweep = BackwardSweep(spec, theta, x1, a1, qs)
             fn = sweep.field(lambda trace, gs: _unpack_factors(
-                spec, _factor_terms(spec, trace, [g[1:] for g in gs])))
+                spec, packed_terms(spec, trace, [g[1:] for g in gs])))
             y, hs, stages, k = sweep.state, -span, [], None
             for dt, shift in ((0.0, 0.0), (0.5, 0.5), (0.5, 0.5), (1.0, 1.0)):
                 t, y_stage = span + dt * hs, y if k is None else y + shift * hs * k
@@ -339,15 +348,21 @@ class TestSoftmaxRankVectors:
             grad=curv.grad,
             factors=[np.sqrt(probs[:, k:k + 1]) * (np.eye(n_cls)[k] - probs) @ run.readout.weight
                      for k in range(n_cls)])
-        assert len(curv.factors) == n_cls - 1 == len(full.factors) - 1
-        assert_same_sweep(spec, theta, x1, curv, full, cfg.t0, cfg.t1, cfg.solver, 1e-14)
+        carried = TerminalCurvature(grad=curv.grad,
+                                    factors=stick_breaking(probs, run.readout.weight))
+        assert len(carried.factors) == n_cls - 1 == len(full.factors) - 1
+        assert not curv.factors
+        for c in (curv, carried):
+            assert_same_sweep(spec, theta, x1, c, full, cfg.t0, cfg.t1, cfg.solver, 1e-14)
 
     def test_two_class_factor_rides_on_the_adjoint(self):
         # the weighted sweep carries [x | a] only; carrying the same factor as a
         # rank vector must give the same sweep, the B side to rounding
         spec, theta, x1, curv, cfg = first_batch(CIRCLES, CIRCLES.t1)
         assert curv.adjoint_weights.shape == (x1.shape[0],)
-        carried = TerminalCurvature(grad=curv.grad, factors=curv.factors)
+        readout = tr._Run(cfg).readout
+        carried = TerminalCurvature(grad=curv.grad, factors=stick_breaking(
+            ls._softmax(readout.logits(x1)), readout.weight))
         assert_same_sweep(spec, theta, x1, curv, carried, cfg.t0, cfg.t1, cfg.solver, 1e-14)
 
     def test_confident_samples_ride_on_the_adjoint(self):
@@ -365,7 +380,8 @@ class TestSoftmaxRankVectors:
             curv = terminal_curvature(lf.at(x1), 0.0, 1.0, mode="exact_rank")
             assert np.all(np.isfinite(curv.adjoint_weights))
             assert curv.adjoint_weights.max() > 1e160
-            carried = TerminalCurvature(grad=curv.grad, factors=curv.factors)
+            carried = TerminalCurvature(grad=curv.grad, factors=stick_breaking(
+                ls._softmax(readout.logits(x1)), readout.weight))
             assert_same_sweep(spec, theta, x1, curv, carried, 0.0, 1.0, RK4, 1e-14)
 
 

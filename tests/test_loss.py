@@ -126,14 +126,17 @@ class TestTerminalCurvature:
         lf = ls.TerminalLoss(target=np.zeros(2))
         x = np.array([[0.5, -0.5]])
         curv = ls.terminal_curvature(lf.at(x), 0.0, 1.0, "gauss_newton_scaled")
-        assert len(curv.factors) == 1
-        assert np.allclose(curv.factors[0], curv.grad)
+        # the one factor grad / sqrt(t1 - t0) rides on the adjoint, no rank vector
+        assert not curv.factors
+        np.testing.assert_array_equal(curv.adjoint_weights, [1.0])
+        assert np.allclose(curv.hessian(), np.outer(curv.grad, curv.grad))
 
     def test_gauss_newton_interval_scaling(self):
         lf = ls.TerminalLoss(target=np.zeros(2))
         x = np.array([[0.5, -0.5]])
         curv = ls.terminal_curvature(lf.at(x), 0.0, 4.0, "gauss_newton_scaled")
-        assert np.allclose(curv.factors[0], curv.grad / 2.0)
+        factor = curv.grad / np.sqrt(4.0 - 0.0)
+        assert np.allclose(curv.hessian(), np.outer(factor, factor))
         np.testing.assert_array_equal(curv.adjoint_weights, [0.5])
         # one weight per sample, as a zero-stride view
         assert curv.adjoint_weights.strides == (0,)
@@ -164,20 +167,27 @@ class TestTerminalCurvature:
             readout = ls.Readout(weight=rng.normal(size=(n_cls, 3)), bias=np.zeros(n_cls))
             lf = ls.TerminalLoss(target=np.array([0, n_cls - 1]),
                                  readout=readout)
-            curv = ls.terminal_curvature(lf.at(rng.normal(size=(2, 3))), 0.0, 1.0, "exact_rank")
-            assert len(curv.factors) == n_cls - 1
-            assert all(f.shape == (2, 3) for f in curv.factors)
-            # only the two-class factor rides on the adjoint
+            at = lf.at(rng.normal(size=(2, 3)))
+            curv = ls.terminal_curvature(at, 0.0, 1.0, "exact_rank")
+            assert len(ls._multinomial_cholesky(at.probs)) == n_cls - 1
+            # only the two-class factor rides on the adjoint; more classes
+            # carry all C-1 as rank vectors
             assert (curv.adjoint_weights is None) == (n_cls > 2)
+            assert len(curv.factors) == (n_cls - 1 if n_cls > 2 else 0)
+            assert all(f.shape == (2, 3) for f in curv.factors)
 
     def test_softmax_two_class_closed_form(self):
         # C = 2: the one factor is sqrt(p0 p1) (e0 - e1)
         x = np.array([[0.3, -1.2], [4.0, 0.5], [-2.0, 2.0]])
         lf = ls.TerminalLoss(target=np.array([0, 1, 1]))
-        (factor,) = ls.terminal_curvature(lf.at(x), 0.0, 1.0, "exact_rank").factors
         p = ls._softmax(x)
+        (factor,) = ls._multinomial_cholesky(p)
         want = np.sqrt(p[:, :1] * p[:, 1:]) * np.array([1.0, -1.0])
         np.testing.assert_allclose(factor, want, rtol=1e-15, atol=0)
+        # the curvature holds it as the weighted gradient, up to each row's sign
+        curv = ls.terminal_curvature(lf.at(x), 0.0, 1.0, "exact_rank")
+        np.testing.assert_allclose(np.abs(curv.adjoint_weights[:, None] * curv.grad),
+                                   np.abs(want), rtol=1e-15, atol=0)
 
     def test_softmax_reconstruction_matches_accurate_reference(self):
         # the reference p_i (delta_ij - p_j), with its diagonal summed as
@@ -190,7 +200,13 @@ class TestTerminalCurvature:
             p = ls._softmax(x)
             assert np.any(p == 0.0)
             lf = ls.TerminalLoss(target=np.zeros(len(x), dtype=int))
-            ys = np.stack(ls.terminal_curvature(lf.at(x), 0.0, 1.0, "exact_rank").factors)
+            cols = ls._multinomial_cholesky(p)
+            # from three classes on, the curvature carries exactly these columns
+            curv = ls.terminal_curvature(lf.at(x), 0.0, 1.0, "exact_rank")
+            assert len(curv.factors) == (n_cls - 1 if n_cls > 2 else 0)
+            for got, want in zip(curv.factors, cols):
+                assert np.array_equal(got, want)
+            ys = np.stack(cols)
             recon = np.einsum("kbi,kbj->bij", ys, ys)
             ref = -p[:, :, None] * p[:, None, :]
             for i in range(n_cls):
@@ -209,7 +225,7 @@ class TestTerminalCurvature:
                             for scale in (1.0, 10.0, 100.0, 1000.0)])
         lf = ls.TerminalLoss(target=rng.integers(0, 2, size=len(x)))
         curv = ls.terminal_curvature(lf.at(x), 0.0, 1.0, "exact_rank")
-        (factor,), w = curv.factors, curv.adjoint_weights
+        (factor,), w = ls._multinomial_cholesky(ls._softmax(x)), curv.adjoint_weights
         p_o = ls._softmax(x)[np.arange(len(x)), 1 - lf.target]
         assert np.any(p_o == 0.0) and np.any((p_o > 0) & (p_o < np.finfo(float).tiny))
         assert np.all(np.isfinite(w))
@@ -220,6 +236,30 @@ class TestTerminalCurvature:
                                    np.abs(factor[normal]), rtol=1e-15, atol=0)
         wg = curv.grad * w[:, None]
         np.testing.assert_allclose(wg.T @ wg, factor.T @ factor, rtol=1e-14, atol=0)
+
+    def test_holds_exactly_one_form(self):
+        grad = np.ones((2, 3))
+        for kwargs in ({}, {"factors": [grad], "adjoint_weights": np.ones(2)}):
+            with pytest.raises(ValueError, match="exactly one of the two"):
+                ls.TerminalCurvature(grad, **kwargs)
+
+    def test_weighted_curvature_builds_no_rank_vector(self, monkeypatch):
+        # the surrogate and the two-class softmax never build the Cholesky columns
+        def refuse(probs):
+            raise AssertionError("built the multinomial Cholesky factor")
+
+        monkeypatch.setattr(ls, "_multinomial_cholesky", refuse)
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(4, 3))
+        losses = {n_cls: ls.TerminalLoss(target=np.arange(4) % n_cls, readout=ls.Readout(
+            weight=rng.normal(size=(n_cls, 3)), bias=np.zeros(n_cls))) for n_cls in (2, 3)}
+        for n_cls, mode in ((2, "exact_rank"), (2, "gauss_newton_scaled"),
+                            (3, "gauss_newton_scaled")):
+            curv = ls.terminal_curvature(losses[n_cls].at(x), 0.0, 1.0, mode)
+            assert not curv.factors and curv.adjoint_weights.shape == (4,)
+        # three classes under exact_rank do build it
+        with pytest.raises(AssertionError, match="Cholesky"):
+            ls.terminal_curvature(losses[3].at(x), 0.0, 1.0, "exact_rank")
 
     def test_requires_forward_interval(self):
         lf = ls.TerminalLoss(target=np.zeros(2))

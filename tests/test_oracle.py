@@ -81,6 +81,16 @@ class TestErrorStudy:
         assert by_label["rk4 h=1e-2"].grad_error < 1e-4
         assert by_label["rk4 h=1e-2"].curvature_error < 1e-3
 
+    def test_two_class_softmax_carries_its_weighted_factor(self):
+        # the curvature holds a two-class softmax's one factor as adjoint
+        # weights; the study must still carry it, or its curvature reads 0
+        spec = vf.MlpSpec(dims=(2, 4, 2), activations=("tanh", "identity"))
+        (row,) = error_study(spec, vf.init_params(spec, 3), np.array([[0.4, -0.2]]),
+                             TerminalLoss(target=np.array([1])),
+                             [("dopri5 1e-6", SolverConfig(method="dopri5", rtol=1e-6,
+                                                           atol=1e-6))])
+        assert row.grad_error < 1e-5 and row.curvature_error < 1e-5
+
     def test_monotone_in_tolerance(self, rows):
         by_label = {r.label: r for r in rows}
         assert by_label["rk4 h=1e-2"].grad_error < by_label["rk4 h=1e-1"].grad_error
