@@ -336,7 +336,7 @@ def _check_dense_curvature(tol_scale: float):
     lossfn = loss.TerminalLoss(target=np.zeros(2))
     curv = loss.terminal_curvature(lossfn.at(x1), 0.0, 1.0, "exact_rank")
     dense = oracle.dense_sweep(spec, theta, x1, curv, 0.0, 1.0, cfg)
-    jac = oracle.fd_flow_jacobian(spec, theta, x0, 0.0, 1.0, cfg)
+    jac = oracle.fd_gradient(lambda th: oracle.flow(spec, th, x0, 0.0, 1.0, cfg)[0], theta).T
     ref = jac.T @ curv.hessian() @ jac
     err = np.linalg.norm(dense.quu - ref) / np.linalg.norm(ref)
     return "dense curvature vs flow-jacobian reference", float(err), 1e-3 * tol_scale
@@ -389,12 +389,12 @@ def _check_horizon(tol_scale: float):
     lossfn = loss.TerminalLoss(target=rng.integers(0, 3, size=8),
                                readout=loss.init_readout(2, 3, 17))
     cfg = SolverConfig(method="rk4", fixed_step=1e-2)
-    t_bar, h = 0.8, oracle.FD_STEP
+    t_bar = 0.8
     x1 = oracle.flow(spec, theta, x0, 0.0, t_bar, cfg)
     terms = horizon.horizon_terms(spec, theta, x1, loss.grad_x1(lossfn.at(x1)), t_bar, 0.5)
-    up, down = (loss.loss_value(lossfn.at(oracle.flow(spec, theta, x0, 0.0, t, cfg)))
-                for t in (t_bar + h, t_bar - h))
-    fd = (up - down) / (2 * h)
+    fd = oracle.fd_gradient(
+        lambda t: loss.loss_value(lossfn.at(oracle.flow(spec, theta, x0, 0.0, t[0], cfg))),
+        np.array([t_bar]))[0]
     err = abs(terms.s - fd) / abs(fd)
     return "horizon sensitivity vs finite differences in T", float(err), 1e-6 * tol_scale
 

@@ -1,11 +1,14 @@
 """Independent brute-force references for the analytic sweeps.
 
-Central finite differences over the loss and over the flow provide the
-ground-truth surrogate for gradient and curvature checks, :func:`flow` is
-the one forward solve they difference, and :func:`error_study` tabulates
-how far the backward sweep drifts from them as the solver tolerances
-vary.  Finite differencing assumes a smooth
-field, so these references are only valid for tanh networks.
+One central difference, :func:`fd_gradient`, provides the ground-truth
+surrogate for every gradient and curvature check: it differences the loss
+for the gradient, the terminal state for the flow Jacobian and the loss
+in the horizon for dL/dT.  :func:`flow` is the one forward solve it
+differences, through the field training integrates
+(:func:`vector_field.value_field`), and :func:`error_study` tabulates how
+far the backward sweep drifts from these references as the solver
+tolerances vary.  Finite differencing assumes a smooth field, so these
+references are only valid for tanh networks.
 
 :func:`dense_sweep` is the desk-scale reference for the low-rank
 curvature blocks: it integrates the full matrix system (gradient pieces,
@@ -24,11 +27,11 @@ from . import vector_field as vf
 from .adjoint import adjoint_gradient
 from .kfac import triu_flat, triu_unpack
 from .loss import TerminalCurvature, TerminalLoss, loss_value, terminal_curvature
-from .odesolve import SolveReport, SolverConfig, odesolve
+from .odesolve import SolverConfig, odesolve
 
 # ground-truth surrogate solver for the error study
 REFERENCE_CFG = SolverConfig(method="dopri5", rtol=1e-12, atol=1e-12, max_steps=10_000_000)
-# central-difference step of both finite-difference references
+# central-difference step of every finite-difference reference
 FD_STEP = 1e-5
 
 
@@ -36,50 +39,28 @@ def flow(spec: vf.MlpSpec, theta: np.ndarray, x0: np.ndarray, t0: float, t1: flo
          cfg: SolverConfig) -> np.ndarray:
     """Terminal states at ``t1`` of the (batch, m) states ``x0`` at ``t0``."""
     x0 = vf.check_states(spec, x0)
-    weights = vf.unpack_params(spec, theta)
-    fld = lambda t, y: vf._forward(spec, weights, t, y.reshape(x0.shape),
-                                   value_only=True)[-1].ravel()
-    return odesolve(x0.ravel(), t0, t1, fld, cfg).terminal_state.reshape(x0.shape)
+    return odesolve(x0.ravel(), t0, t1, vf.value_field(spec, theta, x0.shape),
+                    cfg).terminal_state.reshape(x0.shape)
 
 
-def fd_gradient(lossfn, theta: np.ndarray) -> np.ndarray:
-    """Central-difference gradient of a scalar function of the parameters."""
-    h = FD_STEP
+def fd_gradient(fn, theta: np.ndarray) -> np.ndarray:
+    """Central differences of ``fn`` in each entry of the flat ``theta``,
+    stacked on a leading axis of ``theta.size``: the gradient of a scalar
+    ``fn``, the transposed Jacobian of an array-valued one."""
     theta = np.asarray(theta, dtype=float)
-    grad = np.empty_like(theta)
-    for i in range(theta.size):
-        step = np.zeros_like(theta)
-        step[i] = h
-        grad[i] = (lossfn(theta + step) - lossfn(theta - step)) / (2 * h)
-    return grad
-
-
-def fd_flow_jacobian(spec: vf.MlpSpec, theta: np.ndarray, x0: np.ndarray,
-                     t0: float, t1: float, cfg: SolverConfig) -> np.ndarray:
-    """Central differences of the terminal state of the batch of one ``x0``
-    w.r.t. each parameter: the (m, n) flow Jacobian."""
-    h = FD_STEP
-    vf.one_sample(x0, "x0")
-    jac = np.empty((spec.state_dim, theta.size))
-    for j in range(theta.size):
-        step = np.zeros_like(theta)
-        step[j] = h
-        jac[:, j] = (flow(spec, theta + step, x0, t0, t1, cfg)[0]
-                     - flow(spec, theta - step, x0, t0, t1, cfg)[0]) / (2 * h)
-    return jac
+    steps = FD_STEP * np.eye(theta.size)
+    return np.array([(fn(theta + step) - fn(theta - step)) / (2 * FD_STEP) for step in steps])
 
 
 @dataclass
 class DenseCurvatureState:
     """All cost-to-go derivatives at t0 from the matrix sweep."""
 
-    x0: np.ndarray      # (1, m)
     qx: np.ndarray      # (1, m)
     qu: np.ndarray      # (n,) gradient
     qxx: np.ndarray     # (m, m) symmetric
     qxu: np.ndarray     # (m, n)
     quu: np.ndarray     # (n, n) symmetric
-    report: SolveReport
 
 
 def dense_sweep(spec: vf.MlpSpec, theta: np.ndarray, x1: np.ndarray,
@@ -123,10 +104,9 @@ def dense_sweep(spec: vf.MlpSpec, theta: np.ndarray, x1: np.ndarray,
         return pack(f, dqx, dqu, dqxx, dqxu, dquu)
 
     y1 = pack(x1v, gradv, np.zeros(n), phi_xx, np.zeros((m, n)), np.zeros((n, n)))
-    report = odesolve(y1, t1, t0, field, cfg)
-    x0, qx, qu, qxx, qxu, quu = unpack(report.terminal_state)
-    return DenseCurvatureState(x0=x0[None].copy(), qx=qx[None].copy(), qu=qu.copy(),
-                               qxx=qxx, qxu=qxu.copy(), quu=quu, report=report)
+    _, qx, qu, qxx, qxu, quu = unpack(odesolve(y1, t1, t0, field, cfg).terminal_state)
+    return DenseCurvatureState(qx=qx[None].copy(), qu=qu.copy(), qxx=qxx, qxu=qxu.copy(),
+                               quu=quu)
 
 
 @dataclass
@@ -164,7 +144,7 @@ def error_study(spec: vf.MlpSpec, theta: np.ndarray, x0: np.ndarray,
 
     grad_ref = fd_gradient(
         lambda th: loss_value(lossfn.at(flow(spec, th, x0, t0, t1, REFERENCE_CFG))), theta)
-    jac = fd_flow_jacobian(spec, theta, x0, t0, t1, REFERENCE_CFG)
+    jac = fd_gradient(lambda th: flow(spec, th, x0, t0, t1, REFERENCE_CFG)[0], theta).T
     quu_ref = jac.T @ phi_xx @ jac
 
     rows = []

@@ -163,15 +163,9 @@ class _Run:
         self.first_loss = None           # the first record's train loss
 
     def forward(self, x0: np.ndarray) -> tuple[np.ndarray, SolveReport]:
-        batch, m = x0.shape
-        weights = vf.unpack_params(self.spec, self.theta)
-
-        def fld(t, y):
-            return vf._forward(self.spec, weights, t, y.reshape(batch, m),
-                               value_only=True)[-1].ravel()
-
-        rep = odesolve(x0.ravel(), self.cfg.t0, self.t1, fld, self.cfg.solver)
-        return rep.terminal_state.reshape(batch, m), rep
+        rep = odesolve(x0.ravel(), self.cfg.t0, self.t1,
+                       vf.value_field(self.spec, self.theta, x0.shape), self.cfg.solver)
+        return rep.terminal_state.reshape(x0.shape), rep
 
     def draw_batch(self) -> tuple[np.ndarray, TerminalLoss]:
         """Next minibatch: its positions in the training split and its loss."""

@@ -220,6 +220,13 @@ def eval(spec: MlpSpec, theta: np.ndarray, t: float, x: np.ndarray) -> np.ndarra
                     value_only=True)[-1]
 
 
+def value_field(spec: MlpSpec, theta: np.ndarray, shape: tuple[int, int]):
+    """The field over flat states of ``shape``, ``(t, y) -> F(t, y).ravel()``,
+    through the value path: the forward solve's right-hand side."""
+    weights = unpack_params(spec, theta)
+    return lambda t, y: _forward(spec, weights, t, y.reshape(shape), value_only=True)[-1].ravel()
+
+
 def _cotangents(spec: MlpSpec, weights: Weights, zs: list[np.ndarray],
                 q: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     """Reverse traversal: per-layer ``g^k = (dF/dh^k)^T q`` plus ``(dF/dx)^T q``.

@@ -7,7 +7,7 @@ from snopt_kit.adjoint import adjoint_gradient
 from snopt_kit.loss import TerminalCurvature
 from snopt_kit.odesolve import SolverConfig
 from snopt_kit.optimizer import apply_weight_decay
-from snopt_kit.oracle import dense_sweep, fd_flow_jacobian, flow
+from snopt_kit.oracle import dense_sweep, fd_gradient, flow
 
 TIGHT = SolverConfig(method="dopri5", rtol=1e-10, atol=1e-10)
 
@@ -60,7 +60,7 @@ class TestDenseSweep:
         ys = [rng.normal(size=(1, 2)) for _ in range(2)]
         curv = TerminalCurvature(grad=rng.normal(size=(1, 2)), factors=ys)
         out = dense_sweep(spec, theta, x1, curv, 0.0, 1.0, TIGHT)
-        jac = fd_flow_jacobian(spec, theta, x0, 0.0, 1.0, TIGHT)
+        jac = fd_gradient(lambda th: flow(spec, th, x0, 0.0, 1.0, TIGHT)[0], theta).T
         phi_xx = curv.hessian()
         assert rel_fro(out.quu, jac.T @ phi_xx @ jac) < 1e-3
 

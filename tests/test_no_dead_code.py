@@ -16,6 +16,9 @@ directories passes it, by keyword or by position, to a callee of the
 function's name (a class's name, or ``cls``, for its ``__init__``); a call
 that unpacks ``*args`` or ``**kwargs`` may pass any parameter of its kind.
 The parameters of entry points, which a shell fills, are exempt.
+
+A dataclass field counts as read only when those directories read it as an
+attribute; an assignment to it does not count.
 """
 
 import ast
@@ -149,3 +152,35 @@ def test_every_module_constant_is_read():
     used, _ = _references()
     unread = [where for where, name in _module_constants() if name not in used]
     assert unread == [], "module-level names nothing outside the tests reads: " + ", ".join(unread)
+
+
+# the dense reference's first-order outputs: the tests hold the adjoint
+# sweep against them, and nothing outside the tests reads them
+REFERENCE_FIELDS = {"DenseCurvatureState.qx", "DenseCurvatureState.qu"}
+
+
+def _is_dataclass(cls):
+    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+               for d in cls.decorator_list)
+
+
+def test_every_dataclass_field_is_read():
+    """Every annotated field of a ``@dataclass`` in the package is read as an
+    attribute in ``src/``, ``scripts/`` or ``bench/``.
+
+    Fields are matched by name, like methods: a field passes when any
+    attribute of its name is read, so an instance attribute that shares a
+    live name (``TrainAbort.iteration`` with ``TrainRecord.iteration``)
+    still passes.
+    """
+    read = {node.attr for _, tree in _trees("src", "scripts", "bench")
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{path.relative_to(ROOT)}:{node.lineno} {cls.name}.{node.target.id}"
+              for path, tree in _trees("src/snopt_kit")
+              for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+              for node in cls.body
+              if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+              and node.target.id not in read
+              and f"{cls.name}.{node.target.id}" not in REFERENCE_FIELDS]
+    assert unread == [], "dataclass fields nothing outside the tests reads: " + ", ".join(unread)

@@ -4,9 +4,8 @@ import pytest
 from snopt_kit import vector_field as vf
 from snopt_kit.loss import TerminalLoss
 from snopt_kit.odesolve import SolverConfig
-from snopt_kit.oracle import (ErrorRow, error_study, fd_flow_jacobian,
-                              fd_gradient, flow, format_error_study_markdown,
-                              write_error_study_csv)
+from snopt_kit.oracle import (ErrorRow, error_study, fd_gradient, flow,
+                              format_error_study_markdown, write_error_study_csv)
 
 
 class TestFlow:
@@ -39,21 +38,34 @@ class TestFdGradient:
         want = 2 * fu.T @ f
         assert np.linalg.norm(fd_gradient(fn, theta) - want) < 1e-8 * np.linalg.norm(want)
 
+    def test_array_valued_function_stacks_on_the_parameter_axis(self):
+        # theta -> A theta, (m,) from (n,): row i is column i of A, so the stack is A^T, (n, m)
+        a = np.array([[1.0, -2.0, 0.5], [3.0, 0.25, -1.0]])
+        got = fd_gradient(lambda th: a @ th, np.array([0.3, -1.2, 0.8]))
+        assert got.shape == (3, 2)
+        assert np.max(np.abs(got - a.T)) < 1e-9
+
 
 class TestFdFlowJacobian:
+    """The flow Jacobian as the references take it: the central differences
+    of the terminal state of a batch of one, transposed to (m, n)."""
+
     def test_zero_field(self):
         # bias-free linear field from the origin stays at zero for every theta
         spec = vf.MlpSpec(dims=(2, 2), activations=("identity",), bias=False)
         theta = np.zeros(vf.num_params(spec))
         cfg = SolverConfig(method="rk4", fixed_step=0.1)
-        jac = fd_flow_jacobian(spec, theta, np.zeros((1, 2)), 0.0, 1.0, cfg)
+        jac = fd_gradient(lambda th: flow(spec, th, np.zeros((1, 2)), 0.0, 1.0, cfg)[0],
+                          theta).T
+        assert jac.shape == (2, theta.size)
         assert np.max(np.abs(jac)) < 1e-9
 
     def test_scalar_linear_closed_form(self):
         # dx/dt = w x at w=0, x0=1: d x(1) / d w = 1
         spec = vf.MlpSpec(dims=(1, 1), activations=("identity",), bias=False)
         cfg = SolverConfig(method="rk4", fixed_step=0.01)
-        jac = fd_flow_jacobian(spec, np.zeros(1), np.array([[1.0]]), 0.0, 1.0, cfg)
+        jac = fd_gradient(lambda th: flow(spec, th, np.array([[1.0]]), 0.0, 1.0, cfg)[0],
+                          np.zeros(1)).T
         assert jac[0, 0] == pytest.approx(1.0, abs=1e-6)
 
 

@@ -11,6 +11,7 @@ from snopt_kit.adjoint import adjoint_gradient
 from snopt_kit.kfac import accumulate_factors
 from snopt_kit.loss import TerminalCurvature, grad_x1
 from snopt_kit.odesolve import SolverConfig
+from snopt_kit.oracle import flow
 
 
 def small_config(**kw):
@@ -331,6 +332,16 @@ class TestSharedForward:
             rows.append(run.forward(run.ds.inputs[run.ds.train_idx])[0][pos])
         np.testing.assert_array_equal(x1, rows[0])
         assert np.linalg.norm(x1 - rows[1]) <= 1e-5 * np.linalg.norm(rows[1])
+
+    def test_training_and_the_references_integrate_the_same_field(self):
+        # the references' forward solve is training's, bit for bit: both
+        # integrate vector_field.value_field over the whole batch
+        cfg = tr.ExperimentConfig()
+        run = tr._Run(cfg)
+        x0 = run.ds.inputs[run.ds.train_idx]
+        x1, _ = run.forward(x0)
+        ref = flow(cfg.model, run.theta, x0, cfg.t0, cfg.t1, cfg.solver)
+        assert np.array_equal(x1, ref)
 
 
 class TestMemoryProbe:
