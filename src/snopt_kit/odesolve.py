@@ -167,9 +167,11 @@ def _solve_fixed(y0, t_start, t_end, fn, cfg: SolverConfig, q0) -> SolveReport:
     c, a, b = _FIXED[cfg.method]
     direction = 1.0 if t_end >= t_start else -1.0
     h = cfg.fixed_step
-    n_steps = max(1, int(np.ceil(abs(t_end - t_start) / h - 1e-12)))
-    if n_steps > cfg.max_steps:
-        raise MaxStepsExceeded(f"{n_steps} fixed steps exceed max_steps={cfg.max_steps}")
+    # counted as a float first: a span over a subnormal step overflows to inf
+    steps = max(1.0, np.ceil(abs(t_end - t_start) / h - 1e-12))
+    if steps > cfg.max_steps:
+        raise MaxStepsExceeded(f"{steps:.0f} fixed steps exceed max_steps={cfg.max_steps}")
+    n_steps = int(steps)
 
     y, q = y0, q0
     k = np.empty((b.size, y.size))

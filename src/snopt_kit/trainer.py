@@ -23,10 +23,13 @@ from its labels (``loss.TerminalLoss``): class labels take softmax_ce
 through a readout of one row per class (or on the state with
 ``loss.readout`` off), and regression targets take mse on the state.
 
-Randomness is split into three Philox streams derived from the run seed:
-the dataset, parameter/readout initialization (seed+1), and batch
-sampling (seed+2).  Two runs with the same config produce identical
-records up to wall-clock fields.
+Randomness comes from Philox generators seeded from the run seed: the
+dataset (seed), batch sampling (seed+2), and two generators both seeded
+with seed+1, one for the field's parameters and one for the readout.
+Those two draw the same numbers, so they are not independent: the
+readout starts as the field's first-layer block ``W0[:C, :m]`` scaled by
+the ratio of the two init bounds.  Two runs with the same config produce
+identical records up to wall-clock fields.
 """
 
 from __future__ import annotations

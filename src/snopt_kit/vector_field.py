@@ -16,6 +16,11 @@ stack its groups on a leading axis, ``(groups, batch, m)``.  Backward-solve
 hot loops unpack the flat parameters once via :func:`unpack_params`,
 allocate the layer inputs once via :func:`_trace_inputs` and call the
 underscored variants.
+
+A forward pass keeps its trace only in buffers its caller owns: given the
+layer inputs of :func:`_trace_inputs`, :func:`_forward` writes the trace
+into them and returns ``[*inputs, F]``; without them it is the value path
+and returns ``[F]`` alone.
 """
 
 from __future__ import annotations
@@ -172,26 +177,26 @@ def _trace_inputs(spec: MlpSpec, batch: int) -> list[np.ndarray]:
 
 
 def _forward(spec: MlpSpec, weights: Weights, t: float, x: np.ndarray, *,
-             value_only: bool = False, inputs: list[np.ndarray] | None = None,
+             inputs: list[np.ndarray] | None = None,
              out: np.ndarray | None = None) -> list[np.ndarray]:
-    """The layer trace ``zs`` at ``(t, x)``; with ``value_only``, ``[F]``, the value alone.
+    """The layer trace ``[*inputs, F]`` at ``(t, x)`` when given ``inputs``, else ``[F]``.
 
-    ``zs[k]`` is ``zbar^k``, the homogeneous input to layer ``k``: a
-    column-major ``(batch, zbar_widths[k])`` array whose last column is the
-    bias's 1 (``zs[0]`` holds the time column before it when concatenated).
-    ``zs[-1]`` is the field value, a plain ``(batch, m)`` array.  No
+    ``inputs`` are the layer inputs of :func:`_trace_inputs`, whose ones
+    columns are already set; the trace is written into them, so the caller
+    owns it and the next call with them overwrites it.  ``zs[k]`` is
+    ``zbar^k``, the homogeneous input to layer ``k``: a column-major
+    ``(batch, zbar_widths[k])`` array whose last column is the bias's 1
+    (``zs[0]`` holds the time column before it when concatenated).
+    ``zs[-1]`` is the field value, a plain ``(batch, m)`` array, written
+    into ``out`` when given, a C-ordered array of that shape.  No
     pre-activation is kept: the reverse pass reads every activation
     derivative off the layer's output (:func:`_act_deriv`).  Replaying
     ``act(zs[k] @ Wbar_k.T)`` from any ``zs[k]`` reproduces the suffix
     bit-exactly.
 
-    The value path drops each layer input once the next one is written, so
-    it holds at most two consecutive layer inputs instead of the whole
-    trace.  A caller that evaluates the field many times can pass the layer
-    inputs of :func:`_trace_inputs` as ``inputs``, whose ones columns are
-    already set, and a C-ordered ``(batch, m)`` array as ``out``: the trace
-    is then written into them, ``zs[:-1]`` is ``inputs`` and ``zs[-1]`` is
-    ``out``, and the next call with them overwrites this trace.
+    Without ``inputs`` this is the value path: each layer input is
+    allocated as it is written and dropped once the next one exists, so it
+    holds at most two consecutive layer inputs instead of the whole trace.
     """
     # each hidden output is written straight into the next layer's input; the
     # column-major slice it fills is contiguous, so matmul needs no temporary
@@ -199,32 +204,25 @@ def _forward(spec: MlpSpec, weights: Weights, t: float, x: np.ndarray, *,
     z = _homogeneous(spec, batch, spec.dims[0]) if inputs is None else inputs[0]
     z[:, :m] = x
     z[:, m:spec.dims[0]] = t
-    zs = [z]
-    for name, w in zip(spec.activations, weights[:-1]):
+    for k, (name, w) in enumerate(zip(spec.activations, weights[:-1]), 1):
         l = w.shape[0]
-        # without value_only, zs holds every input so far: len(zs) is this layer's index
-        z = _homogeneous(spec, batch, l) if inputs is None else inputs[len(zs)]
-        _act(name, np.matmul(zs[-1], w.T, out=z[:, :l]))
-        if value_only:
-            zs.pop()
-        zs.append(z)
-    zs.append(_act(spec.activations[-1], np.matmul(zs[-1], weights[-1].T, out=out)))
-    if value_only:
-        del zs[:-1]
-    return zs
+        z_next = _homogeneous(spec, batch, l) if inputs is None else inputs[k]
+        _act(name, np.matmul(z, w.T, out=z_next[:, :l]))
+        z = z_next
+    value = _act(spec.activations[-1], np.matmul(z, weights[-1].T, out=out))
+    return [value] if inputs is None else [*inputs, value]
 
 
 def eval(spec: MlpSpec, theta: np.ndarray, t: float, x: np.ndarray) -> np.ndarray:
     """The field's value at ``(batch, m)`` states, through the value path: no trace is kept."""
-    return _forward(spec, unpack_params(spec, theta), t, check_states(spec, x),
-                    value_only=True)[-1]
+    return _forward(spec, unpack_params(spec, theta), t, check_states(spec, x))[-1]
 
 
 def value_field(spec: MlpSpec, theta: np.ndarray, shape: tuple[int, int]):
     """The field over flat states of ``shape``, ``(t, y) -> F(t, y).ravel()``,
     through the value path: the forward solve's right-hand side."""
     weights = unpack_params(spec, theta)
-    return lambda t, y: _forward(spec, weights, t, y.reshape(shape), value_only=True)[-1].ravel()
+    return lambda t, y: _forward(spec, weights, t, y.reshape(shape))[-1].ravel()
 
 
 def _cotangents(spec: MlpSpec, weights: Weights, zs: list[np.ndarray],
@@ -288,7 +286,7 @@ def jacobians(spec: MlpSpec, theta: np.ndarray, t: float,
     if x.ndim != 1:
         raise DimensionMismatch("jacobians expects a single state vector")
     weights = unpack_params(spec, theta)
-    zs = _forward(spec, weights, t, x[None, :])
+    zs = _forward(spec, weights, t, x[None, :], inputs=_trace_inputs(spec, 1))
     gs, r = _cotangents(spec, weights, zs, np.eye(spec.state_dim)[:, None, :])
     fu = _param_grad_from_cotangents(spec, zs, gs)
     return zs[-1][0], r[:, 0], fu

@@ -284,6 +284,23 @@ class TestFailureExitCodes:
         assert rc == 2
         assert "MaxStepsExceeded" in capsys.readouterr().err
 
+    def test_subnormal_fixed_step_exit_2(self, config_path, tmp_path, capsys):
+        # the step count overflows to inf: max_steps refuses it before it is
+        # made an integer, so train exits 2 and a grid marks the cell aborted
+        rc = cli.main(["train", config_path, "--out", str(tmp_path / "o.csv"),
+                       "--override", "solver.fixed_step=1e-320",
+                       "--override", "train.iterations=1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numeric abort: ") and "MaxStepsExceeded: inf fixed steps" in err
+        grid = tmp_path / "grid.ini"
+        grid.write_text("[grid]\nsolver.fixed_step = 1e-320, 0.1\n")
+        out_dir = tmp_path / "cells"
+        assert cli.cmd_grid(config_path, str(grid), str(out_dir)) == 0
+        rows = (out_dir / "summary.csv").read_text().strip().split("\n")[1:]
+        assert [row.split(",")[-1] for row in rows] == ["1", "0"]
+        assert "cell 0 aborted" in capsys.readouterr().err
+
     def test_singular_factor_exit_2(self, tmp_path, monkeypatch, capsys):
         # an eigendecomposition that fails to converge inside the update
         def no_convergence(mat):

@@ -30,23 +30,24 @@ class TestHorizonTerms:
         assert terms.qtt == pytest.approx(0.7)
 
     def test_reads_the_value_path(self, monkeypatch):
-        # F(T, x1) comes from one value-only evaluation, the full trace's last
-        # entry bit for bit
+        # F(T, x1) comes from one value-path evaluation, which passes no layer
+        # inputs, and equals the full trace's last entry bit for bit
         spec = vf.MlpSpec(dims=(2, 16, 16, 2), activations=("tanh", "tanh", "identity"))
         theta = vf.init_params(spec, 2)
         rng = np.random.default_rng(4)
         x1, phi_grad = rng.normal(size=(32, 2)), rng.normal(size=(32, 2))
-        f = vf._forward(spec, vf.unpack_params(spec, theta), 0.8, x1)[-1]
+        f = vf._forward(spec, vf.unpack_params(spec, theta), 0.8, x1,
+                        inputs=vf._trace_inputs(spec, 32))[-1]
         modes = []
         forward = vf._forward
 
         def logged(*args, **kwargs):
-            modes.append(kwargs.get("value_only", False))
+            modes.append(kwargs.get("inputs"))
             return forward(*args, **kwargs)
 
         monkeypatch.setattr(vf, "_forward", logged)
         terms = horizon_terms(spec, theta, x1, phi_grad, t_bar=0.8, penalty=0.5)
-        assert modes == [True]
+        assert modes == [None]
         assert terms.s == float(np.mean(np.sum(phi_grad * f, axis=1)))
 
     def test_degenerate_all_zero(self):

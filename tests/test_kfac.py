@@ -65,7 +65,7 @@ def assert_same_sweep(spec, theta, x1, curv, ref_curv, t0, t1, solver, b_tol):
 def terms_at(spec, theta, t, x, qs):
     """Full factor matrices A_n(t), B_n(t) at states ``x`` for the rank vectors ``qs``."""
     weights = vf.unpack_params(spec, theta)
-    trace = vf._forward(spec, weights, t, x)
+    trace = vf._forward(spec, weights, t, x, inputs=vf._trace_inputs(spec, x.shape[0]))
     gs, _ = vf._cotangents(spec, weights, trace, qs)
     return _unpack_factors(spec, packed_terms(spec, trace, gs))
 
@@ -89,7 +89,7 @@ class TestFactorTerms:
         x = np.array([[0.4, -0.7]])
         q = np.array([[[0.9, -0.3]]])
         terms = terms_at(spec, theta, 0.7, x, q)
-        trace = vf._forward(spec, weights, 0.7, x)
+        trace = vf._forward(spec, weights, 0.7, x, inputs=vf._trace_inputs(spec, 1))
         gs, _ = vf._cotangents(spec, weights, trace, q)
         for k in range(spec.n_layers):
             zbar = trace[k][0]
@@ -115,7 +115,8 @@ class TestFactorTerms:
         spec = vf.MlpSpec(dims=(2, 16, 16, 2), activations=("tanh", "tanh", "identity"))
         weights = vf.unpack_params(spec, vf.init_params(spec, 0))
         rng = np.random.default_rng(5)
-        trace = vf._forward(spec, weights, 0.3, rng.normal(size=(128, 2)))
+        trace = vf._forward(spec, weights, 0.3, rng.normal(size=(128, 2)),
+                            inputs=vf._trace_inputs(spec, 128))
         q = rng.normal(size=(128, 2))
         seed = q.copy()
         w = rng.uniform(0.5, 2.0, size=128)
@@ -148,7 +149,7 @@ class TestFactorTerms:
         weights = vf.unpack_params(spec, theta)
         rng = np.random.default_rng(5)
         x, qs = rng.normal(size=(6, 2)), rng.normal(size=(2, 6, 2))
-        trace = vf._forward(spec, weights, 0.4, x)
+        trace = vf._forward(spec, weights, 0.4, x, inputs=vf._trace_inputs(spec, 6))
         gs, _ = vf._cotangents(spec, weights, trace, qs)
         packed = packed_terms(spec, trace, gs)
         assert packed.size == sum(n * (n + 1) // 2 for n in (4, 6, 5, 5, 4, 2))
@@ -208,7 +209,7 @@ class TestAccumulateFactors:
                                      want.a_factors + want.b_factors):
                     assert np.array_equal(mine, ref)
                 # the stage's derivative is the field and the adjoint ODE there
-                trace = vf._forward(spec, weights, t, x)
+                trace = vf._forward(spec, weights, t, x, inputs=vf._trace_inputs(spec, x.shape[0]))
                 _, r = vf._cotangents(spec, weights, trace, cot)
                 assert np.array_equal(k, np.concatenate([trace[-1].ravel(), -r.ravel()]))
             for side in ("a_factors", "b_factors"):

@@ -538,6 +538,13 @@ class TestErrors:
         with pytest.raises(MaxStepsExceeded):
             odesolve(np.array([1.0]), 0.0, 1.0, lambda t, y: y, cfg)
 
+    def test_max_steps_refuses_an_overflowing_step_count(self):
+        # the span over a subnormal step is inf steps: refused as too many,
+        # before the count is made an integer, and the field is never called
+        cfg = SolverConfig(method="rk4", fixed_step=1e-320)
+        with pytest.raises(MaxStepsExceeded, match="inf fixed steps"):
+            odesolve(np.array([1.0]), 0.0, 1.0, lambda t, y: pytest.fail("field called"), cfg)
+
     # the blowup overflows in the field's own y ** 2, which numpy warns of
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_state(self):

@@ -343,6 +343,28 @@ class TestSharedForward:
         ref = flow(cfg.model, run.theta, x0, cfg.t0, cfg.t1, cfg.solver)
         assert np.array_equal(x1, ref)
 
+    def test_forward_solves_keep_no_trace(self, monkeypatch):
+        # training's forward solve and the references' flow read the field
+        # value alone: every evaluation takes the value path, with no layer
+        # inputs, and gets back [F]
+        cfg = small_config()
+        run = tr._Run(cfg)
+        x0 = run.ds.inputs[run.ds.train_idx]
+        calls = []
+        forward = vf._forward
+
+        def logged(*args, **kwargs):
+            out = forward(*args, **kwargs)
+            calls.append((kwargs.get("inputs"), len(out)))
+            return out
+
+        monkeypatch.setattr(vf, "_forward", logged)
+        _, rep = run.forward(x0)
+        assert len(calls) == rep.nfe and set(calls) == {(None, 1)}
+        calls.clear()
+        flow(cfg.model, run.theta, x0, cfg.t0, cfg.t1, cfg.solver)
+        assert len(calls) == rep.nfe and set(calls) == {(None, 1)}
+
 
 class TestMemoryProbe:
     def test_probe_independent_of_tolerance(self):

@@ -13,15 +13,16 @@ def tanh_spec():
 
 
 def trace_at(spec, theta, t, x):
-    """The full layer trace of the field at ``(t, x)``."""
-    return vf._forward(spec, vf.unpack_params(spec, theta), t, x)
+    """The full layer trace of the field at ``(t, x)``, in new layer inputs."""
+    return vf._forward(spec, vf.unpack_params(spec, theta), t, x,
+                       inputs=vf._trace_inputs(spec, x.shape[0]))
 
 
 def vjps(spec, theta, x, q):
     """``(dF/dx)^T q``, ``(dF/dtheta)^T q`` and the per-layer cotangents of
     the batch of one ``x`` with cotangent ``q``, both (1, m)."""
     weights = vf.unpack_params(spec, theta)
-    trace = vf._forward(spec, weights, 0.0, x)
+    trace = vf._forward(spec, weights, 0.0, x, inputs=vf._trace_inputs(spec, x.shape[0]))
     gs, r = vf._cotangents(spec, weights, trace, q)
     flat = vf._param_grad_from_cotangents(spec, trace, gs)
     return r[0], flat, [g[0] for g in gs]
@@ -179,11 +180,11 @@ class TestEval:
         spec = vf.MlpSpec(dims=(2, 16, 16, 2), activations=("tanh", "tanh", "identity"))
         weights = vf.unpack_params(spec, vf.init_params(spec, 0))
         x = np.random.default_rng(0).normal(size=(400, 2))
-        vf._forward(spec, weights, 0.0, x)
+        vf._forward(spec, weights, 0.0, x, inputs=vf._trace_inputs(spec, 400))
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            trace = vf._forward(spec, weights, 0.0, x)
+            trace = vf._forward(spec, weights, 0.0, x, inputs=vf._trace_inputs(spec, 400))
             kept, peak = (v - before for v in tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
@@ -192,23 +193,52 @@ class TestEval:
         assert peak < 400 * (3 + 17 + 17 + 2) * 8 + 4096
 
     def test_value_path_keeps_two_layer_inputs(self):
-        # the plain flows read only the field value: a warm value-only 400-row
+        # the plain flows read only the field value: a warm value-path 400-row
         # forward through 2-16-16-2 peaks at two consecutive homogeneous layer
         # inputs (108,800 bytes), below the whole trace's 124,800
         spec = vf.MlpSpec(dims=(2, 16, 16, 2), activations=("tanh", "tanh", "identity"))
         weights = vf.unpack_params(spec, vf.init_params(spec, 0))
         x = np.random.default_rng(0).normal(size=(400, 2))
-        vf._forward(spec, weights, 0.0, x, value_only=True)
+        vf._forward(spec, weights, 0.0, x)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            value = vf._forward(spec, weights, 0.0, x, value_only=True)
+            value = vf._forward(spec, weights, 0.0, x)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
         assert len(value) == 1
-        assert np.array_equal(value[0], vf._forward(spec, weights, 0.0, x)[-1])
+        trace = vf._forward(spec, weights, 0.0, x, inputs=vf._trace_inputs(spec, 400))
+        assert np.array_equal(value[0], trace[-1])
         assert peak < 8 * 400 * (17 + 17) + 4096
+
+    def test_trace_lives_in_the_callers_buffers(self):
+        # given layer inputs and an output array, the trace is those very
+        # arrays, and the next call with them overwrites it
+        spec = vf.MlpSpec(dims=(3, 5, 4, 2), activations=("tanh", "tanh", "identity"),
+                          time_input="concat")
+        weights = vf.unpack_params(spec, vf.init_params(spec, 3))
+        rng = np.random.default_rng(6)
+        inputs, out = vf._trace_inputs(spec, 7), np.empty((7, 2))
+        trace = vf._forward(spec, weights, 0.4, rng.normal(size=(7, 2)), inputs=inputs, out=out)
+        assert len(trace) == len(inputs) + 1
+        assert all(z is buf for z, buf in zip(trace[:-1], inputs))
+        assert trace[-1] is out
+        again = vf._forward(spec, weights, 0.4, rng.normal(size=(7, 2)), inputs=inputs)
+        assert all(z is buf for z, buf in zip(again[:-1], inputs))
+        assert again[-1] is not out and again[-1].shape == (7, 2)
+
+    def test_value_path_returns_the_value_alone(self):
+        # without layer inputs the call keeps no trace: one fresh (batch, m)
+        # array, equal bit for bit to a traced call's last entry
+        spec = vf.MlpSpec(dims=(2, 16, 16, 2), activations=("tanh", "tanh", "identity"))
+        weights = vf.unpack_params(spec, vf.init_params(spec, 1))
+        x = np.random.default_rng(7).normal(size=(9, 2))
+        value = vf._forward(spec, weights, 0.2, x)
+        assert len(value) == 1 and value[0].shape == (9, 2)
+        assert not np.shares_memory(value[0], x)
+        trace = vf._forward(spec, weights, 0.2, x, inputs=vf._trace_inputs(spec, 9))
+        assert np.array_equal(value[0], trace[-1])
 
     def test_trace_without_bias_has_no_ones_column(self):
         spec = vf.MlpSpec(dims=(3, 4, 2), activations=("tanh", "identity"),
@@ -247,7 +277,8 @@ class TestActivationDerivatives:
         spec = tanh_spec()
         weights = vf.unpack_params(spec, vf.init_params(spec, 7))
         rng = np.random.default_rng(1)
-        trace = vf._forward(spec, weights, 0.0, rng.normal(size=(3, 2)))
+        trace = vf._forward(spec, weights, 0.0, rng.normal(size=(3, 2)),
+                            inputs=vf._trace_inputs(spec, 3))
         q = rng.normal(size=(3, 2))
         gs, _ = vf._cotangents(spec, weights, trace, q.copy())
         assert np.array_equal(gs[-1], q)
@@ -271,7 +302,8 @@ class TestVjps:
         spec = vf.MlpSpec(dims=(2, 5, 3, 2), activations=("tanh", "tanh", "tanh"))
         weights = vf.unpack_params(spec, vf.init_params(spec, 9))
         rng = np.random.default_rng(2)
-        trace = vf._forward(spec, weights, 0.0, rng.normal(size=(4, 2)))
+        trace = vf._forward(spec, weights, 0.0, rng.normal(size=(4, 2)),
+                            inputs=vf._trace_inputs(spec, 4))
         q = rng.normal(size=(2, 4, 2))
         seed = q.copy()
         gs, _ = vf._cotangents(spec, weights, trace, q)
@@ -284,7 +316,8 @@ class TestVjps:
                           time_input="concat")
         w0, w1 = weights = vf.unpack_params(spec, vf.init_params(spec, 12))
         rng = np.random.default_rng(4)
-        trace = vf._forward(spec, weights, 0.3, rng.normal(size=(5, 2)))
+        trace = vf._forward(spec, weights, 0.3, rng.normal(size=(5, 2)),
+                            inputs=vf._trace_inputs(spec, 5))
         q = rng.normal(size=(2, 5, 2))
         _, r = vf._cotangents(spec, weights, trace, q)
         assert r.shape == q.shape
@@ -298,7 +331,8 @@ class TestVjps:
         spec = vf.MlpSpec(dims=(2, 16, 16, 2), activations=("tanh", "tanh", "identity"))
         weights = vf.unpack_params(spec, vf.init_params(spec, 0))
         rng = np.random.default_rng(3)
-        trace = vf._forward(spec, weights, 0.0, rng.normal(size=(128, 2)))
+        trace = vf._forward(spec, weights, 0.0, rng.normal(size=(128, 2)),
+                            inputs=vf._trace_inputs(spec, 128))
         q = rng.normal(size=(128, 2))
         seed = q.copy()
         vf._cotangents(spec, weights, trace, q)
