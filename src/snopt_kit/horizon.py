@@ -20,12 +20,12 @@ iteration:
     T <- clamp(T - eta_T * dT)
 
 applied once every ``period`` iterations from exponential moving averages
-of the per-iteration terms.  The first-order baseline drops the curvature
-scaling and the feedback.
+of the per-iteration terms, at the constant rate ``_EMA``.  The
+first-order baseline drops the curvature scaling and the feedback.
 
-The bound itself belongs to the caller, which passes its current value in
-and keeps the one returned; ``HorizonState`` holds only the settings and
-the moving averages.
+The caller keeps the bound and the moving average (a
+:class:`HorizonTerms`), passes both in, and keeps the ones returned; each
+step takes its settings, a :class:`HorizonConfig`, as an argument.
 """
 
 from __future__ import annotations
@@ -41,6 +41,10 @@ class NonFiniteUpdate(RuntimeError):
     pass
 
 
+# weight of the running average against each new iteration's terms
+_EMA = 0.9
+
+
 @dataclass(frozen=True)
 class HorizonConfig:
     enabled: bool = False
@@ -50,7 +54,6 @@ class HorizonConfig:
     period: int = 75                 # iterations between bound updates
     t_min: float = 0.05
     t_max: float = 2.0
-    ema: float = 0.9
 
     def __post_init__(self):
         if self.policy not in ("feedback", "first_order"):
@@ -62,8 +65,6 @@ class HorizonConfig:
             raise ValueError("horizon penalty and lr must be positive and finite")
         if not -np.inf < self.t_min < self.t_max < np.inf:
             raise ValueError("need finite horizon t_min < t_max")
-        if not 0.0 <= self.ema < 1.0:
-            raise ValueError("horizon ema must lie in [0, 1)")
 
 
 @dataclass
@@ -73,22 +74,14 @@ class HorizonTerms:
     s: float
 
 
-@dataclass
-class HorizonState:
-    config: HorizonConfig
-    avg_qt: float | None = None
-    avg_qtt: float | None = None
-    avg_s: float | None = None
-
-    def observe(self, terms: HorizonTerms):
-        """Fold one iteration's terms into the moving averages."""
-        if self.avg_qt is None:
-            self.avg_qt, self.avg_qtt, self.avg_s = terms.qt, terms.qtt, terms.s
-        else:
-            w = self.config.ema
-            self.avg_qt = w * self.avg_qt + (1 - w) * terms.qt
-            self.avg_qtt = w * self.avg_qtt + (1 - w) * terms.qtt
-            self.avg_s = w * self.avg_s + (1 - w) * terms.s
+def average(avg: HorizonTerms | None, terms: HorizonTerms) -> HorizonTerms:
+    """The moving average ``avg`` with one iteration's ``terms`` folded in;
+    the first iteration's terms start it."""
+    if avg is None:
+        return terms
+    return HorizonTerms(qt=_EMA * avg.qt + (1 - _EMA) * terms.qt,
+                        qtt=_EMA * avg.qtt + (1 - _EMA) * terms.qtt,
+                        s=_EMA * avg.s + (1 - _EMA) * terms.s)
 
 
 def horizon_terms(spec: vf.MlpSpec, theta: np.ndarray, x1: np.ndarray,
@@ -100,22 +93,20 @@ def horizon_terms(spec: vf.MlpSpec, theta: np.ndarray, x1: np.ndarray,
     return HorizonTerms(qt=penalty * t_bar + s, qtt=penalty + s * s, s=s)
 
 
-def horizon_step(state: HorizonState, t_bar: float, grad: np.ndarray,
+def horizon_step(avg: HorizonTerms, cfg: HorizonConfig, t_bar: float, grad: np.ndarray,
                  dtheta: np.ndarray) -> float:
-    """Second-order feedback update of the bound ``t_bar``; returns the new bound."""
-    if state.avg_qtt is None or state.avg_qtt <= 0:
-        raise NonFiniteUpdate("moving averages not populated")
-    feedback = state.avg_s * float(np.dot(np.asarray(grad), np.asarray(dtheta)))
-    dt = (state.avg_qt + feedback) / state.avg_qtt
+    """Second-order feedback update of the bound ``t_bar`` from the moving
+    average ``avg``; returns the new bound.  ``avg.qtt`` is positive, as
+    every iteration's ``Q_TT = c + s^2 >= c > 0`` is."""
+    feedback = avg.s * float(np.dot(np.asarray(grad), np.asarray(dtheta)))
+    dt = (avg.qt + feedback) / avg.qtt
     if not np.isfinite(dt):
         raise NonFiniteUpdate(f"non-finite bound update {dt}")
-    cfg = state.config
     return float(np.clip(t_bar - cfg.lr * dt, cfg.t_min, cfg.t_max))
 
 
-def first_order_horizon_step(state: HorizonState, t_bar: float) -> float:
+def first_order_horizon_step(avg: HorizonTerms, cfg: HorizonConfig, t_bar: float) -> float:
     """Plain gradient step on the bound along the averaged ``Q_T`` (comparison baseline)."""
-    qt, cfg = state.avg_qt, state.config
-    if qt is None or not np.isfinite(qt):
-        raise NonFiniteUpdate(f"non-finite bound gradient {qt}")
-    return float(np.clip(t_bar - cfg.lr * qt, cfg.t_min, cfg.t_max))
+    if not np.isfinite(avg.qt):
+        raise NonFiniteUpdate(f"non-finite bound gradient {avg.qt}")
+    return float(np.clip(t_bar - cfg.lr * avg.qt, cfg.t_min, cfg.t_max))

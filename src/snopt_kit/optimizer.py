@@ -16,7 +16,8 @@ factors are positive semidefinite only in exact arithmetic (dopri5's
 quadrature weights are not all positive), so each eigenvalue is clamped
 at 0 and the divisor never falls below eps.
 The rule carries nothing from step to step.  SGD with momentum and Adam
-are the first-order baselines with their textbook constants.
+are the first-order baselines with their textbook constants: momentum
+0.9, and Adam's β₁ = 0.9, β₂ = 0.999 and ε = 1e-8.
 
 :class:`OptimizerConfig` is the ``[optimizer]`` config section and holds
 every setting of every rule, with its checks.  A rule's state holds only
@@ -44,7 +45,8 @@ class SingularFactor(RuntimeError):
     """Eigendecomposition of a Kronecker factor failed to converge."""
 
 
-# Adam's textbook constants
+# the first-order baselines' textbook constants: SGD's momentum and Adam's
+_MOMENTUM = 0.9
 _BETA1 = 0.9
 _BETA2 = 0.999
 _ADAM_EPS = 1e-8
@@ -58,7 +60,6 @@ class OptimizerConfig:
     lr: float = 1e-3
     weight_decay: float = 0.0
     epsilon: float = 0.05            # snopt Tikhonov damping
-    momentum: float = 0.9            # sgd
     readout_lr: float = 0.01         # Adam on the readout, whose scale differs from the ODE's
 
     def __post_init__(self):
@@ -73,8 +74,6 @@ class OptimizerConfig:
             raise ValueError("need finite optimizer lr >= 0 and readout_lr >= 0")
         if not 0 <= self.weight_decay < np.inf:
             raise ValueError("need a finite optimizer weight_decay >= 0")
-        if not 0 <= self.momentum < 1:
-            raise ValueError("need 0 <= optimizer momentum < 1")
         if not self.epsilon + self.weight_decay < np.inf:
             raise ValueError("need a finite snopt damping epsilon + weight_decay")
 
@@ -123,11 +122,10 @@ class SgdState:
     buf: np.ndarray | None = None
 
 
-def sgd_step(state: SgdState, grad: np.ndarray, theta: np.ndarray, lr: float,
-             momentum: float) -> np.ndarray:
+def sgd_step(state: SgdState, grad: np.ndarray, theta: np.ndarray, lr: float) -> np.ndarray:
     if state.buf is None:
         state.buf = np.zeros_like(theta)
-    state.buf = momentum * state.buf + grad
+    state.buf = _MOMENTUM * state.buf + grad
     return theta - lr * state.buf
 
 

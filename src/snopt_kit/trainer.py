@@ -42,8 +42,8 @@ import numpy as np
 from . import vector_field as vf
 from .adjoint import adjoint_gradient
 from .data import DatasetConfig, build_dataset
-from .horizon import (HorizonConfig, HorizonState, NonFiniteUpdate, first_order_horizon_step,
-                      horizon_step, horizon_terms)
+from .horizon import (HorizonConfig, HorizonTerms, NonFiniteUpdate, average,
+                      first_order_horizon_step, horizon_step, horizon_terms)
 from .kfac import KroneckerFactors, accumulate_factors
 from .loss import (LossAt, LossConfig, TerminalCurvature, TerminalLoss, accuracy, grad_x1,
                    init_readout, loss_value, readout_grads, terminal_curvature)
@@ -162,7 +162,8 @@ class _Run:
         # the first-order rules' accumulators; snopt carries none
         self.opt_state = {"adam": AdamState(), "sgd": SgdState()}.get(cfg.optimizer.kind)
         self.ro_w_state, self.ro_b_state = AdamState(), AdamState()
-        self.horizon = HorizonState(cfg.horizon) if cfg.horizon.enabled else None
+        # the horizon terms' moving average; None until the horizon's first fold
+        self.horizon: HorizonTerms | None = None
         self.first_loss = None           # the first record's train loss
 
     def forward(self, x0: np.ndarray) -> tuple[np.ndarray, SolveReport]:
@@ -266,18 +267,18 @@ class _Run:
         elif opt.kind == "adam":
             self.theta = adam_step(self.opt_state, grad, self.theta, opt.lr)
         else:
-            self.theta = sgd_step(self.opt_state, grad, self.theta, opt.lr, opt.momentum)
+            self.theta = sgd_step(self.opt_state, grad, self.theta, opt.lr)
 
-        if self.horizon is not None:
+        if cfg.horizon.enabled:
             # x1 and phi_grad were reached at the pre-update parameters
-            self.horizon.observe(horizon_terms(self.spec, theta_before, x1, phi_grad,
-                                               self.t1, cfg.horizon.penalty))
+            self.horizon = average(self.horizon, horizon_terms(
+                self.spec, theta_before, x1, phi_grad, self.t1, cfg.horizon.penalty))
             if it % cfg.horizon.period == 0:
                 if cfg.horizon.policy == "feedback":
-                    self.t1 = horizon_step(self.horizon, self.t1, grad,
+                    self.t1 = horizon_step(self.horizon, cfg.horizon, self.t1, grad,
                                            self.theta - theta_before)
                 else:
-                    self.t1 = first_order_horizon_step(self.horizon, self.t1)
+                    self.t1 = first_order_horizon_step(self.horizon, cfg.horizon, self.t1)
 
         test_loss = test_acc = float("nan")
         if (it % cfg.eval_every == 0 or it == cfg.iterations) and self.ds.test_idx.size:
@@ -293,8 +294,9 @@ def train(config: ExperimentConfig, on_iteration=None) -> list[TrainRecord]:
     """Run the configured experiment and return one record per iteration.
 
     ``on_iteration(iteration, run)`` is called after each update with the
-    live run state, for sampling internals (for example the moving
-    averages of the horizon policy) or timing iterations.
+    live run state, for sampling internals (for example ``run.horizon``,
+    the :class:`HorizonTerms` moving average of the horizon policy, None
+    with the horizon off) or timing iterations.
     """
     records: list[TrainRecord] = []
     # an overflow or a NaN, in the dataset's draw or in an iteration, reaches

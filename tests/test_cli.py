@@ -439,9 +439,6 @@ CONFIG_ERRORS = {
     "negative_weight_decay": ("train", ["optimizer.weight_decay=-0.1"], "weight_decay >= 0"),
     "negative_lr": ("train", ["optimizer.lr=-1"], "lr >= 0"),
     "negative_readout_lr": ("train", ["optimizer.readout_lr=-1"], "readout_lr >= 0"),
-    "negative_momentum": ("train", ["optimizer.kind=sgd", "optimizer.momentum=-5"],
-                          "momentum < 1"),
-    "momentum_1": ("train", ["optimizer.kind=sgd", "optimizer.momentum=1"], "momentum < 1"),
     "one_grid_sample": ("train", ["optimizer.kind=snopt", "train.grid_samples=1"],
                         "grid_samples >= 2"),
     "unknown_policy": ("train", ["horizon.enabled=true", "horizon.policy=feedbak"],
@@ -488,6 +485,14 @@ CONFIG_ERRORS = {
                             "unknown key 'readout_classes' in [loss]"),
     "amortization_key": ("train", ["optimizer.amortization=0.75"],
                          "unknown key 'amortization' in [optimizer]"),
+    # SGD's momentum and the horizon's averaging rate are constants: their
+    # keys are unknown whatever the value, in range or not
+    "negative_momentum": ("train", ["optimizer.kind=sgd", "optimizer.momentum=-5"],
+                          "unknown key 'momentum' in [optimizer]"),
+    "momentum_1": ("train", ["optimizer.kind=sgd", "optimizer.momentum=1"],
+                   "unknown key 'momentum' in [optimizer]"),
+    "horizon_negative_ema": ("train", ["horizon.ema=-1"], "unknown key 'ema' in [horizon]"),
+    "horizon_ema_1": ("train", ["horizon.ema=1"], "unknown key 'ema' in [horizon]"),
     "classes_over_state": ("train", ["loss.readout=false", "dataset.kind=circles",
                                      "dataset.radii=0.5,1.0,1.5"],
                            "3 classes but the state (no readout) has 2 outputs"),
@@ -519,8 +524,6 @@ CONFIG_ERRORS = {
                               "need horizon t_min <= t1 <= t_max"),
     "horizon_t1_below_t_min": ("train", ["horizon.enabled=true", "horizon.t_min=0.5",
                                          "train.t1=0.2"], "need horizon t_min <= t1 <= t_max"),
-    "horizon_negative_ema": ("train", ["horizon.ema=-1"], "ema must lie in [0, 1)"),
-    "horizon_ema_1": ("train", ["horizon.ema=1"], "ema must lie in [0, 1)"),
     "horizon_negative_penalty": ("train", ["horizon.penalty=-1"],
                                  "penalty and lr must be positive"),
     "horizon_zero_penalty": ("train", ["horizon.penalty=0"], "penalty and lr must be positive"),

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from snopt_kit import vector_field as vf
-from snopt_kit.horizon import (HorizonConfig, HorizonState, HorizonTerms, NonFiniteUpdate,
+from snopt_kit.horizon import (HorizonConfig, HorizonTerms, NonFiniteUpdate, average,
                                first_order_horizon_step, horizon_step, horizon_terms)
 from snopt_kit.odesolve import SolverConfig
 from snopt_kit.oracle import flow
@@ -84,93 +84,76 @@ class TestHorizonTerms:
         assert terms.s == pytest.approx((1.0 * 1.0 + 1.0 * 2.0) / 2)
 
 
-def seeded_state(**kw):
-    settings = dict(penalty=0.5, lr=0.2, period=10, t_min=0.05, t_max=2.0, ema=0.9)
+def seeded(qt=0.0, qtt=1.0, s=0.0, **kw):
+    """A moving average of the horizon terms, and the settings to step with."""
+    settings = dict(penalty=0.5, lr=0.2, period=10, t_min=0.05, t_max=2.0)
     settings.update(kw)
-    return HorizonState(HorizonConfig(**settings))
+    return HorizonTerms(qt=qt, qtt=qtt, s=s), HorizonConfig(**settings)
 
 
 class TestHorizonStep:
     def test_pure_newton_when_no_feedback(self):
-        state = seeded_state()
-        state.observe(HorizonTerms(qt=0.4, qtt=0.8, s=0.1))
-        out = horizon_step(state, 1.0, np.zeros(3), np.zeros(3))
+        avg, cfg = seeded(qt=0.4, qtt=0.8, s=0.1)
+        out = horizon_step(avg, cfg, 1.0, np.zeros(3), np.zeros(3))
         assert out == pytest.approx(1.0 - 0.2 * 0.4 / 0.8)
 
     def test_penalty_shrinks_geometrically(self):
         # with the loss term frozen (s = 0) the update is T <- (1 - lr) T
-        state = seeded_state(penalty=0.5, lr=0.25, t_min=0.0)
+        _, cfg = seeded(penalty=0.5, lr=0.25, t_min=0.0)
         t_bar = 1.5
         for _ in range(6):
-            state.avg_qt = state.config.penalty * t_bar
-            state.avg_qtt = state.config.penalty
-            state.avg_s = 0.0
-            t_bar = horizon_step(state, t_bar, np.zeros(2), np.zeros(2))
+            avg = HorizonTerms(qt=cfg.penalty * t_bar, qtt=cfg.penalty, s=0.0)
+            t_bar = horizon_step(avg, cfg, t_bar, np.zeros(2), np.zeros(2))
         assert t_bar == pytest.approx(1.5 * 0.75 ** 6)
 
     def test_feedback_term_enters(self):
-        state = seeded_state()
+        avg, cfg = seeded(qt=0.0, qtt=1.0, s=0.5)
         grad = np.array([1.0, 2.0])
-        state.observe(HorizonTerms(qt=0.0, qtt=1.0, s=0.5))
         dtheta = np.array([0.1, 0.1])
-        out = horizon_step(state, 1.0, grad, dtheta)
+        out = horizon_step(avg, cfg, 1.0, grad, dtheta)
         # dt = (0 + 0.5 * <grad, dtheta>) / 1.0
         assert out == pytest.approx(1.0 - 0.2 * 0.5 * 0.3)
 
     def test_clamped_to_bounds(self):
-        state = seeded_state(lr=5.0, t_min=0.05, t_max=2.0)
-        state.observe(HorizonTerms(qt=10.0, qtt=1.0, s=0.0))
-        assert horizon_step(state, 0.1, np.zeros(1), np.zeros(1)) == 0.05
-
-    def test_requires_populated_averages(self):
-        state = seeded_state()
-        with pytest.raises(NonFiniteUpdate):
-            horizon_step(state, 1.0, np.zeros(1), np.zeros(1))
+        avg, cfg = seeded(qt=10.0, qtt=1.0, s=0.0, lr=5.0, t_min=0.05, t_max=2.0)
+        assert horizon_step(avg, cfg, 0.1, np.zeros(1), np.zeros(1)) == 0.05
 
     def test_non_finite_rejected(self):
-        state = seeded_state()
-        state.observe(HorizonTerms(qt=np.inf, qtt=1.0, s=0.0))
+        avg, cfg = seeded(qt=np.inf, qtt=1.0, s=0.0)
         with pytest.raises(NonFiniteUpdate):
-            horizon_step(state, 1.0, np.zeros(1), np.zeros(1))
+            horizon_step(avg, cfg, 1.0, np.zeros(1), np.zeros(1))
 
 
 class TestFirstOrderStep:
     def test_zero_gradient_keeps_bound(self):
-        state = seeded_state()
-        state.avg_qt = 0.0
-        assert first_order_horizon_step(state, 1.0) == 1.0
+        avg, cfg = seeded(qt=0.0)
+        assert first_order_horizon_step(avg, cfg, 1.0) == 1.0
 
     def test_penalty_descent(self):
-        state = seeded_state(lr=0.1, penalty=0.5)
-        state.avg_qt = 0.5 * 1.0
-        out = first_order_horizon_step(state, 1.0)
+        avg, cfg = seeded(qt=0.5 * 1.0, lr=0.1, penalty=0.5)
+        out = first_order_horizon_step(avg, cfg, 1.0)
         assert out == pytest.approx(1.0 - 0.1 * 0.5)
 
     def test_non_finite_rejected(self):
-        state = seeded_state()
-        state.avg_qt = np.nan
+        avg, cfg = seeded(qt=np.nan)
         with pytest.raises(NonFiniteUpdate):
-            first_order_horizon_step(state, 1.0)
-
-    def test_requires_populated_averages(self):
-        with pytest.raises(NonFiniteUpdate):
-            first_order_horizon_step(seeded_state(), 1.0)
+            first_order_horizon_step(avg, cfg, 1.0)
 
 
 class TestMovingAverages:
     def test_first_observation_initializes(self):
-        state = seeded_state()
-        state.observe(HorizonTerms(qt=2.0, qtt=3.0, s=0.5))
-        assert state.avg_qt == 2.0 and state.avg_qtt == 3.0 and state.avg_s == 0.5
+        terms = HorizonTerms(qt=2.0, qtt=3.0, s=0.5)
+        assert average(None, terms) is terms
 
     def test_exponential_update(self):
-        state = seeded_state(ema=0.9)
         a = HorizonTerms(qt=1.0, qtt=1.0, s=0.0)
         b = HorizonTerms(qt=2.0, qtt=3.0, s=1.0)
-        state.observe(a)
-        state.observe(b)
-        assert state.avg_qt == pytest.approx(0.9 * 1.0 + 0.1 * 2.0)
-        assert state.avg_qtt == pytest.approx(0.9 * 1.0 + 0.1 * 3.0)
+        avg = average(average(None, a), b)
+        # exactly, with the new terms' weight rounded as 1 - 0.9 rounds
+        w = 0.9
+        assert avg.qt == w * 1.0 + (1 - w) * 2.0
+        assert avg.qtt == w * 1.0 + (1 - w) * 3.0
+        assert avg.s == w * 0.0 + (1 - w) * 1.0
 
 
 @settings(max_examples=30, deadline=None)

@@ -222,18 +222,18 @@ def test_states_hold_only_their_accumulators():
 class TestBaselines:
     def test_sgd_zero_gradient(self):
         theta = np.array([1.0, 2.0])
-        assert np.array_equal(sgd_step(SgdState(), np.zeros(2), theta, 0.1, 0.9), theta)
+        assert np.array_equal(sgd_step(SgdState(), np.zeros(2), theta, 0.1), theta)
 
     def test_sgd_single_step(self):
-        out = sgd_step(SgdState(), np.array([1.0, 0.0]), np.zeros(2), 0.1, 0.9)
+        out = sgd_step(SgdState(), np.array([1.0, 0.0]), np.zeros(2), 0.1)
         assert np.allclose(out, [-0.1, 0.0])
 
     def test_sgd_momentum_accumulates(self):
         state = SgdState()
         theta = np.zeros(1)
         g = np.array([1.0])
-        theta = sgd_step(state, g, theta, 0.1, 0.9)     # buf = 1
-        theta = sgd_step(state, g, theta, 0.1, 0.9)     # buf = 1.9
+        theta = sgd_step(state, g, theta, 0.1)     # buf = 1
+        theta = sgd_step(state, g, theta, 0.1)     # buf = 1.9
         assert theta[0] == pytest.approx(-0.1 * (1.0 + 1.9))
 
     def test_adam_zero_gradient(self):

@@ -14,6 +14,11 @@ pin the paths that do, under the same rule: snopt at lr 0.03 and epsilon
 Cholesky rank vectors through the readout) and on regression without a
 readout (mse, one identity rank vector per state dimension), config seed
 0 for four iterations.
+
+No workload runs sgd or the first-order horizon policy either, so two
+cases change the adam-spirals workload, config seed 0, for four
+iterations: one to sgd at lr 0.03, one to the first-order horizon policy
+with period 2, which moves ``t1`` within the four.
 """
 
 import sys
@@ -40,6 +45,12 @@ RANK_VECTOR_CONFIGS = {
     "regression-exact-rank": replace(
         _RANK_VECTORS, dataset=tr.DatasetConfig(kind="regression"),
         loss=tr.LossConfig(readout=False, curvature="exact_rank")),
+}
+_SPIRALS = WORKLOADS["adam-spirals"].config_for(0, iterations=4)
+FIRST_ORDER_CONFIGS = {
+    "sgd-spirals": replace(_SPIRALS, optimizer=tr.OptimizerConfig(kind="sgd", lr=3e-2)),
+    "adam-first-order-horizon": replace(
+        _SPIRALS, horizon=tr.HorizonConfig(enabled=True, policy="first_order", period=2)),
 }
 
 # (nfe_fwd, nfe_bwd, train_loss, train_acc, test_loss, test_acc, t1) per iteration
@@ -81,12 +92,25 @@ PINNED = {
         (13, 13, 0.3426309711597136, NAN, NAN, NAN, 1.0),
         (13, 13, 0.29683783756214177, NAN, 0.2723451727702179, NAN, 1.0),
     ],
+    "sgd-spirals": [
+        (13, 13, 0.6995328790929927, 0.5325, NAN, NAN, 1.0),
+        (13, 13, 0.696234993119405, 0.5375, NAN, NAN, 1.0),
+        (13, 13, 0.6927481274897, 0.5325, NAN, NAN, 1.0),
+        (13, 13, 0.6898567743681855, 0.5475, 0.7426180785764133, 0.51, 1.0),
+    ],
+    "adam-first-order-horizon": [
+        (13, 13, 0.6995328790929927, 0.5325, NAN, NAN, 1.0),
+        (13, 13, 0.681425479721147, 0.5725, NAN, NAN, 0.8413996220711119),
+        (13, 13, 0.6763285513755685, 0.5725, NAN, NAN, 0.8413996220711119),
+        (13, 13, 0.6734810463234251, 0.5725, 0.7154274210781515, 0.57, 0.6884545088776464),
+    ],
 }
 
 
 def case_config(case: str) -> tr.ExperimentConfig:
-    if case in RANK_VECTOR_CONFIGS:
-        return RANK_VECTOR_CONFIGS[case]
+    named = RANK_VECTOR_CONFIGS | FIRST_ORDER_CONFIGS
+    if case in named:
+        return named[case]
     name, _, variant = case.partition("/")
     cfg = WORKLOADS[name].config_for(0, iterations=4)
     if variant:

@@ -87,7 +87,7 @@ class TestTrainBasics:
             iterations=30,
             dataset=tr.DatasetConfig(kind="regression", n=60),
             solver=SolverConfig(method="rk4", fixed_step=0.1),
-            optimizer=tr.OptimizerConfig(kind="sgd", lr=1e160, momentum=0.0),
+            optimizer=tr.OptimizerConfig(kind="sgd", lr=1e160),
         )
         with pytest.raises(tr.TrainAbort) as err:
             tr.train(cfg)
@@ -164,7 +164,7 @@ class TestTrainBasics:
         run = tr._Run(cfg)
         run.iterate(1, 0.0)
         assert not np.array_equal(run.theta, ref.theta)
-        assert run.horizon.avg_s == pytest.approx(s0, rel=1e-12, abs=0.0)
+        assert run.horizon.s == pytest.approx(s0, rel=1e-12, abs=0.0)
 
 
 class TestCallerArrays:
