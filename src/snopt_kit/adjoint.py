@@ -1,7 +1,7 @@
 """Backward sweeps at O(1) memory.
 
 Every backward pass in the package integrates one augmented ODE from t1
-down to t0.  Its state is the one flat vector
+down to 0.  Its state is the one flat vector
 
     [x | a, q_1..q_R]
 
@@ -89,14 +89,14 @@ class BackwardSweep:
 
 
 def adjoint_gradient(spec: vf.MlpSpec, theta: np.ndarray, x1: np.ndarray, a1: np.ndarray,
-                     t0: float, t1: float, cfg: SolverConfig, qs=(),
+                     t1: float, cfg: SolverConfig, qs=(),
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, SolveReport]:
-    """Loss gradient by integrating the adjoint system from t1 back to t0.
+    """Loss gradient by integrating the adjoint system from t1 back to 0.
 
     ``a1`` is the terminal-loss gradient at the (batch, m) states ``x1``
     and ``qs`` holds R rank vectors.  Returns the (1+R, n) gradients, the
     loss gradient then each coupling ``p_i``, the reconstructed initial
-    state, the cotangents ``[a, q_1..q_R]`` at t0, (1+R, batch, m), and the
+    state, the cotangents ``[a, q_1..q_R]`` at 0, (1+R, batch, m), and the
     solve report; row 0 is the loss gradient and the adjoint whatever R
     is, bit for bit.  The error norm scores the state replay; the
     gradients are the quadrature, which no norm scores.
@@ -105,9 +105,9 @@ def adjoint_gradient(spec: vf.MlpSpec, theta: np.ndarray, x1: np.ndarray, a1: np
         raise ValueError(f"state/adjoint shapes {np.shape(x1)}/{np.shape(a1)} differ")
     sweep = BackwardSweep(spec, theta, x1, a1, qs)
     fn = sweep.field(lambda zs, gs: vf._param_grad_from_cotangents(spec, zs, gs).ravel())
-    report = odesolve(sweep.state, t1, t0, fn, cfg, scored=sweep.x_len,
+    report = odesolve(sweep.state, t1, 0.0, fn, cfg, scored=sweep.x_len,
                       quadrature=np.zeros((1 + len(qs)) * vf.num_params(spec)))
     x0, cot = sweep.unpack(report.terminal_state)
-    # the solve runs from t1 down to t0, so it subtracts the integral; each
+    # the solve runs from t1 down to 0, so it subtracts the integral; each
     # cotangent group has its row of gradients
     return -report.quadrature.reshape(len(cot), -1), x0, cot, report

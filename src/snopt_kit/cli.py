@@ -318,11 +318,11 @@ def _check_gradient(tol_scale: float):
     target = rng.uniform(-1, 1, size=(8, 2))
     lossfn = loss.TerminalLoss(target=target)
     cfg = SolverConfig(method="rk4", fixed_step=1e-2)
-    x1 = oracle.flow(spec, theta, x0, 0.0, 1.0, cfg)
+    x1 = oracle.flow(spec, theta, x0, 1.0, cfg)
     grads, _, _, _ = adjoint.adjoint_gradient(spec, theta, x1, loss.grad_x1(lossfn.at(x1)),
-                                              0.0, 1.0, cfg)
+                                              1.0, cfg)
     fd = oracle.fd_gradient(
-        lambda th: loss.loss_value(lossfn.at(oracle.flow(spec, th, x0, 0.0, 1.0, cfg))), theta)
+        lambda th: loss.loss_value(lossfn.at(oracle.flow(spec, th, x0, 1.0, cfg))), theta)
     err = np.linalg.norm(grads[0] - fd) / np.linalg.norm(fd)
     return "adjoint gradient vs finite differences", float(err), 1e-4 * tol_scale
 
@@ -332,11 +332,11 @@ def _check_dense_curvature(tol_scale: float):
     theta = vf.init_params(spec, 3)
     x0 = np.array([[0.4, -0.2]])
     cfg = SolverConfig(method="dopri5", rtol=1e-8, atol=1e-8)
-    x1 = oracle.flow(spec, theta, x0, 0.0, 1.0, cfg)
+    x1 = oracle.flow(spec, theta, x0, 1.0, cfg)
     lossfn = loss.TerminalLoss(target=np.zeros(2))
-    curv = loss.terminal_curvature(lossfn.at(x1), 0.0, 1.0, "exact_rank")
-    dense = oracle.dense_sweep(spec, theta, x1, curv, 0.0, 1.0, cfg)
-    jac = oracle.fd_gradient(lambda th: oracle.flow(spec, th, x0, 0.0, 1.0, cfg)[0], theta).T
+    curv = loss.terminal_curvature(lossfn.at(x1), 1.0, "exact_rank")
+    dense = oracle.dense_sweep(spec, theta, x1, curv, 1.0, cfg)
+    jac = oracle.fd_gradient(lambda th: oracle.flow(spec, th, x0, 1.0, cfg)[0], theta).T
     ref = jac.T @ curv.hessian() @ jac
     err = np.linalg.norm(dense.quu - ref) / np.linalg.norm(ref)
     return "dense curvature vs flow-jacobian reference", float(err), 1e-3 * tol_scale
@@ -350,10 +350,10 @@ def _check_lowrank_equivalence(tol_scale: float):
     curv = loss.TerminalCurvature(grad=rng.normal(size=(1, 2)),
                                   factors=[rng.normal(size=(1, 2)) for _ in range(2)])
     cfg = SolverConfig(method="dopri5", rtol=1e-10, atol=1e-10)
-    dense = oracle.dense_sweep(spec, theta, x1, curv, 0.0, 1.0, cfg)
-    grads, _, cot, _ = adjoint.adjoint_gradient(spec, theta, x1, curv.grad, 0.0, 1.0, cfg,
+    dense = oracle.dense_sweep(spec, theta, x1, curv, 1.0, cfg)
+    grads, _, cot, _ = adjoint.adjoint_gradient(spec, theta, x1, curv.grad, 1.0, cfg,
                                                 qs=curv.factors)
-    # the rank vectors' rows Q (R, m) and their couplings P (R, n) at t0
+    # the rank vectors' rows Q (R, m) and their couplings P (R, n) at 0
     q, p = cot[1:, 0], grads[1:]
     err = max(np.linalg.norm(low - ref) / max(np.linalg.norm(ref), 1e-300)
               for low, ref in ((q.T @ q, dense.qxx), (q.T @ p, dense.qxu), (p.T @ p, dense.quu)))
@@ -390,10 +390,10 @@ def _check_horizon(tol_scale: float):
                                readout=loss.init_readout(2, 3, 17))
     cfg = SolverConfig(method="rk4", fixed_step=1e-2)
     t_bar = 0.8
-    x1 = oracle.flow(spec, theta, x0, 0.0, t_bar, cfg)
+    x1 = oracle.flow(spec, theta, x0, t_bar, cfg)
     terms = horizon.horizon_terms(spec, theta, x1, loss.grad_x1(lossfn.at(x1)), t_bar, 0.5)
     fd = oracle.fd_gradient(
-        lambda t: loss.loss_value(lossfn.at(oracle.flow(spec, theta, x0, 0.0, t[0], cfg))),
+        lambda t: loss.loss_value(lossfn.at(oracle.flow(spec, theta, x0, t[0], cfg))),
         np.array([t_bar]))[0]
     err = abs(terms.s - fd) / abs(fd)
     return "horizon sensitivity vs finite differences in T", float(err), 1e-6 * tol_scale

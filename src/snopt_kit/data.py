@@ -36,8 +36,9 @@ class DatasetConfig:
             raise ValueError("need dataset n_per_class >= 1 and n >= 1")
         if not 0 <= self.noise_sd < np.inf:
             raise ValueError("need a finite dataset noise_sd >= 0")
-        if not (self.radii and np.all(np.isfinite(self.radii))):
-            raise ValueError("need at least one dataset radius, all finite")
+        # one class would be a one-output softmax, whose loss, gradient and Hessian are 0
+        if not (len(self.radii) >= 2 and np.all(np.isfinite(self.radii))):
+            raise ValueError("need at least two dataset radii, all finite")
         if not 0 <= self.test_fraction < 1:
             raise ValueError("need 0 <= dataset test_fraction < 1")
         if round(self.n_samples * self.test_fraction) >= self.n_samples:

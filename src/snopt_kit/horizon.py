@@ -63,8 +63,9 @@ class HorizonConfig:
             raise ValueError("need horizon period >= 1")
         if not (0 < self.penalty < np.inf and 0 < self.lr < np.inf):
             raise ValueError("horizon penalty and lr must be positive and finite")
-        if not -np.inf < self.t_min < self.t_max < np.inf:
-            raise ValueError("need finite horizon t_min < t_max")
+        # the bound is clipped into [t_min, t_max], and every flow starts at 0
+        if not 0 < self.t_min < self.t_max < np.inf:
+            raise ValueError("need finite horizon t_min, t_max with 0 < t_min < t_max")
 
 
 @dataclass

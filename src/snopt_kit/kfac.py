@@ -2,7 +2,7 @@
 
 This is the production second-order sweep.  It integrates the backward
 state ``[x | a, q_1..q_R]`` of :class:`adjoint.BackwardSweep` from t1 down
-to t0 in one solve, and its integrand is the gradient ``g`` of the adjoint
+to 0 in one solve, and its integrand is the gradient ``g`` of the adjoint
 group plus the per-layer second moments
 
     A_n(t) = mean_b zbar^n zbar^nT          (activation side)
@@ -133,9 +133,9 @@ def _unpack_factors(spec: vf.MlpSpec, packed: np.ndarray) -> KroneckerFactors:
 
 
 def accumulate_factors(spec: vf.MlpSpec, theta: np.ndarray, x1: np.ndarray,
-                       curv: TerminalCurvature, t0: float, t1: float, cfg: SolverConfig,
+                       curv: TerminalCurvature, t1: float, cfg: SolverConfig,
                        ) -> tuple[KroneckerFactors, np.ndarray, SolveReport]:
-    """Backward sweep from ``t1`` to ``t0``: the factors, the gradient and the report.
+    """Backward sweep from ``t1`` to 0: the factors, the gradient and the report.
 
     One solve carries the backward state ``[x | a, q_i]`` with the gradient
     and the factor integrand as its quadrature.  The error norm scores the
@@ -157,8 +157,8 @@ def accumulate_factors(spec: vf.MlpSpec, theta: np.ndarray, x1: np.ndarray,
         _factor_terms(zs, samples, weights, dq[n:])
         return dq
 
-    report = odesolve(sweep.state, t1, t0, sweep.field(integrand), cfg, scored=sweep.x_len,
+    report = odesolve(sweep.state, t1, 0.0, sweep.field(integrand), cfg, scored=sweep.x_len,
                       quadrature=np.zeros(n + packed))
-    # the solve runs from t1 down to t0, so it subtracts the integral
+    # the solve runs from t1 down to 0, so it subtracts the integral
     total = -report.quadrature
     return _unpack_factors(spec, total[n:]), total[:n], report

@@ -3,9 +3,9 @@
 Two objectives, read off the target: float targets take ``mse`` on the
 state itself, in the half-scaled convention ``0.5 * ||x1 - target||^2`` so
 its Hessian is exactly the identity, and integer class labels take
-``softmax_ce`` through an optional affine readout (trained by a plain
-first-order rule in the training loop; its curvature is never
-Kronecker-tracked).
+``softmax_ce`` through an optional affine readout (the training loop
+builds one for every class-labelled dataset and trains it by a plain
+first-order rule; its curvature is never Kronecker-tracked).
 
 ``terminal_curvature`` produces the terminal Hessian as rank vectors
 ``y_i`` with ``Hessian = sum_i y_i y_i^T``, in the one form a backward
@@ -17,13 +17,13 @@ sweep reads:
   (Tanabe & Sagae, J. R. Stat. Soc. B 54, 1992), pushed through the
   readout.  That matrix maps the all-ones vector to zero, so it has rank
   C-1 and a C-th column would be redundant.
-* ``gauss_newton_scaled`` gives the single factor ``grad / sqrt(t1 - t0)``,
+* ``gauss_newton_scaled`` gives the single factor ``grad / sqrt(t1)``,
   the cheap rank-1 surrogate used in production training (an
   empirical-Fisher B side; Kunstner, Balles & Hennig, arXiv:1905.12558).
 
 A factor parallel to the gradient, sample by sample, is held as the
 per-sample ``adjoint_weights`` it multiplies the gradient by, not as a
-vector: the surrogate's constant ``1/sqrt(t1 - t0)``, and for a two-class
+vector: the surrogate's constant ``1/sqrt(t1)``, and for a two-class
 softmax ``sqrt(p_y) / sqrt(p_o)`` (``p_o`` the non-label probability).  A
 rank vector obeys the adjoint's linear ODE, so a sweep reads such a
 factor off the adjoint instead of carrying it.  For that the gradient's
@@ -31,8 +31,7 @@ label entry is ``-sum_{j != y} p_j``, not ``p_y - 1``, which cancels to 0
 once ``p_o < 2**-53``.  Rank vectors are built only for C >= 3 classes
 (C-1 of them) and for mse.
 
-:class:`LossConfig` is the ``[loss]`` config section: the readout switch
-and the curvature mode.
+:class:`LossConfig` is the ``[loss]`` config section: the curvature mode.
 
 Every function that scores, differentiates or factors the loss reads it at
 one batch of terminal states through :class:`LossAt` (``lossfn.at(x1)``),
@@ -60,7 +59,6 @@ class BadLabel(ValueError):
 class LossConfig:
     """The ``[loss]`` config section; the dataset's labels set the objective."""
 
-    readout: bool = True             # an affine row per class before the softmax
     curvature: str = "gauss_newton_scaled"
 
     def __post_init__(self):
@@ -274,24 +272,18 @@ def _multinomial_cholesky(probs: np.ndarray) -> list[np.ndarray]:
 
 
 def readout_grads(at: LossAt) -> tuple[np.ndarray, np.ndarray]:
-    """Batch-mean gradients of the readout weight and bias."""
-    if at.lossfn.readout is None:
-        raise ValueError("loss has no readout")
+    """Batch-mean gradients of the readout weight and bias; the loss has a readout."""
     resid, x1 = at.residual, at.x1
     return resid.T @ x1 / x1.shape[0], resid.mean(axis=0)
 
 
-def terminal_curvature(at: LossAt, t0: float, t1: float, mode: str) -> TerminalCurvature:
-    """Terminal gradient plus the terminal Hessian in the form its sweep reads."""
-    if not t1 > t0:
-        raise ValueError("terminal_curvature requires t1 > t0")
-    if mode not in CURVATURE_MODES:
-        raise ValueError(f"unknown curvature mode {mode!r}")
-
+def terminal_curvature(at: LossAt, t1: float, mode: str) -> TerminalCurvature:
+    """Terminal gradient plus the terminal Hessian in the form its sweep reads,
+    for a flow on [0, ``t1``], ``t1 > 0``, and a mode of ``CURVATURE_MODES``."""
     grad = grad_x1(at)
     if mode == "gauss_newton_scaled":
         return TerminalCurvature(grad, adjoint_weights=np.broadcast_to(
-            float(1.0 / np.sqrt(t1 - t0)), grad.shape[:1]))
+            float(1.0 / np.sqrt(t1)), grad.shape[:1]))
     if not at.lossfn.classifies:
         # the mse Hessian is the identity: read-only views of its rows
         return TerminalCurvature(grad, [np.broadcast_to(row, grad.shape)

@@ -35,11 +35,11 @@ REFERENCE_CFG = SolverConfig(method="dopri5", rtol=1e-12, atol=1e-12, max_steps=
 FD_STEP = 1e-5
 
 
-def flow(spec: vf.MlpSpec, theta: np.ndarray, x0: np.ndarray, t0: float, t1: float,
+def flow(spec: vf.MlpSpec, theta: np.ndarray, x0: np.ndarray, t1: float,
          cfg: SolverConfig) -> np.ndarray:
-    """Terminal states at ``t1`` of the (batch, m) states ``x0`` at ``t0``."""
+    """Terminal states at ``t1`` of the (batch, m) states ``x0`` at 0."""
     x0 = vf.check_states(spec, x0)
-    return odesolve(x0.ravel(), t0, t1, vf.value_field(spec, theta, x0.shape),
+    return odesolve(x0.ravel(), 0.0, t1, vf.value_field(spec, theta, x0.shape),
                     cfg).terminal_state.reshape(x0.shape)
 
 
@@ -54,7 +54,7 @@ def fd_gradient(fn, theta: np.ndarray) -> np.ndarray:
 
 @dataclass
 class DenseCurvatureState:
-    """All cost-to-go derivatives at t0 from the matrix sweep."""
+    """All cost-to-go derivatives at 0 from the matrix sweep."""
 
     qx: np.ndarray      # (1, m)
     qu: np.ndarray      # (n,) gradient
@@ -64,8 +64,7 @@ class DenseCurvatureState:
 
 
 def dense_sweep(spec: vf.MlpSpec, theta: np.ndarray, x1: np.ndarray,
-                curv: TerminalCurvature, t0: float, t1: float,
-                cfg: SolverConfig) -> DenseCurvatureState:
+                curv: TerminalCurvature, t1: float, cfg: SolverConfig) -> DenseCurvatureState:
     """Backward matrix sweep from the terminal state ``x1`` of a batch of one,
     seeded by the terminal gradient and Hessian.
 
@@ -104,7 +103,7 @@ def dense_sweep(spec: vf.MlpSpec, theta: np.ndarray, x1: np.ndarray,
         return pack(f, dqx, dqu, dqxx, dqxu, dquu)
 
     y1 = pack(x1v, gradv, np.zeros(n), phi_xx, np.zeros((m, n)), np.zeros((n, n)))
-    _, qx, qu, qxx, qxu, quu = unpack(odesolve(y1, t1, t0, field, cfg).terminal_state)
+    _, qx, qu, qxx, qxu, quu = unpack(odesolve(y1, t1, 0.0, field, cfg).terminal_state)
     return DenseCurvatureState(qx=qx[None].copy(), qu=qu.copy(), qxx=qxx, qxu=qxu.copy(),
                                quu=quu)
 
@@ -137,21 +136,20 @@ def error_study(spec: vf.MlpSpec, theta: np.ndarray, x0: np.ndarray,
     tightly solved forward passes) and the Gauss-Newton curvature built
     from a finite-difference flow Jacobian.
     """
-    t0, t1 = 0.0, 1.0
-    x1_ref = flow(spec, theta, x0, t0, t1, REFERENCE_CFG)
-    curv_ref = terminal_curvature(lossfn.at(x1_ref), t0, t1, mode="exact_rank")
+    x1_ref = flow(spec, theta, x0, 1.0, REFERENCE_CFG)
+    curv_ref = terminal_curvature(lossfn.at(x1_ref), 1.0, mode="exact_rank")
     phi_xx = curv_ref.hessian()
 
     grad_ref = fd_gradient(
-        lambda th: loss_value(lossfn.at(flow(spec, th, x0, t0, t1, REFERENCE_CFG))), theta)
-    jac = fd_gradient(lambda th: flow(spec, th, x0, t0, t1, REFERENCE_CFG)[0], theta).T
+        lambda th: loss_value(lossfn.at(flow(spec, th, x0, 1.0, REFERENCE_CFG))), theta)
+    jac = fd_gradient(lambda th: flow(spec, th, x0, 1.0, REFERENCE_CFG)[0], theta).T
     quu_ref = jac.T @ phi_xx @ jac
 
     rows = []
     for label, cfg in solver_cfgs:
-        x1 = flow(spec, theta, x0, t0, t1, cfg)
-        curv = terminal_curvature(lossfn.at(x1), t0, t1, mode="exact_rank")
-        grads, _, _, _ = adjoint_gradient(spec, theta, x1, curv.grad, t0, t1, cfg,
+        x1 = flow(spec, theta, x0, 1.0, cfg)
+        curv = terminal_curvature(lossfn.at(x1), 1.0, mode="exact_rank")
+        grads, _, _, _ = adjoint_gradient(spec, theta, x1, curv.grad, 1.0, cfg,
                                           qs=curv.rank_vectors())
         grad, p = grads[0], grads[1:]
         quu = p.T @ p

@@ -6,7 +6,7 @@ second-order rule, the plain adjoint for the first-order baselines.  The
 minibatch is a subset of the training split, so its terminal states are
 rows of that one solve, which also gives the train metrics at the
 pre-update parameters; a zero learning rate therefore yields a constant
-loss sequence.  The readout (when present) is updated in the same
+loss sequence.  The readout (for class labels) is updated in the same
 iteration by Adam; its curvature is never tracked.  Test
 metrics run on the evaluation cadence and on the final iteration.
 
@@ -20,8 +20,8 @@ from the config: the second-order damping is ``epsilon + weight_decay``.
 
 The dataset (``data.DatasetConfig``) states the task and the loss follows
 from its labels (``loss.TerminalLoss``): class labels take softmax_ce
-through a readout of one row per class (or on the state with
-``loss.readout`` off), and regression targets take mse on the state.
+through a readout of one row per class, and regression targets take mse
+on the state.  Every flow runs from ``t = 0`` to the bound ``t1``.
 
 Randomness comes from Philox generators seeded from the run seed: the
 dataset (seed), batch sampling (seed+2), and two generators both seeded
@@ -79,7 +79,6 @@ class ExperimentConfig:
     loss: LossConfig = field(default_factory=LossConfig)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     solver: SolverConfig = field(default_factory=SolverConfig)
-    t0: float = 0.0
     t1: float = 1.0
     iterations: int = 500
     batch_size: int = 128
@@ -91,11 +90,9 @@ class ExperimentConfig:
     horizon: HorizonConfig = field(default_factory=HorizonConfig)
 
     def __post_init__(self):
-        # a positive, finite span: NaN fails it, and so do an infinite end
-        # and finite ends too far apart for their span to be a float
-        if not 0 < self.t1 - self.t0 < np.inf:
-            raise ValueError(f"need finite t1 > t0 and a finite span t1 - t0, "
-                             f"got [{self.t0}, {self.t1}]")
+        # the flow runs on [0, t1]; NaN fails the check
+        if not 0 < self.t1 < np.inf:
+            raise ValueError(f"need a finite t1 > 0, got {self.t1}")
         if self.iterations < 0:
             raise ValueError("need iterations >= 0")
         if self.grid_samples < 2:
@@ -107,25 +104,9 @@ class ExperimentConfig:
         if self.seed < 0:
             raise ValueError("need seed >= 0")
         # rules that join the sections, which check themselves as they are built
-        classes, width = self.dataset.n_classes, self.model.state_dim
-        if width != self.dataset.input_dim:
-            raise ValueError(f"model state width {width} differs from the dataset's "
-                             f"{self.dataset.input_dim} input features")
-        outputs = classes if self.loss.readout else width
-        if classes and outputs < 2:
-            # a one-output softmax is constant: its loss, gradient and Hessian are 0
-            raise ValueError(f"softmax_ce needs at least 2 outputs, the readout has {outputs}")
-        if classes > outputs:
-            raise ValueError(f"dataset {self.dataset.kind} has {classes} classes but the state "
-                             f"(no readout) has {outputs} outputs")
-        if self.horizon.enabled and not self.t0 < self.horizon.t_min:
-            # the bound may be driven down to t_min, and the flow needs t1 > t0
-            raise ValueError(f"need t0 < horizon t_min with the horizon enabled, got t0 = "
-                             f"{self.t0}, t_min = {self.horizon.t_min}")
-        if self.horizon.enabled and not self.horizon.t_max - self.t0 < np.inf:
-            # the bound may be driven up to t_max
-            raise ValueError(f"need a finite span horizon t_max - t0 with the horizon "
-                             f"enabled, got t0 = {self.t0}, t_max = {self.horizon.t_max}")
+        if self.model.state_dim != self.dataset.input_dim:
+            raise ValueError(f"model state width {self.model.state_dim} differs from the "
+                             f"dataset's {self.dataset.input_dim} input features")
         if self.horizon.enabled and not self.horizon.t_min <= self.t1 <= self.horizon.t_max:
             # the bound starts at t1 and every update clips it into [t_min, t_max]
             raise ValueError(f"need horizon t_min <= t1 <= t_max with the horizon enabled, "
@@ -156,7 +137,7 @@ class _Run:
         self.theta = vf.init_params(self.spec, cfg.seed + 1)
         classes = cfg.dataset.n_classes
         self.readout = (init_readout(self.spec.state_dim, classes, cfg.seed + 1)
-                        if classes and cfg.loss.readout else None)
+                        if classes else None)
         self.batch_rng = np.random.Generator(np.random.Philox(cfg.seed + 2))
         self.t1 = cfg.t1
         # the first-order rules' accumulators; snopt carries none
@@ -167,7 +148,7 @@ class _Run:
         self.first_loss = None           # the first record's train loss
 
     def forward(self, x0: np.ndarray) -> tuple[np.ndarray, SolveReport]:
-        rep = odesolve(x0.ravel(), self.cfg.t0, self.t1,
+        rep = odesolve(x0.ravel(), 0.0, self.t1,
                        vf.value_field(self.spec, self.theta, x0.shape), self.cfg.solver)
         return rep.terminal_state.reshape(x0.shape), rep
 
@@ -195,7 +176,7 @@ class _Run:
         the terminal curvature (None for first order).
         """
         if self.cfg.optimizer.kind == "snopt":
-            curv = terminal_curvature(at, self.cfg.t0, self.t1, mode=self.cfg.loss.curvature)
+            curv = terminal_curvature(at, self.t1, mode=self.cfg.loss.curvature)
             return curv.grad, curv
         return grad_x1(at), None
 
@@ -208,11 +189,11 @@ class _Run:
         """
         cfg = self.cfg
         if curv is not None:
-            factors, grad, rep = accumulate_factors(self.spec, self.theta, x1, curv, cfg.t0,
-                                                    self.t1, cfg.solver)
+            factors, grad, rep = accumulate_factors(self.spec, self.theta, x1, curv, self.t1,
+                                                    cfg.solver)
             return grad, factors, rep
-        grads, _, _, rep = adjoint_gradient(self.spec, self.theta, x1, phi_grad, cfg.t0,
-                                            self.t1, cfg.solver)
+        grads, _, _, rep = adjoint_gradient(self.spec, self.theta, x1, phi_grad, self.t1,
+                                            cfg.solver)
         return grads[0], None, rep
 
     def iterate(self, it: int, started: float) -> TrainRecord:

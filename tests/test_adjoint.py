@@ -11,7 +11,7 @@ RK4 = SolverConfig(method="rk4", fixed_step=1e-2)
 
 
 def forward(spec, theta, x0):
-    return flow(spec, theta, x0, 0.0, 1.0, RK4)
+    return flow(spec, theta, x0, 1.0, RK4)
 
 
 class TestAugmentedState:
@@ -62,7 +62,7 @@ class TestAdjointGradient:
         spec = vf.MlpSpec(dims=(2, 4, 2), activations=("tanh", "identity"))
         theta = vf.init_params(spec, 1)
         x1 = np.array([[0.3, -0.4]])
-        grad, _, a0, _ = adjoint_gradient(spec, theta, x1, np.zeros((1, 2)), 0.0, 1.0, RK4)
+        grad, _, a0, _ = adjoint_gradient(spec, theta, x1, np.zeros((1, 2)), 1.0, RK4)
         assert np.allclose(grad, 0.0)
         assert np.allclose(a0, 0.0)
 
@@ -71,7 +71,7 @@ class TestAdjointGradient:
         spec = vf.MlpSpec(dims=(1, 1), activations=("identity",), bias=False)
         theta = np.zeros(1)
         x1 = forward(spec, theta, np.array([[1.0]]))
-        grad, _, _, _ = adjoint_gradient(spec, theta, x1, 2 * x1, 0.0, 1.0, RK4)
+        grad, _, _, _ = adjoint_gradient(spec, theta, x1, 2 * x1, 1.0, RK4)
         assert grad[0, 0] == pytest.approx(2.0, abs=1e-8)
 
     def test_matches_fd_on_batch(self):
@@ -84,8 +84,7 @@ class TestAdjointGradient:
             lossfn = TerminalLoss(target=rng.uniform(-1, 1, size=(4, 2)))
 
             x1 = forward(spec, theta, x0)
-            grads, _, _, _ = adjoint_gradient(spec, theta, x1, grad_x1(lossfn.at(x1)), 0.0,
-                                              1.0, RK4)
+            grads, _, _, _ = adjoint_gradient(spec, theta, x1, grad_x1(lossfn.at(x1)), 1.0, RK4)
             fd = fd_gradient(lambda th: loss_value(lossfn.at(forward(spec, th, x0))), theta)
             assert np.linalg.norm(grads[0] - fd) / np.linalg.norm(fd) < 1e-4
 
@@ -94,8 +93,8 @@ class TestAdjointGradient:
         theta = vf.init_params(spec, 4)
         x1 = np.array([[0.5, 0.1]])
         a1 = np.array([[0.3, -0.7]])
-        g1, _, _, _ = adjoint_gradient(spec, theta, x1, a1, 0.0, 1.0, RK4)
-        g3, _, _, _ = adjoint_gradient(spec, theta, x1, 3.0 * a1, 0.0, 1.0, RK4)
+        g1, _, _, _ = adjoint_gradient(spec, theta, x1, a1, 1.0, RK4)
+        g3, _, _, _ = adjoint_gradient(spec, theta, x1, 3.0 * a1, 1.0, RK4)
         assert np.allclose(g3, 3.0 * g1, rtol=1e-12, atol=1e-14)
 
     def test_state_reconstruction(self):
@@ -103,7 +102,7 @@ class TestAdjointGradient:
         theta = vf.init_params(spec, 5)
         x0 = np.array([[0.4, -0.6], [0.2, 0.8]])
         x1 = forward(spec, theta, x0)
-        _, x0_rec, _, _ = adjoint_gradient(spec, theta, x1, np.ones_like(x1), 0.0, 1.0, RK4)
+        _, x0_rec, _, _ = adjoint_gradient(spec, theta, x1, np.ones_like(x1), 1.0, RK4)
         assert np.max(np.abs(x0_rec - x0)) < 1e-5
 
     def test_augmented_length_independent_of_steps(self):
@@ -113,7 +112,7 @@ class TestAdjointGradient:
         a1 = np.ones_like(x1)
         sizes = []
         for h in (1e-1, 1e-2, 1e-3):
-            rep = adjoint_gradient(spec, theta, x1, a1, 0.0, 1.0,
+            rep = adjoint_gradient(spec, theta, x1, a1, 1.0,
                                    SolverConfig(method="rk4", fixed_step=h))[3]
             sizes.append((rep.terminal_state.size, rep.quadrature.size))
         assert sizes[0] == sizes[1] == sizes[2] == (2 * 2 * 2, vf.num_params(spec))
@@ -124,10 +123,10 @@ class TestAdjointGradient:
         theta = vf.init_params(spec, 7)
         x, a = np.array([0.1, 0.2]), np.array([1.0, 0.0])
         with pytest.raises(ValueError):
-            adjoint_gradient(spec, theta, x, a, 0.0, 1.0, RK4)
+            adjoint_gradient(spec, theta, x, a, 1.0, RK4)
         with pytest.raises(vf.DimensionMismatch):
             vf.eval(spec, theta, 0.0, x)
-        grad, x0, a0, _ = adjoint_gradient(spec, theta, x[None], a[None], 0.0, 1.0, RK4)
+        grad, x0, a0, _ = adjoint_gradient(spec, theta, x[None], a[None], 1.0, RK4)
         assert x0.shape == (1, 2) and a0.shape == (1, 1, 2)
         assert grad.shape == (1, vf.num_params(spec))
 
@@ -140,7 +139,7 @@ class TestAdjointGradient:
         held = (theta, x1, a1)
         kept = [v.tobytes() for v in held]
         for cfg in (RK4, SolverConfig(method="dopri5", rtol=1e-6, atol=1e-6)):
-            adjoint_gradient(spec, theta, x1, a1, 0.0, 1.0, cfg)
+            adjoint_gradient(spec, theta, x1, a1, 1.0, cfg)
             assert [v.tobytes() for v in held] == kept
 
 
@@ -156,10 +155,10 @@ class TestRankVectors:
         theta = vf.init_params(spec, 3)
         rng = np.random.default_rng(batch)
         x1, a1 = rng.uniform(-1, 1, size=(batch, 2)), rng.normal(size=(batch, 2))
-        grad, x0, a0, rep = adjoint_gradient(spec, theta, x1, a1, 0.0, 1.0, cfg)
+        grad, x0, a0, rep = adjoint_gradient(spec, theta, x1, a1, 1.0, cfg)
         for rank in (1, 2, 3):
             qs = [rng.normal(size=(batch, 2)) for _ in range(rank)]
-            grads, x0_r, cot, rep_r = adjoint_gradient(spec, theta, x1, a1, 0.0, 1.0, cfg, qs=qs)
+            grads, x0_r, cot, rep_r = adjoint_gradient(spec, theta, x1, a1, 1.0, cfg, qs=qs)
             assert grads.shape == (1 + rank, vf.num_params(spec))
             assert cot.shape == (1 + rank, batch, 2)
             assert np.array_equal(grads[:1], grad) and np.array_equal(cot[:1], a0)

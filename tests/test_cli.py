@@ -80,8 +80,7 @@ class TestConfigLoading:
     @pytest.mark.parametrize("overrides, kind, readout_shape", [
         (["dataset.kind=circles", "dataset.radii=0.5,1.0,1.5"], "softmax_ce", (3, 2)),
         (["dataset.kind=regression"], "mse", None),
-        (["loss.readout=false"], "softmax_ce", None),
-    ], ids=["three_radii", "regression", "readout_off"])
+    ], ids=["three_radii", "regression"])
     def test_dataset_sets_loss_and_readout(self, config_path, overrides, kind, readout_shape):
         # the readout has one row per class; regression targets have none
         run = trainer._Run(cli.load_config(config_path, overrides))
@@ -209,20 +208,18 @@ class TestCmdGrid:
         assert losses[0] == losses[1]
 
     def test_base_valid_only_with_its_cells(self, tmp_path):
-        # three classes on the two-wide state are invalid without the readout;
-        # the one cell turns it on, and only the cell is built
-        config = tmp_path / "three_class.ini"
-        config.write_text(BASE_CONFIG.replace("kind = spirals", "kind = circles\n"
-                                              "radii = 0.5,1.0,1.5")
-                          + "\n[loss]\nreadout = false\n")
+        # rk4 without a fixed step is invalid; each cell gives it one, and
+        # only the cells are built
+        config = tmp_path / "no_step.ini"
+        config.write_text(BASE_CONFIG.replace("fixed_step = 0.1\n", ""))
         assert cli.cmd_train(str(config), str(tmp_path / "o.csv")) == 1
         grid = tmp_path / "grid.ini"
-        grid.write_text("[grid]\nloss.readout = true\n")
+        grid.write_text("[grid]\nsolver.fixed_step = 0.1, 0.05\n")
         out_dir = tmp_path / "cells"
         assert cli.cmd_grid(str(config), str(grid), str(out_dir)) == 0
-        assert len((out_dir / "summary.csv").read_text().splitlines()) == 1 + 1
+        assert len((out_dir / "summary.csv").read_text().splitlines()) == 1 + 2
         assert sorted(f for f in os.listdir(out_dir) if f.startswith("cell_")) == [
-            "cell_000.csv"]
+            "cell_000.csv", "cell_001.csv"]
 
     def test_dataset_kind_grid_trains_every_task(self, config_path, tmp_path):
         # each cell's dataset sets its loss: softmax_ce on labels, mse on targets
@@ -493,11 +490,11 @@ CONFIG_ERRORS = {
                    "unknown key 'momentum' in [optimizer]"),
     "horizon_negative_ema": ("train", ["horizon.ema=-1"], "unknown key 'ema' in [horizon]"),
     "horizon_ema_1": ("train", ["horizon.ema=1"], "unknown key 'ema' in [horizon]"),
-    "classes_over_state": ("train", ["loss.readout=false", "dataset.kind=circles",
-                                     "dataset.radii=0.5,1.0,1.5"],
-                           "3 classes but the state (no readout) has 2 outputs"),
+    # class labels always meet the readout, so the key is gone
+    "readout_key": ("train", ["loss.readout=false"], "unknown key 'readout' in [loss]"),
+    # a one-class softmax is constant: its loss, gradient and Hessian are 0
     "one_output_softmax": ("train", ["dataset.kind=circles", "dataset.radii=1.0"],
-                           "at least 2 outputs, the readout has 1"),
+                           "at least two dataset radii"),
     "state_width_over_inputs": ("train", ["model.dims=3,4,3"], "state width 3"),
     "relu_activation": ("train", ["model.activations=relu,relu,identity",
                                   "model.dims=2,4,4,2"], "unknown activation 'relu'"),
@@ -507,7 +504,7 @@ CONFIG_ERRORS = {
     "regression_n_0": ("train", ["dataset.kind=regression", "dataset.n=0"], "n >= 1"),
     "negative_noise_sd": ("train", ["dataset.noise_sd=-1"], "noise_sd >= 0"),
     "no_radii": ("train", ["dataset.kind=circles", "dataset.radii="],
-                 "at least one dataset radius"),
+                 "at least two dataset radii"),
     "test_fraction_1_5": ("train", ["dataset.test_fraction=1.5"], "test_fraction < 1"),
     "negative_test_fraction": ("train", ["dataset.test_fraction=-0.1"],
                                "0 <= dataset test_fraction"),
@@ -515,10 +512,11 @@ CONFIG_ERRORS = {
                           "leaves no training sample"),
     "horizon_t_min_over_t_max": ("train", ["horizon.t_min=3"], "t_min < t_max"),
     "horizon_t_min_at_t_max": ("train", ["horizon.t_min=2", "horizon.t_max=2"], "t_min < t_max"),
+    # every flow starts at t = 0, so the bound's floor is positive
     "horizon_t_min_below_t0": ("train", ["horizon.enabled=true", "horizon.t_min=-1"],
-                               "need t0 < horizon t_min"),
+                               "0 < t_min < t_max"),
     "horizon_t_min_at_t0": ("train", ["horizon.enabled=true", "horizon.t_min=0"],
-                            "need t0 < horizon t_min"),
+                            "0 < t_min < t_max"),
     # the bound starts at t1, and its first update would clip it into [t_min, t_max]
     "horizon_t1_over_t_max": ("train", ["horizon.enabled=true", "train.t1=5"],
                               "need horizon t_min <= t1 <= t_max"),
@@ -532,15 +530,9 @@ CONFIG_ERRORS = {
     "zero_width": ("train", ["model.dims=2,0,2"], "widths must be at least 1"),
     "fixed_step_nan": ("train", ["solver.method=rk4", "solver.fixed_step=nan"],
                        "requires fixed_step > 0"),
-    "t1_inf": ("train", ["train.t1=inf"], "need finite t1 > t0"),
-    "t0_minus_inf": ("train", ["train.t0=-inf"], "need finite t1 > t0"),
-    # each end finite, but the span overflows: dopri5 would take no step
-    # and rk4's step count would overflow
-    "span_overflow": ("train", ["train.t0=-1e308", "train.t1=1e308"],
-                      "finite span t1 - t0"),
-    "horizon_span_overflow": ("train", ["horizon.enabled=true", "train.t0=-1e308",
-                                        "horizon.t_max=1e308"],
-                              "finite span horizon t_max - t0"),
+    "t1_inf": ("train", ["train.t1=inf"], "need a finite t1 > 0"),
+    # every flow starts at t = 0, so the key is gone
+    "t0_key": ("train", ["train.t0=0"], "unknown key 't0' in [train]"),
     "rtol_nan": ("train", ["solver.rtol=nan"], "rtol and atol must be positive"),
     "atol_nan": ("train", ["solver.atol=nan"], "rtol and atol must be positive"),
     # the dopri5 step has no cap but the interval

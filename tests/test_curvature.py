@@ -24,7 +24,7 @@ def rel_fro(a, b):
 
 def lowrank(spec, theta, x1, curv):
     """The adjoint sweep with the curvature's factors as its rank vectors."""
-    return adjoint_gradient(spec, theta, x1, curv.grad, 0.0, 1.0, TIGHT, qs=curv.factors)
+    return adjoint_gradient(spec, theta, x1, curv.grad, 1.0, TIGHT, qs=curv.factors)
 
 
 def blocks(grads, cot):
@@ -37,7 +37,7 @@ class TestDenseSweep:
     def test_zero_terminal_data_gives_zero(self):
         spec, theta = tiny_net(0)
         curv = TerminalCurvature(grad=np.zeros((1, 2)), factors=[np.zeros((1, 2))])
-        out = dense_sweep(spec, theta, np.array([[0.3, 0.1]]), curv, 0.0, 1.0, TIGHT)
+        out = dense_sweep(spec, theta, np.array([[0.3, 0.1]]), curv, 1.0, TIGHT)
         for block in (out.qx, out.qu, out.qxx, out.qxu, out.quu):
             assert np.allclose(block, 0.0)
 
@@ -48,19 +48,19 @@ class TestDenseSweep:
         x1 = np.array([[1.0]])
         curv = TerminalCurvature(grad=np.array([[2.0]]),
                                  factors=[np.array([[np.sqrt(2.0)]])])
-        out = dense_sweep(spec, theta, x1, curv, 0.0, 1.0, TIGHT)
+        out = dense_sweep(spec, theta, x1, curv, 1.0, TIGHT)
         assert out.quu[0, 0] == pytest.approx(2.0, abs=1e-6)
         assert out.qu[0] == pytest.approx(2.0, abs=1e-8)
 
     def test_matches_fd_flow_jacobian_reference(self):
         spec, theta = tiny_net(3, dims=(2, 4, 2))
         x0 = np.array([[0.4, -0.2]])
-        x1 = flow(spec, theta, x0, 0.0, 1.0, TIGHT)
+        x1 = flow(spec, theta, x0, 1.0, TIGHT)
         rng = np.random.default_rng(0)
         ys = [rng.normal(size=(1, 2)) for _ in range(2)]
         curv = TerminalCurvature(grad=rng.normal(size=(1, 2)), factors=ys)
-        out = dense_sweep(spec, theta, x1, curv, 0.0, 1.0, TIGHT)
-        jac = fd_gradient(lambda th: flow(spec, th, x0, 0.0, 1.0, TIGHT)[0], theta).T
+        out = dense_sweep(spec, theta, x1, curv, 1.0, TIGHT)
+        jac = fd_gradient(lambda th: flow(spec, th, x0, 1.0, TIGHT)[0], theta).T
         phi_xx = curv.hessian()
         assert rel_fro(out.quu, jac.T @ phi_xx @ jac) < 1e-3
 
@@ -69,7 +69,7 @@ class TestDenseSweep:
         rng = np.random.default_rng(1)
         curv = TerminalCurvature(grad=rng.normal(size=(1, 2)),
                                  factors=[rng.normal(size=(1, 2))])
-        out = dense_sweep(spec, theta, np.array([[0.2, 0.6]]), curv, 0.0, 1.0, TIGHT)
+        out = dense_sweep(spec, theta, np.array([[0.2, 0.6]]), curv, 1.0, TIGHT)
         assert np.allclose(out.qxx, out.qxx.T)
         assert np.allclose(out.quu, out.quu.T)
 
@@ -79,8 +79,8 @@ class TestDenseSweep:
         x1 = rng.uniform(-1, 1, size=(1, 2))
         grad_vec = rng.normal(size=(1, 2))
         curv = TerminalCurvature(grad=grad_vec, factors=[rng.normal(size=(1, 2))])
-        out = dense_sweep(spec, theta, x1, curv, 0.0, 1.0, TIGHT)
-        g_adj, _, a0, _ = adjoint_gradient(spec, theta, x1, grad_vec, 0.0, 1.0, TIGHT)
+        out = dense_sweep(spec, theta, x1, curv, 1.0, TIGHT)
+        g_adj, _, a0, _ = adjoint_gradient(spec, theta, x1, grad_vec, 1.0, TIGHT)
         assert np.max(np.abs(out.qu - g_adj[0])) < 1e-8
         assert np.max(np.abs(out.qx - a0[0])) < 1e-8
 
@@ -120,7 +120,7 @@ class TestLowRankSweep:
                 for rank in (1, 2, 3):
                     ys = [rng.normal(size=(1, 3)) for _ in range(rank)]
                     curv = TerminalCurvature(grad=rng.normal(size=(1, 3)), factors=ys)
-                    dense = dense_sweep(spec, theta, x1, curv, 0.0, 1.0, TIGHT)
+                    dense = dense_sweep(spec, theta, x1, curv, 1.0, TIGHT)
                     grads, _, cot, _ = lowrank(spec, theta, x1, curv)
                     qxx, qxu, quu = blocks(grads, cot)
                     assert rel_fro(qxx, dense.qxx) < 1e-6

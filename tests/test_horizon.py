@@ -65,10 +65,10 @@ class TestHorizonTerms:
         x0 = np.array([[1.0]])
 
         def objective(T):
-            x = flow(spec, theta, x0, 0.0, T, cfg)
+            x = flow(spec, theta, x0, T, cfg)
             return 0.5 * x[0, 0] ** 2 + 0.5 * c * T ** 2
 
-        x1 = flow(spec, theta, x0, 0.0, t_bar, cfg)
+        x1 = flow(spec, theta, x0, t_bar, cfg)
         terms = horizon_terms(spec, theta, x1, x1, t_bar, c)
         assert terms.s == pytest.approx(np.e ** 2, rel=1e-8)
         h = 1e-6
@@ -99,7 +99,7 @@ class TestHorizonStep:
 
     def test_penalty_shrinks_geometrically(self):
         # with the loss term frozen (s = 0) the update is T <- (1 - lr) T
-        _, cfg = seeded(penalty=0.5, lr=0.25, t_min=0.0)
+        _, cfg = seeded(penalty=0.5, lr=0.25)
         t_bar = 1.5
         for _ in range(6):
             avg = HorizonTerms(qt=cfg.penalty * t_bar, qtt=cfg.penalty, s=0.0)
@@ -138,6 +138,15 @@ class TestFirstOrderStep:
         avg, cfg = seeded(qt=np.nan)
         with pytest.raises(NonFiniteUpdate):
             first_order_horizon_step(avg, cfg, 1.0)
+
+
+class TestConfig:
+    def test_t_min_positive_with_the_horizon_disabled(self):
+        # every flow starts at t = 0, so a bound clipped to t_min = 0 would
+        # leave an empty flow; checked whether or not the horizon is enabled
+        assert not HorizonConfig().enabled
+        with pytest.raises(ValueError, match="0 < t_min < t_max"):
+            HorizonConfig(t_min=0.0)
 
 
 class TestMovingAverages:

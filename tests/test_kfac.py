@@ -30,7 +30,7 @@ def first_batch(cfg, t1):
     run = tr._Run(cfg)
     pos, lossfn = run.draw_batch()
     x1 = run.forward(run.ds.inputs[run.ds.train_idx])[0][pos]
-    curv = terminal_curvature(lossfn.at(x1), cfg.t0, t1, mode=cfg.loss.curvature)
+    curv = terminal_curvature(lossfn.at(x1), t1, mode=cfg.loss.curvature)
     return run.spec, run.theta, x1, curv, cfg
 
 
@@ -45,12 +45,12 @@ CIRCLES = tr.ExperimentConfig(dataset=tr.DatasetConfig(kind="circles"),
                               model=tr.ModelConfig(dims=(2, 16, 16, 2)))
 
 
-def assert_same_sweep(spec, theta, x1, curv, ref_curv, t0, t1, solver, b_tol):
+def assert_same_sweep(spec, theta, x1, curv, ref_curv, t1, solver, b_tol):
     """Both curvatures' sweeps take the same steps and NFE and give the same
     gradient, A side and ``x0``, bit for bit, and B sides within ``b_tol``
     relative to the reference's largest entry."""
-    got, grad, rep = accumulate_factors(spec, theta, x1, curv, t0, t1, solver)
-    ref, g_ref, rep_ref = accumulate_factors(spec, theta, x1, ref_curv, t0, t1, solver)
+    got, grad, rep = accumulate_factors(spec, theta, x1, curv, t1, solver)
+    ref, g_ref, rep_ref = accumulate_factors(spec, theta, x1, ref_curv, t1, solver)
     assert (rep.nfe, rep.accepted_steps, rep.rejected_steps) == (
         rep_ref.nfe, rep_ref.accepted_steps, rep_ref.rejected_steps)
     assert np.array_equal(grad, g_ref)
@@ -165,7 +165,7 @@ class TestAccumulateFactors:
         spec, theta = tanh_net(3)
         x1 = np.array([[0.5, -0.5]])
         curv = TerminalCurvature(grad=np.zeros((1, 2)), factors=[np.zeros((1, 2))])
-        factors, grad, _ = accumulate_factors(spec, theta, x1, curv, 0.0, 1.0, RK4)
+        factors, grad, _ = accumulate_factors(spec, theta, x1, curv, 1.0, RK4)
         for b in factors.b_factors:
             assert np.allclose(b, 0.0)
         # activation factors remain nonzero PSD
@@ -192,7 +192,7 @@ class TestAccumulateFactors:
         span = 0.9
         for qs in ([a1], [a1, rng.normal(size=(5, 2))]):
             curv = TerminalCurvature(grad=a1, factors=qs)
-            got, _, rep = accumulate_factors(spec, theta, x1, curv, 0.0, span,
+            got, _, rep = accumulate_factors(spec, theta, x1, curv, span,
                                              SolverConfig(method="rk4", fixed_step=span))
             assert rep.nfe == 4
             sweep = BackwardSweep(spec, theta, x1, a1, qs)
@@ -227,7 +227,7 @@ class TestAccumulateFactors:
         x1, a1 = rng.uniform(-1, 1, size=(2, 2)), rng.normal(size=(2, 2))
         curv = TerminalCurvature(grad=a1, factors=[a1])
         h = 0.25
-        got, grad, rep = accumulate_factors(spec, theta, x1, curv, 0.0, 1.0,
+        got, grad, rep = accumulate_factors(spec, theta, x1, curv, 1.0,
                                             SolverConfig(method="euler", fixed_step=h))
         assert rep.nfe == rep.accepted_steps == 4
         sweep = BackwardSweep(spec, theta, x1, a1, [a1])
@@ -260,7 +260,7 @@ class TestAccumulateFactors:
         x1 = np.array([[0.1, 0.1]])
         curv = TerminalCurvature(grad=np.ones((1, 2)), factors=[np.ones((1, 2))])
         cfg = SolverConfig(method="rk4", fixed_step=0.1)
-        _, _, report = accumulate_factors(spec, theta, x1, curv, 0.0, 1.0, cfg)
+        _, _, report = accumulate_factors(spec, theta, x1, curv, 1.0, cfg)
         assert report.accepted_steps == 10
         assert report.nfe == 10 * 4
 
@@ -271,8 +271,8 @@ class TestAccumulateFactors:
             x1 = rng.uniform(-1, 1, size=(4, 2))
             a1 = rng.normal(size=(4, 2))
             curv = TerminalCurvature(grad=a1, factors=[a1])
-            factors, grad, _ = accumulate_factors(spec, theta, x1, curv, 0.0, 1.0, RK4)
-            g_adj, _, _, _ = adjoint_gradient(spec, theta, x1, a1, 0.0, 1.0, RK4)
+            factors, grad, _ = accumulate_factors(spec, theta, x1, curv, 1.0, RK4)
+            g_adj, _, _, _ = adjoint_gradient(spec, theta, x1, a1, 1.0, RK4)
             assert np.array_equal(grad, g_adj[0])
 
     def test_psd_preserved_under_accumulation(self):
@@ -281,7 +281,7 @@ class TestAccumulateFactors:
         x1 = rng.uniform(-1, 1, size=(4, 2))
         a1 = rng.normal(size=(4, 2))
         curv = TerminalCurvature(grad=a1, factors=[a1])
-        factors, _, _ = accumulate_factors(spec, theta, x1, curv, 0.0, 1.0,
+        factors, _, _ = accumulate_factors(spec, theta, x1, curv, 1.0,
                                            SolverConfig(method="rk4", fixed_step=0.125))
         for mat in factors.a_factors + factors.b_factors:
             assert np.linalg.eigvalsh(mat).min() >= -1e-12
@@ -294,8 +294,8 @@ class TestDefaultConfigSweep:
         # the factors ride on the adjoint's own stages: the same steps, NFE,
         # gradient and reconstructed x0, bit for bit
         spec, theta, x1, curv, cfg = default_batch()
-        _, grad, rep = accumulate_factors(spec, theta, x1, curv, cfg.t0, cfg.t1, cfg.solver)
-        g_adj, x0, _, rep_adj = adjoint_gradient(spec, theta, x1, curv.grad, cfg.t0, cfg.t1,
+        _, grad, rep = accumulate_factors(spec, theta, x1, curv, cfg.t1, cfg.solver)
+        g_adj, x0, _, rep_adj = adjoint_gradient(spec, theta, x1, curv.grad, cfg.t1,
                                                  cfg.solver)
         assert (rep.nfe, rep.accepted_steps, rep.rejected_steps) == (
             rep_adj.nfe, rep_adj.accepted_steps, rep_adj.rejected_steps) == (13, 2, 0)
@@ -313,7 +313,7 @@ class TestDefaultConfigSweep:
             carried = TerminalCurvature(grad=curv.grad, factors=[curv.grad / np.sqrt(t1)])
             runs = []
             for c in (curv, carried):
-                out = accumulate_factors(spec, theta, x1, c, 0.0, t1, cfg.solver)
+                out = accumulate_factors(spec, theta, x1, c, t1, cfg.solver)
                 runs.append((*out, out[2].terminal_state.size))
             (got, grad, rep, size), (ref, g_ref, rep_ref, size_ref) = runs
             assert size_ref - size == x1.size
@@ -325,9 +325,9 @@ class TestDefaultConfigSweep:
 
     def test_factors_match_tight_reference(self):
         spec, theta, x1, curv, cfg = default_batch()
-        got, grad, _ = accumulate_factors(spec, theta, x1, curv, cfg.t0, cfg.t1, cfg.solver)
+        got, grad, _ = accumulate_factors(spec, theta, x1, curv, cfg.t1, cfg.solver)
         tight = SolverConfig(method="dopri5", rtol=1e-10, atol=1e-10)
-        ref, g_ref, _ = accumulate_factors(spec, theta, x1, curv, cfg.t0, cfg.t1, tight)
+        ref, g_ref, _ = accumulate_factors(spec, theta, x1, curv, cfg.t1, tight)
         for mine, want in zip(got.a_factors + got.b_factors, ref.a_factors + ref.b_factors):
             assert np.linalg.norm(mine - want) <= 1e-3 * np.linalg.norm(want)
         assert np.linalg.norm(grad - g_ref) <= 1e-3 * np.linalg.norm(g_ref)
@@ -354,7 +354,7 @@ class TestSoftmaxRankVectors:
         assert len(carried.factors) == n_cls - 1 == len(full.factors) - 1
         assert not curv.factors
         for c in (curv, carried):
-            assert_same_sweep(spec, theta, x1, c, full, cfg.t0, cfg.t1, cfg.solver, 1e-14)
+            assert_same_sweep(spec, theta, x1, c, full, cfg.t1, cfg.solver, 1e-14)
 
     def test_two_class_factor_rides_on_the_adjoint(self):
         # the weighted sweep carries [x | a] only; carrying the same factor as a
@@ -364,7 +364,7 @@ class TestSoftmaxRankVectors:
         readout = tr._Run(cfg).readout
         carried = TerminalCurvature(grad=curv.grad, factors=stick_breaking(
             ls._softmax(readout.logits(x1)), readout.weight))
-        assert_same_sweep(spec, theta, x1, curv, carried, cfg.t0, cfg.t1, cfg.solver, 1e-14)
+        assert_same_sweep(spec, theta, x1, curv, carried, cfg.t1, cfg.solver, 1e-14)
 
     def test_confident_samples_ride_on_the_adjoint(self):
         # logit gaps of 30, 400 and 740 either way, so p_o is below 2**-53, far
@@ -378,12 +378,12 @@ class TestSoftmaxRankVectors:
         readout = ls.Readout(weight=np.array([[100.0, 0.0], [0.0, 0.0]]), bias=np.zeros(2))
         for labels in (np.zeros(gaps.size, dtype=int), np.arange(gaps.size) % 2):
             lf = ls.TerminalLoss(target=labels, readout=readout)
-            curv = terminal_curvature(lf.at(x1), 0.0, 1.0, mode="exact_rank")
+            curv = terminal_curvature(lf.at(x1), 1.0, mode="exact_rank")
             assert np.all(np.isfinite(curv.adjoint_weights))
             assert curv.adjoint_weights.max() > 1e160
             carried = TerminalCurvature(grad=curv.grad, factors=stick_breaking(
                 ls._softmax(readout.logits(x1)), readout.weight))
-            assert_same_sweep(spec, theta, x1, curv, carried, 0.0, 1.0, RK4, 1e-14)
+            assert_same_sweep(spec, theta, x1, curv, carried, 1.0, RK4, 1e-14)
 
 
 class TestCallerArrays:
@@ -402,7 +402,7 @@ class TestCallerArrays:
         if curv.adjoint_weights is not None:
             held.append(curv.adjoint_weights)
         kept = [v.tobytes() for v in held]
-        accumulate_factors(spec, theta, x1, curv, cfg.t0, cfg.t1, cfg.solver)
+        accumulate_factors(spec, theta, x1, curv, cfg.t1, cfg.solver)
         assert [v.tobytes() for v in held] == kept
 
 

@@ -118,15 +118,15 @@ class TestGrad:
 class TestTerminalCurvature:
     def test_mse_exact_rank_is_identity(self):
         lf = ls.TerminalLoss(target=np.zeros(3))
-        curv = ls.terminal_curvature(lf.at(np.array([[1.0, 2.0, 3.0]])), 0.0, 1.0, "exact_rank")
+        curv = ls.terminal_curvature(lf.at(np.array([[1.0, 2.0, 3.0]])), 1.0, "exact_rank")
         assert len(curv.factors) == 3
         assert np.allclose(curv.hessian(), np.eye(3))
 
     def test_gauss_newton_unit_interval(self):
         lf = ls.TerminalLoss(target=np.zeros(2))
         x = np.array([[0.5, -0.5]])
-        curv = ls.terminal_curvature(lf.at(x), 0.0, 1.0, "gauss_newton_scaled")
-        # the one factor grad / sqrt(t1 - t0) rides on the adjoint, no rank vector
+        curv = ls.terminal_curvature(lf.at(x), 1.0, "gauss_newton_scaled")
+        # the one factor grad / sqrt(t1) rides on the adjoint, no rank vector
         assert not curv.factors
         np.testing.assert_array_equal(curv.adjoint_weights, [1.0])
         assert np.allclose(curv.hessian(), np.outer(curv.grad, curv.grad))
@@ -134,20 +134,20 @@ class TestTerminalCurvature:
     def test_gauss_newton_interval_scaling(self):
         lf = ls.TerminalLoss(target=np.zeros(2))
         x = np.array([[0.5, -0.5]])
-        curv = ls.terminal_curvature(lf.at(x), 0.0, 4.0, "gauss_newton_scaled")
-        factor = curv.grad / np.sqrt(4.0 - 0.0)
+        curv = ls.terminal_curvature(lf.at(x), 4.0, "gauss_newton_scaled")
+        factor = curv.grad / np.sqrt(4.0)
         assert np.allclose(curv.hessian(), np.outer(factor, factor))
         np.testing.assert_array_equal(curv.adjoint_weights, [0.5])
         # one weight per sample, as a zero-stride view
         assert curv.adjoint_weights.strides == (0,)
-        assert ls.terminal_curvature(lf.at(x), 0.0, 4.0, "exact_rank").adjoint_weights is None
+        assert ls.terminal_curvature(lf.at(x), 4.0, "exact_rank").adjoint_weights is None
 
     def test_softmax_exact_rank_matches_fd_hessian(self):
         rng = np.random.default_rng(2)
         readout = ls.Readout(weight=rng.normal(size=(3, 2)), bias=rng.normal(size=3))
         lf = ls.TerminalLoss(target=np.array([2]), readout=readout)
         x = rng.normal(size=(1, 2))
-        curv = ls.terminal_curvature(lf.at(x), 0.0, 1.0, "exact_rank")
+        curv = ls.terminal_curvature(lf.at(x), 1.0, "exact_rank")
         want = fd_hessian(lambda v: ls.loss_value(lf.at(v)), x)
         rel = np.linalg.norm(curv.hessian() - want) / np.linalg.norm(want)
         assert rel < 1e-5
@@ -157,7 +157,7 @@ class TestTerminalCurvature:
         readout = ls.Readout(weight=rng.normal(size=(4, 3)), bias=np.zeros(4))
         for mode in ("exact_rank", "gauss_newton_scaled"):
             lf = ls.TerminalLoss(target=np.array([1]), readout=readout)
-            curv = ls.terminal_curvature(lf.at(rng.normal(size=(1, 3))), 0.0, 1.0, mode)
+            curv = ls.terminal_curvature(lf.at(rng.normal(size=(1, 3))), 1.0, mode)
             assert np.linalg.eigvalsh(curv.hessian()).min() >= -1e-10
 
     def test_softmax_factor_count_is_classes_minus_one(self):
@@ -168,7 +168,7 @@ class TestTerminalCurvature:
             lf = ls.TerminalLoss(target=np.array([0, n_cls - 1]),
                                  readout=readout)
             at = lf.at(rng.normal(size=(2, 3)))
-            curv = ls.terminal_curvature(at, 0.0, 1.0, "exact_rank")
+            curv = ls.terminal_curvature(at, 1.0, "exact_rank")
             assert len(ls._multinomial_cholesky(at.probs)) == n_cls - 1
             # only the two-class factor rides on the adjoint; more classes
             # carry all C-1 as rank vectors
@@ -185,7 +185,7 @@ class TestTerminalCurvature:
         want = np.sqrt(p[:, :1] * p[:, 1:]) * np.array([1.0, -1.0])
         np.testing.assert_allclose(factor, want, rtol=1e-15, atol=0)
         # the curvature holds it as the weighted gradient, up to each row's sign
-        curv = ls.terminal_curvature(lf.at(x), 0.0, 1.0, "exact_rank")
+        curv = ls.terminal_curvature(lf.at(x), 1.0, "exact_rank")
         np.testing.assert_allclose(np.abs(curv.adjoint_weights[:, None] * curv.grad),
                                    np.abs(want), rtol=1e-15, atol=0)
 
@@ -202,7 +202,7 @@ class TestTerminalCurvature:
             lf = ls.TerminalLoss(target=np.zeros(len(x), dtype=int))
             cols = ls._multinomial_cholesky(p)
             # from three classes on, the curvature carries exactly these columns
-            curv = ls.terminal_curvature(lf.at(x), 0.0, 1.0, "exact_rank")
+            curv = ls.terminal_curvature(lf.at(x), 1.0, "exact_rank")
             assert len(curv.factors) == (n_cls - 1 if n_cls > 2 else 0)
             for got, want in zip(curv.factors, cols):
                 assert np.array_equal(got, want)
@@ -224,7 +224,7 @@ class TestTerminalCurvature:
         x = np.concatenate([rng.normal(size=(100, 2)) * scale
                             for scale in (1.0, 10.0, 100.0, 1000.0)])
         lf = ls.TerminalLoss(target=rng.integers(0, 2, size=len(x)))
-        curv = ls.terminal_curvature(lf.at(x), 0.0, 1.0, "exact_rank")
+        curv = ls.terminal_curvature(lf.at(x), 1.0, "exact_rank")
         (factor,), w = ls._multinomial_cholesky(ls._softmax(x)), curv.adjoint_weights
         p_o = ls._softmax(x)[np.arange(len(x)), 1 - lf.target]
         assert np.any(p_o == 0.0) and np.any((p_o > 0) & (p_o < np.finfo(float).tiny))
@@ -255,16 +255,11 @@ class TestTerminalCurvature:
             weight=rng.normal(size=(n_cls, 3)), bias=np.zeros(n_cls))) for n_cls in (2, 3)}
         for n_cls, mode in ((2, "exact_rank"), (2, "gauss_newton_scaled"),
                             (3, "gauss_newton_scaled")):
-            curv = ls.terminal_curvature(losses[n_cls].at(x), 0.0, 1.0, mode)
+            curv = ls.terminal_curvature(losses[n_cls].at(x), 1.0, mode)
             assert not curv.factors and curv.adjoint_weights.shape == (4,)
         # three classes under exact_rank do build it
         with pytest.raises(AssertionError, match="Cholesky"):
-            ls.terminal_curvature(losses[3].at(x), 0.0, 1.0, "exact_rank")
-
-    def test_requires_forward_interval(self):
-        lf = ls.TerminalLoss(target=np.zeros(2))
-        with pytest.raises(ValueError):
-            ls.terminal_curvature(lf.at(np.zeros((1, 2))), 1.0, 1.0, "gauss_newton_scaled")
+            ls.terminal_curvature(losses[3].at(x), 1.0, "exact_rank")
 
 
 def test_accuracy():

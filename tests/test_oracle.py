@@ -14,7 +14,7 @@ class TestFlow:
         spec = vf.MlpSpec(dims=(1, 1), activations=("identity",), bias=False)
         cfg = SolverConfig(method="dopri5", rtol=1e-10, atol=1e-10)
         x0 = np.array([[1.0], [-2.0], [0.5]])
-        x1 = flow(spec, np.array([0.5]), x0, 0.0, 1.0, cfg)
+        x1 = flow(spec, np.array([0.5]), x0, 1.0, cfg)
         assert x1.shape == (3, 1)
         assert np.allclose(x1, x0 * np.exp(0.5), rtol=1e-8)
 
@@ -55,7 +55,7 @@ class TestFdFlowJacobian:
         spec = vf.MlpSpec(dims=(2, 2), activations=("identity",), bias=False)
         theta = np.zeros(vf.num_params(spec))
         cfg = SolverConfig(method="rk4", fixed_step=0.1)
-        jac = fd_gradient(lambda th: flow(spec, th, np.zeros((1, 2)), 0.0, 1.0, cfg)[0],
+        jac = fd_gradient(lambda th: flow(spec, th, np.zeros((1, 2)), 1.0, cfg)[0],
                           theta).T
         assert jac.shape == (2, theta.size)
         assert np.max(np.abs(jac)) < 1e-9
@@ -64,7 +64,7 @@ class TestFdFlowJacobian:
         # dx/dt = w x at w=0, x0=1: d x(1) / d w = 1
         spec = vf.MlpSpec(dims=(1, 1), activations=("identity",), bias=False)
         cfg = SolverConfig(method="rk4", fixed_step=0.01)
-        jac = fd_gradient(lambda th: flow(spec, th, np.array([[1.0]]), 0.0, 1.0, cfg)[0],
+        jac = fd_gradient(lambda th: flow(spec, th, np.array([[1.0]]), 1.0, cfg)[0],
                           np.zeros(1)).T
         assert jac[0, 0] == pytest.approx(1.0, abs=1e-6)
 

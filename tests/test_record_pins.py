@@ -11,9 +11,9 @@ second case runs it with period 2 to move ``t1`` within the four.
 No workload carries a rank vector through its sweep, so two more cases
 pin the paths that do, under the same rule: snopt at lr 0.03 and epsilon
 0.01 with the ``exact_rank`` curvature, on three-class circles (two
-Cholesky rank vectors through the readout) and on regression without a
-readout (mse, one identity rank vector per state dimension), config seed
-0 for four iterations.
+Cholesky rank vectors through the readout) and on regression (mse on the
+state, one identity rank vector per state dimension), config seed 0 for
+four iterations.
 
 No workload runs sgd or the first-order horizon policy either, so two
 cases change the adam-spirals workload, config seed 0, for four
@@ -43,8 +43,7 @@ RANK_VECTOR_CONFIGS = {
     "circles3-exact-rank": replace(
         _RANK_VECTORS, dataset=tr.DatasetConfig(kind="circles", radii=(0.5, 1.0, 1.5))),
     "regression-exact-rank": replace(
-        _RANK_VECTORS, dataset=tr.DatasetConfig(kind="regression"),
-        loss=tr.LossConfig(readout=False, curvature="exact_rank")),
+        _RANK_VECTORS, dataset=tr.DatasetConfig(kind="regression")),
 }
 _SPIRALS = WORKLOADS["adam-spirals"].config_for(0, iterations=4)
 FIRST_ORDER_CONFIGS = {

@@ -224,7 +224,7 @@ class TestDefaultConfigSolves:
             lossfn = run.loss_on(idx)
             x1, _ = run.forward(run.ds.inputs[idx])
             grad, _, _, _ = adjoint_gradient(run.spec, run.theta, x1, grad_x1(lossfn.at(x1)),
-                                             cfg.t0, cfg.t1, cfg.solver)
+                                             cfg.t1, cfg.solver)
             x1s.append(x1)
             grads.append(grad[0])
         assert np.linalg.norm(x1s[0] - x1s[1]) <= 1e-5 * np.linalg.norm(x1s[1])
@@ -236,13 +236,13 @@ class TestDefaultConfigSolves:
         # 1e-10 sweep from the same x1 with a first step aimed at 1% of the
         # tolerance (1.4e-4 aimed at the tolerance); the bound is 10x 8.3e-5.
         # The error norm scores only the replay x, so a sweep started at a step
-        # that fits x alone may span [t0, t1] in one step and lose the
+        # that fits x alone may span [0, t1] in one step and lose the
         # gradient: dopri5's first-step rule is what keeps it accurate
         cfg = tr.ExperimentConfig(optimizer=tr.OptimizerConfig(kind="adam", lr=0.01),
                                   iterations=10)
         run, x1, phi_grad, curv = _trained_sweep_start(cfg)
         grad, _, _ = run.backward(x1, phi_grad, curv)
-        ref = adjoint_gradient(run.spec, run.theta, x1, phi_grad, cfg.t0, run.t1, TIGHT)[0][0]
+        ref = adjoint_gradient(run.spec, run.theta, x1, phi_grad, run.t1, TIGHT)[0][0]
         assert np.linalg.norm(grad - ref) <= 10 * 8.3e-5 * np.linalg.norm(ref)
 
     def test_factors_stay_accurate_at_a_trained_state(self):
@@ -256,7 +256,7 @@ class TestDefaultConfigSolves:
                                   iterations=12)
         run, x1, phi_grad, curv = _trained_sweep_start(cfg)
         grad, factors, _ = run.backward(x1, phi_grad, curv)
-        ref, ref_grad, _ = accumulate_factors(run.spec, run.theta, x1, curv, cfg.t0, run.t1,
+        ref, ref_grad, _ = accumulate_factors(run.spec, run.theta, x1, curv, run.t1,
                                               TIGHT)
         assert np.linalg.norm(grad - ref_grad) <= 10 * 5.3e-5 * np.linalg.norm(ref_grad)
         for got, want in zip(factors.a_factors + factors.b_factors,
@@ -340,7 +340,7 @@ class TestSharedForward:
         run = tr._Run(cfg)
         x0 = run.ds.inputs[run.ds.train_idx]
         x1, _ = run.forward(x0)
-        ref = flow(cfg.model, run.theta, x0, cfg.t0, cfg.t1, cfg.solver)
+        ref = flow(cfg.model, run.theta, x0, cfg.t1, cfg.solver)
         assert np.array_equal(x1, ref)
 
     def test_forward_solves_keep_no_trace(self, monkeypatch):
@@ -362,7 +362,7 @@ class TestSharedForward:
         _, rep = run.forward(x0)
         assert len(calls) == rep.nfe and set(calls) == {(None, 1)}
         calls.clear()
-        flow(cfg.model, run.theta, x0, cfg.t0, cfg.t1, cfg.solver)
+        flow(cfg.model, run.theta, x0, cfg.t1, cfg.solver)
         assert len(calls) == rep.nfe and set(calls) == {(None, 1)}
 
 
@@ -398,7 +398,7 @@ class TestMemoryProbe:
         probes = {}
         for rank in (1, 2, 4):
             curv = TerminalCurvature(grad=x1, factors=[x1 * (i + 1.0) for i in range(rank)])
-            rep = accumulate_factors(spec, theta, x1, curv, 0.0, 1.0,
+            rep = accumulate_factors(spec, theta, x1, curv, 1.0,
                                      SolverConfig(method="rk4", fixed_step=0.25))[2]
             probes[rank] = rep.terminal_state.size + rep.quadrature.size
         p1, p2, p4 = probes[1], probes[2], probes[4]
@@ -438,7 +438,7 @@ class TestMemoryProbe:
 class TestConfigValidation:
     def test_interval(self):
         with pytest.raises(ValueError):
-            small_config(t0=1.0, t1=1.0)
+            small_config(t1=0.0)
 
     def test_batch_size(self):
         with pytest.raises(ValueError):
@@ -450,15 +450,14 @@ class TestConfigValidation:
             small_config(grid_samples=1)
 
     def test_built_and_replaced_configs_check_joined_sections(self):
-        # three classes on the two-wide state without a readout: the
+        # a bound t1 = 3 outside the enabled horizon's [0.05, 2]: the
         # cross-section rule, checked on every build
-        three = tr.DatasetConfig(kind="circles", radii=(0.5, 1.0, 1.5))
-        off = tr.LossConfig(readout=False)
-        with pytest.raises(ValueError, match="3 classes but the state"):
-            tr.ExperimentConfig(dataset=three, loss=off)
-        valid = tr.ExperimentConfig(dataset=three, iterations=2)
-        with pytest.raises(ValueError, match="3 classes but the state"):
-            replace(valid, loss=off)
+        enabled = tr.HorizonConfig(enabled=True)
+        with pytest.raises(ValueError, match="t_min <= t1 <= t_max"):
+            tr.ExperimentConfig(t1=3.0, horizon=enabled)
+        valid = tr.ExperimentConfig(t1=3.0, iterations=2)
+        with pytest.raises(ValueError, match="t_min <= t1 <= t_max"):
+            replace(valid, horizon=enabled)
 
     def test_sections_hold_their_types_defaults(self):
         # one default per setting: each section of the default config is its
@@ -478,6 +477,6 @@ class TestConfigValidation:
         # replace sections share, so a mutable one would skip the check for both configs
         cfg = tr.ExperimentConfig()
         with pytest.raises(FrozenInstanceError):
-            cfg.loss.readout = False
+            cfg.loss.curvature = "exact_rank"
         with pytest.raises(FrozenInstanceError):
             cfg.seed = 1
